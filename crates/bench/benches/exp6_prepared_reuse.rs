@@ -6,8 +6,7 @@
 //!
 //! * **text path** — `N × PaxServer::query_once`: every execution re-lexes,
 //!   re-parses, re-normalizes and re-compiles the query text, then runs the
-//!   full two-visit PaX2 protocol (this is exactly what the deprecated
-//!   per-query free functions did per call);
+//!   full two-visit PaX2 protocol;
 //! * **prepared path** — one `PaxServer::prepare` plus `N ×
 //!   PaxServer::execute`: the query is compiled once; the first execution
 //!   snapshots the residual-vector cache (one visit per relevant site) and

@@ -297,10 +297,6 @@ impl TransportHold {
 pub struct Deployment {
     /// The transport to the simulated or real sites.
     transport: TransportHold,
-    /// The fragment tree **at deploy time** (kept for the deprecated
-    /// unversioned API surface; epoch-aware callers use
-    /// [`Deployment::topology_at`], which reflects re-fragmentations).
-    pub fragment_tree: FragmentTree,
     /// Label of the original tree's root element (stored in the root
     /// fragment; needed by the annotation analysis).
     pub root_label: String,
@@ -331,7 +327,6 @@ impl Deployment {
         let initial = Arc::new(Topology::new(fragmented.fragment_tree.clone(), placement, 0));
         Deployment {
             transport,
-            fragment_tree: fragmented.fragment_tree.clone(),
             root_label: fragmented.root_fragment().root_label.clone(),
             total_nodes: fragmented.total_real_nodes(),
             topologies: RwLock::new(vec![(0, initial)]),
@@ -529,11 +524,6 @@ impl Deployment {
     ) -> BTreeMap<SiteId, Vec<FragmentId>> {
         self.current_topology().group_by_site(fragments)
     }
-
-    /// Reset statistics and per-site scratch state between query runs.
-    pub fn reset(&mut self) {
-        self.transport().reset();
-    }
 }
 
 /// A borrowed execution context: one execution's private view of a shared
@@ -553,9 +543,8 @@ impl Deployment {
 /// requests in an [`EpochRequest`] envelope carrying the pinned epoch (and a
 /// retirement watermark), so all visits of an execution read one consistent
 /// set of fragment snapshots no matter how many updates publish mid-flight.
-/// [`ExecCtx::new`] pins [`LATEST_EPOCH`] — the unversioned semantics the
-/// deprecated free-function drivers rely on; a `PaxServer` pins the epoch
-/// current at execution entry via [`ExecCtx::pinned`].
+/// A `PaxServer` pins the epoch current at execution entry; pinning
+/// [`LATEST_EPOCH`] reads the newest snapshots, whatever their epoch.
 pub struct ExecCtx<'a> {
     deployment: &'a Deployment,
     /// The epoch every round of this execution reads.
@@ -574,12 +563,6 @@ pub struct ExecCtx<'a> {
 }
 
 impl<'a> ExecCtx<'a> {
-    /// Start an execution over a shared deployment with a fresh recorder,
-    /// reading the newest fragment snapshots ([`LATEST_EPOCH`]).
-    pub fn new(deployment: &'a Deployment) -> Self {
-        Self::pinned(deployment, LATEST_EPOCH, 0)
-    }
-
     /// Start an execution pinned to `epoch`, shipping `retire_below` as the
     /// retirement watermark on every round.
     pub fn pinned(deployment: &'a Deployment, epoch: u64, retire_below: u64) -> Self {
@@ -736,7 +719,7 @@ mod tests {
         let d = Deployment::over_transport(&f, cluster);
         assert!(d.cluster().is_some(), "as_cluster sees through the Arc");
         assert_eq!(d.site_count(), 2);
-        let mut ctx = ExecCtx::new(&d);
+        let mut ctx = ExecCtx::pinned(&d, LATEST_EPOCH, 0);
         let responses = ctx.broadcast(ProtocolRequest::Fetch).unwrap();
         let shipped: usize =
             responses.into_values().map(|r| r.into_fragments().unwrap().len()).sum();

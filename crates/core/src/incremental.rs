@@ -14,11 +14,12 @@
 //! * the candidate answers *with their residual formulas*.
 //!
 //! That cache is `QuerySession` (crate-internal): one prepared query's
-//! residual-vector state, usable against any borrowed [`Deployment`]. A
+//! residual-vector state. A
 //! [`PaxServer`](crate::server::PaxServer) keeps one session per prepared
 //! query and maintains *all* of them in the single visit an update round
-//! pays to each dirty site; the deprecated [`IncrementalEngine`] wraps one
-//! session plus an owned deployment for backward compatibility.
+//! pays to each dirty site. Preprocessing is the update routine run from
+//! the empty state: a query's first (cold) snapshot is the same round with
+//! no ops and every relevant fragment dirty.
 //!
 //! When a batch of updates arrives, only the **touched fragments'** vectors
 //! are stale. The update round ships the ops to the *dirty* sites (one
@@ -55,7 +56,7 @@
 //!     .build();
 //! let fragmented = cut_at_labels(&tree, &["client"]).unwrap();
 //!
-//! let mut server = PaxServer::builder()
+//! let server = PaxServer::builder()
 //!     .algorithm(Algorithm::PaX2)
 //!     .sites(3)
 //!     .placement(Placement::RoundRobin)
@@ -79,27 +80,26 @@
 //! assert_eq!(report.max_visits_per_site(), 0);
 //! ```
 
-use crate::deployment::{Deployment, ExecCtx};
+use crate::deployment::{ExecCtx, Topology};
 use crate::error::PaxResult;
+use crate::plan::QueryPlan;
 use crate::protocol::{
-    CandidateAnswer, FragmentUpdate, InitVector, MsgDeltaAnswer, MsgDeltaVect, MsgUpdate,
-    RecomputeInput,
+    CandidateAnswer, MsgDeltaAnswer, MsgDeltaVect, MsgSessionUpdate, RecomputeInput,
+    SessionRecompute,
 };
-use crate::prune::{analyze_with_trie, AnnotationAnalysis, PathTrie};
 use crate::report::AnswerItem;
 use crate::transport::ProtocolRequest;
 use crate::unify::{resolve_summary, DenseAssignment};
 use crate::vars::PaxVar;
 use crate::EvalOptions;
 use paxml_boolex::{BitVector, CompactVector};
-use paxml_distsim::{ClusterStats, SiteId};
-use paxml_fragment::{FragmentId, FragmentResult, FragmentTree, UpdateOp};
-use paxml_xpath::eval::{initial_vector, QualVectors};
-use paxml_xpath::{compile_text, CompiledQuery, XPathResult};
+use paxml_distsim::SiteId;
+use paxml_fragment::{FragmentId, FragmentTree, UpdateOp};
+use paxml_xpath::eval::QualVectors;
+use paxml_xpath::CompiledQuery;
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// The per-fragment cache entry: everything the coordinator keeps from the
 /// last combined pass over that fragment. `Serialize` exists only so
@@ -118,90 +118,19 @@ struct FragmentCache {
     resolved: Vec<AnswerItem>,
 }
 
-/// The outcome of one incremental re-evaluation.
-#[derive(Debug, Clone)]
-pub struct IncrementalReport {
-    /// Fragments the update batch touched.
-    pub dirty_fragments: BTreeSet<FragmentId>,
-    /// Sites holding at least one dirty fragment — the only sites visited.
-    pub dirty_sites: BTreeSet<SiteId>,
-    /// Per-site visit counts of *this* re-evaluation (not cumulative).
-    pub visits: BTreeMap<SiteId, u32>,
-    /// Update ops applied successfully.
-    pub applied_ops: usize,
-    /// Fragments whose op sequence was rejected, with the reason (their
-    /// remaining ops were skipped; their vectors were still refreshed).
-    pub rejected: BTreeMap<FragmentId, String>,
-    /// Fragments whose combined pass was re-run site-side.
-    pub recomputed_fragments: usize,
-    /// Re-unification steps `evalFT` actually performed — bottom-up
-    /// (qualifier) steps plus top-down (selection) steps, so a fragment in
-    /// both cones counts twice; every other fragment reused cached truth
-    /// values. This is the size of the dirty cone the coordinator walked.
-    pub reunified_fragments: usize,
-    /// Coordinator-side unification operations of this re-evaluation.
-    pub unify_ops: u64,
-    /// Bytes moved over the network by this re-evaluation.
-    pub network_bytes: u64,
-    /// The full cluster meters of this re-evaluation only (recorded by the
-    /// round's own [`ClusterStats`] recorder, never derived from shared
-    /// cumulative counters).
-    pub stats: ClusterStats,
-    /// Wall-clock time of the re-evaluation as seen by the coordinator.
-    pub elapsed: Duration,
-}
-
-impl IncrementalReport {
-    /// Visits this re-evaluation paid to sites holding *no* dirty fragment.
-    /// The incremental protocol guarantees this is zero.
-    pub fn clean_site_visits(&self) -> u32 {
-        self.visits
-            .iter()
-            .filter(|(site, _)| !self.dirty_sites.contains(site))
-            .map(|(_, v)| v)
-            .sum()
-    }
-
-    /// The largest visit count any dirty site received (≤ 2; in fact the
-    /// update round needs exactly one visit per dirty site).
-    pub fn max_visits_per_dirty_site(&self) -> u32 {
-        self.visits
-            .iter()
-            .filter(|(site, _)| self.dirty_sites.contains(site))
-            .map(|(_, v)| *v)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// One-line human-readable summary.
-    pub fn summary(&self) -> String {
-        format!(
-            "incremental: {} dirty fragments on {} sites, {} ops applied, {} recomputed, {} re-unified, {} unify ops, {} bytes, {:?}",
-            self.dirty_fragments.len(),
-            self.dirty_sites.len(),
-            self.applied_ops,
-            self.recomputed_fragments,
-            self.reunified_fragments,
-            self.unify_ops,
-            self.network_bytes,
-            self.elapsed,
-        )
-    }
-}
-
 /// Coordinator-side work one session did while refreshing its state.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct RefreshOutcome {
+struct RefreshOutcome {
     /// `evalFT` unification operations performed.
-    pub(crate) unify_ops: u64,
+    unify_ops: u64,
     /// Fragments the dirty-cone walk actually re-unified.
-    pub(crate) reunified_fragments: usize,
+    reunified_fragments: usize,
 }
 
 /// One prepared query's residual-vector cache: the coordinator-side state
 /// that lets re-evaluation after updates visit only dirty sites (and serve
-/// clean re-executions with no visit at all). Borrows the deployment per
-/// call, so a server can hold many sessions over one deployment.
+/// clean re-executions with no visit at all). A [`session_round`] borrows
+/// the deployment per call, so a server can hold many sessions over one
+/// deployment.
 ///
 /// `Clone` is copy-on-write at the fragment granularity: the per-fragment
 /// cache entries sit behind [`Arc`]s, so cloning a session for the next
@@ -213,8 +142,7 @@ pub(crate) struct QuerySession {
     pub(crate) query: CompiledQuery,
     query_text: String,
     options: EvalOptions,
-    analysis: AnnotationAnalysis,
-    root_init: Vec<bool>,
+    plan: QueryPlan,
     ft: FragmentTree,
     cache: BTreeMap<FragmentId, Arc<FragmentCache>>,
     /// Ancestor summaries recorded at virtual nodes, keyed by the
@@ -229,33 +157,26 @@ pub(crate) struct QuerySession {
 }
 
 impl QuerySession {
-    /// Build the (empty) session state for one compiled query. No site is
-    /// visited until [`QuerySession::run_round`] runs the initial snapshot.
+    /// Build the (empty) session state for one compiled query over one
+    /// topology version. No site is visited until a [`session_round`] runs
+    /// the cold snapshot.
     pub(crate) fn new(
         query: CompiledQuery,
         query_text: &str,
         options: &EvalOptions,
-        ft: FragmentTree,
+        topology: &Topology,
         root_label: &str,
-        trie: &PathTrie,
     ) -> QuerySession {
-        let analysis = if options.use_annotations {
-            analyze_with_trie(&query, trie)
-        } else {
-            AnnotationAnalysis::keep_all(&ft)
-        };
-        let root_init: Vec<bool> = initial_vector(&query, root_label);
-        let fragments = ft.len();
+        let plan = QueryPlan::new(&query, options, topology, root_label);
         QuerySession {
             query,
             query_text: query_text.to_string(),
             options: *options,
-            analysis,
-            root_init,
-            ft,
+            plan,
+            ft: topology.fragment_tree.clone(),
             cache: BTreeMap::new(),
             virtuals: BTreeMap::new(),
-            assignment: DenseAssignment::new(fragments),
+            assignment: DenseAssignment::new(topology.fragment_tree.len()),
             answers: Vec::new(),
             initialized: false,
         }
@@ -278,37 +199,24 @@ impl QuerySession {
 
     /// The fragments the annotation analysis kept for this query.
     pub(crate) fn relevant(&self) -> &BTreeSet<FragmentId> {
-        &self.analysis.relevant
-    }
-
-    /// The initial vector of a fragment's combined pass (same policy as
-    /// from-scratch PaX2).
-    fn init_for(&self, fragment: FragmentId) -> InitVector {
-        if fragment == FragmentId::ROOT {
-            InitVector::Exact(BitVector::from_bools(&self.root_init))
-        } else if let Some(exact) = self.analysis.exact_init.get(&fragment) {
-            InitVector::Exact(BitVector::from_bools(exact))
-        } else {
-            InitVector::Unknown
-        }
+        &self.plan.analysis.relevant
     }
 
     /// The recompute instructions this session wants for a set of dirty
     /// fragments: one entry per dirty fragment the session's analysis kept
     /// (pruned fragments' vectors are irrelevant and stay absent).
-    pub(crate) fn recompute_inputs(
+    fn recompute_inputs(
         &self,
         dirty: &BTreeSet<FragmentId>,
     ) -> BTreeMap<FragmentId, RecomputeInput> {
         dirty
-            .iter()
-            .filter(|f| self.analysis.relevant.contains(f))
+            .intersection(self.relevant())
             .map(|&fragment| {
                 (
                     fragment,
                     RecomputeInput {
-                        init: self.init_for(fragment),
-                        root_is_context: fragment == FragmentId::ROOT && !self.query.absolute,
+                        init: self.plan.init_for(fragment),
+                        root_is_context: self.plan.root_is_context(fragment),
                     },
                 )
             })
@@ -318,7 +226,7 @@ impl QuerySession {
     /// Merge a recomputed site delta into the coordinator-side cache.
     /// `Arc::make_mut` unshares exactly the touched entries; clean
     /// fragments' caches stay shared with any prior epoch's sessions.
-    pub(crate) fn absorb(&mut self, vect: MsgDeltaVect, answer: MsgDeltaAnswer) {
+    fn absorb(&mut self, vect: MsgDeltaVect, answer: MsgDeltaAnswer) {
         for (fragment, root) in vect.roots {
             Arc::make_mut(self.cache.entry(fragment).or_default()).root = Some(root);
         }
@@ -341,9 +249,8 @@ impl QuerySession {
     }
 
     /// Re-unify `evalFT` over the dirty cone and re-resolve the cached
-    /// answers — the coordinator-side half of a refresh, shared by the
-    /// engine's own rounds and the server's multi-session update rounds.
-    pub(crate) fn refresh_coordinator_state(
+    /// answers — the coordinator-side half of a refresh.
+    fn refresh_coordinator_state(
         &mut self,
         dirty_fragments: &BTreeSet<FragmentId>,
         initial: bool,
@@ -391,101 +298,6 @@ impl QuerySession {
         RefreshOutcome { unify_ops, reunified_fragments: qual_reunified + sel_reunified }
     }
 
-    /// One coordinator round over a borrowed (shared) deployment: ship the
-    /// ops and recompute instructions to the dirty sites, merge the deltas
-    /// into the caches, re-unify the dirty cone and re-resolve answers.
-    /// With `initial` set, every relevant fragment is treated as dirty
-    /// (and `ops_by_fragment` is empty). The round is pinned to `epoch`:
-    /// sites read (and, when ops are present, install) fragment versions
-    /// in that epoch's namespace. The round's meters are recorded by its
-    /// own [`ExecCtx`], so concurrent activity elsewhere on the deployment
-    /// never leaks into this report.
-    pub(crate) fn run_round(
-        &mut self,
-        deployment: &Deployment,
-        epoch: u64,
-        ops_by_fragment: &BTreeMap<FragmentId, Vec<UpdateOp>>,
-        initial: bool,
-    ) -> PaxResult<IncrementalReport> {
-        let start = Instant::now();
-        let mut ctx = ExecCtx::pinned(deployment, epoch, 0);
-        let dirty_fragments: BTreeSet<FragmentId> = if initial {
-            self.analysis.relevant.iter().copied().collect()
-        } else {
-            ops_by_fragment.keys().copied().collect()
-        };
-        // ----------------------------------------------- the one dirty round
-        let grouped = ctx.group_by_site(dirty_fragments.iter().copied())?;
-        let dirty_sites: BTreeSet<SiteId> = grouped.keys().copied().collect();
-        let mut requests: BTreeMap<SiteId, ProtocolRequest> = BTreeMap::new();
-        let mut recomputed = 0usize;
-        for (&site, fragments) in &grouped {
-            let mut per_fragment = BTreeMap::new();
-            for &fragment in fragments {
-                let recompute = self.analysis.relevant.contains(&fragment);
-                if recompute {
-                    recomputed += 1;
-                }
-                per_fragment.insert(
-                    fragment,
-                    FragmentUpdate {
-                        ops: ops_by_fragment.get(&fragment).cloned().unwrap_or_default(),
-                        init: self.init_for(fragment),
-                        root_is_context: fragment == FragmentId::ROOT && !self.query.absolute,
-                        recompute,
-                    },
-                );
-            }
-            requests.insert(
-                site,
-                ProtocolRequest::Update(MsgUpdate {
-                    query: self.query.clone(),
-                    fragments: per_fragment,
-                }),
-            );
-        }
-        debug_assert!(
-            requests.keys().all(|s| dirty_sites.contains(s)),
-            "the update round must address dirty sites only"
-        );
-        let responses = ctx.round(requests)?;
-
-        let mut applied_ops = 0usize;
-        let mut rejected: BTreeMap<FragmentId, String> = BTreeMap::new();
-        for response in responses.into_values() {
-            let delta = response.into_delta()?;
-            applied_ops += delta.applied.values().sum::<usize>();
-            rejected.extend(delta.rejected);
-            self.absorb(delta.vect, delta.answer);
-        }
-
-        // --------------------- evalFT over the dirty cone + answer refresh
-        let refresh = self.refresh_coordinator_state(&dirty_fragments, initial);
-        self.initialized = true;
-
-        // ------------------------------------------------------------ report
-        let visits: BTreeMap<SiteId, u32> = ctx
-            .stats
-            .sites
-            .iter()
-            .map(|(site, s)| (*site, s.visits))
-            .filter(|(_, v)| *v > 0)
-            .collect();
-        Ok(IncrementalReport {
-            dirty_fragments,
-            dirty_sites,
-            visits,
-            applied_ops,
-            rejected,
-            recomputed_fragments: recomputed,
-            reunified_fragments: refresh.reunified_fragments,
-            unify_ops: refresh.unify_ops,
-            network_bytes: ctx.stats.total_bytes(),
-            stats: ctx.stats,
-            elapsed: start.elapsed(),
-        })
-    }
-
     /// Adopt a new fragment tree after a re-fragmentation that left this
     /// session's relevant fragments untouched. The annotation analysis is
     /// re-derived over the new tree, the (possibly stale) entries for the
@@ -498,16 +310,12 @@ impl QuerySession {
     /// no longer exist); the server cold-resets those instead.
     pub(crate) fn retopologize(
         &mut self,
-        ft: FragmentTree,
-        trie: &PathTrie,
+        topology: &Topology,
+        root_label: &str,
         touched: &BTreeSet<FragmentId>,
     ) {
-        self.ft = ft;
-        self.analysis = if self.options.use_annotations {
-            analyze_with_trie(&self.query, trie)
-        } else {
-            AnnotationAnalysis::keep_all(&self.ft)
-        };
+        self.ft = topology.fragment_tree.clone();
+        self.plan = QueryPlan::new(&self.query, &self.options, topology, root_label);
         for fragment in touched {
             self.cache.remove(fragment);
             self.virtuals.remove(fragment);
@@ -578,7 +386,7 @@ impl QuerySession {
         let mut changed: BTreeSet<FragmentId> = BTreeSet::new();
         let mut reunified = 0usize;
         if initial {
-            self.assignment.set_sel(FragmentId::ROOT, BitVector::from_bools(&self.root_init));
+            self.assignment.set_sel(FragmentId::ROOT, BitVector::from_bools(&self.plan.root_init));
         }
         for fragment in self.ft.top_down_order() {
             if fragment == FragmentId::ROOT {
@@ -611,339 +419,221 @@ impl QuerySession {
     }
 }
 
-/// A long-lived evaluation session: one query over one owned deployment,
-/// with the per-fragment residual vectors cached between update batches.
-#[deprecated(note = "use `PaxServer::prepare` + `execute` + `apply_updates`, which maintain the \
-                     same cache for every prepared query of a session")]
-pub struct IncrementalEngine {
-    deployment: Deployment,
-    session: QuerySession,
+/// What one [`session_round`] did, summed over the sessions it refreshed.
+#[derive(Debug, Default)]
+pub(crate) struct SessionRound {
+    /// Update ops applied successfully.
+    pub(crate) applied_ops: usize,
+    /// Fragments whose op sequence was rejected, with the reason.
+    pub(crate) rejected: BTreeMap<FragmentId, String>,
+    /// Sessions whose caches were refreshed.
+    pub(crate) refreshed_sessions: usize,
+    /// Fragment snapshots recomputed site-side across those sessions.
+    pub(crate) recomputed_fragments: usize,
+    /// `evalFT` steps performed across those sessions' dirty cones.
+    pub(crate) reunified_fragments: usize,
+    /// Coordinator-side unification operations.
+    pub(crate) unify_ops: u64,
 }
 
-#[allow(deprecated)]
-impl IncrementalEngine {
-    /// Compile `query_text`, run the initial full evaluation (one visit per
-    /// occupied relevant site), and populate the caches.
-    pub fn new(
-        deployment: Deployment,
-        query_text: &str,
-        options: &EvalOptions,
-    ) -> XPathResult<IncrementalEngine> {
-        let query = compile_text(query_text)?;
-        let ft = deployment.fragment_tree.clone();
-        let root_label = deployment.root_label.clone();
-        let trie = deployment.current_topology().path_trie(&root_label);
-        let mut engine = IncrementalEngine {
-            deployment,
-            session: QuerySession::new(query, query_text, options, ft, &root_label, &trie),
-        };
-        // The initial evaluation is "everything is dirty, nothing to apply":
-        // one update round with empty op lists snapshots every relevant
-        // fragment.
-        engine
-            .session
-            .run_round(&engine.deployment, paxml_distsim::LATEST_EPOCH, &BTreeMap::new(), true)
-            .expect("the in-process simulator transport cannot fail");
-        Ok(engine)
-    }
+/// One session round over the execution `ctx` is pinned to: ship each site
+/// of `site_fragments` the ops for its fragments (applied once, shared by
+/// all sessions) together with every session's recompute instructions for
+/// them, merge the deltas into the sessions' caches, re-unify each dirty
+/// cone and re-resolve the answers. The round's meters land in `ctx.stats`.
+///
+/// This is both halves of a session's life. A server update round passes
+/// the dirty fragments fanned out to their live replicas, the ops, and the
+/// next epoch's sessions. A **cold snapshot** is the same round with no
+/// ops: the caller addresses every fragment relevant to the one session it
+/// passes, which is thereby treated as entirely dirty.
+///
+/// A session that was never snapshotted has no cache to keep current, so
+/// outside its own cold snapshot it rides along untouched — its next
+/// execution snapshots every relevant fragment anyway — and is not counted
+/// as refreshed.
+pub(crate) fn session_round(
+    ctx: &mut ExecCtx<'_>,
+    site_fragments: &BTreeMap<SiteId, Vec<FragmentId>>,
+    ops_by_fragment: &BTreeMap<FragmentId, Vec<UpdateOp>>,
+    sessions: BTreeMap<usize, &mut QuerySession>,
+) -> PaxResult<SessionRound> {
+    let dirty: BTreeSet<FragmentId> = site_fragments.values().flatten().copied().collect();
+    let cold = ops_by_fragment.is_empty();
+    // The sessions taking part, each with its recompute instructions.
+    let mut refreshing: BTreeMap<usize, (&mut QuerySession, BTreeMap<FragmentId, RecomputeInput>)> =
+        sessions
+            .into_iter()
+            .filter(|(_, session)| session.initialized || cold)
+            .map(|(id, session)| {
+                let inputs = session.recompute_inputs(&dirty);
+                (id, (session, inputs))
+            })
+            .collect();
 
-    /// The query this session evaluates.
-    pub fn query_text(&self) -> &str {
-        self.session.query_text()
-    }
-
-    /// The evaluation options the session was created with.
-    pub fn options(&self) -> &EvalOptions {
-        self.session.options()
-    }
-
-    /// The current answers (kept up to date by [`Self::apply_updates`]),
-    /// sorted by original-document position.
-    pub fn answers(&self) -> &[AnswerItem] {
-        self.session.answers()
-    }
-
-    /// The current answers' text contents.
-    pub fn answer_texts(&self) -> Vec<String> {
-        self.session.answers().iter().filter_map(|a| a.text.clone()).collect()
-    }
-
-    /// The underlying deployment (for cumulative statistics).
-    pub fn deployment(&self) -> &Deployment {
-        &self.deployment
-    }
-
-    /// Apply a batch of updates and bring the cached answers up to date,
-    /// visiting only the sites that hold an updated fragment.
-    ///
-    /// Ops for the same fragment apply in batch order. Returns an error if
-    /// an op names a fragment the deployment does not have; per-op
-    /// validation failures are reported per fragment in
-    /// [`IncrementalReport::rejected`] instead (the deployment stays
-    /// consistent — the fragment's vectors are refreshed either way).
-    pub fn apply_updates(
-        &mut self,
-        updates: &[(FragmentId, UpdateOp)],
-    ) -> FragmentResult<IncrementalReport> {
-        let mut ops_by_fragment: BTreeMap<FragmentId, Vec<UpdateOp>> = BTreeMap::new();
-        for (fragment, op) in updates {
-            if fragment.index() >= self.session.ft.len() {
-                return Err(paxml_fragment::FragmentError::UnknownFragment {
-                    fragment: fragment.index(),
+    let mut requests: BTreeMap<SiteId, ProtocolRequest> = BTreeMap::new();
+    for (&site, fragments) in site_fragments {
+        let ops = fragments
+            .iter()
+            .filter_map(|f| ops_by_fragment.get(f).map(|ops| (*f, ops.clone())))
+            .collect();
+        let mut slices: Vec<SessionRecompute> = Vec::new();
+        for (&id, (session, inputs)) in &refreshing {
+            let here: BTreeMap<FragmentId, RecomputeInput> = fragments
+                .iter()
+                .filter_map(|f| inputs.get(f).map(|input| (*f, input.clone())))
+                .collect();
+            if !here.is_empty() {
+                slices.push(SessionRecompute {
+                    session: id,
+                    query: session.query.clone(),
+                    fragments: here,
                 });
             }
-            ops_by_fragment.entry(*fragment).or_default().push(op.clone());
         }
-        Ok(self
-            .session
-            .run_round(&self.deployment, paxml_distsim::LATEST_EPOCH, &ops_by_fragment, false)
-            .expect("the in-process simulator transport cannot fail"))
+        requests.insert(
+            site,
+            ProtocolRequest::SessionUpdate(MsgSessionUpdate { ops, sessions: slices }),
+        );
     }
+    let responses = ctx.round(requests)?;
+
+    // Replicated fragments report their ops once per copy; logical progress
+    // is the per-fragment maximum, not the sum across copies.
+    let mut applied: BTreeMap<FragmentId, usize> = BTreeMap::new();
+    let mut outcome = SessionRound::default();
+    for response in responses.into_values() {
+        let delta = response.into_session_delta()?;
+        for (fragment, count) in delta.applied {
+            let most = applied.entry(fragment).or_default();
+            *most = (*most).max(count);
+        }
+        outcome.rejected.extend(delta.rejected);
+        for slice in delta.sessions {
+            if let Some((session, _)) = refreshing.get_mut(&slice.session) {
+                session.absorb(slice.vect, slice.answer);
+            }
+        }
+    }
+    outcome.applied_ops = applied.values().sum();
+
+    for (session, inputs) in refreshing.into_values() {
+        let refresh = session.refresh_coordinator_state(&dirty, !session.initialized);
+        session.initialized = true;
+        outcome.refreshed_sessions += 1;
+        outcome.recomputed_fragments += inputs.len();
+        outcome.reunified_fragments += refresh.reunified_fragments;
+        outcome.unify_ops += refresh.unify_ops;
+    }
+    Ok(outcome)
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
-    use super::*;
-    use crate::pax2;
-    use paxml_distsim::Placement;
-    use paxml_fragment::{strategy, FragmentedTree};
+    use crate::server::PaxServer;
+    use crate::UpdateOutcome;
+    use paxml_fragment::{strategy, FragmentId, FragmentedTree, UpdateOp};
     use paxml_xml::{NodeId, TreeBuilder, XmlTree};
 
-    fn clientele() -> XmlTree {
-        TreeBuilder::new("clientele")
-            .open("client")
-            .leaf("name", "Anna")
-            .leaf("country", "US")
-            .open("broker")
-            .leaf("name", "E*trade")
-            .open("market")
-            .leaf("name", "NASDAQ")
-            .open("stock")
-            .leaf("code", "GOOG")
-            .leaf("buy", "$374")
-            .leaf("qt", "40")
-            .close()
-            .close()
-            .close()
-            .close()
-            .open("client")
-            .leaf("name", "Lisa")
-            .leaf("country", "Canada")
-            .open("broker")
-            .leaf("name", "CIBC")
-            .open("market")
-            .leaf("name", "TSE")
-            .open("stock")
-            .leaf("code", "GOOG")
-            .leaf("buy", "$382")
-            .leaf("qt", "90")
-            .close()
-            .close()
-            .close()
-            .close()
-            .build()
-    }
-
-    /// From-scratch PaX2 over a *mirror* of the (updated) fragments.
-    fn from_scratch(
-        mirror: &FragmentedTree,
-        query: &str,
-        options: &EvalOptions,
-        sites: usize,
-    ) -> Vec<AnswerItem> {
-        let mut d = Deployment::new(mirror, sites, Placement::RoundRobin).sequential();
-        pax2::evaluate(&mut d, query, options).unwrap().answers
-    }
-
-    /// Apply the same ops to the test's mirror fragments.
-    fn mirror_apply(mirror: &mut FragmentedTree, updates: &[(FragmentId, UpdateOp)]) {
-        for (fragment, op) in updates {
-            paxml_fragment::apply_update(&mut mirror.fragments[fragment.index()], op).unwrap();
+    /// Two clients (Anna/US, Lisa/Canada), one broker each, cut at the
+    /// brokers: F0 holds the clients, F1 and F2 a broker each.
+    fn clientele() -> FragmentedTree {
+        let mut builder = TreeBuilder::new("clientele");
+        for (name, country, broker) in [("Anna", "US", "E*trade"), ("Lisa", "Canada", "CIBC")] {
+            builder = builder
+                .open("client")
+                .leaf("name", name)
+                .leaf("country", country)
+                .open("broker")
+                .leaf("name", broker)
+                .close()
+                .close();
         }
+        strategy::cut_at_labels(&builder.build(), &["broker"]).unwrap()
     }
 
-    fn text_node_of(tree: &XmlTree, label: &str) -> NodeId {
-        let e = tree.find_first(label).unwrap();
-        tree.children(e).next().unwrap()
+    fn server(fragmented: &FragmentedTree, annotations: bool) -> PaxServer {
+        PaxServer::builder()
+            .annotations(annotations)
+            .sites(3)
+            .sequential(true)
+            .deploy(fragmented)
+            .unwrap()
     }
 
-    #[test]
-    fn initial_evaluation_matches_pax2() {
-        let tree = clientele();
-        let fragmented = strategy::cut_at_labels(&tree, &["broker", "market"]).unwrap();
-        for use_annotations in [false, true] {
-            let options = EvalOptions { use_annotations };
-            for query in [
-                "client/name",
-                "client[country/text()='US']/broker/name",
-                "//stock[qt >= 50]/code",
-                "//broker[//stock/code/text()='GOOG']/name",
-                "nonexistent/path",
-            ] {
-                let d = Deployment::new(&fragmented, 4, Placement::RoundRobin).sequential();
-                let engine = IncrementalEngine::new(d, query, &options).unwrap();
-                let expected = from_scratch(&fragmented, query, &options, 4);
-                assert_eq!(
-                    engine.answers(),
-                    &expected[..],
-                    "initial answers differ on {query} (XA={use_annotations})"
-                );
-            }
-        }
+    /// The text node under the `nth` element labelled `label`.
+    fn text_node_of(tree: &XmlTree, label: &str, nth: usize) -> NodeId {
+        tree.children(tree.find_all(label)[nth]).next().unwrap()
+    }
+
+    fn update(server: &PaxServer, fragment: usize, op: UpdateOp) -> UpdateOutcome {
+        let report = server.apply_updates(&[(FragmentId(fragment), op)]).unwrap();
+        assert_eq!(report.clean_site_visits(), 0, "clean sites must not be visited");
+        assert_eq!(report.max_visits_per_site(), 1);
+        report.update.unwrap()
     }
 
     #[test]
     fn update_in_a_clean_fragment_flips_answers_elsewhere_without_visiting_them() {
-        // Query: US clients' broker names. The broker fragments hold the
-        // answers; the client data (country) lives in the root fragment.
-        // Editing Lisa's country flips the qualifier, so the *clean* broker
-        // fragment's candidate resolves differently — with zero visits to
-        // its site.
-        let tree = clientele();
-        let fragmented = strategy::cut_at_labels(&tree, &["broker"]).unwrap();
-        let mut mirror = fragmented.clone();
-        let query = "client[country/text()='US']/broker/name";
-        let d = Deployment::new(&fragmented, 3, Placement::RoundRobin).sequential();
-        let mut engine = IncrementalEngine::new(d, query, &EvalOptions::default()).unwrap();
-        assert_eq!(engine.answer_texts(), vec!["E*trade".to_string()]);
+        // US clients' broker names: the answers live in the broker
+        // fragments, the deciding country in the root fragment. Editing
+        // Lisa's country flips the qualifier, so the *clean* fragment F2's
+        // cached candidate resolves differently — at the coordinator.
+        let fragmented = clientele();
+        let server = server(&fragmented, false);
+        let q = server.prepare("client[country/text()='US']/broker/name").unwrap();
+        assert_eq!(server.execute(&q).unwrap().answer_texts(), vec!["E*trade".to_string()]);
 
-        // Lisa's country text node lives in the root fragment (F0).
-        let root_tree = &mirror.fragments[0].tree;
-        let countries = root_tree.find_all("country");
-        let lisa_country = root_tree.children(countries[1]).next().unwrap();
-        let updates =
-            vec![(FragmentId(0), UpdateOp::EditText { node: lisa_country, text: "US".into() })];
-        mirror_apply(&mut mirror, &updates);
-        let report = engine.apply_updates(&updates).unwrap();
-
-        assert_eq!(engine.answers(), &from_scratch(&mirror, query, &EvalOptions::default(), 3)[..]);
-        assert_eq!(engine.answer_texts(), vec!["E*trade".to_string(), "CIBC".to_string()]);
-        assert_eq!(report.dirty_fragments.len(), 1);
-        assert_eq!(report.clean_site_visits(), 0, "clean sites must not be visited");
-        assert_eq!(report.max_visits_per_dirty_site(), 1);
-        // CIBC's fragment was *not* recomputed — its cached candidate was
-        // re-resolved at the coordinator.
-        assert_eq!(report.recomputed_fragments, 1);
-    }
-
-    #[test]
-    fn inserts_and_deletes_change_answers_incrementally() {
-        let tree = clientele();
-        let fragmented = strategy::cut_at_labels(&tree, &["broker"]).unwrap();
-        let mut mirror = fragmented.clone();
-        let query = "client/broker/name";
-        let d = Deployment::new(&fragmented, 3, Placement::RoundRobin).sequential();
-        let mut engine = IncrementalEngine::new(d, query, &EvalOptions::default()).unwrap();
-        assert_eq!(engine.answer_texts(), vec!["E*trade".to_string(), "CIBC".to_string()]);
-
-        // Insert a second name under Anna's broker (F1), delete CIBC's (F2).
-        let f1_root = mirror.fragments[1].tree.root();
-        let f2_name = mirror.fragments[2].tree.find_first("name").unwrap();
-        let subtree = TreeBuilder::new("name").with(|t, r| {
-            t.append_text(r, "E*trade Pro");
-        });
-        let updates = vec![
-            (
-                FragmentId(1),
-                UpdateOp::InsertSubtree {
-                    parent: f1_root,
-                    subtree: subtree.build(),
-                    origin_base: 1000,
-                },
-            ),
-            (FragmentId(2), UpdateOp::DeleteSubtree { node: f2_name }),
-        ];
-        mirror_apply(&mut mirror, &updates);
-        let report = engine.apply_updates(&updates).unwrap();
-
-        let expected = from_scratch(&mirror, query, &EvalOptions::default(), 3);
-        assert_eq!(engine.answers(), &expected[..]);
-        let texts = engine.answer_texts();
-        assert!(texts.contains(&"E*trade Pro".to_string()));
-        assert!(!texts.contains(&"CIBC".to_string()));
-        assert_eq!(report.clean_site_visits(), 0);
-        assert_eq!(report.applied_ops, 2);
-        assert!(report.rejected.is_empty());
+        let lisa_country = text_node_of(&fragmented.fragments[0].tree, "country", 1);
+        let outcome =
+            update(&server, 0, UpdateOp::EditText { node: lisa_country, text: "US".into() });
+        assert_eq!(outcome.dirty_fragments.len(), 1);
+        assert_eq!(outcome.recomputed_fragments, 1, "F2 must not be recomputed");
+        let report = server.execute(&q).unwrap();
+        assert_eq!(report.max_visits_per_site(), 0);
+        assert_eq!(report.answer_texts(), vec!["E*trade".to_string(), "CIBC".to_string()]);
     }
 
     #[test]
     fn annotation_pruned_fragments_still_receive_their_updates() {
         // With XA, `client/name` prunes the broker fragments; an update
         // there must still be applied (the data changes) even though no
-        // vectors are recomputed — and a later engine over the same
-        // deployment sees the new data.
-        let tree = clientele();
-        let fragmented = strategy::cut_at_labels(&tree, &["broker"]).unwrap();
-        let mut mirror = fragmented.clone();
-        let query = "client/name";
-        let d = Deployment::new(&fragmented, 3, Placement::RoundRobin).sequential();
-        let mut engine =
-            IncrementalEngine::new(d, query, &EvalOptions::with_annotations()).unwrap();
-        assert_eq!(engine.answer_texts(), vec!["Anna".to_string(), "Lisa".to_string()]);
+        // vectors are recomputed — a later broker query sees the new data.
+        let fragmented = clientele();
+        let server = server(&fragmented, true);
+        let q = server.prepare("client/name").unwrap();
+        let names = vec!["Anna".to_string(), "Lisa".to_string()];
+        assert_eq!(server.execute(&q).unwrap().answer_texts(), names);
 
-        let f1_name = text_node_of(&mirror.fragments[1].tree, "name");
-        let updates =
-            vec![(FragmentId(1), UpdateOp::EditText { node: f1_name, text: "Fidelity".into() })];
-        mirror_apply(&mut mirror, &updates);
-        let report = engine.apply_updates(&updates).unwrap();
-        assert_eq!(report.recomputed_fragments, 0, "pruned fragments need no recompute");
-        assert_eq!(report.applied_ops, 1);
-        // The engine's own answers are unaffected...
-        assert_eq!(engine.answer_texts(), vec!["Anna".to_string(), "Lisa".to_string()]);
-        // ...but the deployment's data did change: a fresh broker query over
-        // the same (updated) deployment sees the edit.
-        let d2 = Deployment::new(&mirror, 3, Placement::RoundRobin).sequential();
-        let e2 = IncrementalEngine::new(d2, "client/broker/name", &EvalOptions::default()).unwrap();
-        assert!(e2.answer_texts().contains(&"Fidelity".to_string()));
+        let f1_name = text_node_of(&fragmented.fragments[1].tree, "name", 0);
+        let outcome =
+            update(&server, 1, UpdateOp::EditText { node: f1_name, text: "Fidelity".into() });
+        assert_eq!(outcome.recomputed_fragments, 0, "pruned fragments need no recompute");
+        assert_eq!(outcome.applied_ops, 1);
+        assert_eq!(server.execute(&q).unwrap().answer_texts(), names);
+        let brokers = server.query_once("client/broker/name").unwrap().answer_texts();
+        assert!(brokers.contains(&"Fidelity".to_string()));
     }
 
     #[test]
     fn rejected_ops_are_reported_and_leave_state_consistent() {
-        let tree = clientele();
-        let fragmented = strategy::cut_at_labels(&tree, &["broker"]).unwrap();
-        let query = "client/broker/name";
-        let d = Deployment::new(&fragmented, 3, Placement::RoundRobin).sequential();
-        let mut engine = IncrementalEngine::new(d, query, &EvalOptions::default()).unwrap();
-        let before = engine.answers().to_vec();
+        let fragmented = clientele();
+        let server = server(&fragmented, false);
+        let q = server.prepare("client/broker/name").unwrap();
+        let before = server.execute(&q).unwrap().answers().to_vec();
 
         // Deleting a fragment root is invalid; the op is rejected site-side.
         let f1_root = fragmented.fragments[1].tree.root();
-        let report = engine
-            .apply_updates(&[(FragmentId(1), UpdateOp::DeleteSubtree { node: f1_root })])
-            .unwrap();
-        assert_eq!(report.applied_ops, 0);
-        assert!(report.rejected.contains_key(&FragmentId(1)));
-        assert_eq!(engine.answers(), &before[..], "rejected ops must not change answers");
-
-        // Unknown fragments are an error before any visit happens.
-        let visits_before: u32 = engine.deployment().stats().sites.values().map(|s| s.visits).sum();
-        assert!(engine
-            .apply_updates(&[(FragmentId(99), UpdateOp::DeleteSubtree { node: f1_root })])
-            .is_err());
-        let visits_after: u32 = engine.deployment().stats().sites.values().map(|s| s.visits).sum();
-        assert_eq!(visits_before, visits_after);
-    }
-
-    #[test]
-    fn empty_update_batch_is_a_visit_free_no_op() {
-        let tree = clientele();
-        let fragmented = strategy::cut_at_labels(&tree, &["broker"]).unwrap();
-        let d = Deployment::new(&fragmented, 3, Placement::RoundRobin).sequential();
-        let mut engine =
-            IncrementalEngine::new(d, "client/broker/name", &EvalOptions::default()).unwrap();
-        let before = engine.answers().to_vec();
-        let report = engine.apply_updates(&[]).unwrap();
-        assert!(report.dirty_fragments.is_empty());
-        assert!(report.visits.is_empty());
-        assert_eq!(report.network_bytes, 0);
-        assert_eq!(engine.answers(), &before[..]);
+        let outcome = update(&server, 1, UpdateOp::DeleteSubtree { node: f1_root });
+        assert_eq!(outcome.applied_ops, 0);
+        assert!(outcome.rejected.contains_key(&FragmentId(1)));
+        assert_eq!(server.execute(&q).unwrap().answers(), &before[..]);
     }
 
     #[test]
     fn dirty_cone_reunification_stays_local() {
-        // A long chain of fragments: an update at one end must not re-unify
-        // the whole tree for a qualifier-free query (only the dirty
+        // A chain of nine fragments: an update at the deep end must not
+        // re-unify the whole tree for a qualifier-free query (only the dirty
         // fragment's own subtree cone).
         let mut builder = TreeBuilder::new("r");
         for i in 0..8 {
@@ -952,46 +642,22 @@ mod tests {
         for _ in 0..8 {
             builder = builder.close();
         }
-        let tree = builder.build();
-        let fragmented = strategy::cut_at_labels(&tree, &["c"]).unwrap();
+        let fragmented = strategy::cut_at_labels(&builder.build(), &["c"]).unwrap();
         assert_eq!(fragmented.fragment_count(), 9);
-        let d = Deployment::new(&fragmented, 4, Placement::RoundRobin).sequential();
-        let mut engine = IncrementalEngine::new(d, "//v", &EvalOptions::default()).unwrap();
-        assert_eq!(engine.answers().len(), 8);
+        let server = server(&fragmented, false);
+        let q = server.prepare("//v").unwrap();
+        assert_eq!(server.execute(&q).unwrap().answers().len(), 8);
 
-        // Edit the deepest fragment's text: its subtree cone is just itself.
-        let deepest = FragmentId(8);
-        let v_text = text_node_of(&fragmented.fragments[8].tree, "v");
-        let report = engine
-            .apply_updates(&[(deepest, UpdateOp::EditText { node: v_text, text: "edited".into() })])
-            .unwrap();
-        assert_eq!(engine.answers().len(), 8);
-        assert!(engine.answer_texts().contains(&"edited".to_string()));
+        let v_text = text_node_of(&fragmented.fragments[8].tree, "v", 0);
+        let outcome =
+            update(&server, 8, UpdateOp::EditText { node: v_text, text: "edited".into() });
         assert!(
-            report.reunified_fragments <= 2,
+            outcome.reunified_fragments <= 2,
             "a leaf update must re-unify only its cone, got {}",
-            report.reunified_fragments
+            outcome.reunified_fragments
         );
-        assert_eq!(report.clean_site_visits(), 0);
-    }
-
-    #[test]
-    fn report_summary_mentions_the_cone() {
-        let tree = clientele();
-        let fragmented = strategy::cut_at_labels(&tree, &["broker"]).unwrap();
-        let d = Deployment::new(&fragmented, 3, Placement::RoundRobin).sequential();
-        let mut engine =
-            IncrementalEngine::new(d, "client/broker/name", &EvalOptions::default()).unwrap();
-        let f1_name = text_node_of(&fragmented.fragments[1].tree, "name");
-        let report = engine
-            .apply_updates(&[(
-                FragmentId(1),
-                UpdateOp::EditText { node: f1_name, text: "X".into() },
-            )])
-            .unwrap();
-        let s = report.summary();
-        assert!(s.contains("1 dirty fragments"));
-        assert!(s.contains("bytes"));
-        assert_eq!(engine.query_text(), "client/broker/name");
+        let texts = server.execute(&q).unwrap().answer_texts();
+        assert_eq!(texts.len(), 8);
+        assert!(texts.contains(&"edited".to_string()));
     }
 }

@@ -6,8 +6,7 @@
 //! | Module | Paper section | What it does |
 //! |--------|---------------|--------------|
 //! | [`pax3`] | §3 | The three-stage partial-evaluation algorithm (≤ 3 visits/site). |
-//! | [`pax2`] | §4 | The two-stage algorithm (≤ 2 visits/site). |
-//! | [`batch`] | §4 (extended) | Batched multi-query PaX2: N queries share site visits, ≤ 2 visits/site for the whole batch. |
+//! | [`pax2`] | §4 | The two-stage algorithm (≤ 2 visits/site) over a slice of queries: a batch shares its visits, a single query is the batch of one. |
 //! | [`incremental`] | beyond the paper | Re-evaluation under fragment updates: cached per-fragment vectors, dirty-cone `evalFT`, zero visits to clean sites. |
 //! | [`prune`] | §5 | The XPath-annotation optimization (fragment pruning + exact stack initialization). |
 //! | [`naive`] | §3 | The NaiveCentralized ship-everything baseline. |
@@ -30,7 +29,7 @@
 //!     .close()
 //!     .build();
 //! let fragmented = cut_at_labels(&tree, &["broker"]).unwrap();
-//! let mut server = PaxServer::builder()
+//! let server = PaxServer::builder()
 //!     .algorithm(Algorithm::PaX2)
 //!     .sites(3)
 //!     .placement(Placement::RoundRobin)
@@ -46,13 +45,13 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod batch;
 mod deployment;
 mod error;
 pub mod incremental;
 pub mod naive;
 pub mod pax2;
 pub mod pax3;
+mod plan;
 pub mod protocol;
 pub mod prune;
 mod report;
@@ -61,17 +60,12 @@ pub mod transport;
 pub mod unify;
 mod vars;
 
-pub use batch::BatchReport;
 pub use deployment::{Deployment, ExecCtx, Topology};
 pub use error::{PaxError, PaxResult};
-#[allow(deprecated)]
-pub use incremental::IncrementalEngine;
-pub use incremental::IncrementalReport;
 pub use paxml_distsim::LATEST_EPOCH;
 pub use prune::{analyze_with_trie, AnnotationAnalysis, PathTrie};
 pub use report::{
-    answer_item, Algorithm, AnswerItem, EvaluationReport, ExecMode, ExecReport, QueryOutcome,
-    UpdateOutcome,
+    answer_item, Algorithm, AnswerItem, ExecMode, ExecReport, QueryOutcome, UpdateOutcome,
 };
 pub use server::{
     PaxServer, PaxServerBuilder, PrepareSetStats, PreparedQuery, RefragBase, RefragReport,
@@ -113,13 +107,13 @@ mod tests {
 
     /// The classic engine drivers, compiled on the fly (the internal
     /// equivalents of `PaxServer::query_once` for each algorithm).
-    fn eval_pax3(d: &mut Deployment, q: &str, o: &EvalOptions) -> ExecReport {
+    fn eval_pax3(d: &Deployment, q: &str, o: &EvalOptions) -> ExecReport {
         pax3::run(d, &compile_text(q).unwrap(), q, o, LATEST_EPOCH).unwrap()
     }
-    fn eval_pax2(d: &mut Deployment, q: &str, o: &EvalOptions) -> ExecReport {
-        pax2::run(d, &compile_text(q).unwrap(), q, o, LATEST_EPOCH).unwrap()
+    fn eval_pax2(d: &Deployment, q: &str, o: &EvalOptions) -> ExecReport {
+        pax2::run(d, &[(&compile_text(q).unwrap(), q)], o, LATEST_EPOCH, ExecMode::Query).unwrap()
     }
-    fn eval_naive(d: &mut Deployment, q: &str) -> ExecReport {
+    fn eval_naive(d: &Deployment, q: &str) -> ExecReport {
         naive::run(d, &compile_text(q).unwrap(), q, LATEST_EPOCH).unwrap()
     }
 
@@ -234,8 +228,8 @@ mod tests {
             let expected = reference(tree, query);
             for use_annotations in [false, true] {
                 let options = EvalOptions { use_annotations };
-                let mut d = Deployment::new(fragmented, sites, Placement::RoundRobin);
-                let p3 = eval_pax3(&mut d, query, &options);
+                let d = Deployment::new(fragmented, sites, Placement::RoundRobin);
+                let p3 = eval_pax3(&d, query, &options);
                 assert_eq!(
                     p3.answer_origins(),
                     expected,
@@ -246,8 +240,8 @@ mod tests {
                     "PaX3 visited a site more than 3 times on {query}"
                 );
 
-                let mut d = Deployment::new(fragmented, sites, Placement::RoundRobin);
-                let p2 = eval_pax2(&mut d, query, &options);
+                let d = Deployment::new(fragmented, sites, Placement::RoundRobin);
+                let p2 = eval_pax2(&d, query, &options);
                 assert_eq!(
                     p2.answer_origins(),
                     expected,
@@ -258,8 +252,8 @@ mod tests {
                     "PaX2 visited a site more than 2 times on {query}"
                 );
             }
-            let mut d = Deployment::new(fragmented, sites, Placement::RoundRobin);
-            let naive = eval_naive(&mut d, query);
+            let d = Deployment::new(fragmented, sites, Placement::RoundRobin);
+            let naive = eval_naive(&d, query);
             assert_eq!(naive.answer_origins(), expected, "Naive disagrees on {query}");
             assert_eq!(naive.max_visits_per_site(), 1);
         }
@@ -299,12 +293,12 @@ mod tests {
         let fragmented = fig1_fragmentation(&tree);
         for query in ["client/name", "//broker[//stock/code/text()='GOOG']/name"] {
             let expected = reference(&tree, query);
-            let mut d = Deployment::new(&fragmented, 1, Placement::SingleSite);
-            let p3 = eval_pax3(&mut d, query, &EvalOptions::default());
+            let d = Deployment::new(&fragmented, 1, Placement::SingleSite);
+            let p3 = eval_pax3(&d, query, &EvalOptions::default());
             assert_eq!(p3.answer_origins(), expected);
             assert!(p3.max_visits_per_site() <= 3);
-            let mut d = Deployment::new(&fragmented, 1, Placement::SingleSite);
-            let p2 = eval_pax2(&mut d, query, &EvalOptions::default());
+            let d = Deployment::new(&fragmented, 1, Placement::SingleSite);
+            let p2 = eval_pax2(&d, query, &EvalOptions::default());
             assert_eq!(p2.answer_origins(), expected);
             assert!(p2.max_visits_per_site() <= 2);
         }
@@ -316,30 +310,30 @@ mod tests {
         let fragmented = fig1_fragmentation(&tree);
 
         // PaX3 without annotations: Stage 1 skipped => 2 visits.
-        let mut d = Deployment::new(&fragmented, 4, Placement::RoundRobin);
-        let report = eval_pax3(&mut d, "client/broker/name", &EvalOptions::default());
+        let d = Deployment::new(&fragmented, 4, Placement::RoundRobin);
+        let report = eval_pax3(&d, "client/broker/name", &EvalOptions::default());
         assert_eq!(report.max_visits_per_site(), 2);
 
         // PaX3 with annotations: exact init vectors => Stage 3 skipped => 1 visit.
-        let mut d = Deployment::new(&fragmented, 4, Placement::RoundRobin);
-        let report = eval_pax3(&mut d, "client/broker/name", &EvalOptions::with_annotations());
+        let d = Deployment::new(&fragmented, 4, Placement::RoundRobin);
+        let report = eval_pax3(&d, "client/broker/name", &EvalOptions::with_annotations());
         assert_eq!(report.max_visits_per_site(), 1);
 
         // PaX2 with annotations on a qualifier-free query: a single visit.
-        let mut d = Deployment::new(&fragmented, 4, Placement::RoundRobin);
-        let report = eval_pax2(&mut d, "client/broker/name", &EvalOptions::with_annotations());
+        let d = Deployment::new(&fragmented, 4, Placement::RoundRobin);
+        let report = eval_pax2(&d, "client/broker/name", &EvalOptions::with_annotations());
         assert_eq!(report.max_visits_per_site(), 1);
 
         // With qualifiers PaX3 needs all three stages.
-        let mut d = Deployment::new(&fragmented, 4, Placement::RoundRobin);
+        let d = Deployment::new(&fragmented, 4, Placement::RoundRobin);
         let report =
-            eval_pax3(&mut d, "client[country/text()='US']/broker/name", &EvalOptions::default());
+            eval_pax3(&d, "client[country/text()='US']/broker/name", &EvalOptions::default());
         assert_eq!(report.max_visits_per_site(), 3);
 
         // ... while PaX2 stays at two.
-        let mut d = Deployment::new(&fragmented, 4, Placement::RoundRobin);
+        let d = Deployment::new(&fragmented, 4, Placement::RoundRobin);
         let report =
-            eval_pax2(&mut d, "client[country/text()='US']/broker/name", &EvalOptions::default());
+            eval_pax2(&d, "client[country/text()='US']/broker/name", &EvalOptions::default());
         assert_eq!(report.max_visits_per_site(), 2);
     }
 
@@ -349,10 +343,10 @@ mod tests {
         let fragmented = fig1_fragmentation(&tree);
         // Example 5.1: client/name only needs the root fragment and the
         // client fragment.
-        let mut d = Deployment::new(&fragmented, 4, Placement::RoundRobin);
-        let without = eval_pax2(&mut d, "client/name", &EvalOptions::default());
-        let mut d = Deployment::new(&fragmented, 4, Placement::RoundRobin);
-        let with = eval_pax2(&mut d, "client/name", &EvalOptions::with_annotations());
+        let d = Deployment::new(&fragmented, 4, Placement::RoundRobin);
+        let without = eval_pax2(&d, "client/name", &EvalOptions::default());
+        let d = Deployment::new(&fragmented, 4, Placement::RoundRobin);
+        let with = eval_pax2(&d, "client/name", &EvalOptions::with_annotations());
         assert_eq!(without.answer_origins(), with.answer_origins());
         assert_eq!(without.queries[0].fragments_evaluated, 5);
         assert_eq!(with.queries[0].fragments_evaluated, 2);
@@ -383,10 +377,10 @@ mod tests {
         let query =
             "clientele/client[country/text()='US']/broker[market/name/text()='NASDAQ']/name";
 
-        let mut d = Deployment::new(&fragmented, 8, Placement::RoundRobin);
-        let naive = eval_naive(&mut d, query);
-        let mut d = Deployment::new(&fragmented, 8, Placement::RoundRobin);
-        let pax = eval_pax2(&mut d, query, &EvalOptions::default());
+        let d = Deployment::new(&fragmented, 8, Placement::RoundRobin);
+        let naive = eval_naive(&d, query);
+        let d = Deployment::new(&fragmented, 8, Placement::RoundRobin);
+        let pax = eval_pax2(&d, query, &EvalOptions::default());
 
         assert_eq!(naive.answer_origins(), pax.answer_origins());
         assert_eq!(pax.answers().len(), 8 * 10 * 2); // NASDAQ brokers of US clients
@@ -422,10 +416,10 @@ mod tests {
         let small_frag = strategy::cut_at_labels(&base, &["client"]).unwrap();
         let grown_frag = strategy::cut_at_labels(&grown, &["client"]).unwrap();
 
-        let mut d_small = Deployment::new(&small_frag, 4, Placement::RoundRobin);
-        let small_report = eval_pax2(&mut d_small, query, &EvalOptions::default());
-        let mut d_grown = Deployment::new(&grown_frag, 4, Placement::RoundRobin);
-        let grown_report = eval_pax2(&mut d_grown, query, &EvalOptions::default());
+        let d_small = Deployment::new(&small_frag, 4, Placement::RoundRobin);
+        let small_report = eval_pax2(&d_small, query, &EvalOptions::default());
+        let d_grown = Deployment::new(&grown_frag, 4, Placement::RoundRobin);
+        let grown_report = eval_pax2(&d_grown, query, &EvalOptions::default());
 
         // Same answers (the US clients of the original subtree), roughly
         // |FT|-proportional traffic: the grown tree has ~200 more fragments,
@@ -445,9 +439,9 @@ mod tests {
     fn reports_expose_cost_meters() {
         let tree = clientele();
         let fragmented = fig1_fragmentation(&tree);
-        let mut d = Deployment::new(&fragmented, 4, Placement::RoundRobin);
+        let d = Deployment::new(&fragmented, 4, Placement::RoundRobin);
         let report =
-            eval_pax3(&mut d, "client[country/text()='US']/broker/name", &EvalOptions::default());
+            eval_pax3(&d, "client[country/text()='US']/broker/name", &EvalOptions::default());
         assert!(report.total_ops() > 0);
         assert!(report.network_bytes() > 0);
         assert!(
@@ -467,12 +461,12 @@ mod tests {
         use paxml_distsim::SiteId;
         let tree = clientele();
         let fragmented = fig1_fragmentation(&tree);
-        let mut d = Deployment::new(&fragmented, 4, Placement::RoundRobin);
+        let d = Deployment::new(&fragmented, 4, Placement::RoundRobin);
         for query in ["client[country/text()='US']/name", "//stock[qt >= 50]/code", "client/name"] {
             for options in [EvalOptions::without_annotations(), EvalOptions::with_annotations()] {
                 for _ in 0..3 {
-                    eval_pax3(&mut d, query, &options);
-                    eval_pax2(&mut d, query, &options);
+                    eval_pax3(&d, query, &options);
+                    eval_pax2(&d, query, &options);
                 }
             }
         }
@@ -486,10 +480,10 @@ mod tests {
         let tree = clientele();
         let fragmented = fig1_fragmentation(&tree);
         let query = "//broker[//stock/code/text()='GOOG']/name";
-        let mut par = Deployment::new(&fragmented, 4, Placement::RoundRobin);
-        let mut seq = Deployment::new(&fragmented, 4, Placement::RoundRobin).sequential();
-        let a = eval_pax2(&mut par, query, &EvalOptions::default());
-        let b = eval_pax2(&mut seq, query, &EvalOptions::default());
+        let par = Deployment::new(&fragmented, 4, Placement::RoundRobin);
+        let seq = Deployment::new(&fragmented, 4, Placement::RoundRobin).sequential();
+        let a = eval_pax2(&par, query, &EvalOptions::default());
+        let b = eval_pax2(&seq, query, &EvalOptions::default());
         assert_eq!(a.answer_origins(), b.answer_origins());
         assert_eq!(a.stats.messages, b.stats.messages);
     }

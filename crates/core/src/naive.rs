@@ -9,35 +9,14 @@
 
 use crate::deployment::{Deployment, ExecCtx};
 use crate::error::PaxResult;
-use crate::report::{Algorithm, AnswerItem, EvaluationReport, ExecMode, ExecReport, QueryOutcome};
+use crate::report::{Algorithm, AnswerItem, ExecMode, ExecReport, QueryOutcome};
 use crate::transport::ProtocolRequest;
 use paxml_distsim::SiteId;
 use paxml_fragment::Fragment;
 use paxml_xml::NodeId;
-use paxml_xpath::{centralized, compile_text, CompiledQuery, XPathResult};
+use paxml_xpath::{centralized, CompiledQuery};
 use std::collections::BTreeMap;
 use std::time::Instant;
-
-/// Evaluate `query_text` with the naive ship-everything baseline.
-#[deprecated(note = "use `PaxServer::prepare` + `execute` (or `query_once`) instead")]
-pub fn evaluate(deployment: &mut Deployment, query_text: &str) -> XPathResult<EvaluationReport> {
-    let query = compile_text(query_text)?;
-    let report = run(deployment, &query, query_text, paxml_distsim::LATEST_EPOCH)
-        .expect("the in-process simulator transport cannot fail");
-    Ok(report.to_evaluation_report())
-}
-
-/// Evaluate an already-compiled query with the naive baseline.
-#[deprecated(note = "use `PaxServer::prepare` + `execute` (or `query_once`) instead")]
-pub fn evaluate_compiled(
-    deployment: &mut Deployment,
-    query: &CompiledQuery,
-    query_text: &str,
-) -> EvaluationReport {
-    run(deployment, query, query_text, paxml_distsim::LATEST_EPOCH)
-        .expect("the in-process simulator transport cannot fail")
-        .to_evaluation_report()
-}
 
 /// The naive driver, reported as a unified [`ExecReport`] whose cluster
 /// meters cover exactly this execution. Takes the deployment *shared*: any

@@ -1,4 +1,5 @@
-//! Algorithm **PaX2** (§4): two stages, at most two visits per site.
+//! Algorithm **PaX2** (§4): two stages, at most two visits per site — for
+//! one query or for a whole batch.
 //!
 //! PaX2 folds the first two stages of PaX3 into one traversal per fragment:
 //! a pre-order computation of the selection vectors (with placeholder
@@ -12,172 +13,389 @@
 //! combined pass to the relevant fragments — unlike PaX3, whose Stage 1 must
 //! still touch every fragment — which is why `PaX2-XA` wins on Q3 in the
 //! paper's Figure 10(c).
+//!
+//! The paper states the guarantees per query. Evaluating `N` queries over
+//! the *same* deployment one at a time costs up to `2N` rounds and `2N`
+//! visits per site, so the driver takes a **slice** of queries and shares
+//! the visits: every query's first-stage payload addressed to a site travels
+//! in one message (each query's candidate state is kept in its own scratch
+//! slot, so the queries' vector spaces never mix), `evalFT` runs per query
+//! over the shared fragment tree, and the resolved values of every query go
+//! back in one collection message. The whole batch therefore respects the
+//! single-query bound — **no site is visited more than twice, no matter how
+//! many queries the batch carries** — with traffic in
+//! `O(Σᵢ|Qᵢ|·|FT| + Σᵢ|answerᵢ|)`. A single query is the slice of one; it
+//! differs only in travelling in the plain [`CombinedRequest`] /
+//! [`CollectRequest`] envelopes instead of the batched ones.
+//!
+//! ```
+//! use paxml_core::server::PaxServer;
+//! use paxml_fragment::strategy::cut_at_labels;
+//! use paxml_xml::TreeBuilder;
+//!
+//! let tree = TreeBuilder::new("clientele")
+//!     .open("client").leaf("country", "US")
+//!         .open("broker").leaf("name", "E*trade").close()
+//!     .close()
+//!     .open("client").leaf("country", "Canada")
+//!         .open("broker").leaf("name", "CIBC").close()
+//!     .close()
+//!     .build();
+//! let fragmented = cut_at_labels(&tree, &["broker"]).unwrap();
+//! let server = PaxServer::builder().sites(3).deploy(&fragmented).unwrap();
+//!
+//! let report = server.execute_batch_text(&[
+//!     "client[country/text()='US']/broker/name",
+//!     "client/broker/name",
+//!     "//broker[name/text()='CIBC']",
+//! ]).unwrap();
+//!
+//! assert_eq!(report.len(), 3);
+//! let texts = |i: usize| -> Vec<&str> {
+//!     report.queries[i].answers.iter().filter_map(|a| a.text.as_deref()).collect()
+//! };
+//! assert_eq!(texts(0), vec!["E*trade"]);
+//! assert_eq!(texts(1), vec!["E*trade", "CIBC"]);
+//! // The entire batch kept PaX2's visit bound.
+//! assert!(report.max_visits_per_site() <= 2);
+//! ```
 
 use crate::deployment::{Deployment, ExecCtx};
 use crate::error::PaxResult;
-use crate::protocol::{CollectRequest, CombinedFragmentInput, CombinedRequest, InitVector};
-use crate::prune::{analyze_with_trie, AnnotationAnalysis};
-use crate::report::{Algorithm, AnswerItem, EvaluationReport, ExecMode, ExecReport, QueryOutcome};
-use crate::transport::ProtocolRequest;
+use crate::plan::QueryPlan;
+use crate::protocol::{
+    BatchCollectEntry, BatchCollectQueryResponse, BatchCollectRequest, BatchCombinedEntry,
+    BatchCombinedQueryResponse, BatchCombinedRequest, CollectRequest, CombinedFragmentInput,
+    CombinedRequest,
+};
+use crate::report::{Algorithm, AnswerItem, ExecMode, ExecReport, QueryOutcome};
+use crate::transport::{ProtocolRequest, ProtocolResponse};
 use crate::unify::{unify_qualifiers, unify_selection, DenseAssignment};
 use crate::vars::PaxVar;
 use crate::EvalOptions;
-use paxml_boolex::{BitVector, CompactVector};
-use paxml_fragment::FragmentId;
-use paxml_xpath::eval::{initial_vector, QualVectors};
-use paxml_xpath::{compile_text, CompiledQuery, XPathResult};
+use paxml_boolex::CompactVector;
+use paxml_distsim::SiteId;
+use paxml_fragment::{FragmentId, FragmentTree};
+use paxml_xpath::eval::QualVectors;
+use paxml_xpath::CompiledQuery;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-/// Evaluate `query_text` over the deployment with PaX2.
-#[deprecated(note = "use `PaxServer::prepare` + `execute` (or `query_once`) instead")]
-pub fn evaluate(
-    deployment: &mut Deployment,
-    query_text: &str,
-    options: &EvalOptions,
-) -> XPathResult<EvaluationReport> {
-    let query = compile_text(query_text)?;
-    let report = run(deployment, &query, query_text, options, paxml_distsim::LATEST_EPOCH)
-        .expect("the in-process simulator transport cannot fail");
-    Ok(report.to_evaluation_report())
+/// What a collection visit tells one site: per fragment, the resolved truth
+/// values of the variables its candidate formulas may mention.
+type ResolvedValues = BTreeMap<FragmentId, Vec<(PaxVar, bool)>>;
+
+/// The per-site payloads of a collection visit (the final stage of PaX2 and
+/// PaX3): for each fragment still `pending`, the resolved truth values its
+/// parked candidate formulas may mention — its own `Sel` variables, plus,
+/// for PaX2 (`with_qualifiers`), the `Qual` variables of its sub-fragments,
+/// which PaX3's candidates no longer carry.
+pub(crate) fn collect_values(
+    ctx: &mut ExecCtx<'_>,
+    ft: &FragmentTree,
+    assignment: &DenseAssignment,
+    pending: &[FragmentId],
+    with_qualifiers: bool,
+) -> PaxResult<BTreeMap<SiteId, ResolvedValues>> {
+    let mut per_site = BTreeMap::new();
+    for (site, fragments) in ctx.group_by_site(pending.iter().copied())? {
+        let values = fragments
+            .into_iter()
+            .map(|f| {
+                let sub_fragments = if with_qualifiers { ft.children(f) } else { &[] };
+                (f, assignment.restrict_for_fragment(f, sub_fragments))
+            })
+            .collect();
+        per_site.insert(site, values);
+    }
+    Ok(per_site)
 }
 
-/// Evaluate an already-compiled query with PaX2.
-#[deprecated(note = "use `PaxServer::prepare` + `execute` (or `query_once`) instead")]
-pub fn evaluate_compiled(
-    deployment: &mut Deployment,
-    query: &CompiledQuery,
-    query_text: &str,
-    options: &EvalOptions,
-) -> EvaluationReport {
-    run(deployment, query, query_text, options, paxml_distsim::LATEST_EPOCH)
-        .expect("the in-process simulator transport cannot fail")
-        .to_evaluation_report()
+/// The one entry a single-query execution addresses to a site.
+fn sole<T>(entries: Vec<T>) -> T {
+    entries.into_iter().next().expect("a single-query execution has one entry per visited site")
 }
 
-/// The PaX2 driver: the two-visit protocol, reported as a unified
-/// [`ExecReport`] whose cluster meters cover exactly this execution. Takes
-/// the deployment *shared*: any number of PaX2 runs may execute
-/// concurrently, each with its own recorder and scratch slot.
+/// The PaX2 driver: the two-visit protocol over a slice of queries (each
+/// with its text, used only for the report), reported as a unified
+/// [`ExecReport`] whose cluster meters cover exactly this execution. `mode`
+/// picks the envelope — [`ExecMode::Query`] ships the slice of one in the
+/// single-query messages, [`ExecMode::Batch`] any slice in the batched ones
+/// — and nothing else. Takes the deployment *shared*: any number of runs
+/// may execute concurrently, each with its own recorder and scratch slots.
+///
+/// # Panics
+///
+/// Panics when `mode` is not [`ExecMode::Batch`] and `queries` is not
+/// exactly one query.
 pub(crate) fn run(
     deployment: &Deployment,
-    query: &CompiledQuery,
-    query_text: &str,
+    queries: &[(&CompiledQuery, &str)],
     options: &EvalOptions,
     epoch: u64,
+    mode: ExecMode,
 ) -> PaxResult<ExecReport> {
+    let batched = mode == ExecMode::Batch;
+    assert!(batched || queries.len() == 1, "only a batch carries other than one query");
     let start = Instant::now();
     let mut ctx = ExecCtx::pinned(deployment, epoch, 0);
     let topology = ctx.topology();
-    let slot = deployment.allocate_slots(1);
-    let ft = topology.fragment_tree.clone();
-    let analysis = if options.use_annotations {
-        analyze_with_trie(query, &topology.path_trie(&deployment.root_label))
-    } else {
-        AnnotationAnalysis::keep_all(&ft)
-    };
-    let mut coordinator_ops: u64 = 0;
-    let mut answers: Vec<AnswerItem> = Vec::new();
+    let ft = &topology.fragment_tree;
+    // One scratch slot per query, unique across concurrent executions, so
+    // interleaved executions never mix candidate state.
+    let slot_base = deployment.allocate_slots(queries.len().max(1));
 
-    // ------------------------------------------------------- Stage 1 (combined)
-    let root_init: Vec<bool> = initial_vector(query, &deployment.root_label);
-    let mut requests: BTreeMap<paxml_distsim::SiteId, ProtocolRequest> = BTreeMap::new();
-    let mut finals_pending: Vec<FragmentId> = Vec::new();
-    for (&site, fragments) in &ctx.group_by_site(analysis.relevant.iter().copied())? {
-        let mut inputs = BTreeMap::new();
-        for &fragment in fragments {
-            let init = if fragment == FragmentId::ROOT {
-                InitVector::Exact(BitVector::from_bools(&root_init))
-            } else if let Some(exact) = analysis.exact_init.get(&fragment) {
-                InitVector::Exact(BitVector::from_bools(exact))
-            } else {
-                InitVector::Unknown
-            };
-            // Answers are certain after the combined pass only when both the
-            // ancestor summary is exact *and* no qualifier can depend on a
-            // missing sub-fragment — i.e. the query has no qualifiers at all.
-            let collect_now = matches!(init, InitVector::Exact(_)) && !query.has_qualifiers();
-            if !collect_now {
-                finals_pending.push(fragment);
-            }
-            inputs.insert(
-                fragment,
-                CombinedFragmentInput {
-                    init,
-                    root_is_context: fragment == FragmentId::ROOT && !query.absolute,
-                    collect_answers_now: collect_now,
-                },
-            );
-        }
-        requests.insert(
-            site,
-            ProtocolRequest::Combined(CombinedRequest {
-                slot,
-                query: query.clone(),
-                fragments: inputs,
-            }),
-        );
-    }
-    let responses = ctx.round(requests)?;
-    let mut roots: BTreeMap<FragmentId, QualVectors<PaxVar>> = BTreeMap::new();
-    let mut virtuals: BTreeMap<FragmentId, CompactVector<PaxVar>> = BTreeMap::new();
-    for response in responses.into_values() {
-        let response = response.into_combined()?;
-        roots.extend(response.roots);
-        virtuals.extend(response.virtuals);
-        answers.extend(response.answers);
-    }
-
-    // ------------------------------------------------------------ Coordinator
-    let mut assignment = DenseAssignment::new(ft.len());
-    if query.has_qualifiers() {
-        coordinator_ops += (ft.len() * query.qvect_len()) as u64;
-        unify_qualifiers(&ft, &roots, query.qvect_len(), &mut assignment);
-    }
-
-    // ----------------------------------------------------- Stage 2 (collection)
-    if !finals_pending.is_empty() {
-        coordinator_ops += (ft.len() * query.init_len()) as u64;
-        unify_selection(&ft, &virtuals, &root_init, &mut assignment);
-        let mut requests: BTreeMap<paxml_distsim::SiteId, ProtocolRequest> = BTreeMap::new();
-        for (&site, fragments) in &ctx.group_by_site(finals_pending.iter().copied())? {
-            let mut per_fragment = BTreeMap::new();
-            for &fragment in fragments {
-                per_fragment.insert(
+    // ------------------------------------------------ Stage 1 (combined, 1 visit)
+    // Plan every query, merging the per-site payloads into one request per
+    // site for the whole slice.
+    let mut plans: Vec<(QueryPlan, Vec<FragmentId>)> = Vec::with_capacity(queries.len());
+    let mut stage1: BTreeMap<SiteId, Vec<BatchCombinedEntry>> = BTreeMap::new();
+    for (query_index, (query, _)) in queries.iter().enumerate() {
+        let plan = QueryPlan::new(query, options, &topology, &deployment.root_label);
+        // Fragments whose answers are not certain after the combined pass
+        // and need the collection visit.
+        let mut finals_pending: Vec<FragmentId> = Vec::new();
+        for (site, fragments) in ctx.group_by_site(plan.analysis.relevant.iter().copied())? {
+            let mut inputs = BTreeMap::new();
+            for fragment in fragments {
+                let init = plan.init_for(fragment);
+                let collect_answers_now = plan.answers_certain(&init, false);
+                if !collect_answers_now {
+                    finals_pending.push(fragment);
+                }
+                inputs.insert(
                     fragment,
-                    assignment.restrict_for_fragment(fragment, ft.children(fragment)),
+                    CombinedFragmentInput {
+                        init,
+                        root_is_context: plan.root_is_context(fragment),
+                        collect_answers_now,
+                    },
                 );
             }
-            requests.insert(
-                site,
-                ProtocolRequest::Collect(CollectRequest { slot, fragments: per_fragment }),
-            );
+            stage1.entry(site).or_default().push(BatchCombinedEntry {
+                query_index,
+                slot: slot_base + query_index,
+                query: (*query).clone(),
+                fragments: inputs,
+            });
         }
-        let responses = ctx.round(requests)?;
-        for response in responses.into_values() {
-            answers.extend(response.into_collect()?.answers);
+        plans.push((plan, finals_pending));
+    }
+    let requests = stage1
+        .into_iter()
+        .map(|(site, entries)| {
+            let request = if batched {
+                ProtocolRequest::BatchCombined(BatchCombinedRequest { entries })
+            } else {
+                let BatchCombinedEntry { slot, query, fragments, .. } = sole(entries);
+                ProtocolRequest::Combined(CombinedRequest { slot, query, fragments })
+            };
+            (site, request)
+        })
+        .collect();
+    let responses = ctx.round(requests)?;
+
+    // Scatter the responses back out per query.
+    let mut roots: Vec<BTreeMap<FragmentId, QualVectors<PaxVar>>> =
+        vec![BTreeMap::new(); queries.len()];
+    let mut virtuals: Vec<BTreeMap<FragmentId, CompactVector<PaxVar>>> =
+        vec![BTreeMap::new(); queries.len()];
+    let mut answers: Vec<Vec<AnswerItem>> = vec![Vec::new(); queries.len()];
+    for response in responses.into_values() {
+        for slice in combined_slices(response, batched)? {
+            roots[slice.query_index].extend(slice.roots);
+            virtuals[slice.query_index].extend(slice.virtuals);
+            answers[slice.query_index].extend(slice.answers);
         }
     }
 
-    answers.sort();
-    answers.dedup();
+    // ------------------------------------------- Coordinator: evalFT per query
+    let mut coordinator_ops: Vec<u64> = vec![0; queries.len()];
+    let mut stage2: BTreeMap<SiteId, Vec<BatchCollectEntry>> = BTreeMap::new();
+    for (query_index, ((query, _), (plan, finals_pending))) in
+        queries.iter().zip(&plans).enumerate()
+    {
+        let mut assignment = DenseAssignment::new(ft.len());
+        if query.has_qualifiers() {
+            coordinator_ops[query_index] += (ft.len() * query.qvect_len()) as u64;
+            unify_qualifiers(ft, &roots[query_index], query.qvect_len(), &mut assignment);
+        }
+        if finals_pending.is_empty() {
+            continue;
+        }
+        coordinator_ops[query_index] += (ft.len() * query.init_len()) as u64;
+        unify_selection(ft, &virtuals[query_index], &plan.root_init, &mut assignment);
+        for (site, fragments) in collect_values(&mut ctx, ft, &assignment, finals_pending, true)? {
+            stage2.entry(site).or_default().push(BatchCollectEntry {
+                query_index,
+                slot: slot_base + query_index,
+                fragments,
+            });
+        }
+    }
+
+    // ---------------------------------------------- Stage 2 (collect, 1 visit)
+    if !stage2.is_empty() {
+        let requests = stage2
+            .into_iter()
+            .map(|(site, entries)| {
+                let request = if batched {
+                    ProtocolRequest::BatchCollect(BatchCollectRequest { entries })
+                } else {
+                    let BatchCollectEntry { slot, fragments, .. } = sole(entries);
+                    ProtocolRequest::Collect(CollectRequest { slot, fragments })
+                };
+                (site, request)
+            })
+            .collect();
+        for response in ctx.round(requests)?.into_values() {
+            for slice in collect_slices(response, batched)? {
+                answers[slice.query_index].extend(slice.answers);
+            }
+        }
+    }
+
+    // ------------------------------------------------------------- Report
+    let outcomes = answers
+        .into_iter()
+        .enumerate()
+        .map(|(query_index, mut answers)| {
+            answers.sort();
+            answers.dedup();
+            QueryOutcome {
+                query: queries[query_index].1.to_string(),
+                answers,
+                fragments_evaluated: plans[query_index].0.analysis.relevant.len(),
+                coordinator_ops: coordinator_ops[query_index],
+            }
+        })
+        .collect();
     Ok(ExecReport {
         algorithm: Algorithm::PaX2,
         annotations_used: options.use_annotations,
-        mode: ExecMode::Query,
-        queries: vec![QueryOutcome {
-            query: query_text.to_string(),
-            answers,
-            fragments_evaluated: analysis.relevant.len(),
-            coordinator_ops,
-        }],
+        mode,
+        queries: outcomes,
         update: None,
         fragments_total: ft.len(),
         stats: ctx.stats,
-        coordinator_ops,
+        coordinator_ops: coordinator_ops.iter().sum(),
         elapsed: start.elapsed(),
         from_cache: false,
         epoch,
         placement_version: topology.version,
     })
+}
+
+/// A first-stage response as per-query slices, whichever envelope it
+/// answered.
+fn combined_slices(
+    response: ProtocolResponse,
+    batched: bool,
+) -> PaxResult<Vec<BatchCombinedQueryResponse>> {
+    if batched {
+        return Ok(response.into_batch_combined()?.per_query);
+    }
+    let single = response.into_combined()?;
+    Ok(vec![BatchCombinedQueryResponse {
+        query_index: 0,
+        roots: single.roots,
+        virtuals: single.virtuals,
+        answers: single.answers,
+    }])
+}
+
+/// A collection response as per-query slices, whichever envelope it
+/// answered.
+fn collect_slices(
+    response: ProtocolResponse,
+    batched: bool,
+) -> PaxResult<Vec<BatchCollectQueryResponse>> {
+    if batched {
+        return Ok(response.into_batch_collect()?.per_query);
+    }
+    let answers = response.into_collect()?.answers;
+    Ok(vec![BatchCollectQueryResponse { query_index: 0, answers }])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use paxml_distsim::{Placement, LATEST_EPOCH};
+    use paxml_fragment::strategy;
+    use paxml_xml::TreeBuilder;
+    use paxml_xpath::compile_text;
+
+    const BATTERY: [&str; 10] = [
+        "client/name",
+        "client/broker/name",
+        "//name",
+        "//stock/code",
+        "client[country/text()='US']/broker/name",
+        "client[not(country/text()='US')]/name",
+        "//broker[//stock/code/text()='GOOG']/name",
+        "//stock[qt >= 50]/code",
+        "*/*/name",
+        "nonexistent/path",
+    ];
+
+    fn deployment() -> Deployment {
+        let mut builder = TreeBuilder::new("clientele");
+        for (name, country, broker, code, qt) in
+            [("Anna", "US", "E*trade", "YHOO", "40"), ("Lisa", "Canada", "CIBC", "GOOG", "90")]
+        {
+            builder = builder
+                .open("client")
+                .leaf("name", name)
+                .leaf("country", country)
+                .open("broker")
+                .leaf("name", broker)
+                .open("market")
+                .open("stock")
+                .leaf("code", code)
+                .leaf("qt", qt)
+                .close()
+                .close()
+                .close()
+                .close();
+        }
+        let fragmented = strategy::cut_at_labels(&builder.build(), &["broker", "market"]).unwrap();
+        Deployment::new(&fragmented, 4, Placement::RoundRobin)
+    }
+
+    #[test]
+    fn a_batch_equals_its_queries_one_at_a_time_within_one_querys_visit_bound() {
+        let d = deployment();
+        let compiled: Vec<CompiledQuery> =
+            BATTERY.iter().map(|q| compile_text(q).unwrap()).collect();
+        let slice: Vec<(&CompiledQuery, &str)> = compiled.iter().zip(BATTERY).collect();
+        for use_annotations in [false, true] {
+            let options = EvalOptions { use_annotations };
+            let batch = run(&d, &slice, &options, LATEST_EPOCH, ExecMode::Batch).unwrap();
+            assert_eq!(batch.len(), BATTERY.len());
+            assert!(batch.max_visits_per_site() <= 2, "batch broke the PaX2 bound");
+            assert!(batch.rounds() <= 2);
+            let (mut rounds, mut visits) = (0, 0);
+            for (one, outcome) in slice.iter().zip(&batch.queries) {
+                let single = run(&d, &[*one], &options, LATEST_EPOCH, ExecMode::Query).unwrap();
+                let alone = &single.queries[0];
+                assert_eq!(outcome.answers, alone.answers, "{} (XA={use_annotations})", one.1);
+                assert_eq!(outcome.fragments_evaluated, alone.fragments_evaluated);
+                assert_eq!(outcome.coordinator_ops, alone.coordinator_ops);
+                rounds += single.rounds();
+                visits += single.max_visits_per_site();
+            }
+            // One at a time, rounds and visits scale with the batch size.
+            assert!(rounds > batch.rounds() * 3);
+            assert!(visits > batch.max_visits_per_site() * 3);
+        }
+    }
+
+    #[test]
+    fn an_empty_batch_visits_nobody() {
+        let batch = run(&deployment(), &[], &EvalOptions::default(), LATEST_EPOCH, ExecMode::Batch)
+            .unwrap();
+        assert!(batch.is_empty());
+        assert_eq!(batch.rounds(), 0);
+        assert_eq!(batch.max_visits_per_site(), 0);
+    }
 }

@@ -17,47 +17,23 @@
 //! XPath-annotation optimization provides exact ancestor summaries Stage 3
 //! is skipped as well — matching the visit counts measured in Experiment 1.
 
-use crate::deployment::{Deployment, ExecCtx};
+use crate::deployment::{Deployment, ExecCtx, Topology};
 use crate::error::PaxResult;
-use crate::protocol::{CollectRequest, InitVector, QualRequest, SelFragmentInput, SelRequest};
-use crate::prune::{analyze_with_trie, AnnotationAnalysis};
-use crate::report::{Algorithm, AnswerItem, EvaluationReport, ExecMode, ExecReport, QueryOutcome};
+use crate::pax2::collect_values;
+use crate::plan::QueryPlan;
+use crate::protocol::{CollectRequest, QualRequest, SelFragmentInput, SelRequest};
+use crate::report::{Algorithm, AnswerItem, ExecMode, ExecReport, QueryOutcome};
 use crate::transport::ProtocolRequest;
 use crate::unify::{unify_qualifiers, unify_selection, DenseAssignment};
 use crate::vars::PaxVar;
 use crate::EvalOptions;
-use paxml_boolex::{BitVector, CompactVector};
+use paxml_boolex::CompactVector;
+use paxml_distsim::SiteId;
 use paxml_fragment::FragmentId;
-use paxml_xpath::eval::{initial_vector, QualVectors};
-use paxml_xpath::{compile_text, CompiledQuery, XPathResult};
-use std::collections::BTreeMap;
+use paxml_xpath::eval::QualVectors;
+use paxml_xpath::CompiledQuery;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
-
-/// Evaluate `query_text` over the deployment with PaX3.
-#[deprecated(note = "use `PaxServer::prepare` + `execute` (or `query_once`) instead")]
-pub fn evaluate(
-    deployment: &mut Deployment,
-    query_text: &str,
-    options: &EvalOptions,
-) -> XPathResult<EvaluationReport> {
-    let query = compile_text(query_text)?;
-    let report = run(deployment, &query, query_text, options, paxml_distsim::LATEST_EPOCH)
-        .expect("the in-process simulator transport cannot fail");
-    Ok(report.to_evaluation_report())
-}
-
-/// Evaluate an already-compiled query with PaX3.
-#[deprecated(note = "use `PaxServer::prepare` + `execute` (or `query_once`) instead")]
-pub fn evaluate_compiled(
-    deployment: &mut Deployment,
-    query: &CompiledQuery,
-    query_text: &str,
-    options: &EvalOptions,
-) -> EvaluationReport {
-    run(deployment, query, query_text, options, paxml_distsim::LATEST_EPOCH)
-        .expect("the in-process simulator transport cannot fail")
-        .to_evaluation_report()
-}
 
 /// The PaX3 driver: the three-stage protocol, reported as a unified
 /// [`ExecReport`] whose cluster meters cover exactly this execution. Takes
@@ -74,44 +50,33 @@ pub(crate) fn run(
     let mut ctx = ExecCtx::pinned(deployment, epoch, 0);
     let topology = ctx.topology();
     let slot = deployment.allocate_slots(1);
-    let ft = topology.fragment_tree.clone();
-    let analysis = if options.use_annotations {
-        analyze_with_trie(query, &topology.path_trie(&deployment.root_label))
-    } else {
-        AnnotationAnalysis::keep_all(&ft)
-    };
+    let ft = &topology.fragment_tree;
+    let plan = QueryPlan::new(query, options, &topology, &deployment.root_label);
     let mut coordinator_ops: u64 = 0;
     let mut answers: Vec<AnswerItem> = Vec::new();
 
     // ----------------------------------------------------------------- Stage 1
     let mut assignment = DenseAssignment::new(ft.len());
     if query.has_qualifiers() {
-        let requests = stage1_requests(&mut ctx, &topology, query, slot, &analysis.relevant)?;
+        let requests = stage1_requests(&mut ctx, &topology, query, slot, &plan.analysis.relevant)?;
         let responses = ctx.round(requests)?;
         let mut roots: BTreeMap<FragmentId, QualVectors<PaxVar>> = BTreeMap::new();
         for response in responses.into_values() {
             roots.extend(response.into_qual()?.roots);
         }
         coordinator_ops += (ft.len() * query.qvect_len()) as u64;
-        unify_qualifiers(&ft, &roots, query.qvect_len(), &mut assignment);
+        unify_qualifiers(ft, &roots, query.qvect_len(), &mut assignment);
     }
 
     // ----------------------------------------------------------------- Stage 2
-    let root_init: Vec<bool> = initial_vector(query, &deployment.root_label);
-    let mut requests: BTreeMap<paxml_distsim::SiteId, ProtocolRequest> = BTreeMap::new();
+    let mut requests: BTreeMap<SiteId, ProtocolRequest> = BTreeMap::new();
     let mut finals_pending: Vec<FragmentId> = Vec::new();
-    for (&site, fragments) in &ctx.group_by_site(analysis.relevant.iter().copied())? {
+    for (site, fragments) in ctx.group_by_site(plan.analysis.relevant.iter().copied())? {
         let mut inputs = BTreeMap::new();
-        for &fragment in fragments {
-            let init = if fragment == FragmentId::ROOT {
-                InitVector::Exact(BitVector::from_bools(&root_init))
-            } else if let Some(exact) = analysis.exact_init.get(&fragment) {
-                InitVector::Exact(BitVector::from_bools(exact))
-            } else {
-                InitVector::Unknown
-            };
-            let exact = matches!(init, InitVector::Exact(_));
-            if !exact {
+        for fragment in fragments {
+            let init = plan.init_for(fragment);
+            let collect_answers_now = plan.answers_certain(&init, true);
+            if !collect_answers_now {
                 finals_pending.push(fragment);
             }
             let qual_values = if query.has_qualifiers() {
@@ -124,8 +89,8 @@ pub(crate) fn run(
                 SelFragmentInput {
                     qual_values,
                     init,
-                    root_is_context: fragment == FragmentId::ROOT && !query.absolute,
-                    collect_answers_now: exact,
+                    root_is_context: plan.root_is_context(fragment),
+                    collect_answers_now,
                 },
             );
         }
@@ -145,20 +110,14 @@ pub(crate) fn run(
     // ----------------------------------------------------------------- Stage 3
     if !finals_pending.is_empty() {
         coordinator_ops += (ft.len() * query.init_len()) as u64;
-        unify_selection(&ft, &virtuals, &root_init, &mut assignment);
-        let mut requests: BTreeMap<paxml_distsim::SiteId, ProtocolRequest> = BTreeMap::new();
-        for (&site, fragments) in &ctx.group_by_site(finals_pending.iter().copied())? {
-            let mut per_fragment = BTreeMap::new();
-            for &fragment in fragments {
-                per_fragment.insert(fragment, assignment.restrict_for_fragment(fragment, &[]));
-            }
-            requests.insert(
-                site,
-                ProtocolRequest::Collect(CollectRequest { slot, fragments: per_fragment }),
-            );
-        }
-        let responses = ctx.round(requests)?;
-        for response in responses.into_values() {
+        unify_selection(ft, &virtuals, &plan.root_init, &mut assignment);
+        let requests = collect_values(&mut ctx, ft, &assignment, &finals_pending, false)?
+            .into_iter()
+            .map(|(site, fragments)| {
+                (site, ProtocolRequest::Collect(CollectRequest { slot, fragments }))
+            })
+            .collect();
+        for response in ctx.round(requests)?.into_values() {
             answers.extend(response.into_collect()?.answers);
         }
     }
@@ -172,7 +131,7 @@ pub(crate) fn run(
         queries: vec![QueryOutcome {
             query: query_text.to_string(),
             answers,
-            fragments_evaluated: analysis.relevant.len(),
+            fragments_evaluated: plan.analysis.relevant.len(),
             coordinator_ops,
         }],
         update: None,
@@ -192,12 +151,12 @@ pub(crate) fn run(
 /// `relevant` fragments park their per-node vectors site-side — Stage 2
 /// visits exactly those, so anything else parked would never be taken back.
 fn stage1_requests(
-    ctx: &mut crate::deployment::ExecCtx<'_>,
-    topology: &crate::deployment::Topology,
+    ctx: &mut ExecCtx<'_>,
+    topology: &Topology,
     query: &CompiledQuery,
     slot: usize,
-    relevant: &std::collections::BTreeSet<FragmentId>,
-) -> crate::error::PaxResult<BTreeMap<paxml_distsim::SiteId, ProtocolRequest>> {
+    relevant: &BTreeSet<FragmentId>,
+) -> PaxResult<BTreeMap<SiteId, ProtocolRequest>> {
     let all: Vec<FragmentId> = topology.fragment_tree.ids().to_vec();
     Ok(ctx
         .group_by_site(all)?

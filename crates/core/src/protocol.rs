@@ -685,37 +685,8 @@ pub fn batch_collect_task(
 }
 
 // ---------------------------------------------------------------------------
-// Incremental evaluation: the update round.
+// Incremental evaluation: what a session round ships back.
 // ---------------------------------------------------------------------------
-
-/// Per-fragment payload of an update round: the ops to apply, plus how to
-/// re-run the combined pass afterwards. `recompute` is false for fragments
-/// the annotation optimization proved irrelevant — their data still changes,
-/// but no vectors need recomputing.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FragmentUpdate {
-    /// The update operations, applied in order.
-    pub ops: Vec<UpdateOp>,
-    /// How to initialise the ancestor summary of the re-evaluation pass.
-    pub init: InitVector,
-    /// Is this fragment's root the evaluation context?
-    pub root_is_context: bool,
-    /// Re-run the combined pass and return fresh vectors/answers?
-    pub recompute: bool,
-}
-
-/// Request of the incremental update round (`MsgUpdate`): the coordinator
-/// ships each *dirty* site the update ops for its fragments together with
-/// the compiled query, so applying the updates and recomputing the dirty
-/// fragments' vectors costs a **single visit** — clean sites receive
-/// nothing at all.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct MsgUpdate {
-    /// The compiled query the cached vectors belong to.
-    pub query: CompiledQuery,
-    /// Updates + recompute instructions per fragment at the target site.
-    pub fragments: BTreeMap<FragmentId, FragmentUpdate>,
-}
 
 /// The recomputed residual vectors of an update round (`MsgDeltaVect`):
 /// exactly what the combined pass of PaX2 would have produced for the dirty
@@ -752,21 +723,6 @@ pub struct MsgDeltaAnswer {
     pub sure: BTreeMap<FragmentId, Vec<AnswerItem>>,
     /// Conditional answers (with residual formulas) per recomputed fragment.
     pub candidates: BTreeMap<FragmentId, Vec<CandidateAnswer>>,
-}
-
-/// Response of the update round: the recomputed vectors, the recomputed
-/// answer state, and any rejected updates.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct MsgDelta {
-    /// Recomputed residual vectors.
-    pub vect: MsgDeltaVect,
-    /// Recomputed answer state.
-    pub answer: MsgDeltaAnswer,
-    /// Update ops applied successfully, per fragment.
-    pub applied: BTreeMap<FragmentId, usize>,
-    /// Fragments whose op sequence was rejected (with the reason); their
-    /// remaining ops were skipped but their vectors were still recomputed.
-    pub rejected: BTreeMap<FragmentId, String>,
 }
 
 /// [`fused_pass_on_fragment`] with the answer routing of the incremental
@@ -807,65 +763,6 @@ fn snapshot_fragment(
         .collect();
     answer.sure.insert(fid, sure);
     answer.candidates.insert(fid, candidates);
-}
-
-/// Site-side task of the incremental update round: apply each fragment's
-/// ops, then re-run the combined pass over the fragments marked for
-/// recomputation — one visit does both.
-///
-/// Epoch semantics: a fragment with ops is rebuilt copy-on-write from the
-/// newest snapshot **strictly before** `epoch` (so a retried epoch build
-/// never re-applies its ops on top of a failed attempt's orphan) and
-/// installed as `epoch`'s snapshot; readers pinned below `epoch` are
-/// untouched. A fragment with no ops — the cold-session initial snapshot —
-/// is read **at** `epoch` without installing anything.
-pub fn update_task(site: &mut SiteLocal, epoch: u64, request: MsgUpdate) -> MsgDelta {
-    let mut delta = MsgDelta::default();
-    for (fragment_id, fu) in &request.fragments {
-        if fu.ops.is_empty() {
-            let Some(fragment) = site.fragment_at(*fragment_id, epoch) else { continue };
-            delta.applied.insert(*fragment_id, 0);
-            if fu.recompute {
-                snapshot_fragment(
-                    site,
-                    &fragment,
-                    &request.query,
-                    &fu.init,
-                    fu.root_is_context,
-                    &mut delta.vect,
-                    &mut delta.answer,
-                );
-            }
-            continue;
-        }
-        let Some(base) = site.update_base(*fragment_id, epoch) else { continue };
-        let mut fragment = base.as_ref().clone();
-        let mut applied = 0;
-        for op in &fu.ops {
-            match paxml_fragment::apply_update(&mut fragment, op) {
-                Ok(_) => applied += 1,
-                Err(e) => {
-                    delta.rejected.insert(*fragment_id, e.to_string());
-                    break;
-                }
-            }
-            site.charge_ops(1);
-        }
-        delta.applied.insert(*fragment_id, applied);
-        if fu.recompute {
-            snapshot_fragment(
-                site,
-                &fragment,
-                &request.query,
-                &fu.init,
-                fu.root_is_context,
-                &mut delta.vect,
-                &mut delta.answer,
-            );
-        }
-        site.install_version(epoch, fragment);
-    }
-    delta
 }
 
 // ---------------------------------------------------------------------------
@@ -926,8 +823,8 @@ pub struct MsgVacuum {
 // ---------------------------------------------------------------------------
 
 /// How one prepared-query session wants one fragment's combined pass
-/// re-initialised after an update (the session analogue of
-/// [`FragmentUpdate`] minus the ops, which are shared across sessions).
+/// (re-)initialised in a session round; the ops are not part of it — they
+/// are shared across sessions.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RecomputeInput {
     /// How to initialise the ancestor summary of the re-evaluation pass.
@@ -950,12 +847,13 @@ pub struct SessionRecompute {
     pub fragments: BTreeMap<FragmentId, RecomputeInput>,
 }
 
-/// Request of a server update round: the update ops for the fragments at
-/// the target site (applied **once**, shared by all sessions) plus, per
-/// active prepared-query session, the recompute instructions that refresh
-/// its residual-vector cache in the *same visit* — this is how a
-/// `PaxServer` keeps every prepared query's incremental cache current with
-/// one visit per dirty site and zero visits elsewhere.
+/// Request of a session round: the update ops for the fragments at the
+/// target site (applied **once**, shared by all sessions) plus, per active
+/// prepared-query session, the recompute instructions that refresh its
+/// residual-vector cache in the *same visit* — this is how a `PaxServer`
+/// keeps every prepared query's incremental cache current with one visit
+/// per dirty site and zero visits elsewhere. A query's first (cold)
+/// snapshot is the same message with no ops.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MsgSessionUpdate {
     /// Update ops per fragment at the target site, applied in order.
@@ -988,15 +886,17 @@ pub struct MsgSessionDelta {
     pub sessions: Vec<SessionDelta>,
 }
 
-/// Site-side task of a server update round: apply each fragment's ops once,
-/// then re-run the combined pass per session over the fragments that
-/// session asked for — one visit does all of it.
+/// Site-side task of a session round: apply each fragment's ops once, then
+/// re-run the combined pass per session over the fragments that session
+/// asked for — one visit does all of it.
 ///
-/// Ops rebuild each fragment copy-on-write from the newest snapshot
-/// strictly before `epoch` and install the result as `epoch`'s snapshot
-/// (see [`update_task`] for why strictness matters); the per-session
-/// recomputes then read at `epoch` and therefore see the fresh snapshots,
-/// while executions pinned to earlier epochs keep reading theirs.
+/// Epoch semantics: a fragment with ops is rebuilt copy-on-write from the
+/// newest snapshot **strictly before** `epoch` (so a retried epoch build
+/// never re-applies its ops on top of a failed attempt's orphan) and
+/// installed as `epoch`'s snapshot; readers pinned below `epoch` are
+/// untouched. The per-session recomputes then read **at** `epoch` and
+/// therefore see the fresh snapshots. A round with no ops — a cold
+/// snapshot — only reads at `epoch` and installs nothing.
 pub fn session_update_task(
     site: &mut SiteLocal,
     epoch: u64,
@@ -1159,32 +1059,42 @@ mod tests {
         assert_eq!(collected.answers[0].label, "name");
     }
 
+    /// A one-session round over F1: `ops` applied to it, then one recompute
+    /// from an unknown ancestor summary.
+    fn session_update_on_f1(
+        site: &mut SiteLocal,
+        epoch: u64,
+        ops: Vec<UpdateOp>,
+    ) -> MsgSessionDelta {
+        let recompute = RecomputeInput { init: InitVector::Unknown, root_is_context: false };
+        let request = MsgSessionUpdate {
+            ops: BTreeMap::from([(FragmentId(1), ops)]),
+            sessions: vec![SessionRecompute {
+                session: 0,
+                query: compile_text("client/broker/name").unwrap(),
+                fragments: BTreeMap::from([(FragmentId(1), recompute)]),
+            }],
+        };
+        session_update_task(site, epoch, request)
+    }
+
     #[test]
-    fn update_task_applies_ops_and_returns_fresh_state() {
+    fn session_update_task_applies_ops_and_returns_fresh_state() {
         let (_, fragmented) = small_fragmented();
         let mut site = one_site_with(fragmented.fragments.clone());
-        let query = compile_text("client/broker/name").unwrap();
         // Edit the broker's name (F1) and re-snapshot it in the same visit.
         let f1 = &fragmented.fragments[1];
         let name = f1.tree.find_first("name").unwrap();
         let text = f1.tree.children(name).next().unwrap();
-        let mut fragments = BTreeMap::new();
-        fragments.insert(
-            FragmentId(1),
-            FragmentUpdate {
-                ops: vec![UpdateOp::EditText { node: text, text: "Bache".into() }],
-                init: InitVector::Unknown,
-                root_is_context: false,
-                recompute: true,
-            },
-        );
-        let delta = update_task(&mut site, 1, MsgUpdate { query, fragments });
+        let op = UpdateOp::EditText { node: text, text: "Bache".into() };
+        let mut delta = session_update_on_f1(&mut site, 1, vec![op]);
         assert_eq!(delta.applied[&FragmentId(1)], 1);
         assert!(delta.rejected.is_empty());
-        assert!(delta.vect.roots.contains_key(&FragmentId(1)));
+        let session = delta.sessions.remove(0);
+        assert!(session.vect.roots.contains_key(&FragmentId(1)));
         // The unknown-init pass yields the name node as a candidate carrying
         // the *edited* text and a residual formula over F1's Sel variables.
-        let candidates = &delta.answer.candidates[&FragmentId(1)];
+        let candidates = &session.answer.candidates[&FragmentId(1)];
         assert_eq!(candidates.len(), 1);
         assert_eq!(candidates[0].item.text, Some("Bache".to_string()));
         assert!(candidates[0].formula.has_variables());
@@ -1199,26 +1109,16 @@ mod tests {
     }
 
     #[test]
-    fn update_task_rejects_invalid_ops_but_still_recomputes() {
+    fn session_update_task_rejects_invalid_ops_but_still_recomputes() {
         let (_, fragmented) = small_fragmented();
         let mut site = one_site_with(fragmented.fragments.clone());
-        let query = compile_text("client/broker/name").unwrap();
         let root = fragmented.fragments[1].tree.root();
-        let mut fragments = BTreeMap::new();
-        fragments.insert(
-            FragmentId(1),
-            FragmentUpdate {
-                ops: vec![UpdateOp::DeleteSubtree { node: root }],
-                init: InitVector::Unknown,
-                root_is_context: false,
-                recompute: true,
-            },
-        );
-        let delta = update_task(&mut site, 1, MsgUpdate { query, fragments });
+        let delta =
+            session_update_on_f1(&mut site, 1, vec![UpdateOp::DeleteSubtree { node: root }]);
         assert_eq!(delta.applied[&FragmentId(1)], 0);
         assert!(delta.rejected[&FragmentId(1)].contains("root"));
         // Vectors are refreshed regardless, so coordinator caches stay valid.
-        assert!(delta.vect.roots.contains_key(&FragmentId(1)));
+        assert!(delta.sessions[0].vect.roots.contains_key(&FragmentId(1)));
     }
 
     #[test]

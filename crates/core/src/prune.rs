@@ -289,7 +289,6 @@ fn chain_vectors(query: &CompiledQuery, chain: &[String]) -> Vec<Vec<bool>> {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the legacy shims stay covered until they are removed
 mod tests {
     use super::*;
     use paxml_xml::LabelPath;
@@ -450,8 +449,8 @@ mod tests {
         // A query whose first step matches nothing prunes every non-root
         // fragment — and the end-to-end evaluation over a real deployment
         // returns the empty answer after touching only the root fragment.
-        use crate::{pax2, pax3, Deployment, EvalOptions};
-        use paxml_distsim::Placement;
+        use crate::{pax2, pax3, Deployment, EvalOptions, ExecMode};
+        use paxml_distsim::{Placement, LATEST_EPOCH};
         use paxml_fragment::fragment_at;
         use paxml_xml::TreeBuilder;
 
@@ -473,13 +472,14 @@ mod tests {
             assert_eq!(a.relevant.len(), 1, "{query} must prune every non-root fragment");
             assert!(a.relevant.contains(&FragmentId::ROOT));
 
-            let mut d = Deployment::new(&fragmented, 3, Placement::RoundRobin);
-            let p2 = pax2::evaluate(&mut d, query, &EvalOptions::with_annotations()).unwrap();
-            assert!(p2.answers.is_empty(), "{query} must have no answers");
-            assert_eq!(p2.fragments_evaluated, 1);
-            let mut d = Deployment::new(&fragmented, 3, Placement::RoundRobin);
-            let p3 = pax3::evaluate(&mut d, query, &EvalOptions::with_annotations()).unwrap();
-            assert!(p3.answers.is_empty());
+            let xa = EvalOptions::with_annotations();
+            let d = Deployment::new(&fragmented, 3, Placement::RoundRobin);
+            let p2 = pax2::run(&d, &[(&q, query)], &xa, LATEST_EPOCH, ExecMode::Query).unwrap();
+            assert!(p2.answers().is_empty(), "{query} must have no answers");
+            assert_eq!(p2.queries[0].fragments_evaluated, 1);
+            let d = Deployment::new(&fragmented, 3, Placement::RoundRobin);
+            let p3 = pax3::run(&d, &q, query, &xa, LATEST_EPOCH).unwrap();
+            assert!(p3.answers().is_empty());
             // Only the root fragment's site is ever visited.
             let visited: Vec<_> = d
                 .stats()

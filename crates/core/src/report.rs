@@ -50,95 +50,6 @@ impl fmt::Display for Algorithm {
     }
 }
 
-/// The outcome of one distributed query evaluation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct EvaluationReport {
-    /// The algorithm that ran.
-    pub algorithm: Algorithm,
-    /// Was the XPath-annotation optimization (§5) enabled?
-    pub annotations_used: bool,
-    /// The query as given.
-    pub query: String,
-    /// The answers, sorted by their position in the original document.
-    pub answers: Vec<AnswerItem>,
-    /// Number of fragments that actually participated (after pruning).
-    pub fragments_evaluated: usize,
-    /// Total number of fragments in the fragment tree.
-    pub fragments_total: usize,
-    /// Network / visit / computation counters recorded by the simulator.
-    pub stats: ClusterStats,
-    /// Work done at the coordinator itself (only meaningful for the
-    /// `NaiveCentralized` baseline, which evaluates the whole tree there).
-    pub coordinator_ops: u64,
-    /// Wall-clock time of the whole evaluation as seen by the coordinator.
-    pub elapsed: Duration,
-}
-
-impl EvaluationReport {
-    /// The answers' origin node ids, sorted — the canonical comparison key.
-    pub fn answer_origins(&self) -> Vec<NodeId> {
-        let mut out: Vec<NodeId> = self.answers.iter().map(|a| a.origin).collect();
-        out.sort();
-        out
-    }
-
-    /// The answers' text contents (useful in examples and tests).
-    pub fn answer_texts(&self) -> Vec<String> {
-        self.answers.iter().filter_map(|a| a.text.clone()).collect()
-    }
-
-    /// Maximum number of visits any site received — the paper's headline
-    /// guarantee (≤ 3 for PaX3, ≤ 2 for PaX2).
-    pub fn max_visits_per_site(&self) -> u32 {
-        self.stats.max_visits_per_site()
-    }
-
-    /// Total bytes moved over the (simulated) network.
-    pub fn network_bytes(&self) -> u64 {
-        self.stats.total_bytes()
-    }
-
-    /// Total computation (sum over sites, in elementary operations), plus
-    /// the coordinator's own work.
-    pub fn total_ops(&self) -> u64 {
-        self.stats.total_ops + self.coordinator_ops
-    }
-
-    /// The parallel (perceived) computation time.
-    pub fn parallel_time(&self) -> Duration {
-        self.stats.parallel_time()
-    }
-
-    /// Deterministic model of the parallel computation cost: the sum over
-    /// rounds of the maximum per-site operation count — the quantity bounded
-    /// by `O(|Q| · max_Si |F_Si|)` in §3.4. Unlike wall-clock times it does
-    /// not depend on how many cores the simulating host has.
-    pub fn parallel_ops(&self) -> u64 {
-        self.stats.parallel_ops
-    }
-
-    /// Sum of per-site busy time — the paper's Experiment-3 metric.
-    pub fn total_computation_time(&self) -> Duration {
-        self.stats.total_busy()
-    }
-
-    /// One-line human-readable summary.
-    pub fn summary(&self) -> String {
-        format!(
-            "{}{}: {} answers, {} fragments of {} evaluated, {} visits max/site, {} bytes, {} ops, parallel {:?}",
-            self.algorithm,
-            if self.annotations_used { "-XA" } else { "-NA" },
-            self.answers.len(),
-            self.fragments_evaluated,
-            self.fragments_total,
-            self.max_visits_per_site(),
-            self.network_bytes(),
-            self.total_ops(),
-            self.parallel_time(),
-        )
-    }
-}
-
 /// What kind of work one [`ExecReport`] describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ExecMode {
@@ -212,9 +123,9 @@ pub struct UpdateOutcome {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ExecReport {
     /// The algorithm the server is configured with. Note: batch executions
-    /// always run the shared-visit combined protocol (PaX2's machinery)
-    /// regardless of this label — a PaX3 server's batch report carries
-    /// `PaX3` but its meters come from the two-visit batch engine (the ≤ 3
+    /// always run the shared-visit combined protocol (the PaX2 driver over
+    /// the whole slice) regardless of this label — a PaX3 server's batch
+    /// report carries `PaX3` but its meters are two-visit ones (the ≤ 3
     /// bound holds a fortiori).
     pub algorithm: Algorithm,
     /// Was the XPath-annotation optimization (§5) enabled?
@@ -240,9 +151,7 @@ pub struct ExecReport {
     pub from_cache: bool,
     /// The deployment epoch this execution was pinned to: queries report
     /// the epoch whose snapshots they read, updates the epoch they
-    /// published. Executions outside an epoch-versioned server (the
-    /// deprecated free-function drivers) report
-    /// [`paxml_distsim::LATEST_EPOCH`].
+    /// published.
     pub epoch: u64,
     /// The version of the placement map (fragment → site topology) that
     /// routed this execution's visits. 0 is the deploy-time topology; every
@@ -397,23 +306,6 @@ impl ExecReport {
         }
         out
     }
-
-    /// View this execution as the legacy single-query
-    /// [`EvaluationReport`] (the first query's slice).
-    pub fn to_evaluation_report(&self) -> EvaluationReport {
-        let outcome = self.queries.first();
-        EvaluationReport {
-            algorithm: self.algorithm,
-            annotations_used: self.annotations_used,
-            query: outcome.map(|q| q.query.clone()).unwrap_or_default(),
-            answers: outcome.map(|q| q.answers.clone()).unwrap_or_default(),
-            fragments_evaluated: outcome.map(|q| q.fragments_evaluated).unwrap_or(0),
-            fragments_total: self.fragments_total,
-            stats: self.stats.clone(),
-            coordinator_ops: self.coordinator_ops,
-            elapsed: self.elapsed,
-        }
-    }
 }
 
 /// Build an [`AnswerItem`] from a node of a fragment.
@@ -450,19 +342,27 @@ mod tests {
     fn report_accessors() {
         let t = TreeBuilder::new("broker").leaf("name", "Bache").build();
         let name = t.find_first("name").unwrap();
-        let report = EvaluationReport {
+        let report = ExecReport {
             algorithm: Algorithm::PaX2,
             annotations_used: true,
-            query: "//broker/name".into(),
-            answers: vec![
-                answer_item(FragmentId(1), &t, name, NodeId::from_index(9)),
-                answer_item(FragmentId(0), &t, name, NodeId::from_index(3)),
-            ],
-            fragments_evaluated: 2,
+            mode: ExecMode::Query,
+            queries: vec![QueryOutcome {
+                query: "//broker/name".into(),
+                answers: vec![
+                    answer_item(FragmentId(1), &t, name, NodeId::from_index(9)),
+                    answer_item(FragmentId(0), &t, name, NodeId::from_index(3)),
+                ],
+                fragments_evaluated: 2,
+                coordinator_ops: 7,
+            }],
+            update: None,
             fragments_total: 5,
             stats: ClusterStats::default(),
             coordinator_ops: 7,
             elapsed: Duration::from_millis(1),
+            from_cache: false,
+            epoch: 0,
+            placement_version: 0,
         };
         assert_eq!(report.answer_origins(), vec![NodeId::from_index(3), NodeId::from_index(9)]);
         assert_eq!(report.answer_texts(), vec!["Bache".to_string(), "Bache".to_string()]);
@@ -470,6 +370,7 @@ mod tests {
         let s = report.summary();
         assert!(s.contains("PaX2-XA"));
         assert!(s.contains("2 answers"));
+        assert!(s.contains("2 of 5 fragments"));
         assert_eq!(Algorithm::PaX3.to_string(), "PaX3");
         assert_eq!(Algorithm::NaiveCentralized.to_string(), "NaiveCentralized");
     }

@@ -1,8 +1,8 @@
 //! The `PaxServer` session API: every evaluation mode behind one
 //! **concurrently shareable** handle.
 //!
-//! The paper's algorithms — PaX3, PaX2, the batched engine, the incremental
-//! engine, the naive baseline — are one system: a coordinator holding the
+//! The paper's algorithms — PaX3, PaX2 (one query or a batch), incremental
+//! maintenance, the naive baseline — are one system: a coordinator holding the
 //! fragment tree of a long-lived deployment and serving queries over it.
 //! This module is that coordinator. A [`PaxServer`]:
 //!
@@ -151,12 +151,12 @@
 
 use crate::deployment::{Deployment, ExecCtx, Topology};
 use crate::error::{PaxError, PaxResult};
-use crate::incremental::QuerySession;
-use crate::protocol::{MsgRefrag, MsgSessionUpdate, MsgVacuum, SessionRecompute};
+use crate::incremental::{session_round, QuerySession};
+use crate::protocol::{MsgRefrag, MsgVacuum};
 use crate::report::{Algorithm, ExecMode, ExecReport, QueryOutcome, UpdateOutcome};
 use crate::transport::{ProtocolRequest, TcpOptions, VacuumOutcome};
 use crate::EvalOptions;
-use crate::{batch, naive, pax2, pax3};
+use crate::{naive, pax2, pax3};
 use paxml_distsim::{ClusterStats, Placement, ReplicaSet, SiteId};
 use paxml_fragment::{Fragment, FragmentId, FragmentTree, FragmentedTree, UpdateOp};
 use paxml_xpath::{compile_text, CompileCache, CompiledQuery};
@@ -510,6 +510,26 @@ struct EpochInner {
     /// epoch by every update. Each session has its own lock so executions
     /// of *different* prepared queries never contend.
     sessions: Mutex<BTreeMap<usize, Arc<Mutex<QuerySession>>>>,
+}
+
+impl EpochInner {
+    /// Clone every session copy-on-write for the next epoch: clean
+    /// fragments' cached vectors are shared by reference, only the entries
+    /// the build dirties are deep-copied. Each session is locked only for
+    /// the duration of its clone — readers on this epoch are never blocked
+    /// behind the build. Sessions a concurrent cold execution adds to this
+    /// epoch *after* the snapshot simply re-snapshot on their first
+    /// execution in the next epoch.
+    fn cloned_sessions(&self) -> BTreeMap<usize, QuerySession> {
+        let table: Vec<(usize, Arc<Mutex<QuerySession>>)> = {
+            let map = self.sessions.lock().expect("the session-table lock is never poisoned");
+            map.iter().map(|(id, arc)| (*id, Arc::clone(arc))).collect()
+        };
+        table
+            .into_iter()
+            .map(|(id, arc)| (id, arc.lock().expect("a session lock is never poisoned").clone()))
+            .collect()
+    }
 }
 
 /// A consistent snapshot of the server's epoch machinery, from
@@ -933,6 +953,45 @@ impl PaxServer {
         }
     }
 
+    /// Publish a fully built epoch, writer lock held. Everything fallible
+    /// has already happened by the time a build gets here, which is what
+    /// makes "a failed build publishes nothing" true. `topology` is the new
+    /// topology version of a re-fragmentation; it is published *before* the
+    /// epoch pointer swaps, so a reader that pins the new epoch always
+    /// finds its topology.
+    fn publish_epoch(
+        &self,
+        number: u64,
+        sessions: BTreeMap<usize, QuerySession>,
+        topology: Option<Arc<Topology>>,
+    ) {
+        // Test instrumentation: hold the fully built, not-yet-visible epoch
+        // open. No reader-visible lock is held here — readers must keep
+        // completing on the base epoch however long the hook takes.
+        {
+            let hook = self.update_hook.lock().expect("the update-hook lock is never poisoned");
+            if let Some(hook) = hook.as_ref() {
+                hook();
+            }
+        }
+        if let Some(topology) = topology {
+            self.deployment.publish_topology(number, topology);
+        }
+        let next = Arc::new(EpochInner {
+            number,
+            sessions: Mutex::new(
+                sessions.into_iter().map(|(id, s)| (id, Arc::new(Mutex::new(s)))).collect(),
+            ),
+        });
+        *self.current.lock().expect("the current-epoch lock is never poisoned") = Arc::clone(&next);
+        {
+            let mut registry = self.epochs.lock().expect("the epoch registry is never poisoned");
+            registry.insert(number, Arc::downgrade(&next));
+            registry.retain(|_, weak| weak.strong_count() > 0);
+        }
+        self.maybe_auto_vacuum(number);
+    }
+
     /// Compile and normalize `text` once, caching by query text: preparing
     /// the same text again returns the cached compilation, and a text whose
     /// *normal form* matches an earlier prepared query shares that query's
@@ -1071,10 +1130,8 @@ impl PaxServer {
 
     /// One-shot evaluation of `text` through the configured classic engine:
     /// compiles fresh, runs the full protocol, touches no prepared-query
-    /// cache. This is the drop-in replacement for the deprecated
-    /// `pax2::evaluate`-style free functions (and what benchmarks use as
-    /// the un-amortized baseline). Shares the deployment like
-    /// [`PaxServer::execute`] does.
+    /// cache — what benchmarks use as the un-amortized baseline. Shares the
+    /// deployment like [`PaxServer::execute`] does.
     pub fn query_once(&self, text: &str) -> PaxResult<ExecReport> {
         let compiled = compile_text(text)?;
         self.with_failover(|| {
@@ -1086,9 +1143,13 @@ impl PaxServer {
                 Algorithm::PaX3 => {
                     pax3::run(&self.deployment, &compiled, text, &self.options, epoch.number)
                 }
-                Algorithm::PaX2 => {
-                    pax2::run(&self.deployment, &compiled, text, &self.options, epoch.number)
-                }
+                Algorithm::PaX2 => pax2::run(
+                    &self.deployment,
+                    &[(&compiled, text)],
+                    &self.options,
+                    epoch.number,
+                    ExecMode::Query,
+                ),
             }
         })
     }
@@ -1141,11 +1202,15 @@ impl PaxServer {
                 })
             }
             Algorithm::PaX3 | Algorithm::PaX2 => {
-                let compiled: Vec<&CompiledQuery> =
-                    queries.iter().map(|q| q.compiled.as_ref()).collect();
-                let texts: Vec<String> = queries.iter().map(|q| q.text().to_string()).collect();
-                let mut report =
-                    batch::run(&self.deployment, &compiled, &texts, &self.options, epoch.number)?;
+                let slice: Vec<(&CompiledQuery, &str)> =
+                    queries.iter().map(|q| (q.compiled.as_ref(), q.text())).collect();
+                let mut report = pax2::run(
+                    &self.deployment,
+                    &slice,
+                    &self.options,
+                    epoch.number,
+                    ExecMode::Batch,
+                )?;
                 // Batched execution always uses the shared-visit combined
                 // protocol; the report names the server's configured
                 // algorithm (PaX3's ≤ 3 bound holds a fortiori).
@@ -1281,23 +1346,7 @@ impl PaxServer {
         }
         let dirty_sites: BTreeSet<SiteId> = site_fragments.keys().copied().collect();
 
-        // Clone every session copy-on-write for the next epoch: clean
-        // fragments' cached vectors are shared by reference, only the
-        // entries this update dirties will be deep-copied on absorb. Each
-        // base session is locked only for the duration of its clone —
-        // readers on the base epoch are never blocked behind the round
-        // below. Sessions a concurrent cold execution adds to the base
-        // epoch *after* this snapshot simply re-snapshot on their first
-        // execution in the next epoch.
-        let base_sessions: Vec<(usize, Arc<Mutex<QuerySession>>)> = {
-            let map = base.sessions.lock().expect("the session-table lock is never poisoned");
-            map.iter().map(|(id, arc)| (*id, Arc::clone(arc))).collect()
-        };
-        let mut next_sessions: BTreeMap<usize, QuerySession> = BTreeMap::new();
-        for (id, arc) in &base_sessions {
-            next_sessions
-                .insert(*id, arc.lock().expect("a session lock is never poisoned").clone());
-        }
+        let mut next_sessions = base.cloned_sessions();
 
         // ----------------------------------------------- the one dirty round
         // Each dirty site gets the ops for its fragments plus, per session,
@@ -1308,50 +1357,19 @@ impl PaxServer {
         // keep seeing the old versions. The round also piggybacks the
         // oldest-live-epoch watermark so visited sites retire dead
         // versions for free.
-        let watermark = self.live_watermark();
-        let mut ctx = ExecCtx::pinned(&self.deployment, next_number, watermark);
-        let mut recomputed_fragments = 0usize;
-        let mut session_inputs: BTreeMap<usize, BTreeMap<FragmentId, _>> = BTreeMap::new();
-        for (&id, session) in &next_sessions {
-            let inputs = session.recompute_inputs(&dirty_fragments);
-            recomputed_fragments += inputs.len();
-            session_inputs.insert(id, inputs);
-        }
-        let mut requests: BTreeMap<SiteId, ProtocolRequest> = BTreeMap::new();
-        for (&site, fragments) in &site_fragments {
-            let ops: BTreeMap<FragmentId, Vec<UpdateOp>> = fragments
-                .iter()
-                .filter_map(|f| ops_by_fragment.get(f).map(|ops| (*f, ops.clone())))
-                .collect();
-            let mut session_slices: Vec<SessionRecompute> = Vec::new();
-            for (&id, inputs) in &session_inputs {
-                let here: BTreeMap<FragmentId, _> = fragments
-                    .iter()
-                    .filter_map(|f| inputs.get(f).map(|input| (*f, input.clone())))
-                    .collect();
-                if !here.is_empty() {
-                    session_slices.push(SessionRecompute {
-                        session: id,
-                        query: next_sessions[&id].query.clone(),
-                        fragments: here,
-                    });
-                }
-            }
-            requests.insert(
-                site,
-                ProtocolRequest::SessionUpdate(MsgSessionUpdate { ops, sessions: session_slices }),
-            );
-        }
-        debug_assert!(
-            requests.keys().all(|s| dirty_sites.contains(s)),
-            "the update round must address dirty sites only"
-        );
+        //
         // A failed round (e.g. a site became unreachable mid-build) returns
         // here: nothing was published, readers keep the base epoch. The
         // versions already installed under `next_number` on reached sites
         // are unreadable orphans; a retried update overwrites them
         // (installs read their base strictly *below* the target epoch).
-        let responses = ctx.round(requests)?;
+        let mut ctx = ExecCtx::pinned(&self.deployment, next_number, self.live_watermark());
+        let round = session_round(
+            &mut ctx,
+            &site_fragments,
+            &ops_by_fragment,
+            next_sessions.iter_mut().map(|(&id, session)| (id, session)).collect(),
+        )?;
         // Only now that every live replica took the write do the skipped
         // copies go stale — a failed round publishes nothing, so marking
         // earlier would poison copies against an epoch that never existed.
@@ -1359,63 +1377,7 @@ impl PaxServer {
             health.mark_stale(fragment, site, next_number);
         }
 
-        // Replicated fragments report their ops once per copy; logical
-        // progress is the per-fragment maximum, not the sum across copies.
-        let mut applied_by_fragment: BTreeMap<FragmentId, usize> = BTreeMap::new();
-        let mut rejected: BTreeMap<FragmentId, String> = BTreeMap::new();
-        for response in responses.into_values() {
-            let delta = response.into_session_delta()?;
-            for (fragment, count) in delta.applied {
-                let slot = applied_by_fragment.entry(fragment).or_default();
-                *slot = (*slot).max(count);
-            }
-            rejected.extend(delta.rejected);
-            for session_delta in delta.sessions {
-                if let Some(session) = next_sessions.get_mut(&session_delta.session) {
-                    session.absorb(session_delta.vect, session_delta.answer);
-                }
-            }
-        }
-        let applied_ops: usize = applied_by_fragment.values().sum();
-
-        // ------------------- evalFT over each session's dirty cone
-        let mut coordinator_ops = 0u64;
-        let mut reunified_fragments = 0usize;
-        for session in next_sessions.values_mut() {
-            let refresh = session.refresh_coordinator_state(&dirty_fragments, false);
-            coordinator_ops += refresh.unify_ops;
-            reunified_fragments += refresh.reunified_fragments;
-        }
-
-        // Test instrumentation: hold the fully built, not-yet-visible epoch
-        // open. No reader-visible lock is held here — readers must keep
-        // completing on the base epoch however long the hook takes.
-        {
-            let hook = self.update_hook.lock().expect("the update-hook lock is never poisoned");
-            if let Some(hook) = hook.as_ref() {
-                hook();
-            }
-        }
-
-        // ------------------------------------- publish: one atomic swap
-        let refreshed_sessions = next_sessions.len();
-        let next = Arc::new(EpochInner {
-            number: next_number,
-            sessions: Mutex::new(
-                next_sessions.into_iter().map(|(id, s)| (id, Arc::new(Mutex::new(s)))).collect(),
-            ),
-        });
-        {
-            let mut current =
-                self.current.lock().expect("the current-epoch lock is never poisoned");
-            *current = Arc::clone(&next);
-        }
-        {
-            let mut registry = self.epochs.lock().expect("the epoch registry is never poisoned");
-            registry.insert(next_number, Arc::downgrade(&next));
-            registry.retain(|_, weak| weak.strong_count() > 0);
-        }
-        self.maybe_auto_vacuum(next_number);
+        self.publish_epoch(next_number, next_sessions, None);
 
         Ok(ExecReport {
             algorithm: self.algorithm,
@@ -1425,15 +1387,15 @@ impl PaxServer {
             update: Some(UpdateOutcome {
                 dirty_fragments,
                 dirty_sites,
-                applied_ops,
-                rejected,
-                refreshed_sessions,
-                recomputed_fragments,
-                reunified_fragments,
+                applied_ops: round.applied_ops,
+                rejected: round.rejected,
+                refreshed_sessions: round.refreshed_sessions,
+                recomputed_fragments: round.recomputed_fragments,
+                reunified_fragments: round.reunified_fragments,
             }),
             fragments_total,
             stats: ctx.stats,
-            coordinator_ops,
+            coordinator_ops: round.unify_ops,
             elapsed: start.elapsed(),
             from_cache: false,
             epoch: next_number,
@@ -1565,50 +1527,27 @@ impl PaxServer {
             change.placement,
             base_topology.version + 1,
         ));
-        let base_sessions: Vec<(usize, Arc<Mutex<QuerySession>>)> = {
-            let map = base.sessions.lock().expect("the session-table lock is never poisoned");
-            map.iter().map(|(id, arc)| (*id, Arc::clone(arc))).collect()
-        };
-        let mut next_sessions: BTreeMap<usize, QuerySession> = BTreeMap::new();
+        let root_label = &self.deployment.root_label;
+        let mut next_sessions = base.cloned_sessions();
         let mut invalidated_sessions = 0usize;
         let mut retopologized_sessions = 0usize;
-        for (id, arc) in &base_sessions {
-            let session = arc.lock().expect("a session lock is never poisoned").clone();
+        for session in next_sessions.values_mut() {
             let overlaps = session.relevant().iter().any(|f| change.touched.contains(f));
             if session.initialized && !overlaps {
-                let mut session = session;
-                session.retopologize(
-                    next_topology.fragment_tree.clone(),
-                    &next_topology.path_trie(&self.deployment.root_label),
-                    &change.touched,
-                );
+                session.retopologize(&next_topology, root_label, &change.touched);
                 retopologized_sessions += 1;
-                next_sessions.insert(*id, session);
             } else {
                 // Residual vectors mention fragments that changed shape (or
                 // were never snapshotted): start over. The next execution
                 // re-snapshots against the new topology.
                 invalidated_sessions += 1;
-                next_sessions.insert(
-                    *id,
-                    QuerySession::new(
-                        session.query.clone(),
-                        session.query_text(),
-                        session.options(),
-                        next_topology.fragment_tree.clone(),
-                        &self.deployment.root_label,
-                        &next_topology.path_trie(&self.deployment.root_label),
-                    ),
+                *session = QuerySession::new(
+                    session.query.clone(),
+                    session.query_text(),
+                    session.options(),
+                    &next_topology,
+                    root_label,
                 );
-            }
-        }
-
-        // Test instrumentation: hold the fully built, not-yet-visible
-        // epoch open (same hook as `apply_updates`).
-        {
-            let hook = self.update_hook.lock().expect("the update-hook lock is never poisoned");
-            if let Some(hook) = hook.as_ref() {
-                hook();
             }
         }
 
@@ -1649,25 +1588,7 @@ impl PaxServer {
             }
         }
 
-        // ---------------- publish: topology first, then the epoch swap
-        self.deployment.publish_topology(next_number, Arc::clone(&next_topology));
-        let next = Arc::new(EpochInner {
-            number: next_number,
-            sessions: Mutex::new(
-                next_sessions.into_iter().map(|(id, s)| (id, Arc::new(Mutex::new(s)))).collect(),
-            ),
-        });
-        {
-            let mut current =
-                self.current.lock().expect("the current-epoch lock is never poisoned");
-            *current = Arc::clone(&next);
-        }
-        {
-            let mut registry = self.epochs.lock().expect("the epoch registry is never poisoned");
-            registry.insert(next_number, Arc::downgrade(&next));
-            registry.retain(|_, weak| weak.strong_count() > 0);
-        }
-        self.maybe_auto_vacuum(next_number);
+        self.publish_epoch(next_number, next_sessions, Some(Arc::clone(&next_topology)));
 
         Ok(RefragReport {
             base_epoch: base.number,
@@ -1775,9 +1696,8 @@ impl PaxServer {
                     (*query.compiled).clone(),
                     query.text(),
                     &self.options,
-                    topology.fragment_tree.clone(),
+                    &topology,
                     &self.deployment.root_label,
-                    &topology.path_trie(&self.deployment.root_label),
                 )))
             }))
         };
@@ -1807,9 +1727,16 @@ impl PaxServer {
                 placement_version: topology.version,
             });
         }
-        // Cold snapshot: one visit per relevant site, reading the pinned
-        // epoch's fragment versions.
-        let round = session.run_round(&self.deployment, epoch.number, &BTreeMap::new(), true)?;
+        // Cold snapshot: a session round with no ops, one visit per relevant
+        // site, reading the pinned epoch's fragment versions.
+        let mut ctx = ExecCtx::pinned(&self.deployment, epoch.number, 0);
+        let relevant_by_site = ctx.group_by_site(session.relevant().iter().copied())?;
+        let round = session_round(
+            &mut ctx,
+            &relevant_by_site,
+            &BTreeMap::new(),
+            BTreeMap::from([(query.id, &mut *session)]),
+        )?;
         Ok(ExecReport {
             algorithm: Algorithm::PaX2,
             annotations_used: self.options.use_annotations,
@@ -1822,7 +1749,7 @@ impl PaxServer {
             }],
             update: None,
             fragments_total,
-            stats: round.stats,
+            stats: ctx.stats,
             coordinator_ops: round.unify_ops,
             elapsed: start.elapsed(),
             from_cache: false,
@@ -2103,6 +2030,19 @@ mod tests {
                 assert!(batch.max_visits_per_site() <= 2, "{algorithm} batch broke the bound");
             }
         }
+        // A single query is the batch of one: same driver, same numbers.
+        let server = server_for(Algorithm::PaX2, &fragmented);
+        for query in queries {
+            let batch = server.execute_batch_text(&[query]).unwrap();
+            let once = server.query_once(query).unwrap();
+            assert_eq!(batch.queries[0].answers, once.queries[0].answers, "{query}");
+            assert_eq!(batch.queries[0].fragments_evaluated, once.queries[0].fragments_evaluated);
+            assert_eq!(batch.queries[0].coordinator_ops, once.queries[0].coordinator_ops);
+        }
+        // An unparsable member rejects the whole batch before any visit.
+        let rounds_before = server.cumulative_stats().rounds;
+        assert!(server.execute_batch_text(&["client/name", "client[", "//name"]).is_err());
+        assert_eq!(server.cumulative_stats().rounds, rounds_before);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The transport abstraction: one typed surface over which every driver
-//! (naive/PaX2/PaX3/batch) and [`PaxServer`](crate::server::PaxServer) talk
+//! (naive/PaX2/PaX3) and [`PaxServer`](crate::server::PaxServer) talk
 //! to their sites, whether the sites are in-process simulator threads or
 //! real processes behind TCP sockets.
 //!
@@ -21,11 +21,10 @@
 use crate::error::{PaxError, PaxResult};
 use crate::protocol::{
     batch_collect_task, batch_combined_task, collect_task, combined_task, qualifier_task,
-    refrag_task, selection_task, session_update_task, update_task, BatchCollectRequest,
-    BatchCollectResponse, BatchCombinedRequest, BatchCombinedResponse, CollectRequest,
-    CollectResponse, CombinedRequest, CombinedResponse, MsgDelta, MsgRefrag, MsgSessionDelta,
-    MsgSessionUpdate, MsgUpdate, MsgVacuum, QualRequest, QualResponse, RefragOutcome, SelRequest,
-    SelResponse,
+    refrag_task, selection_task, session_update_task, BatchCollectRequest, BatchCollectResponse,
+    BatchCombinedRequest, BatchCombinedResponse, CollectRequest, CollectResponse, CombinedRequest,
+    CombinedResponse, MsgRefrag, MsgSessionDelta, MsgSessionUpdate, MsgVacuum, QualRequest,
+    QualResponse, RefragOutcome, SelRequest, SelResponse,
 };
 use paxml_distsim::{
     Cluster, ClusterStats, FaultKind, FaultPlan, ReplicaSet, SiteId, SiteLoadReport, SiteLocal,
@@ -44,8 +43,8 @@ use std::time::Duration;
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EpochRequest {
     /// The epoch this visit reads (and, for update bodies, installs).
-    /// [`LATEST_EPOCH`] means "the newest snapshot, updated in place" — the
-    /// semantics of the deprecated unversioned API.
+    /// [`LATEST_EPOCH`] means "the newest snapshot, updated in place" — what
+    /// a driver run outside an epoch-versioned server reads.
     pub epoch: u64,
     /// Retirement watermark: before the body runs, the site drops every
     /// fragment version that no execution pinned at or above this epoch can
@@ -56,8 +55,8 @@ pub struct EpochRequest {
 }
 
 impl EpochRequest {
-    /// Wrap a body at [`LATEST_EPOCH`] with no retirement — the envelope
-    /// the deprecated free-function drivers use.
+    /// Wrap a body at [`LATEST_EPOCH`] with no retirement — the envelope of
+    /// a visit outside an epoch-versioned server.
     pub fn latest(body: ProtocolRequest) -> EpochRequest {
         EpochRequest { epoch: LATEST_EPOCH, retire_below: 0, body }
     }
@@ -79,10 +78,8 @@ pub enum ProtocolRequest {
     BatchCombined(BatchCombinedRequest),
     /// Batched answer collection.
     BatchCollect(BatchCollectRequest),
-    /// Incremental update round of a single query session
-    /// (`crate::incremental::QuerySession`).
-    Update(MsgUpdate),
-    /// Server update round: apply ops and refresh every session's vectors.
+    /// Session round: apply ops (none for a cold snapshot) and refresh the
+    /// addressed sessions' vectors.
     SessionUpdate(MsgSessionUpdate),
     /// Naive baseline: ship every fragment stored at the site (as seen from
     /// the request's epoch).
@@ -114,7 +111,6 @@ impl ProtocolRequest {
             ProtocolRequest::Collect(_) => "Collect",
             ProtocolRequest::BatchCombined(_) => "BatchCombined",
             ProtocolRequest::BatchCollect(_) => "BatchCollect",
-            ProtocolRequest::Update(_) => "Update",
             ProtocolRequest::SessionUpdate(_) => "SessionUpdate",
             ProtocolRequest::Fetch => "Fetch",
             ProtocolRequest::FetchFragments(_) => "FetchFragments",
@@ -140,8 +136,6 @@ pub enum ProtocolResponse {
     BatchCombined(BatchCombinedResponse),
     /// Response to [`ProtocolRequest::BatchCollect`].
     BatchCollect(BatchCollectResponse),
-    /// Response to [`ProtocolRequest::Update`].
-    Delta(MsgDelta),
     /// Response to [`ProtocolRequest::SessionUpdate`].
     SessionDelta(MsgSessionDelta),
     /// Response to [`ProtocolRequest::Fetch`] and
@@ -196,7 +190,6 @@ pub fn dispatch(site: &mut SiteLocal, request: EpochRequest) -> ProtocolResponse
         ProtocolRequest::BatchCollect(r) => {
             ProtocolResponse::BatchCollect(batch_collect_task(site, epoch, r))
         }
-        ProtocolRequest::Update(r) => ProtocolResponse::Delta(update_task(site, epoch, r)),
         ProtocolRequest::SessionUpdate(r) => {
             ProtocolResponse::SessionDelta(session_update_task(site, epoch, r))
         }
@@ -252,7 +245,6 @@ impl ProtocolResponse {
             ProtocolResponse::Collect(_) => "Collect",
             ProtocolResponse::BatchCombined(_) => "BatchCombined",
             ProtocolResponse::BatchCollect(_) => "BatchCollect",
-            ProtocolResponse::Delta(_) => "Delta",
             ProtocolResponse::SessionDelta(_) => "SessionDelta",
             ProtocolResponse::Fragments(_) => "Fragments",
             ProtocolResponse::Refragged(_) => "Refragged",
@@ -273,8 +265,6 @@ impl ProtocolResponse {
         into_batch_combined, BatchCombined => BatchCombinedResponse;
         /// Unwrap a batched collection response.
         into_batch_collect, BatchCollect => BatchCollectResponse;
-        /// Unwrap an incremental-update delta.
-        into_delta, Delta => MsgDelta;
         /// Unwrap a session-update delta.
         into_session_delta, SessionDelta => MsgSessionDelta;
         /// Unwrap a naive-baseline fragment shipment.

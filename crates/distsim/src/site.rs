@@ -17,10 +17,8 @@ use std::fmt;
 use std::sync::Arc;
 
 /// The epoch sentinel that always resolves to a fragment's newest snapshot.
-/// Drivers running outside an epoch-pinned server (the deprecated
-/// free-function API) read and write at this epoch: reads see the latest
-/// version and updates replace it in place, which reproduces the historical
-/// unversioned semantics exactly.
+/// A visit outside an epoch-pinned server reads and writes at this epoch:
+/// reads see the latest version and updates replace it in place.
 pub const LATEST_EPOCH: u64 = u64::MAX;
 
 /// Identifier of a site (`S0`, `S1`, … in the paper's figures).

@@ -97,7 +97,7 @@ fn serve_connection(
                 }
                 WireReply::Loaded { fragments: guard.fragment_count() }
             }
-            WireRequest::Round { body } => run_round(&site, &body),
+            WireRequest::Round { body } => serve_round(&site, &body),
             WireRequest::ScratchLen => {
                 WireReply::ScratchLen { len: lock_site(&site).scratch_len() }
             }
@@ -130,7 +130,7 @@ fn serve_connection(
 
 /// Decode and dispatch one protocol round, metering ops and busy time the
 /// same way the simulator's round does.
-fn run_round(site: &Arc<Mutex<SiteLocal>>, body: &[u8]) -> WireReply {
+fn serve_round(site: &Arc<Mutex<SiteLocal>>, body: &[u8]) -> WireReply {
     let request: EpochRequest = match crate::codec::decode(body) {
         Ok(request) => request,
         Err(err) => return WireReply::Error { message: err.to_string() },

@@ -14,7 +14,8 @@
 //! message variant the drivers produce through those assertions.
 
 use paxml_core::{
-    dispatch, Algorithm, EpochRequest, PaxResult, PaxServer, ProtocolResponse, Transport,
+    dispatch, Algorithm, EpochRequest, PaxResult, PaxServer, ProtocolResponse, TopologyChange,
+    Transport,
 };
 use paxml_distsim::{encoded_size, Cluster, ClusterStats, Placement, SiteId};
 use paxml_fragment::FragmentId;
@@ -222,6 +223,7 @@ fn workloads_cover_every_protocol_message_variant() {
             let responses = Cluster::round_recorded(&self.inner, recorder, checked, dispatch);
             let mut seen = self.seen.lock().unwrap();
             for response in responses.values() {
+                assert_eq!(listed(response), response.kind());
                 seen.insert(response.kind().to_string());
                 check_roundtrip(response, "response");
             }
@@ -268,19 +270,55 @@ fn workloads_cover_every_protocol_message_variant() {
         let mut workload = UpdateWorkload::new(&fragmented, tree.all_nodes().count(), 7);
         let batch = workload.next_batch(3, 2);
         server.apply_updates(&batch).expect("apply_updates");
+        // A pure migration (F1 moves one site over) and a sweep.
+        server
+            .refragment(|base| {
+                let mut placement = base.topology().placement.clone();
+                let to = SiteId((base.topology().site_of(FragmentId(1)).index() + 1) % 4);
+                placement.insert(FragmentId(1), to.into());
+                Ok(TopologyChange {
+                    fragment_tree: base.topology().fragment_tree.clone(),
+                    placement,
+                    installs: base.fetch(&[FragmentId(1)])?.into_values().collect(),
+                    touched: BTreeSet::new(),
+                })
+            })
+            .expect("refragment");
+        server.vacuum().expect("vacuum");
         all_seen.extend(transport.seen.lock().unwrap().iter().cloned());
     }
-    for kind in ["Qual", "Sel", "Combined", "Collect", "BatchCombined", "BatchCollect", "Fragments"]
-    {
-        assert!(
-            all_seen.contains(kind),
-            "no workload produced a {kind} response; saw {all_seen:?}"
-        );
+    // Exactly the response kinds the protocol has: none live but never
+    // exercised, none listed but no longer produced. The match has no
+    // wildcard, so a new variant fails to compile until it is listed here
+    // (and then fails the assertion until a workload above produces it).
+    fn listed(response: &ProtocolResponse) -> &'static str {
+        match response {
+            ProtocolResponse::Qual(_) => "Qual",
+            ProtocolResponse::Sel(_) => "Sel",
+            ProtocolResponse::Combined(_) => "Combined",
+            ProtocolResponse::Collect(_) => "Collect",
+            ProtocolResponse::BatchCombined(_) => "BatchCombined",
+            ProtocolResponse::BatchCollect(_) => "BatchCollect",
+            ProtocolResponse::SessionDelta(_) => "SessionDelta",
+            ProtocolResponse::Fragments(_) => "Fragments",
+            ProtocolResponse::Refragged(_) => "Refragged",
+            ProtocolResponse::Vacuumed(_) => "Vacuumed",
+        }
     }
-    // Session refreshes ride on the update path; at least one delta flavour
-    // must have crossed the transport.
-    assert!(
-        all_seen.contains("SessionDelta") || all_seen.contains("Delta"),
-        "no update round produced a delta response; saw {all_seen:?}"
-    );
+    let every_kind: BTreeSet<String> = [
+        "Qual",
+        "Sel",
+        "Combined",
+        "Collect",
+        "BatchCombined",
+        "BatchCollect",
+        "SessionDelta",
+        "Fragments",
+        "Refragged",
+        "Vacuumed",
+    ]
+    .into_iter()
+    .map(String::from)
+    .collect();
+    assert_eq!(all_seen, every_kind, "response kinds seen vs. the protocol's variants");
 }

@@ -23,7 +23,7 @@
 //! | [`xpath`] | `paxml-xpath` | The XPath fragment X: parser, normal form, `SVect`/`QVect`, centralized evaluator. |
 //! | [`fragment`] | `paxml-fragment` | Fragmentation, fragment trees, XPath annotations, fragment updates. |
 //! | [`distsim`] | `paxml-distsim` | Simulated sites, traffic/visit accounting, parallel rounds. |
-//! | [`core`] | `paxml-core` | The [`PaxServer`](core::server::PaxServer) session API over PaX3, PaX2, the batch and incremental engines, the annotation optimization, and the naive baseline. |
+//! | [`core`] | `paxml-core` | The [`PaxServer`](core::server::PaxServer) session API over PaX3, PaX2 (one query or a batch), incremental maintenance, the annotation optimization, and the naive baseline. |
 //! | [`rebalance`] | `paxml-rebalance` | Online re-fragmentation: split/merge/migrate ops and the cost-model-driven placement planner. |
 //! | [`xmark`] | `paxml-xmark` | XMark-like workload generator, the paper's running example, update workloads. |
 //!
@@ -39,7 +39,7 @@
 //!
 //! // The paper's Fig. 1 clientele, fragmented as in Fig. 2, on 4 sites.
 //! let (_tree, fragmented) = paxml::xmark::clientele_fragmentation();
-//! let mut server = PaxServer::builder()
+//! let server = PaxServer::builder()
 //!     .algorithm(Algorithm::PaX2)
 //!     .annotations(true)
 //!     .placement(Placement::RoundRobin)
@@ -78,13 +78,6 @@ pub mod prelude {
     pub use paxml_core::{
         Algorithm, AnswerItem, Deployment, EvalOptions, ExecMode, ExecReport, PaxError, PaxResult,
         QueryOutcome, UpdateOutcome,
-    };
-    // The pre-`PaxServer` entry points, kept for one release; see
-    // MIGRATION.md for the mapping to the session API.
-    #[allow(deprecated)]
-    pub use paxml_core::IncrementalEngine;
-    pub use paxml_core::{
-        batch, incremental, naive, pax2, pax3, BatchReport, EvaluationReport, IncrementalReport,
     };
     pub use paxml_distsim::Placement;
     pub use paxml_fragment::{fragment_at, strategy, FragmentId, FragmentedTree, UpdateOp};

@@ -1,45 +1,18 @@
-//! Public-API surface test: pins the prelude exports and the `#[deprecated]`
-//! compatibility shims to their exact signatures, so a PR that accidentally
-//! breaks a downstream caller fails here instead of in someone's build.
+//! Public-API surface test: pins the prelude exports and the `PaxServer` /
+//! `ExecReport` / `PaxError` surface to their exact signatures, so a PR that
+//! accidentally breaks a downstream caller fails here instead of in
+//! someone's build.
 //!
 //! Everything in this file is a *compile-time* assertion (function-pointer
-//! coercions fail to compile on any signature drift) plus one runtime smoke
-//! test proving the shims still evaluate correctly — and that they now
-//! report per-execution statistics.
-
-#![allow(deprecated)] // the whole point: the shims must keep compiling
+//! coercions fail to compile on any signature drift) plus one runtime check
+//! of the explicit-assignment builder path.
 
 use paxml::prelude::*;
-use paxml::xpath::{CompiledQuery, XPathResult};
-use paxml_fragment::FragmentResult;
 use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// Update-batch slices, named so the pinned fn-pointer types stay readable.
 type Updates<'a> = &'a [(FragmentId, UpdateOp)];
-
-/// The deprecated free functions, pinned.
-#[test]
-fn deprecated_shims_compile_against_their_pinned_signatures() {
-    let _: fn(&mut Deployment, &str, &EvalOptions) -> XPathResult<EvaluationReport> =
-        pax2::evaluate;
-    let _: fn(&mut Deployment, &CompiledQuery, &str, &EvalOptions) -> EvaluationReport =
-        pax2::evaluate_compiled;
-    let _: fn(&mut Deployment, &str, &EvalOptions) -> XPathResult<EvaluationReport> =
-        pax3::evaluate;
-    let _: fn(&mut Deployment, &CompiledQuery, &str, &EvalOptions) -> EvaluationReport =
-        pax3::evaluate_compiled;
-    let _: fn(&mut Deployment, &str) -> XPathResult<EvaluationReport> = naive::evaluate;
-    let _: fn(&mut Deployment, &CompiledQuery, &str) -> EvaluationReport = naive::evaluate_compiled;
-    let _: fn(&mut Deployment, &[String], &EvalOptions) -> XPathResult<BatchReport> =
-        batch::evaluate::<String>;
-    let _: fn(&mut Deployment, &[CompiledQuery], &[String], &EvalOptions) -> BatchReport =
-        batch::evaluate_compiled;
-    let _: fn(Deployment, &str, &EvalOptions) -> XPathResult<IncrementalEngine> =
-        IncrementalEngine::new;
-    let _: fn(&mut IncrementalEngine, Updates) -> FragmentResult<IncrementalReport> =
-        IncrementalEngine::apply_updates;
-}
 
 /// The `PaxServer` session API, pinned.
 #[test]
@@ -76,8 +49,6 @@ fn server_api_compiles_against_its_pinned_signatures() {
     let _: fn(&ExecReport) -> u32 = ExecReport::clean_site_visits;
     let _: fn(&ExecReport) -> Duration = ExecReport::parallel_time;
     let _: fn(&ExecReport) -> String = ExecReport::summary;
-    let _: fn(&ExecReport) -> EvaluationReport = ExecReport::to_evaluation_report;
-    let _: fn(&ExecReport) -> BatchReport = ExecReport::to_batch_report;
 
     // The consolidated error type converts from every per-crate error.
     let _: fn(paxml::xml::XmlError) -> PaxError = PaxError::from;
@@ -88,11 +59,9 @@ fn server_api_compiles_against_its_pinned_signatures() {
     let _: fn(&UpdateOutcome) -> usize = |u| u.dirty_fragments.len();
 }
 
-/// The shims still work — and the stats footgun is gone even through the
-/// old entry points: two consecutive executions over one `&mut Deployment`
-/// report per-execution (not accumulated) meters with no `reset()` call.
+/// An explicit fragment→site assignment works through the builder.
 #[test]
-fn shims_evaluate_and_report_per_execution_stats() {
+fn an_explicit_assignment_deploys_through_the_builder() {
     let tree = parse_xml(
         "<clientele>\
            <client><country>US</country><broker><name>Etrade</name></broker></client>\
@@ -101,35 +70,8 @@ fn shims_evaluate_and_report_per_execution_stats() {
     )
     .unwrap();
     let fragmented = strategy::cut_at_labels(&tree, &["broker"]).unwrap();
-    let mut deployment = Deployment::new(&fragmented, 3, Placement::RoundRobin);
-
     let query = "client[country/text()='US']/broker/name";
-    let first = pax2::evaluate(&mut deployment, query, &EvalOptions::default()).unwrap();
-    let second = pax2::evaluate(&mut deployment, query, &EvalOptions::default()).unwrap();
-    assert_eq!(first.answer_texts(), vec!["Etrade".to_string()]);
-    assert_eq!(second.answer_texts(), vec!["Etrade".to_string()]);
-    // The regression the API redesign fixes: these used to accumulate.
-    assert!(first.max_visits_per_site() > 0);
-    assert_eq!(first.max_visits_per_site(), second.max_visits_per_site());
-    assert_eq!(first.network_bytes(), second.network_bytes());
-    assert_eq!(first.stats.rounds, second.stats.rounds);
 
-    // Batch and incremental shims still run too.
-    let batch_report =
-        batch::evaluate(&mut deployment, &[query, "client/broker/name"], &EvalOptions::default())
-            .unwrap();
-    assert_eq!(batch_report.len(), 2);
-    assert!(batch_report.max_visits_per_site() <= 2);
-
-    let engine = IncrementalEngine::new(
-        Deployment::new(&fragmented, 3, Placement::RoundRobin),
-        query,
-        &EvalOptions::default(),
-    )
-    .unwrap();
-    assert_eq!(engine.answer_texts(), vec!["Etrade".to_string()]);
-
-    // An explicit assignment keeps working through the builder, too.
     let mut assignment = BTreeMap::new();
     assignment.insert(FragmentId(0), paxml::distsim::SiteId(0));
     let server = PaxServer::builder().sites(2).assignment(assignment).deploy(&fragmented).unwrap();
