@@ -64,7 +64,7 @@ fn availability_run(plan: Option<FaultPlan>) -> (Duration, Vec<Duration>) {
         .deploy(&fragmented)
         .expect("deploy the replicated server");
     if let Some(plan) = plan {
-        server.deployment().transport().set_fault_plan(Some(plan));
+        server.deployment().set_fault_plan(Some(plan));
     }
     let queries: Vec<&str> = PAPER_QUERIES.iter().map(|(_, q)| *q).collect();
     let mut workload = UpdateWorkload::new(&fragmented, tree.all_nodes().count(), 7);

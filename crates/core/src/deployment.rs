@@ -9,13 +9,27 @@
 //! default a deployment owns an in-process simulated [`Cluster`], but any
 //! [`Transport`] (such as `paxml-wire`'s TCP cluster of real site
 //! processes) can stand in — the drivers only ever see the trait.
+//!
+//! A transport only moves frames. Whether a round is delivered at all, and
+//! what it costs, is decided in one place for every transport: the
+//! deployment's **round gate** ([`ExecCtx::round`]) consults the installed
+//! [`FaultPlan`], ticks the fault clock, lets the transport deliver, and
+//! commits the observed bytes, ops and time with one function
+//! ([`ClusterStats::commit_round`]) to the execution's recorder and the
+//! deployment's cumulative ledger.
 
 use crate::error::{PaxError, PaxResult};
 use crate::prune::PathTrie;
-use crate::transport::{EpochRequest, ProtocolRequest, ProtocolResponse, Transport};
-use paxml_distsim::{Cluster, ClusterStats, Placement, ReplicaSet, SiteId, LATEST_EPOCH};
+use crate::transport::{
+    injected_fault_error, EpochRequest, ProtocolRequest, ProtocolResponse, Transport,
+};
+use paxml_distsim::{
+    Cluster, ClusterStats, Delivery, FaultKind, FaultPlan, Placement, ReplicaSet, SiteId,
+    LATEST_EPOCH,
+};
 use paxml_fragment::{FragmentId, FragmentTree, FragmentedTree};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
@@ -276,19 +290,68 @@ impl SiteHealth {
     }
 }
 
-/// How a deployment reaches its sites.
-enum TransportHold {
-    /// The in-process simulator (owned; configurable until shared).
-    Sim(Arc<Cluster>),
-    /// Any other transport (e.g. TCP to real site processes).
-    Custom(Arc<dyn Transport>),
+/// The round gate's state: everything that decides whether a round goes out
+/// and records what it cost, kept above the [`Transport`] so every transport
+/// is faulted and charged by the same code.
+#[derive(Default)]
+struct RoundGate {
+    /// The installed fault schedule, if any (interior mutability so a test
+    /// can arm faults on an already-shared deployment).
+    fault: Mutex<Option<FaultPlan>>,
+    /// Round counter indexing the fault plan: advanced once per attempted
+    /// round while a plan is installed, so the same workload replays the
+    /// same fault sequence on any transport.
+    fault_tick: AtomicU64,
+    /// Cumulative meters since deployment, committed one whole round at a
+    /// time under the lock so a snapshot never observes a torn round.
+    ledger: Mutex<ClusterStats>,
+    /// Source of unique scratch slots (see [`Deployment::allocate_slots`]).
+    next_slot: AtomicUsize,
 }
 
-impl TransportHold {
-    fn get(&self) -> &dyn Transport {
-        match self {
-            TransportHold::Sim(cluster) => cluster.as_ref(),
-            TransportHold::Custom(transport) => transport.as_ref(),
+impl RoundGate {
+    fn plan(&self) -> std::sync::MutexGuard<'_, Option<FaultPlan>> {
+        self.fault.lock().expect("the fault-plan lock is never poisoned")
+    }
+
+    /// Decide whether a round addressed to `requests`' sites goes out. With
+    /// a plan installed, every attempted round advances the fault clock and
+    /// is checked against the schedule *atomically*: a `Kill`/`Drop`/
+    /// `Garble` on any target fails the whole round with nothing delivered
+    /// (the link itself stays healthy, so the site serves again once its
+    /// window closes); `Delay`s stall the coordinator, then the round goes.
+    fn admit(
+        &self,
+        transport: &dyn Transport,
+        requests: &BTreeMap<SiteId, EpochRequest>,
+    ) -> PaxResult<()> {
+        let stall = {
+            let plan = self.plan();
+            let Some(plan) = plan.as_ref() else { return Ok(()) };
+            let tick = self.fault_tick.fetch_add(1, Ordering::Relaxed);
+            if let Some((site, kind)) = plan.first_failure(tick, requests.keys().copied()) {
+                let operation = requests[&site].body.kind();
+                return Err(injected_fault_error(site, &kind, &transport.peer(site), operation));
+            }
+            plan.total_delay(tick, requests.keys().copied())
+        };
+        if !stall.is_zero() {
+            std::thread::sleep(stall);
+        }
+        Ok(())
+    }
+
+    /// Charge a delivered round to the execution's `recorder` and to the
+    /// cumulative ledger — the same function over the same observations, so
+    /// the two can only differ by which rounds they saw.
+    fn commit(
+        &self,
+        recorder: &mut ClusterStats,
+        delivered: &BTreeMap<SiteId, Delivery<ProtocolResponse>>,
+    ) {
+        let mut ledger = self.ledger.lock().expect("the ledger lock is never poisoned");
+        for stats in [&mut *ledger, recorder] {
+            stats.commit_round(delivered.iter().map(|(site, d)| (*site, d.work)));
         }
     }
 }
@@ -296,7 +359,7 @@ impl TransportHold {
 /// A deployment of one fragmented document over a set of sites.
 pub struct Deployment {
     /// The transport to the simulated or real sites.
-    transport: TransportHold,
+    transport: Arc<dyn Transport>,
     /// Label of the original tree's root element (stored in the root
     /// fragment; needed by the annotation analysis).
     pub root_label: String,
@@ -310,20 +373,29 @@ pub struct Deployment {
     /// Site health bookkeeping shared by every execution: strikes,
     /// quarantine, stale copies.
     health: SiteHealth,
+    /// Fault plan, fault clock, cumulative ledger and slot counter.
+    gate: RoundGate,
 }
 
 impl Deployment {
-    fn assemble(transport: TransportHold, fragmented: &FragmentedTree) -> Deployment {
+    /// Deploy a fragmented tree over `site_count` simulated sites.
+    pub fn new(fragmented: &FragmentedTree, site_count: usize, placement: Placement) -> Self {
+        Self::over_transport(fragmented, Arc::new(Cluster::new(fragmented, site_count, placement)))
+    }
+
+    /// Run over an already-built transport: a [`Cluster`] configured by the
+    /// caller (replication, explicit assignment, sequential mode, site
+    /// delays), or e.g. a TCP cluster whose site processes have already
+    /// loaded their fragments. The coordinator-side metadata still comes
+    /// from the fragmented tree; the fragment *data* is wherever the
+    /// transport put it.
+    pub fn over_transport(fragmented: &FragmentedTree, transport: Arc<dyn Transport>) -> Self {
         // Capture the deploy-time placement from the transport once; from
         // here on, routing is resolved through topology versions and the
         // transport's own static assignment is never consulted again (it
         // cannot know about fragments created by later splits).
-        let placement: BTreeMap<FragmentId, ReplicaSet> = fragmented
-            .fragment_tree
-            .ids()
-            .iter()
-            .map(|&f| (f, transport.get().replicas_of(f)))
-            .collect();
+        let placement: BTreeMap<FragmentId, ReplicaSet> =
+            fragmented.fragment_tree.ids().iter().map(|&f| (f, transport.replicas_of(f))).collect();
         let initial = Arc::new(Topology::new(fragmented.fragment_tree.clone(), placement, 0));
         Deployment {
             transport,
@@ -331,92 +403,13 @@ impl Deployment {
             total_nodes: fragmented.total_real_nodes(),
             topologies: RwLock::new(vec![(0, initial)]),
             health: SiteHealth::default(),
-        }
-    }
-
-    /// Deploy a fragmented tree over `site_count` simulated sites.
-    pub fn new(fragmented: &FragmentedTree, site_count: usize, placement: Placement) -> Self {
-        Self::assemble(
-            TransportHold::Sim(Arc::new(Cluster::new(fragmented, site_count, placement))),
-            fragmented,
-        )
-    }
-
-    /// Deploy over simulated sites with every fragment stored on
-    /// `replication` sites (primary chosen by `placement`, secondaries on
-    /// the next sites round-robin).
-    pub fn replicated(
-        fragmented: &FragmentedTree,
-        site_count: usize,
-        placement: Placement,
-        replication: usize,
-    ) -> Self {
-        Self::assemble(
-            TransportHold::Sim(Arc::new(Cluster::replicated(
-                fragmented,
-                site_count,
-                placement,
-                replication,
-            ))),
-            fragmented,
-        )
-    }
-
-    /// Deploy with an explicit fragment→site assignment (simulated sites).
-    pub fn with_assignment(
-        fragmented: &FragmentedTree,
-        site_count: usize,
-        assignment: BTreeMap<FragmentId, SiteId>,
-    ) -> Self {
-        Self::assemble(
-            TransportHold::Sim(Arc::new(Cluster::with_assignment(
-                fragmented, site_count, assignment,
-            ))),
-            fragmented,
-        )
-    }
-
-    /// Deploy every fragment onto one simulated site (degenerate baseline).
-    pub fn single_site(fragmented: &FragmentedTree) -> Self {
-        Self::new(fragmented, 1, Placement::SingleSite)
-    }
-
-    /// Run over an externally-built transport (e.g. a TCP cluster whose
-    /// site processes have already loaded their fragments). The
-    /// coordinator-side metadata still comes from the fragmented tree; the
-    /// fragment *data* is wherever the transport put it.
-    pub fn over_transport(fragmented: &FragmentedTree, transport: Arc<dyn Transport>) -> Self {
-        Self::assemble(TransportHold::Custom(transport), fragmented)
-    }
-
-    /// Charge a fixed latency per coordinator round (simulated network RTT).
-    /// No-op on non-simulator transports, which have real latency.
-    pub fn with_round_latency(mut self, latency: Duration) -> Self {
-        self.configure_sim(|cluster| cluster.round_latency = latency);
-        self
-    }
-
-    /// Run rounds sequentially (deterministic) instead of thread-per-site.
-    /// No-op on non-simulator transports.
-    pub fn sequential(mut self) -> Self {
-        self.configure_sim(|cluster| cluster.sequential = true);
-        self
-    }
-
-    /// Apply a simulator-only configuration tweak. Only possible before the
-    /// deployment is shared (builder phase); silently skipped on custom
-    /// transports.
-    pub(crate) fn configure_sim(&mut self, tweak: impl FnOnce(&mut Cluster)) {
-        if let TransportHold::Sim(cluster) = &mut self.transport {
-            let cluster = Arc::get_mut(cluster)
-                .expect("simulator knobs are set in the builder phase, before sharing");
-            tweak(cluster);
+            gate: RoundGate::default(),
         }
     }
 
     /// The transport this deployment talks to its sites through.
     pub fn transport(&self) -> &dyn Transport {
-        self.transport.get()
+        self.transport.as_ref()
     }
 
     /// The in-process simulator cluster, when that is the transport
@@ -500,14 +493,52 @@ impl Deployment {
         })
     }
 
-    /// Hand out `n` scratch slots unique across concurrent executions.
+    /// Hand out `n` scratch *slots* no other caller will ever receive.
+    ///
+    /// A slot is the namespace key executions use to keep their per-site
+    /// scratch state apart (candidate answer sets between the two PaX
+    /// visits, per-query batch state). Executions that may run concurrently
+    /// over one deployment must not share slots; allocating is a single
+    /// atomic add. Returns the first slot of the contiguous block
+    /// `[base, base+n)`.
     pub fn allocate_slots(&self, n: usize) -> usize {
-        self.transport().allocate_slots(n)
+        self.gate.next_slot.fetch_add(n.max(1), Ordering::Relaxed)
     }
 
     /// A consistent snapshot of the cumulative meters since deployment.
+    /// Rounds are committed whole under a lock, so two snapshots bracketing
+    /// any set of (even concurrent) executions yield an accurate
+    /// [`ClusterStats::delta_since`].
     pub fn stats(&self) -> ClusterStats {
-        self.transport().stats()
+        self.gate.ledger.lock().expect("the ledger lock is never poisoned").clone()
+    }
+
+    /// Install (or clear) the deterministic fault schedule consulted before
+    /// every subsequent round, whatever the transport.
+    pub fn set_fault_plan(&self, plan: Option<FaultPlan>) {
+        *self.gate.plan() = plan;
+    }
+
+    /// The round tick the *next* round will be indexed at under the
+    /// installed [`FaultPlan`], without advancing the clock — chaos
+    /// schedules use it to aim fault windows at workload phases.
+    pub fn current_fault_tick(&self) -> u64 {
+        self.gate.fault_tick.load(Ordering::Relaxed)
+    }
+
+    /// Is the site answering *right now*? Used by the health tracker to
+    /// re-probe a quarantined site before readmitting it. A scheduled fault
+    /// makes a live link look dead too; probes *peek* at the fault clock
+    /// (they are not rounds) and touch no meter.
+    pub fn probe(&self, site: SiteId) -> bool {
+        let tick = self.current_fault_tick();
+        let faulted = self.gate.plan().as_ref().is_some_and(|plan| {
+            matches!(
+                plan.fault_at(site, tick),
+                Some(FaultKind::Kill | FaultKind::Drop | FaultKind::Garble)
+            )
+        });
+        !faulted && self.transport().link_alive(site)
     }
 
     /// Number of fragments under the newest topology.
@@ -532,10 +563,10 @@ impl Deployment {
 /// Every algorithm driver runs against an `ExecCtx` instead of a
 /// `&mut Deployment`. The context borrows the deployment *shared* — any
 /// number of executions may run concurrently over one deployment — and owns
-/// this execution's [`ClusterStats`] recorder: [`ExecCtx::round`] forwards
-/// to [`Transport::round_recorded`], so [`ExecCtx::stats`] accumulates the
-/// visits/bytes/ops of **this execution only** while the transport's
-/// cumulative counters grow in the background. This is what lets
+/// this execution's [`ClusterStats`] recorder: [`ExecCtx::round`] commits
+/// every delivered round to it, so [`ExecCtx::stats`] accumulates the
+/// visits/bytes/ops of **this execution only** while the deployment's
+/// cumulative ledger grows in the background. This is what lets
 /// per-execution reports stay exact without racing `delta_since` snapshots
 /// of a shared counter.
 ///
@@ -620,55 +651,37 @@ impl<'a> ExecCtx<'a> {
         self.deployment.topology_at(self.epoch)
     }
 
-    /// One coordinator round, recorded into this execution's meters (and
-    /// the transport's cumulative ones). Fails only on remote transports
-    /// (a site process died); the in-process simulator cannot fail.
+    /// One coordinator round through the deployment's round gate: admit
+    /// (fault plan and clock), let the transport deliver, commit what it
+    /// observed to this execution's meters and the cumulative ledger. An
+    /// empty round touches neither the clock nor the meters. Fails on an
+    /// injected fault (nothing delivered, nothing charged) or when a remote
+    /// site is unreachable; the in-process simulator itself cannot fail.
     pub fn round(
         &mut self,
         requests: BTreeMap<SiteId, ProtocolRequest>,
     ) -> PaxResult<BTreeMap<SiteId, ProtocolResponse>> {
+        if requests.is_empty() {
+            return Ok(BTreeMap::new());
+        }
         let requests: BTreeMap<SiteId, EpochRequest> = requests
             .into_iter()
             .map(|(site, body)| {
                 (site, EpochRequest { epoch: self.epoch, retire_below: self.retire_below, body })
             })
             .collect();
-        self.deployment.transport().round_recorded(&mut self.stats, requests)
-    }
-
-    /// Visit every occupied site with the same request, recorded into this
-    /// execution's meters.
-    pub fn broadcast(
-        &mut self,
-        request: ProtocolRequest,
-    ) -> PaxResult<BTreeMap<SiteId, ProtocolResponse>> {
-        let requests: BTreeMap<SiteId, ProtocolRequest> = self
-            .deployment
-            .transport()
-            .occupied_sites()
-            .into_iter()
-            .map(|site| (site, request.clone()))
-            .collect();
-        self.round(requests)
-    }
-
-    /// Visit **every** site with the same request, occupied or not.
-    /// Retirement sweeps use this: after a migration, the *old* site of a
-    /// moved fragment may hold garbage versions even though the current
-    /// topology places nothing there.
-    pub fn broadcast_all(
-        &mut self,
-        request: ProtocolRequest,
-    ) -> PaxResult<BTreeMap<SiteId, ProtocolResponse>> {
-        let requests: BTreeMap<SiteId, ProtocolRequest> =
-            (0..self.deployment.site_count()).map(|site| (SiteId(site), request.clone())).collect();
-        self.round(requests)
+        let (gate, transport) = (&self.deployment.gate, self.deployment.transport());
+        gate.admit(transport, &requests)?;
+        let delivered = transport.deliver(requests)?;
+        gate.commit(&mut self.stats, &delivered);
+        Ok(delivered.into_iter().map(|(site, d)| (site, d.response)).collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use paxml_distsim::{FaultEvent, SiteWork};
     use paxml_fragment::strategy::cut_children_of_root;
     use paxml_xml::TreeBuilder;
 
@@ -699,15 +712,11 @@ mod tests {
         assert_eq!(groups[&SiteId(1)], vec![FragmentId(1)]);
     }
 
-    #[test]
-    fn builder_style_options() {
-        let f = fragmented();
-        let d =
-            Deployment::single_site(&f).with_round_latency(Duration::from_millis(1)).sequential();
-        assert_eq!(d.site_count(), 1);
-        let cluster = d.cluster().expect("a default deployment is simulator-backed");
-        assert!(cluster.sequential);
-        assert_eq!(cluster.round_latency, Duration::from_millis(1));
+    /// One `FetchFragments` request per site, routed by the context.
+    fn fetch_all(ctx: &mut ExecCtx<'_>) -> BTreeMap<SiteId, ProtocolRequest> {
+        let fragments = ctx.topology().fragment_tree.ids().to_vec();
+        let by_site = ctx.group_by_site(fragments).unwrap();
+        by_site.into_iter().map(|(s, ids)| (s, ProtocolRequest::FetchFragments(ids))).collect()
     }
 
     #[test]
@@ -720,9 +729,201 @@ mod tests {
         assert!(d.cluster().is_some(), "as_cluster sees through the Arc");
         assert_eq!(d.site_count(), 2);
         let mut ctx = ExecCtx::pinned(&d, LATEST_EPOCH, 0);
-        let responses = ctx.broadcast(ProtocolRequest::Fetch).unwrap();
+        let requests = fetch_all(&mut ctx);
+        let responses = ctx.round(requests).unwrap();
         let shipped: usize =
             responses.into_values().map(|r| r.into_fragments().unwrap().len()).sum();
         assert_eq!(shipped, d.fragment_count());
+    }
+
+    /// A two-site transport that answers every request with an empty
+    /// shipment at a fixed cost, and counts how often it was asked to.
+    #[derive(Default)]
+    struct FakeTransport {
+        deliveries: AtomicUsize,
+    }
+
+    const FAKE_WORK: SiteWork =
+        SiteWork { request_bytes: 10, response_bytes: 2, ops: 3, busy: Duration::from_micros(7) };
+
+    impl Transport for FakeTransport {
+        fn deliver(
+            &self,
+            requests: BTreeMap<SiteId, EpochRequest>,
+        ) -> PaxResult<BTreeMap<SiteId, Delivery<ProtocolResponse>>> {
+            self.deliveries.fetch_add(1, Ordering::Relaxed);
+            let response = ProtocolResponse::Fragments(Vec::new());
+            let answer = Delivery { response, work: FAKE_WORK };
+            Ok(requests.into_keys().map(|site| (site, answer.clone())).collect())
+        }
+        fn site_count(&self) -> usize {
+            2
+        }
+        fn replicas_of(&self, fragment: FragmentId) -> ReplicaSet {
+            ReplicaSet::solo(SiteId(fragment.index() % 2))
+        }
+        fn peer(&self, site: SiteId) -> String {
+            format!("fake://{site}")
+        }
+        fn reset(&self) {}
+        fn scratch_len(&self, _site: SiteId) -> usize {
+            0
+        }
+    }
+
+    fn fake_deployment() -> (Deployment, Arc<FakeTransport>) {
+        let transport = Arc::new(FakeTransport::default());
+        (Deployment::over_transport(&fragmented(), transport.clone()), transport)
+    }
+
+    fn fault(site: usize, from_round: u64, to_round: u64, kind: FaultKind) -> FaultEvent {
+        FaultEvent { site: SiteId(site), from_round, to_round, kind }
+    }
+
+    #[test]
+    fn a_faulted_round_delivers_nothing_and_charges_nothing() {
+        let (d, transport) = fake_deployment();
+        d.set_fault_plan(Some(FaultPlan::scripted(vec![fault(1, 0, 0, FaultKind::Kill)])));
+        let mut ctx = ExecCtx::pinned(&d, LATEST_EPOCH, 0);
+
+        // An empty round is no round: no tick, no delivery, no meters.
+        assert!(ctx.round(BTreeMap::new()).unwrap().is_empty());
+        assert_eq!(d.current_fault_tick(), 0);
+
+        let requests = fetch_all(&mut ctx);
+        let err = ctx.round(requests.clone()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            PaxError::SiteUnreachable {
+                site: SiteId(1),
+                detail: "fake://S1: injected Kill fault while sending FetchFragments".into(),
+            }
+            .to_string()
+        );
+        assert_eq!(transport.deliveries.load(Ordering::Relaxed), 0, "nothing was delivered");
+        assert_eq!(d.current_fault_tick(), 1, "the attempt advanced the clock");
+        assert_eq!((&ctx.stats, &d.stats()), (&ClusterStats::default(), &ClusterStats::default()));
+
+        // The window has passed: the same round now goes through.
+        assert_eq!(ctx.round(requests).unwrap().len(), 2);
+        assert_eq!(transport.deliveries.load(Ordering::Relaxed), 1);
+        assert_eq!(ctx.stats.rounds, 1);
+    }
+
+    #[test]
+    fn a_delay_stalls_the_round_but_delivers_it() {
+        let (d, transport) = fake_deployment();
+        let stall = Duration::from_millis(20);
+        d.set_fault_plan(Some(FaultPlan::scripted(vec![fault(0, 0, 0, FaultKind::Delay(stall))])));
+        let mut ctx = ExecCtx::pinned(&d, LATEST_EPOCH, 0);
+        let requests = fetch_all(&mut ctx);
+        let started = Instant::now();
+        assert_eq!(ctx.round(requests).unwrap().len(), 2);
+        assert!(started.elapsed() >= stall);
+        assert_eq!(transport.deliveries.load(Ordering::Relaxed), 1);
+        assert_eq!(d.stats().rounds, 1);
+    }
+
+    #[test]
+    fn probes_peek_at_the_fault_clock_without_advancing_it() {
+        let (d, _transport) = fake_deployment();
+        assert!(d.probe(SiteId(1)), "no plan, live link");
+        d.set_fault_plan(Some(FaultPlan::scripted(vec![
+            fault(1, 0, 0, FaultKind::Drop),
+            fault(0, 0, 0, FaultKind::Delay(Duration::from_millis(1))),
+        ])));
+        assert!(!d.probe(SiteId(1)), "a scheduled fault makes a live link look dead");
+        assert!(d.probe(SiteId(0)), "a slow site is not a dead one");
+        assert_eq!(d.current_fault_tick(), 0, "probes are not rounds");
+        assert_eq!(d.stats(), ClusterStats::default(), "and touch no meter");
+
+        // One round to the healthy site moves the clock past the window.
+        let mut ctx = ExecCtx::pinned(&d, LATEST_EPOCH, 0);
+        let to_s0 = BTreeMap::from([(SiteId(0), ProtocolRequest::FetchFragments(Vec::new()))]);
+        ctx.round(to_s0).unwrap();
+        assert!(d.probe(SiteId(1)), "the site revived by schedule");
+    }
+
+    #[test]
+    fn the_commit_charges_recorder_and_ledger_identically() {
+        let (d, _transport) = fake_deployment();
+        // Background traffic from another execution.
+        let mut other = ExecCtx::pinned(&d, LATEST_EPOCH, 0);
+        let requests = fetch_all(&mut other);
+        other.round(requests.clone()).unwrap();
+
+        let baseline = d.stats();
+        let mut ctx = ExecCtx::pinned(&d, LATEST_EPOCH, 0);
+        ctx.round(requests.clone()).unwrap();
+        ctx.round(requests).unwrap();
+        // The recorder saw exactly its own two rounds, charged as observed…
+        assert_eq!(ctx.stats.rounds, 2);
+        assert_eq!(ctx.stats.messages, 8);
+        assert_eq!(ctx.stats.total_ops, 4 * FAKE_WORK.ops);
+        assert_eq!(ctx.stats.parallel_ops, 2 * FAKE_WORK.ops);
+        assert_eq!(ctx.stats.sites[&SiteId(1)].bytes_received, 2 * FAKE_WORK.request_bytes);
+        assert_eq!(ctx.stats.sites[&SiteId(1)].bytes_sent, 2 * FAKE_WORK.response_bytes);
+        assert_eq!(ctx.stats.parallel_time(), 2 * FAKE_WORK.busy);
+        // …and the ledger grew by exactly the same amounts, on top of the
+        // other execution's round.
+        assert_eq!(d.stats().delta_since(&baseline), ctx.stats);
+        assert_eq!(d.stats().rounds, 3);
+    }
+
+    #[test]
+    fn concurrent_executions_never_tear_the_ledger() {
+        // Many coordinator threads hammer one shared deployment; each meters
+        // its own rounds, and the cumulative ledger must equal the sum of
+        // all per-thread recorders.
+        let f = fragmented();
+        let d = Arc::new(Deployment::new(&f, 3, Placement::RoundRobin));
+        let (threads, rounds_per_thread) = (4u32, 25u32);
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                let d = Arc::clone(&d);
+                std::thread::spawn(move || {
+                    let mut ctx = ExecCtx::pinned(&d, LATEST_EPOCH, 0);
+                    let requests = fetch_all(&mut ctx);
+                    for _ in 0..rounds_per_thread {
+                        assert_eq!(ctx.round(requests.clone()).unwrap().len(), 3);
+                    }
+                    ctx.stats
+                })
+            })
+            .collect();
+        let mut merged = ClusterStats::default();
+        for handle in handles {
+            merged.merge(&handle.join().unwrap());
+        }
+        let cumulative = d.stats();
+        assert_eq!(cumulative.rounds, threads * rounds_per_thread);
+        assert_eq!(cumulative.rounds, merged.rounds);
+        assert_eq!(cumulative.total_ops, merged.total_ops);
+        assert_eq!(cumulative.messages, merged.messages);
+        for (site, stats) in &cumulative.sites {
+            assert_eq!(stats.visits, merged.sites[site].visits);
+            assert_eq!(stats.bytes_received, merged.sites[site].bytes_received);
+            assert_eq!(stats.bytes_sent, merged.sites[site].bytes_sent);
+        }
+    }
+
+    #[test]
+    fn slot_allocation_never_repeats() {
+        let d = Arc::new(Deployment::new(&fragmented(), 1, Placement::SingleSite));
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                let d = Arc::clone(&d);
+                std::thread::spawn(move || {
+                    (0..50).map(|_| d.allocate_slots(3)).collect::<Vec<usize>>()
+                })
+            })
+            .collect();
+        let mut seen = BTreeSet::new();
+        for handle in handles {
+            for base in handle.join().unwrap() {
+                assert!(seen.insert(base), "slot base {base} handed out twice");
+                assert_eq!(base % 3, 0);
+            }
+        }
     }
 }

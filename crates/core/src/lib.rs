@@ -72,8 +72,7 @@ pub use server::{
     RetryPolicy, ServerStats, SiteLoad, TopologyChange,
 };
 pub use transport::{
-    dispatch, injected_fault_error, EpochRequest, ProtocolRequest, ProtocolResponse, TcpOptions,
-    Transport, VacuumOutcome,
+    dispatch, EpochRequest, ProtocolRequest, ProtocolResponse, TcpOptions, Transport, VacuumOutcome,
 };
 pub use vars::{PaxVar, QualVecKind};
 
@@ -481,7 +480,9 @@ mod tests {
         let fragmented = fig1_fragmentation(&tree);
         let query = "//broker[//stock/code/text()='GOOG']/name";
         let par = Deployment::new(&fragmented, 4, Placement::RoundRobin);
-        let seq = Deployment::new(&fragmented, 4, Placement::RoundRobin).sequential();
+        let mut cluster = paxml_distsim::Cluster::new(&fragmented, 4, Placement::RoundRobin);
+        cluster.sequential = true;
+        let seq = Deployment::over_transport(&fragmented, std::sync::Arc::new(cluster));
         let a = eval_pax2(&par, query, &EvalOptions::default());
         let b = eval_pax2(&seq, query, &EvalOptions::default());
         assert_eq!(a.answer_origins(), b.answer_origins());

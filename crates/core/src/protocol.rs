@@ -4,7 +4,7 @@
 //! charge its exact byte size to the network. The site-side task functions
 //! operate on a [`SiteLocal`]'s fragments and scratch state; they are shared
 //! between PaX3 and PaX2. The algorithms in [`crate::pax2`]/[`crate::pax3`]
-//! drive them through [`paxml_distsim::Cluster::round`]; they can also be
+//! drive them through [`ExecCtx::round`](crate::ExecCtx::round); they can also be
 //! exercised directly against a hand-built site:
 //!
 //! ```
@@ -76,7 +76,7 @@ use std::collections::BTreeMap;
 /// Scratch keys used to keep per-fragment state between visits. The `slot`
 /// keeps concurrent executions (and the queries of a batch) apart: every
 /// request that parks state site-side carries the slot its execution drew
-/// from [`paxml_distsim::Cluster::allocate_slots`], so two executions
+/// from [`Deployment::allocate_slots`](crate::Deployment::allocate_slots), so two executions
 /// interleaving their visits to one site never read each other's candidate
 /// sets. The epoch prefix namespaces the slots per deployment epoch, so
 /// state parked against one epoch's snapshots can never be resolved against

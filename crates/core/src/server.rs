@@ -157,7 +157,7 @@ use crate::report::{Algorithm, ExecMode, ExecReport, QueryOutcome, UpdateOutcome
 use crate::transport::{ProtocolRequest, TcpOptions, VacuumOutcome};
 use crate::EvalOptions;
 use crate::{naive, pax2, pax3};
-use paxml_distsim::{ClusterStats, Placement, ReplicaSet, SiteId};
+use paxml_distsim::{Cluster, ClusterStats, Placement, ReplicaSet, SiteId};
 use paxml_fragment::{Fragment, FragmentId, FragmentTree, FragmentedTree, UpdateOp};
 use paxml_xpath::{compile_text, CompileCache, CompiledQuery};
 use std::collections::{BTreeMap, BTreeSet};
@@ -224,7 +224,6 @@ pub struct PaxServerBuilder {
     assignment: Option<BTreeMap<FragmentId, SiteId>>,
     replication: usize,
     sequential: bool,
-    round_latency: Duration,
     site_delays: BTreeMap<SiteId, Duration>,
     auto_vacuum_threshold: Option<u64>,
     retry_policy: RetryPolicy,
@@ -241,7 +240,6 @@ impl Default for PaxServerBuilder {
             assignment: None,
             replication: 1,
             sequential: false,
-            round_latency: Duration::ZERO,
             site_delays: BTreeMap::new(),
             auto_vacuum_threshold: None,
             retry_policy: RetryPolicy::default(),
@@ -359,13 +357,6 @@ impl PaxServerBuilder {
         self
     }
 
-    /// Charge a fixed latency per coordinator round (simulated network
-    /// RTT; default zero).
-    pub fn round_latency(mut self, latency: Duration) -> Self {
-        self.round_latency = latency;
-        self
-    }
-
     /// Slow one site down artificially (skew/failure-injection studies).
     pub fn site_delay(mut self, site: SiteId, delay: Duration) -> Self {
         self.site_delays.insert(site, delay);
@@ -384,7 +375,7 @@ impl PaxServerBuilder {
 
     /// Deploy `fragmented` over the configured cluster and start the
     /// session.
-    pub fn deploy(self, fragmented: &FragmentedTree) -> PaxResult<PaxServer> {
+    pub fn deploy(mut self, fragmented: &FragmentedTree) -> PaxResult<PaxServer> {
         if self.sites == Some(0) {
             return Err(PaxError::InvalidConfig {
                 message: "a deployment needs at least one site".into(),
@@ -405,36 +396,13 @@ impl PaxServerBuilder {
                     .into(),
             });
         }
-        let mut deployment = match self.assignment {
-            Some(assignment) => Deployment::with_assignment(fragmented, sites, assignment),
-            None if self.replication > 1 => {
-                Deployment::replicated(fragmented, sites, self.placement, self.replication)
-            }
-            None => Deployment::new(fragmented, sites, self.placement),
+        let mut cluster = match self.assignment.take() {
+            Some(assignment) => Cluster::with_assignment(fragmented, sites, assignment),
+            None => Cluster::replicated(fragmented, sites, self.placement, self.replication),
         };
-        let sequential = self.sequential;
-        let round_latency = self.round_latency;
-        let site_delays = self.site_delays;
-        deployment.configure_sim(move |cluster| {
-            cluster.sequential = sequential;
-            cluster.round_latency = round_latency;
-            cluster.site_delay = site_delays;
-        });
-        let (current, epochs) = initial_epoch();
-        Ok(PaxServer {
-            deployment,
-            algorithm: self.algorithm,
-            options: EvalOptions { use_annotations: self.use_annotations },
-            retry: self.retry_policy,
-            writer: Mutex::new(()),
-            current,
-            epochs,
-            prepared: RwLock::new(PreparedTable::default()),
-            update_hook: Mutex::new(None),
-            retired_placements: Mutex::new(Vec::new()),
-            auto_vacuum_threshold: self.auto_vacuum_threshold,
-            retired_at_last_vacuum: AtomicU64::new(0),
-        })
+        cluster.sequential = self.sequential;
+        cluster.site_delay = std::mem::take(&mut self.site_delays);
+        self.deploy_over(fragmented, Arc::new(cluster))
     }
 
     /// Deploy over an externally built [`Transport`](crate::Transport)
@@ -444,8 +412,7 @@ impl PaxServerBuilder {
     /// builder knobs — [`sites`](PaxServerBuilder::sites),
     /// [`placement`](PaxServerBuilder::placement),
     /// [`assignment`](PaxServerBuilder::assignment),
-    /// [`sequential`](PaxServerBuilder::sequential),
-    /// [`round_latency`](PaxServerBuilder::round_latency) and
+    /// [`sequential`](PaxServerBuilder::sequential) and
     /// [`site_delay`](PaxServerBuilder::site_delay) — do not apply here and
     /// are ignored; [`algorithm`](PaxServerBuilder::algorithm),
     /// [`annotations`](PaxServerBuilder::annotations),
@@ -696,7 +663,7 @@ impl PaxServer {
     fn probe_quarantined(&self) {
         let health = self.deployment.health();
         for site in health.due_for_probe(self.retry.probe_cooldown) {
-            if self.deployment.transport().probe(site) {
+            if self.deployment.probe(site) {
                 health.readmit(site);
             } else {
                 health.probe_failed(site);

@@ -13,10 +13,19 @@
 //! conformance oracle for any remote transport: byte-for-byte identical
 //! requests, responses, operation counts and traffic meters.
 //!
+//! A [`Transport`] is a **data plane**: [`Transport::deliver`] moves one
+//! round's requests to their sites and hands back, per site, the response
+//! plus the bytes, ops and busy time it observed. It charges nothing and
+//! injects no faults — the round gate owned by
+//! [`Deployment`](crate::Deployment) decides whether a round is delivered at
+//! all (fault plan, fault clock) and commits what was observed to the
+//! execution's recorder and the cumulative ledger, identically for every
+//! transport.
+//!
 //! A round over a remote transport can fail (a site process can die); the
-//! in-process simulator cannot. [`Transport::round_recorded`] is therefore
-//! fallible, and the drivers propagate [`PaxError::SiteUnreachable`] to the
-//! caller instead of hanging.
+//! in-process simulator cannot. `deliver` is therefore fallible, and the
+//! drivers propagate [`PaxError::SiteUnreachable`] to the caller instead of
+//! hanging.
 
 use crate::error::{PaxError, PaxResult};
 use crate::protocol::{
@@ -27,12 +36,11 @@ use crate::protocol::{
     QualResponse, RefragOutcome, SelRequest, SelResponse,
 };
 use paxml_distsim::{
-    Cluster, ClusterStats, FaultKind, FaultPlan, ReplicaSet, SiteId, SiteLoadReport, SiteLocal,
-    LATEST_EPOCH,
+    Cluster, Delivery, FaultKind, ReplicaSet, SiteId, SiteLoadReport, SiteLocal, LATEST_EPOCH,
 };
 use paxml_fragment::{Fragment, FragmentId};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// The envelope every coordinator→site message travels in: a protocol body
@@ -81,13 +89,10 @@ pub enum ProtocolRequest {
     /// Session round: apply ops (none for a cold snapshot) and refresh the
     /// addressed sessions' vectors.
     SessionUpdate(MsgSessionUpdate),
-    /// Naive baseline: ship every fragment stored at the site (as seen from
-    /// the request's epoch).
-    Fetch,
-    /// Ship the named fragments as seen from the request's epoch. Unlike
-    /// [`ProtocolRequest::Fetch`] this is *routed*: the coordinator asks
-    /// each site only for the fragments the current topology places there,
-    /// so stale copies left behind by a migration are never read.
+    /// Ship the named fragments as seen from the request's epoch. The
+    /// request is *routed*: the coordinator asks each site only for the
+    /// fragments the current topology places there, so stale copies left
+    /// behind by a migration are never read.
     FetchFragments(Vec<FragmentId>),
     /// Re-fragmentation round: install the shipped fragment payloads as the
     /// envelope epoch's snapshots (see [`MsgRefrag`]).
@@ -112,7 +117,6 @@ impl ProtocolRequest {
             ProtocolRequest::BatchCombined(_) => "BatchCombined",
             ProtocolRequest::BatchCollect(_) => "BatchCollect",
             ProtocolRequest::SessionUpdate(_) => "SessionUpdate",
-            ProtocolRequest::Fetch => "Fetch",
             ProtocolRequest::FetchFragments(_) => "FetchFragments",
             ProtocolRequest::Refrag(_) => "Refrag",
             ProtocolRequest::Vacuum(_) => "Vacuum",
@@ -138,8 +142,7 @@ pub enum ProtocolResponse {
     BatchCollect(BatchCollectResponse),
     /// Response to [`ProtocolRequest::SessionUpdate`].
     SessionDelta(MsgSessionDelta),
-    /// Response to [`ProtocolRequest::Fetch`] and
-    /// [`ProtocolRequest::FetchFragments`].
+    /// Response to [`ProtocolRequest::FetchFragments`].
     Fragments(Vec<Fragment>),
     /// Response to [`ProtocolRequest::Refrag`].
     Refragged(RefragOutcome),
@@ -192,13 +195,6 @@ pub fn dispatch(site: &mut SiteLocal, request: EpochRequest) -> ProtocolResponse
         }
         ProtocolRequest::SessionUpdate(r) => {
             ProtocolResponse::SessionDelta(session_update_task(site, epoch, r))
-        }
-        ProtocolRequest::Fetch => {
-            // Shipping is charged by the serialized size of the response;
-            // the site does no real computation beyond reading its store.
-            site.charge_ops(site.cumulative_size_at(epoch) as u64);
-            let fragments = site.fragments_at(epoch).iter().map(|f| f.as_ref().clone()).collect();
-            ProtocolResponse::Fragments(fragments)
         }
         ProtocolRequest::FetchFragments(ids) => {
             let mut fragments = Vec::with_capacity(ids.len());
@@ -313,14 +309,16 @@ impl Default for TcpOptions {
     }
 }
 
-/// The error a transport raises when its [`FaultPlan`] refuses to deliver a
-/// round. Shared by both transports so an injected fault surfaces
-/// identically in-process and over TCP: `Kill`/`Drop` are transient
+/// The error the round gate raises when the installed
+/// [`FaultPlan`](paxml_distsim::FaultPlan) refuses to deliver a round. One
+/// function for every transport (only `peer`, from [`Transport::peer`],
+/// differs), so an injected fault surfaces identically in-process and over
+/// TCP: `Kill`/`Drop` are transient
 /// [`PaxError::SiteUnreachable`] (failover retries them), `Garble` is a
 /// permanent [`PaxError::Protocol`] (retrying re-reads the same
 /// corruption). `Delay` never fails a round and must be handled by the
 /// caller before constructing an error.
-pub fn injected_fault_error(
+pub(crate) fn injected_fault_error(
     site: SiteId,
     kind: &FaultKind,
     peer: &str,
@@ -344,47 +342,40 @@ pub fn injected_fault_error(
     }
 }
 
-/// The coordinator's view of a set of sites, independent of how the sites
-/// are reached. [`Cluster`] implements it in-process; `paxml-wire`'s
-/// `TcpCluster` implements it over sockets. Everything a driver needs —
-/// rounds, placement lookups, scratch-slot allocation, meters — goes
-/// through this trait, so drivers are transport-agnostic by construction.
+/// The coordinator's data plane to a set of sites, independent of how the
+/// sites are reached. [`Cluster`] implements it in-process; `paxml-wire`'s
+/// `TcpCluster` implements it over sockets. A transport only moves frames
+/// and answers control probes: routing comes from the deployment's
+/// topology, and fault injection, scratch slots and every meter live in the
+/// round gate of [`Deployment`](crate::Deployment).
 pub trait Transport: Send + Sync {
-    /// One coordinator round: deliver each request to its site, run
-    /// [`dispatch`] there, collect the responses. Request and response
-    /// traffic and per-site work are recorded both into the transport's
-    /// cumulative counters and into `recorder`.
-    fn round_recorded(
+    /// Deliver each request to its site, run [`dispatch`] there, and
+    /// collect per site the response and the [`SiteWork`] the visit was
+    /// measured at: request and response at their encoded sizes, the ops
+    /// the task charged, the time it took. Nothing is charged here.
+    ///
+    /// [`SiteWork`]: paxml_distsim::SiteWork
+    fn deliver(
         &self,
-        recorder: &mut ClusterStats,
         requests: BTreeMap<SiteId, EpochRequest>,
-    ) -> PaxResult<BTreeMap<SiteId, ProtocolResponse>>;
+    ) -> PaxResult<BTreeMap<SiteId, Delivery<ProtocolResponse>>>;
 
     /// Number of sites.
     fn site_count(&self) -> usize;
 
-    /// The *primary* site storing a fragment (the first replica).
-    fn site_of(&self, fragment: FragmentId) -> SiteId;
+    /// The sites a fragment was stored on **at deploy time**, primary
+    /// first. Read once, when the deployment captures its first topology.
+    fn replicas_of(&self, fragment: FragmentId) -> ReplicaSet;
 
-    /// All sites storing a fragment, primary first. Transports that predate
-    /// replication report a solo set around [`Transport::site_of`].
-    fn replicas_of(&self, fragment: FragmentId) -> ReplicaSet {
-        ReplicaSet::solo(self.site_of(fragment))
-    }
+    /// How error text names a site's endpoint (`sim://S1`, a socket
+    /// address).
+    fn peer(&self, site: SiteId) -> String;
 
-    /// All sites that hold at least one fragment copy.
-    fn occupied_sites(&self) -> BTreeSet<SiteId>;
-
-    /// Install (or clear) a deterministic [`FaultPlan`] consulted before
-    /// every subsequent round. Transports without fault injection ignore
-    /// it.
-    fn set_fault_plan(&self, _plan: Option<FaultPlan>) {}
-
-    /// Is the site answering *right now*? Used by the health tracker to
-    /// re-probe a quarantined site before readmitting it. Must be cheap
-    /// (bounded by a couple of connect attempts, never the full connect
-    /// backoff) and must not advance the fault clock or the meters.
-    fn probe(&self, _site: SiteId) -> bool {
+    /// Is the raw link to the site up *right now*, fault schedule aside?
+    /// The liveness half of [`Deployment::probe`](crate::Deployment::probe).
+    /// Must be cheap (bounded by a couple of connect attempts, never the
+    /// full connect backoff). In-process sites are always reachable.
+    fn link_alive(&self, _site: SiteId) -> bool {
         true
     }
 
@@ -392,15 +383,7 @@ pub trait Transport: Send + Sync {
     /// ignore it.
     fn configure_tcp(&self, _options: &TcpOptions) {}
 
-    /// Hand out `n` scratch slots no other caller will ever receive (see
-    /// [`Cluster::allocate_slots`]).
-    fn allocate_slots(&self, n: usize) -> usize;
-
-    /// A consistent snapshot of the cumulative meters since the transport
-    /// started.
-    fn stats(&self) -> ClusterStats;
-
-    /// Reset all site scratch state and statistics.
+    /// Drop every site's scratch state.
     fn reset(&self);
 
     /// Number of parked scratch entries at a site (test instrumentation:
@@ -416,80 +399,31 @@ pub trait Transport: Send + Sync {
         SiteLoadReport { site, fragments: Vec::new() }
     }
 
-    /// Downcast to the in-process simulator, when that is what this is.
-    /// Simulator-only knobs (round latency, per-site delays, sequential
-    /// mode) are applied through this; remote transports ignore them.
+    /// Downcast to the in-process simulator, when that is what this is
+    /// (test instrumentation: `inspect_site` reads a site's store directly).
     fn as_cluster(&self) -> Option<&Cluster> {
         None
     }
 }
 
 impl Transport for Cluster {
-    fn round_recorded(
+    fn deliver(
         &self,
-        recorder: &mut ClusterStats,
         requests: BTreeMap<SiteId, EpochRequest>,
-    ) -> PaxResult<BTreeMap<SiteId, ProtocolResponse>> {
-        // The fault gate: with a plan installed, every attempted round
-        // advances the fault clock and is checked against the schedule
-        // *atomically* — a faulted target site fails the whole round with
-        // nothing delivered, exactly like the TCP transport dropping the
-        // round on a dead socket.
-        if let Some(plan) = self.fault_plan() {
-            let tick = self.next_fault_tick();
-            let targets = requests.keys().copied();
-            if let Some((site, kind)) = plan.first_failure(tick, targets) {
-                let operation = requests.get(&site).map(|r| r.body.kind()).unwrap_or("round");
-                let peer = format!("sim://{site}");
-                return Err(injected_fault_error(site, &kind, &peer, operation));
-            }
-            let stall = plan.total_delay(tick, requests.keys().copied());
-            if !stall.is_zero() {
-                std::thread::sleep(stall);
-            }
-        }
-        Ok(Cluster::round_recorded(self, recorder, requests, dispatch))
+    ) -> PaxResult<BTreeMap<SiteId, Delivery<ProtocolResponse>>> {
+        Ok(Cluster::deliver(self, requests, dispatch))
     }
 
     fn site_count(&self) -> usize {
         Cluster::site_count(self)
     }
 
-    fn site_of(&self, fragment: FragmentId) -> SiteId {
-        Cluster::site_of(self, fragment)
-    }
-
     fn replicas_of(&self, fragment: FragmentId) -> ReplicaSet {
         Cluster::replicas_of(self, fragment)
     }
 
-    fn occupied_sites(&self) -> BTreeSet<SiteId> {
-        Cluster::occupied_sites(self)
-    }
-
-    fn set_fault_plan(&self, plan: Option<FaultPlan>) {
-        Cluster::set_fault_plan(self, plan)
-    }
-
-    fn probe(&self, site: SiteId) -> bool {
-        // An in-process site is always alive; only the fault schedule can
-        // make it look dead. Probes read the current fault clock without
-        // advancing it — they are not rounds.
-        match self.fault_plan() {
-            Some(plan) => !matches!(
-                plan.fault_at(site, self.current_fault_tick()),
-                Some(FaultKind::Kill) | Some(FaultKind::Drop) | Some(FaultKind::Garble)
-            ),
-            None => true,
-        }
-    }
-
-    fn allocate_slots(&self, n: usize) -> usize {
-        Cluster::allocate_slots(self, n)
-    }
-
-    fn stats(&self) -> ClusterStats {
-        Cluster::stats(self)
+    fn peer(&self, site: SiteId) -> String {
+        format!("sim://{site}")
     }
 
     fn reset(&self) {

@@ -1,281 +1,40 @@
-//! A serde serializer that measures the encoded size of a message without
-//! producing any output.
+//! The byte meter: the encoded size of a message, without producing the
+//! encoding.
 //!
 //! The paper's communication bounds are stated in terms of data volume; the
 //! simulator therefore charges every coordinator↔site message with the
-//! number of bytes a compact binary encoding would use. Implementing the
-//! counter as a [`serde::Serializer`] means any `Serialize` message type is
-//! measured with zero extra code, and no serialization-format dependency is
-//! needed.
+//! number of bytes the wire format of [`crate::codec`] uses for it. The
+//! meter is not a second description of that format: it runs the codec's
+//! own serializer over a sink that counts bytes instead of keeping them, so
+//! any `Serialize` message type is measured with zero extra code, without
+//! allocating, and always at exactly `encode(value).len()`.
 //!
-//! Integers are charged at **varint** widths (LEB128: 7 payload bits per
-//! byte; signed values zig-zag first), and sequence/map/string lengths are
-//! charged as varints too — so a small length or id costs one byte, exactly
-//! like the compact binary encodings (protobuf, postcard) this counter
-//! stands in for. Floats keep their fixed widths; chars are charged at
-//! their UTF-8 length (1–4 bytes).
+//! Integers cost their **varint** width (LEB128: 7 payload bits per byte;
+//! signed values zig-zag first), as do sequence/map/string lengths — a
+//! small length or id costs one byte. Floats keep their fixed widths; chars
+//! cost their UTF-8 length (1–4 bytes).
 
-use serde::ser::{self, Serialize};
-use std::fmt::Display;
+use crate::codec::{write_into, Sink};
+use serde::Serialize;
 
-/// Compute the approximate encoded size, in bytes, of any serializable value.
+/// The encoded size, in bytes, of any serializable value.
 pub fn encoded_size<T: Serialize + ?Sized>(value: &T) -> u64 {
-    let mut counter = ByteCounter { bytes: 0 };
-    value.serialize(&mut counter).expect("byte counting never fails for well-formed values");
-    counter.bytes
+    write_into(value, ByteCounter(0)).0
 }
 
-/// Error type for the counting serializer (it never actually errors in
-/// practice, but the trait requires one).
-#[derive(Debug)]
-pub struct CountError(String);
+/// The sink that counts.
+struct ByteCounter(u64);
 
-impl Display for CountError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "byte counting error: {}", self.0)
+impl Sink for ByteCounter {
+    fn put_byte(&mut self, _byte: u8) {
+        self.0 += 1;
     }
-}
-
-impl std::error::Error for CountError {}
-
-impl ser::Error for CountError {
-    fn custom<T: Display>(msg: T) -> Self {
-        CountError(msg.to_string())
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len() as u64;
     }
-}
-
-struct ByteCounter {
-    bytes: u64,
-}
-
-/// Bytes a LEB128 varint needs for `v`: 7 payload bits per byte.
-fn varint_len(v: u64) -> u64 {
-    if v == 0 {
-        1
-    } else {
-        (64 - u64::from(v.leading_zeros())).div_ceil(7)
-    }
-}
-
-/// Zig-zag an i64 so small-magnitude values stay small varints.
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-impl ByteCounter {
-    fn add(&mut self, n: u64) {
-        self.bytes += n;
-    }
-}
-
-impl ser::Serializer for &mut ByteCounter {
-    type Ok = ();
-    type Error = CountError;
-    type SerializeSeq = Self;
-    type SerializeTuple = Self;
-    type SerializeTupleStruct = Self;
-    type SerializeTupleVariant = Self;
-    type SerializeMap = Self;
-    type SerializeStruct = Self;
-    type SerializeStructVariant = Self;
-
-    fn serialize_bool(self, _v: bool) -> Result<(), CountError> {
-        self.add(1);
-        Ok(())
-    }
-    fn serialize_i8(self, _v: i8) -> Result<(), CountError> {
-        self.add(1);
-        Ok(())
-    }
-    fn serialize_i16(self, v: i16) -> Result<(), CountError> {
-        self.add(varint_len(zigzag(v as i64)));
-        Ok(())
-    }
-    fn serialize_i32(self, v: i32) -> Result<(), CountError> {
-        self.add(varint_len(zigzag(v as i64)));
-        Ok(())
-    }
-    fn serialize_i64(self, v: i64) -> Result<(), CountError> {
-        self.add(varint_len(zigzag(v)));
-        Ok(())
-    }
-    fn serialize_u8(self, _v: u8) -> Result<(), CountError> {
-        self.add(1);
-        Ok(())
-    }
-    fn serialize_u16(self, v: u16) -> Result<(), CountError> {
-        self.add(varint_len(v as u64));
-        Ok(())
-    }
-    fn serialize_u32(self, v: u32) -> Result<(), CountError> {
-        self.add(varint_len(v as u64));
-        Ok(())
-    }
-    fn serialize_u64(self, v: u64) -> Result<(), CountError> {
-        self.add(varint_len(v));
-        Ok(())
-    }
-    fn serialize_f32(self, _v: f32) -> Result<(), CountError> {
-        self.add(4);
-        Ok(())
-    }
-    fn serialize_f64(self, _v: f64) -> Result<(), CountError> {
-        self.add(8);
-        Ok(())
-    }
-    fn serialize_char(self, v: char) -> Result<(), CountError> {
-        self.add(v.len_utf8() as u64);
-        Ok(())
-    }
-    fn serialize_str(self, v: &str) -> Result<(), CountError> {
-        // varint length prefix + payload
-        self.add(varint_len(v.len() as u64) + v.len() as u64);
-        Ok(())
-    }
-    fn serialize_bytes(self, v: &[u8]) -> Result<(), CountError> {
-        self.add(varint_len(v.len() as u64) + v.len() as u64);
-        Ok(())
-    }
-    fn serialize_none(self) -> Result<(), CountError> {
-        self.add(1);
-        Ok(())
-    }
-    fn serialize_some<T: Serialize + ?Sized>(self, value: &T) -> Result<(), CountError> {
-        self.add(1);
-        value.serialize(self)
-    }
-    fn serialize_unit(self) -> Result<(), CountError> {
-        Ok(())
-    }
-    fn serialize_unit_struct(self, _name: &'static str) -> Result<(), CountError> {
-        Ok(())
-    }
-    fn serialize_unit_variant(
-        self,
-        _name: &'static str,
-        _variant_index: u32,
-        _variant: &'static str,
-    ) -> Result<(), CountError> {
-        self.add(1);
-        Ok(())
-    }
-    fn serialize_newtype_struct<T: Serialize + ?Sized>(
-        self,
-        _name: &'static str,
-        value: &T,
-    ) -> Result<(), CountError> {
-        value.serialize(self)
-    }
-    fn serialize_newtype_variant<T: Serialize + ?Sized>(
-        self,
-        _name: &'static str,
-        _variant_index: u32,
-        _variant: &'static str,
-        value: &T,
-    ) -> Result<(), CountError> {
-        self.add(1);
-        value.serialize(self)
-    }
-    fn serialize_seq(self, len: Option<usize>) -> Result<Self, CountError> {
-        self.add(len.map_or(1, |n| varint_len(n as u64)));
-        Ok(self)
-    }
-    fn serialize_tuple(self, _len: usize) -> Result<Self, CountError> {
-        Ok(self)
-    }
-    fn serialize_tuple_struct(self, _name: &'static str, _len: usize) -> Result<Self, CountError> {
-        Ok(self)
-    }
-    fn serialize_tuple_variant(
-        self,
-        _name: &'static str,
-        _variant_index: u32,
-        _variant: &'static str,
-        _len: usize,
-    ) -> Result<Self, CountError> {
-        self.add(1);
-        Ok(self)
-    }
-    fn serialize_map(self, len: Option<usize>) -> Result<Self, CountError> {
-        self.add(len.map_or(1, |n| varint_len(n as u64)));
-        Ok(self)
-    }
-    fn serialize_struct(self, _name: &'static str, _len: usize) -> Result<Self, CountError> {
-        Ok(self)
-    }
-    fn serialize_struct_variant(
-        self,
-        _name: &'static str,
-        _variant_index: u32,
-        _variant: &'static str,
-        _len: usize,
-    ) -> Result<Self, CountError> {
-        self.add(1);
-        Ok(self)
-    }
-}
-
-macro_rules! impl_compound {
-    ($trait:path, $method:ident) => {
-        impl $trait for &mut ByteCounter {
-            type Ok = ();
-            type Error = CountError;
-            fn $method<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), CountError> {
-                value.serialize(&mut **self)
-            }
-            fn end(self) -> Result<(), CountError> {
-                Ok(())
-            }
-        }
-    };
-}
-
-impl_compound!(ser::SerializeSeq, serialize_element);
-impl_compound!(ser::SerializeTuple, serialize_element);
-impl_compound!(ser::SerializeTupleStruct, serialize_field);
-impl_compound!(ser::SerializeTupleVariant, serialize_field);
-
-impl ser::SerializeMap for &mut ByteCounter {
-    type Ok = ();
-    type Error = CountError;
-    fn serialize_key<T: Serialize + ?Sized>(&mut self, key: &T) -> Result<(), CountError> {
-        key.serialize(&mut **self)
-    }
-    fn serialize_value<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), CountError> {
-        value.serialize(&mut **self)
-    }
-    fn end(self) -> Result<(), CountError> {
-        Ok(())
-    }
-}
-
-impl ser::SerializeStruct for &mut ByteCounter {
-    type Ok = ();
-    type Error = CountError;
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        _key: &'static str,
-        value: &T,
-    ) -> Result<(), CountError> {
-        value.serialize(&mut **self)
-    }
-    fn end(self) -> Result<(), CountError> {
-        Ok(())
-    }
-}
-
-impl ser::SerializeStructVariant for &mut ByteCounter {
-    type Ok = ();
-    type Error = CountError;
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        _key: &'static str,
-        value: &T,
-    ) -> Result<(), CountError> {
-        value.serialize(&mut **self)
-    }
-    fn end(self) -> Result<(), CountError> {
-        Ok(())
+    /// Closed form of the default loop: 7 payload bits per byte.
+    fn put_varint(&mut self, v: u64) {
+        self.0 += if v == 0 { 1 } else { (64 - u64::from(v.leading_zeros())).div_ceil(7) };
     }
 }
 

@@ -6,7 +6,7 @@
 //! each holding one or more fragments, communicating over a network. This
 //! module reproduces that setting on one machine:
 //!
-//! * each **round** ([`Cluster::round`]) models the coordinator visiting a
+//! * each **round** ([`Cluster::deliver`]) models the coordinator visiting a
 //!   subset of the sites in parallel — every selected site runs the supplied
 //!   task on its own long-lived worker thread against its local fragments
 //!   and scratch state;
@@ -14,27 +14,26 @@
 //!   different coordinator threads are safe** — each round collects its
 //!   responses over a private channel, sites serialize overlapping visits on
 //!   their own mutex, and per-execution state is kept apart by caller-owned
-//!   scratch *slots* ([`Cluster::allocate_slots`]);
+//!   scratch *slots*;
 //! * the worker threads form a **persistent per-site pool**: they are
 //!   spawned once per cluster (lazily, on the first parallel round) and fed
 //!   jobs over channels, so thread setup cost does not scale with
 //!   `rounds × sites` the way the earlier thread-per-site-per-round design
 //!   did — a difference that compounds under batch workloads;
-//! * every request and response is measured with the byte-counting
-//!   serializer, so network traffic is accounted exactly;
-//! * cost accounting is **recorder-threaded**: [`Cluster::round_recorded`]
-//!   writes each round's meters both into the cluster's cumulative
-//!   [`ClusterStats`] (snapshot via [`Cluster::stats`]) *and* into a
-//!   caller-owned per-execution recorder, so concurrent executions each see
-//!   exactly their own visits/bytes/ops without racing `delta_since`
-//!   snapshots of a shared counter;
-//! * per-round wall-clock cost is the **slowest** site's task time (plus the
-//!   configurable per-round network latency), modelling the parallel
-//!   computation cost of §3.4; per-site busy time accumulates into the total
-//!   computation cost.
+//! * every request and response is **measured** site-side with the byte
+//!   meter ([`encoded_size`], the wire codec run over a counting sink), and
+//!   every task is bracketed by [`SiteLocal::metered`] — but the cluster
+//!   **charges nothing**: a round hands back, per site, the response plus
+//!   the [`SiteWork`] it observed, and the caller commits that with
+//!   [`ClusterStats::commit_round`](crate::ClusterStats::commit_round) to
+//!   whichever recorders it keeps (`paxml-core`'s round gate keeps one per
+//!   execution and one cumulative ledger per deployment);
+//! * a site's reported busy time is its task time plus its configured
+//!   [`Cluster::site_delay`]; the round's parallel cost is the **slowest**
+//!   site's, modelling the parallel computation cost of §3.4.
 //!
 //! ```
-//! use paxml_distsim::{Cluster, Placement};
+//! use paxml_distsim::{Cluster, ClusterStats, Placement};
 //! use paxml_fragment::strategy::cut_children_of_root;
 //! use paxml_xml::TreeBuilder;
 //!
@@ -47,29 +46,33 @@
 //! let cluster = Cluster::new(&fragmented, 2, Placement::RoundRobin);
 //!
 //! // One round: ask every occupied site how many nodes it stores. Each
-//! // site runs the task on its own worker thread; the cluster accounts one
-//! // visit per site and the exact request/response bytes.
-//! let responses = cluster.broadcast((), |site, ()| site.cumulative_size() as u64);
-//! let total: u64 = responses.values().sum();
+//! // site runs the task on its own worker thread and reports what the
+//! // visit cost; committing that accounts one visit per site and the exact
+//! // request/response bytes.
+//! let requests = cluster.occupied_sites().into_iter().map(|s| (s, ())).collect();
+//! let delivered = cluster.deliver(requests, |site, ()| site.cumulative_size() as u64);
+//! let total: u64 = delivered.values().map(|d| d.response).sum();
 //! assert_eq!(total as usize, fragmented.total_real_nodes());
-//! assert_eq!(cluster.stats().rounds, 1);
-//! assert_eq!(cluster.stats().max_visits_per_site(), 1);
-//! assert!(cluster.stats().total_bytes() > 0);
+//!
+//! let mut stats = ClusterStats::default();
+//! stats.commit_round(delivered.iter().map(|(site, d)| (*site, d.work)));
+//! assert_eq!(stats.rounds, 1);
+//! assert_eq!(stats.max_visits_per_site(), 1);
+//! assert!(stats.total_bytes() > 0);
 //! ```
 
 use crate::bytecount::encoded_size;
-use crate::fault::{FaultPlan, ReplicaSet};
+use crate::fault::ReplicaSet;
 use crate::site::{SiteId, SiteLocal};
-use crate::stats::ClusterStats;
+use crate::stats::SiteWork;
 use paxml_fragment::{FragmentId, FragmentedTree};
 use serde::Serialize;
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How fragments are placed onto sites.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,22 +86,64 @@ pub enum Placement {
     SingleSite,
 }
 
-/// What a worker reports back to the coordinator after running one job.
-struct RoundOutcome {
-    site: SiteId,
-    /// The type-erased response (downcast by [`Cluster::round`], which knows
-    /// the concrete type).
-    response: Box<dyn Any + Send>,
-    /// Encoded size of the response, measured site-side before erasure.
-    response_bytes: u64,
-    ops: u64,
-    busy: Duration,
+impl Placement {
+    /// Where every fragment lives with `replication` copies over
+    /// `site_count` sites: the primary chosen by this placement, plus
+    /// secondaries on the next sites round-robin
+    /// (`(primary + k) mod site_count`) — which also guarantees copies are
+    /// never co-located. `replication` is clamped to `site_count`.
+    pub fn replica_sets(
+        self,
+        fragmented: &FragmentedTree,
+        site_count: usize,
+        replication: usize,
+    ) -> BTreeMap<FragmentId, ReplicaSet> {
+        let site_count = site_count.max(1);
+        let copies = replication.clamp(1, site_count);
+        let set_of = |fragment: FragmentId| {
+            let primary = match self {
+                Placement::RoundRobin => fragment.index() % site_count,
+                Placement::SingleSite => 0,
+            };
+            ReplicaSet::of((0..copies).map(|k| SiteId((primary + k) % site_count)))
+        };
+        fragmented.fragments.iter().map(|f| (f.id, set_of(f.id))).collect()
+    }
 }
 
-/// What a round collects per site: the outcome, or the payload of a
+/// Make an explicit fragment→replica-set assignment total and in range for
+/// `site_count` sites: fragments not mentioned get a solo copy on `S0`, and
+/// site indices beyond the last site are clamped to it. Every transport
+/// derives its deploy-time placement through this, so the simulator and a
+/// socket cluster given the same assignment store the same copies.
+pub fn clamp_assignment(
+    fragmented: &FragmentedTree,
+    site_count: usize,
+    assignment: &BTreeMap<FragmentId, ReplicaSet>,
+) -> BTreeMap<FragmentId, ReplicaSet> {
+    let last = SiteId(site_count.max(1) - 1);
+    let set_of = |fragment: FragmentId| match assignment.get(&fragment) {
+        // `of` re-dedupes whatever the clamp makes collide.
+        Some(set) => ReplicaSet::of(set.sites().iter().map(|&s| s.min(last))),
+        None => ReplicaSet::solo(SiteId(0)),
+    };
+    fragmented.fragments.iter().map(|f| (f.id, set_of(f.id))).collect()
+}
+
+/// One site's share of a delivered round: what it answered and what the
+/// visit cost.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Delivery<Resp> {
+    /// The site's response.
+    pub response: Resp,
+    /// The traffic and work the visit was measured at.
+    pub work: SiteWork,
+}
+
+/// What a round collects per site: the delivery, or the payload of a
 /// panicking task (re-raised on that round's coordinator thread so a faulty
 /// task crashes its round immediately instead of hanging it).
-type WorkerResult = Result<RoundOutcome, Box<dyn Any + Send>>;
+type WorkerResult<Resp> = Result<(SiteId, Delivery<Resp>), Box<dyn Any + Send>>;
 
 /// A job shipped to a site's worker thread. The job runs the site task,
 /// catches any panic, and ships the result back on the channel of the round
@@ -147,35 +192,20 @@ impl WorkerPool {
 ///
 /// `Cluster` is `Sync`: rounds take `&self` and may be issued from many
 /// coordinator threads concurrently (see the module docs for how responses
-/// and meters are kept apart). Configuration fields (`sequential`,
-/// `round_latency`, `site_delay`) are plain data set up before the cluster
-/// is shared.
+/// are kept apart). Configuration fields (`sequential`, `site_delay`) are
+/// plain data set up before the cluster is shared.
 pub struct Cluster {
     sites: Vec<Arc<Mutex<SiteLocal>>>,
     assignment: BTreeMap<FragmentId, ReplicaSet>,
     /// The persistent worker pool (spawned lazily on the first round that
     /// actually runs in parallel; `sequential` clusters never spawn it).
     pool: OnceLock<WorkerPool>,
-    /// Extra latency charged to every round, modelling one network round
-    /// trip between the coordinator and the sites.
-    pub round_latency: Duration,
-    /// Artificial per-site slow-down used by failure/skew-injection tests.
+    /// Artificial per-site slow-down used by failure/skew-injection tests,
+    /// added to the busy time the site reports.
     pub site_delay: BTreeMap<SiteId, Duration>,
     /// Run rounds sequentially (deterministic debugging) instead of on the
     /// per-site worker pool.
     pub sequential: bool,
-    /// Cumulative cost counters, updated once per round under a lock so a
-    /// [`Cluster::stats`] snapshot never observes a torn round.
-    stats: Mutex<ClusterStats>,
-    /// Source of unique scratch slots (see [`Cluster::allocate_slots`]).
-    next_slot: AtomicUsize,
-    /// The installed fault schedule, if any (interior mutability so a test
-    /// can arm faults on an already-shared cluster).
-    fault: Mutex<Option<FaultPlan>>,
-    /// Round counter indexing the fault plan: advanced once per attempted
-    /// round while a plan is installed, so the same workload replays the
-    /// same fault sequence.
-    fault_tick: AtomicU64,
 }
 
 impl Cluster {
@@ -185,28 +215,15 @@ impl Cluster {
         Self::replicated(fragmented, site_count, placement, 1)
     }
 
-    /// Build a cluster where every fragment lives on `replication` sites:
-    /// the primary chosen by `placement`, plus secondaries on the next sites
-    /// round-robin (`(primary + k) mod site_count`) — which also guarantees
-    /// copies are never co-located. `replication` is clamped to
-    /// `site_count`.
+    /// Build a cluster where every fragment lives on `replication` sites
+    /// (see [`Placement::replica_sets`]).
     pub fn replicated(
         fragmented: &FragmentedTree,
         site_count: usize,
         placement: Placement,
         replication: usize,
     ) -> Self {
-        let site_count = site_count.max(1);
-        let copies = replication.clamp(1, site_count);
-        let mut assignment = BTreeMap::new();
-        for fragment in &fragmented.fragments {
-            let primary = match placement {
-                Placement::RoundRobin => fragment.id.index() % site_count,
-                Placement::SingleSite => 0,
-            };
-            let set = ReplicaSet::of((0..copies).map(|k| SiteId((primary + k) % site_count)));
-            assignment.insert(fragment.id, set);
-        }
+        let assignment = placement.replica_sets(fragmented, site_count, replication);
         Self::with_replicas(fragmented, site_count, assignment)
     }
 
@@ -217,45 +234,33 @@ impl Cluster {
         site_count: usize,
         assignment: BTreeMap<FragmentId, SiteId>,
     ) -> Self {
-        let replicas =
-            assignment.into_iter().map(|(f, site)| (f, ReplicaSet::solo(site))).collect();
+        let replicas = assignment.into_iter().map(|(f, site)| (f, site.into())).collect();
         Self::with_replicas(fragmented, site_count, replicas)
     }
 
-    /// Build a cluster with an explicit fragment→replica-set assignment
-    /// (fragments not mentioned default to a solo copy on `S0`; site indices
-    /// beyond the last site are clamped to it). Every replica site stores a
-    /// full copy of the fragment.
+    /// Build a cluster with an explicit fragment→replica-set assignment,
+    /// completed by [`clamp_assignment`]. Every replica site stores a full
+    /// copy of the fragment.
     pub fn with_replicas(
         fragmented: &FragmentedTree,
         site_count: usize,
         assignment: BTreeMap<FragmentId, ReplicaSet>,
     ) -> Self {
         let site_count = site_count.max(1);
+        let assignment = clamp_assignment(fragmented, site_count, &assignment);
         let mut sites: Vec<SiteLocal> =
             (0..site_count).map(|i| SiteLocal::new(SiteId(i))).collect();
-        let mut final_assignment = BTreeMap::new();
         for fragment in &fragmented.fragments {
-            let set = assignment.get(&fragment.id).cloned().unwrap_or(ReplicaSet::solo(SiteId(0)));
-            // Clamp out-of-range members; `of` re-dedupes whatever collides.
-            let set =
-                ReplicaSet::of(set.sites().iter().map(|s| SiteId(s.index().min(site_count - 1))));
-            for &site in set.sites() {
+            for &site in assignment[&fragment.id].sites() {
                 sites[site.index()].add_fragment(fragment.clone());
             }
-            final_assignment.insert(fragment.id, set);
         }
         Cluster {
             sites: sites.into_iter().map(|s| Arc::new(Mutex::new(s))).collect(),
-            assignment: final_assignment,
+            assignment,
             pool: OnceLock::new(),
-            round_latency: Duration::ZERO,
             site_delay: BTreeMap::new(),
             sequential: false,
-            stats: Mutex::new(ClusterStats::default()),
-            next_slot: AtomicUsize::new(0),
-            fault: Mutex::new(None),
-            fault_tick: AtomicU64::new(0),
         }
     }
 
@@ -277,94 +282,22 @@ impl Cluster {
             .expect("every fragment was assigned to a replica set at construction")
     }
 
-    /// The full fragment→replica-set assignment.
-    pub fn assignment(&self) -> &BTreeMap<FragmentId, ReplicaSet> {
-        &self.assignment
-    }
-
-    /// The fragments stored at a given site.
-    pub fn fragments_at(&self, site: SiteId) -> Vec<FragmentId> {
-        self.lock_site(site).fragment_ids()
-    }
-
-    /// The set of *primary* sites of the given fragments.
-    pub fn sites_holding(&self, fragments: &[FragmentId]) -> BTreeSet<SiteId> {
-        fragments.iter().map(|f| self.site_of(*f)).collect()
-    }
-
     /// All sites that hold at least one fragment copy.
     pub fn occupied_sites(&self) -> BTreeSet<SiteId> {
         self.assignment.values().flat_map(|set| set.sites().iter().copied()).collect()
     }
 
-    /// Install (or clear) the deterministic fault schedule consulted before
-    /// every subsequent round. Interior mutability: faults can be armed on a
-    /// cluster already shared behind an `Arc`.
-    pub fn set_fault_plan(&self, plan: Option<FaultPlan>) {
-        *self.fault.lock().expect("the fault-plan lock is never poisoned") = plan;
-    }
-
-    /// A snapshot of the installed fault schedule, if any.
-    pub fn fault_plan(&self) -> Option<FaultPlan> {
-        self.fault.lock().expect("the fault-plan lock is never poisoned").clone()
-    }
-
-    /// Advance and return the round tick used to index the fault plan. The
-    /// transport calls this once per attempted round while a plan is
-    /// installed.
-    pub fn next_fault_tick(&self) -> u64 {
-        self.fault_tick.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// The round tick the *next* round will be indexed at, without
-    /// advancing the clock (probes peek; only rounds tick).
-    pub fn current_fault_tick(&self) -> u64 {
-        self.fault_tick.load(Ordering::Relaxed)
-    }
-
-    /// The cumulative data size of the largest site, `max_Si |F_Si|` — the
-    /// quantity the paper's parallel-computation bound is stated in.
-    pub fn max_cumulative_site_size(&self) -> usize {
-        self.sites.iter().map(|s| Self::lock(s).cumulative_size()).max().unwrap_or(0)
-    }
-
-    /// A consistent snapshot of the cumulative cost counters since the
-    /// cluster started. Counters are committed whole-round under a lock, so
-    /// two snapshots bracketing any set of (even concurrent) executions
-    /// yield an accurate [`ClusterStats::delta_since`]. Per-execution meters
-    /// come from the recorder threaded through
-    /// [`Cluster::round_recorded`] instead.
-    pub fn stats(&self) -> ClusterStats {
-        self.stats.lock().expect("the stats lock is never poisoned").clone()
-    }
-
-    /// Hand out `n` scratch *slots* no other caller will ever receive.
-    ///
-    /// A slot is the namespace key executions use to keep their per-site
-    /// scratch state apart (candidate answer sets between the two PaX
-    /// visits, per-query batch state). Executions that may run concurrently
-    /// over one cluster must not share slots; allocating is a single atomic
-    /// add. Returns the first slot of the contiguous block `[base, base+n)`.
-    pub fn allocate_slots(&self, n: usize) -> usize {
-        self.next_slot.fetch_add(n.max(1), Ordering::Relaxed)
-    }
-
-    /// Reset all scratch state and statistics (between query executions).
+    /// Drop every site's scratch state (between independent executions).
     pub fn reset(&self) {
         for site in &self.sites {
             Self::lock(site).clear_scratch();
         }
-        *self.stats.lock().expect("the stats lock is never poisoned") = ClusterStats::default();
     }
 
     /// Direct read-only access to a site, for assertions in tests. Algorithm
     /// code must not use this to bypass the messaging layer. The guard must
     /// be dropped before the next round starts, or the round deadlocks.
     pub fn inspect_site(&self, site: SiteId) -> MutexGuard<'_, SiteLocal> {
-        self.lock_site(site)
-    }
-
-    fn lock_site(&self, site: SiteId) -> MutexGuard<'_, SiteLocal> {
         Self::lock(&self.sites[site.index()])
     }
 
@@ -372,196 +305,116 @@ impl Cluster {
         site.lock().expect("a site task panicked while holding the site")
     }
 
-    /// One coordinator round with per-execution accounting: send each
-    /// request to its site, run `task` there (in parallel across the
-    /// persistent site workers), collect the responses, and record the
-    /// round's meters both into the cluster's cumulative counters and into
-    /// the caller's `recorder`.
+    /// One coordinator round: send each request to its site, run `task`
+    /// there (in parallel across the persistent site workers), and collect
+    /// per site the response and the measured cost of the visit. Nothing is
+    /// charged here — see the module docs.
     ///
     /// Every targeted site is *visited* exactly once per round regardless of
     /// how many fragments it stores, which is precisely how the paper counts
     /// visits. Rounds issued concurrently from different threads are safe:
     /// overlapping visits to one site serialize on that site's lock, and
     /// each round's responses travel over a channel private to the round.
-    pub fn round_recorded<Req, Resp, F>(
+    pub fn deliver<Req, Resp, F>(
         &self,
-        recorder: &mut ClusterStats,
         requests: BTreeMap<SiteId, Req>,
         task: F,
-    ) -> BTreeMap<SiteId, Resp>
+    ) -> BTreeMap<SiteId, Delivery<Resp>>
     where
         Req: Serialize + Send + 'static,
         Resp: Serialize + Send + 'static,
         F: Fn(&mut SiteLocal, Req) -> Resp + Send + Sync + 'static,
     {
-        if requests.is_empty() {
-            return BTreeMap::new();
-        }
-
-        // Measure request sizes before moving them into the site jobs.
-        let request_bytes: BTreeMap<SiteId, u64> =
-            requests.iter().map(|(s, r)| (*s, encoded_size(r))).collect();
-
         for site in requests.keys() {
             assert!(site.index() < self.sites.len(), "request addressed to unknown site {site}");
         }
 
+        // A site's whole share of the round, measured where it runs: both
+        // messages at their encoded size, the task's ops and time.
         let task = Arc::new(task);
-        let make_job = |site_id: SiteId, req: Req, task: Arc<F>, delay: Option<Duration>| {
-            move |site: &mut SiteLocal| -> RoundOutcome {
-                let ops_before = site.ops();
-                let start = Instant::now();
-                let response = task(site, req);
-                let mut busy = start.elapsed();
-                if let Some(extra) = delay {
-                    busy += extra;
-                }
-                RoundOutcome {
-                    site: site_id,
-                    response_bytes: encoded_size(&response),
-                    response: Box::new(response),
-                    ops: site.ops() - ops_before,
-                    busy,
-                }
+        let make_job = |site_id: SiteId, req: Req| {
+            let task = Arc::clone(&task);
+            let delay = self.site_delay.get(&site_id).copied().unwrap_or_default();
+            move |site: &mut SiteLocal| {
+                let request_bytes = encoded_size(&req);
+                let (response, ops, busy) = site.metered(|site| task(site, req));
+                let response_bytes = encoded_size(&response);
+                let work = SiteWork { request_bytes, response_bytes, ops, busy: busy + delay };
+                (site_id, Delivery { response, work })
             }
         };
 
-        let mut outcomes: Vec<RoundOutcome> = Vec::with_capacity(requests.len());
-        if self.sequential || requests.len() == 1 {
+        if self.sequential || requests.len() <= 1 {
             // Inline execution on the coordinator thread: deterministic, and
             // avoids a pool wake-up when only one site is involved. Panics
             // are caught and re-raised after the site guard is released, so
             // a faulty task cannot poison the site mutex.
+            let mut delivered = BTreeMap::new();
             for (site_id, req) in requests {
-                let delay = self.site_delay.get(&site_id).copied();
-                let job = make_job(site_id, req, Arc::clone(&task), delay);
-                let mut guard = self.lock_site(site_id);
+                let job = make_job(site_id, req);
+                let mut guard = self.inspect_site(site_id);
                 let outcome =
                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(&mut guard)));
                 drop(guard);
                 match outcome {
-                    Ok(outcome) => outcomes.push(outcome),
+                    Ok((site, delivery)) => delivered.insert(site, delivery),
                     Err(payload) => std::panic::resume_unwind(payload),
-                }
+                };
             }
-        } else {
-            let pool = self.pool.get_or_init(|| WorkerPool::spawn(&self.sites));
-            // A channel *per round*: results of overlapping rounds cannot
-            // cross, because each job carries its own round's sender.
-            let (results_tx, results_rx) = channel::<WorkerResult>();
-            let expected = requests.len();
-            for (site_id, req) in requests {
-                let delay = self.site_delay.get(&site_id).copied();
-                let inner = make_job(site_id, req, Arc::clone(&task), delay);
-                let results_tx = results_tx.clone();
-                let job: Job = Box::new(move |site: &mut SiteLocal| {
-                    // The catch happens before the worker's site guard
-                    // drops, so the mutex is not poisoned; if the round's
-                    // coordinator is already gone the send result is moot.
-                    let outcome =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| inner(site)));
-                    let _ = results_tx.send(outcome);
-                });
-                pool.job_senders[site_id.index()].send(job).expect("site worker thread is alive");
-            }
-            drop(results_tx);
-            // Drain *every* targeted site before acting on a failure, so a
-            // caught round leaves no job of its own still running when the
-            // caller observes the panic.
-            let mut panicked: Option<Box<dyn Any + Send>> = None;
-            for _ in 0..expected {
-                match results_rx.recv().expect("site worker thread is alive") {
-                    Ok(outcome) => outcomes.push(outcome),
-                    Err(payload) => panicked = Some(payload),
-                }
-            }
-            if let Some(payload) = panicked {
-                // Re-raise a site task's panic on the round's coordinator
-                // thread so a faulty task crashes the round loudly (matching
-                // the pre-pool scoped-thread behaviour) instead of hanging
-                // it.
-                std::panic::resume_unwind(payload);
-            }
+            return delivered;
         }
 
-        // Account the round: per-execution into the recorder, cumulative
-        // under the stats lock (one commit per round, so snapshots never see
-        // half a round).
-        let mut responses = BTreeMap::new();
-        let mut slowest = Duration::ZERO;
-        let mut max_ops = 0u64;
-        let mut cumulative = self.stats.lock().expect("the stats lock is never poisoned");
-        for outcome in outcomes {
-            let req_bytes = request_bytes.get(&outcome.site).copied().unwrap_or(0);
-            for target in [&mut *cumulative, &mut *recorder] {
-                target.record_site_work(
-                    outcome.site,
-                    outcome.ops,
-                    outcome.busy,
-                    req_bytes,
-                    outcome.response_bytes,
-                );
-            }
-            if outcome.busy > slowest {
-                slowest = outcome.busy;
-            }
-            if outcome.ops > max_ops {
-                max_ops = outcome.ops;
-            }
-            let response = *outcome
-                .response
-                .downcast::<Resp>()
-                .expect("a round's responses all have the task's response type");
-            responses.insert(outcome.site, response);
+        let pool = self.pool.get_or_init(|| WorkerPool::spawn(&self.sites));
+        // A channel *per round*: results of overlapping rounds cannot
+        // cross, because each job carries its own round's sender.
+        let (results_tx, results_rx) = channel::<WorkerResult<Resp>>();
+        let expected = requests.len();
+        for (site_id, req) in requests {
+            let inner = make_job(site_id, req);
+            let results_tx = results_tx.clone();
+            let job: Job = Box::new(move |site: &mut SiteLocal| {
+                // The catch happens before the worker's site guard
+                // drops, so the mutex is not poisoned; if the round's
+                // coordinator is already gone the send result is moot.
+                let outcome =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| inner(site)));
+                let _ = results_tx.send(outcome);
+            });
+            pool.job_senders[site_id.index()].send(job).expect("site worker thread is alive");
         }
-        cumulative.record_round(slowest + self.round_latency, max_ops);
-        recorder.record_round(slowest + self.round_latency, max_ops);
-        responses
-    }
-
-    /// [`Cluster::round_recorded`] without a per-execution recorder (the
-    /// meters still accumulate into the cluster's cumulative counters).
-    pub fn round<Req, Resp, F>(
-        &self,
-        requests: BTreeMap<SiteId, Req>,
-        task: F,
-    ) -> BTreeMap<SiteId, Resp>
-    where
-        Req: Serialize + Send + 'static,
-        Resp: Serialize + Send + 'static,
-        F: Fn(&mut SiteLocal, Req) -> Resp + Send + Sync + 'static,
-    {
-        let mut scratch = ClusterStats::default();
-        self.round_recorded(&mut scratch, requests, task)
+        drop(results_tx);
+        // Drain *every* targeted site before acting on a failure, so a
+        // caught round leaves no job of its own still running when the
+        // caller observes the panic.
+        let mut delivered = BTreeMap::new();
+        let mut panicked: Option<Box<dyn Any + Send>> = None;
+        for _ in 0..expected {
+            match results_rx.recv().expect("site worker thread is alive") {
+                Ok((site, delivery)) => {
+                    delivered.insert(site, delivery);
+                }
+                Err(payload) => panicked = Some(payload),
+            }
+        }
+        if let Some(payload) = panicked {
+            // Re-raise a site task's panic on the round's coordinator
+            // thread so a faulty task crashes the round loudly instead of
+            // hanging it.
+            std::panic::resume_unwind(payload);
+        }
+        delivered
     }
 
     /// Convenience wrapper: visit *every occupied site* with the same
-    /// (cloneable) request.
+    /// (cloneable) request and keep only the responses.
     pub fn broadcast<Req, Resp, F>(&self, request: Req, task: F) -> BTreeMap<SiteId, Resp>
     where
         Req: Serialize + Send + Clone + 'static,
         Resp: Serialize + Send + 'static,
         F: Fn(&mut SiteLocal, Req) -> Resp + Send + Sync + 'static,
     {
-        let mut scratch = ClusterStats::default();
-        self.broadcast_recorded(&mut scratch, request, task)
-    }
-
-    /// [`Cluster::broadcast`] with per-execution accounting into `recorder`.
-    pub fn broadcast_recorded<Req, Resp, F>(
-        &self,
-        recorder: &mut ClusterStats,
-        request: Req,
-        task: F,
-    ) -> BTreeMap<SiteId, Resp>
-    where
-        Req: Serialize + Send + Clone + 'static,
-        Resp: Serialize + Send + 'static,
-        F: Fn(&mut SiteLocal, Req) -> Resp + Send + Sync + 'static,
-    {
-        let requests: BTreeMap<SiteId, Req> =
-            self.occupied_sites().into_iter().map(|s| (s, request.clone())).collect();
-        self.round_recorded(recorder, requests, task)
+        let requests = self.occupied_sites().into_iter().map(|s| (s, request.clone())).collect();
+        self.deliver(requests, task).into_iter().map(|(site, d)| (site, d.response)).collect()
     }
 }
 
@@ -581,8 +434,28 @@ impl Drop for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ClusterStats;
     use paxml_fragment::strategy::cut_children_of_root;
     use paxml_xml::TreeBuilder;
+
+    /// Broadcast and commit the round into `stats`, the way a coordinator
+    /// does with what `deliver` reports.
+    fn broadcast_into<Req, Resp, F>(
+        cluster: &Cluster,
+        stats: &mut ClusterStats,
+        request: Req,
+        task: F,
+    ) -> BTreeMap<SiteId, Resp>
+    where
+        Req: Serialize + Send + Clone + 'static,
+        Resp: Serialize + Send + 'static,
+        F: Fn(&mut SiteLocal, Req) -> Resp + Send + Sync + 'static,
+    {
+        let requests = cluster.occupied_sites().into_iter().map(|s| (s, request.clone())).collect();
+        let delivered = cluster.deliver(requests, task);
+        stats.commit_round(delivered.iter().map(|(site, d)| (*site, d.work)));
+        delivered.into_iter().map(|(site, d)| (site, d.response)).collect()
+    }
 
     fn fragmented() -> FragmentedTree {
         let tree = TreeBuilder::new("sites")
@@ -607,7 +480,10 @@ mod tests {
         assert_eq!(cluster.site_of(FragmentId(0)), SiteId(0));
         assert_eq!(cluster.site_of(FragmentId(1)), SiteId(1));
         assert_eq!(cluster.site_of(FragmentId(2)), SiteId(0));
-        assert_eq!(cluster.fragments_at(SiteId(0)), vec![FragmentId(0), FragmentId(2)]);
+        assert_eq!(
+            cluster.inspect_site(SiteId(0)).fragment_ids(),
+            vec![FragmentId(0), FragmentId(2)]
+        );
         assert_eq!(cluster.occupied_sites().len(), 2);
     }
 
@@ -616,7 +492,7 @@ mod tests {
         let f = fragmented();
         let cluster = Cluster::new(&f, 4, Placement::SingleSite);
         assert_eq!(cluster.occupied_sites(), std::iter::once(SiteId(0)).collect());
-        assert_eq!(cluster.max_cumulative_site_size(), f.total_real_nodes());
+        assert_eq!(cluster.inspect_site(SiteId(0)).cumulative_size(), f.total_real_nodes());
     }
 
     #[test]
@@ -643,7 +519,7 @@ mod tests {
             assert_eq!(cluster.site_of(fragment), set.primary());
             // …and each replica site actually stores the fragment.
             for &site in set.sites() {
-                assert!(cluster.fragments_at(site).contains(&fragment));
+                assert!(cluster.inspect_site(site).fragment_ids().contains(&fragment));
             }
         }
         assert_eq!(cluster.occupied_sites().len(), 3);
@@ -654,95 +530,39 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_is_armed_and_ticked_through_interior_mutability() {
-        let f = fragmented();
-        let cluster = Arc::new(Cluster::new(&f, 2, Placement::RoundRobin));
-        assert!(cluster.fault_plan().is_none());
-        let plan = FaultPlan::scripted(vec![crate::fault::FaultEvent {
-            site: SiteId(1),
-            from_round: 0,
-            to_round: 1,
-            kind: crate::fault::FaultKind::Kill,
-        }]);
-        cluster.set_fault_plan(Some(plan.clone()));
-        assert_eq!(cluster.fault_plan(), Some(plan));
-        assert_eq!(cluster.next_fault_tick(), 0);
-        assert_eq!(cluster.next_fault_tick(), 1);
-        cluster.set_fault_plan(None);
-        assert!(cluster.fault_plan().is_none());
-    }
-
-    #[test]
-    fn rounds_count_visits_messages_and_bytes() {
+    fn rounds_report_visits_messages_and_bytes() {
         let f = fragmented();
         let cluster = Cluster::new(&f, 3, Placement::RoundRobin);
-        let responses = cluster.broadcast("how many nodes?".to_string(), |site, _req| {
-            site.charge_ops(10);
-            site.cumulative_size() as u64
-        });
+        let mut stats = ClusterStats::default();
+        let responses =
+            broadcast_into(&cluster, &mut stats, "how many nodes?".to_string(), |site, _req| {
+                site.charge_ops(10);
+                site.cumulative_size() as u64
+            });
         assert_eq!(responses.len(), 3);
         let total: u64 = responses.values().sum();
         assert_eq!(total as usize, f.total_real_nodes());
-        assert_eq!(cluster.stats().rounds, 1);
-        assert_eq!(cluster.stats().max_visits_per_site(), 1);
-        assert_eq!(cluster.stats().messages, 6);
-        assert_eq!(cluster.stats().total_ops, 30);
-        assert!(cluster.stats().total_bytes() > 0);
+        assert_eq!(stats.rounds, 1);
+        assert_eq!(stats.max_visits_per_site(), 1);
+        assert_eq!(stats.messages, 6);
+        assert_eq!(stats.total_ops, 30);
+        assert!(stats.total_bytes() > 0);
 
-        // A second, targeted round visits only one site.
-        let mut one = BTreeMap::new();
-        one.insert(SiteId(1), 5u32);
-        let responses = cluster.round(one, |site, factor| {
+        // A second, targeted round visits only one site, and reports the
+        // request and the response at their encoded sizes.
+        let delivered = cluster.deliver(BTreeMap::from([(SiteId(1), 5u32)]), |site, factor| {
             site.charge_ops(1);
             site.cumulative_size() as u64 * factor as u64
         });
-        assert_eq!(responses.len(), 1);
-        assert_eq!(cluster.stats().rounds, 2);
-        assert_eq!(cluster.stats().sites[&SiteId(1)].visits, 2);
-        assert_eq!(cluster.stats().sites[&SiteId(0)].visits, 1);
-    }
-
-    #[test]
-    fn recorder_sees_exactly_its_own_rounds() {
-        let f = fragmented();
-        let cluster = Cluster::new(&f, 3, Placement::RoundRobin);
-        // Unrecorded background traffic.
-        cluster.broadcast(0u8, |site, _| {
-            site.charge_ops(5);
-            0u8
-        });
-        let mut recorder = ClusterStats::default();
-        cluster.broadcast_recorded(&mut recorder, 0u8, |site, _| {
-            site.charge_ops(7);
-            0u8
-        });
-        assert_eq!(recorder.rounds, 1);
-        assert_eq!(recorder.total_ops, 21);
-        assert_eq!(recorder.max_visits_per_site(), 1);
-        // Cumulative counters saw both rounds.
-        assert_eq!(cluster.stats().rounds, 2);
-        assert_eq!(cluster.stats().total_ops, 36);
-    }
-
-    #[test]
-    fn slot_allocation_never_repeats() {
-        let f = fragmented();
-        let cluster = Arc::new(Cluster::new(&f, 2, Placement::RoundRobin));
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let cluster = Arc::clone(&cluster);
-                std::thread::spawn(move || {
-                    (0..50).map(|_| cluster.allocate_slots(3)).collect::<Vec<usize>>()
-                })
-            })
-            .collect();
-        let mut seen = BTreeSet::new();
-        for handle in handles {
-            for base in handle.join().unwrap() {
-                assert!(seen.insert(base), "slot base {base} handed out twice");
-                assert_eq!(base % 3, 0);
-            }
-        }
+        assert_eq!(delivered.len(), 1);
+        let visit = &delivered[&SiteId(1)];
+        assert_eq!(visit.work.request_bytes, encoded_size(&5u32));
+        assert_eq!(visit.work.response_bytes, encoded_size(&visit.response));
+        assert_eq!(visit.work.ops, 1);
+        stats.commit_round(delivered.iter().map(|(site, d)| (*site, d.work)));
+        assert_eq!(stats.rounds, 2);
+        assert_eq!(stats.sites[&SiteId(1)].visits, 2);
+        assert_eq!(stats.sites[&SiteId(0)].visits, 1);
     }
 
     #[test]
@@ -762,8 +582,9 @@ mod tests {
         let f = fragmented();
         let cluster = Cluster::new(&f, 3, Placement::RoundRobin);
         assert!(cluster.pool.get().is_none(), "pool is lazy");
+        let mut stats = ClusterStats::default();
         for round in 0..20 {
-            let responses = cluster.broadcast(round as u32, |site, r| {
+            let responses = broadcast_into(&cluster, &mut stats, round as u32, |site, r| {
                 site.charge_ops(1);
                 r as u64 + site.id.index() as u64
             });
@@ -772,65 +593,49 @@ mod tests {
         // Twenty multi-site rounds ran on the same three threads.
         let pool = cluster.pool.get().expect("pool spawned on first parallel round");
         assert_eq!(pool.handles.len(), 3);
-        assert_eq!(cluster.stats().rounds, 20);
-        assert_eq!(cluster.stats().total_ops, 60);
+        assert_eq!(stats.rounds, 20);
+        assert_eq!(stats.total_ops, 60);
     }
 
     #[test]
-    fn concurrent_rounds_do_not_cross_responses_or_tear_stats() {
+    fn concurrent_rounds_do_not_cross_responses() {
         // Many coordinator threads hammer one shared cluster with rounds of
         // *different* response types; every thread must see exactly its own
-        // responses (the per-round channel guarantee) and the cumulative
-        // counters must equal the sum of all per-thread recorders.
+        // responses (the per-round channel guarantee). That the cumulative
+        // ledger equals the sum of the per-thread recorders is asserted where
+        // the ledger lives: `paxml-core`'s `deployment.rs`.
         let f = fragmented();
         let cluster = Arc::new(Cluster::new(&f, 3, Placement::RoundRobin));
-        let threads = 4u32;
-        let rounds_per_thread = 25u32;
-        let handles: Vec<_> = (0..threads)
+        let handles: Vec<_> = (0..4u32)
             .map(|t| {
                 let cluster = Arc::clone(&cluster);
                 std::thread::spawn(move || {
-                    let mut recorder = ClusterStats::default();
-                    for i in 0..rounds_per_thread {
+                    for i in 0..25u64 {
                         if t % 2 == 0 {
-                            let responses =
-                                cluster.broadcast_recorded(&mut recorder, t, |site, req| {
-                                    site.charge_ops(1);
-                                    format!("t{req}-s{}", site.id.index())
-                                });
+                            let responses = cluster.broadcast(t, |site, req| {
+                                site.charge_ops(1);
+                                format!("t{req}-s{}", site.id.index())
+                            });
                             assert_eq!(responses.len(), 3);
                             for (site, response) in &responses {
                                 assert_eq!(response, &format!("t{t}-s{}", site.index()));
                             }
                         } else {
-                            let responses =
-                                cluster.broadcast_recorded(&mut recorder, i as u64, |site, req| {
-                                    site.charge_ops(1);
-                                    req * 1000 + site.id.index() as u64
-                                });
+                            let responses = cluster.broadcast(i, |site, req| {
+                                site.charge_ops(1);
+                                req * 1000 + site.id.index() as u64
+                            });
                             assert_eq!(responses.len(), 3);
                             for (site, response) in &responses {
-                                assert_eq!(*response, i as u64 * 1000 + site.index() as u64);
+                                assert_eq!(*response, i * 1000 + site.index() as u64);
                             }
                         }
                     }
-                    recorder
                 })
             })
             .collect();
-        let mut merged = ClusterStats::default();
         for handle in handles {
-            merged.merge(&handle.join().unwrap());
-        }
-        let cumulative = cluster.stats();
-        assert_eq!(cumulative.rounds, threads * rounds_per_thread);
-        assert_eq!(cumulative.rounds, merged.rounds);
-        assert_eq!(cumulative.total_ops, merged.total_ops);
-        assert_eq!(cumulative.messages, merged.messages);
-        for (site, stats) in &cumulative.sites {
-            assert_eq!(stats.visits, merged.sites[site].visits);
-            assert_eq!(stats.bytes_received, merged.sites[site].bytes_received);
-            assert_eq!(stats.bytes_sent, merged.sites[site].bytes_sent);
+            handle.join().unwrap();
         }
     }
 
@@ -918,7 +723,6 @@ mod tests {
             cluster.broadcast(0u8, |_, _| 0u8);
         }
         assert!(cluster.pool.get().is_none());
-        assert_eq!(cluster.stats().rounds, 5);
     }
 
     #[test]
@@ -935,7 +739,6 @@ mod tests {
         cluster.reset();
         let cleared = cluster.broadcast(0u8, |site, _| site.scratch::<u64>("marker").is_none());
         assert!(cleared.values().all(|&b| b));
-        assert_eq!(cluster.stats().rounds, 1); // reset cleared the earlier rounds
     }
 
     #[test]
@@ -943,27 +746,18 @@ mod tests {
         let f = fragmented();
         let mut cluster = Cluster::new(&f, 3, Placement::RoundRobin);
         cluster.site_delay.insert(SiteId(1), Duration::from_millis(5));
-        cluster.broadcast(0u8, |_, _| 0u8);
-        assert!(cluster.stats().parallel_time() >= Duration::from_millis(5));
-    }
-
-    #[test]
-    fn round_latency_is_charged_per_round() {
-        let f = fragmented();
-        let mut cluster = Cluster::new(&f, 2, Placement::RoundRobin);
-        cluster.round_latency = Duration::from_millis(2);
-        cluster.broadcast(0u8, |_, _| 0u8);
-        cluster.broadcast(0u8, |_, _| 0u8);
-        assert!(cluster.stats().parallel_time() >= Duration::from_millis(4));
+        let mut stats = ClusterStats::default();
+        broadcast_into(&cluster, &mut stats, 0u8, |_, _| 0u8);
+        assert!(stats.parallel_time() >= Duration::from_millis(5));
     }
 
     #[test]
     fn empty_round_is_a_no_op() {
         let f = fragmented();
         let cluster = Cluster::new(&f, 2, Placement::RoundRobin);
-        let out: BTreeMap<SiteId, u8> = cluster.round(BTreeMap::<SiteId, u8>::new(), |_, r| r);
+        let out = cluster.deliver(BTreeMap::<SiteId, u8>::new(), |_, r| r);
         assert!(out.is_empty());
-        assert_eq!(cluster.stats().rounds, 0);
+        assert!(cluster.pool.get().is_none(), "nothing to deliver wakes no worker");
     }
 
     #[test]
@@ -971,8 +765,9 @@ mod tests {
         let f = fragmented();
         let small = Cluster::new(&f, 1, Placement::SingleSite);
         let large = Cluster::new(&f, 1, Placement::SingleSite);
-        small.broadcast(0u8, |_, _| "x".to_string());
-        large.broadcast(0u8, |_, _| "x".repeat(10_000));
-        assert!(large.stats().total_bytes() > small.stats().total_bytes() + 9_000);
+        let (mut small_stats, mut large_stats) = (ClusterStats::default(), ClusterStats::default());
+        broadcast_into(&small, &mut small_stats, 0u8, |_, _| "x".to_string());
+        broadcast_into(&large, &mut large_stats, 0u8, |_, _| "x".repeat(10_000));
+        assert!(large_stats.total_bytes() > small_stats.total_bytes() + 9_000);
     }
 }

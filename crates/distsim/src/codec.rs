@@ -1,22 +1,22 @@
-//! The binary codec: [`encode`] and [`decode`] for every `Serialize` /
-//! `Deserialize` message type, in **exactly** the layout
-//! `paxml_distsim::encoded_size` charges.
+//! The wire format: [`encode`] and [`decode`] for every `Serialize` /
+//! `Deserialize` message type, and — through the same serializer — the byte
+//! meter [`encoded_size`](crate::encoded_size).
 //!
-//! The simulator's byte meter ([`paxml_distsim::encoded_size`]) defines the
-//! workspace's wire format implicitly: LEB128 varints for unsigned integers,
-//! zig-zag-then-varint for signed ones, fixed widths for floats, a one-byte
-//! tag per `Option` and per enum variant, varint length prefixes for
-//! strings, byte buffers, sequences and maps, and zero overhead for structs
-//! and tuples. This module makes that format explicit: `encode(m).len()`
-//! equals `encoded_size(m)` for every message, **by construction** — both
-//! walk the value through the same `Serialize` impl, one emitting bytes
-//! where the other adds their count. The property tests in this crate and
-//! the shared byte-vector file pin the equality.
+//! The layout is LEB128 varints for unsigned integers, zig-zag-then-varint
+//! for signed ones, fixed widths for floats, a one-byte tag per `Option`
+//! and per enum variant, varint length prefixes for strings, byte buffers,
+//! sequences and maps, and zero overhead for structs and tuples. There is
+//! one [`Serializer`] for it, generic over a byte sink: `encode` runs it
+//! over a `Vec<u8>` that keeps the bytes, `encoded_size` over a counter that
+//! only adds their number. `encode(m).len() == encoded_size(m)` therefore
+//! holds **by construction** — the two are one code path, not two impls
+//! that agree.
 //!
-//! Keeping the meter and the codec in lockstep is what lets the TCP
-//! transport charge real frame payload sizes while staying bit-identical to
-//! the simulator's accounting — the conformance tests compare total bytes
-//! across transports with `==`, not `≈`.
+//! That identity is what lets the TCP transport report real frame payload
+//! sizes while staying bit-identical to the simulator's accounting — the
+//! conformance tests compare total bytes across transports with `==`, not
+//! `≈`. `paxml-wire` re-exports this module unchanged as
+//! `paxml_wire::codec`.
 
 use serde::de::{self, Deserialize, Deserializer};
 use serde::ser::{self, Serialize, Serializer};
@@ -58,7 +58,12 @@ impl de::Error for CodecError {
 /// variants, which the workspace does not contain), so this returns the
 /// buffer directly.
 pub fn encode<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
-    let mut writer = WireWriter { out: Vec::new() };
+    write_into(value, Vec::new())
+}
+
+/// Run the one serializer over `sink` and hand the sink back.
+pub(crate) fn write_into<T: Serialize + ?Sized, S: Sink>(value: &T, sink: S) -> S {
+    let mut writer = WireWriter { out: sink };
     value
         .serialize(&mut writer)
         .expect("every PaX protocol message fits the wire format's envelope");
@@ -82,8 +87,7 @@ pub fn decode<T: for<'de> Deserialize<'de>>(bytes: &[u8]) -> Result<T, CodecErro
     Ok(value)
 }
 
-/// Zig-zag an i64 so small-magnitude values stay small varints (the same
-/// transform the simulator's byte meter charges for).
+/// Zig-zag an i64 so small-magnitude values stay small varints.
 fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
@@ -97,33 +101,51 @@ fn unzigzag(v: u64) -> i64 {
 // Encoding.
 // ---------------------------------------------------------------------------
 
-struct WireWriter {
-    out: Vec<u8>,
-}
+/// Where the serializer's output goes.
+pub(crate) trait Sink {
+    /// Take one byte.
+    fn put_byte(&mut self, byte: u8);
 
-impl WireWriter {
-    fn push_varint(&mut self, mut v: u64) {
+    /// Take a run of raw bytes.
+    fn put(&mut self, bytes: &[u8]);
+
+    /// Take `v` as a LEB128 varint: 7 payload bits per byte, low bits first.
+    fn put_varint(&mut self, mut v: u64) {
         loop {
             let byte = (v & 0x7f) as u8;
             v >>= 7;
             if v == 0 {
-                self.out.push(byte);
-                return;
+                return self.put_byte(byte);
             }
-            self.out.push(byte | 0x80);
+            self.put_byte(byte | 0x80);
         }
     }
+}
 
-    fn push_tag(&mut self, variant_index: u32) -> Result<(), CodecError> {
-        // The byte meter charges every variant tag at exactly one byte, so
-        // the format cannot represent enums with more than 256 variants.
+impl Sink for Vec<u8> {
+    fn put_byte(&mut self, byte: u8) {
+        self.push(byte);
+    }
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+struct WireWriter<S> {
+    out: S,
+}
+
+impl<S: Sink> WireWriter<S> {
+    fn put_tag(&mut self, variant_index: u32) -> Result<(), CodecError> {
+        // Every variant tag is exactly one byte, so the format cannot
+        // represent enums with more than 256 variants.
         u8::try_from(variant_index)
-            .map(|tag| self.out.push(tag))
+            .map(|tag| self.out.put_byte(tag))
             .map_err(|_| CodecError(format!("enum variant index {variant_index} exceeds one byte")))
     }
 }
 
-impl Serializer for &mut WireWriter {
+impl<S: Sink> Serializer for &mut WireWriter<S> {
     type Ok = ();
     type Error = CodecError;
     type SerializeSeq = Self;
@@ -135,72 +157,72 @@ impl Serializer for &mut WireWriter {
     type SerializeStructVariant = Self;
 
     fn serialize_bool(self, v: bool) -> Result<(), CodecError> {
-        self.out.push(v as u8);
+        self.out.put_byte(v as u8);
         Ok(())
     }
     fn serialize_i8(self, v: i8) -> Result<(), CodecError> {
-        self.out.push(v as u8);
+        self.out.put_byte(v as u8);
         Ok(())
     }
     fn serialize_i16(self, v: i16) -> Result<(), CodecError> {
-        self.push_varint(zigzag(v as i64));
+        self.out.put_varint(zigzag(v as i64));
         Ok(())
     }
     fn serialize_i32(self, v: i32) -> Result<(), CodecError> {
-        self.push_varint(zigzag(v as i64));
+        self.out.put_varint(zigzag(v as i64));
         Ok(())
     }
     fn serialize_i64(self, v: i64) -> Result<(), CodecError> {
-        self.push_varint(zigzag(v));
+        self.out.put_varint(zigzag(v));
         Ok(())
     }
     fn serialize_u8(self, v: u8) -> Result<(), CodecError> {
-        self.out.push(v);
+        self.out.put_byte(v);
         Ok(())
     }
     fn serialize_u16(self, v: u16) -> Result<(), CodecError> {
-        self.push_varint(v as u64);
+        self.out.put_varint(v as u64);
         Ok(())
     }
     fn serialize_u32(self, v: u32) -> Result<(), CodecError> {
-        self.push_varint(v as u64);
+        self.out.put_varint(v as u64);
         Ok(())
     }
     fn serialize_u64(self, v: u64) -> Result<(), CodecError> {
-        self.push_varint(v);
+        self.out.put_varint(v);
         Ok(())
     }
     fn serialize_f32(self, v: f32) -> Result<(), CodecError> {
-        self.out.extend_from_slice(&v.to_le_bytes());
+        self.out.put(&v.to_le_bytes());
         Ok(())
     }
     fn serialize_f64(self, v: f64) -> Result<(), CodecError> {
-        self.out.extend_from_slice(&v.to_le_bytes());
+        self.out.put(&v.to_le_bytes());
         Ok(())
     }
     fn serialize_char(self, v: char) -> Result<(), CodecError> {
         // Chars travel as their raw UTF-8 bytes, no length prefix: the
         // decoder recovers the width from the first byte.
         let mut buf = [0u8; 4];
-        self.out.extend_from_slice(v.encode_utf8(&mut buf).as_bytes());
+        self.out.put(v.encode_utf8(&mut buf).as_bytes());
         Ok(())
     }
     fn serialize_str(self, v: &str) -> Result<(), CodecError> {
-        self.push_varint(v.len() as u64);
-        self.out.extend_from_slice(v.as_bytes());
+        self.out.put_varint(v.len() as u64);
+        self.out.put(v.as_bytes());
         Ok(())
     }
     fn serialize_bytes(self, v: &[u8]) -> Result<(), CodecError> {
-        self.push_varint(v.len() as u64);
-        self.out.extend_from_slice(v);
+        self.out.put_varint(v.len() as u64);
+        self.out.put(v);
         Ok(())
     }
     fn serialize_none(self) -> Result<(), CodecError> {
-        self.out.push(0);
+        self.out.put_byte(0);
         Ok(())
     }
     fn serialize_some<T: Serialize + ?Sized>(self, value: &T) -> Result<(), CodecError> {
-        self.out.push(1);
+        self.out.put_byte(1);
         value.serialize(self)
     }
     fn serialize_unit(self) -> Result<(), CodecError> {
@@ -215,7 +237,7 @@ impl Serializer for &mut WireWriter {
         variant_index: u32,
         _variant: &'static str,
     ) -> Result<(), CodecError> {
-        self.push_tag(variant_index)
+        self.put_tag(variant_index)
     }
     fn serialize_newtype_struct<T: Serialize + ?Sized>(
         self,
@@ -231,13 +253,13 @@ impl Serializer for &mut WireWriter {
         _variant: &'static str,
         value: &T,
     ) -> Result<(), CodecError> {
-        self.push_tag(variant_index)?;
+        self.put_tag(variant_index)?;
         value.serialize(self)
     }
     fn serialize_seq(self, len: Option<usize>) -> Result<Self, CodecError> {
         match len {
             Some(n) => {
-                self.push_varint(n as u64);
+                self.out.put_varint(n as u64);
                 Ok(self)
             }
             None => Err(CodecError("sequences must declare their length up front".into())),
@@ -256,13 +278,13 @@ impl Serializer for &mut WireWriter {
         _variant: &'static str,
         _len: usize,
     ) -> Result<Self, CodecError> {
-        self.push_tag(variant_index)?;
+        self.put_tag(variant_index)?;
         Ok(self)
     }
     fn serialize_map(self, len: Option<usize>) -> Result<Self, CodecError> {
         match len {
             Some(n) => {
-                self.push_varint(n as u64);
+                self.out.put_varint(n as u64);
                 Ok(self)
             }
             None => Err(CodecError("maps must declare their length up front".into())),
@@ -278,19 +300,25 @@ impl Serializer for &mut WireWriter {
         _variant: &'static str,
         _len: usize,
     ) -> Result<Self, CodecError> {
-        self.push_tag(variant_index)?;
+        self.put_tag(variant_index)?;
         Ok(self)
     }
 }
 
+/// Every compound serializer is the writer itself: elements, keys, values
+/// and fields are written in order, with no framing of their own.
 macro_rules! impl_compound {
-    ($trait:path, $method:ident) => {
-        impl $trait for &mut WireWriter {
+    ($trait:path: $($method:ident($($key:ty)?)),+) => {
+        impl<S: Sink> $trait for &mut WireWriter<S> {
             type Ok = ();
             type Error = CodecError;
-            fn $method<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), CodecError> {
+            $(fn $method<T: Serialize + ?Sized>(
+                &mut self,
+                $(_key: $key,)?
+                value: &T,
+            ) -> Result<(), CodecError> {
                 value.serialize(&mut **self)
-            }
+            })+
             fn end(self) -> Result<(), CodecError> {
                 Ok(())
             }
@@ -298,54 +326,13 @@ macro_rules! impl_compound {
     };
 }
 
-impl_compound!(ser::SerializeSeq, serialize_element);
-impl_compound!(ser::SerializeTuple, serialize_element);
-impl_compound!(ser::SerializeTupleStruct, serialize_field);
-impl_compound!(ser::SerializeTupleVariant, serialize_field);
-
-impl ser::SerializeMap for &mut WireWriter {
-    type Ok = ();
-    type Error = CodecError;
-    fn serialize_key<T: Serialize + ?Sized>(&mut self, key: &T) -> Result<(), CodecError> {
-        key.serialize(&mut **self)
-    }
-    fn serialize_value<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), CodecError> {
-        value.serialize(&mut **self)
-    }
-    fn end(self) -> Result<(), CodecError> {
-        Ok(())
-    }
-}
-
-impl ser::SerializeStruct for &mut WireWriter {
-    type Ok = ();
-    type Error = CodecError;
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        _key: &'static str,
-        value: &T,
-    ) -> Result<(), CodecError> {
-        value.serialize(&mut **self)
-    }
-    fn end(self) -> Result<(), CodecError> {
-        Ok(())
-    }
-}
-
-impl ser::SerializeStructVariant for &mut WireWriter {
-    type Ok = ();
-    type Error = CodecError;
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        _key: &'static str,
-        value: &T,
-    ) -> Result<(), CodecError> {
-        value.serialize(&mut **self)
-    }
-    fn end(self) -> Result<(), CodecError> {
-        Ok(())
-    }
-}
+impl_compound!(ser::SerializeSeq: serialize_element());
+impl_compound!(ser::SerializeTuple: serialize_element());
+impl_compound!(ser::SerializeTupleStruct: serialize_field());
+impl_compound!(ser::SerializeTupleVariant: serialize_field());
+impl_compound!(ser::SerializeMap: serialize_key(), serialize_value());
+impl_compound!(ser::SerializeStruct: serialize_field(&'static str));
+impl_compound!(ser::SerializeStructVariant: serialize_field(&'static str));
 
 // ---------------------------------------------------------------------------
 // Decoding.
@@ -491,7 +478,7 @@ impl<'de> Deserializer<'de> for WireReader<'de> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paxml_distsim::encoded_size;
+    use crate::encoded_size;
     use serde::{Deserialize, Serialize};
     use std::collections::BTreeMap;
 

@@ -14,8 +14,10 @@
 //!   *revives by schedule* when the window passes. The same plan over the
 //!   same workload replays bit-identically on both transports.
 //!
-//! Rounds are counted by a per-transport tick (one per attempted round), so
-//! fault windows are expressed in round numbers, not wall-clock time.
+//! Rounds are counted by a per-deployment tick (one per attempted round),
+//! so fault windows are expressed in round numbers, not wall-clock time.
+//! The plan is only the script; `paxml-core`'s round gate owns the clock
+//! and consults the plan, above whichever transport delivers the round.
 
 use crate::site::SiteId;
 use serde::{Deserialize, Serialize};
@@ -133,7 +135,7 @@ pub enum FaultKind {
 }
 
 /// One scheduled fault: `site` misbehaves as `kind` for every round tick in
-/// `[from_round, to_round]` (inclusive). When the transport's round counter
+/// `[from_round, to_round]` (inclusive). When the deployment's round counter
 /// passes `to_round` the site has *revived* — no explicit heal event exists.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultEvent {
@@ -149,10 +151,10 @@ pub struct FaultEvent {
 
 /// A deterministic, replayable schedule of site faults.
 ///
-/// The plan is consulted by the transport at the start of every round: for
-/// each addressed site, the first event covering the current round tick
-/// applies. The tick is a per-transport atomic counter incremented once per
-/// attempted round, so the same workload issued in the same order replays
+/// The plan is consulted by the coordinator's round gate before every
+/// round: for each addressed site, the first event covering the current
+/// round tick applies. The tick is a per-deployment atomic counter
+/// incremented once per attempted round, so the same workload issued in the same order replays
 /// the same fault sequence — on the in-process simulator and over TCP alike.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
@@ -209,7 +211,7 @@ impl FaultPlan {
     }
 
     /// The first non-delay fault among `sites` at round `tick`, in site
-    /// order — what the transport reports when it refuses to deliver the
+    /// order — what the round gate reports when it refuses to deliver the
     /// round. Delay faults never fail a round; collect them with
     /// [`FaultPlan::total_delay`] instead.
     pub fn first_failure(

@@ -8,18 +8,22 @@
 //!   a coordinator in parallel **rounds** served by a persistent pool of
 //!   per-site worker threads (spawned once per cluster, fed over channels).
 //!   Rounds take `&self`: a cluster is `Sync` and serves rounds from any
-//!   number of coordinator threads at once, with per-execution meters
-//!   threaded through a caller-owned [`ClusterStats`] recorder
-//!   ([`Cluster::round_recorded`]) and per-execution site scratch kept
-//!   apart by unique slots ([`Cluster::allocate_slots`]);
-//! * request/response **byte accounting** via a counting serde serializer
-//!   ([`encoded_size`]) — no bytes are charged that the algorithms did not
-//!   actually put into a message;
+//!   number of coordinator threads at once. A round ([`Cluster::deliver`])
+//!   *reports* what each visit cost as a [`SiteWork`]; the cluster itself
+//!   charges nothing;
+//! * the **wire format** ([`codec`]) and its **byte meter**
+//!   ([`encoded_size`]): one serializer, run over a buffer to encode and
+//!   over a counter to size — no bytes are charged that the algorithms did
+//!   not actually put into a message, and the simulator's byte counts are a
+//!   socket transport's frame lengths by construction;
 //! * **visit counting** — the paper's "each site is visited at most
 //!   three/two times" guarantee becomes an assertable number;
-//! * **cost meters** — per-site elementary operations, per-site busy time,
-//!   per-round parallel time, modelling the paper's total and parallel
-//!   computation costs.
+//! * **cost meters** ([`ClusterStats`]) — per-site elementary operations,
+//!   per-site busy time, per-round parallel time, modelling the paper's
+//!   total and parallel computation costs, charged in exactly one place
+//!   ([`ClusterStats::commit_round`]);
+//! * the **fault script** ([`FaultPlan`]) and replica sets the
+//!   coordinator's round gate consults.
 //!
 //! The algorithms themselves (PaX3, PaX2, the baselines) live in
 //! `paxml-core`; this crate deliberately knows nothing about XPath.
@@ -29,12 +33,13 @@
 
 mod bytecount;
 mod cluster;
+pub mod codec;
 mod fault;
 mod site;
 mod stats;
 
 pub use bytecount::encoded_size;
-pub use cluster::{Cluster, Placement};
+pub use cluster::{clamp_assignment, Cluster, Delivery, Placement};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, ReplicaSet};
 pub use site::{SiteId, SiteLocal, LATEST_EPOCH};
-pub use stats::{ClusterStats, SiteLoadReport, SiteStats};
+pub use stats::{ClusterStats, SiteLoadReport, SiteStats, SiteWork};

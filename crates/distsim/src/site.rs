@@ -15,6 +15,7 @@ use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// The epoch sentinel that always resolves to a fragment's newest snapshot.
 /// A visit outside an epoch-pinned server reads and writes at this epoch:
@@ -153,19 +154,6 @@ impl SiteLocal {
             .collect()
     }
 
-    /// The newest snapshot of every fragment stored here, in id order.
-    pub fn latest_fragments(&self) -> Vec<Arc<Fragment>> {
-        self.versions.values().filter_map(|v| v.last().map(|(_, f)| Arc::clone(f))).collect()
-    }
-
-    /// Every fragment's snapshot as seen from `epoch`, in id order.
-    pub fn fragments_at(&self, epoch: u64) -> Vec<Arc<Fragment>> {
-        self.versions
-            .values()
-            .filter_map(|v| v.iter().rev().find(|(e, _)| *e <= epoch).map(|(_, f)| Arc::clone(f)))
-            .collect()
-    }
-
     /// Fragment ids stored here, in id order.
     pub fn fragment_ids(&self) -> Vec<FragmentId> {
         self.versions.keys().copied().collect()
@@ -187,15 +175,10 @@ impl SiteLocal {
     /// newest snapshots — `|F_{S_i}|` in the paper's parallel-computation
     /// bound.
     pub fn cumulative_size(&self) -> usize {
-        self.cumulative_size_at(LATEST_EPOCH)
-    }
-
-    /// Cumulative number of (non-virtual) nodes in the snapshots a reader
-    /// pinned to `epoch` sees.
-    pub fn cumulative_size_at(&self, epoch: u64) -> usize {
-        self.fragments_at(epoch)
-            .iter()
-            .map(|f| f.tree.all_nodes().filter(|&n| !f.tree.is_virtual(n)).count())
+        self.versions
+            .values()
+            .filter_map(|v| v.last())
+            .map(|(_, f)| f.tree.all_nodes().filter(|&n| !f.tree.is_virtual(n)).count())
             .sum()
     }
 
@@ -207,6 +190,17 @@ impl SiteLocal {
     /// Total operations charged so far (monotone across visits).
     pub fn ops(&self) -> u64 {
         self.ops
+    }
+
+    /// Run one visit's `task` against this site and meter it: the task's
+    /// result, the operations it charged and the wall-clock time it took.
+    /// Both transports bracket their site-side work with this, so a socket
+    /// site reports exactly what a simulated one does.
+    pub fn metered<R>(&mut self, task: impl FnOnce(&mut SiteLocal) -> R) -> (R, u64, Duration) {
+        let ops_before = self.ops;
+        let start = Instant::now();
+        let result = task(self);
+        (result, self.ops - ops_before, start.elapsed())
     }
 
     /// Store a typed value in the scratch state (replacing any previous
@@ -343,11 +337,16 @@ mod tests {
     }
 
     #[test]
-    fn ops_accumulate() {
+    fn ops_accumulate_and_metered_reports_one_visits_share() {
         let mut s = SiteLocal::new(SiteId(1));
         assert_eq!(s.ops(), 0);
         s.charge_ops(10);
         s.charge_ops(5);
         assert_eq!(s.ops(), 15);
+        let (result, ops, _busy) = s.metered(|site| {
+            site.charge_ops(7);
+            site.id
+        });
+        assert_eq!((result, ops, s.ops()), (SiteId(1), 7, 22));
     }
 }

@@ -53,6 +53,21 @@ impl SiteLoadReport {
     }
 }
 
+/// What one site's share of a delivered round cost, as the transport
+/// observed it: the input of [`ClusterStats::commit_round`]. A transport
+/// measures and reports this; it charges nothing itself.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SiteWork {
+    /// Encoded size of the request the site received.
+    pub request_bytes: u64,
+    /// Encoded size of the response the site sent back.
+    pub response_bytes: u64,
+    /// Elementary operations the site's task charged.
+    pub ops: u64,
+    /// Wall-clock time the site spent in the task.
+    pub busy: Duration,
+}
+
 /// Counters for a whole distributed execution.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ClusterStats {
@@ -103,6 +118,22 @@ impl ClusterStats {
     /// The parallel (perceived) execution time — what Figures 9 and 10 plot.
     pub fn parallel_time(&self) -> Duration {
         Duration::from_nanos(self.parallel_nanos)
+    }
+
+    /// Charge one delivered round: every visited site's traffic and work,
+    /// then the round itself at its slowest and busiest site. The single
+    /// place meters are charged — the coordinator applies it to an
+    /// execution's recorder and to the deployment's cumulative ledger alike,
+    /// whichever transport delivered the round.
+    pub fn commit_round(&mut self, work: impl IntoIterator<Item = (SiteId, SiteWork)>) {
+        let mut slowest = Duration::ZERO;
+        let mut max_ops = 0;
+        for (site, w) in work {
+            self.record_site_work(site, w.ops, w.busy, w.request_bytes, w.response_bytes);
+            slowest = slowest.max(w.busy);
+            max_ops = max_ops.max(w.ops);
+        }
+        self.record_round(slowest, max_ops);
     }
 
     /// Record one site's participation in a round.
@@ -212,6 +243,27 @@ mod tests {
         assert_eq!(s.rounds, 2);
         assert_eq!(s.parallel_time(), Duration::from_millis(5));
         assert_eq!(s.parallel_ops, 30);
+    }
+
+    #[test]
+    fn commit_round_charges_every_site_then_the_round_at_its_maxima() {
+        let work = |ops, micros, request_bytes, response_bytes| SiteWork {
+            request_bytes,
+            response_bytes,
+            ops,
+            busy: Duration::from_micros(micros),
+        };
+        let mut s = ClusterStats::default();
+        s.commit_round([(SiteId(0), work(10, 5, 8, 4)), (SiteId(2), work(30, 2, 1, 1))]);
+        s.commit_round([(SiteId(0), work(1, 1, 2, 2))]);
+        assert_eq!(s.rounds, 2);
+        assert_eq!(s.messages, 6);
+        assert_eq!(s.sites[&SiteId(0)].visits, 2);
+        assert_eq!(s.sites[&SiteId(0)].bytes_received, 10);
+        assert_eq!(s.sites[&SiteId(2)].bytes_sent, 1);
+        assert_eq!(s.total_ops, 41);
+        assert_eq!(s.parallel_ops, 30 + 1, "the busiest site of each round");
+        assert_eq!(s.parallel_time(), Duration::from_micros(5 + 1), "the slowest of each");
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //!
 //! The crate has four layers, each usable on its own:
 //!
-//! * [`codec`] — [`encode`]/[`decode`] for every protocol message, in
-//!   exactly the compact binary layout `paxml_distsim::encoded_size`
-//!   charges (LEB128 varints, zig-zag signing, one-byte tags), so the byte
-//!   meters of the simulator and of the socket transport agree bit for bit;
+//! * [`codec`] — [`encode`]/[`decode`] for every protocol message:
+//!   `paxml_distsim::codec` re-exported. It is the very serializer
+//!   `paxml_distsim::encoded_size` runs over a counting sink (LEB128
+//!   varints, zig-zag signing, one-byte tags), so the byte meters of the
+//!   simulator and of the socket transport agree bit for bit;
 //! * [`frame`] — length-prefixed framing over any `Read`/`Write` pair;
 //! * [`SiteServer`] — one site's fragments behind a `TcpListener`, running
 //!   the same [`paxml_core::dispatch`] as the simulator,
@@ -17,20 +18,19 @@
 //!   sites as local child processes for `paxml cluster` and the tests.
 //!
 //! Because both transports execute the identical site-side `dispatch` and
-//! charge the identical encoded sizes, a workload produces the same
+//! report the identical encoded sizes, a workload produces the same
 //! answers, visit counts and byte counts over TCP as over the simulator —
 //! the property the cross-transport conformance tests pin.
 
 #![deny(missing_docs)]
 
-pub mod codec;
 pub mod frame;
 pub mod msg;
 pub mod process;
 pub mod site_server;
 pub mod tcp;
 
-pub use codec::{decode, encode, CodecError};
+pub use paxml_distsim::codec::{self, decode, encode, CodecError};
 pub use process::{ProcessCluster, SiteProcess};
 pub use site_server::SiteServer;
 pub use tcp::TcpCluster;

@@ -4,8 +4,8 @@
 //! The server is deliberately thin: every `Round` request decodes to an
 //! [`paxml_core::EpochRequest`] and runs through the
 //! same [`paxml_core::dispatch`] the in-process simulator runs — the server
-//! adds only the socket, the ops/busy metering around the task, and a clean
-//! shutdown path. A panicking task is caught (before the site guard drops,
+//! adds only the socket and a clean shutdown path; the ops/busy metering
+//! around the task is the simulator's own [`SiteLocal::metered`]. A panicking task is caught (before the site guard drops,
 //! so the site mutex is never poisoned) and reported as a
 //! [`WireReply::Error`]; the site stays alive for later rounds.
 
@@ -18,7 +18,6 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// One PaX site listening on a TCP socket.
 ///
@@ -135,15 +134,10 @@ fn serve_round(site: &Arc<Mutex<SiteLocal>>, body: &[u8]) -> WireReply {
         Ok(request) => request,
         Err(err) => return WireReply::Error { message: err.to_string() },
     };
-    let mut guard = lock_site(site);
-    let ops_before = guard.ops();
-    let start = Instant::now();
     // Catch panics while still holding the guard so the mutex is never
     // poisoned — the same containment the simulator's workers use.
-    let outcome = catch_unwind(AssertUnwindSafe(|| dispatch(&mut guard, request)));
-    let busy = start.elapsed();
-    let ops = guard.ops() - ops_before;
-    drop(guard);
+    let (outcome, ops, busy) =
+        lock_site(site).metered(|site| catch_unwind(AssertUnwindSafe(|| dispatch(site, request))));
     match outcome {
         Ok(response) => WireReply::Round {
             ops,

@@ -1,5 +1,5 @@
 //! [`TcpCluster`]: the coordinator's socket-backed [`Transport`] — the same
-//! `round`/`broadcast` surface the drivers use over the in-process
+//! `deliver` data plane the round gate drives over the in-process
 //! simulator, served by real site processes.
 //!
 //! # Round protocol
@@ -19,45 +19,42 @@
 //! the same way — no hangs (reads carry a timeout as a backstop) and no
 //! desynchronized streams (a failing round still drains the replies of the
 //! sites it did reach, so surviving connections stay clean for the next
-//! round). A dead connection is only revived through [`Transport::probe`]:
-//! the server's health tracker quarantines the site, re-probes it after a
+//! round). A dead connection is only revived through
+//! [`Transport::link_alive`] (the link half of `Deployment::probe`): the
+//! server's health tracker quarantines the site, re-probes it after a
 //! cooldown, and the probe redials with a deliberately small attempt budget
 //! ([`TcpOptions::probe_attempts`]) so readmission checks never stall the
 //! serving path.
 //!
 //! Socket knobs (read timeout, connect/probe backoff) live in
 //! [`TcpOptions`], threaded from `PaxServerBuilder::tcp_options` through
-//! [`Transport::configure_tcp`]; a deterministic [`FaultPlan`] can be
-//! installed with [`Transport::set_fault_plan`] to refuse scheduled rounds
-//! exactly like the simulator does, which makes chaos schedules replayable
-//! on both transports.
+//! [`Transport::configure_tcp`]. Injected faults never reach this module:
+//! the deployment's round gate refuses a scheduled round before `deliver`
+//! is called, on this transport exactly as on the simulator.
 //!
 //! # Accounting
 //!
-//! Request traffic is charged as the encoded
-//! [`EpochRequest`] envelope body length (epoch tag,
-//! retirement watermark and protocol body — a site can hold two epochs'
-//! versions during an update handover) and response traffic as the encoded
-//! [`ProtocolResponse`] body length — the same quantities
-//! `paxml_distsim::encoded_size` charges in the simulator, so the two
-//! transports meter bit-identical byte counts. Ops come back from the site
-//! (`dispatch` is deterministic, so they too are identical); busy time is
-//! real wall clock and therefore the one meter that legitimately differs.
+//! This transport charges nothing; [`Transport::deliver`] *reports*. A
+//! request is reported at the length of its encoded [`EpochRequest`] frame
+//! body (epoch tag, retirement watermark and protocol body) and a response
+//! at the length of its encoded [`ProtocolResponse`] body. The simulator
+//! reports `encoded_size` of the same values — the same serializer run over
+//! a counting sink — so the two transports report bit-identical byte counts
+//! by construction. Ops come back from the site (`dispatch` is
+//! deterministic, so they too are identical); busy time is real wall clock
+//! and therefore the one figure that legitimately differs. The round gate
+//! commits all of it, for either transport, with one function.
 
 use crate::codec;
 use crate::msg::{self, WireReply, WireRequest};
-use paxml_core::{
-    injected_fault_error, EpochRequest, PaxError, PaxResult, ProtocolResponse, TcpOptions,
-    Transport,
-};
+use paxml_core::{EpochRequest, PaxError, PaxResult, ProtocolResponse, TcpOptions, Transport};
 use paxml_distsim::{
-    ClusterStats, FaultKind, FaultPlan, Placement, ReplicaSet, SiteId, SiteLoadReport,
+    clamp_assignment, Delivery, Placement, ReplicaSet, SiteId, SiteLoadReport, SiteWork,
 };
 use paxml_fragment::{Fragment, FragmentId, FragmentedTree};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -94,18 +91,9 @@ pub struct TcpCluster {
     /// Serializes rounds and control operations: per-connection streams
     /// must not interleave messages of concurrent rounds.
     round_lock: Mutex<()>,
-    stats: Mutex<ClusterStats>,
-    next_slot: AtomicUsize,
     /// Socket tuning, replaceable after construction via
     /// [`Transport::configure_tcp`] (the builder applies it at deploy time).
     options: Mutex<TcpOptions>,
-    /// The installed fault schedule, if any (interior mutability: chaos
-    /// tests arm faults on a cluster already shared behind an `Arc`).
-    fault: Mutex<Option<FaultPlan>>,
-    /// Round counter indexing the fault plan: advanced once per attempted
-    /// round while a plan is installed, so the same workload replays the
-    /// same fault sequence — the exact scheme the simulator uses.
-    fault_tick: AtomicU64,
 }
 
 impl TcpCluster {
@@ -121,28 +109,16 @@ impl TcpCluster {
         Self::connect_replicated(fragmented, addrs, placement, 1)
     }
 
-    /// Connect with every fragment stored on `replication` sites: the
-    /// primary chosen by `placement`, plus secondaries on the next sites
-    /// round-robin (`(primary + k) mod site_count`, never co-located) — the
-    /// socket equivalent of [`paxml_distsim::Cluster::replicated`].
-    /// `replication` is clamped to the number of addresses.
+    /// Connect with every fragment stored on `replication` sites (see
+    /// [`Placement::replica_sets`]) — the socket equivalent of
+    /// [`paxml_distsim::Cluster::replicated`].
     pub fn connect_replicated(
         fragmented: &FragmentedTree,
         addrs: &[SocketAddr],
         placement: Placement,
         replication: usize,
     ) -> PaxResult<TcpCluster> {
-        let site_count = addrs.len().max(1);
-        let copies = replication.clamp(1, site_count);
-        let mut assignment = BTreeMap::new();
-        for fragment in &fragmented.fragments {
-            let primary = match placement {
-                Placement::RoundRobin => fragment.id.index() % site_count,
-                Placement::SingleSite => 0,
-            };
-            let set = ReplicaSet::of((0..copies).map(|k| SiteId((primary + k) % site_count)));
-            assignment.insert(fragment.id, set);
-        }
+        let assignment = placement.replica_sets(fragmented, addrs.len(), replication);
         Self::connect_with_replicas(fragmented, addrs, assignment, TcpOptions::default())
     }
 
@@ -155,16 +131,14 @@ impl TcpCluster {
         addrs: &[SocketAddr],
         assignment: BTreeMap<FragmentId, SiteId>,
     ) -> PaxResult<TcpCluster> {
-        let replicas =
-            assignment.into_iter().map(|(f, site)| (f, ReplicaSet::solo(site))).collect();
+        let replicas = assignment.into_iter().map(|(f, site)| (f, site.into())).collect();
         Self::connect_with_replicas(fragmented, addrs, replicas, TcpOptions::default())
     }
 
     /// The most general constructor: an explicit fragment→replica-set
-    /// assignment (fragments not mentioned get a solo copy on site 0; site
-    /// indices are clamped to the address list) and explicit socket tuning
-    /// for the initial dial. Every replica site is loaded with a full copy
-    /// of its fragments.
+    /// assignment (completed by [`clamp_assignment`], exactly like the
+    /// simulator's) and explicit socket tuning for the initial dial. Every
+    /// replica site is loaded with a full copy of its fragments.
     pub fn connect_with_replicas(
         fragmented: &FragmentedTree,
         addrs: &[SocketAddr],
@@ -176,16 +150,12 @@ impl TcpCluster {
                 message: "a TCP cluster needs at least one site address".into(),
             });
         }
-        let mut final_assignment = BTreeMap::new();
+        let assignment = clamp_assignment(fragmented, addrs.len(), &assignment);
         let mut per_site: Vec<Vec<Fragment>> = vec![Vec::new(); addrs.len()];
         for fragment in &fragmented.fragments {
-            let set = assignment.get(&fragment.id).cloned().unwrap_or(ReplicaSet::solo(SiteId(0)));
-            let set =
-                ReplicaSet::of(set.sites().iter().map(|s| SiteId(s.index().min(addrs.len() - 1))));
-            for &site in set.sites() {
+            for &site in assignment[&fragment.id].sites() {
                 per_site[site.index()].push(fragment.clone());
             }
-            final_assignment.insert(fragment.id, set);
         }
 
         let mut conns = Vec::with_capacity(addrs.len());
@@ -202,13 +172,9 @@ impl TcpCluster {
         Ok(TcpCluster {
             conns,
             addrs: addrs.to_vec(),
-            assignment: final_assignment,
+            assignment,
             round_lock: Mutex::new(()),
-            stats: Mutex::new(ClusterStats::default()),
-            next_slot: AtomicUsize::new(0),
             options: Mutex::new(options),
-            fault: Mutex::new(None),
-            fault_tick: AtomicU64::new(0),
         })
     }
 
@@ -220,21 +186,8 @@ impl TcpCluster {
         self.options.lock().expect("the options lock is never poisoned")
     }
 
-    fn peer(&self, site: SiteId) -> SocketAddr {
+    fn addr(&self, site: SiteId) -> SocketAddr {
         self.addrs[site.index()]
-    }
-
-    /// A snapshot of the installed fault schedule, if any.
-    fn current_fault_plan(&self) -> Option<FaultPlan> {
-        self.fault.lock().expect("the fault-plan lock is never poisoned").clone()
-    }
-
-    /// The round tick the *next* round will be indexed at under the
-    /// installed [`FaultPlan`], without advancing the clock — the TCP
-    /// counterpart of [`paxml_distsim::Cluster::current_fault_tick`], used
-    /// by chaos schedules to aim fault windows at workload phases.
-    pub fn current_fault_tick(&self) -> u64 {
-        self.fault_tick.load(Ordering::Relaxed)
     }
 
     /// Send one control request to a site and read its reply, marking the
@@ -245,7 +198,7 @@ impl TcpCluster {
         request: &WireRequest,
         operation: &str,
     ) -> PaxResult<WireReply> {
-        let peer = self.peer(site);
+        let peer = self.addr(site);
         let mut conn = self.lock_conn(site);
         let stream = match &mut conn.stream {
             Ok(stream) => stream,
@@ -311,48 +264,15 @@ fn unexpected_reply(expected: &str, got: &WireReply) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("expected a {expected} reply, got {got:?}"))
 }
 
-/// One site's successfully completed share of a round.
-struct RoundOutcome {
-    site: SiteId,
-    request_bytes: u64,
-    response_bytes: u64,
-    ops: u64,
-    busy: Duration,
-    response: ProtocolResponse,
-}
-
 impl Transport for TcpCluster {
-    fn round_recorded(
+    fn deliver(
         &self,
-        recorder: &mut ClusterStats,
         requests: BTreeMap<SiteId, EpochRequest>,
-    ) -> PaxResult<BTreeMap<SiteId, ProtocolResponse>> {
-        if requests.is_empty() {
-            return Ok(BTreeMap::new());
-        }
+    ) -> PaxResult<BTreeMap<SiteId, Delivery<ProtocolResponse>>> {
         for site in requests.keys() {
             assert!(site.index() < self.conns.len(), "request addressed to unknown site {site}");
         }
         let _round = self.round_lock.lock().expect("the round lock is never poisoned");
-
-        // The fault gate, identical to the simulator's: with a plan
-        // installed every attempted round advances the fault clock and is
-        // checked against the schedule before any socket is touched — a
-        // faulted target fails the whole round with nothing delivered, and
-        // the connection itself stays healthy so the site serves again once
-        // its fault window closes.
-        if let Some(plan) = self.current_fault_plan() {
-            let tick = self.fault_tick.fetch_add(1, Ordering::Relaxed);
-            if let Some((site, kind)) = plan.first_failure(tick, requests.keys().copied()) {
-                let operation = requests.get(&site).map(|r| r.body.kind()).unwrap_or("round");
-                let peer = self.peer(site).to_string();
-                return Err(injected_fault_error(site, &kind, &peer, operation));
-            }
-            let stall = plan.total_delay(tick, requests.keys().copied());
-            if !stall.is_zero() {
-                std::thread::sleep(stall);
-            }
-        }
 
         // Phase 1 — write every request frame. On the first failure stop
         // sending (sites later in the order receive nothing this round).
@@ -362,7 +282,7 @@ impl Transport for TcpCluster {
             let operation = request.body.kind();
             let body = codec::encode(request);
             let request_bytes = body.len() as u64;
-            let peer = self.peer(*site);
+            let peer = self.addr(*site);
             let mut conn = self.lock_conn(*site);
             let result = match &mut conn.stream {
                 Ok(stream) => msg::send(stream, &WireRequest::Round { body }),
@@ -385,9 +305,9 @@ impl Transport for TcpCluster {
         // Phase 2 — drain a reply from every site we reached, even when the
         // round is already doomed: leaving a reply unread would desync that
         // connection for every later round.
-        let mut outcomes: Vec<RoundOutcome> = Vec::with_capacity(sent.len());
+        let mut delivered = BTreeMap::new();
         for (site, request_bytes, operation) in sent {
-            let peer = self.peer(site);
+            let peer = self.addr(site);
             let mut conn = self.lock_conn(site);
             let reply = match &mut conn.stream {
                 Ok(stream) => msg::recv::<WireReply>(stream),
@@ -396,14 +316,15 @@ impl Transport for TcpCluster {
             match reply {
                 Ok(WireReply::Round { ops, busy_nanos, body }) => {
                     match codec::decode::<ProtocolResponse>(&body) {
-                        Ok(response) => outcomes.push(RoundOutcome {
-                            site,
-                            request_bytes,
-                            response_bytes: body.len() as u64,
-                            ops,
-                            busy: Duration::from_nanos(busy_nanos),
-                            response,
-                        }),
+                        Ok(response) => {
+                            let work = SiteWork {
+                                request_bytes,
+                                response_bytes: body.len() as u64,
+                                ops,
+                                busy: Duration::from_nanos(busy_nanos),
+                            };
+                            delivered.insert(site, Delivery { response, work });
+                        }
                         Err(err) => {
                             failure = failure.or(Some(PaxError::Protocol {
                                 message: format!(
@@ -433,42 +354,14 @@ impl Transport for TcpCluster {
                 }
             }
         }
-        if let Some(error) = failure {
-            return Err(error);
+        match failure {
+            Some(error) => Err(error),
+            None => Ok(delivered),
         }
-
-        // Phase 3 — commit the meters whole-round, exactly like the
-        // simulator: per-site work into both recorders, then the round's
-        // slowest/busiest site.
-        let mut responses = BTreeMap::new();
-        let mut slowest = Duration::ZERO;
-        let mut max_ops = 0u64;
-        let mut cumulative = self.stats.lock().expect("the stats lock is never poisoned");
-        for outcome in outcomes {
-            for target in [&mut *cumulative, &mut *recorder] {
-                target.record_site_work(
-                    outcome.site,
-                    outcome.ops,
-                    outcome.busy,
-                    outcome.request_bytes,
-                    outcome.response_bytes,
-                );
-            }
-            slowest = slowest.max(outcome.busy);
-            max_ops = max_ops.max(outcome.ops);
-            responses.insert(outcome.site, outcome.response);
-        }
-        cumulative.record_round(slowest, max_ops);
-        recorder.record_round(slowest, max_ops);
-        Ok(responses)
     }
 
     fn site_count(&self) -> usize {
         self.conns.len()
-    }
-
-    fn site_of(&self, fragment: FragmentId) -> SiteId {
-        self.replicas_of(fragment).primary()
     }
 
     fn replicas_of(&self, fragment: FragmentId) -> ReplicaSet {
@@ -478,30 +371,15 @@ impl Transport for TcpCluster {
             .expect("every fragment was assigned to a replica set at construction")
     }
 
-    fn occupied_sites(&self) -> BTreeSet<SiteId> {
-        self.assignment.values().flat_map(|set| set.sites().iter().copied()).collect()
+    fn peer(&self, site: SiteId) -> String {
+        self.addr(site).to_string()
     }
 
-    fn set_fault_plan(&self, plan: Option<FaultPlan>) {
-        *self.fault.lock().expect("the fault-plan lock is never poisoned") = plan;
-    }
-
-    fn probe(&self, site: SiteId) -> bool {
-        // A scheduled fault makes a live socket look dead too; probes peek
-        // at the fault clock without advancing it (they are not rounds).
-        if let Some(plan) = self.current_fault_plan() {
-            let tick = self.fault_tick.load(Ordering::Relaxed);
-            if matches!(
-                plan.fault_at(site, tick),
-                Some(FaultKind::Kill) | Some(FaultKind::Drop) | Some(FaultKind::Garble)
-            ) {
-                return false;
-            }
-        }
+    fn link_alive(&self, site: SiteId) -> bool {
         if site.index() >= self.conns.len() {
             return false;
         }
-        let peer = self.peer(site);
+        let peer = self.addr(site);
         let _round = self.round_lock.lock().expect("the round lock is never poisoned");
         let mut conn = self.lock_conn(site);
         match &mut conn.stream {
@@ -554,21 +432,12 @@ impl Transport for TcpCluster {
         }
     }
 
-    fn allocate_slots(&self, n: usize) -> usize {
-        self.next_slot.fetch_add(n.max(1), Ordering::Relaxed)
-    }
-
-    fn stats(&self) -> ClusterStats {
-        self.stats.lock().expect("the stats lock is never poisoned").clone()
-    }
-
     fn reset(&self) {
         let _round = self.round_lock.lock().expect("the round lock is never poisoned");
         for index in 0..self.conns.len() {
             // Best effort: a dead site has no scratch worth clearing.
             let _ = self.control(SiteId(index), &WireRequest::Reset, "resetting scratch");
         }
-        *self.stats.lock().expect("the stats lock is never poisoned") = ClusterStats::default();
     }
 
     fn scratch_len(&self, site: SiteId) -> usize {

@@ -17,7 +17,7 @@ use paxml_core::{
     dispatch, Algorithm, EpochRequest, PaxResult, PaxServer, ProtocolResponse, TopologyChange,
     Transport,
 };
-use paxml_distsim::{encoded_size, Cluster, ClusterStats, Placement, SiteId};
+use paxml_distsim::{encoded_size, Cluster, Delivery, Placement, ReplicaSet, SiteId};
 use paxml_fragment::FragmentId;
 use paxml_wire::{decode, encode};
 use paxml_xmark::{clientele_fragmentation, UpdateWorkload, CLIENTELE_QUERY_EXAMPLES};
@@ -27,8 +27,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Assert the codec invariants for one message, returning the decoded
-/// copy so the round actually runs on what came off the wire.
-fn check_roundtrip<T>(message: &T, kind: &str) -> T
+/// copy (so the round actually runs on what came off the wire) and the
+/// number of bytes it travelled as.
+fn check_roundtrip<T>(message: &T, kind: &str) -> (T, u64)
 where
     T: serde::Serialize + for<'de> serde::Deserialize<'de>,
 {
@@ -40,7 +41,7 @@ where
     );
     let decoded: T = decode(&bytes).unwrap_or_else(|e| panic!("{kind}: decode failed: {e}"));
     assert_eq!(encode(&decoded), bytes, "{kind}: decoding and re-encoding changed the bytes");
-    decoded
+    (decoded, bytes.len() as u64)
 }
 
 /// A simulator cluster that round-trips every protocol message through
@@ -58,46 +59,43 @@ impl RecordingTransport {
 }
 
 impl Transport for RecordingTransport {
-    fn round_recorded(
+    fn deliver(
         &self,
-        recorder: &mut ClusterStats,
         requests: BTreeMap<SiteId, EpochRequest>,
-    ) -> PaxResult<BTreeMap<SiteId, ProtocolResponse>> {
+    ) -> PaxResult<BTreeMap<SiteId, Delivery<ProtocolResponse>>> {
+        let mut request_bytes = BTreeMap::new();
         let decoded_requests: BTreeMap<SiteId, EpochRequest> = requests
             .into_iter()
             .map(|(site, request)| {
                 self.messages_checked.fetch_add(1, Ordering::Relaxed);
-                (site, check_roundtrip(&request, "request"))
+                let (decoded, bytes) = check_roundtrip(&request, "request");
+                request_bytes.insert(site, bytes);
+                (site, decoded)
             })
             .collect();
-        let responses = Cluster::round_recorded(&self.inner, recorder, decoded_requests, dispatch);
-        Ok(responses
-            .into_iter()
-            .map(|(site, response)| {
-                self.messages_checked.fetch_add(1, Ordering::Relaxed);
-                (site, check_roundtrip(&response, "response"))
-            })
-            .collect())
+        let mut delivered = Cluster::deliver(&self.inner, decoded_requests, dispatch);
+        for (site, delivery) in &mut delivered {
+            self.messages_checked.fetch_add(1, Ordering::Relaxed);
+            let (decoded, bytes) = check_roundtrip(&delivery.response, "response");
+            // What the transport reports for the meters is what a socket
+            // would have carried: the frames' lengths.
+            assert_eq!(delivery.work.request_bytes, request_bytes[site], "reported request size");
+            assert_eq!(delivery.work.response_bytes, bytes, "reported response size");
+            delivery.response = decoded;
+        }
+        Ok(delivered)
     }
 
     fn site_count(&self) -> usize {
         self.inner.site_count()
     }
 
-    fn site_of(&self, fragment: FragmentId) -> SiteId {
-        self.inner.site_of(fragment)
+    fn replicas_of(&self, fragment: FragmentId) -> ReplicaSet {
+        self.inner.replicas_of(fragment)
     }
 
-    fn occupied_sites(&self) -> BTreeSet<SiteId> {
-        self.inner.occupied_sites()
-    }
-
-    fn allocate_slots(&self, n: usize) -> usize {
-        self.inner.allocate_slots(n)
-    }
-
-    fn stats(&self) -> ClusterStats {
-        self.inner.stats()
+    fn peer(&self, site: SiteId) -> String {
+        format!("recording://{site}")
     }
 
     fn reset(&self) {
@@ -211,38 +209,31 @@ fn workloads_cover_every_protocol_message_variant() {
     }
 
     impl Transport for TaggingTransport {
-        fn round_recorded(
+        fn deliver(
             &self,
-            recorder: &mut ClusterStats,
             requests: BTreeMap<SiteId, EpochRequest>,
-        ) -> PaxResult<BTreeMap<SiteId, ProtocolResponse>> {
+        ) -> PaxResult<BTreeMap<SiteId, Delivery<ProtocolResponse>>> {
             let checked: BTreeMap<SiteId, EpochRequest> = requests
                 .into_iter()
-                .map(|(site, request)| (site, check_roundtrip(&request, "request")))
+                .map(|(site, request)| (site, check_roundtrip(&request, "request").0))
                 .collect();
-            let responses = Cluster::round_recorded(&self.inner, recorder, checked, dispatch);
+            let delivered = Cluster::deliver(&self.inner, checked, dispatch);
             let mut seen = self.seen.lock().unwrap();
-            for response in responses.values() {
+            for Delivery { response, .. } in delivered.values() {
                 assert_eq!(listed(response), response.kind());
                 seen.insert(response.kind().to_string());
                 check_roundtrip(response, "response");
             }
-            Ok(responses)
+            Ok(delivered)
         }
         fn site_count(&self) -> usize {
             self.inner.site_count()
         }
-        fn site_of(&self, fragment: FragmentId) -> SiteId {
-            self.inner.site_of(fragment)
+        fn replicas_of(&self, fragment: FragmentId) -> ReplicaSet {
+            self.inner.replicas_of(fragment)
         }
-        fn occupied_sites(&self) -> BTreeSet<SiteId> {
-            self.inner.occupied_sites()
-        }
-        fn allocate_slots(&self, n: usize) -> usize {
-            self.inner.allocate_slots(n)
-        }
-        fn stats(&self) -> ClusterStats {
-            self.inner.stats()
+        fn peer(&self, site: SiteId) -> String {
+            format!("tagging://{site}")
         }
         fn reset(&self) {
             self.inner.reset()

@@ -16,7 +16,7 @@
 //! over the same workload produces the same transcript, byte for byte,
 //! including any error text.
 
-use paxml::core::{RetryPolicy, Transport};
+use paxml::core::RetryPolicy;
 use paxml::prelude::*;
 use paxml::rebalance::{apply_ops, RefragOp};
 use paxml::wire::ProcessCluster;
@@ -68,7 +68,7 @@ fn kill(victim: SiteId, from: u64) -> FaultPlan {
 /// The fixed workload, with every client-visible outcome appended to the
 /// transcript. Any error panics: the suite's contract is **zero**
 /// client-visible errors under a single-site kill. `tick` reads the
-/// transport's fault clock so the caller learns where the update and
+/// deployment's fault clock so the caller learns where the update and
 /// re-fragmentation phases start.
 fn run_workload(
     server: &PaxServer,
@@ -126,9 +126,8 @@ fn sim_server() -> PaxServer {
 /// round clock advances exactly as it will in the faulted runs.
 fn sim_reference(nodes: usize) -> (Vec<String>, u64, u64) {
     let server = sim_server();
-    server.deployment().transport().set_fault_plan(Some(FaultPlan::scripted(Vec::new())));
-    let tick =
-        || server.deployment().transport().as_cluster().expect("simulator").current_fault_tick();
+    server.deployment().set_fault_plan(Some(FaultPlan::scripted(Vec::new())));
+    let tick = || server.deployment().current_fault_tick();
     run_workload(&server, nodes, &tick)
 }
 
@@ -144,7 +143,7 @@ fn any_single_site_kill_is_invisible_on_the_simulator() {
             for (phase, from) in [("queries", 0), ("update", update_tick), ("refrag", refrag_tick)]
             {
                 let server = sim_server();
-                server.deployment().transport().set_fault_plan(Some(kill(SiteId(victim), from)));
+                server.deployment().set_fault_plan(Some(kill(SiteId(victim), from)));
                 let (transcript, _, _) = run_workload(&server, nodes, &|| 0);
                 assert_eq!(
                     transcript, reference,
@@ -189,11 +188,11 @@ fn any_single_site_kill_is_invisible_over_tcp() {
                 Some((victim, from, _)) => kill(SiteId(victim), from),
                 None => FaultPlan::scripted(Vec::new()),
             };
-            cluster.transport.set_fault_plan(Some(plan));
             let server = PaxServer::builder()
                 .algorithm(Algorithm::PaX2)
                 .deploy_over(&fragmented, cluster.transport.clone())
                 .expect("deploy over processes");
+            server.deployment().set_fault_plan(Some(plan));
             let (transcript, _, _) = run_workload(&server, nodes, &|| 0);
             runs.push((case, transcript));
             drop(server);
@@ -209,6 +208,40 @@ fn any_single_site_kill_is_invisible_over_tcp() {
                     "killing S{victim} during the {phase} phase over TCP changed the transcript"
                 ),
             }
+        }
+    });
+}
+
+/// An empty round is no round on either transport: `execute_batch(&[])` with
+/// a plan installed must leave the fault clock at 0 on the simulator *and*
+/// over sockets — one stray tick would skew every later fault window
+/// between the two transports.
+#[test]
+fn an_empty_batch_ticks_the_fault_clock_on_neither_transport() {
+    with_watchdog(|| {
+        let (_tree, fragmented) = clientele_fragmentation();
+        let sim = sim_server();
+        let addrs: Vec<std::net::SocketAddr> = (0..SITES)
+            .map(|_| {
+                let site = paxml::wire::SiteServer::bind("127.0.0.1:0").expect("bind a site");
+                let addr = site.local_addr().expect("a bound listener has an address");
+                std::thread::spawn(move || site.run());
+                addr
+            })
+            .collect();
+        let transport =
+            paxml::wire::TcpCluster::connect(&fragmented, &addrs, Placement::RoundRobin)
+                .expect("connect to the site threads");
+        let tcp = PaxServer::builder()
+            .algorithm(Algorithm::PaX2)
+            .deploy_over(&fragmented, std::sync::Arc::new(transport))
+            .expect("deploy over site threads");
+        for (server, name) in [(&sim, "simulator"), (&tcp, "TCP")] {
+            server.deployment().set_fault_plan(Some(FaultPlan::scripted(Vec::new())));
+            let report = server.execute_batch(&[]).expect("an empty batch is not an error");
+            assert_eq!(report.rounds(), 0, "{name}: an empty batch visits no site");
+            assert_eq!(server.deployment().current_fault_tick(), 0, "{name}: fault clock");
+            assert_eq!(server.cumulative_stats().rounds, 0, "{name}: cumulative meters");
         }
     });
 }
@@ -243,7 +276,7 @@ fn a_seeded_fault_schedule_replays_bit_identically() {
                 })
                 .deploy(&fragmented)
                 .expect("deploy");
-            server.deployment().transport().set_fault_plan(Some(plan.clone()));
+            server.deployment().set_fault_plan(Some(plan.clone()));
             let prepared: Vec<PreparedQuery> =
                 QUERIES.iter().map(|q| server.prepare(q).expect("prepare")).collect();
             let mut workload = UpdateWorkload::new(&fragmented, nodes, 29);
