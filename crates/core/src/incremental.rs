@@ -87,7 +87,7 @@ use crate::protocol::{
     CandidateAnswer, MsgDeltaAnswer, MsgDeltaVect, MsgSessionUpdate, RecomputeInput,
     SessionRecompute,
 };
-use crate::report::AnswerItem;
+use crate::report::{AnswerItem, UpdateOutcome};
 use crate::transport::ProtocolRequest;
 use crate::unify::{resolve_summary, DenseAssignment};
 use crate::vars::PaxVar;
@@ -422,16 +422,9 @@ impl QuerySession {
 /// What one [`session_round`] did, summed over the sessions it refreshed.
 #[derive(Debug, Default)]
 pub(crate) struct SessionRound {
-    /// Update ops applied successfully.
-    pub(crate) applied_ops: usize,
-    /// Fragments whose op sequence was rejected, with the reason.
-    pub(crate) rejected: BTreeMap<FragmentId, String>,
-    /// Sessions whose caches were refreshed.
-    pub(crate) refreshed_sessions: usize,
-    /// Fragment snapshots recomputed site-side across those sessions.
-    pub(crate) recomputed_fragments: usize,
-    /// `evalFT` steps performed across those sessions' dirty cones.
-    pub(crate) reunified_fragments: usize,
+    /// The round as an update reports it: the fragments and sites it
+    /// addressed, ops applied and rejected, sessions refreshed.
+    pub(crate) update: UpdateOutcome,
     /// Coordinator-side unification operations.
     pub(crate) unify_ops: u64,
 }
@@ -508,23 +501,25 @@ pub(crate) fn session_round(
             let most = applied.entry(fragment).or_default();
             *most = (*most).max(count);
         }
-        outcome.rejected.extend(delta.rejected);
+        outcome.update.rejected.extend(delta.rejected);
         for slice in delta.sessions {
             if let Some((session, _)) = refreshing.get_mut(&slice.session) {
                 session.absorb(slice.vect, slice.answer);
             }
         }
     }
-    outcome.applied_ops = applied.values().sum();
+    outcome.update.applied_ops = applied.values().sum();
 
     for (session, inputs) in refreshing.into_values() {
         let refresh = session.refresh_coordinator_state(&dirty, !session.initialized);
         session.initialized = true;
-        outcome.refreshed_sessions += 1;
-        outcome.recomputed_fragments += inputs.len();
-        outcome.reunified_fragments += refresh.reunified_fragments;
+        outcome.update.refreshed_sessions += 1;
+        outcome.update.recomputed_fragments += inputs.len();
+        outcome.update.reunified_fragments += refresh.reunified_fragments;
         outcome.unify_ops += refresh.unify_ops;
     }
+    outcome.update.dirty_sites = site_fragments.keys().copied().collect();
+    outcome.update.dirty_fragments = dirty;
     Ok(outcome)
 }
 

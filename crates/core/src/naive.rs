@@ -11,6 +11,7 @@ use crate::deployment::{Deployment, ExecCtx};
 use crate::error::PaxResult;
 use crate::report::{Algorithm, AnswerItem, ExecMode, ExecReport, QueryOutcome};
 use crate::transport::ProtocolRequest;
+use crate::EvalOptions;
 use paxml_distsim::SiteId;
 use paxml_fragment::Fragment;
 use paxml_xml::NodeId;
@@ -66,23 +67,17 @@ pub(crate) fn run(
     let mut answers = answers;
     answers.sort();
 
+    // The baseline has no annotation optimization to switch on.
+    let (algorithm, options) = (Algorithm::NaiveCentralized, EvalOptions::default());
     Ok(ExecReport {
-        algorithm: Algorithm::NaiveCentralized,
-        annotations_used: false,
-        mode: ExecMode::Query,
         queries: vec![QueryOutcome {
             query: query_text.to_string(),
             answers,
             fragments_evaluated: topology.fragment_tree.len(),
             coordinator_ops: result.ops,
         }],
-        update: None,
-        fragments_total: topology.fragment_tree.len(),
         stats: ctx.stats,
         coordinator_ops: result.ops,
-        elapsed: start.elapsed(),
-        from_cache: false,
-        epoch,
-        placement_version: topology.version,
+        ..ExecReport::skeleton(algorithm, &options, ExecMode::Query, epoch, &topology, start)
     })
 }

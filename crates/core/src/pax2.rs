@@ -271,18 +271,10 @@ pub(crate) fn run(
         })
         .collect();
     Ok(ExecReport {
-        algorithm: Algorithm::PaX2,
-        annotations_used: options.use_annotations,
-        mode,
         queries: outcomes,
-        update: None,
-        fragments_total: ft.len(),
         stats: ctx.stats,
         coordinator_ops: coordinator_ops.iter().sum(),
-        elapsed: start.elapsed(),
-        from_cache: false,
-        epoch,
-        placement_version: topology.version,
+        ..ExecReport::skeleton(Algorithm::PaX2, options, mode, epoch, &topology, start)
     })
 }
 

@@ -125,23 +125,15 @@ pub(crate) fn run(
     answers.sort();
     answers.dedup();
     Ok(ExecReport {
-        algorithm: Algorithm::PaX3,
-        annotations_used: options.use_annotations,
-        mode: ExecMode::Query,
         queries: vec![QueryOutcome {
             query: query_text.to_string(),
             answers,
             fragments_evaluated: plan.analysis.relevant.len(),
             coordinator_ops,
         }],
-        update: None,
-        fragments_total: ft.len(),
         stats: ctx.stats,
         coordinator_ops,
-        elapsed: start.elapsed(),
-        from_cache: false,
-        epoch,
-        placement_version: topology.version,
+        ..ExecReport::skeleton(Algorithm::PaX3, options, ExecMode::Query, epoch, &topology, start)
     })
 }
 

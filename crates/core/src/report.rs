@@ -1,13 +1,15 @@
 //! Evaluation reports: answers plus the measured costs that back the paper's
 //! performance guarantees.
 
+use crate::deployment::Topology;
+use crate::EvalOptions;
 use paxml_distsim::{ClusterStats, SiteId};
 use paxml_fragment::FragmentId;
 use paxml_xml::{NodeId, XmlTree};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One answer node shipped back to the query site.
 ///
@@ -161,6 +163,35 @@ pub struct ExecReport {
 }
 
 impl ExecReport {
+    /// The report of an execution that started at `start` pinned to `epoch`
+    /// and routed by `topology`, with no queries, no update slice and zero
+    /// meters: every engine fills in only what it did (struct-update
+    /// syntax), so the fields derived from the pinned topology are derived
+    /// once.
+    pub(crate) fn skeleton(
+        algorithm: Algorithm,
+        options: &EvalOptions,
+        mode: ExecMode,
+        epoch: u64,
+        topology: &Topology,
+        start: Instant,
+    ) -> ExecReport {
+        ExecReport {
+            algorithm,
+            annotations_used: options.use_annotations,
+            mode,
+            queries: Vec::new(),
+            update: None,
+            fragments_total: topology.fragment_tree.len(),
+            stats: ClusterStats::default(),
+            coordinator_ops: 0,
+            elapsed: start.elapsed(),
+            from_cache: false,
+            epoch,
+            placement_version: topology.version,
+        }
+    }
+
     /// The answers of a single-query execution (the first query's answers;
     /// empty for updates).
     pub fn answers(&self) -> &[AnswerItem] {

@@ -1,0 +1,203 @@
+//! Configuring and deploying a [`PaxServer`].
+
+use super::epochs::initial_epoch;
+use super::{PaxServer, RetryPolicy};
+use crate::deployment::Deployment;
+use crate::error::{PaxError, PaxResult};
+use crate::report::Algorithm;
+use crate::transport::TcpOptions;
+use crate::EvalOptions;
+use paxml_distsim::{Cluster, Placement, SiteId};
+use paxml_fragment::{FragmentId, FragmentedTree};
+use std::collections::BTreeMap;
+use std::sync::atomic::AtomicU64;
+use std::sync::{Arc, Mutex, RwLock};
+use std::time::Duration;
+
+/// Builder for a [`PaxServer`]. Obtain with [`PaxServer::builder`],
+/// configure, then [`PaxServerBuilder::deploy`] over a fragmented tree.
+#[derive(Debug, Clone)]
+pub struct PaxServerBuilder {
+    algorithm: Algorithm,
+    use_annotations: bool,
+    placement: Placement,
+    sites: Option<usize>,
+    assignment: Option<BTreeMap<FragmentId, SiteId>>,
+    replication: usize,
+    sequential: bool,
+    site_delays: BTreeMap<SiteId, Duration>,
+    auto_vacuum_threshold: Option<u64>,
+    retry_policy: RetryPolicy,
+    tcp_options: TcpOptions,
+}
+
+impl Default for PaxServerBuilder {
+    fn default() -> Self {
+        PaxServerBuilder {
+            algorithm: Algorithm::PaX2,
+            use_annotations: false,
+            placement: Placement::RoundRobin,
+            sites: None,
+            assignment: None,
+            replication: 1,
+            sequential: false,
+            site_delays: BTreeMap::new(),
+            auto_vacuum_threshold: None,
+            retry_policy: RetryPolicy::default(),
+            tcp_options: TcpOptions::default(),
+        }
+    }
+}
+
+impl PaxServerBuilder {
+    /// Which engine serves single-query executions (default
+    /// [`Algorithm::PaX2`], the only engine with an incremental
+    /// residual-vector cache).
+    pub fn algorithm(mut self, algorithm: Algorithm) -> Self {
+        self.algorithm = algorithm;
+        self
+    }
+
+    /// Enable the XPath-annotation optimization of §5 (default off).
+    pub fn annotations(mut self, on: bool) -> Self {
+        self.use_annotations = on;
+        self
+    }
+
+    /// How fragments are placed onto sites (default round-robin). Ignored
+    /// when an explicit [`PaxServerBuilder::assignment`] is given.
+    pub fn placement(mut self, placement: Placement) -> Self {
+        self.placement = placement;
+        self
+    }
+
+    /// Number of simulated sites (default: one site per fragment).
+    pub fn sites(mut self, sites: usize) -> Self {
+        self.sites = Some(sites);
+        self
+    }
+
+    /// An explicit fragment→site assignment (fragments not mentioned go to
+    /// site 0). Overrides [`PaxServerBuilder::placement`].
+    pub fn assignment(mut self, assignment: BTreeMap<FragmentId, SiteId>) -> Self {
+        self.assignment = Some(assignment);
+        self
+    }
+
+    /// Store every fragment on that many sites (default 1: unreplicated).
+    /// The primary copy is placed by [`PaxServerBuilder::placement`] as
+    /// before; each extra copy goes to the next site round-robin, so no two
+    /// copies of one fragment share a site. Clamped to the site count.
+    /// Incompatible with an explicit [`PaxServerBuilder::assignment`].
+    pub fn replication(mut self, copies: usize) -> Self {
+        self.replication = copies.max(1);
+        self
+    }
+
+    /// The fault-handling policy of every operation of the server (default
+    /// [`RetryPolicy::default`]).
+    pub fn retry_policy(mut self, policy: RetryPolicy) -> Self {
+        self.retry_policy = policy;
+        self
+    }
+
+    /// Socket tuning for TCP transports: read timeout, connect-retry
+    /// schedule, probe budget (default [`TcpOptions::default`]). Applied by
+    /// [`PaxServerBuilder::deploy_over`]; the in-process simulator ignores
+    /// it.
+    pub fn tcp_options(mut self, options: TcpOptions) -> Self {
+        self.tcp_options = options;
+        self
+    }
+
+    /// Run coordinator rounds sequentially (deterministic) instead of on
+    /// the per-site worker pool (default parallel).
+    pub fn sequential(mut self, sequential: bool) -> Self {
+        self.sequential = sequential;
+        self
+    }
+
+    /// Slow one site down artificially (skew/failure-injection studies).
+    pub fn site_delay(mut self, site: SiteId, delay: Duration) -> Self {
+        self.site_delays.insert(site, delay);
+        self
+    }
+
+    /// Sweep the cluster automatically once that many epochs have retired
+    /// since the last sweep (default: never — [`PaxServer::vacuum`] stays
+    /// explicit). The sweep runs at the end of the update or
+    /// re-fragmentation that crossed the threshold, under the same writer
+    /// lock, so it never races another publisher.
+    pub fn auto_vacuum_threshold(mut self, retired_epochs: u64) -> Self {
+        self.auto_vacuum_threshold = Some(retired_epochs.max(1));
+        self
+    }
+
+    /// Deploy `fragmented` over the configured cluster and start the
+    /// session.
+    pub fn deploy(mut self, fragmented: &FragmentedTree) -> PaxResult<PaxServer> {
+        if self.sites == Some(0) {
+            return Err(PaxError::InvalidConfig {
+                message: "a deployment needs at least one site".into(),
+            });
+        }
+        let sites = self.sites.unwrap_or_else(|| fragmented.fragment_count().max(1));
+        if let Some(assignment) = &self.assignment {
+            if let Some((f, s)) = assignment.iter().find(|(_, s)| s.index() >= sites) {
+                return Err(PaxError::InvalidConfig {
+                    message: format!("fragment {f} assigned to nonexistent site {s} (of {sites})"),
+                });
+            }
+        }
+        if self.assignment.is_some() && self.replication > 1 {
+            return Err(PaxError::InvalidConfig {
+                message: "an explicit assignment fixes one site per fragment; use placement() \
+                          with replication() instead"
+                    .into(),
+            });
+        }
+        let mut cluster = match self.assignment.take() {
+            Some(assignment) => Cluster::with_assignment(fragmented, sites, assignment),
+            None => Cluster::replicated(fragmented, sites, self.placement, self.replication),
+        };
+        cluster.sequential = self.sequential;
+        cluster.site_delay = std::mem::take(&mut self.site_delays);
+        self.deploy_over(fragmented, Arc::new(cluster))
+    }
+
+    /// Deploy over an externally built [`Transport`](crate::Transport)
+    /// (e.g. `paxml-wire`'s `TcpCluster`) and start the session.
+    ///
+    /// The transport already owns the site topology, so the simulator-only
+    /// builder knobs — [`sites`](PaxServerBuilder::sites),
+    /// [`placement`](PaxServerBuilder::placement),
+    /// [`assignment`](PaxServerBuilder::assignment),
+    /// [`sequential`](PaxServerBuilder::sequential) and
+    /// [`site_delay`](PaxServerBuilder::site_delay) — do not apply here and
+    /// are ignored; [`algorithm`](PaxServerBuilder::algorithm),
+    /// [`annotations`](PaxServerBuilder::annotations),
+    /// [`retry_policy`](PaxServerBuilder::retry_policy) and
+    /// [`tcp_options`](PaxServerBuilder::tcp_options) take effect.
+    pub fn deploy_over(
+        self,
+        fragmented: &FragmentedTree,
+        transport: Arc<dyn crate::transport::Transport>,
+    ) -> PaxResult<PaxServer> {
+        transport.configure_tcp(&self.tcp_options);
+        let (current, epochs) = initial_epoch();
+        Ok(PaxServer {
+            deployment: Deployment::over_transport(fragmented, transport),
+            algorithm: self.algorithm,
+            options: EvalOptions { use_annotations: self.use_annotations },
+            retry: self.retry_policy,
+            writer: Mutex::new(()),
+            current,
+            epochs,
+            prepared: RwLock::default(),
+            update_hook: Mutex::new(None),
+            retired_placements: Mutex::new(Vec::new()),
+            auto_vacuum_threshold: self.auto_vacuum_threshold,
+            retired_at_last_vacuum: AtomicU64::new(0),
+        })
+    }
+}

@@ -1,0 +1,466 @@
+//! Epochs: what readers pin, how writers publish, when versions retire.
+//!
+//! This module owns the epoch handle and registry, the vacuum sweep, and
+//! [`EpochBuild`] — the one transaction through which the server changes
+//! anything a reader can observe.
+
+use super::{PaxServer, RefragBase};
+use crate::deployment::{ExecCtx, Topology};
+use crate::error::{PaxError, PaxResult};
+use crate::incremental::QuerySession;
+use crate::protocol::{MsgRefrag, MsgVacuum};
+use crate::transport::{ProtocolRequest, VacuumOutcome};
+use paxml_distsim::{ReplicaSet, SiteId};
+use paxml_fragment::{Fragment, FragmentId};
+use std::collections::BTreeMap;
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
+
+/// One immutable deployment epoch: the unit executions pin on entry.
+///
+/// The fragment *data* of an epoch lives site-side (each site keeps a
+/// version list per fragment, read at the pinned epoch number); the
+/// coordinator side of an epoch is the per-prepared-query residual-vector
+/// sessions consistent with that data. An epoch is dead when the last
+/// pinned execution drops its `Arc`; the server tracks epochs through
+/// [`Weak`] handles so retirement needs no reference counting of its own.
+pub(super) struct EpochInner {
+    /// The epoch number tagged onto every protocol message of a pinned
+    /// execution. Epoch 0 is the initial deployment.
+    pub(super) number: u64,
+    /// Residual-vector caches per prepared query (PaX2 servers), keyed by
+    /// the prepared query's id, *consistent with this epoch's data*.
+    /// Populated on first execution, carried copy-on-write into the next
+    /// epoch by every update. Each session has its own lock so executions
+    /// of *different* prepared queries never contend.
+    pub(super) sessions: Mutex<BTreeMap<usize, Arc<Mutex<QuerySession>>>>,
+}
+
+/// The residual-vector sessions a build carries into the next epoch, by
+/// prepared-query id.
+pub(super) type Sessions = BTreeMap<usize, QuerySession>;
+
+impl EpochInner {
+    /// Clone every session copy-on-write for the next epoch: clean
+    /// fragments' cached vectors are shared by reference, only the entries
+    /// the build dirties are deep-copied. Each session is locked only for
+    /// the duration of its clone — readers on this epoch are never blocked
+    /// behind the build. Sessions a concurrent cold execution adds to this
+    /// epoch *after* the snapshot simply re-snapshot on their first
+    /// execution in the next epoch.
+    pub(super) fn cloned_sessions(&self) -> Sessions {
+        let table: Vec<(usize, Arc<Mutex<QuerySession>>)> = {
+            let map = self.sessions.lock().expect("the session-table lock is never poisoned");
+            map.iter().map(|(id, arc)| (*id, Arc::clone(arc))).collect()
+        };
+        table
+            .into_iter()
+            .map(|(id, arc)| (id, arc.lock().expect("a session lock is never poisoned").clone()))
+            .collect()
+    }
+}
+
+/// A consistent snapshot of the server's epoch machinery, from
+/// [`PaxServer::server_stats`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ServerStats {
+    /// The epoch new executions pin right now.
+    pub current_epoch: u64,
+    /// Epochs still pinned by at least one handle (the current epoch
+    /// always counts). Steady state is 1; more means executions are still
+    /// draining on older epochs.
+    pub live_epochs: usize,
+    /// Epochs published and since fully drained (`current_epoch + 1 -
+    /// live_epochs`).
+    pub retired_epochs: u64,
+    /// Bytes of the current epoch's session caches under the canonical
+    /// wire encoding (per-session logical size; vectors shared
+    /// copy-on-write across epochs are charged once per session).
+    pub session_cache_bytes: u64,
+    /// The current placement-map (topology) version: 0 until the first
+    /// re-fragmentation publishes, incremented by each one after.
+    pub placement_version: u64,
+    /// Per-site load breakdown, one entry per site of the cluster — the
+    /// observability half of the rebalance planner's cost model.
+    pub site_loads: Vec<SiteLoad>,
+}
+
+impl ServerStats {
+    /// The largest resident-bytes figure any single site carries.
+    pub fn max_site_bytes(&self) -> u64 {
+        self.site_loads.iter().map(|l| l.resident_bytes).max().unwrap_or(0)
+    }
+}
+
+/// One site's load figures inside [`ServerStats`]: what it stores now
+/// (resident fragments/bytes at the newest epoch) and what it has served
+/// since the deployment started (cumulative visits and protocol bytes).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SiteLoad {
+    /// The site.
+    pub site: SiteId,
+    /// Distinct fragments resident at the site's newest epoch.
+    pub fragment_count: usize,
+    /// Bytes those fragments occupy under the canonical encoding.
+    pub resident_bytes: u64,
+    /// Cumulative visits the coordinator paid this site.
+    pub visits: u32,
+    /// Cumulative protocol bytes moved to and from this site.
+    pub bytes_served: u64,
+}
+
+/// A fragment→site placement dissolved by a re-fragmentation. The old
+/// site's copy must outlive every epoch that still routes to it; the
+/// vacuum sweep purges it once the oldest live epoch reaches
+/// `removal_epoch`.
+pub(super) struct RetiredPlacement {
+    fragment: FragmentId,
+    site: SiteId,
+    /// The first epoch in which the placement no longer exists.
+    removal_epoch: u64,
+}
+
+/// The epoch registry: every epoch not yet proven dead, by number.
+pub(super) type EpochRegistry = BTreeMap<u64, Weak<EpochInner>>;
+
+/// Build the epoch-0 state shared by both deployment constructors.
+pub(super) fn initial_epoch() -> (Mutex<Arc<EpochInner>>, Mutex<EpochRegistry>) {
+    let epoch0 = Arc::new(EpochInner { number: 0, sessions: Mutex::new(BTreeMap::new()) });
+    let registry = BTreeMap::from([(0, Arc::downgrade(&epoch0))]);
+    (Mutex::new(epoch0), Mutex::new(registry))
+}
+
+impl PaxServer {
+    /// Pin the current epoch: clone the handle under a short lock hold.
+    /// The returned `Arc` keeps the epoch live (and its site-side fragment
+    /// versions unretired) until the caller drops it.
+    pub(super) fn pin(&self) -> Arc<EpochInner> {
+        Arc::clone(&self.current.lock().expect("the current-epoch lock is never poisoned"))
+    }
+
+    /// The queue of placements awaiting their purge.
+    pub(super) fn retired(&self) -> MutexGuard<'_, Vec<RetiredPlacement>> {
+        self.retired_placements.lock().expect("the retired-placement lock is never poisoned")
+    }
+
+    /// Sweep the epoch registry — the one place dead entries are pruned —
+    /// after admitting `publish`, the epoch a commit is swapping in. Returns
+    /// the oldest epoch still pinned anywhere (the retirement watermark:
+    /// site-side versions superseded at or below it can never be read
+    /// again) and how many epochs are live.
+    fn live_epochs(&self, publish: Option<&Arc<EpochInner>>) -> (u64, usize) {
+        let mut registry = self.epochs.lock().expect("the epoch registry is never poisoned");
+        if let Some(epoch) = publish {
+            registry.insert(epoch.number, Arc::downgrade(epoch));
+        }
+        registry.retain(|_, weak| weak.strong_count() > 0);
+        (registry.keys().next().copied().unwrap_or(0), registry.len())
+    }
+
+    /// A consistent snapshot of the epoch machinery: current epoch, how
+    /// many epochs are still pinned, and the current epoch's session-cache
+    /// footprint. The leak check of the stress suite asserts `live_epochs`
+    /// returns to 1 once readers drain.
+    pub fn server_stats(&self) -> ServerStats {
+        let current = self.pin();
+        let (_, live_epochs) = self.live_epochs(None);
+        let session_cache_bytes = {
+            let sessions =
+                current.sessions.lock().expect("the session-table lock is never poisoned");
+            sessions
+                .values()
+                .map(|arc| arc.lock().expect("a session lock is never poisoned").cache_bytes())
+                .sum()
+        };
+        let cumulative = self.deployment.stats();
+        let site_loads = (0..self.deployment.site_count())
+            .map(|index| {
+                let site = SiteId(index);
+                let report = self.deployment.transport().site_load(site);
+                let served = cumulative.sites.get(&site).cloned().unwrap_or_default();
+                SiteLoad {
+                    site,
+                    fragment_count: report.fragment_count(),
+                    resident_bytes: report.resident_bytes(),
+                    visits: served.visits,
+                    bytes_served: served.bytes_received + served.bytes_sent,
+                }
+            })
+            .collect();
+        ServerStats {
+            current_epoch: current.number,
+            live_epochs,
+            retired_epochs: current.number + 1 - live_epochs as u64,
+            session_cache_bytes,
+            placement_version: self.deployment.topology_at(current.number).version,
+            site_loads,
+        }
+    }
+
+    /// Install a hook [`PaxServer::apply_updates`] invokes after the build
+    /// round and before the publish swap — test instrumentation for the
+    /// wait-freedom suite (a hook that sleeps holds the update open while
+    /// readers must keep completing on the old epoch). No reader-visible
+    /// lock is held while the hook runs.
+    pub fn set_update_hook<F: Fn() + Send + Sync + 'static>(&self, hook: F) {
+        *self.update_hook.lock().expect("the update-hook lock is never poisoned") =
+            Some(Box::new(hook));
+    }
+
+    /// Remove the hook installed by [`PaxServer::set_update_hook`].
+    pub fn clear_update_hook(&self) {
+        *self.update_hook.lock().expect("the update-hook lock is never poisoned") = None;
+    }
+
+    /// Sweep every site — occupied or not — dropping fragment versions no
+    /// live epoch can still read and purging copies left behind by
+    /// migrations and merges once no live epoch routes to them. Update
+    /// rounds already piggyback the retirement watermark onto the sites
+    /// they visit; `vacuum` reaches the sites a sparse update stream never
+    /// touches. Returns the total versions dropped and left live across
+    /// the cluster.
+    ///
+    /// With [`auto_vacuum_threshold`] set, the server also runs this sweep
+    /// by itself at the end of an update or re-fragmentation once enough
+    /// epochs have retired; the explicit call keeps working either way.
+    ///
+    /// [`auto_vacuum_threshold`]: super::PaxServerBuilder::auto_vacuum_threshold
+    pub fn vacuum(&self) -> PaxResult<VacuumOutcome> {
+        let _writer = self.writer.lock().expect("the writer lock is never poisoned");
+        self.sweep()
+    }
+
+    /// The sweep itself, callers already holding the writer lock (the
+    /// public [`PaxServer::vacuum`] and the auto-vacuum trigger at the end
+    /// of [`EpochBuild::commit`] — taking the writer mutex here again would
+    /// deadlock).
+    fn sweep(&self) -> PaxResult<VacuumOutcome> {
+        let current = self.pin();
+        let (watermark, _) = self.live_epochs(None);
+        // Placements dissolved at or below the watermark can never be
+        // routed to again: purge their copies wholesale. Later removals
+        // stay queued for a future sweep.
+        let mut purge_by_site: BTreeMap<SiteId, Vec<FragmentId>> = BTreeMap::new();
+        for placement in self.retired().iter().filter(|p| p.removal_epoch <= watermark) {
+            purge_by_site.entry(placement.site).or_default().push(placement.fragment);
+        }
+        let mut ctx = ExecCtx::pinned(&self.deployment, current.number, watermark);
+        let requests: BTreeMap<SiteId, ProtocolRequest> = (0..self.deployment.site_count())
+            .map(|index| {
+                let site = SiteId(index);
+                let purge = purge_by_site.remove(&site).unwrap_or_default();
+                (site, ProtocolRequest::Vacuum(MsgVacuum { purge }))
+            })
+            .collect();
+        // A failed sweep (a site process died) keeps every queued removal:
+        // purges are idempotent, so the next sweep simply retries them.
+        let responses = ctx.round(requests)?;
+        let mut outcome = VacuumOutcome { dropped: 0, live_versions: 0 };
+        for response in responses.into_values() {
+            let swept = response.into_vacuumed()?;
+            outcome.dropped += swept.dropped;
+            outcome.live_versions += swept.live_versions;
+        }
+        self.retired().retain(|p| p.removal_epoch > watermark);
+        self.retired_at_last_vacuum
+            .store(current.number + 1 - self.live_epochs(None).1 as u64, Ordering::Relaxed);
+        Ok(outcome)
+    }
+}
+
+/// The epoch transaction: the only way the server changes what readers can
+/// see. [`PaxServer::apply_updates`], [`PaxServer::refragment`] and
+/// [`PaxServer::repair`] each `begin` one under the writer lock, do their
+/// fallible work against it — rounds through [`EpochBuild::reader`] and
+/// [`EpochBuild::next`], the [`EpochBuild::live_copies`] fan-out, [`install`]
+/// — and hand the result to the infallible [`EpochBuild::commit`].
+///
+/// Until `commit` a build touches no coordinator state: side effects it
+/// decides on are queued on the build. **Dropping an `EpochBuild` without
+/// committing changes nothing**, which is the whole proof that a failed
+/// build publishes nothing. What a failed build *has* changed lives on the
+/// sites, and is unreachable: versions installed under `N + 1` are orphans
+/// no reader can pin (the current epoch is still `N`), and a retried build
+/// overwrites them — installs and ops read their base strictly *below* the
+/// target epoch, so a retry never stacks on orphaned state. Builds ship
+/// installs and ops only, never removals, so a partial round cannot damage
+/// an epoch a reader holds either. That makes every build safe to retry
+/// wholesale under [`PaxServer::with_failover`].
+pub(super) struct EpochBuild<'a> {
+    pub(super) server: &'a PaxServer,
+    /// The epoch `N` the build starts from. The writer lock makes this the
+    /// only publisher, so the base (and its topology) is stable throughout.
+    pub(super) base: Arc<EpochInner>,
+    /// Reads at the base: the base topology, and fetches pinned to `N`.
+    pub(super) reader: RefragBase<'a>,
+    /// Rounds pinned to `N + 1`. They piggyback the oldest live epoch as
+    /// the retirement watermark, so visited sites retire dead versions for
+    /// free.
+    pub(super) next: ExecCtx<'a>,
+    /// Copies that miss this build's write, to be marked stale.
+    stale: Vec<(FragmentId, SiteId)>,
+    /// Copies this build re-installed whole, to have their stale range
+    /// closed.
+    pub(super) repaired: Vec<(FragmentId, SiteId)>,
+}
+
+impl<'a> EpochBuild<'a> {
+    /// Open a build; `_writer` is the caller's proof that it is the only
+    /// one. Sites whose quarantine cooldown has elapsed are probed first,
+    /// so a site that just came back takes part in this very build.
+    pub(super) fn begin(server: &'a PaxServer, _writer: &MutexGuard<'_, ()>) -> Self {
+        server.probe_quarantined();
+        let base = server.pin();
+        let (watermark, _) = server.live_epochs(None);
+        EpochBuild {
+            server,
+            reader: RefragBase::pinned(&server.deployment, base.number),
+            next: ExecCtx::pinned(&server.deployment, base.number + 1, watermark),
+            base,
+            stale: Vec::new(),
+            repaired: Vec::new(),
+        }
+    }
+
+    /// May a build address `site` at all? The one place the build paths ask
+    /// about quarantine.
+    pub(super) fn is_up(&self, site: SiteId) -> bool {
+        !self.server.deployment.health().is_quarantined(site)
+    }
+
+    /// The live-replica fan-out: which of `replicas` take this build's
+    /// write of `fragment`. Every *live* copy does; a copy on a quarantined
+    /// site is skipped and queued to go stale from `N + 1` on, so the
+    /// routing layer avoids it until a repair closes the range. When
+    /// `installing`, the write is the whole payload: it lands on copies that
+    /// are already stale too, and closes their range. Otherwise it is an op
+    /// stream, which a copy that already missed a write cannot take. A
+    /// fragment with no live copy fails the build — transiently: the
+    /// failover loop re-probes and retries.
+    pub(super) fn live_copies(
+        &mut self,
+        fragment: FragmentId,
+        replicas: &ReplicaSet,
+        installing: bool,
+    ) -> PaxResult<Vec<SiteId>> {
+        let health = self.server.deployment.health();
+        let (live, out): (Vec<SiteId>, Vec<SiteId>) = replicas.sites().iter().partition(|&&site| {
+            self.is_up(site)
+                && (installing || !health.is_stale_at(fragment, site, self.base.number))
+        });
+        if live.is_empty() {
+            let fragment = fragment.index();
+            let detail = if installing {
+                format!(
+                    "no live site to install fragment {fragment} on: all of {replicas} are \
+                     quarantined"
+                )
+            } else {
+                format!(
+                    "no live replica of fragment {fragment} to update: all of {replicas} are \
+                     quarantined or stale"
+                )
+            };
+            return Err(PaxError::SiteUnreachable { site: replicas.primary(), detail });
+        }
+        self.stale.extend(out.into_iter().map(|site| (fragment, site)));
+        if installing {
+            self.repaired.extend(live.iter().map(|&site| (fragment, site)));
+        }
+        Ok(live)
+    }
+
+    /// Apply everything the build decided on, in one fixed order, and —
+    /// when the build produced one — publish epoch `N + 1`: `next` is its
+    /// sessions plus, for a re-fragmentation, its topology. Infallible, and
+    /// the only function that mutates [`SiteHealth`](crate::deployment::SiteHealth),
+    /// the retired-placement queue, the topology history or the current
+    /// epoch, so every observer sees a build entirely or not at all.
+    pub(super) fn commit(self, next: Option<(Sessions, Option<Arc<Topology>>)>) {
+        let server = self.server;
+        let health = server.deployment.health();
+        // Marks carry the epoch they take effect at: `N + 1` when the build
+        // publishes it, `N` for a repair pass. Readers pinned below keep
+        // seeing the copies as they were.
+        let number = self.base.number + u64::from(next.is_some());
+        for (fragment, site) in self.stale {
+            health.mark_stale(fragment, site, number);
+        }
+        for (fragment, site) in self.repaired {
+            health.mark_repaired(fragment, site, number);
+        }
+        let Some((sessions, topology)) = next else { return };
+
+        if let Some(topology) = &topology {
+            let base_topology = &self.reader.topology;
+            // Staleness bookkeeping for fragments the change dissolved
+            // entirely dies with them (their leftover versions are the
+            // vacuum's job).
+            for &fragment in base_topology.fragment_tree.ids() {
+                if !topology.fragment_tree.contains(fragment) {
+                    health.forget_fragment(fragment);
+                }
+            }
+            // Queue the dissolved placements for the vacuum sweep.
+            let placed = |f: &FragmentId, site| {
+                topology.placement.get(f).is_some_and(|set| set.contains(site))
+            };
+            let mut retired = server.retired();
+            // A fragment returning to a site it once left supersedes the
+            // pending wholesale purge of its old copy there — the install
+            // just made that placement live again, and the version-level
+            // sweep reclaims the stale copy instead.
+            retired.retain(|p| !placed(&p.fragment, p.site));
+            for (&fragment, old_set) in &base_topology.placement {
+                for &site in old_set.sites().iter().filter(|&&site| !placed(&fragment, site)) {
+                    retired.push(RetiredPlacement { fragment, site, removal_epoch: number });
+                }
+            }
+        }
+
+        // Test instrumentation: hold the fully built, not-yet-visible epoch
+        // open. No reader-visible lock is held here — readers must keep
+        // completing on the base epoch however long the hook takes.
+        if let Some(hook) =
+            server.update_hook.lock().expect("the update-hook lock is never poisoned").as_ref()
+        {
+            hook();
+        }
+        // The topology goes first, so a reader that pins the new epoch
+        // always finds its topology.
+        if let Some(topology) = topology {
+            server.deployment.publish_topology(number, topology);
+        }
+        let sessions = sessions.into_iter().map(|(id, s)| (id, Arc::new(Mutex::new(s)))).collect();
+        let next = Arc::new(EpochInner { number, sessions: Mutex::new(sessions) });
+        *server.current.lock().expect("the current-epoch lock is never poisoned") =
+            Arc::clone(&next);
+        let (_, live) = server.live_epochs(Some(&next));
+        // Auto-vacuum, still under the writer lock. A failed sweep is
+        // deliberately swallowed: the publish has already succeeded, and the
+        // queued removals survive for the next sweep.
+        if let Some(threshold) = server.auto_vacuum_threshold {
+            let retired_epochs = number + 1 - live as u64;
+            let swept = server.retired_at_last_vacuum.load(Ordering::Relaxed);
+            if retired_epochs.saturating_sub(swept) >= threshold {
+                let _ = server.sweep();
+            }
+        }
+    }
+}
+
+/// One `Refrag` round: every site of `by_site` installs its payloads as
+/// fragment versions at the epoch `ctx` is pinned to.
+pub(super) fn install(
+    ctx: &mut ExecCtx<'_>,
+    by_site: BTreeMap<SiteId, Vec<Fragment>>,
+) -> PaxResult<()> {
+    let requests = by_site
+        .into_iter()
+        .map(|(site, installs)| (site, ProtocolRequest::Refrag(MsgRefrag { installs })))
+        .collect();
+    for response in ctx.round(requests)?.into_values() {
+        response.into_refragged()?;
+    }
+    Ok(())
+}
