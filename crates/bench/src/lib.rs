@@ -1,31 +1,28 @@
-//! # paxml-bench — regenerating the paper's experimental study
+//! # paxml-bench — the paper's experimental study, read off the meters
 //!
-//! Three experiment drivers mirror §6 of the paper:
-//!
-//! * [`experiment1`] — evaluation time vs. number of fragments/machines
-//!   (Fig. 9), FT1 topology, constant cumulative data size;
-//! * [`experiment2`] — evaluation (parallel) time vs. cumulative data size
-//!   (Fig. 10), FT2 topology, queries Q1–Q4;
-//! * [`experiment3`] — *total* computation time vs. cumulative data size
-//!   (Fig. 11), same runs as Experiment 2 but summing per-site busy time.
+//! The library behind the `experiments` binary. Two drivers mirror §6 of
+//! the paper: [`experiment1`] (Fig. 9: evaluation time vs. number of
+//! fragments, FT1, constant cumulative size) and [`experiment2`] (Fig. 10
+//! *and* Fig. 11: parallel and total time vs. cumulative size, FT2, Q1–Q4 —
+//! one sweep, two figures). [`scenarios`] holds three serving scenarios
+//! beyond the paper for which the end-to-end benchmark (`BENCHMARK.json`,
+//! `benchmark/`) has no workload; every serving metric that has a name there
+//! is measured there, not here.
 //!
 //! Sizes are expressed in virtual megabytes (see `paxml-xmark`); by default
 //! the experiments use `1 vMB ≙ 20 paper-MB` so the paper's 100–280 MB
 //! x-axis becomes 5–14 vMB and a full sweep runs in seconds. The *shape* of
 //! every curve is what is being reproduced, not 2007 wall-clock numbers.
-//!
-//! The `experiments` binary prints each figure as an aligned table and a CSV
-//! block; the Criterion benches in `benches/` cover the same grid for
-//! statistically robust timing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod scenarios;
 
 use paxml_core::{server::PaxServer, Algorithm, ExecReport};
 use paxml_distsim::Placement;
 use paxml_fragment::FragmentedTree;
 use paxml_xmark::{ft1, ft2, PAPER_QUERIES};
-use std::time::Duration;
 
 /// Which algorithm/optimization combination a series describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -53,34 +50,27 @@ impl Series {
             Series::Naive => "Naive",
         }
     }
-
-    /// All partial-evaluation series.
-    pub fn pax_series() -> [Series; 4] {
-        [Series::Pax3Na, Series::Pax3Xa, Series::Pax2Na, Series::Pax2Xa]
-    }
-}
-
-impl Series {
-    /// The server algorithm and annotation flag this series stands for.
-    pub fn configuration(self) -> (Algorithm, bool) {
-        match self {
-            Series::Pax3Na => (Algorithm::PaX3, false),
-            Series::Pax3Xa => (Algorithm::PaX3, true),
-            Series::Pax2Na => (Algorithm::PaX2, false),
-            Series::Pax2Xa => (Algorithm::PaX2, true),
-            Series::Naive => (Algorithm::NaiveCentralized, false),
-        }
-    }
 }
 
 /// A [`PaxServer`] session for one series over a fresh deployment of the
 /// given fragmented document.
-pub fn server(series: Series, fragmented: &FragmentedTree, sites: usize) -> PaxServer {
-    let (algorithm, annotations) = series.configuration();
+pub fn server(
+    series: Series,
+    placement: Placement,
+    fragmented: &FragmentedTree,
+    sites: usize,
+) -> PaxServer {
+    let (algorithm, annotations) = match series {
+        Series::Pax3Na => (Algorithm::PaX3, false),
+        Series::Pax3Xa => (Algorithm::PaX3, true),
+        Series::Pax2Na => (Algorithm::PaX2, false),
+        Series::Pax2Xa => (Algorithm::PaX2, true),
+        Series::Naive => (Algorithm::NaiveCentralized, false),
+    };
     PaxServer::builder()
         .algorithm(algorithm)
         .annotations(annotations)
-        .placement(Placement::RoundRobin)
+        .placement(placement)
         .sites(sites)
         .deploy(fragmented)
         .expect("valid configuration")
@@ -90,10 +80,10 @@ pub fn server(series: Series, fragmented: &FragmentedTree, sites: usize) -> PaxS
 /// given fragmented document (one-shot, un-amortized — the classic
 /// per-query protocol the paper's experiments measure).
 pub fn run(series: Series, fragmented: &FragmentedTree, sites: usize, query: &str) -> ExecReport {
-    server(series, fragmented, sites).query_once(query).unwrap()
+    server(series, Placement::RoundRobin, fragmented, sites).query_once(query).unwrap()
 }
 
-/// One measured point of an experiment.
+/// One measured point of an experiment: a row of a figure.
 #[derive(Debug, Clone)]
 pub struct Point {
     /// Query name (Q1–Q4).
@@ -103,46 +93,20 @@ pub struct Point {
     /// X coordinate: fragment count (Experiment 1) or cumulative vMB
     /// (Experiments 2/3).
     pub x: f64,
-    /// Parallel (perceived) evaluation time.
-    pub parallel: Duration,
-    /// Total computation time summed over the sites.
-    pub total: Duration,
-    /// Total network traffic in bytes.
-    pub bytes: u64,
-    /// Deterministic parallel cost model (max per-site ops, summed over rounds).
-    pub parallel_ops: u64,
-    /// Deterministic total cost model (ops summed over all sites and rounds).
-    pub total_ops: u64,
-    /// Maximum visits any site received.
-    pub max_visits: u32,
-    /// Number of answers (sanity/selectivity check).
-    pub answers: usize,
-    /// Fragments that actually participated.
-    pub fragments_evaluated: usize,
+    /// The run's own meters: wall-clock times, the deterministic cost model,
+    /// traffic, visits, answers.
+    pub report: ExecReport,
 }
 
+/// Measure one of the paper's queries, by name, at x coordinate `x`.
 fn measure(
-    query_name: &'static str,
+    query: &'static str,
     series: Series,
     fragmented: &FragmentedTree,
     sites: usize,
-    query: &str,
     x: f64,
 ) -> Point {
-    let report = run(series, fragmented, sites, query);
-    Point {
-        query: query_name,
-        series,
-        x,
-        parallel: report.parallel_time(),
-        total: report.total_computation_time(),
-        bytes: report.network_bytes(),
-        parallel_ops: report.parallel_ops(),
-        total_ops: report.total_ops(),
-        max_visits: report.max_visits_per_site(),
-        answers: report.answers().len(),
-        fragments_evaluated: report.queries[0].fragments_evaluated,
-    }
+    Point { query, series, x, report: run(series, fragmented, sites, paper_query(query)) }
 }
 
 /// Look up one of the paper's queries (Fig. 7) by name (`"Q1"`…`"Q4"`).
@@ -162,29 +126,30 @@ pub fn experiment1(total_vmb: f64, max_fragments: usize, seed: u64) -> Vec<Point
     let mut points = Vec::new();
     for k in 1..=max_fragments.max(1) {
         let (_, fragmented) = ft1(k, total_vmb, seed);
-        let sites = k;
-        for series in [Series::Pax3Na, Series::Pax3Xa] {
-            points.push(measure("Q1", series, &fragmented, sites, paper_query("Q1"), k as f64));
-        }
-        for series in [Series::Pax3Na, Series::Pax2Na] {
-            points.push(measure("Q4", series, &fragmented, sites, paper_query("Q4"), k as f64));
+        for (query, series) in [
+            ("Q1", Series::Pax3Na),
+            ("Q1", Series::Pax3Xa),
+            ("Q4", Series::Pax3Na),
+            ("Q4", Series::Pax2Na),
+        ] {
+            points.push(measure(query, series, &fragmented, k, k as f64));
         }
     }
     points
 }
 
-/// Experiment 2 (Fig. 10): FT2 topology on 10 sites, cumulative size swept
-/// from `start_vmb` to `end_vmb` in `steps` steps; every query of Fig. 7 is
-/// measured for the series the corresponding sub-figure plots.
+/// Experiment 2 (Fig. 10 and Fig. 11): FT2 topology on 10 sites, cumulative
+/// size swept from `start_vmb` to `end_vmb` in `steps` steps; every query of
+/// Fig. 7 is measured for the series the corresponding sub-figure plots.
+/// Fig. 10 reads these runs' parallel time, Fig. 11 their total time.
 pub fn experiment2(start_vmb: f64, end_vmb: f64, steps: usize, seed: u64) -> Vec<Point> {
     let mut points = Vec::new();
     let steps = steps.max(2);
     for i in 0..steps {
         let vmb = start_vmb + (end_vmb - start_vmb) * i as f64 / (steps - 1) as f64;
         let (_, fragmented) = ft2(vmb, seed);
-        let sites = 10;
         // Fig. 10(a)/(b): Q1 and Q2, PaX3-NA vs PaX3-XA.
-        for (query_name, series) in [
+        for (query, series) in [
             ("Q1", Series::Pax3Na),
             ("Q1", Series::Pax3Xa),
             ("Q2", Series::Pax3Na),
@@ -197,85 +162,120 @@ pub fn experiment2(start_vmb: f64, end_vmb: f64, steps: usize, seed: u64) -> Vec
             ("Q4", Series::Pax3Na),
             ("Q4", Series::Pax2Na),
         ] {
-            points.push(measure(
-                query_name,
-                series,
-                &fragmented,
-                sites,
-                paper_query(query_name),
-                vmb,
-            ));
+            points.push(measure(query, series, &fragmented, 10, vmb));
         }
     }
     points
 }
 
-/// Experiment 3 (Fig. 11) uses exactly the same runs as Experiment 2 but
-/// reports the *total* computation time; callers can therefore reuse the
-/// points of [`experiment2`] — this function simply re-runs the sweep for
-/// callers that want an independent measurement.
-pub fn experiment3(start_vmb: f64, end_vmb: f64, steps: usize, seed: u64) -> Vec<Point> {
-    experiment2(start_vmb, end_vmb, steps, seed)
-}
-
-/// Format a set of points as an aligned table, one row per (query, series, x).
-pub fn format_table(title: &str, points: &[Point], x_label: &str) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("# {title}\n"));
-    out.push_str(&format!(
-        "{:<4} {:<9} {:>10} {:>14} {:>14} {:>13} {:>13} {:>10} {:>7} {:>8} {:>10}\n",
-        "qry",
-        "series",
-        x_label,
-        "parallel(ms)",
-        "total(ms)",
-        "parallel(ops)",
-        "total(ops)",
-        "bytes",
-        "visits",
-        "answers",
-        "fragments"
-    ));
-    for p in points {
-        out.push_str(&format!(
-            "{:<4} {:<9} {:>10.2} {:>14.3} {:>14.3} {:>13} {:>13} {:>10} {:>7} {:>8} {:>10}\n",
-            p.query,
-            p.series.label(),
-            p.x,
-            p.parallel.as_secs_f64() * 1e3,
-            p.total.as_secs_f64() * 1e3,
-            p.parallel_ops,
-            p.total_ops,
-            p.bytes,
-            p.max_visits,
-            p.answers,
-            p.fragments_evaluated,
-        ));
+/// Render rows of pre-formatted cells under `(heading, width)` columns as an
+/// aligned table: the first `left` columns left-aligned, the rest
+/// right-aligned. The one table layout of this crate.
+pub fn render_table(
+    title: &str,
+    columns: &[(&str, usize)],
+    left: usize,
+    rows: &[Vec<String>],
+) -> String {
+    let header: Vec<String> = columns.iter().map(|(heading, _)| heading.to_string()).collect();
+    let mut out = format!("# {title}\n");
+    for row in std::iter::once(&header).chain(rows) {
+        let cells = row.iter().zip(columns).enumerate().map(|(i, (cell, &(_, width)))| {
+            if i < left {
+                format!("{cell:<width$}")
+            } else {
+                format!("{cell:>width$}")
+            }
+        });
+        out.push_str(&cells.collect::<Vec<_>>().join(" "));
+        out.push('\n');
     }
     out
 }
 
+/// Render the rows as CSV under `header` (for plotting).
+pub fn render_csv(header: &[&str], rows: &[Vec<String>]) -> String {
+    let lines = rows.iter().map(|row| row.join(",") + "\n");
+    std::iter::once(header.join(",") + "\n").chain(lines).collect()
+}
+
+/// The columns of a [`Point`] report as `(table heading, width, CSV name)`;
+/// the third column is the x axis, named by the caller.
+const POINT_COLUMNS: [(&str, usize, &str); 11] = [
+    ("qry", 4, "query"),
+    ("series", 9, "series"),
+    ("x", 10, "x"),
+    ("parallel(ms)", 14, "parallel_ms"),
+    ("total(ms)", 14, "total_ms"),
+    ("parallel(ops)", 13, "parallel_ops"),
+    ("total(ops)", 13, "total_ops"),
+    ("bytes", 10, "bytes"),
+    ("visits", 7, "max_visits"),
+    ("answers", 8, "answers"),
+    ("fragments", 10, "fragments_evaluated"),
+];
+
+/// The cells of each point: times and x rounded for the table, exact for CSV.
+fn point_rows(points: &[Point], csv: bool) -> Vec<Vec<String>> {
+    let real = |value: f64, digits: usize| {
+        if csv {
+            value.to_string()
+        } else {
+            format!("{value:.digits$}")
+        }
+    };
+    let cells = |p: &Point| {
+        let report = &p.report;
+        vec![
+            p.query.to_string(),
+            p.series.label().to_string(),
+            real(p.x, 2),
+            real(report.parallel_time().as_secs_f64() * 1e3, 3),
+            real(report.total_computation_time().as_secs_f64() * 1e3, 3),
+            report.parallel_ops().to_string(),
+            report.total_ops().to_string(),
+            report.network_bytes().to_string(),
+            report.max_visits_per_site().to_string(),
+            report.answers().len().to_string(),
+            report.queries[0].fragments_evaluated.to_string(),
+        ]
+    };
+    points.iter().map(cells).collect()
+}
+
+/// Format a set of points as an aligned table, one row per (query, series, x).
+pub fn format_table(title: &str, points: &[Point], x_label: &str) -> String {
+    let mut columns = POINT_COLUMNS.map(|(heading, width, _)| (heading, width));
+    columns[2].0 = x_label;
+    render_table(title, &columns, 2, &point_rows(points, false))
+}
+
 /// Format a set of points as CSV (for plotting).
 pub fn format_csv(points: &[Point], x_label: &str) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "query,series,{x_label},parallel_ms,total_ms,parallel_ops,total_ops,bytes,max_visits,answers,fragments_evaluated\n"
-    ));
+    let mut header = POINT_COLUMNS.map(|(_, _, name)| name);
+    header[2] = x_label;
+    render_csv(&header, &point_rows(points, true))
+}
+
+/// One figure of the paper: per query in `points` (in order of first
+/// appearance) a sub-figure `(a)`, `(b)`, … titled
+/// `"{figure}({letter}) — {query} {caption}"`, as table then CSV. Fig. 10 and
+/// Fig. 11 are two captions over the same [`experiment2`] points.
+pub fn format_figure(points: &[Point], figure: &str, caption: &str, x_label: &str) -> String {
+    let mut queries: Vec<&str> = Vec::new();
     for p in points {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{}\n",
-            p.query,
-            p.series.label(),
-            p.x,
-            p.parallel.as_secs_f64() * 1e3,
-            p.total.as_secs_f64() * 1e3,
-            p.parallel_ops,
-            p.total_ops,
-            p.bytes,
-            p.max_visits,
-            p.answers,
-            p.fragments_evaluated,
-        ));
+        if !queries.contains(&p.query) {
+            queries.push(p.query);
+        }
+    }
+    let mut out = String::new();
+    for (letter, query) in ('a'..).zip(queries) {
+        let rows: Vec<Point> = points.iter().filter(|p| p.query == query).cloned().collect();
+        let title = format!("{figure}({letter}) — {query} {caption}");
+        out.push_str(&format_table(&title, &rows, x_label));
+        out.push('\n');
+        out.push_str(&format_csv(&rows, x_label));
+        out.push('\n');
     }
     out
 }
@@ -304,16 +304,16 @@ mod tests {
         // 3 fragment counts × (2 series for Q1 + 2 series for Q4).
         assert_eq!(points.len(), 12);
         for p in &points {
-            assert!(p.max_visits <= 3);
+            assert!(p.report.max_visits_per_site() <= 3);
             if p.query == "Q1" {
-                assert!(p.answers > 0, "Q1 must select persons");
+                assert!(!p.report.answers().is_empty(), "Q1 must select persons");
             }
         }
         // All series agree on the answer count for a given query and x.
         for k in 1..=3 {
             let q1: Vec<&Point> =
                 points.iter().filter(|p| p.query == "Q1" && p.x == k as f64).collect();
-            assert!(q1.windows(2).all(|w| w[0].answers == w[1].answers));
+            assert!(q1.windows(2).all(|w| w[0].report.answers() == w[1].report.answers()));
         }
         let table = format_table("experiment 1", &points, "fragments");
         assert!(table.contains("PaX3-XA"));
@@ -332,11 +332,30 @@ mod tests {
         for q in ["Q1", "Q2", "Q3", "Q4"] {
             let xs: Vec<f64> = points.iter().filter(|p| p.query == q).map(|p| p.x).collect();
             for &x in &xs {
-                let answers: Vec<usize> =
-                    points.iter().filter(|p| p.query == q && p.x == x).map(|p| p.answers).collect();
+                let answers: Vec<_> = points
+                    .iter()
+                    .filter(|p| p.query == q && p.x == x)
+                    .map(|p| p.report.answers())
+                    .collect();
                 assert!(answers.windows(2).all(|w| w[0] == w[1]), "answer mismatch for {q} at {x}");
             }
         }
+    }
+
+    #[test]
+    fn fig10_and_fig11_are_two_captions_over_the_same_runs() {
+        let points = experiment2(0.4, 0.8, 2, 7);
+        let fig10 = format_figure(&points, "Figure 10", "parallel evaluation time", "vMB");
+        let fig11 = format_figure(&points, "Figure 11", "total computation time", "vMB");
+        assert_eq!(fig10.matches("# Figure 10(").count(), 4, "sub-figures (a)-(d)");
+        assert!(fig11.contains("# Figure 11(d) — Q4 total computation time"));
+        // Below the titles the two figures are identical down to the
+        // wall-clock columns, which two separate sweeps could never be.
+        let body = |figure: &str| -> Vec<String> {
+            figure.lines().filter(|l| !l.starts_with('#')).map(String::from).collect()
+        };
+        assert_eq!(body(&fig10), body(&fig11));
+        assert_eq!(fig11.lines().filter(|l| l.starts_with("Q3,")).count(), 6);
     }
 
     #[test]
@@ -349,6 +368,7 @@ mod tests {
         assert!(!na.is_empty() && !xa.is_empty());
         // The XA run touches fewer fragments (the regions / auctions
         // sub-fragments are pruned), hence less total work.
-        assert!(xa[0].fragments_evaluated < na[0].fragments_evaluated);
+        let evaluated = |p: &Point| p.report.queries[0].fragments_evaluated;
+        assert!(evaluated(xa[0]) < evaluated(na[0]));
     }
 }

@@ -72,7 +72,7 @@ pub use server::{
     RetryPolicy, ServerStats, SiteLoad, TopologyChange,
 };
 pub use transport::{
-    dispatch, EpochRequest, ProtocolRequest, ProtocolResponse, TcpOptions, Transport, VacuumOutcome,
+    dispatch, EpochRequest, ProtocolRequest, ProtocolResponse, Transport, VacuumOutcome,
 };
 pub use vars::{PaxVar, QualVecKind};
 

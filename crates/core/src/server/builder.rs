@@ -5,7 +5,6 @@ use super::{PaxServer, RetryPolicy};
 use crate::deployment::Deployment;
 use crate::error::{PaxError, PaxResult};
 use crate::report::Algorithm;
-use crate::transport::TcpOptions;
 use crate::EvalOptions;
 use paxml_distsim::{Cluster, Placement, SiteId};
 use paxml_fragment::{FragmentId, FragmentedTree};
@@ -28,7 +27,6 @@ pub struct PaxServerBuilder {
     site_delays: BTreeMap<SiteId, Duration>,
     auto_vacuum_threshold: Option<u64>,
     retry_policy: RetryPolicy,
-    tcp_options: TcpOptions,
 }
 
 impl Default for PaxServerBuilder {
@@ -44,7 +42,6 @@ impl Default for PaxServerBuilder {
             site_delays: BTreeMap::new(),
             auto_vacuum_threshold: None,
             retry_policy: RetryPolicy::default(),
-            tcp_options: TcpOptions::default(),
         }
     }
 }
@@ -98,15 +95,6 @@ impl PaxServerBuilder {
     /// [`RetryPolicy::default`]).
     pub fn retry_policy(mut self, policy: RetryPolicy) -> Self {
         self.retry_policy = policy;
-        self
-    }
-
-    /// Socket tuning for TCP transports: read timeout, connect-retry
-    /// schedule, probe budget (default [`TcpOptions::default`]). Applied by
-    /// [`PaxServerBuilder::deploy_over`]; the in-process simulator ignores
-    /// it.
-    pub fn tcp_options(mut self, options: TcpOptions) -> Self {
-        self.tcp_options = options;
         self
     }
 
@@ -175,15 +163,14 @@ impl PaxServerBuilder {
     /// [`sequential`](PaxServerBuilder::sequential) and
     /// [`site_delay`](PaxServerBuilder::site_delay) — do not apply here and
     /// are ignored; [`algorithm`](PaxServerBuilder::algorithm),
-    /// [`annotations`](PaxServerBuilder::annotations),
-    /// [`retry_policy`](PaxServerBuilder::retry_policy) and
-    /// [`tcp_options`](PaxServerBuilder::tcp_options) take effect.
+    /// [`annotations`](PaxServerBuilder::annotations) and
+    /// [`retry_policy`](PaxServerBuilder::retry_policy) take effect. Socket
+    /// tuning belongs to the transport's own constructor.
     pub fn deploy_over(
         self,
         fragmented: &FragmentedTree,
         transport: Arc<dyn crate::transport::Transport>,
     ) -> PaxResult<PaxServer> {
-        transport.configure_tcp(&self.tcp_options);
         let (current, epochs) = initial_epoch();
         Ok(PaxServer {
             deployment: Deployment::over_transport(fragmented, transport),

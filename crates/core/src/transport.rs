@@ -41,7 +41,6 @@ use paxml_distsim::{
 use paxml_fragment::{Fragment, FragmentId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 /// The envelope every coordinator→site message travels in: a protocol body
 /// plus the deployment epoch the visit is pinned to and a retirement
@@ -272,43 +271,6 @@ impl ProtocolResponse {
     }
 }
 
-/// Socket-level tuning for remote transports, threaded from
-/// `PaxServerBuilder::tcp_options` down to `paxml-wire`'s `TcpCluster`
-/// through [`Transport::configure_tcp`]. The defaults are the values that
-/// used to be hard-coded consts in `crates/wire/src/tcp.rs`; in-process
-/// transports ignore all of them.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TcpOptions {
-    /// Per-read deadline on every site socket: a site that accepts the
-    /// connection but never replies fails the round after this long instead
-    /// of hanging the coordinator.
-    pub read_timeout: Duration,
-    /// How many times to retry the initial connect to a site before giving
-    /// up (site processes come up asynchronously).
-    pub connect_attempts: u32,
-    /// Linear backoff increment between connect attempts.
-    pub connect_backoff_step: Duration,
-    /// Ceiling on the per-attempt connect backoff.
-    pub connect_backoff_cap: Duration,
-    /// How many connect attempts a liveness *probe* makes before declaring
-    /// the site still dead. Deliberately much smaller than
-    /// `connect_attempts`: probes run on the serving path when a
-    /// quarantined site comes up for readmission, and must answer fast.
-    pub probe_attempts: u32,
-}
-
-impl Default for TcpOptions {
-    fn default() -> Self {
-        TcpOptions {
-            read_timeout: Duration::from_secs(30),
-            connect_attempts: 40,
-            connect_backoff_step: Duration::from_millis(5),
-            connect_backoff_cap: Duration::from_millis(150),
-            probe_attempts: 2,
-        }
-    }
-}
-
 /// The error the round gate raises when the installed
 /// [`FaultPlan`](paxml_distsim::FaultPlan) refuses to deliver a round. One
 /// function for every transport (only `peer`, from [`Transport::peer`],
@@ -378,10 +340,6 @@ pub trait Transport: Send + Sync {
     fn link_alive(&self, _site: SiteId) -> bool {
         true
     }
-
-    /// Apply socket-level tuning. In-process transports have no sockets and
-    /// ignore it.
-    fn configure_tcp(&self, _options: &TcpOptions) {}
 
     /// Drop every site's scratch state.
     fn reset(&self);

@@ -27,10 +27,11 @@
 //! serving path.
 //!
 //! Socket knobs (read timeout, connect/probe backoff) live in
-//! [`TcpOptions`], threaded from `PaxServerBuilder::tcp_options` through
-//! [`Transport::configure_tcp`]. Injected faults never reach this module:
-//! the deployment's round gate refuses a scheduled round before `deliver`
-//! is called, on this transport exactly as on the simulator.
+//! [`TcpOptions`], fixed when the cluster is constructed
+//! ([`TcpCluster::connect_with_replicas`]). Injected faults never reach
+//! this module: the deployment's round gate refuses a scheduled round
+//! before `deliver` is called, on this transport exactly as on the
+//! simulator.
 //!
 //! # Accounting
 //!
@@ -47,7 +48,7 @@
 
 use crate::codec;
 use crate::msg::{self, WireReply, WireRequest};
-use paxml_core::{EpochRequest, PaxError, PaxResult, ProtocolResponse, TcpOptions, Transport};
+use paxml_core::{EpochRequest, PaxError, PaxResult, ProtocolResponse, Transport};
 use paxml_distsim::{
     clamp_assignment, Delivery, Placement, ReplicaSet, SiteId, SiteLoadReport, SiteWork,
 };
@@ -57,6 +58,41 @@ use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
+
+/// Socket-level tuning of a [`TcpCluster`], fixed at construction
+/// ([`TcpCluster::connect_with_replicas`]; the other constructors use the
+/// defaults).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TcpOptions {
+    /// Per-read deadline on every site socket: a site that accepts the
+    /// connection but never replies fails the round after this long instead
+    /// of hanging the coordinator.
+    pub read_timeout: Duration,
+    /// How many times to retry the initial connect to a site before giving
+    /// up (site processes come up asynchronously).
+    pub connect_attempts: u32,
+    /// Linear backoff increment between connect attempts.
+    pub connect_backoff_step: Duration,
+    /// Ceiling on the per-attempt connect backoff.
+    pub connect_backoff_cap: Duration,
+    /// How many connect attempts a liveness *probe* makes before declaring
+    /// the site still dead. Deliberately much smaller than
+    /// `connect_attempts`: probes run on the serving path when a
+    /// quarantined site comes up for readmission, and must answer fast.
+    pub probe_attempts: u32,
+}
+
+impl Default for TcpOptions {
+    fn default() -> Self {
+        TcpOptions {
+            read_timeout: Duration::from_secs(30),
+            connect_attempts: 40,
+            connect_backoff_step: Duration::from_millis(5),
+            connect_backoff_cap: Duration::from_millis(150),
+            probe_attempts: 2,
+        }
+    }
+}
 
 /// One site's connection: alive, or dead with the error that killed it.
 struct Connection {
@@ -91,9 +127,8 @@ pub struct TcpCluster {
     /// Serializes rounds and control operations: per-connection streams
     /// must not interleave messages of concurrent rounds.
     round_lock: Mutex<()>,
-    /// Socket tuning, replaceable after construction via
-    /// [`Transport::configure_tcp`] (the builder applies it at deploy time).
-    options: Mutex<TcpOptions>,
+    /// Socket tuning: the initial dial used it, probe redials reuse it.
+    options: TcpOptions,
 }
 
 impl TcpCluster {
@@ -174,16 +209,12 @@ impl TcpCluster {
             addrs: addrs.to_vec(),
             assignment,
             round_lock: Mutex::new(()),
-            options: Mutex::new(options),
+            options,
         })
     }
 
     fn lock_conn(&self, site: SiteId) -> MutexGuard<'_, Connection> {
         self.conns[site.index()].lock().expect("connection locks are never poisoned")
-    }
-
-    fn lock_options(&self) -> MutexGuard<'_, TcpOptions> {
-        self.options.lock().expect("the options lock is never poisoned")
     }
 
     fn addr(&self, site: SiteId) -> SocketAddr {
@@ -405,8 +436,7 @@ impl Transport for TcpCluster {
             // server's repair pass re-ships its fragments before readmitting
             // it to the serving path.
             Err(_) => {
-                let options = self.lock_options().clone();
-                match connect_with_retry(site, peer, &options, options.probe_attempts) {
+                match connect_with_retry(site, peer, &self.options, self.options.probe_attempts) {
                     Ok(mut stream) => match handshake(&mut stream, site, Vec::new()) {
                         Ok(()) => {
                             conn.stream = Ok(stream);
@@ -416,18 +446,6 @@ impl Transport for TcpCluster {
                     },
                     Err(_) => false,
                 }
-            }
-        }
-    }
-
-    fn configure_tcp(&self, options: &TcpOptions) {
-        *self.lock_options() = options.clone();
-        // The read timeout guards already-established streams too: apply it
-        // retroactively so a deploy-time option reaches every connection.
-        for conn in &self.conns {
-            let mut conn = conn.lock().expect("connection locks are never poisoned");
-            if let Ok(stream) = &mut conn.stream {
-                let _ = stream.set_read_timeout(Some(options.read_timeout));
             }
         }
     }

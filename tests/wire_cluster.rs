@@ -13,10 +13,10 @@
 //! Every test body runs under a watchdog so a transport hang fails the
 //! test instead of wedging the suite.
 
-use paxml::core::{RetryPolicy, TcpOptions};
+use paxml::core::RetryPolicy;
 use paxml::prelude::*;
 use paxml::wire::msg::{self, WireReply, WireRequest};
-use paxml::wire::{ProcessCluster, SiteServer, TcpCluster};
+use paxml::wire::{ProcessCluster, SiteServer, TcpCluster, TcpOptions};
 use paxml_distsim::{ClusterStats, Placement, SiteId};
 use paxml_xmark::{clientele_fragmentation, ft1, UpdateWorkload, PAPER_QUERIES};
 use std::net::{SocketAddr, TcpListener};
@@ -269,17 +269,17 @@ fn a_hung_site_trips_the_deadline_and_fails_over() {
                 let _ = site.run();
             });
         }
-        let transport = Arc::new(
-            TcpCluster::connect_replicated(&fragmented, &addrs, Placement::RoundRobin, 2)
-                .expect("connect (the hung site still answers the handshake)"),
-        );
         let options =
             TcpOptions { read_timeout: Duration::from_millis(300), ..TcpOptions::default() };
+        let replicas = Placement::RoundRobin.replica_sets(&fragmented, addrs.len(), 2);
+        let transport = Arc::new(
+            TcpCluster::connect_with_replicas(&fragmented, &addrs, replicas, options)
+                .expect("connect (the hung site still answers the handshake)"),
+        );
 
         // One attempt, no failover: the deadline itself is under test.
         let strict = PaxServer::builder()
             .algorithm(Algorithm::PaX2)
-            .tcp_options(options.clone())
             .retry_policy(RetryPolicy { max_attempts: 1, ..RetryPolicy::default() })
             .deploy_over(&fragmented, transport.clone())
             .expect("deploy the single-attempt server");
@@ -311,7 +311,6 @@ fn a_hung_site_trips_the_deadline_and_fails_over() {
         // answers match the fault-free reference bit for bit.
         let server = PaxServer::builder()
             .algorithm(Algorithm::PaX2)
-            .tcp_options(options)
             .deploy_over(&fragmented, transport)
             .expect("deploy the failover server");
         let report = server.query_once(query).expect("failover must answer");
