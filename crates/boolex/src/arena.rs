@@ -2,7 +2,7 @@
 //! representation of the evaluation kernel.
 //!
 //! [`crate::BoolExpr`] is a pointer tree (`Box`/`Vec` per node); every
-//! `assign`/`substitute` walks and *re-allocates* the whole tree, and every
+//! `assign` walks and *re-allocates* the whole tree, and every
 //! `or_all`/`and_all` deep-clones operands into a dedup set. Near virtual
 //! nodes — the only places where formulas actually occur — the same `O(k)`
 //! sub-formulas are combined over and over, so the tree representation pays
@@ -10,9 +10,9 @@
 //!
 //! [`FormulaArena`] stores every distinct sub-formula **once** as an
 //! interned node addressed by a 4-byte [`ExprId`]. Structural sharing makes
-//! equality a integer compare, deduplication a sort of ids, and
-//! `assign`/`substitute` memoizable per node: each distinct sub-formula is
-//! rewritten at most once per environment no matter how often it is shared.
+//! equality a integer compare, deduplication a sort of ids, and `assign`
+//! memoizable per node: each distinct sub-formula is rewritten at most once
+//! per environment no matter how often it is shared.
 //!
 //! Constants are the two fixed ids [`ExprId::FALSE`] and [`ExprId::TRUE`];
 //! the simplifying constructors fold constants eagerly (exactly like the
@@ -237,47 +237,6 @@ impl<V: Clone + Eq + Hash + Ord> FormulaArena<V> {
         result
     }
 
-    /// Substitute *formulas* (arena ids) for the ids listed in `map` —
-    /// general unification. Typically the keys are variable ids, as in the
-    /// PaX2 local-placeholder unification. Like [`FormulaArena::assign`],
-    /// each distinct sub-formula is rewritten at most once per `memo`.
-    pub fn substitute_ids(
-        &mut self,
-        id: ExprId,
-        map: &HashMap<ExprId, ExprId>,
-        memo: &mut HashMap<ExprId, ExprId>,
-    ) -> ExprId {
-        if let Some(&mapped) = map.get(&id) {
-            return mapped;
-        }
-        if id.is_const() {
-            return id;
-        }
-        if let Some(&done) = memo.get(&id) {
-            return done;
-        }
-        let result = match self.nodes[id.0 as usize].clone() {
-            Node::Const(b) => ExprId::of_const(b),
-            Node::Var(_) => id,
-            Node::Not(inner) => {
-                let inner = self.substitute_ids(inner, map, memo);
-                self.not(inner)
-            }
-            Node::And(ops) => {
-                let mapped: Vec<ExprId> =
-                    ops.iter().map(|&op| self.substitute_ids(op, map, memo)).collect();
-                self.and_all(mapped)
-            }
-            Node::Or(ops) => {
-                let mapped: Vec<ExprId> =
-                    ops.iter().map(|&op| self.substitute_ids(op, map, memo)).collect();
-                self.or_all(mapped)
-            }
-        };
-        memo.insert(id, result);
-        result
-    }
-
     /// Import a [`BoolExpr`] tree (re-simplifying through the interning
     /// constructors; constants cost nothing).
     pub fn from_expr(&mut self, expr: &BoolExpr<V>) -> ExprId {
@@ -389,21 +348,6 @@ mod tests {
         let mut memo2 = HashMap::new();
         let all = arena.assign(f, &|_| Some(true), &mut memo2);
         assert_eq!(all, ExprId::FALSE);
-    }
-
-    #[test]
-    fn substitute_ids_performs_local_unification() {
-        // The PaX2 pattern: placeholder qz ↦ computed value y₈.
-        let mut arena = Arena::new();
-        let qz = arena.var("qz");
-        let z = arena.var("z");
-        let y8 = arena.var("y8");
-        let f = arena.and(z, qz);
-        let map = HashMap::from([(qz, y8)]);
-        let mut memo = HashMap::new();
-        let g = arena.substitute_ids(f, &map, &mut memo);
-        let expected = arena.and(z, y8);
-        assert_eq!(g, expected);
     }
 
     #[test]

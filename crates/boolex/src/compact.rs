@@ -15,7 +15,6 @@
 use crate::bits::BitVector;
 use crate::env::Assignment;
 use crate::expr::BoolExpr;
-use crate::vector::FormulaVector;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::hash::Hash;
@@ -204,16 +203,6 @@ impl<V: Clone + Eq + Ord + Hash> CompactVector<V> {
             CompactVector::Formulas(f) => f.iter().map(BoolExpr::size).sum(),
         }
     }
-
-    /// Convert to the legacy formula-per-entry representation.
-    pub fn to_formula_vector(&self) -> FormulaVector<V> {
-        FormulaVector::from_entries((0..self.len()).map(|i| self.expr(i)).collect())
-    }
-
-    /// Convert from the legacy formula-per-entry representation.
-    pub fn from_formula_vector(vector: &FormulaVector<V>) -> Self {
-        Self::from_exprs(vector.iter().cloned().collect())
-    }
 }
 
 #[cfg(test)]
@@ -272,19 +261,5 @@ mod tests {
         assert_eq!(bits.to_bools(), vec![false, false, false]);
         let bits = v.resolve_bits(&|_| Some(true));
         assert_eq!(bits.to_bools(), vec![true, true, true]);
-    }
-
-    #[test]
-    fn formula_vector_round_trip() {
-        let mut fv: FormulaVector<&'static str> = FormulaVector::all_false(4);
-        fv.set(1, BoolExpr::var("a"));
-        let cv = CV::from_formula_vector(&fv);
-        assert!(matches!(cv, CompactVector::Formulas(_)));
-        assert_eq!(cv.to_formula_vector(), fv);
-        // A constant formula vector normalizes to bits.
-        let constant: FormulaVector<&'static str> = FormulaVector::all_true(4);
-        let cv = CV::from_formula_vector(&constant);
-        assert!(matches!(cv, CompactVector::Bits(_)));
-        assert_eq!(cv.last_expr(), BoolExpr::Const(true));
     }
 }

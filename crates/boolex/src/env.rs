@@ -1,6 +1,5 @@
-//! Variable environments: truth-value assignments and formula substitutions.
+//! Variable environments: truth-value assignments.
 
-use crate::expr::BoolExpr;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::hash::Hash;
@@ -68,59 +67,6 @@ impl<V: Clone + Eq + Ord + Hash> Assignment<V> {
     }
 }
 
-/// A mapping from variables to *formulas* — the general form of unification
-/// performed by `evalFT` when the vector received from a sub-fragment still
-/// contains that sub-fragment's own variables.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Substitution<V: Ord> {
-    values: BTreeMap<V, BoolExpr<V>>,
-}
-
-impl<V: Ord> Default for Substitution<V> {
-    fn default() -> Self {
-        Substitution { values: BTreeMap::new() }
-    }
-}
-
-impl<V: Clone + Eq + Ord + Hash> Substitution<V> {
-    /// An empty substitution.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Bind `var` to `formula`, replacing any previous binding.
-    pub fn set(&mut self, var: V, formula: BoolExpr<V>) {
-        self.values.insert(var, formula);
-    }
-
-    /// Look up a variable.
-    pub fn get(&self, var: &V) -> Option<&BoolExpr<V>> {
-        self.values.get(var)
-    }
-
-    /// Is the substitution empty?
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Number of bound variables.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Iterate over the bindings in variable order.
-    pub fn iter(&self) -> impl Iterator<Item = (&V, &BoolExpr<V>)> {
-        self.values.iter()
-    }
-
-    /// Convert an [`Assignment`] into the equivalent constant substitution.
-    pub fn from_assignment(assignment: &Assignment<V>) -> Self {
-        Substitution {
-            values: assignment.iter().map(|(k, v)| (k.clone(), BoolExpr::Const(v))).collect(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,27 +95,5 @@ mod tests {
         let a = Assignment::from_iter(vec![("b", false), ("a", true)]);
         let collected: Vec<_> = a.iter().map(|(k, v)| (*k, v)).collect();
         assert_eq!(collected, vec![("a", true), ("b", false)]);
-    }
-
-    #[test]
-    fn substitution_binds_formulas() {
-        let mut s: Substitution<&str> = Substitution::new();
-        assert!(s.is_empty());
-        s.set("x4", BoolExpr::var("cx3"));
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.get(&"x4"), Some(&BoolExpr::var("cx3")));
-        assert_eq!(s.get(&"other"), None);
-    }
-
-    #[test]
-    fn substitution_from_assignment_is_constant() {
-        let mut a: Assignment<&str> = Assignment::new();
-        a.set("p", true);
-        a.set("q", false);
-        let s = Substitution::from_assignment(&a);
-        assert_eq!(s.get(&"p"), Some(&BoolExpr::Const(true)));
-        assert_eq!(s.get(&"q"), Some(&BoolExpr::Const(false)));
-        let iterated: Vec<_> = s.iter().map(|(k, _)| *k).collect();
-        assert_eq!(iterated, vec!["p", "q"]);
     }
 }

@@ -1,6 +1,6 @@
 //! Boolean formulas over generic variables, with simplifying constructors.
 
-use crate::env::{Assignment, Substitution};
+use crate::env::Assignment;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -296,21 +296,6 @@ impl<V: Clone + Eq + Ord + Hash> BoolExpr<V> {
         }
     }
 
-    /// Substitute *formulas* for variables (general unification), leaving
-    /// unmapped variables symbolic, and re-simplify.
-    pub fn substitute(&self, env: &Substitution<V>) -> BoolExpr<V> {
-        match self {
-            BoolExpr::Const(b) => BoolExpr::Const(*b),
-            BoolExpr::Var(v) => match env.get(v) {
-                Some(f) => f.clone(),
-                None => BoolExpr::Var(v.clone()),
-            },
-            BoolExpr::Not(f) => Self::not(f.substitute(env)),
-            BoolExpr::And(fs) => Self::and_all(fs.iter().map(|f| f.substitute(env))),
-            BoolExpr::Or(fs) => Self::or_all(fs.iter().map(|f| f.substitute(env))),
-        }
-    }
-
     /// Rename every variable through `f`, preserving structure.
     pub fn map_vars<W, F>(&self, f: &F) -> BoolExpr<W>
     where
@@ -449,21 +434,6 @@ mod tests {
         let mut env2 = Assignment::new();
         env2.set("z1", true);
         assert_eq!(g.assign(&env2), E::constant(true));
-    }
-
-    #[test]
-    fn substitute_formulas_for_variables() {
-        // The paper's Example 3.1: x4 (qualifier value at virtual node F1)
-        // is unified with cx3 (child vector entry of F1's root).
-        let x4 = E::var("x4");
-        let mut sub = Substitution::new();
-        sub.set("x4", E::var("cx3"));
-        assert_eq!(x4.substitute(&sub), E::var("cx3"));
-        // Substitution simplifies: x ∧ f where f ↦ true collapses.
-        let f = E::and(E::var("x"), E::var("q"));
-        let mut sub = Substitution::new();
-        sub.set("q", E::constant(true));
-        assert_eq!(f.substitute(&sub), E::var("x"));
     }
 
     #[test]

@@ -15,19 +15,20 @@
 //!   simplifying smart constructors so that fully-known sub-results collapse
 //!   to constants immediately (this is what keeps the vectors shipped between
 //!   sites of size `O(|Q|)`).
-//! * [`Assignment`] / [`Substitution`] — environments mapping variables to
-//!   truth values or to other formulas, used by `evalFT` when unifying the
-//!   variables of a parent fragment with the vectors received from its
-//!   sub-fragments.
-//! * [`FormulaVector`] — a fixed-length vector of formulas: the `QV`/`QCV`/
-//!   `QDV`/`SV` vectors of the paper.
-//! * [`BitVector`] / [`CompactVector`] — the two-tier vector representation:
-//!   packed `u64` words while every entry is a known constant (the
-//!   overwhelmingly common case, and the only case a variable-free leaf
-//!   fragment ever ships), explicit formulas once a variable appears.
+//! * [`Assignment`] — an environment mapping variables to truth values, used
+//!   by `evalFT` when unifying the variables of a parent fragment with the
+//!   vectors received from its sub-fragments. Truth-value assignment is the
+//!   only operation on a finished formula: nothing substitutes a formula for
+//!   a variable.
+//! * [`BitVector`] / [`CompactVector`] — the paper's `QV`/`QDV`/`SV` vectors
+//!   in a two-tier representation: packed `u64` words while every entry is a
+//!   known constant (the overwhelmingly common case, and the only case a
+//!   variable-free leaf fragment ever ships), explicit formulas once a
+//!   variable appears.
 //! * [`FormulaArena`] / [`ExprId`] — a hash-consing arena interning every
 //!   distinct sub-formula once, so the evaluation kernel's symbolic path
-//!   combines, assigns and substitutes formulas without cloning subtrees.
+//!   combines and assigns formulas without cloning subtrees. A site visit
+//!   builds every residual formula in one arena.
 //!
 //! ```
 //! use paxml_boolex::{BoolExpr, Assignment};
@@ -48,11 +49,9 @@ mod bits;
 mod compact;
 mod env;
 mod expr;
-mod vector;
 
 pub use arena::{ExprId, FormulaArena};
 pub use bits::BitVector;
 pub use compact::CompactVector;
-pub use env::{Assignment, Substitution};
+pub use env::Assignment;
 pub use expr::BoolExpr;
-pub use vector::FormulaVector;

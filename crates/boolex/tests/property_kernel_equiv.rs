@@ -1,13 +1,13 @@
 //! Property tests: the interned-arena / compact-vector kernel is
-//! semantically identical to the legacy `BoolExpr`/`FormulaVector`
-//! representation on random formulas.
+//! semantically identical to the reference `BoolExpr` trees (one per vector
+//! entry) on random formulas.
 //!
-//! Every operation pair (build, n-ary connectives, assign, substitute,
-//! vector assign) is checked by evaluating both results under *every* total
+//! Every operation pair (build, n-ary connectives, assign, vector assign) is
+//! checked by evaluating both results under *every* total
 //! assignment of the variable universe — bit-identical truth tables, not
 //! just structural plausibility.
 
-use paxml_boolex::{Assignment, BoolExpr, CompactVector, ExprId, FormulaArena, FormulaVector};
+use paxml_boolex::{Assignment, BoolExpr, CompactVector, ExprId, FormulaArena};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -89,43 +89,20 @@ proptest! {
     }
 
     #[test]
-    fn arena_substitution_matches_bool_expr_substitution(
-        e in arb_expr(),
-        replacement in arb_expr(),
-        var in 0..VARS,
-    ) {
-        // Legacy: substitute `replacement` for `var` as a formula.
-        let mut sub = paxml_boolex::Substitution::new();
-        sub.set(var, replacement.clone());
-        let legacy = e.substitute(&sub);
-
-        let mut arena: FormulaArena<u8> = FormulaArena::new();
-        let id = arena.from_expr(&e);
-        let var_id = arena.var(var);
-        let repl_id = arena.from_expr(&replacement);
-        let map = HashMap::from([(var_id, repl_id)]);
-        let mut memo = HashMap::new();
-        let substituted = arena.substitute_ids(id, &map, &mut memo);
-
-        prop_assert_eq!(truth_table(&arena.to_expr(substituted)), truth_table(&legacy));
-    }
-
-    #[test]
     fn compact_vector_matches_formula_vector(
         entries in prop::collection::vec(arb_expr(), 1..6),
         assigned_mask in 0u32..1 << VARS,
         values in 0u32..1 << VARS,
     ) {
-        let legacy = FormulaVector::from_entries(entries.clone());
         let compact = CompactVector::from_exprs(entries.clone());
-        prop_assert_eq!(compact.len(), legacy.len());
+        prop_assert_eq!(compact.len(), entries.len());
 
         // Canonical form: bits iff every entry is constant.
         let all_const = entries.iter().all(|e| e.as_const().is_some());
         prop_assert_eq!(matches!(compact, CompactVector::Bits(_)), all_const);
 
-        for i in 0..legacy.len() {
-            prop_assert_eq!(truth_table(&compact.expr(i)), truth_table(legacy.get(i)));
+        for (i, entry) in entries.iter().enumerate() {
+            prop_assert_eq!(truth_table(&compact.expr(i)), truth_table(entry));
         }
 
         // Assignment agrees entry-wise and re-canonicalizes.
@@ -135,17 +112,14 @@ proptest! {
         let env = Assignment::from_iter(
             (0..VARS).filter_map(|v| lookup(&v).map(|value| (v, value))),
         );
-        let legacy_assigned = legacy.assign(&env);
+        let entries_assigned: Vec<E> = entries.iter().map(|e| e.assign(&env)).collect();
         let compact_assigned = compact.assign_with(&lookup);
-        for i in 0..legacy.len() {
-            prop_assert_eq!(
-                truth_table(&compact_assigned.expr(i)),
-                truth_table(legacy_assigned.get(i))
-            );
+        for (i, entry) in entries_assigned.iter().enumerate() {
+            prop_assert_eq!(truth_table(&compact_assigned.expr(i)), truth_table(entry));
         }
         prop_assert_eq!(
             matches!(compact_assigned, CompactVector::Bits(_)),
-            legacy_assigned.is_fully_resolved(),
+            entries_assigned.iter().all(|e| e.as_const().is_some()),
             "assign must demote to bits exactly when fully resolved"
         );
     }

@@ -1,9 +1,9 @@
 //! Property-based tests of the residual-formula engine: the simplifying
 //! constructors must never change the *meaning* of a formula, and
-//! substitution must commute with evaluation. These invariants are what the
+//! assignment must commute with evaluation. These invariants are what the
 //! correctness of the whole partial-evaluation pipeline rests on.
 
-use paxml_boolex::{Assignment, BoolExpr, FormulaVector, Substitution};
+use paxml_boolex::{Assignment, BoolExpr, CompactVector};
 use proptest::prelude::*;
 
 type Var = u8;
@@ -93,14 +93,6 @@ proptest! {
     }
 
     #[test]
-    fn substitution_respects_composition(e in expr_strategy(), env in assignment_strategy()) {
-        // Substituting formulas that are themselves constants behaves like a
-        // plain assignment.
-        let sub = Substitution::from_assignment(&env);
-        prop_assert_eq!(e.substitute(&sub).as_const(), Some(naive_eval(&e, &env)));
-    }
-
-    #[test]
     fn simplification_never_grows_formulas(e in expr_strategy()) {
         // The smart constructors only ever shrink or keep the size — the
         // property behind the O(|Q|) message-size bound.
@@ -121,10 +113,10 @@ proptest! {
         entries in prop::collection::vec(expr_strategy(), 1..6),
         env in assignment_strategy(),
     ) {
-        let vector = FormulaVector::from_entries(entries.clone());
+        let vector = CompactVector::from_exprs(entries.clone());
         let assigned = vector.assign(&env);
         for (i, entry) in entries.iter().enumerate() {
-            prop_assert_eq!(assigned[i].clone(), entry.assign(&env));
+            prop_assert_eq!(assigned.expr(i), entry.assign(&env));
         }
         prop_assert!(assigned.is_fully_resolved());
         prop_assert_eq!(assigned.as_bools().map(|b| b.len()), Some(entries.len()));

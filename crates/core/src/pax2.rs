@@ -1,11 +1,12 @@
 //! Algorithm **PaX2** (§4): two stages, at most two visits per site — for
 //! one query or for a whole batch.
 //!
-//! PaX2 folds the first two stages of PaX3 into one traversal per fragment:
-//! a pre-order computation of the selection vectors (with placeholder
-//! variables for the still-unknown qualifier values) and a post-order
-//! computation of the qualifier vectors, unified locally once a node's
-//! subtree has been fully visited (Examples 4.1–4.3). One coordinator round
+//! PaX2 folds the first two stages of PaX3 into one *visit* per fragment:
+//! the bottom-up computation of the qualifier vectors, then the top-down
+//! computation of the selection vectors reading them in place — both in one
+//! formula arena, so nothing is shipped or unified in between. (The paper
+//! fuses the two into a single traversal with `qz` placeholder variables,
+//! Examples 4.1–4.3; see PAPER.md, "Deviations".) One coordinator round
 //! later, the sites learn the truth values of their residual variables and
 //! ship exactly the answer nodes.
 //!

@@ -29,8 +29,8 @@
 //!     site.add_fragment(fragment);
 //! }
 //!
-//! // PaX2's first visit: the combined pre/post-order pass over each
-//! // fragment, starting the broker fragment from an unknown ancestor
+//! // PaX2's first visit: the qualifier sweep then the selection sweep over
+//! // each fragment, starting the broker fragment from an unknown ancestor
 //! // summary (fresh `Sel` variables).
 //! let query = compile_text("client/broker/name").unwrap();
 //! let mut fragments = BTreeMap::new();
@@ -50,12 +50,8 @@
 //! // ancestor summary for its virtual node standing in for F1.
 //! assert_eq!(response.roots.len(), 2);
 //! assert!(response.virtuals.contains_key(&FragmentId(1)));
-//! // No PaX2-local placeholder may ever cross the wire...
-//! for vector in response.virtuals.values() {
-//!     assert!(vector.variables().iter().all(|v| !v.is_local()));
-//! }
-//! // ...and the variable-free leaf fragment F1 ships packed bits, not a
-//! // vector of enum-tagged formulas.
+//! // The variable-free leaf fragment F1 ships packed bits, not a vector of
+//! // enum-tagged formulas.
 //! assert!(matches!(response.roots[&FragmentId(1)].qv, CompactVector::Bits(_)));
 //! ```
 
@@ -341,14 +337,15 @@ fn virtual_child(fragment: &Fragment, vnode: NodeId) -> FragmentId {
         .expect("virtual nodes carry their fragment id")
 }
 
-/// Run PaX2's fused pre/post-order pass for one query over one fragment
-/// (already taken out of the site's map), charge its operations, and
+/// Run PaX2's visit kernel (`combined_pass`: qualifier sweep, then selection
+/// sweep) for one query over one fragment (already taken out of the site's
+/// map), charge its operations, and
 /// deposit the root vectors and virtual-node summaries into the caller's
 /// accumulators. The raw pass output (sure answers + candidate formulas) is
 /// returned for the caller to route — into site scratch for the two-visit
 /// protocol, or over the wire for the incremental one. This is the single
-/// place the pass is configured (virtual-node vectors, `PaxVar::Local`
-/// naming), shared by every combined-stage task.
+/// place the pass is configured (virtual-node vectors), shared by every
+/// combined-stage task.
 fn fused_pass_on_fragment(
     site: &mut SiteLocal,
     fragment: &Fragment,
@@ -369,11 +366,7 @@ fn fused_pass_on_fragment(
         init,
         context,
         |vnode| fresh_qual_vectors(virtual_child(fragment, vnode), qlen),
-        |node, entry| PaxVar::Local {
-            fragment: fid,
-            node: node.index() as u32,
-            entry: entry as u32,
-        },
+        |_, _| unreachable!("the kernel mints no placeholder"),
     );
     site.charge_ops(out.ops);
     roots.insert(fid, out.root.clone());
@@ -422,8 +415,8 @@ fn combined_pass_on_fragment(
     }
 }
 
-/// Site-side task of PaX2's combined stage: one pre/post-order traversal per
-/// fragment, over the snapshots of the visit's pinned `epoch`.
+/// Site-side task of PaX2's combined stage: one kernel visit per fragment,
+/// over the snapshots of the visit's pinned `epoch`.
 pub fn combined_task(
     site: &mut SiteLocal,
     epoch: u64,
@@ -567,10 +560,10 @@ pub struct BatchCombinedResponse {
 /// Site-side task of the batched combined stage.
 ///
 /// The loop is *fragment-major*: each stored fragment is taken out of the
-/// site map once and every query of the batch runs its combined pre/
-/// post-order pass over it before the fragment is put back — the site does
-/// its tree passes per fragment in one visit and emits per-query residual
-/// vectors, instead of being visited once per query.
+/// site map once and every query of the batch runs its combined pass over
+/// it before the fragment is put back — the site does its tree passes per
+/// fragment in one visit and emits per-query residual vectors, instead of
+/// being visited once per query.
 pub fn batch_combined_task(
     site: &mut SiteLocal,
     epoch: u64,
@@ -1098,7 +1091,6 @@ mod tests {
         assert_eq!(candidates.len(), 1);
         assert_eq!(candidates[0].item.text, Some("Bache".to_string()));
         assert!(candidates[0].formula.has_variables());
-        assert!(candidates[0].formula.variables().iter().all(|v| !v.is_local()));
         // Epoch 1's snapshot carries the edit; epoch 0's is untouched, so a
         // reader still pinned to the pre-update epoch sees the old text.
         let at_1 = site.fragment_at(FragmentId(1), 1).unwrap();
@@ -1151,12 +1143,5 @@ mod tests {
         assert_eq!(response.roots.len(), 2);
         // The root fragment records an ancestor summary for its virtual node F1.
         assert!(response.virtuals.contains_key(&FragmentId(1)));
-        // No local placeholder variables may leak into the wire format.
-        for vectors in response.roots.values() {
-            assert!(vectors.qv.variables().iter().all(|v| !v.is_local()));
-        }
-        for vector in response.virtuals.values() {
-            assert!(vector.variables().iter().all(|v| !v.is_local()));
-        }
     }
 }

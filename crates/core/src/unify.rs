@@ -71,8 +71,7 @@ impl DenseAssignment {
     }
 
     /// Look up a variable. `None` when the owning vector has not been
-    /// unified yet (or for PaX2-local placeholders, which never reach the
-    /// coordinator).
+    /// unified yet (or for the never-minted `PaxVar::Local`).
     pub fn get(&self, var: &PaxVar) -> Option<bool> {
         match var {
             PaxVar::Qual { fragment, vector, entry } => {

@@ -1,9 +1,11 @@
 //! Globally unique residual-variable names.
 //!
 //! During the per-fragment partial evaluation, every unknown value gets a
-//! variable. The paper writes them `x₁…`, `y₁…`, `z₁…`, `qz₁…`; here each
-//! variable carries the coordinates of the value it stands for, so that
-//! unification across fragments (Procedure `evalFT`) is just a lookup.
+//! variable. The paper writes them `x₁…`, `y₁…`, `z₁…`; here each variable
+//! carries the coordinates of the value it stands for, so that unification
+//! across fragments (Procedure `evalFT`) is just a lookup. The paper's PaX2
+//! adds `qz₁…` placeholders inside one fragment traversal; the site kernel
+//! needs none (see `paxml_xpath::eval::combined_pass`).
 
 use paxml_fragment::FragmentId;
 use serde::{Deserialize, Serialize};
@@ -42,9 +44,9 @@ pub enum PaxVar {
         entry: usize,
     },
     /// The paper's `qz` variables of PaX2: the value of `QVect` entry
-    /// `entry` at node `node` of fragment `fragment`, unknown during the
-    /// pre-order part of the combined pass and unified locally during the
-    /// post-order part. These never appear in any message.
+    /// `entry` at node `node` of fragment `fragment`. Never minted: the
+    /// variant stays only because the frozen `benchmark/src/shadow.rs` names
+    /// it; ROADMAP 5(b) drops it when the shadow is next opened.
     Local {
         /// The fragment the node belongs to.
         fragment: FragmentId,
@@ -53,13 +55,6 @@ pub enum PaxVar {
         /// Entry index within `QVect(Q)`.
         entry: u32,
     },
-}
-
-impl PaxVar {
-    /// Is this a PaX2-local placeholder (never allowed to cross the wire)?
-    pub fn is_local(&self) -> bool {
-        matches!(self, PaxVar::Local { .. })
-    }
 }
 
 impl fmt::Display for PaxVar {
@@ -105,9 +100,7 @@ mod tests {
         assert_eq!(v.to_string(), "x[F2.8]");
         let v = PaxVar::Sel { fragment: FragmentId(1), entry: 0 };
         assert_eq!(v.to_string(), "z[F1.0]");
-        assert!(!v.is_local());
         let v = PaxVar::Local { fragment: FragmentId(3), node: 12, entry: 4 };
-        assert!(v.is_local());
         assert_eq!(v.to_string(), "qz[F3.n12.4]");
     }
 }

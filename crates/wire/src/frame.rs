@@ -18,7 +18,10 @@ use std::io::{self, Read, Write};
 /// corrupted length prefix, not data.
 pub const MAX_FRAME_LEN: usize = 64 << 20;
 
-/// Write one length-prefixed frame and flush it.
+/// Write one length-prefixed frame — prefix and payload in a single
+/// `write_all`, so a `TCP_NODELAY` socket sends one segment train and a
+/// Nagle-ing one never parks the payload behind the prefix's ACK — and
+/// flush it.
 pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     if payload.len() > MAX_FRAME_LEN {
         return Err(io::Error::new(
@@ -26,8 +29,10 @@ pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> io::Result<()> {
             format!("frame of {} bytes exceeds the {MAX_FRAME_LEN}-byte cap", payload.len()),
         ));
     }
-    writer.write_all(&(payload.len() as u32).to_le_bytes())?;
-    writer.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    writer.write_all(&frame)?;
     writer.flush()
 }
 

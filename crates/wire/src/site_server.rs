@@ -61,6 +61,11 @@ impl SiteServer {
             if self.shutting_down.load(Ordering::SeqCst) {
                 return Ok(());
             }
+            // Replies are one small frame per request: never wait on Nagle.
+            // (Failing here means the peer is already gone; the site lives on.)
+            if stream.set_nodelay(true).is_err() {
+                continue;
+            }
             let site = Arc::clone(&self.site);
             let shutting_down = Arc::clone(&self.shutting_down);
             std::thread::spawn(move || {

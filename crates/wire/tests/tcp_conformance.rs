@@ -10,7 +10,7 @@
 //! processes of the `paxml` binary) lives in the root package's
 //! `tests/wire_cluster.rs`.
 
-use paxml_core::{Algorithm, PaxResult, PaxServer};
+use paxml_core::{Algorithm, PaxResult, PaxServer, Transport};
 use paxml_distsim::{ClusterStats, Placement, SiteId};
 use paxml_fragment::FragmentedTree;
 use paxml_wire::{SiteServer, TcpCluster};
@@ -18,6 +18,7 @@ use paxml_xmark::{clientele_fragmentation, UpdateWorkload, CLIENTELE_QUERY_EXAMP
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::thread;
+use std::time::{Duration, Instant};
 
 const SITES: usize = 4;
 
@@ -111,6 +112,23 @@ fn assert_reports_match(
         assert_eq!(sim.update.is_some(), tcp.update.is_some(), "{context}: update presence");
     }
     assert_stats_match(&sim.stats, &tcp.stats, context);
+}
+
+/// A request/reply round-trip over loopback costs microseconds, not a
+/// delayed-ACK timer: a frame written in two pieces on a Nagle-ing socket
+/// stalls ~40 ms per reply (50 probes ≈ 2 s).
+#[test]
+fn small_frames_round_trip_without_waiting_on_nagle() {
+    let (_tree, fragmented) = clientele_fragmentation();
+    let addrs = spawn_site_threads(1);
+    let cluster = TcpCluster::connect(&fragmented, &addrs, Placement::RoundRobin)
+        .expect("connect TCP cluster");
+    let started = Instant::now();
+    for _ in 0..50 {
+        assert!(cluster.link_alive(SiteId(0)));
+    }
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_millis(500), "50 probes took {elapsed:?}");
 }
 
 #[test]

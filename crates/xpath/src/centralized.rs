@@ -3,7 +3,9 @@
 //! This is the `O(|T|·|Q|)` algorithm the paper uses as its reference point
 //! (\[11\] Gottlob–Koch–Pichler style): one bottom-up pass to evaluate all
 //! qualifier sub-queries and one top-down pass to evaluate the selection
-//! path. It is used
+//! path. It is the site kernel ([`combined_pass`]) run over the whole
+//! unfragmented tree — what a one-fragment PaX2 visit computes — so no
+//! variable and no formula ever arises. It is used
 //!
 //! * directly, as the local evaluation step of the `NaiveCentralized`
 //!   baseline (ship every fragment to the query site, reassemble, evaluate),
@@ -12,13 +14,13 @@
 //! * to measure the "best-known centralized algorithm" cost that the paper's
 //!   *total computation* guarantee is stated against.
 
-use crate::compile::{compile, CompiledQuery, QEntryId};
+use crate::compile::{compile, CompiledQuery};
 use crate::error::XPathResult;
-use crate::eval::{evaluation_context, initial_vector, qualifier_pass, selection_pass};
+use crate::eval::{combined_pass, evaluation_context, initial_vector};
 use crate::normalize::normalize;
 use crate::parse;
 use crate::Query;
-use paxml_boolex::{BoolExpr, CompactVector};
+use paxml_boolex::CompactVector;
 use paxml_xml::{NodeId, XmlTree};
 use serde::{Deserialize, Serialize};
 
@@ -39,42 +41,24 @@ pub struct CentralizedResult {
 
 /// Evaluate a compiled query over a whole (unfragmented) tree.
 pub fn evaluate_compiled(tree: &XmlTree, query: &CompiledQuery) -> CentralizedResult {
-    let mut ops = 0u64;
+    // The init vector carries the root's own positional facts after the
+    // SVect entries (empty tail for queries without positional predicates).
+    let root = tree.root();
+    let init = initial_vector(query, tree.label(root).unwrap_or_default());
+    let out = combined_pass::<NoVar>(
+        tree,
+        root,
+        query,
+        CompactVector::from_bools(&init),
+        evaluation_context(query, root),
+        |_| unreachable!("an unfragmented tree has no virtual nodes"),
+        |_, _| unreachable!("the kernel mints no placeholder"),
+    );
+    debug_assert!(out.candidates.is_empty(), "no residual candidates without fragmentation");
 
-    // Pass 1 — qualifiers (skipped entirely when the query has none, just as
-    // PaX3/PaX2 skip their Stage 1).
-    let qual = if query.has_qualifiers() {
-        let out = qualifier_pass::<NoVar>(tree, tree.root(), query, |_| {
-            unreachable!("an unfragmented tree has no virtual nodes")
-        });
-        ops += out.ops;
-        Some(out)
-    } else {
-        None
-    };
-
-    // Pass 2 — selection path. The init vector carries the root's own
-    // positional facts after the SVect entries (empty tail for queries
-    // without positional predicates).
-    let root_label = tree.label(tree.root()).unwrap_or_default().to_string();
-    let init: CompactVector<NoVar> = CompactVector::from_bools(&initial_vector(query, &root_label));
-    let context = evaluation_context(query, tree.root());
-    let mut qual_value = |v: NodeId, e: QEntryId| -> BoolExpr<NoVar> {
-        match &qual {
-            Some(q) => q.node_qv[v.index()]
-                .as_ref()
-                .expect("qualifier pass covered every reachable node")
-                .expr(e),
-            None => BoolExpr::constant(false),
-        }
-    };
-    let sel = selection_pass::<NoVar>(tree, tree.root(), query, init, context, &mut qual_value);
-    ops += sel.ops;
-    debug_assert!(sel.candidates.is_empty(), "no residual candidates without fragmentation");
-
-    let mut answers = sel.answers;
+    let mut answers = out.answers;
     answers.sort();
-    CentralizedResult { answers, ops }
+    CentralizedResult { answers, ops: out.ops }
 }
 
 /// Parse, normalize, compile and evaluate a query given as text.

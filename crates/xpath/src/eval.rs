@@ -1,18 +1,25 @@
-//! Generic evaluation passes over an XML (sub)tree.
+//! The site kernel: evaluation sweeps over an XML (sub)tree.
 //!
-//! These are the tree-level building blocks shared by the centralized
-//! evaluator and by the distributed algorithms (`paxml-core`):
+//! Everything a site does to a fragment during one visit is made of two
+//! private sweeps over one [`FormulaArena`]:
 //!
-//! * [`qualifier_pass`] — the bottom-up Stage-1 pass (§3.1, the extended
-//!   ParBoX): computes `QV`/`QDV` vectors for every node of a fragment,
-//!   producing residual formulas at and above virtual nodes.
-//! * [`selection_pass`] — the top-down Stage-2 pass (§3.2, Procedure
-//!   `topDown`): computes `SV` vectors, classifies nodes into answers and
-//!   candidate answers, and records the vectors to ship for each virtual
-//!   node.
-//! * [`combined_pass`] — the PaX2 single-traversal pass (§4): pre-order
-//!   selection with placeholder variables for not-yet-known qualifier
-//!   values, post-order qualifier computation, and a final local unification.
+//! * the *qualifier sweep* — bottom-up (§3.1, the extended ParBoX): `QV`/`QDV`
+//!   vectors for every node, residual formulas at and above virtual nodes;
+//! * the *selection sweep* — top-down (§3.2, Procedure `topDown`): `SV`
+//!   vectors, answers and candidate answers, and the vector to ship for each
+//!   virtual node. It reads qualifier values through a callback.
+//!
+//! The three public passes are thin shells over them, shared by the
+//! centralized evaluator and the distributed algorithms (`paxml-core`):
+//!
+//! * [`qualifier_pass`] — PaX3 Stage 1: qualifier sweep, exported;
+//! * [`selection_pass`] — PaX3 Stage 2: selection sweep over imported
+//!   qualifier values, exported;
+//! * [`combined_pass`] — the PaX2 visit (§4) and the centralized evaluator:
+//!   qualifier sweep, then selection sweep reading the first sweep's vectors
+//!   in place. The paper fuses the two into one traversal with `qz`
+//!   placeholder variables; two in-memory sweeps inside the same visit need
+//!   no placeholder and no substitution (see PAPER.md, "Deviations").
 //!
 //! All passes are generic over the variable type `V` so that the distributed
 //! layer can use globally-unique variable names while the centralized
@@ -26,18 +33,18 @@
 //! run word-wise (64 entries per AND/OR instruction) and the constant path
 //! performs **zero heap allocations per entry**. Only once a virtual node's
 //! fresh variables flow into a vector does it switch to per-entry formulas —
-//! and those formulas live as interned [`ExprId`]s in a pass-local
-//! [`FormulaArena`], so combining, assigning and locally unifying the
-//! `O(k)` residual formulas never clones a subtree. Pass outputs are
-//! exported as [`CompactVector`]s (bits for fully-constant vectors,
-//! self-contained [`BoolExpr`] trees otherwise), which is also the wire
-//! format: a variable-free leaf fragment ships `⌈len/64⌉` words per vector.
+//! and those formulas live as interned [`ExprId`]s in the visit's
+//! [`FormulaArena`], so combining the `O(k)` residual formulas never clones a
+//! subtree. Pass outputs are exported as [`CompactVector`]s (bits for
+//! fully-constant vectors, self-contained [`BoolExpr`] trees otherwise),
+//! which is also the wire format: a variable-free leaf fragment ships
+//! `⌈len/64⌉` words per vector.
 
+use crate::ast::CmpOp;
 use crate::compile::{CompiledQuery, PosFilter, QAxis, QEntry, QEntryId, SelItem};
 use paxml_boolex::{BitVector, BoolExpr, CompactVector, ExprId, FormulaArena};
 use paxml_xml::{NodeId, XmlTree};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::hash::Hash;
 
 /// Trait bound shorthand for formula variables.
@@ -249,21 +256,67 @@ pub fn qualifier_pass<V: VarLike>(
     tree: &XmlTree,
     root: NodeId,
     query: &CompiledQuery,
-    mut virtual_vectors: impl FnMut(NodeId) -> QualVectors<V>,
+    virtual_vectors: impl FnMut(NodeId) -> QualVectors<V>,
 ) -> QualifierPassOutput<V> {
-    let qlen = query.qvect_len();
     let mut arena: FormulaArena<V> = FormulaArena::new();
-    let mut node_qv: Vec<Option<AVec>> = vec![None; tree.node_count()];
-    let mut node_qdv: Vec<Option<AVec>> = vec![None; tree.node_count()];
-    let mut ops: u64 = 0;
+    let sweep = qualifier_sweep(&mut arena, tree, root, query, virtual_vectors);
+    let root = sweep.root_vectors(root, &arena);
+    let node_qv =
+        sweep.node_qv.into_iter().map(|av| av.map(|av| av.into_compact(&arena))).collect();
+    QualifierPassOutput { node_qv, root, ops: sweep.ops }
+}
+
+/// What the qualifier sweep leaves in the arena: every node's `QV`, the
+/// subtree root's `QDV`, and the operation count.
+struct QualSweep {
+    /// Per-node `QV`, indexed by arena index; `None` outside the subtree.
+    node_qv: Vec<Option<AVec>>,
+    /// Per-node `QDV`; a node's entry is consumed when its parent folds it,
+    /// so after the sweep only the subtree root's is left.
+    node_qdv: Vec<Option<AVec>>,
+    ops: u64,
+}
+
+impl QualSweep {
+    /// The subtree root's `QV`/`QDV` in wire form (unswept only for a query
+    /// without qualifiers, whose vectors are empty).
+    fn root_vectors<V: VarLike>(&self, root: NodeId, arena: &FormulaArena<V>) -> QualVectors<V> {
+        let export = |vectors: &[Option<AVec>]| match &vectors[root.index()] {
+            Some(av) => av.clone().into_compact(arena),
+            None => CompactVector::all_false(0),
+        };
+        QualVectors { qv: export(&self.node_qv), qdv: export(&self.node_qdv) }
+    }
+}
+
+/// The bottom-up sweep (§3.1): `QV`/`QDV` of every node of the subtree, as
+/// working vectors in `arena`. The one post-order loop body of the kernel.
+fn qualifier_sweep<V: VarLike>(
+    arena: &mut FormulaArena<V>,
+    tree: &XmlTree,
+    root: NodeId,
+    query: &CompiledQuery,
+    mut virtual_vectors: impl FnMut(NodeId) -> QualVectors<V>,
+) -> QualSweep {
+    let qlen = query.qvect_len();
+    let mut sweep = QualSweep {
+        node_qv: vec![None; tree.node_count()],
+        node_qdv: vec![None; tree.node_count()],
+        ops: 0,
+    };
+    if qlen == 0 {
+        // No qualifier, nothing to compute bottom-up: PaX3 skips Stage 1 for
+        // such a query, and so does every PaX2 and centralized visit.
+        return sweep;
+    }
 
     for v in tree.post_order(root) {
         if tree.is_virtual(v) {
             let vectors = virtual_vectors(v);
             debug_assert_eq!(vectors.qv.len(), qlen);
-            node_qv[v.index()] = Some(AVec::from_compact(&vectors.qv, &mut arena));
-            node_qdv[v.index()] = Some(AVec::from_compact(&vectors.qdv, &mut arena));
-            ops += qlen as u64;
+            sweep.node_qv[v.index()] = Some(AVec::from_compact(&vectors.qv, arena));
+            sweep.node_qdv[v.index()] = Some(AVec::from_compact(&vectors.qdv, arena));
+            sweep.ops += qlen as u64;
             continue;
         }
 
@@ -272,44 +325,48 @@ pub fn qualifier_pass<V: VarLike>(
         let mut child_any_qv = AVec::all_false(qlen);
         let mut child_any_qdv = AVec::all_false(qlen);
         for c in tree.children(v) {
-            let cqv = node_qv[c.index()].as_ref().expect("children processed before parent");
-            let cqdv = node_qdv[c.index()].as_ref().expect("children processed before parent");
-            child_any_qv.or_into(cqv, &mut arena);
-            child_any_qdv.or_into(cqdv, &mut arena);
-            ops += 2 * qlen as u64;
+            let cqv = sweep.node_qv[c.index()].as_ref().expect("children processed before parent");
+            let cqdv = sweep.node_qdv[c.index()].take().expect("children processed before parent");
+            child_any_qv.or_into(cqv, arena);
+            child_any_qdv.or_into(&cqdv, arena);
+            sweep.ops += 2 * qlen as u64;
         }
 
         let mut qv = AVec::all_false(qlen);
         for (i, entry) in query.qvect.iter().enumerate() {
             let value = eval_qentry(
-                &mut arena,
+                arena,
                 tree,
                 v,
                 entry,
                 &qv,
                 &child_any_qv,
                 &child_any_qdv,
-                &node_qv,
+                &sweep.node_qv,
             );
             qv.set(i, value);
-            ops += 1;
+            sweep.ops += 1;
         }
 
         // QDV_v(i) = QV_v(i) ∨ (some child's QDV has i).
         let mut qdv = child_any_qdv;
-        qdv.or_into(&qv, &mut arena);
-        ops += qlen as u64;
+        qdv.or_into(&qv, arena);
+        sweep.ops += qlen as u64;
 
-        node_qv[v.index()] = Some(qv);
-        node_qdv[v.index()] = Some(qdv);
+        sweep.node_qv[v.index()] = Some(qv);
+        sweep.node_qdv[v.index()] = Some(qdv);
     }
+    sweep
+}
 
-    let root_qv = node_qv[root.index()].clone().unwrap_or_else(|| AVec::all_false(qlen));
-    let root_qdv = node_qdv[root.index()].clone().unwrap_or_else(|| AVec::all_false(qlen));
-    let root = QualVectors { qv: root_qv.into_compact(&arena), qdv: root_qdv.into_compact(&arena) };
-    let node_qv: Vec<Option<CompactVector<V>>> =
-        node_qv.into_iter().map(|av| av.map(|av| av.into_compact(&arena))).collect();
-    QualifierPassOutput { node_qv, root, ops }
+/// `text` read as a number (whitespace trimmed, a leading `$` tolerated)
+/// satisfies `op n`; non-numbers and absent values fail closed.
+fn numeric_holds(text: Option<&str>, op: CmpOp, n: f64) -> bool {
+    text.and_then(|t| {
+        let t = t.trim();
+        t.strip_prefix('$').unwrap_or(t).parse::<f64>().ok()
+    })
+    .is_some_and(|value| op.apply(value, n))
 }
 
 /// Evaluate one `QVect` entry at a node, given the already-computed earlier
@@ -344,31 +401,11 @@ fn eval_qentry<V: VarLike>(
         QEntry::LabelTest(label) => ExprId::of_const(tree.label(v) == Some(label.as_str())),
         QEntry::ElementTest => ExprId::of_const(tree.is_element(v)),
         QEntry::TextTest(s) => ExprId::of_const(tree.text_value(v) == Some(s.as_str())),
-        QEntry::ValTest(op, n) => {
-            let holds = tree
-                .text_value(v)
-                .and_then(|t| {
-                    let t = t.trim();
-                    let t = t.strip_prefix('$').unwrap_or(t);
-                    t.parse::<f64>().ok()
-                })
-                .map(|value| op.apply(value, *n))
-                .unwrap_or(false);
-            ExprId::of_const(holds)
-        }
+        QEntry::ValTest(op, n) => ExprId::of_const(numeric_holds(tree.text_value(v), *op, *n)),
         QEntry::AttrTest(a) => ExprId::of_const(tree.attribute(v, a).is_some()),
         QEntry::AttrValueTest(a, s) => ExprId::of_const(tree.attribute(v, a) == Some(s.as_str())),
         QEntry::AttrCmpTest(a, op, n) => {
-            let holds = tree
-                .attribute(v, a)
-                .and_then(|t| {
-                    let t = t.trim();
-                    let t = t.strip_prefix('$').unwrap_or(t);
-                    t.parse::<f64>().ok()
-                })
-                .map(|value| op.apply(value, *n))
-                .unwrap_or(false);
-            ExprId::of_const(holds)
+            ExprId::of_const(numeric_holds(tree.attribute(v, a), *op, *n))
         }
         QEntry::Step { test, quals, next, next_pos } => {
             let next_id = match (next, next_pos) {
@@ -489,27 +526,42 @@ pub fn selection_pass<V: VarLike>(
     context: Option<NodeId>,
     qual_value: &mut impl FnMut(NodeId, QEntryId) -> BoolExpr<V>,
 ) -> SelectionPassOutput<V> {
+    let mut arena: FormulaArena<V> = FormulaArena::new();
+    selection_sweep(&mut arena, tree, root, query, &init, context, &mut |arena, v, e| {
+        arena.from_expr(&qual_value(v, e))
+    })
+}
+
+/// The top-down sweep (§3.2): the one pre-order loop body of the kernel.
+/// `qual_id(arena, v, e)` is the value of `QVect` entry `e` at node `v` as an
+/// id in `arena`; residual formulas leave the arena only where they leave
+/// the site (candidate answers, virtual-node vectors).
+fn selection_sweep<V: VarLike>(
+    arena: &mut FormulaArena<V>,
+    tree: &XmlTree,
+    root: NodeId,
+    query: &CompiledQuery,
+    init: &CompactVector<V>,
+    context: Option<NodeId>,
+    qual_id: &mut impl FnMut(&mut FormulaArena<V>, NodeId, QEntryId) -> ExprId,
+) -> SelectionPassOutput<V> {
     let slen = query.svect_len();
     debug_assert_eq!(
         init.len(),
         query.init_len(),
         "init vector must have |SVect| + |positions| entries"
     );
-    let mut arena: FormulaArena<V> = FormulaArena::new();
     let mut out = SelectionPassOutput {
         answers: Vec::new(),
         candidates: Vec::new(),
         virtual_vectors: Vec::new(),
         ops: 0,
     };
-    let mut qual_id = |arena: &mut FormulaArena<V>, v: NodeId, e: QEntryId| -> ExprId {
-        arena.from_expr(&qual_value(v, e))
-    };
 
     // Explicit DFS stack carrying the parent's (summarised) SV vector plus,
     // when the query has positional predicates, the node's own positional
     // facts (entries slen..slen+P, computed by the parent while pushing).
-    let init = AVec::from_compact(&init, &mut arena);
+    let init = AVec::from_compact(init, arena);
     let mut stack: Vec<(NodeId, AVec)> = vec![(root, init)];
     while let Some((v, carried)) = stack.pop() {
         if tree.is_virtual(v) {
@@ -517,12 +569,12 @@ pub fn selection_pass<V: VarLike>(
             // of the missing fragment's root (and the root's own positional
             // facts) — exactly what that fragment needs as its initial
             // vector (§3.2, Example 3.4).
-            out.virtual_vectors.push((v, carried.into_compact(&arena)));
+            out.virtual_vectors.push((v, carried.into_compact(arena)));
             out.ops += slen as u64;
             continue;
         }
 
-        let sv = compute_sv(&mut arena, tree, v, query, &carried, context, &mut qual_id);
+        let sv = compute_sv(arena, tree, v, query, &carried, context, qual_id);
         out.ops += slen as u64;
 
         if tree.is_element(v) || query.sel_items.is_empty() {
@@ -617,7 +669,7 @@ fn compute_sv<V: VarLike>(
     sv
 }
 
-/// Result of the PaX2 combined pass over one subtree.
+/// Result of the PaX2 visit ([`combined_pass`]) over one subtree.
 #[derive(Debug, Clone)]
 pub struct CombinedPassOutput<V: Ord> {
     /// Certain answers.
@@ -633,192 +685,36 @@ pub struct CombinedPassOutput<V: Ord> {
     pub ops: u64,
 }
 
-/// The PaX2 single-traversal pass (§4): one depth-first traversal that does
-/// the pre-order selection computation and the post-order qualifier
-/// computation, introducing placeholder variables (`local_var`) for the
-/// qualifier values that are not yet known during pre-order and unifying
-/// them once the node's subtree has been fully visited.
+/// The PaX2 visit (§4) over one subtree: the qualifier sweep, then the
+/// selection sweep reading the first sweep's `QV` vectors in place — same
+/// arena, same site visit, so no formula is exported between the two and
+/// nothing has to be unified afterwards. Over an unfragmented tree this is
+/// the centralized evaluator.
 ///
-/// `local_var(v, e)` must mint a variable unique to the pair (node, entry);
-/// the pass guarantees that no such variable survives in the output.
+/// `_local_var` is ignored: the paper's single traversal needs a `qz`
+/// placeholder per not-yet-known qualifier value, two sweeps do not. The
+/// parameter stays because the frozen `benchmark/src/shadow.rs` passes seven
+/// arguments; ROADMAP 5(b) drops it when the shadow is next opened.
 pub fn combined_pass<V: VarLike>(
     tree: &XmlTree,
     root: NodeId,
     query: &CompiledQuery,
     init: CompactVector<V>,
     context: Option<NodeId>,
-    mut virtual_qual_vectors: impl FnMut(NodeId) -> QualVectors<V>,
-    local_var: impl Fn(NodeId, QEntryId) -> V,
+    virtual_qual_vectors: impl FnMut(NodeId) -> QualVectors<V>,
+    _local_var: impl Fn(NodeId, QEntryId) -> V,
 ) -> CombinedPassOutput<V> {
-    let qlen = query.qvect_len();
-    let slen = query.svect_len();
-    debug_assert_eq!(
-        init.len(),
-        query.init_len(),
-        "init vector must have |SVect| + |positions| entries"
-    );
     let mut arena: FormulaArena<V> = FormulaArena::new();
-    let mut ops: u64 = 0;
-
-    // Only the qualifier entries referenced by the selection path ever get a
-    // placeholder variable, so only those need a recorded value.
-    let sel_qual_entries: Vec<QEntryId> = query
-        .sel_items
-        .iter()
-        .filter_map(|item| match item {
-            SelItem::SelfQualifier(ids) => Some(ids.clone()),
-            _ => None,
-        })
-        .flatten()
-        .collect();
-
-    // --- single DFS -------------------------------------------------------
-    // Pre-order: compute SV with placeholders for qualifier values.
-    // Post-order: compute QV/QDV; record the values of the placeholders.
-    let mut node_qv: Vec<Option<AVec>> = vec![None; tree.node_count()];
-    let mut node_qdv: Vec<Option<AVec>> = vec![None; tree.node_count()];
-    let mut pending_sv: Vec<(NodeId, ExprId)> = Vec::new(); // last SV entry per interesting node
-    let mut virtual_vectors: Vec<(NodeId, AVec)> = Vec::new();
-    // Placeholder variable id ↦ its value, recorded during post-order.
-    let mut local_values: HashMap<ExprId, ExprId> = HashMap::new();
-
-    // DFS stack frames: (node, parent_sv, expanded?)
-    enum Frame {
-        Enter(NodeId, AVec),
-        Exit(NodeId),
-    }
-    let init = AVec::from_compact(&init, &mut arena);
-    let mut stack: Vec<Frame> = vec![Frame::Enter(root, init)];
-
-    while let Some(frame) = stack.pop() {
-        match frame {
-            Frame::Enter(v, parent_sv) => {
-                if tree.is_virtual(v) {
-                    // Selection: ship the ancestor summary; qualifiers: use
-                    // the fresh variables standing for the sub-fragment.
-                    virtual_vectors.push((v, parent_sv));
-                    let vectors = virtual_qual_vectors(v);
-                    node_qv[v.index()] = Some(AVec::from_compact(&vectors.qv, &mut arena));
-                    node_qdv[v.index()] = Some(AVec::from_compact(&vectors.qdv, &mut arena));
-                    ops += (qlen + slen) as u64;
-                    continue;
-                }
-
-                // Pre-order: SV with placeholder qualifier values.
-                let mut placeholder = |arena: &mut FormulaArena<V>,
-                                       node: NodeId,
-                                       e: QEntryId|
-                 -> ExprId { arena.var(local_var(node, e)) };
-                let sv =
-                    compute_sv(&mut arena, tree, v, query, &parent_sv, context, &mut placeholder);
-                ops += slen as u64;
-                if tree.is_element(v) || query.sel_items.is_empty() {
-                    let last = sv.id(slen - 1);
-                    if last != ExprId::FALSE {
-                        pending_sv.push((v, last));
-                    }
-                }
-
-                stack.push(Frame::Exit(v));
-                let children: Vec<NodeId> = tree.children(v).collect();
-                if query.sel_positions.is_empty() {
-                    for c in children.into_iter().rev() {
-                        stack.push(Frame::Enter(c, sv.clone()));
-                    }
-                } else {
-                    let rows = child_fact_rows(tree, &children, query);
-                    ops += (children.len() * query.sel_positions.len()) as u64;
-                    for (k, c) in children.iter().enumerate().rev() {
-                        stack.push(Frame::Enter(*c, sv.extended_with(&rows[k])));
-                    }
-                }
-            }
-            Frame::Exit(v) => {
-                // Post-order: qualifier vectors, exactly as in qualifier_pass.
-                let mut child_any_qv = AVec::all_false(qlen);
-                let mut child_any_qdv = AVec::all_false(qlen);
-                for c in tree.children(v) {
-                    let cqv =
-                        node_qv[c.index()].as_ref().expect("children processed before parent");
-                    let cqdv =
-                        node_qdv[c.index()].as_ref().expect("children processed before parent");
-                    child_any_qv.or_into(cqv, &mut arena);
-                    child_any_qdv.or_into(cqdv, &mut arena);
-                    ops += 2 * qlen as u64;
-                }
-                let mut qv = AVec::all_false(qlen);
-                for (i, entry) in query.qvect.iter().enumerate() {
-                    let value = eval_qentry(
-                        &mut arena,
-                        tree,
-                        v,
-                        entry,
-                        &qv,
-                        &child_any_qv,
-                        &child_any_qdv,
-                        &node_qv,
-                    );
-                    qv.set(i, value);
-                    ops += 1;
-                }
-                let mut qdv = child_any_qdv;
-                qdv.or_into(&qv, &mut arena);
-                ops += qlen as u64;
-                // The placeholders minted for this node during pre-order can
-                // now be unified with the freshly computed values (§4,
-                // Example 4.2: qz₂ unifies with y₈).
-                for &i in &sel_qual_entries {
-                    let var_id = arena.var(local_var(v, i));
-                    local_values.insert(var_id, qv.id(i));
-                }
-                node_qv[v.index()] = Some(qv);
-                node_qdv[v.index()] = Some(qdv);
-            }
-        }
-    }
-
-    // --- local unification -------------------------------------------------
-    // Replace every placeholder with its computed value. Placeholder values
-    // never mention other placeholders (they are formulas over the virtual
-    // nodes' variables only), so a single substitution round suffices. The
-    // memo makes every shared sub-formula rewrite at most once.
-    let mut memo: HashMap<ExprId, ExprId> = HashMap::new();
-    let mut answers = Vec::new();
-    let mut candidates = Vec::new();
-    for (v, formula) in pending_sv {
-        let resolved = arena.substitute_ids(formula, &local_values, &mut memo);
-        ops += 1;
-        if resolved == ExprId::TRUE {
-            answers.push(v);
-        } else if !resolved.is_const() {
-            candidates.push((v, arena.to_expr(resolved)));
-        }
-    }
-    let virtual_vectors: Vec<(NodeId, CompactVector<V>)> = virtual_vectors
-        .into_iter()
-        .map(|(v, vec)| {
-            ops += vec.len() as u64;
-            let resolved = match vec {
-                AVec::Bits(b) => AVec::Bits(b),
-                AVec::Ids(ids) => AVec::Ids(
-                    ids.into_iter()
-                        .map(|id| arena.substitute_ids(id, &local_values, &mut memo))
-                        .collect(),
-                ),
-            };
-            (v, resolved.into_compact(&arena))
-        })
-        .collect();
-
-    let root_qv = node_qv[root.index()].clone().unwrap_or_else(|| AVec::all_false(qlen));
-    let root_qdv = node_qdv[root.index()].clone().unwrap_or_else(|| AVec::all_false(qlen));
-
+    let quals = qualifier_sweep(&mut arena, tree, root, query, virtual_qual_vectors);
+    let sel = selection_sweep(&mut arena, tree, root, query, &init, context, &mut |_, v, e| {
+        quals.node_qv[v.index()].as_ref().expect("the qualifier sweep covered the subtree").id(e)
+    });
     CombinedPassOutput {
-        answers,
-        candidates,
-        virtual_vectors,
-        root: QualVectors { qv: root_qv.into_compact(&arena), qdv: root_qdv.into_compact(&arena) },
-        ops,
+        answers: sel.answers,
+        candidates: sel.candidates,
+        virtual_vectors: sel.virtual_vectors,
+        root: quals.root_vectors(root, &arena),
+        ops: quals.ops + sel.ops,
     }
 }
 
@@ -922,47 +818,6 @@ mod tests {
         assert_eq!(tree.text_of(out.answers[0]), Some("E*trade".to_string()));
         assert!(out.candidates.is_empty());
         assert!(out.virtual_vectors.is_empty());
-    }
-
-    #[test]
-    fn combined_pass_matches_two_pass_result() {
-        let tree = clientele();
-        for text in [
-            "client/name",
-            "client[country/text() = \"US\"]/broker[market/name/text() = \"NASDAQ\"]/name",
-            "//name",
-            "//stock[buy/val() > 380]/code",
-            "client[not(country/text() = \"US\")]/name",
-        ] {
-            let q = compiled(text);
-            let quals = qualifier_pass::<u32>(&tree, tree.root(), &q, |_| unreachable!());
-            let init: CompactVector<u32> = CompactVector::all_false(q.svect_len());
-            let mut qual_value =
-                |v: NodeId, e: QEntryId| quals.node_qv[v.index()].as_ref().unwrap().expr(e);
-            let two_pass = selection_pass::<u32>(
-                &tree,
-                tree.root(),
-                &q,
-                init.clone(),
-                Some(tree.root()),
-                &mut qual_value,
-            );
-            let combined = combined_pass::<u32>(
-                &tree,
-                tree.root(),
-                &q,
-                init,
-                Some(tree.root()),
-                |_| unreachable!(),
-                |v, e| (v.index() as u32) * 10_000 + e as u32,
-            );
-            let mut a = two_pass.answers.clone();
-            let mut b = combined.answers.clone();
-            a.sort();
-            b.sort();
-            assert_eq!(a, b, "answers differ for {text}");
-            assert!(combined.candidates.is_empty(), "no candidates expected for {text}");
-        }
     }
 
     #[test]

@@ -1,32 +1,72 @@
 //! Property-based tests of the query pipeline (parse → display → reparse,
 //! normalize, compile) and of the equivalence between the two independent
 //! evaluators of this crate (the vector-based two-pass algorithm and the
-//! naive set-based oracle) over random documents and random queries.
+//! naive set-based oracle) over random documents and random queries — and of
+//! the site kernel: over random *fragments* (trees with virtual nodes) the
+//! PaX2 visit computes what PaX3's two visits compute.
 
+use paxml_boolex::{BoolExpr, CompactVector, FormulaArena};
 use paxml_xml::{NodeId, NodeKind, XmlTree};
+use paxml_xpath::eval::{combined_pass, qualifier_pass, selection_pass, QualVectors};
 use paxml_xpath::{centralized, compile, compile_text, normalize, parse, semantics};
 use proptest::prelude::*;
 
 const LABELS: &[&str] = &["a", "b", "c", "d"];
 const TEXTS: &[&str] = &["x", "US", "7", "42"];
 
-fn build_tree(spec: &[(usize, usize)]) -> XmlTree {
+/// Build a tree from `(parent choice, kind, cut)` triples; a triple with
+/// `cut == 0` becomes a virtual leaf standing for a missing sub-fragment
+/// (labelled root), so only [`fragment_strategy`] passes zeros.
+fn build_tree(spec: &[(usize, usize, usize)]) -> XmlTree {
     let mut tree = XmlTree::with_root_element(LABELS[0]);
     let mut elements: Vec<NodeId> = vec![tree.root()];
-    for &(parent_choice, kind) in spec {
+    for (fragment, &(parent_choice, kind, cut)) in spec.iter().enumerate() {
         let parent = elements[parent_choice % elements.len()];
-        if kind % 5 == 4 {
+        let label = LABELS[kind % LABELS.len()];
+        if cut == 0 {
+            let stub = NodeKind::virtual_node(fragment + 1, Some(label.to_string()));
+            tree.append_child(parent, stub);
+        } else if kind % 5 == 4 {
             tree.append_child(parent, NodeKind::text(TEXTS[kind % TEXTS.len()]));
         } else {
-            let id = tree.append_element(parent, LABELS[kind % LABELS.len()]);
-            elements.push(id);
+            elements.push(tree.append_element(parent, label));
         }
     }
     tree
 }
 
 fn tree_strategy() -> impl Strategy<Value = XmlTree> {
-    prop::collection::vec((0usize..500, 0usize..20), 3..50).prop_map(|spec| build_tree(&spec))
+    prop::collection::vec((0usize..500, 0usize..20, Just(1usize)), 3..50)
+        .prop_map(|spec| build_tree(&spec))
+}
+
+/// A random fragment: about every sixth node is a virtual leaf.
+fn fragment_strategy() -> impl Strategy<Value = XmlTree> {
+    prop::collection::vec((0usize..500, 0usize..20, 0usize..6), 3..50)
+        .prop_map(|spec| build_tree(&spec))
+}
+
+/// [`query_strategy`] plus the positional shapes it does not generate.
+fn kernel_query_strategy() -> impl Strategy<Value = String> {
+    prop_oneof![
+        query_strategy(),
+        query_strategy(),
+        prop::sample::select(vec!["a/b[2]/c", "//b[last()]", "*[b[1]/c]/d", ".[//c]"])
+            .prop_map(str::to_string),
+    ]
+}
+
+/// Two residual formulas denote the same function when they intern to one
+/// id: the arena sorts and deduplicates operands, so formulas built in a
+/// different order meet — stricter than comparing truth tables, and what the
+/// identical-bytes-on-the-wire criterion needs.
+fn same_formula(a: &BoolExpr<String>, b: &BoolExpr<String>) -> bool {
+    let mut arena = FormulaArena::new();
+    arena.from_expr(a) == arena.from_expr(b)
+}
+
+fn same_vector(a: &CompactVector<String>, b: &CompactVector<String>) -> bool {
+    a.len() == b.len() && (0..a.len()).all(|i| same_formula(&a.expr(i), &b.expr(i)))
 }
 
 fn query_strategy() -> impl Strategy<Value = String> {
@@ -116,5 +156,51 @@ proptest! {
             "ops {} exceed 4·|T|·|Q| = {}",
             result.ops, 4 * nodes * per_node
         );
+    }
+
+    #[test]
+    fn combined_pass_matches_qualifier_then_selection_pass(
+        tree in fragment_strategy(),
+        query in kernel_query_strategy(),
+        root_fragment in prop::bool::ANY,
+    ) {
+        let q = compile_text(&query).unwrap();
+        let root = tree.root();
+        let fresh = |node: NodeId| {
+            let stub = tree.kind(node).virtual_fragment().expect("asked for virtual nodes only");
+            QualVectors {
+                qv: CompactVector::fresh_variables(q.qvect_len(), |i| format!("F{stub}.qv{i}")),
+                qdv: CompactVector::fresh_variables(q.qvect_len(), |i| format!("F{stub}.qdv{i}")),
+            }
+        };
+        // The root fragment starts from known facts, any other from a
+        // fresh-variable ancestor summary.
+        let (init, context) = if root_fragment {
+            (CompactVector::all_false(q.init_len()), Some(root))
+        } else {
+            (CompactVector::fresh_variables(q.init_len(), |i| format!("z{i}")), None)
+        };
+
+        let quals = qualifier_pass::<String>(&tree, root, &q, fresh);
+        let mut qual_value =
+            |v: NodeId, e| quals.node_qv[v.index()].as_ref().expect("swept").expr(e);
+        let two = selection_pass::<String>(&tree, root, &q, init.clone(), context, &mut qual_value);
+        let one = combined_pass::<String>(&tree, root, &q, init, context, fresh, |_, _| {
+            unreachable!("the kernel mints no placeholder")
+        });
+
+        prop_assert_eq!(&one.answers, &two.answers, "answers differ for {}", query);
+        prop_assert_eq!(&one.root, &quals.root, "root vectors differ for {}", query);
+        prop_assert_eq!(one.candidates.len(), two.candidates.len());
+        for ((n1, f1), (n2, f2)) in one.candidates.iter().zip(&two.candidates) {
+            prop_assert_eq!(n1, n2);
+            prop_assert!(same_formula(f1, f2), "candidate {:?} of {}: {} vs {}", n1, query, f1, f2);
+        }
+        prop_assert_eq!(one.virtual_vectors.len(), two.virtual_vectors.len());
+        for ((n1, v1), (n2, v2)) in one.virtual_vectors.iter().zip(&two.virtual_vectors) {
+            prop_assert_eq!(n1, n2);
+            prop_assert!(same_vector(v1, v2), "summary at {:?} of {} differs", n1, query);
+        }
+        prop_assert!(one.ops <= quals.ops + two.ops, "{} > {} + {}", one.ops, quals.ops, two.ops);
     }
 }

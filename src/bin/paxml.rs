@@ -165,8 +165,10 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 i += 2;
             }
             "--sites" => {
-                options.sites =
-                    value(args, i, "--sites")?.parse().map_err(|_| "--sites expects a number")?;
+                options.sites = match value(args, i, "--sites")?.parse() {
+                    Ok(n) if n > 0 => n,
+                    _ => return Err("--sites expects a positive number".to_string()),
+                };
                 i += 2;
             }
             "--algorithm" => {
@@ -237,7 +239,7 @@ fn server(
         .algorithm(algorithm)
         .annotations(annotations)
         .placement(Placement::RoundRobin)
-        .sites(options.sites.max(1))
+        .sites(options.sites)
         .deploy(fragmented)
         .map_err(|e| e.to_string())
 }
@@ -324,7 +326,7 @@ fn run_cluster(
         other => return Err(format!("unknown algorithm {other:?}")),
     };
     let program = std::env::current_exe().map_err(|e| format!("cannot find own binary: {e}"))?;
-    let sites = options.sites.max(1);
+    let sites = options.sites;
     println!("spawning {sites} site processes …");
     let cluster =
         paxml::wire::ProcessCluster::spawn(&program, fragmented, sites, Placement::RoundRobin)

@@ -167,4 +167,10 @@ fn malformed_input_yields_clean_errors() {
     let (_, stderr, ok) = run(&["query", doc.path().to_str().unwrap(), "a", "--bogus-option", "x"]);
     assert!(!ok);
     assert!(stderr.contains("unknown option"));
+    // Zero sites: rejected where the flag is parsed, not run on one site.
+    for command in ["query", "compare"] {
+        let (_, stderr, ok) = run(&[command, doc.path().to_str().unwrap(), "a", "--sites", "0"]);
+        assert!(!ok);
+        assert!(stderr.contains("error: --sites expects a positive number"), "{stderr}");
+    }
 }
