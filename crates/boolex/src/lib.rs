@@ -23,8 +23,9 @@
 //! * [`BitVector`] / [`CompactVector`] — the paper's `QV`/`QDV`/`SV` vectors
 //!   in a two-tier representation: packed `u64` words while every entry is a
 //!   known constant (the overwhelmingly common case, and the only case a
-//!   variable-free leaf fragment ever ships), explicit formulas once a
-//!   variable appears.
+//!   variable-free leaf fragment ever ships; up to 64 entries the word is
+//!   inline, so such a vector never touches the heap), explicit formulas
+//!   once a variable appears.
 //! * [`FormulaArena`] / [`ExprId`] — a hash-consing arena interning every
 //!   distinct sub-formula once, so the evaluation kernel's symbolic path
 //!   combines and assigns formulas without cloning subtrees. A site visit

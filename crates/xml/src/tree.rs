@@ -400,9 +400,10 @@ impl XmlTree {
     }
 
     /// Pre-order (document order) traversal of the subtree rooted at `id`,
-    /// including `id` itself.
+    /// including `id` itself. The walk follows the child, sibling and parent
+    /// links with O(1) state and never leaves the subtree.
     pub fn pre_order(&self, id: NodeId) -> PreOrder<'_> {
-        PreOrder { tree: self, stack: vec![id] }
+        PreOrder { tree: self, root: id, next: Some((id, 0)) }
     }
 
     /// Strict descendants of `id` (pre-order, excluding `id`).
@@ -414,9 +415,19 @@ impl XmlTree {
 
     /// Post-order traversal of the subtree rooted at `id` (children before
     /// parents) — the order in which the paper's Stage-1 bottom-up qualifier
-    /// evaluation visits nodes.
+    /// evaluation visits nodes. Like [`XmlTree::pre_order`], a link walk with
+    /// O(1) state.
     pub fn post_order(&self, id: NodeId) -> PostOrder<'_> {
-        PostOrder { tree: self, stack: vec![(id, false)] }
+        PostOrder { tree: self, root: id, next: Some(self.leftmost_leaf(id)) }
+    }
+
+    /// The first node of `id`'s subtree in post-order: follow first children
+    /// down to a leaf.
+    fn leftmost_leaf(&self, mut id: NodeId) -> NodeId {
+        while let Some(child) = self.first_child(id) {
+            id = child;
+        }
+        id
     }
 
     /// Number of nodes in the subtree rooted at `id` (including `id`).
@@ -433,15 +444,8 @@ impl XmlTree {
     /// incrementally (avoids the `O(n · depth)` cost of calling
     /// [`XmlTree::depth`] per node).
     pub fn pre_order_with_depth(&self, id: NodeId) -> impl Iterator<Item = (NodeId, usize)> + '_ {
-        let mut stack = vec![(id, 0usize)];
-        std::iter::from_fn(move || {
-            let (current, depth) = stack.pop()?;
-            let children: Vec<NodeId> = self.children(current).collect();
-            for &c in children.iter().rev() {
-                stack.push((c, depth + 1));
-            }
-            Some((current, depth))
-        })
+        let mut walk = self.pre_order(id);
+        std::iter::from_fn(move || walk.step())
     }
 
     /// Maximum depth over all nodes reachable from the root.
@@ -537,22 +541,45 @@ impl<'a> Iterator for Ancestors<'a> {
     }
 }
 
-/// Pre-order traversal iterator.
+/// Pre-order traversal iterator: a link walk bounded by the subtree root.
 pub struct PreOrder<'a> {
     tree: &'a XmlTree,
-    stack: Vec<NodeId>,
+    root: NodeId,
+    /// The node to yield next and its depth below `root`.
+    next: Option<(NodeId, usize)>,
+}
+
+impl PreOrder<'_> {
+    /// Yield the next node with its depth, then move to its successor: the
+    /// first child, else the next sibling of the nearest node on the way
+    /// back up that has one — never climbing past `root`.
+    fn step(&mut self) -> Option<(NodeId, usize)> {
+        let (current, depth) = self.next?;
+        self.next = match self.tree.first_child(current) {
+            Some(child) => Some((child, depth + 1)),
+            None => {
+                let (mut node, mut depth) = (current, depth);
+                loop {
+                    if node == self.root {
+                        break None;
+                    }
+                    if let Some(sibling) = self.tree.next_sibling(node) {
+                        break Some((sibling, depth));
+                    }
+                    node =
+                        self.tree.parent(node).expect("a non-root node of the walk has a parent");
+                    depth -= 1;
+                }
+            }
+        };
+        Some((current, depth))
+    }
 }
 
 impl<'a> Iterator for PreOrder<'a> {
     type Item = NodeId;
     fn next(&mut self) -> Option<NodeId> {
-        let current = self.stack.pop()?;
-        // Push children in reverse so the first child is visited first.
-        let children: Vec<NodeId> = self.tree.children(current).collect();
-        for &c in children.iter().rev() {
-            self.stack.push(c);
-        }
-        Some(current)
+        self.step().map(|(id, _)| id)
     }
 }
 
@@ -568,26 +595,28 @@ impl<'a> Iterator for Descendants<'a> {
     }
 }
 
-/// Post-order traversal iterator.
+/// Post-order traversal iterator: a link walk bounded by the subtree root.
 pub struct PostOrder<'a> {
     tree: &'a XmlTree,
-    stack: Vec<(NodeId, bool)>,
+    root: NodeId,
+    next: Option<NodeId>,
 }
 
 impl<'a> Iterator for PostOrder<'a> {
     type Item = NodeId;
+    /// After a node come its next sibling's subtree (leftmost leaf first)
+    /// or, once the siblings are done, its parent; the walk ends at `root`.
     fn next(&mut self) -> Option<NodeId> {
-        while let Some((id, expanded)) = self.stack.pop() {
-            if expanded {
-                return Some(id);
+        let current = self.next?;
+        self.next = if current == self.root {
+            None
+        } else {
+            match self.tree.next_sibling(current) {
+                Some(sibling) => Some(self.tree.leftmost_leaf(sibling)),
+                None => self.tree.parent(current),
             }
-            self.stack.push((id, true));
-            let children: Vec<NodeId> = self.tree.children(id).collect();
-            for &c in children.iter().rev() {
-                self.stack.push((c, false));
-            }
-        }
-        None
+        };
+        Some(current)
     }
 }
 

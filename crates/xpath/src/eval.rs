@@ -29,10 +29,15 @@
 //!
 //! The kernel keeps per-node vectors in a two-tier form. At every node that
 //! is *not* adjacent to a virtual node, all entries are already known truth
-//! values, so vectors stay as packed [`BitVector`]s: the child-fold loops
-//! run word-wise (64 entries per AND/OR instruction) and the constant path
-//! performs **zero heap allocations per entry**. Only once a virtual node's
-//! fresh variables flow into a vector does it switch to per-entry formulas —
+//! values, so vectors stay as packed [`BitVector`]s — one inline word up to
+//! 64 entries — and the child-fold loops run word-wise (64 entries per
+//! AND/OR instruction). The constant path performs **no heap allocation per
+//! node**: the tree walks follow links, children are pushed straight onto
+//! the top-down stack, positional facts go through one per-sweep scratch,
+//! and what is left is a few allocations per pass (the per-node vector
+//! tables, and the amortised growth of the stack and the output lists) —
+//! `tests/allocations.rs` pins that. Only once a virtual node's fresh
+//! variables flow into a vector does it switch to per-entry formulas —
 //! and those formulas live as interned [`ExprId`]s in the visit's
 //! [`FormulaArena`], so combining the `O(k)` residual formulas never clones a
 //! subtree. Pass outputs are exported as [`CompactVector`]s (bits for
@@ -131,66 +136,63 @@ impl AVec {
     }
 
     /// A copy of the vector with constant entries (positional facts)
-    /// appended at the end.
-    fn extended_with(&self, facts: &[bool]) -> AVec {
-        if facts.is_empty() {
-            return self.clone();
-        }
+    /// appended at the end — shifted in word-wise on the bits path.
+    fn extended_with(&self, facts: &BitVector) -> AVec {
         match self {
-            AVec::Bits(b) => {
-                let bools: Vec<bool> = b.iter().chain(facts.iter().copied()).collect();
-                AVec::Bits(BitVector::from_bools(&bools))
-            }
+            AVec::Bits(b) => AVec::Bits(b.concat(facts)),
             AVec::Ids(v) => {
                 let mut ids = v.clone();
-                ids.extend(facts.iter().map(|&f| ExprId::of_const(f)));
+                ids.extend(facts.iter().map(ExprId::of_const));
                 AVec::Ids(ids)
             }
         }
     }
 }
 
-/// For each child, whether it sits at an accepted position among the
-/// test-matching children of this parent. Children that do not match the
-/// filter's node test (text nodes in particular) are always `false`; virtual
-/// placeholders count through their recorded root label.
-pub(crate) fn position_accept_mask(
-    tree: &XmlTree,
-    children: &[NodeId],
-    filter: &PosFilter,
-) -> Vec<bool> {
+/// Every child of `parent` with whether it sits at an accepted position
+/// among the test-matching children. Children that do not match the filter's
+/// node test (text nodes in particular) are never accepted; virtual
+/// placeholders count through their recorded root label. Walks the sibling
+/// chain (twice for `last()`) and allocates nothing.
+pub(crate) fn position_accepts<'a>(
+    tree: &'a XmlTree,
+    parent: NodeId,
+    filter: &'a PosFilter,
+) -> impl Iterator<Item = (NodeId, bool)> + 'a {
+    let counts = move |c: NodeId| filter.test.matches(tree.step_label(c));
     let total = if filter.needs_total() {
-        children.iter().filter(|c| filter.test.matches(tree.step_label(**c))).count() as u32
+        tree.children(parent).filter(|&c| counts(c)).count() as u32
     } else {
         0
     };
     let mut index = 0u32;
-    children
-        .iter()
-        .map(|c| {
-            if filter.test.matches(tree.step_label(*c)) {
-                index += 1;
-                filter.accepts(index, total)
-            } else {
-                false
-            }
-        })
-        .collect()
+    tree.children(parent).map(move |c| {
+        let accepted = counts(c) && {
+            index += 1;
+            filter.accepts(index, total)
+        };
+        (c, accepted)
+    })
 }
 
-/// Positional-fact rows for every child of a node: `rows[k][j]` is fact `j`
-/// of `query.sel_positions` at the `k`-th child. Empty when the query has no
-/// positional predicates.
-fn child_fact_rows(tree: &XmlTree, children: &[NodeId], query: &CompiledQuery) -> Vec<Vec<bool>> {
-    if query.sel_positions.is_empty() {
-        return Vec::new();
+/// Positional-fact rows for every child of `parent`, written into the
+/// sweep's `rows` scratch: `rows[k]` holds fact `j` of `query.sel_positions`
+/// at the `k`-th child as bit `j`. Called only for queries with positional
+/// predicates.
+fn child_fact_rows(
+    tree: &XmlTree,
+    parent: NodeId,
+    query: &CompiledQuery,
+    rows: &mut Vec<BitVector>,
+) {
+    rows.clear();
+    rows.extend(tree.children(parent).map(|_| BitVector::all_false(query.sel_positions.len())));
+    for (j, sp) in query.sel_positions.iter().enumerate() {
+        for (row, (_, accepted)) in rows.iter_mut().zip(position_accepts(tree, parent, &sp.filter))
+        {
+            row.set(j, accepted);
+        }
     }
-    let masks: Vec<Vec<bool>> = query
-        .sel_positions
-        .iter()
-        .map(|sp| position_accept_mask(tree, children, &sp.filter))
-        .collect();
-    (0..children.len()).map(|k| masks.iter().map(|m| m[k]).collect()).collect()
 }
 
 /// The pair of vectors a fragment publishes for its root and that a parent
@@ -391,9 +393,7 @@ fn eval_qentry<V: VarLike>(
     // Counted child-fold: OR of `entry` over the children sitting at
     // positions accepted by `filter`.
     let counted_fold = |arena: &mut FormulaArena<V>, e: QEntryId, filter: &PosFilter| {
-        let children: Vec<NodeId> = tree.children(v).collect();
-        let mask = position_accept_mask(tree, &children, filter);
-        arena.or_all(children.iter().zip(mask).filter(|(_, ok)| *ok).map(|(c, _)| {
+        arena.or_all(position_accepts(tree, v, filter).filter(|&(_, ok)| ok).map(|(c, _)| {
             node_qv[c.index()].as_ref().expect("children processed before parent").id(e)
         }))
     };
@@ -561,8 +561,11 @@ fn selection_sweep<V: VarLike>(
     // Explicit DFS stack carrying the parent's (summarised) SV vector plus,
     // when the query has positional predicates, the node's own positional
     // facts (entries slen..slen+P, computed by the parent while pushing).
+    // `rows` is the sweep's fact scratch; neither it nor the stack allocates
+    // per node once grown.
     let init = AVec::from_compact(init, arena);
     let mut stack: Vec<(NodeId, AVec)> = vec![(root, init)];
+    let mut rows: Vec<BitVector> = Vec::new();
     while let Some((v, carried)) = stack.pop() {
         if tree.is_virtual(v) {
             // The stack-top summarises everything known about the ancestors
@@ -589,19 +592,18 @@ fn selection_sweep<V: VarLike>(
         // Children inherit v's vector as their ancestor summary, extended
         // with their own positional facts (all children of v are locally
         // present, so v can count them — including virtual placeholders,
-        // whose recorded root label stands in for the missing root).
-        let children: Vec<NodeId> = tree.children(v).collect();
+        // whose recorded root label stands in for the missing root). They
+        // are pushed in document order and the run is reversed in place, so
+        // the first child is popped first.
+        let first = stack.len();
         if query.sel_positions.is_empty() {
-            for c in children.into_iter().rev() {
-                stack.push((c, sv.clone()));
-            }
+            stack.extend(tree.children(v).map(|c| (c, sv.clone())));
         } else {
-            let rows = child_fact_rows(tree, &children, query);
-            out.ops += (children.len() * query.sel_positions.len()) as u64;
-            for (k, c) in children.iter().enumerate().rev() {
-                stack.push((*c, sv.extended_with(&rows[k])));
-            }
+            child_fact_rows(tree, v, query, &mut rows);
+            out.ops += (rows.len() * query.sel_positions.len()) as u64;
+            stack.extend(tree.children(v).zip(&rows).map(|(c, row)| (c, sv.extended_with(row))));
         }
+        stack[first..].reverse();
     }
     out
 }

@@ -74,12 +74,10 @@ fn preceding_pos_test(items: &[NormItem], at: usize) -> Option<PosTest> {
 fn position_accepted(tree: &XmlTree, v: NodeId, test: &PosTest, pred: PosPred) -> bool {
     let filter = PosFilter { test: test.clone(), preds: vec![pred] };
     match tree.parent(v) {
-        Some(p) => {
-            let children: Vec<NodeId> = tree.children(p).collect();
-            let mask = crate::eval::position_accept_mask(tree, &children, &filter);
-            let k = children.iter().position(|c| *c == v).expect("node among its siblings");
-            mask[k]
-        }
+        Some(p) => crate::eval::position_accepts(tree, p, &filter)
+            .find(|&(c, _)| c == v)
+            .map(|(_, accepted)| accepted)
+            .expect("node among its siblings"),
         None => filter.test.matches(tree.step_label(v)) && filter.accepts(1, 1),
     }
 }

@@ -1,0 +1,118 @@
+//! The kernel's constant path allocates per pass, not per node: growing a
+//! constant-only tree sixteen-fold (1k → 16k element groups, 6,001 → 96,001
+//! nodes) may add only the few reallocations of the vectors that grow with
+//! the output or the widest fan-out — never one allocation per node.
+//!
+//! This binary has its own counting `#[global_allocator]`. Counts are kept
+//! per thread, so the test harness's other threads do not leak into them.
+
+use paxml_boolex::CompactVector;
+use paxml_xml::{NodeId, XmlTree};
+use paxml_xpath::eval::{
+    combined_pass, evaluation_context, initial_vector, qualifier_pass, selection_pass, QualVectors,
+};
+use paxml_xpath::{compile_text, CompiledQuery, QEntryId};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct CountingAllocator;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    // `try_with` is a no-op during thread teardown.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a const-initialised
+// thread-local `Cell` (no allocation, no destructor) and never influences
+// what is returned.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        // SAFETY: the caller's obligations for `alloc` are exactly `System`'s.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`, with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        // SAFETY: `ptr` came from `System` with `layout`; `new_size` is the caller's to vouch for.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// Heap allocations (including reallocations) made by `f` on this thread.
+fn allocations<T>(f: impl FnOnce() -> T) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    let value = f();
+    let after = ALLOCATIONS.with(Cell::get);
+    drop(value);
+    after - before
+}
+
+/// `<site>` over `groups` × `<person><name>…</name><address><country>…`,
+/// every other person in the US: 6 nodes per group plus the root.
+fn people(groups: usize) -> XmlTree {
+    let mut tree = XmlTree::with_root_element("site");
+    let site = tree.root();
+    for i in 0..groups {
+        let person = tree.append_element(site, "person");
+        tree.append_leaf(person, "name", format!("p{i}"));
+        let address = tree.append_element(person, "address");
+        tree.append_leaf(address, "country", if i % 2 == 0 { "US" } else { "CA" });
+    }
+    tree
+}
+
+/// Allocations of the three public passes over `tree`.
+fn pass_allocations(tree: &XmlTree, query: &CompiledQuery) -> [u64; 3] {
+    let root = tree.root();
+    let init = || CompactVector::from_bools(&initial_vector(query, "site"));
+    let context = evaluation_context(query, root);
+    let no_virtual = |_: NodeId| -> QualVectors<u8> { unreachable!("constant-only tree") };
+    let combined = allocations(|| {
+        combined_pass::<u8>(tree, root, query, init(), context, no_virtual, |_, _| 0)
+    });
+    let qualifier = allocations(|| qualifier_pass::<u8>(tree, root, query, no_virtual));
+    let quals = qualifier_pass::<u8>(tree, root, query, no_virtual);
+    let mut qual_value =
+        |v: NodeId, e: QEntryId| quals.node_qv[v.index()].as_ref().expect("swept").expr(e);
+    let init = init();
+    let selection =
+        allocations(|| selection_pass::<u8>(tree, root, query, init, context, &mut qual_value));
+    [combined, qualifier, selection]
+}
+
+#[test]
+fn constant_path_allocations_do_not_grow_with_the_tree() {
+    let small = people(1_000);
+    let large = people(16_000);
+    assert_eq!((small.node_count(), large.node_count()), (6_001, 96_001));
+    let mut grown = Vec::new();
+    for text in
+        ["/site/person[address/country=\"US\"]/name", "//person/name", "/site/person[2]/name"]
+    {
+        let query = compile_text(text).expect("query compiles");
+        let at_small = pass_allocations(&small, &query);
+        let at_large = pass_allocations(&large, &query);
+        let passes = ["combined_pass", "qualifier_pass", "selection_pass"];
+        for (pass, (s, l)) in passes.iter().zip(at_small.iter().zip(&at_large)) {
+            println!("{text:45} {pass:15} {s:>8} → {l:>8} allocations");
+            if l.saturating_sub(*s) > 16 {
+                grown.push(format!("{pass} for {text}: {s} → {l}"));
+            }
+        }
+    }
+    assert!(grown.is_empty(), "the constant path allocates per node: {grown:#?}");
+}

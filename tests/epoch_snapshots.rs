@@ -127,7 +127,9 @@ proptest! {
                 let done = Arc::clone(&done);
                 thread::spawn(move || {
                     let mut observed = 0usize;
-                    while !done.load(Ordering::Relaxed) {
+                    // Read first, then look at `done`: the writer may publish
+                    // every generation before this thread is scheduled.
+                    loop {
                         if use_batches && (reader + observed).is_multiple_of(3) {
                             let report = server.execute_batch(&prepared).unwrap();
                             let epoch = report.epoch as usize;
@@ -157,6 +159,9 @@ proptest! {
                             );
                         }
                         observed += 1;
+                        if done.load(Ordering::Relaxed) {
+                            break;
+                        }
                     }
                     observed
                 })
