@@ -655,8 +655,10 @@ impl<'a> ExecCtx<'a> {
     /// (fault plan and clock), let the transport deliver, commit what it
     /// observed to this execution's meters and the cumulative ledger. An
     /// empty round touches neither the clock nor the meters. Fails on an
-    /// injected fault (nothing delivered, nothing charged) or when a remote
-    /// site is unreachable; the in-process simulator itself cannot fail.
+    /// injected fault (nothing delivered, nothing charged), when a remote
+    /// site is unreachable, or — after charging the delivered round — with
+    /// [`PaxError::FragmentMissing`] when a site answered
+    /// [`ProtocolResponse::Missing`].
     pub fn round(
         &mut self,
         requests: BTreeMap<SiteId, ProtocolRequest>,
@@ -674,7 +676,14 @@ impl<'a> ExecCtx<'a> {
         gate.admit(transport, &requests)?;
         let delivered = transport.deliver(requests)?;
         gate.commit(&mut self.stats, &delivered);
-        Ok(delivered.into_iter().map(|(site, d)| (site, d.response)).collect())
+        let mut responses = BTreeMap::new();
+        for (site, delivery) in delivered {
+            if let ProtocolResponse::Missing(fragment) = delivery.response {
+                return Err(PaxError::FragmentMissing { site, fragment, epoch: self.epoch });
+            }
+            responses.insert(site, delivery.response);
+        }
+        Ok(responses)
     }
 }
 
@@ -765,7 +774,6 @@ mod tests {
         fn peer(&self, site: SiteId) -> String {
             format!("fake://{site}")
         }
-        fn reset(&self) {}
         fn scratch_len(&self, _site: SiteId) -> usize {
             0
         }

@@ -43,6 +43,17 @@ pub enum PaxError {
         /// What the transport observed (connection refused, reset, EOF…).
         detail: String,
     },
+    /// A site answered that it holds no readable version of a fragment the
+    /// round routed to it (the copy was lost, e.g. with a site process that
+    /// restarted empty). The site itself is up.
+    FragmentMissing {
+        /// The site that lacks the copy.
+        site: paxml_distsim::SiteId,
+        /// The fragment it lacks.
+        fragment: paxml_fragment::FragmentId,
+        /// The epoch the round was pinned to.
+        epoch: u64,
+    },
     /// A remote peer violated the wire protocol (undecodable frame,
     /// response of the wrong stage, bad handshake).
     Protocol {
@@ -56,13 +67,14 @@ impl PaxError {
     ///
     /// Transient faults are those where a later attempt can see a different
     /// world: a site that refused the connection may come back, a read that
-    /// timed out may answer next time — these drive the failover loop in
+    /// timed out may answer next time, a lost copy has a replica elsewhere —
+    /// these drive the failover loop in
     /// [`PaxServer`](crate::server::PaxServer). Everything else is
     /// *permanent*: a codec mismatch, an invariant violation or a
     /// misconfiguration reproduces identically on retry, so retrying only
     /// hides the bug and burns the deadline budget.
     pub fn is_transient(&self) -> bool {
-        matches!(self, PaxError::SiteUnreachable { .. })
+        matches!(self, PaxError::SiteUnreachable { .. } | PaxError::FragmentMissing { .. })
     }
 }
 
@@ -81,6 +93,12 @@ impl fmt::Display for PaxError {
             PaxError::SiteUnreachable { site, detail } => {
                 write!(f, "site {} unreachable: {detail}", site.0)
             }
+            PaxError::FragmentMissing { site, fragment, epoch } => write!(
+                f,
+                "site {} holds no readable copy of fragment {} at epoch {epoch}",
+                site.0,
+                fragment.index()
+            ),
             PaxError::Protocol { message } => {
                 write!(f, "wire protocol violation: {message}")
             }
@@ -97,6 +115,7 @@ impl std::error::Error for PaxError {
             PaxError::InvalidConfig { .. }
             | PaxError::ForeignQuery { .. }
             | PaxError::SiteUnreachable { .. }
+            | PaxError::FragmentMissing { .. }
             | PaxError::Protocol { .. } => None,
         }
     }
@@ -146,12 +165,19 @@ mod tests {
     }
 
     #[test]
-    fn only_unreachable_sites_are_transient() {
+    fn only_unreachable_sites_and_lost_copies_are_transient() {
         let transient = PaxError::SiteUnreachable {
             site: paxml_distsim::SiteId(1),
             detail: "read timed out".into(),
         };
         assert!(transient.is_transient());
+        let lost = PaxError::FragmentMissing {
+            site: paxml_distsim::SiteId(1),
+            fragment: paxml_fragment::FragmentId(2),
+            epoch: 3,
+        };
+        assert!(lost.is_transient());
+        assert_eq!(lost.to_string(), "site 1 holds no readable copy of fragment 2 at epoch 3");
         for permanent in [
             PaxError::Protocol { message: "bad frame".into() },
             PaxError::InvalidConfig { message: "zero sites".into() },

@@ -22,15 +22,15 @@
 //! no ops and every relevant fragment dirty.
 //!
 //! When a batch of updates arrives, only the **touched fragments'** vectors
-//! are stale. The update round ships the ops to the *dirty* sites (one
-//! visit each, which applies the edits and re-runs the combined pass in the
-//! same visit), re-unifies `evalFT` over the **dirty cone** of the fragment
-//! tree — the updated fragments, their ancestors whose qualifier values
-//! change, and the subtrees whose ancestor summaries change — and
-//! re-resolves candidate formulas from the coordinator-side cache. Clean
-//! sites are **never visited**: even when an update far away flips a
-//! qualifier that decides a clean fragment's candidate answers, the cached
-//! formula is re-evaluated locally at the coordinator.
+//! are stale. The update round is PaX2's multi-query first visit to the
+//! *dirty* sites, ops applied first and answers shipped rather than parked
+//! ([`MultiCombinedRequest`]). The coordinator then re-runs `evalFT`'s walk
+//! over the **dirty cone** of the fragment tree — the updated fragments,
+//! their ancestors whose qualifier values change, and the subtrees whose
+//! ancestor summaries change — and re-resolves candidate formulas from the
+//! coordinator-side cache. Clean sites are **never visited**: even when an
+//! update far away flips a qualifier that decides a clean fragment's
+//! candidate answers, the cached formula is re-evaluated locally.
 //!
 //! Compared to the from-scratch protocol this ships candidate formulas to
 //! the coordinator once (an `O(|candidates|)` add-on to the first visit) and
@@ -83,16 +83,13 @@
 use crate::deployment::{ExecCtx, Topology};
 use crate::error::PaxResult;
 use crate::plan::QueryPlan;
-use crate::protocol::{
-    CandidateAnswer, MsgDeltaAnswer, MsgDeltaVect, MsgSessionUpdate, RecomputeInput,
-    SessionRecompute,
-};
+use crate::protocol::{CandidateAnswer, EntryResponse, MultiCombinedRequest};
 use crate::report::{AnswerItem, UpdateOutcome};
 use crate::transport::ProtocolRequest;
-use crate::unify::{resolve_summary, DenseAssignment};
+use crate::unify::{walk_qualifiers, walk_selection, DenseAssignment, Walk};
 use crate::vars::PaxVar;
 use crate::EvalOptions;
-use paxml_boolex::{BitVector, CompactVector};
+use paxml_boolex::CompactVector;
 use paxml_distsim::SiteId;
 use paxml_fragment::{FragmentId, FragmentTree, UpdateOp};
 use paxml_xpath::eval::QualVectors;
@@ -202,41 +199,32 @@ impl QuerySession {
         &self.plan.analysis.relevant
     }
 
-    /// The recompute instructions this session wants for a set of dirty
-    /// fragments: one entry per dirty fragment the session's analysis kept
-    /// (pruned fragments' vectors are irrelevant and stay absent).
-    fn recompute_inputs(
-        &self,
-        dirty: &BTreeSet<FragmentId>,
-    ) -> BTreeMap<FragmentId, RecomputeInput> {
-        dirty
-            .intersection(self.relevant())
-            .map(|&fragment| {
-                (
-                    fragment,
-                    RecomputeInput {
-                        init: self.plan.init_for(fragment),
-                        root_is_context: self.plan.root_is_context(fragment),
-                    },
-                )
-            })
-            .collect()
-    }
-
-    /// Merge a recomputed site delta into the coordinator-side cache.
+    /// Merge one site's entry slice into the cache: every fragment in
+    /// `asked` is cleared, then refilled from the slice, whose flat answer
+    /// and candidate lists regroup by [`AnswerItem::fragment`].
     /// `Arc::make_mut` unshares exactly the touched entries; clean
     /// fragments' caches stay shared with any prior epoch's sessions.
-    fn absorb(&mut self, vect: MsgDeltaVect, answer: MsgDeltaAnswer) {
-        for (fragment, root) in vect.roots {
-            Arc::make_mut(self.cache.entry(fragment).or_default()).root = Some(root);
+    fn absorb(&mut self, asked: &[FragmentId], entry: EntryResponse) {
+        for &fragment in asked {
+            let cleared = self.cached_mut(fragment);
+            cleared.sure.clear();
+            cleared.candidates.clear();
         }
-        self.virtuals.extend(vect.virtuals);
-        for (fragment, sure) in answer.sure {
-            Arc::make_mut(self.cache.entry(fragment).or_default()).sure = sure;
+        for (fragment, root) in entry.roots {
+            self.cached_mut(fragment).root = Some(root);
         }
-        for (fragment, candidates) in answer.candidates {
-            Arc::make_mut(self.cache.entry(fragment).or_default()).candidates = candidates;
+        for item in entry.answers {
+            self.cached_mut(item.fragment).sure.push(item);
         }
+        for candidate in entry.candidates {
+            self.cached_mut(candidate.item.fragment).candidates.push(candidate);
+        }
+        self.virtuals.extend(entry.virtuals);
+    }
+
+    /// A fragment's cache entry, unshared for writing.
+    fn cached_mut(&mut self, fragment: FragmentId) -> &mut FragmentCache {
+        Arc::make_mut(self.cache.entry(fragment).or_default())
     }
 
     /// Bytes of the session's per-fragment cache under the canonical wire
@@ -255,11 +243,30 @@ impl QuerySession {
         dirty_fragments: &BTreeSet<FragmentId>,
         initial: bool,
     ) -> RefreshOutcome {
-        let mut unify_ops = 0u64;
-        let (qual_changed, qual_reunified) =
-            self.reunify_qualifiers(dirty_fragments, initial, &mut unify_ops);
-        let (sel_changed, sel_reunified) =
-            self.reunify_selection(dirty_fragments, &qual_changed, initial, &mut unify_ops);
+        // The dirty cone: a fragment is recomputed when it (for `Qual`
+        // values) or its parent (for `Sel` values) was updated; the walks
+        // add whatever a changed value reaches.
+        let (ft, cache) = (&self.ft, &self.cache);
+        let qual = if self.query.has_qualifiers() {
+            let root_of =
+                |f| cache.get(&f).and_then(|entry: &Arc<FragmentCache>| entry.root.as_ref());
+            let updated = |f| initial || dirty_fragments.contains(&f);
+            walk_qualifiers(ft, root_of, self.query.qvect_len(), &mut self.assignment, updated)
+        } else {
+            Walk::default()
+        };
+        let parent_updated =
+            |f| initial || ft.parent(f).is_some_and(|parent| dirty_fragments.contains(&parent));
+        let sel = walk_selection(
+            ft,
+            &self.virtuals,
+            &self.plan.root_init,
+            &qual.changed,
+            &mut self.assignment,
+            parent_updated,
+        );
+        let mut unify_ops = (2 * self.query.qvect_len() * qual.recomputed
+            + self.query.init_len() * sel.recomputed) as u64;
 
         // --------------------------------- re-resolve answers from the cache
         let fragments: Vec<FragmentId> = self.cache.keys().copied().collect();
@@ -267,8 +274,8 @@ impl QuerySession {
         for fragment in fragments {
             let needs = initial
                 || dirty_fragments.contains(&fragment)
-                || sel_changed.contains(&fragment)
-                || self.ft.children(fragment).iter().any(|c| qual_changed.contains(c));
+                || sel.changed.contains(&fragment)
+                || self.ft.children(fragment).iter().any(|c| qual.changed.contains(c));
             if !needs {
                 continue;
             }
@@ -295,7 +302,7 @@ impl QuerySession {
             answers.dedup();
             self.answers = answers;
         }
-        RefreshOutcome { unify_ops, reunified_fragments: qual_reunified + sel_reunified }
+        RefreshOutcome { unify_ops, reunified_fragments: qual.recomputed + sel.recomputed }
     }
 
     /// Adopt a new fragment tree after a re-fragmentation that left this
@@ -327,96 +334,6 @@ impl QuerySession {
         self.assignment = DenseAssignment::new(self.ft.len());
         self.refresh_coordinator_state(&BTreeSet::new(), true);
     }
-
-    /// Bottom-up qualifier re-unification over the dirty cone: a fragment's
-    /// `Qual` values are recomputed iff the fragment itself was updated or a
-    /// descendant's values changed; everything else reuses the cached truth
-    /// values. Returns the set of fragments whose values changed and the
-    /// number of fragments actually re-unified.
-    fn reunify_qualifiers(
-        &mut self,
-        dirty: &BTreeSet<FragmentId>,
-        initial: bool,
-        unify_ops: &mut u64,
-    ) -> (BTreeSet<FragmentId>, usize) {
-        let mut changed: BTreeSet<FragmentId> = BTreeSet::new();
-        let mut reunified = 0usize;
-        if !self.query.has_qualifiers() {
-            return (changed, reunified);
-        }
-        let qlen = self.query.qvect_len();
-        for fragment in self.ft.bottom_up_order() {
-            let needs = initial
-                || dirty.contains(&fragment)
-                || self.ft.children(fragment).iter().any(|c| changed.contains(c));
-            if !needs {
-                continue;
-            }
-            reunified += 1;
-            *unify_ops += 2 * qlen as u64;
-            let (qv, qdv) = {
-                let assignment = &self.assignment;
-                match self.cache.get(&fragment).and_then(|e| e.root.as_ref()) {
-                    Some(vectors) => (
-                        vectors.qv.resolve_bits(&|v| assignment.get(v)),
-                        vectors.qdv.resolve_bits(&|v| assignment.get(v)),
-                    ),
-                    None => (BitVector::all_false(qlen), BitVector::all_false(qlen)),
-                }
-            };
-            if self.assignment.set_qual(fragment, qv, qdv) {
-                changed.insert(fragment);
-            }
-        }
-        (changed, reunified)
-    }
-
-    /// Top-down selection re-unification over the dirty cone: a fragment's
-    /// `Sel` values are recomputed iff its parent was updated (the recorded
-    /// summary itself may be new), the parent's own `Sel` values changed, or
-    /// the summary mentions a `Qual` variable whose value changed.
-    fn reunify_selection(
-        &mut self,
-        dirty: &BTreeSet<FragmentId>,
-        qual_changed: &BTreeSet<FragmentId>,
-        initial: bool,
-        unify_ops: &mut u64,
-    ) -> (BTreeSet<FragmentId>, usize) {
-        let slen = self.query.init_len();
-        let mut changed: BTreeSet<FragmentId> = BTreeSet::new();
-        let mut reunified = 0usize;
-        if initial {
-            self.assignment.set_sel(FragmentId::ROOT, BitVector::from_bools(&self.plan.root_init));
-        }
-        for fragment in self.ft.top_down_order() {
-            if fragment == FragmentId::ROOT {
-                continue;
-            }
-            let parent = self.ft.parent(fragment).expect("non-root fragments have a parent");
-            let needs = initial
-                || dirty.contains(&parent)
-                || changed.contains(&parent)
-                || self.virtuals.get(&fragment).is_some_and(|vector| {
-                    vector.variables().iter().any(|var| match var {
-                        PaxVar::Qual { fragment: g, .. } => qual_changed.contains(g),
-                        _ => false,
-                    })
-                });
-            if !needs {
-                continue;
-            }
-            reunified += 1;
-            *unify_ops += slen as u64;
-            let sel = match self.virtuals.get(&fragment) {
-                Some(vector) => resolve_summary(vector, slen, &self.assignment),
-                None => BitVector::all_false(slen),
-            };
-            if self.assignment.set_sel(fragment, sel) {
-                changed.insert(fragment);
-            }
-        }
-        (changed, reunified)
-    }
 }
 
 /// What one [`session_round`] did, summed over the sessions it refreshed.
@@ -429,11 +346,13 @@ pub(crate) struct SessionRound {
     pub(crate) unify_ops: u64,
 }
 
-/// One session round over the execution `ctx` is pinned to: ship each site
-/// of `site_fragments` the ops for its fragments (applied once, shared by
-/// all sessions) together with every session's recompute instructions for
-/// them, merge the deltas into the sessions' caches, re-unify each dirty
-/// cone and re-resolve the answers. The round's meters land in `ctx.stats`.
+/// One session round over the execution `ctx` is pinned to: one
+/// [`MultiCombinedRequest`] per site of `site_fragments`, carrying the ops
+/// for its fragments (applied once, shared by all sessions) and one entry
+/// per session with work there, answers shipped rather than parked. The
+/// entries' slices merge into the sessions' caches; then each session
+/// re-unifies its dirty cone and re-resolves its answers. The round's meters
+/// land in `ctx.stats`.
 ///
 /// This is both halves of a session's life. A server update round passes
 /// the dirty fragments fanned out to their live replicas, the ops, and the
@@ -453,41 +372,31 @@ pub(crate) fn session_round(
 ) -> PaxResult<SessionRound> {
     let dirty: BTreeSet<FragmentId> = site_fragments.values().flatten().copied().collect();
     let cold = ops_by_fragment.is_empty();
-    // The sessions taking part, each with its recompute instructions.
-    let mut refreshing: BTreeMap<usize, (&mut QuerySession, BTreeMap<FragmentId, RecomputeInput>)> =
-        sessions
-            .into_iter()
-            .filter(|(_, session)| session.initialized || cold)
-            .map(|(id, session)| {
-                let inputs = session.recompute_inputs(&dirty);
-                (id, (session, inputs))
-            })
-            .collect();
+    let mut refreshing: BTreeMap<usize, &mut QuerySession> =
+        sessions.into_iter().filter(|(_, session)| session.initialized || cold).collect();
 
+    // Per site: the session and the fragments behind each entry, in entry
+    // order. A session asks only for the fragments its analysis kept —
+    // pruned fragments' vectors do not matter.
+    let mut asked: BTreeMap<SiteId, Vec<(usize, Vec<FragmentId>)>> = BTreeMap::new();
     let mut requests: BTreeMap<SiteId, ProtocolRequest> = BTreeMap::new();
     for (&site, fragments) in site_fragments {
         let ops = fragments
             .iter()
             .filter_map(|f| ops_by_fragment.get(f).map(|ops| (*f, ops.clone())))
             .collect();
-        let mut slices: Vec<SessionRecompute> = Vec::new();
-        for (&id, (session, inputs)) in &refreshing {
-            let here: BTreeMap<FragmentId, RecomputeInput> = fragments
-                .iter()
-                .filter_map(|f| inputs.get(f).map(|input| (*f, input.clone())))
-                .collect();
+        let mut entries = Vec::new();
+        for (&id, session) in &refreshing {
+            let here: Vec<FragmentId> =
+                fragments.iter().copied().filter(|f| session.relevant().contains(f)).collect();
             if !here.is_empty() {
-                slices.push(SessionRecompute {
-                    session: id,
-                    query: session.query.clone(),
-                    fragments: here,
-                });
+                let inputs = here.iter().map(|&f| (f, session.plan.combined_input(f))).collect();
+                entries.push((session.query.clone(), inputs));
+                asked.entry(site).or_default().push((id, here));
             }
         }
-        requests.insert(
-            site,
-            ProtocolRequest::SessionUpdate(MsgSessionUpdate { ops, sessions: slices }),
-        );
+        let request = MultiCombinedRequest { park: None, ops, entries };
+        requests.insert(site, ProtocolRequest::MultiCombined(request));
     }
     let responses = ctx.round(requests)?;
 
@@ -495,26 +404,28 @@ pub(crate) fn session_round(
     // is the per-fragment maximum, not the sum across copies.
     let mut applied: BTreeMap<FragmentId, usize> = BTreeMap::new();
     let mut outcome = SessionRound::default();
-    for response in responses.into_values() {
-        let delta = response.into_session_delta()?;
-        for (fragment, count) in delta.applied {
+    for (site, response) in responses {
+        let asked = asked.remove(&site).unwrap_or_default();
+        let response = response.into_multi_combined()?.checked(asked.len())?;
+        for (fragment, ops) in response.ops {
             let most = applied.entry(fragment).or_default();
-            *most = (*most).max(count);
-        }
-        outcome.update.rejected.extend(delta.rejected);
-        for slice in delta.sessions {
-            if let Some((session, _)) = refreshing.get_mut(&slice.session) {
-                session.absorb(slice.vect, slice.answer);
+            *most = (*most).max(ops.applied);
+            if let Some(reason) = ops.rejected {
+                outcome.update.rejected.insert(fragment, reason);
             }
+        }
+        for ((id, fragments), entry) in asked.iter().zip(response.entries) {
+            let session = refreshing.get_mut(id).expect("entries come from refreshing sessions");
+            session.absorb(fragments, entry);
         }
     }
     outcome.update.applied_ops = applied.values().sum();
 
-    for (session, inputs) in refreshing.into_values() {
+    for session in refreshing.into_values() {
         let refresh = session.refresh_coordinator_state(&dirty, !session.initialized);
         session.initialized = true;
         outcome.update.refreshed_sessions += 1;
-        outcome.update.recomputed_fragments += inputs.len();
+        outcome.update.recomputed_fragments += session.relevant().intersection(&dirty).count();
         outcome.update.reunified_fragments += refresh.reunified_fragments;
         outcome.unify_ops += refresh.unify_ops;
     }

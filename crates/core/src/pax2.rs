@@ -19,15 +19,18 @@
 //! the *same* deployment one at a time costs up to `2N` rounds and `2N`
 //! visits per site, so the driver takes a **slice** of queries and shares
 //! the visits: every query's first-stage payload addressed to a site travels
-//! in one message (each query's candidate state is kept in its own scratch
-//! slot, so the queries' vector spaces never mix), `evalFT` runs per query
-//! over the shared fragment tree, and the resolved values of every query go
-//! back in one collection message. The whole batch therefore respects the
+//! as one entry of a single [`MultiCombinedRequest`] (entry `i` parks its
+//! candidate state under the message's slot base plus `i`, so the queries'
+//! vector spaces never mix), `evalFT` runs per query over the shared
+//! fragment tree, and the resolved values of every query go back in one
+//! collection message. The whole batch therefore respects the
 //! single-query bound — **no site is visited more than twice, no matter how
 //! many queries the batch carries** — with traffic in
 //! `O(Σᵢ|Qᵢ|·|FT| + Σᵢ|answerᵢ|)`. A single query is the slice of one; it
 //! differs only in travelling in the plain [`CombinedRequest`] /
-//! [`CollectRequest`] envelopes instead of the batched ones.
+//! [`CollectRequest`] envelopes. The same multi-query visit, with its
+//! answers shipped instead of parked, refreshes prepared queries'
+//! caches (see [`crate::incremental`]).
 //!
 //! ```
 //! use paxml_core::server::PaxServer;
@@ -65,19 +68,16 @@ use crate::deployment::{Deployment, ExecCtx};
 use crate::error::PaxResult;
 use crate::plan::QueryPlan;
 use crate::protocol::{
-    BatchCollectEntry, BatchCollectQueryResponse, BatchCollectRequest, BatchCombinedEntry,
-    BatchCombinedQueryResponse, BatchCombinedRequest, CollectRequest, CombinedFragmentInput,
-    CombinedRequest,
+    BatchCollectEntry, BatchCollectQueryResponse, BatchCollectRequest, CollectRequest,
+    CombinedFragmentInput, CombinedRequest, EntryResponse, MultiCombinedRequest,
 };
-use crate::report::{Algorithm, AnswerItem, ExecMode, ExecReport, QueryOutcome};
+use crate::report::{Algorithm, ExecMode, ExecReport, QueryOutcome};
 use crate::transport::{ProtocolRequest, ProtocolResponse};
 use crate::unify::{unify_qualifiers, unify_selection, DenseAssignment};
 use crate::vars::PaxVar;
 use crate::EvalOptions;
-use paxml_boolex::CompactVector;
 use paxml_distsim::SiteId;
 use paxml_fragment::{FragmentId, FragmentTree};
-use paxml_xpath::eval::QualVectors;
 use paxml_xpath::CompiledQuery;
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -121,9 +121,10 @@ fn sole<T>(entries: Vec<T>) -> T {
 /// with its text, used only for the report), reported as a unified
 /// [`ExecReport`] whose cluster meters cover exactly this execution. `mode`
 /// picks the envelope — [`ExecMode::Query`] ships the slice of one in the
-/// single-query messages, [`ExecMode::Batch`] any slice in the batched ones
-/// — and nothing else. Takes the deployment *shared*: any number of runs
-/// may execute concurrently, each with its own recorder and scratch slots.
+/// single-query messages, [`ExecMode::Batch`] any slice in the multi-query
+/// ones — and nothing else. Takes the deployment *shared*: any number of
+/// runs may execute concurrently, each with its own recorder and scratch
+/// slots.
 ///
 /// # Panics
 ///
@@ -142,117 +143,116 @@ pub(crate) fn run(
     let mut ctx = ExecCtx::pinned(deployment, epoch, 0);
     let topology = ctx.topology();
     let ft = &topology.fragment_tree;
-    // One scratch slot per query, unique across concurrent executions, so
-    // interleaved executions never mix candidate state.
+    // A block of scratch slots, unique across concurrent executions: a
+    // site's entry `i` parks under `slot_base + i`.
     let slot_base = deployment.allocate_slots(queries.len().max(1));
 
     // ------------------------------------------------ Stage 1 (combined, 1 visit)
-    // Plan every query, merging the per-site payloads into one request per
-    // site for the whole slice.
-    let mut plans: Vec<(QueryPlan, Vec<FragmentId>)> = Vec::with_capacity(queries.len());
-    let mut stage1: BTreeMap<SiteId, Vec<BatchCombinedEntry>> = BTreeMap::new();
-    for (query_index, (query, _)) in queries.iter().enumerate() {
-        let plan = QueryPlan::new(query, options, &topology, &deployment.root_label);
-        // Fragments whose answers are not certain after the combined pass
-        // and need the collection visit.
-        let mut finals_pending: Vec<FragmentId> = Vec::new();
+    // Plan every query; per site, one entry per query with work there, in
+    // query order. `pending[q]` are the fragments whose answers stay
+    // uncertain after the pass and need the collection visit.
+    let plans: Vec<QueryPlan> = queries
+        .iter()
+        .map(|(query, _)| QueryPlan::new(query, options, &topology, &deployment.root_label))
+        .collect();
+    let mut pending: Vec<Vec<FragmentId>> = vec![Vec::new(); queries.len()];
+    type Inputs = BTreeMap<FragmentId, CombinedFragmentInput>;
+    let mut stage1: BTreeMap<SiteId, Vec<(usize, Inputs)>> = BTreeMap::new();
+    for (query_index, plan) in plans.iter().enumerate() {
         for (site, fragments) in ctx.group_by_site(plan.analysis.relevant.iter().copied())? {
-            let mut inputs = BTreeMap::new();
-            for fragment in fragments {
-                let init = plan.init_for(fragment);
-                let collect_answers_now = plan.answers_certain(&init, false);
-                if !collect_answers_now {
-                    finals_pending.push(fragment);
-                }
-                inputs.insert(
-                    fragment,
-                    CombinedFragmentInput {
-                        init,
-                        root_is_context: plan.root_is_context(fragment),
-                        collect_answers_now,
-                    },
-                );
-            }
-            stage1.entry(site).or_default().push(BatchCombinedEntry {
-                query_index,
-                slot: slot_base + query_index,
-                query: (*query).clone(),
-                fragments: inputs,
-            });
+            let inputs: Inputs =
+                fragments.into_iter().map(|f| (f, plan.combined_input(f))).collect();
+            let uncertain = inputs.iter().filter(|(_, input)| !input.collect_answers_now);
+            pending[query_index].extend(uncertain.map(|(&f, _)| f));
+            stage1.entry(site).or_default().push((query_index, inputs));
         }
-        plans.push((plan, finals_pending));
     }
+    // Which query each site's entries belong to, in entry order.
+    let order: BTreeMap<SiteId, Vec<usize>> = stage1
+        .iter()
+        .map(|(&site, entries)| (site, entries.iter().map(|(q, _)| *q).collect()))
+        .collect();
     let requests = stage1
         .into_iter()
         .map(|(site, entries)| {
             let request = if batched {
-                ProtocolRequest::BatchCombined(BatchCombinedRequest { entries })
+                let entries = entries.into_iter().map(|(q, inputs)| (queries[q].0.clone(), inputs));
+                ProtocolRequest::MultiCombined(MultiCombinedRequest {
+                    park: Some(slot_base),
+                    ops: BTreeMap::new(),
+                    entries: entries.collect(),
+                })
             } else {
-                let BatchCombinedEntry { slot, query, fragments, .. } = sole(entries);
-                ProtocolRequest::Combined(CombinedRequest { slot, query, fragments })
+                let (_, fragments) = sole(entries);
+                let query = queries[0].0.clone();
+                ProtocolRequest::Combined(CombinedRequest { slot: slot_base, query, fragments })
             };
             (site, request)
         })
         .collect();
-    let responses = ctx.round(requests)?;
 
     // Scatter the responses back out per query.
-    let mut roots: Vec<BTreeMap<FragmentId, QualVectors<PaxVar>>> =
-        vec![BTreeMap::new(); queries.len()];
-    let mut virtuals: Vec<BTreeMap<FragmentId, CompactVector<PaxVar>>> =
-        vec![BTreeMap::new(); queries.len()];
-    let mut answers: Vec<Vec<AnswerItem>> = vec![Vec::new(); queries.len()];
-    for response in responses.into_values() {
-        for slice in combined_slices(response, batched)? {
-            roots[slice.query_index].extend(slice.roots);
-            virtuals[slice.query_index].extend(slice.virtuals);
-            answers[slice.query_index].extend(slice.answers);
+    let mut first: Vec<EntryResponse> = vec![EntryResponse::default(); queries.len()];
+    for (site, response) in ctx.round(requests)? {
+        let slices = if batched {
+            response.into_multi_combined()?.checked(order[&site].len())?.entries
+        } else {
+            let single = response.into_combined()?;
+            let (roots, virtuals, answers) = (single.roots, single.virtuals, single.answers);
+            vec![EntryResponse { roots, virtuals, answers, candidates: Vec::new() }]
+        };
+        for (&query_index, slice) in order[&site].iter().zip(slices) {
+            let into = &mut first[query_index];
+            into.roots.extend(slice.roots);
+            into.virtuals.extend(slice.virtuals);
+            into.answers.extend(slice.answers);
         }
     }
 
     // ------------------------------------------- Coordinator: evalFT per query
     let mut coordinator_ops: Vec<u64> = vec![0; queries.len()];
     let mut stage2: BTreeMap<SiteId, Vec<BatchCollectEntry>> = BTreeMap::new();
-    for (query_index, ((query, _), (plan, finals_pending))) in
-        queries.iter().zip(&plans).enumerate()
-    {
+    for (query_index, ((query, _), plan)) in queries.iter().zip(&plans).enumerate() {
         let mut assignment = DenseAssignment::new(ft.len());
+        let first = &first[query_index];
         if query.has_qualifiers() {
             coordinator_ops[query_index] += (ft.len() * query.qvect_len()) as u64;
-            unify_qualifiers(ft, &roots[query_index], query.qvect_len(), &mut assignment);
+            unify_qualifiers(ft, &first.roots, query.qvect_len(), &mut assignment);
         }
-        if finals_pending.is_empty() {
+        if pending[query_index].is_empty() {
             continue;
         }
         coordinator_ops[query_index] += (ft.len() * query.init_len()) as u64;
-        unify_selection(ft, &virtuals[query_index], &plan.root_init, &mut assignment);
-        for (site, fragments) in collect_values(&mut ctx, ft, &assignment, finals_pending, true)? {
+        unify_selection(ft, &first.virtuals, &plan.root_init, &mut assignment);
+        let values = collect_values(&mut ctx, ft, &assignment, &pending[query_index], true)?;
+        for (site, fragments) in values {
+            let position = order[&site].iter().position(|&q| q == query_index);
+            let slot = slot_base + position.expect("a pending fragment's site had the query");
             stage2.entry(site).or_default().push(BatchCollectEntry {
                 query_index,
-                slot: slot_base + query_index,
+                slot,
                 fragments,
             });
         }
     }
 
     // ---------------------------------------------- Stage 2 (collect, 1 visit)
-    if !stage2.is_empty() {
-        let requests = stage2
-            .into_iter()
-            .map(|(site, entries)| {
-                let request = if batched {
-                    ProtocolRequest::BatchCollect(BatchCollectRequest { entries })
-                } else {
-                    let BatchCollectEntry { slot, fragments, .. } = sole(entries);
-                    ProtocolRequest::Collect(CollectRequest { slot, fragments })
-                };
-                (site, request)
-            })
-            .collect();
-        for response in ctx.round(requests)?.into_values() {
-            for slice in collect_slices(response, batched)? {
-                answers[slice.query_index].extend(slice.answers);
-            }
+    let mut answers: Vec<_> = first.into_iter().map(|entry| entry.answers).collect();
+    let requests = stage2
+        .into_iter()
+        .map(|(site, entries)| {
+            let request = if batched {
+                ProtocolRequest::BatchCollect(BatchCollectRequest { entries })
+            } else {
+                let BatchCollectEntry { slot, fragments, .. } = sole(entries);
+                ProtocolRequest::Collect(CollectRequest { slot, fragments })
+            };
+            (site, request)
+        })
+        .collect();
+    for response in ctx.round(requests)?.into_values() {
+        for slice in collect_slices(response, batched)? {
+            answers[slice.query_index].extend(slice.answers);
         }
     }
 
@@ -266,7 +266,7 @@ pub(crate) fn run(
             QueryOutcome {
                 query: queries[query_index].1.to_string(),
                 answers,
-                fragments_evaluated: plans[query_index].0.analysis.relevant.len(),
+                fragments_evaluated: plans[query_index].analysis.relevant.len(),
                 coordinator_ops: coordinator_ops[query_index],
             }
         })
@@ -277,24 +277,6 @@ pub(crate) fn run(
         coordinator_ops: coordinator_ops.iter().sum(),
         ..ExecReport::skeleton(Algorithm::PaX2, options, mode, epoch, &topology, start)
     })
-}
-
-/// A first-stage response as per-query slices, whichever envelope it
-/// answered.
-fn combined_slices(
-    response: ProtocolResponse,
-    batched: bool,
-) -> PaxResult<Vec<BatchCombinedQueryResponse>> {
-    if batched {
-        return Ok(response.into_batch_combined()?.per_query);
-    }
-    let single = response.into_combined()?;
-    Ok(vec![BatchCombinedQueryResponse {
-        query_index: 0,
-        roots: single.roots,
-        virtuals: single.virtuals,
-        answers: single.answers,
-    }])
 }
 
 /// A collection response as per-query slices, whichever envelope it

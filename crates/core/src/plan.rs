@@ -1,10 +1,11 @@
 //! Per-query planning shared by every coordinator: which fragments take
 //! part (§5 pruning, or all of them) and how each one's top-down pass
 //! starts. PaX2, PaX3 and the residual-vector sessions all derive their
-//! per-fragment stage inputs from one [`QueryPlan`].
+//! per-fragment stage inputs from one [`QueryPlan`]; PaX2's first visit and
+//! a session round share [`QueryPlan::combined_input`].
 
 use crate::deployment::Topology;
-use crate::protocol::InitVector;
+use crate::protocol::{CombinedFragmentInput, InitVector};
 use crate::prune::{analyze_with_trie, AnnotationAnalysis};
 use crate::EvalOptions;
 use paxml_boolex::BitVector;
@@ -57,6 +58,17 @@ impl QueryPlan {
             InitVector::Exact(BitVector::from_bools(exact))
         } else {
             InitVector::Unknown
+        }
+    }
+
+    /// A fragment's input to PaX2's first visit. Its answers are certain
+    /// at once when the pass starts exact and no qualifier is left open.
+    pub(crate) fn combined_input(&self, fragment: FragmentId) -> CombinedFragmentInput {
+        let init = self.init_for(fragment);
+        CombinedFragmentInput {
+            collect_answers_now: self.answers_certain(&init, false),
+            root_is_context: self.root_is_context(fragment),
+            init,
         }
     }
 

@@ -2,10 +2,25 @@
 //!
 //! Every request/response type here derives `Serialize` so the simulator can
 //! charge its exact byte size to the network. The site-side task functions
-//! operate on a [`SiteLocal`]'s fragments and scratch state; they are shared
-//! between PaX3 and PaX2. The algorithms in [`crate::pax2`]/[`crate::pax3`]
-//! drive them through [`ExecCtx::round`](crate::ExecCtx::round); they can also be
-//! exercised directly against a hand-built site:
+//! operate on a [`SiteLocal`]'s fragments and scratch state:
+//!
+//! * PaX3's [`qualifier_task`] and [`selection_task`];
+//! * PaX2's first visit — [`combined_task`] for one query, and
+//!   [`multi_combined_task`] for many: an `execute_batch`, a prepared
+//!   query's cold snapshot, or an update round that applies its ops first;
+//! * the collection visit, [`collect_task`] and [`batch_collect_task`];
+//! * the control tasks [`refrag_task`] and the vacuum sweep.
+//!
+//! Both first-visit tasks run one kernel, `combined_pass_on_fragment`. The
+//! multi-query task differs between its uses in one thing only: where an
+//! entry's uncertain answers go. A batch parks them site-side for the
+//! collection visit; a session round ships them with their formulas to the
+//! coordinator's cache.
+//!
+//! The algorithms in [`crate::pax2`]/[`crate::pax3`] drive the tasks through
+//! [`ExecCtx::round`](crate::ExecCtx::round), whose [`dispatch`](crate::dispatch)
+//! first checks that the site holds every fragment a body names. They can
+//! also be exercised directly against a hand-built site:
 //!
 //! ```
 //! use paxml_boolex::{BitVector, CompactVector};
@@ -55,6 +70,7 @@
 //! assert!(matches!(response.roots[&FragmentId(1)].qv, CompactVector::Bits(_)));
 //! ```
 
+use crate::error::{PaxError, PaxResult};
 use crate::report::{answer_item, AnswerItem};
 use crate::unify::{assignment_from_pairs, fresh_qual_vectors, fresh_selection_vector};
 use crate::vars::PaxVar;
@@ -62,37 +78,46 @@ use paxml_boolex::{BitVector, BoolExpr, CompactVector};
 use paxml_distsim::SiteLocal;
 use paxml_fragment::{Fragment, FragmentId, UpdateOp};
 use paxml_xml::NodeId;
-use paxml_xpath::eval::{
-    combined_pass, qualifier_pass, selection_pass, CombinedPassOutput, QualVectors,
-};
+use paxml_xpath::eval::{combined_pass, qualifier_pass, selection_pass, QualVectors};
 use paxml_xpath::{CompiledQuery, QEntryId};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-
-/// Scratch keys used to keep per-fragment state between visits. The `slot`
-/// keeps concurrent executions (and the queries of a batch) apart: every
-/// request that parks state site-side carries the slot its execution drew
-/// from [`Deployment::allocate_slots`](crate::Deployment::allocate_slots), so two executions
-/// interleaving their visits to one site never read each other's candidate
-/// sets. The epoch prefix namespaces the slots per deployment epoch, so
-/// state parked against one epoch's snapshots can never be resolved against
-/// another's (an execution pins one epoch for all its visits, so it always
-/// takes back what it parked).
-fn qv_key(epoch: u64, slot: usize, f: FragmentId) -> String {
-    format!("e{epoch}:qv:{slot}:{}", f.0)
-}
-fn ans_key(epoch: u64, slot: usize, f: FragmentId) -> String {
-    format!("e{epoch}:ans:{slot}:{}", f.0)
-}
-fn cans_key(epoch: u64, slot: usize, f: FragmentId) -> String {
-    format!("e{epoch}:cans:{slot}:{}", f.0)
-}
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// A default scratch slot for driving the site tasks directly against a
 /// hand-built [`SiteLocal`] (tests, doctests). Real executions draw a
-/// unique slot from the cluster instead — sharing this constant between
-/// concurrent executions would mix their candidate state.
+/// unique slot from
+/// [`Deployment::allocate_slots`](crate::Deployment::allocate_slots) — two
+/// executions sharing a slot at one epoch would mix their candidate state.
 pub const SINGLE_QUERY_SLOT: usize = 0;
+
+/// What a first visit parks for the collection visit, one value per
+/// `(epoch, slot, fragment)`: the certain answers and the candidates with
+/// their residual formulas. The epoch keeps state parked against one
+/// epoch's snapshots from being resolved against another's, and retires
+/// what an abandoned execution leaves behind.
+struct ParkedAnswers {
+    sure: Vec<NodeId>,
+    candidates: Vec<(NodeId, BoolExpr<PaxVar>)>,
+}
+
+/// The snapshot of `fragment` a visit pinned to `epoch` reads.
+/// [`dispatch`](crate::dispatch) answers a body that names a fragment the
+/// site cannot read with [`ProtocolResponse::Missing`](crate::ProtocolResponse::Missing)
+/// before any task runs, so a task only asks for fragments the site holds.
+fn snapshot(site: &SiteLocal, fragment: FragmentId, epoch: u64) -> Arc<Fragment> {
+    site.fragment_at(fragment, epoch).expect("dispatch checked every fragment the body names")
+}
+
+/// The sub-fragment a virtual node of `fragment` stands for.
+fn virtual_child(fragment: &Fragment, vnode: NodeId) -> FragmentId {
+    fragment
+        .tree
+        .kind(vnode)
+        .virtual_fragment()
+        .map(FragmentId)
+        .expect("virtual nodes carry their fragment id")
+}
 
 /// How a fragment's top-down pass should initialise its ancestor summary.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -124,8 +149,7 @@ pub struct QualRequest {
     /// visit will consume (the annotation-relevant ones). Every fragment
     /// still contributes its root vectors, but only these park state in
     /// the site's scratch — parking for a fragment the selection stage
-    /// prunes would leak the entry, since per-execution slots are never
-    /// reused.
+    /// prunes would leave the entry behind until its epoch retires.
     pub park: Vec<FragmentId>,
 }
 
@@ -144,27 +168,19 @@ pub struct QualResponse {
 /// handle — fragment data is never copied).
 pub fn qualifier_task(site: &mut SiteLocal, epoch: u64, request: QualRequest) -> QualResponse {
     let mut roots = BTreeMap::new();
-    for fragment_id in &request.fragments {
-        let Some(fragment) = site.fragment_at(*fragment_id, epoch) else { continue };
-        let qlen = request.query.qvect_len();
+    let qlen = request.query.qvect_len();
+    for &fragment_id in &request.fragments {
+        let fragment = snapshot(site, fragment_id, epoch);
         let out = qualifier_pass::<PaxVar>(
             &fragment.tree,
             fragment.tree.root(),
             &request.query,
-            |vnode| {
-                let child = fragment
-                    .tree
-                    .kind(vnode)
-                    .virtual_fragment()
-                    .map(FragmentId)
-                    .expect("virtual nodes always carry their fragment id");
-                fresh_qual_vectors(child, qlen)
-            },
+            |vnode| fresh_qual_vectors(virtual_child(&fragment, vnode), qlen),
         );
         site.charge_ops(out.ops);
-        roots.insert(*fragment_id, out.root.clone());
-        if request.park.contains(fragment_id) {
-            site.put_scratch(qv_key(epoch, request.slot, *fragment_id), out.node_qv);
+        roots.insert(fragment_id, out.root);
+        if request.park.contains(&fragment_id) {
+            site.put_scratch(epoch, request.slot, fragment_id, out.node_qv);
         }
     }
     QualResponse { roots }
@@ -232,24 +248,19 @@ pub fn selection_task(site: &mut SiteLocal, epoch: u64, request: SelRequest) -> 
     let query = &request.query;
     let mut virtuals = BTreeMap::new();
     let mut answers = Vec::new();
-    for (fragment_id, input) in &request.fragments {
-        let Some(fragment) = site.fragment_at(*fragment_id, epoch) else { continue };
-        let init = build_init(*fragment_id, &input.init, query.init_len());
+    for (&fragment_id, input) in &request.fragments {
+        let fragment = snapshot(site, fragment_id, epoch);
+        let init = build_init(fragment_id, &input.init, query.init_len());
         let context = if input.root_is_context { Some(fragment.tree.root()) } else { None };
         let qual_assignment = assignment_from_pairs(&input.qual_values);
-        let stored_qv = site.take_scratch::<Vec<Option<CompactVector<PaxVar>>>>(&qv_key(
+        let stored_qv = site.take_scratch::<Vec<Option<CompactVector<PaxVar>>>>(
             epoch,
             request.slot,
-            *fragment_id,
-        ));
+            fragment_id,
+        );
         let mut qual_value = |v: NodeId, e: QEntryId| -> BoolExpr<PaxVar> {
-            match &stored_qv {
-                Some(qv) => qv[v.index()]
-                    .as_ref()
-                    .map(|vec| vec.expr(e).assign(&qual_assignment))
-                    .unwrap_or_else(|| BoolExpr::constant(false)),
-                None => BoolExpr::constant(false),
-            }
+            let vector = stored_qv.as_ref().and_then(|qv| qv[v.index()].as_ref());
+            vector.map_or(BoolExpr::constant(false), |vec| vec.expr(e).assign(&qual_assignment))
         };
         let out = selection_pass::<PaxVar>(
             &fragment.tree,
@@ -262,28 +273,16 @@ pub fn selection_task(site: &mut SiteLocal, epoch: u64, request: SelRequest) -> 
         site.charge_ops(out.ops);
 
         for (vnode, vector) in out.virtual_vectors {
-            let child = fragment
-                .tree
-                .kind(vnode)
-                .virtual_fragment()
-                .map(FragmentId)
-                .expect("virtual nodes carry their fragment id");
-            virtuals.insert(child, vector);
+            virtuals.insert(virtual_child(&fragment, vnode), vector);
         }
 
         if input.collect_answers_now {
             debug_assert!(out.candidates.is_empty(), "exact init vectors never produce candidates");
-            for node in &out.answers {
-                answers.push(answer_item(
-                    *fragment_id,
-                    &fragment.tree,
-                    *node,
-                    fragment.origin_of(*node),
-                ));
-            }
+            let item = |n| answer_item(fragment_id, &fragment.tree, n, fragment.origin_of(n));
+            answers.extend(out.answers.into_iter().map(item));
         } else {
-            site.put_scratch(ans_key(epoch, request.slot, *fragment_id), out.answers);
-            site.put_scratch(cans_key(epoch, request.slot, *fragment_id), out.candidates);
+            let parked = ParkedAnswers { sure: out.answers, candidates: out.candidates };
+            site.put_scratch(epoch, request.slot, fragment_id, parked);
         }
     }
     SelResponse { virtuals, answers }
@@ -327,39 +326,54 @@ pub struct CombinedResponse {
     pub answers: Vec<AnswerItem>,
 }
 
-/// The sub-fragment a virtual node of `fragment` stands for.
-fn virtual_child(fragment: &Fragment, vnode: NodeId) -> FragmentId {
-    fragment
-        .tree
-        .kind(vnode)
-        .virtual_fragment()
-        .map(FragmentId)
-        .expect("virtual nodes carry their fragment id")
+/// A candidate answer shipped to the coordinator's incremental cache: the
+/// answer node (already resolved to an [`AnswerItem`]) plus the residual
+/// formula deciding whether it is a real answer.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct CandidateAnswer {
+    /// The would-be answer node.
+    pub item: AnswerItem,
+    /// Its residual selection formula (over the fragment's `Sel` variables
+    /// and the `Qual` variables of its sub-fragments).
+    pub formula: BoolExpr<PaxVar>,
 }
 
-/// Run PaX2's visit kernel (`combined_pass`: qualifier sweep, then selection
-/// sweep) for one query over one fragment (already taken out of the site's
-/// map), charge its operations, and
-/// deposit the root vectors and virtual-node summaries into the caller's
-/// accumulators. The raw pass output (sure answers + candidate formulas) is
-/// returned for the caller to route — into site scratch for the two-visit
-/// protocol, or over the wire for the incremental one. This is the single
-/// place the pass is configured (virtual-node vectors), shared by every
-/// combined-stage task.
-fn fused_pass_on_fragment(
+/// One query's slice of a [`MultiCombinedResponse`], positional: entry `i`
+/// answers the request's entry `i`.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub struct EntryResponse {
+    /// Root `QV`/`QDV` vectors per evaluated fragment.
+    pub roots: BTreeMap<FragmentId, QualVectors<PaxVar>>,
+    /// Ancestor summaries recorded at the virtual nodes.
+    pub virtuals: BTreeMap<FragmentId, CompactVector<PaxVar>>,
+    /// Certain answers — on a visit that parks nothing, every unconditional
+    /// answer. Each names its fragment.
+    pub answers: Vec<AnswerItem>,
+    /// Conditional answers with their residual formulas (only on a visit
+    /// that parks nothing).
+    pub candidates: Vec<CandidateAnswer>,
+}
+
+/// PaX2's visit kernel (`combined_pass`: qualifier sweep, then selection
+/// sweep) for one query over one fragment, the one place the pass is
+/// configured. Charges its operations, deposits the root vectors and
+/// virtual-node summaries into `out`, and routes the answers: certain ones —
+/// and, when `slot` is `None`, every answer with its formula — go into
+/// `out`; the rest are parked under `slot` for the collection visit.
+fn combined_pass_on_fragment(
     site: &mut SiteLocal,
+    epoch: u64,
+    slot: Option<usize>,
     fragment: &Fragment,
     query: &CompiledQuery,
-    init: &InitVector,
-    root_is_context: bool,
-    roots: &mut BTreeMap<FragmentId, QualVectors<PaxVar>>,
-    virtuals: &mut BTreeMap<FragmentId, CompactVector<PaxVar>>,
-) -> CombinedPassOutput<PaxVar> {
+    input: &CombinedFragmentInput,
+    out: &mut EntryResponse,
+) {
     let fid = fragment.id;
     let qlen = query.qvect_len();
-    let init = build_init(fid, init, query.init_len());
-    let context = if root_is_context { Some(fragment.tree.root()) } else { None };
-    let mut out = combined_pass::<PaxVar>(
+    let init = build_init(fid, &input.init, query.init_len());
+    let context = if input.root_is_context { Some(fragment.tree.root()) } else { None };
+    let pass = combined_pass::<PaxVar>(
         &fragment.tree,
         fragment.tree.root(),
         query,
@@ -368,50 +382,25 @@ fn fused_pass_on_fragment(
         |vnode| fresh_qual_vectors(virtual_child(fragment, vnode), qlen),
         |_, _| unreachable!("the kernel mints no placeholder"),
     );
-    site.charge_ops(out.ops);
-    roots.insert(fid, out.root.clone());
-    for (vnode, vector) in std::mem::take(&mut out.virtual_vectors) {
-        virtuals.insert(virtual_child(fragment, vnode), vector);
+    site.charge_ops(pass.ops);
+    out.roots.insert(fid, pass.root);
+    for (vnode, vector) in pass.virtual_vectors {
+        out.virtuals.insert(virtual_child(fragment, vnode), vector);
     }
-    out
-}
-
-/// [`fused_pass_on_fragment`] with the answer routing of the two-visit
-/// protocol: certain answers are either returned immediately or parked —
-/// with the candidate sets — in the site's scratch under the query `slot`
-/// for the collection visit. Shared between the single-query
-/// [`combined_task`] and the batched [`batch_combined_task`].
-#[allow(clippy::too_many_arguments)]
-fn combined_pass_on_fragment(
-    site: &mut SiteLocal,
-    fragment: &Fragment,
-    epoch: u64,
-    slot: usize,
-    query: &CompiledQuery,
-    input: &CombinedFragmentInput,
-    roots: &mut BTreeMap<FragmentId, QualVectors<PaxVar>>,
-    virtuals: &mut BTreeMap<FragmentId, CompactVector<PaxVar>>,
-    answers: &mut Vec<AnswerItem>,
-) {
-    let fid = fragment.id;
-    let out = fused_pass_on_fragment(
-        site,
-        fragment,
-        query,
-        &input.init,
-        input.root_is_context,
-        roots,
-        virtuals,
-    );
-
-    if input.collect_answers_now {
-        debug_assert!(out.candidates.is_empty());
-        for node in &out.answers {
-            answers.push(answer_item(fid, &fragment.tree, *node, fragment.origin_of(*node)));
+    match slot {
+        Some(slot) if !input.collect_answers_now => {
+            let parked = ParkedAnswers { sure: pass.answers, candidates: pass.candidates };
+            site.put_scratch(epoch, slot, fid, parked);
         }
-    } else {
-        site.put_scratch(ans_key(epoch, slot, fid), out.answers);
-        site.put_scratch(cans_key(epoch, slot, fid), out.candidates);
+        _ => {
+            let item = |node| answer_item(fid, &fragment.tree, node, fragment.origin_of(node));
+            out.answers.extend(pass.answers.into_iter().map(item));
+            out.candidates.extend(
+                pass.candidates
+                    .into_iter()
+                    .map(|(node, formula)| CandidateAnswer { item: item(node), formula }),
+            );
+        }
     }
 }
 
@@ -422,25 +411,129 @@ pub fn combined_task(
     epoch: u64,
     request: CombinedRequest,
 ) -> CombinedResponse {
-    let query = &request.query;
-    let mut roots = BTreeMap::new();
-    let mut virtuals = BTreeMap::new();
-    let mut answers = Vec::new();
-    for (fragment_id, input) in &request.fragments {
-        let Some(fragment) = site.fragment_at(*fragment_id, epoch) else { continue };
-        combined_pass_on_fragment(
-            site,
-            &fragment,
-            epoch,
-            request.slot,
-            query,
-            input,
-            &mut roots,
-            &mut virtuals,
-            &mut answers,
-        );
+    let mut out = EntryResponse::default();
+    for (&fragment_id, input) in &request.fragments {
+        let fragment = snapshot(site, fragment_id, epoch);
+        let slot = Some(request.slot);
+        combined_pass_on_fragment(site, epoch, slot, &fragment, &request.query, input, &mut out);
     }
-    CombinedResponse { roots, virtuals, answers }
+    debug_assert!(out.candidates.is_empty(), "a parking visit ships no formula");
+    CombinedResponse { roots: out.roots, virtuals: out.virtuals, answers: out.answers }
+}
+
+// ---------------------------------------------------------------------------
+// PaX2 over many queries: one visit carries every query's payload.
+// ---------------------------------------------------------------------------
+
+/// Request of PaX2's multi-query first visit: the payloads of every query
+/// with work at the target site, and optionally update ops to apply first —
+/// one message per site, so the whole set costs each site one visit.
+///
+/// It serves three callers. `execute_batch` parks the entries' uncertain
+/// answers for its collection visit. A prepared query's cold snapshot ships
+/// them to the coordinator's cache instead. An update round does the same
+/// after applying its ops, keeping every prepared query's cache current in
+/// the visit that changed the data.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct MultiCombinedRequest {
+    /// Where the entries' uncertain answers go. `Some(base)`: entry `i`
+    /// parks them under scratch slot `base + i`, and a
+    /// [`BatchCollectRequest`] resolves them. `None`: every answer ships in
+    /// the response, candidates with their formulas.
+    pub park: Option<usize>,
+    /// Update ops per fragment at the target site, applied in order and
+    /// once, before any entry runs.
+    pub ops: BTreeMap<FragmentId, Vec<UpdateOp>>,
+    /// Per query: the compiled query and the inputs of the fragments it
+    /// evaluates at the target site (a different set per query when the
+    /// annotation optimization prunes differently).
+    pub entries: Vec<(CompiledQuery, BTreeMap<FragmentId, CombinedFragmentInput>)>,
+}
+
+/// What applying one fragment's ops did.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct OpOutcome {
+    /// Ops applied, counted from the first.
+    pub applied: usize,
+    /// Why the op after the applied ones was rejected, if one was (the rest
+    /// were skipped; the entries still read the partly updated fragment).
+    pub rejected: Option<String>,
+}
+
+/// Response of PaX2's multi-query first visit.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub struct MultiCombinedResponse {
+    /// What applying each fragment's ops did.
+    pub ops: BTreeMap<FragmentId, OpOutcome>,
+    /// One slice per request entry, in request order.
+    pub entries: Vec<EntryResponse>,
+}
+
+impl MultiCombinedResponse {
+    /// The response, checked to answer exactly the `sent` entries of its
+    /// request: the slices are positional, so a short reply must not
+    /// silently drop a query's answers.
+    pub fn checked(self, sent: usize) -> PaxResult<Self> {
+        if self.entries.len() != sent {
+            let message = format!("{} entry slices answer {sent} entries", self.entries.len());
+            return Err(PaxError::Protocol { message });
+        }
+        Ok(self)
+    }
+}
+
+/// Site-side task of PaX2's multi-query first visit.
+///
+/// Epoch semantics of the ops: a fragment with ops is rebuilt copy-on-write
+/// from the newest snapshot **strictly before** `epoch` (so a retried epoch
+/// build never re-applies its ops on top of a failed attempt's orphan) and
+/// installed as `epoch`'s snapshot; readers pinned below `epoch` are
+/// untouched. The entries then read **at** `epoch` and so see the fresh
+/// snapshots.
+///
+/// The loop is *fragment-major*: each fragment is taken out of the site map
+/// once and every entry naming it runs its pass over it.
+pub fn multi_combined_task(
+    site: &mut SiteLocal,
+    epoch: u64,
+    request: MultiCombinedRequest,
+) -> MultiCombinedResponse {
+    let ops = request.ops.iter().map(|(&f, ops)| (f, apply_ops(site, epoch, f, ops))).collect();
+    let mut entries = vec![EntryResponse::default(); request.entries.len()];
+    let needed: BTreeSet<FragmentId> =
+        request.entries.iter().flat_map(|(_, inputs)| inputs.keys().copied()).collect();
+    for fragment_id in needed {
+        let fragment = snapshot(site, fragment_id, epoch);
+        for (i, ((query, inputs), out)) in request.entries.iter().zip(&mut entries).enumerate() {
+            let Some(input) = inputs.get(&fragment_id) else { continue };
+            let slot = request.park.map(|base| base + i);
+            combined_pass_on_fragment(site, epoch, slot, &fragment, query, input, out);
+        }
+    }
+    MultiCombinedResponse { ops, entries }
+}
+
+/// Apply one fragment's ops copy-on-write and install the result as
+/// `epoch`'s snapshot (see [`multi_combined_task`]).
+fn apply_ops(
+    site: &mut SiteLocal,
+    epoch: u64,
+    fragment: FragmentId,
+    ops: &[UpdateOp],
+) -> OpOutcome {
+    let base = site.update_base(fragment, epoch).expect("dispatch checked the update base");
+    let mut updated = base.as_ref().clone();
+    let mut outcome = OpOutcome::default();
+    for op in ops {
+        if let Err(e) = paxml_fragment::apply_update(&mut updated, op) {
+            outcome.rejected = Some(e.to_string());
+            break;
+        }
+        outcome.applied += 1;
+        site.charge_ops(1);
+    }
+    site.install_version(epoch, updated);
+    outcome
 }
 
 // ---------------------------------------------------------------------------
@@ -466,7 +559,7 @@ pub struct CollectResponse {
     pub answers: Vec<AnswerItem>,
 }
 
-/// Resolve one fragment's stored answer candidates for one query slot
+/// Resolve one fragment's parked answer candidates for one query slot
 /// against the coordinator-provided variable values. Shared between the
 /// single-query [`collect_task`] and the batched [`batch_collect_task`].
 fn collect_on_fragment(
@@ -479,130 +572,26 @@ fn collect_on_fragment(
 ) {
     let fid = fragment.id;
     let assignment = assignment_from_pairs(values);
-    let sure: Vec<NodeId> =
-        site.take_scratch::<Vec<NodeId>>(&ans_key(epoch, slot, fid)).unwrap_or_default();
-    let candidates: Vec<(NodeId, BoolExpr<PaxVar>)> = site
-        .take_scratch::<Vec<(NodeId, BoolExpr<PaxVar>)>>(&cans_key(epoch, slot, fid))
-        .unwrap_or_default();
+    let ParkedAnswers { sure, candidates } = site
+        .take_scratch::<ParkedAnswers>(epoch, slot, fid)
+        .unwrap_or(ParkedAnswers { sure: Vec::new(), candidates: Vec::new() });
     site.charge_ops(candidates.len() as u64 + sure.len() as u64);
-    for node in sure {
+    let resolved = candidates
+        .into_iter()
+        .filter(|(_, formula)| formula.eval_with(&|v| assignment.get(v)) == Some(true));
+    for node in sure.into_iter().chain(resolved.map(|(node, _)| node)) {
         answers.push(answer_item(fid, &fragment.tree, node, fragment.origin_of(node)));
-    }
-    for (node, formula) in candidates {
-        if formula.eval_with(&|v| assignment.get(v)) == Some(true) {
-            answers.push(answer_item(fid, &fragment.tree, node, fragment.origin_of(node)));
-        }
     }
 }
 
 /// Site-side task of the answer-collection stage (Procedure `collectAns`).
 pub fn collect_task(site: &mut SiteLocal, epoch: u64, request: CollectRequest) -> CollectResponse {
     let mut answers = Vec::new();
-    for (fragment_id, values) in &request.fragments {
-        let Some(fragment) = site.fragment_at(*fragment_id, epoch) else { continue };
+    for (&fragment_id, values) in &request.fragments {
+        let fragment = snapshot(site, fragment_id, epoch);
         collect_on_fragment(site, &fragment, epoch, request.slot, values, &mut answers);
     }
     CollectResponse { answers }
-}
-
-// ---------------------------------------------------------------------------
-// Batched evaluation: one visit carries every query's payload.
-// ---------------------------------------------------------------------------
-
-/// One query's slice of a batched combined-stage request. `query_index` is
-/// the query's position in the batch (used to route the response slices);
-/// `slot` is the scratch slot keeping this query's candidate sets apart
-/// between the two visits — unique per execution *and* per query, so
-/// concurrent batches never mix state.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BatchCombinedEntry {
-    /// Position of this query in the batch.
-    pub query_index: usize,
-    /// The scratch slot of this query's candidate state.
-    pub slot: usize,
-    /// The compiled query.
-    pub query: CompiledQuery,
-    /// Inputs for the fragments (stored at the target site) this query
-    /// evaluates — possibly a different set per query when the annotation
-    /// optimization prunes differently.
-    pub fragments: BTreeMap<FragmentId, CombinedFragmentInput>,
-}
-
-/// Request of the batched combined stage: the merged payloads of every
-/// query in the batch with work at the target site. One such message per
-/// site per batch — the whole batch costs each site a single first visit.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BatchCombinedRequest {
-    /// Per-query payloads, in batch order.
-    pub entries: Vec<BatchCombinedEntry>,
-}
-
-/// One query's slice of a batched combined-stage response.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BatchCombinedQueryResponse {
-    /// Position of this query in the batch.
-    pub query_index: usize,
-    /// Root `QV`/`QDV` vectors per evaluated fragment.
-    pub roots: BTreeMap<FragmentId, QualVectors<PaxVar>>,
-    /// Ancestor summaries recorded at the virtual nodes.
-    pub virtuals: BTreeMap<FragmentId, CompactVector<PaxVar>>,
-    /// Answers returned early (exact init and no qualifiers).
-    pub answers: Vec<AnswerItem>,
-}
-
-/// Response of the batched combined stage: per-query residual vectors.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BatchCombinedResponse {
-    /// Per-query results, in batch order.
-    pub per_query: Vec<BatchCombinedQueryResponse>,
-}
-
-/// Site-side task of the batched combined stage.
-///
-/// The loop is *fragment-major*: each stored fragment is taken out of the
-/// site map once and every query of the batch runs its combined pass over
-/// it before the fragment is put back — the site does its tree passes per
-/// fragment in one visit and emits per-query residual vectors, instead of
-/// being visited once per query.
-pub fn batch_combined_task(
-    site: &mut SiteLocal,
-    epoch: u64,
-    request: BatchCombinedRequest,
-) -> BatchCombinedResponse {
-    let mut per_query: Vec<BatchCombinedQueryResponse> = request
-        .entries
-        .iter()
-        .map(|entry| BatchCombinedQueryResponse {
-            query_index: entry.query_index,
-            roots: BTreeMap::new(),
-            virtuals: BTreeMap::new(),
-            answers: Vec::new(),
-        })
-        .collect();
-
-    // The union of fragments any query needs at this site.
-    let needed: std::collections::BTreeSet<FragmentId> =
-        request.entries.iter().flat_map(|entry| entry.fragments.keys().copied()).collect();
-
-    for fragment_id in needed {
-        let Some(fragment) = site.fragment_at(fragment_id, epoch) else { continue };
-        for (position, entry) in request.entries.iter().enumerate() {
-            let Some(input) = entry.fragments.get(&fragment_id) else { continue };
-            let response = &mut per_query[position];
-            combined_pass_on_fragment(
-                site,
-                &fragment,
-                epoch,
-                entry.slot,
-                &entry.query,
-                input,
-                &mut response.roots,
-                &mut response.virtuals,
-                &mut response.answers,
-            );
-        }
-    }
-    BatchCombinedResponse { per_query }
 }
 
 /// One query's slice of a batched answer-collection request.
@@ -610,7 +599,7 @@ pub fn batch_combined_task(
 pub struct BatchCollectEntry {
     /// Position of this query in the batch.
     pub query_index: usize,
-    /// The scratch slot the combined visit parked this query's candidate
+    /// The scratch slot the first visit parked this query's candidate
     /// state under.
     pub slot: usize,
     /// Resolved variable values per fragment at the target site.
@@ -657,105 +646,17 @@ pub fn batch_collect_task(
         })
         .collect();
 
-    let needed: std::collections::BTreeSet<FragmentId> =
+    let needed: BTreeSet<FragmentId> =
         request.entries.iter().flat_map(|entry| entry.fragments.keys().copied()).collect();
 
     for fragment_id in needed {
-        let Some(fragment) = site.fragment_at(fragment_id, epoch) else { continue };
-        for (position, entry) in request.entries.iter().enumerate() {
+        let fragment = snapshot(site, fragment_id, epoch);
+        for (entry, out) in request.entries.iter().zip(&mut per_query) {
             let Some(values) = entry.fragments.get(&fragment_id) else { continue };
-            collect_on_fragment(
-                site,
-                &fragment,
-                epoch,
-                entry.slot,
-                values,
-                &mut per_query[position].answers,
-            );
+            collect_on_fragment(site, &fragment, epoch, entry.slot, values, &mut out.answers);
         }
     }
     BatchCollectResponse { per_query }
-}
-
-// ---------------------------------------------------------------------------
-// Incremental evaluation: what a session round ships back.
-// ---------------------------------------------------------------------------
-
-/// The recomputed residual vectors of an update round (`MsgDeltaVect`):
-/// exactly what the combined pass of PaX2 would have produced for the dirty
-/// fragments, and nothing for clean ones.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct MsgDeltaVect {
-    /// Root `QV`/`QDV` vectors per recomputed fragment.
-    pub roots: BTreeMap<FragmentId, QualVectors<PaxVar>>,
-    /// Ancestor summaries recorded at the recomputed fragments' virtual
-    /// nodes, keyed by the sub-fragment they stand for.
-    pub virtuals: BTreeMap<FragmentId, CompactVector<PaxVar>>,
-}
-
-/// A candidate answer shipped to the coordinator's incremental cache: the
-/// answer node (already resolved to an [`AnswerItem`]) plus the residual
-/// formula deciding whether it is a real answer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CandidateAnswer {
-    /// The would-be answer node.
-    pub item: AnswerItem,
-    /// Its residual selection formula (over the fragment's `Sel` variables
-    /// and the `Qual` variables of its sub-fragments).
-    pub formula: BoolExpr<PaxVar>,
-}
-
-/// The per-fragment answer state of an update round (`MsgDeltaAnswer`).
-/// Unlike the from-scratch protocol — where candidate formulas stay
-/// site-side and a second visit resolves them — the incremental protocol
-/// ships them to the coordinator's cache, so a later update to a *different*
-/// fragment can flip this fragment's answers without any visit here.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct MsgDeltaAnswer {
-    /// Unconditional answers per recomputed fragment.
-    pub sure: BTreeMap<FragmentId, Vec<AnswerItem>>,
-    /// Conditional answers (with residual formulas) per recomputed fragment.
-    pub candidates: BTreeMap<FragmentId, Vec<CandidateAnswer>>,
-}
-
-/// [`fused_pass_on_fragment`] with the answer routing of the incremental
-/// protocol: *everything* the coordinator's cache needs — root vectors,
-/// virtual-node summaries, sure answers, and candidate answers with their
-/// formulas — goes into the response.
-fn snapshot_fragment(
-    site: &mut SiteLocal,
-    fragment: &Fragment,
-    query: &CompiledQuery,
-    init: &InitVector,
-    root_is_context: bool,
-    vect: &mut MsgDeltaVect,
-    answer: &mut MsgDeltaAnswer,
-) {
-    let fid = fragment.id;
-    let out = fused_pass_on_fragment(
-        site,
-        fragment,
-        query,
-        init,
-        root_is_context,
-        &mut vect.roots,
-        &mut vect.virtuals,
-    );
-    let sure: Vec<AnswerItem> = out
-        .answers
-        .iter()
-        .map(|&node| answer_item(fid, &fragment.tree, node, fragment.origin_of(node)))
-        .collect();
-    let candidates: Vec<CandidateAnswer> = out
-        .candidates
-        .into_iter()
-        .map(|(node, formula)| CandidateAnswer {
-            item: answer_item(fid, &fragment.tree, node, fragment.origin_of(node)),
-            formula,
-        })
-        .collect();
-    answer.sure.insert(fid, sure);
-    answer.candidates.insert(fid, candidates);
 }
 
 // ---------------------------------------------------------------------------
@@ -811,135 +712,6 @@ pub struct MsgVacuum {
     pub purge: Vec<FragmentId>,
 }
 
-// ---------------------------------------------------------------------------
-// Server sessions: one update round maintaining many prepared queries.
-// ---------------------------------------------------------------------------
-
-/// How one prepared-query session wants one fragment's combined pass
-/// (re-)initialised in a session round; the ops are not part of it — they
-/// are shared across sessions.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RecomputeInput {
-    /// How to initialise the ancestor summary of the re-evaluation pass.
-    pub init: InitVector,
-    /// Is this fragment's root the evaluation context?
-    pub root_is_context: bool,
-}
-
-/// One prepared-query session's slice of a [`MsgSessionUpdate`]: which of
-/// the dirty fragments at the target site this session needs fresh residual
-/// vectors for (fragments the session's annotation analysis pruned are
-/// simply absent — their data changes, their vectors don't matter).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SessionRecompute {
-    /// The session's position in the server's session table.
-    pub session: usize,
-    /// The session's compiled query.
-    pub query: CompiledQuery,
-    /// Recompute instructions per dirty fragment at the target site.
-    pub fragments: BTreeMap<FragmentId, RecomputeInput>,
-}
-
-/// Request of a session round: the update ops for the fragments at the
-/// target site (applied **once**, shared by all sessions) plus, per active
-/// prepared-query session, the recompute instructions that refresh its
-/// residual-vector cache in the *same visit* — this is how a `PaxServer`
-/// keeps every prepared query's incremental cache current with one visit
-/// per dirty site and zero visits elsewhere. A query's first (cold)
-/// snapshot is the same message with no ops.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct MsgSessionUpdate {
-    /// Update ops per fragment at the target site, applied in order.
-    pub ops: BTreeMap<FragmentId, Vec<UpdateOp>>,
-    /// Per-session recompute instructions.
-    pub sessions: Vec<SessionRecompute>,
-}
-
-/// One session's slice of a [`MsgSessionDelta`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SessionDelta {
-    /// The session's position in the server's session table.
-    pub session: usize,
-    /// Recomputed residual vectors for the session's dirty fragments.
-    pub vect: MsgDeltaVect,
-    /// Recomputed answer state for the session's dirty fragments.
-    pub answer: MsgDeltaAnswer,
-}
-
-/// Response of a server update round.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct MsgSessionDelta {
-    /// Update ops applied successfully, per fragment.
-    pub applied: BTreeMap<FragmentId, usize>,
-    /// Fragments whose op sequence was rejected (with the reason); their
-    /// remaining ops were skipped but session vectors were still
-    /// recomputed.
-    pub rejected: BTreeMap<FragmentId, String>,
-    /// Per-session recomputed state.
-    pub sessions: Vec<SessionDelta>,
-}
-
-/// Site-side task of a session round: apply each fragment's ops once, then
-/// re-run the combined pass per session over the fragments that session
-/// asked for — one visit does all of it.
-///
-/// Epoch semantics: a fragment with ops is rebuilt copy-on-write from the
-/// newest snapshot **strictly before** `epoch` (so a retried epoch build
-/// never re-applies its ops on top of a failed attempt's orphan) and
-/// installed as `epoch`'s snapshot; readers pinned below `epoch` are
-/// untouched. The per-session recomputes then read **at** `epoch` and
-/// therefore see the fresh snapshots. A round with no ops — a cold
-/// snapshot — only reads at `epoch` and installs nothing.
-pub fn session_update_task(
-    site: &mut SiteLocal,
-    epoch: u64,
-    request: MsgSessionUpdate,
-) -> MsgSessionDelta {
-    let mut response = MsgSessionDelta::default();
-
-    // Apply the ops once, independent of how many sessions watch.
-    for (fragment_id, ops) in &request.ops {
-        let Some(base) = site.update_base(*fragment_id, epoch) else { continue };
-        let mut fragment = base.as_ref().clone();
-        let mut applied = 0;
-        for op in ops {
-            match paxml_fragment::apply_update(&mut fragment, op) {
-                Ok(_) => applied += 1,
-                Err(e) => {
-                    response.rejected.insert(*fragment_id, e.to_string());
-                    break;
-                }
-            }
-            site.charge_ops(1);
-        }
-        response.applied.insert(*fragment_id, applied);
-        site.install_version(epoch, fragment);
-    }
-
-    // Refresh each session's residual vectors over the updated data.
-    for entry in &request.sessions {
-        let mut delta = SessionDelta {
-            session: entry.session,
-            vect: Default::default(),
-            answer: Default::default(),
-        };
-        for (fragment_id, input) in &entry.fragments {
-            let Some(fragment) = site.fragment_at(*fragment_id, epoch) else { continue };
-            snapshot_fragment(
-                site,
-                &fragment,
-                &entry.query,
-                &input.init,
-                input.root_is_context,
-                &mut delta.vect,
-                &mut delta.answer,
-            );
-        }
-        response.sessions.push(delta);
-    }
-    response
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -986,8 +758,7 @@ mod tests {
             },
         );
         assert_eq!(response.roots.len(), 2);
-        assert!(site.scratch::<Vec<Option<CompactVector<PaxVar>>>>("e0:qv:0:0").is_some());
-        assert!(site.scratch::<Vec<Option<CompactVector<PaxVar>>>>("e0:qv:0:1").is_some());
+        assert_eq!(site.scratch_len(), 2, "both fragments park their per-node vectors");
         assert!(site.ops() > 0);
         // The leaf fragment F1 has no virtual nodes, so its root vectors are
         // already fully resolved — and therefore ship as packed bits.
@@ -1052,45 +823,45 @@ mod tests {
         assert_eq!(collected.answers[0].label, "name");
     }
 
-    /// A one-session round over F1: `ops` applied to it, then one recompute
-    /// from an unknown ancestor summary.
-    fn session_update_on_f1(
-        site: &mut SiteLocal,
-        epoch: u64,
-        ops: Vec<UpdateOp>,
-    ) -> MsgSessionDelta {
-        let recompute = RecomputeInput { init: InitVector::Unknown, root_is_context: false };
-        let request = MsgSessionUpdate {
-            ops: BTreeMap::from([(FragmentId(1), ops)]),
-            sessions: vec![SessionRecompute {
-                session: 0,
-                query: compile_text("client/broker/name").unwrap(),
-                fragments: BTreeMap::from([(FragmentId(1), recompute)]),
-            }],
+    /// A one-entry shipping round over F1: `ops` applied to it, then one
+    /// pass from an unknown ancestor summary.
+    fn ship_f1(site: &mut SiteLocal, epoch: u64, ops: Vec<UpdateOp>) -> MultiCombinedResponse {
+        let input = CombinedFragmentInput {
+            init: InitVector::Unknown,
+            root_is_context: false,
+            collect_answers_now: false,
         };
-        session_update_task(site, epoch, request)
+        let request = MultiCombinedRequest {
+            park: None,
+            ops: BTreeMap::from([(FragmentId(1), ops)]),
+            entries: vec![(
+                compile_text("client/broker/name").unwrap(),
+                BTreeMap::from([(FragmentId(1), input)]),
+            )],
+        };
+        multi_combined_task(site, epoch, request)
     }
 
     #[test]
-    fn session_update_task_applies_ops_and_returns_fresh_state() {
+    fn a_shipping_round_applies_ops_and_returns_fresh_state() {
         let (_, fragmented) = small_fragmented();
         let mut site = one_site_with(fragmented.fragments.clone());
-        // Edit the broker's name (F1) and re-snapshot it in the same visit.
+        // Edit the broker's name (F1) and re-evaluate it in the same visit.
         let f1 = &fragmented.fragments[1];
         let name = f1.tree.find_first("name").unwrap();
         let text = f1.tree.children(name).next().unwrap();
         let op = UpdateOp::EditText { node: text, text: "Bache".into() };
-        let mut delta = session_update_on_f1(&mut site, 1, vec![op]);
-        assert_eq!(delta.applied[&FragmentId(1)], 1);
-        assert!(delta.rejected.is_empty());
-        let session = delta.sessions.remove(0);
-        assert!(session.vect.roots.contains_key(&FragmentId(1)));
+        let mut response = ship_f1(&mut site, 1, vec![op]);
+        assert_eq!(response.ops[&FragmentId(1)], OpOutcome { applied: 1, rejected: None });
+        let entry = response.entries.remove(0);
+        assert!(entry.roots.contains_key(&FragmentId(1)));
         // The unknown-init pass yields the name node as a candidate carrying
-        // the *edited* text and a residual formula over F1's Sel variables.
-        let candidates = &session.answer.candidates[&FragmentId(1)];
-        assert_eq!(candidates.len(), 1);
-        assert_eq!(candidates[0].item.text, Some("Bache".to_string()));
-        assert!(candidates[0].formula.has_variables());
+        // the *edited* text and a residual formula over F1's Sel variables;
+        // nothing is parked.
+        assert_eq!(entry.candidates.len(), 1);
+        assert_eq!(entry.candidates[0].item.text, Some("Bache".to_string()));
+        assert!(entry.candidates[0].formula.has_variables());
+        assert_eq!(site.scratch_len(), 0);
         // Epoch 1's snapshot carries the edit; epoch 0's is untouched, so a
         // reader still pinned to the pre-update epoch sees the old text.
         let at_1 = site.fragment_at(FragmentId(1), 1).unwrap();
@@ -1101,16 +872,43 @@ mod tests {
     }
 
     #[test]
-    fn session_update_task_rejects_invalid_ops_but_still_recomputes() {
+    fn a_rejected_op_is_reported_and_the_entries_still_run() {
         let (_, fragmented) = small_fragmented();
         let mut site = one_site_with(fragmented.fragments.clone());
         let root = fragmented.fragments[1].tree.root();
-        let delta =
-            session_update_on_f1(&mut site, 1, vec![UpdateOp::DeleteSubtree { node: root }]);
-        assert_eq!(delta.applied[&FragmentId(1)], 0);
-        assert!(delta.rejected[&FragmentId(1)].contains("root"));
+        let response = ship_f1(&mut site, 1, vec![UpdateOp::DeleteSubtree { node: root }]);
+        let outcome = &response.ops[&FragmentId(1)];
+        assert_eq!(outcome.applied, 0);
+        assert!(outcome.rejected.as_ref().unwrap().contains("root"));
         // Vectors are refreshed regardless, so coordinator caches stay valid.
-        assert!(delta.sessions[0].vect.roots.contains_key(&FragmentId(1)));
+        assert!(response.entries[0].roots.contains_key(&FragmentId(1)));
+    }
+
+    #[test]
+    fn a_parking_visit_parks_entry_i_under_base_plus_i() {
+        let (_, fragmented) = small_fragmented();
+        let mut site = one_site_with(fragmented.fragments.clone());
+        let input = || CombinedFragmentInput {
+            init: InitVector::Unknown,
+            root_is_context: false,
+            collect_answers_now: false,
+        };
+        let entry =
+            |text| (compile_text(text).unwrap(), BTreeMap::from([(FragmentId(1), input())]));
+        let request = MultiCombinedRequest {
+            park: Some(7),
+            ops: BTreeMap::new(),
+            entries: vec![entry("client/broker/name"), entry("//name")],
+        };
+        let response = multi_combined_task(&mut site, 0, request);
+        assert!(response.ops.is_empty());
+        assert!(response.entries.iter().all(|e| e.answers.is_empty() && e.candidates.is_empty()));
+        assert_eq!(site.scratch_len(), 2);
+        // Collecting slot 8 takes back entry 1's parked answers, and only
+        // those.
+        let values = BTreeMap::from([(FragmentId(1), vec![])]);
+        collect_task(&mut site, 0, CollectRequest { slot: 8, fragments: values });
+        assert_eq!(site.scratch_len(), 1, "slot 7 is still parked");
     }
 
     #[test]

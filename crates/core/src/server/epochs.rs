@@ -373,9 +373,12 @@ impl<'a> EpochBuild<'a> {
     /// Apply everything the build decided on, in one fixed order, and —
     /// when the build produced one — publish epoch `N + 1`: `next` is its
     /// sessions plus, for a re-fragmentation, its topology. Infallible, and
-    /// the only function that mutates [`SiteHealth`](crate::deployment::SiteHealth),
-    /// the retired-placement queue, the topology history or the current
-    /// epoch, so every observer sees a build entirely or not at all.
+    /// the only function that mutates the retired-placement queue, the
+    /// topology history or the current epoch, and the only writer of the
+    /// stale and repaired marks a build decides on, so every observer sees a
+    /// build entirely or not at all. (Outside builds,
+    /// [`PaxServer::with_failover`] records strikes and marks a copy stale
+    /// when its live site answers that it lost it.)
     pub(super) fn commit(self, next: Option<(Sessions, Option<Arc<Topology>>)>) {
         let server = self.server;
         let health = server.deployment.health();

@@ -71,12 +71,14 @@ impl PaxServer {
 
     /// Run one operation under the server's [`RetryPolicy`]: probe due
     /// quarantined sites, attempt, and on a *transient* failure strike the
-    /// faulty site (quarantining it once it crosses the threshold), back
-    /// off, and retry the whole operation — which re-routes around
-    /// quarantined sites onto their next live replicas. Each attempt is
+    /// faulty site (quarantining it once it crosses the threshold) — or,
+    /// when a live site lost a copy, mark that copy stale — back off, and
+    /// retry the whole operation, which re-routes around quarantined sites
+    /// and stale copies onto their next live replicas. Each attempt is
     /// whole-operation: a retried execution pins the epoch afresh and gets
-    /// fresh scratch slots, a retried update re-builds its round, so no
-    /// attempt ever reads another attempt's partial state. Permanent errors
+    /// fresh scratch slots (what a failed attempt parked retires with its
+    /// epoch), a retried update re-builds its round, so no attempt ever
+    /// reads another attempt's partial state. Permanent errors
     /// surface immediately; the deadline budget bounds the total time spent
     /// retrying.
     pub(super) fn with_failover<T>(
@@ -92,8 +94,24 @@ impl PaxServer {
                 Err(error) if error.is_transient() => error,
                 Err(error) => return Err(error),
             };
-            if let PaxError::SiteUnreachable { site, .. } = &error {
-                self.deployment.health().record_fault(*site, self.retry.quarantine_after);
+            let health = self.deployment.health();
+            match &error {
+                PaxError::SiteUnreachable { site, .. } => {
+                    health.record_fault(*site, self.retry.quarantine_after);
+                }
+                // The site is up but lost the copy: mark it stale without a
+                // strike, so the router picks a replica and `repair`
+                // re-installs it. An update round names the epoch it builds,
+                // one past the newest its base can be read at.
+                PaxError::FragmentMissing { site, fragment, epoch } => {
+                    let at = (*epoch).min(self.pin().number);
+                    health.mark_stale(*fragment, *site, at);
+                    let topology = self.deployment.topology_at(at);
+                    if self.deployment.choose_replica(&topology, *fragment, at).is_err() {
+                        return Err(error); // No other copy: a retry fails the same way.
+                    }
+                }
+                _ => {}
             }
             attempt += 1;
             if attempt >= self.retry.max_attempts.max(1) {

@@ -29,11 +29,10 @@
 
 use crate::error::{PaxError, PaxResult};
 use crate::protocol::{
-    batch_collect_task, batch_combined_task, collect_task, combined_task, qualifier_task,
-    refrag_task, selection_task, session_update_task, BatchCollectRequest, BatchCollectResponse,
-    BatchCombinedRequest, BatchCombinedResponse, CollectRequest, CollectResponse, CombinedRequest,
-    CombinedResponse, MsgRefrag, MsgSessionDelta, MsgSessionUpdate, MsgVacuum, QualRequest,
-    QualResponse, RefragOutcome, SelRequest, SelResponse,
+    batch_collect_task, collect_task, combined_task, multi_combined_task, qualifier_task,
+    refrag_task, selection_task, BatchCollectRequest, BatchCollectResponse, CollectRequest,
+    CollectResponse, CombinedRequest, CombinedResponse, MsgRefrag, MsgVacuum, MultiCombinedRequest,
+    MultiCombinedResponse, QualRequest, QualResponse, RefragOutcome, SelRequest, SelResponse,
 };
 use paxml_distsim::{
     Cluster, Delivery, FaultKind, ReplicaSet, SiteId, SiteLoadReport, SiteLocal, LATEST_EPOCH,
@@ -81,13 +80,11 @@ pub enum ProtocolRequest {
     Combined(CombinedRequest),
     /// PaX2/PaX3 final stage: answer collection.
     Collect(CollectRequest),
-    /// Batched combined pass (many queries, one visit).
-    BatchCombined(BatchCombinedRequest),
+    /// PaX2 Stage 1 over many queries in one visit, after applying any
+    /// update ops: a batch, a cold snapshot or an update round.
+    MultiCombined(MultiCombinedRequest),
     /// Batched answer collection.
     BatchCollect(BatchCollectRequest),
-    /// Session round: apply ops (none for a cold snapshot) and refresh the
-    /// addressed sessions' vectors.
-    SessionUpdate(MsgSessionUpdate),
     /// Ship the named fragments as seen from the request's epoch. The
     /// request is *routed*: the coordinator asks each site only for the
     /// fragments the current topology places there, so stale copies left
@@ -113,9 +110,8 @@ impl ProtocolRequest {
             ProtocolRequest::Sel(_) => "Sel",
             ProtocolRequest::Combined(_) => "Combined",
             ProtocolRequest::Collect(_) => "Collect",
-            ProtocolRequest::BatchCombined(_) => "BatchCombined",
+            ProtocolRequest::MultiCombined(_) => "MultiCombined",
             ProtocolRequest::BatchCollect(_) => "BatchCollect",
-            ProtocolRequest::SessionUpdate(_) => "SessionUpdate",
             ProtocolRequest::FetchFragments(_) => "FetchFragments",
             ProtocolRequest::Refrag(_) => "Refrag",
             ProtocolRequest::Vacuum(_) => "Vacuum",
@@ -135,18 +131,22 @@ pub enum ProtocolResponse {
     Combined(CombinedResponse),
     /// Response to [`ProtocolRequest::Collect`].
     Collect(CollectResponse),
-    /// Response to [`ProtocolRequest::BatchCombined`].
-    BatchCombined(BatchCombinedResponse),
+    /// Response to [`ProtocolRequest::MultiCombined`].
+    MultiCombined(MultiCombinedResponse),
     /// Response to [`ProtocolRequest::BatchCollect`].
     BatchCollect(BatchCollectResponse),
-    /// Response to [`ProtocolRequest::SessionUpdate`].
-    SessionDelta(MsgSessionDelta),
     /// Response to [`ProtocolRequest::FetchFragments`].
     Fragments(Vec<Fragment>),
     /// Response to [`ProtocolRequest::Refrag`].
     Refragged(RefragOutcome),
     /// Response to [`ProtocolRequest::Vacuum`].
     Vacuumed(VacuumOutcome),
+    /// The reply to any request naming a fragment the site holds no
+    /// readable version of at the envelope's epoch (a copy lost with a
+    /// restarted site process, say). Nothing ran.
+    /// [`ExecCtx::round`](crate::ExecCtx::round) turns it into
+    /// [`PaxError::FragmentMissing`].
+    Missing(FragmentId),
 }
 
 /// What a [`ProtocolRequest::Vacuum`] sweep did at one site.
@@ -163,8 +163,11 @@ pub struct VacuumOutcome {
 /// exact function site-side, so a remote site computes — and is charged —
 /// precisely what the simulator computes and charges.
 ///
-/// The envelope is consumed first: versions below the retirement watermark
-/// are dropped, then the body runs pinned to the envelope's epoch.
+/// The envelope is consumed first: versions (and parked scratch) below the
+/// retirement watermark are dropped. Then the body is checked once against
+/// what the site holds — a body naming a fragment the site cannot read at
+/// the envelope's epoch gets [`ProtocolResponse::Missing`] and runs no task
+/// — and finally runs pinned to the envelope's epoch.
 pub fn dispatch(site: &mut SiteLocal, request: EpochRequest) -> ProtocolResponse {
     let EpochRequest { epoch, retire_below, body } = request;
     if let ProtocolRequest::Vacuum(msg) = body {
@@ -181,33 +184,56 @@ pub fn dispatch(site: &mut SiteLocal, request: EpochRequest) -> ProtocolResponse
     if retire_below > 0 {
         site.retire_below(retire_below);
     }
+    if let Some(fragment) = missing_fragment(site, epoch, &body) {
+        return ProtocolResponse::Missing(fragment);
+    }
     match body {
         ProtocolRequest::Qual(r) => ProtocolResponse::Qual(qualifier_task(site, epoch, r)),
         ProtocolRequest::Sel(r) => ProtocolResponse::Sel(selection_task(site, epoch, r)),
         ProtocolRequest::Combined(r) => ProtocolResponse::Combined(combined_task(site, epoch, r)),
         ProtocolRequest::Collect(r) => ProtocolResponse::Collect(collect_task(site, epoch, r)),
-        ProtocolRequest::BatchCombined(r) => {
-            ProtocolResponse::BatchCombined(batch_combined_task(site, epoch, r))
+        ProtocolRequest::MultiCombined(r) => {
+            ProtocolResponse::MultiCombined(multi_combined_task(site, epoch, r))
         }
         ProtocolRequest::BatchCollect(r) => {
             ProtocolResponse::BatchCollect(batch_collect_task(site, epoch, r))
         }
-        ProtocolRequest::SessionUpdate(r) => {
-            ProtocolResponse::SessionDelta(session_update_task(site, epoch, r))
-        }
         ProtocolRequest::FetchFragments(ids) => {
             let mut fragments = Vec::with_capacity(ids.len());
             for id in ids {
-                if let Some(fragment) = site.fragment_at(id, epoch) {
-                    site.charge_ops(paxml_distsim::encoded_size(fragment.as_ref()));
-                    fragments.push(fragment.as_ref().clone());
-                }
+                let fragment = site.fragment_at(id, epoch).expect("checked above");
+                site.charge_ops(paxml_distsim::encoded_size(fragment.as_ref()));
+                fragments.push(fragment.as_ref().clone());
             }
             ProtocolResponse::Fragments(fragments)
         }
         ProtocolRequest::Refrag(r) => ProtocolResponse::Refragged(refrag_task(site, epoch, r)),
         ProtocolRequest::Vacuum(_) => unreachable!("handled before the epoch body match"),
     }
+}
+
+/// The first fragment `body` names that the site cannot serve at `epoch`: a
+/// fragment a task reads needs a version at or before the epoch, one whose
+/// ops an update applies needs a base strictly before it.
+fn missing_fragment(site: &SiteLocal, epoch: u64, body: &ProtocolRequest) -> Option<FragmentId> {
+    let unreadable = |f: &&FragmentId| site.fragment_at(**f, epoch).is_none();
+    match body {
+        ProtocolRequest::Qual(r) => r.fragments.iter().find(unreadable),
+        ProtocolRequest::Sel(r) => r.fragments.keys().find(unreadable),
+        ProtocolRequest::Combined(r) => r.fragments.keys().find(unreadable),
+        ProtocolRequest::Collect(r) => r.fragments.keys().find(unreadable),
+        ProtocolRequest::MultiCombined(r) => r
+            .ops
+            .keys()
+            .find(|f| site.update_base(**f, epoch).is_none())
+            .or_else(|| r.entries.iter().flat_map(|(_, inputs)| inputs.keys()).find(unreadable)),
+        ProtocolRequest::BatchCollect(r) => {
+            r.entries.iter().flat_map(|e| e.fragments.keys()).find(unreadable)
+        }
+        ProtocolRequest::FetchFragments(ids) => ids.iter().find(unreadable),
+        ProtocolRequest::Refrag(_) | ProtocolRequest::Vacuum(_) => None,
+    }
+    .copied()
 }
 
 macro_rules! response_accessor {
@@ -238,12 +264,12 @@ impl ProtocolResponse {
             ProtocolResponse::Sel(_) => "Sel",
             ProtocolResponse::Combined(_) => "Combined",
             ProtocolResponse::Collect(_) => "Collect",
-            ProtocolResponse::BatchCombined(_) => "BatchCombined",
+            ProtocolResponse::MultiCombined(_) => "MultiCombined",
             ProtocolResponse::BatchCollect(_) => "BatchCollect",
-            ProtocolResponse::SessionDelta(_) => "SessionDelta",
             ProtocolResponse::Fragments(_) => "Fragments",
             ProtocolResponse::Refragged(_) => "Refragged",
             ProtocolResponse::Vacuumed(_) => "Vacuumed",
+            ProtocolResponse::Missing(_) => "Missing",
         }
     }
 
@@ -256,12 +282,10 @@ impl ProtocolResponse {
         into_combined, Combined => CombinedResponse;
         /// Unwrap an answer-collection response.
         into_collect, Collect => CollectResponse;
-        /// Unwrap a batched combined-pass response.
-        into_batch_combined, BatchCombined => BatchCombinedResponse;
+        /// Unwrap a multi-query combined-pass response.
+        into_multi_combined, MultiCombined => MultiCombinedResponse;
         /// Unwrap a batched collection response.
         into_batch_collect, BatchCollect => BatchCollectResponse;
-        /// Unwrap a session-update delta.
-        into_session_delta, SessionDelta => MsgSessionDelta;
         /// Unwrap a naive-baseline fragment shipment.
         into_fragments, Fragments => Vec<Fragment>;
         /// Unwrap a re-fragmentation outcome.
@@ -341,9 +365,6 @@ pub trait Transport: Send + Sync {
         true
     }
 
-    /// Drop every site's scratch state.
-    fn reset(&self);
-
     /// Number of parked scratch entries at a site (test instrumentation:
     /// the scratch-leak regression tests assert this returns to zero).
     fn scratch_len(&self, site: SiteId) -> usize;
@@ -382,10 +403,6 @@ impl Transport for Cluster {
 
     fn peer(&self, site: SiteId) -> String {
         format!("sim://{site}")
-    }
-
-    fn reset(&self) {
-        Cluster::reset(self)
     }
 
     fn scratch_len(&self, site: SiteId) -> usize {

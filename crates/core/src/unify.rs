@@ -11,7 +11,7 @@ use crate::vars::{PaxVar, QualVecKind};
 use paxml_boolex::{Assignment, BitVector, CompactVector};
 use paxml_fragment::{FragmentId, FragmentTree};
 use paxml_xpath::eval::QualVectors;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Per-fragment truth values of every residual variable, packed as bits.
 ///
@@ -148,16 +148,7 @@ pub fn unify_qualifiers(
     qvect_len: usize,
     assignment: &mut DenseAssignment,
 ) {
-    for fragment in ft.bottom_up_order() {
-        let (qv, qdv) = match roots.get(&fragment) {
-            Some(vectors) => {
-                let lookup = |var: &PaxVar| assignment.get(var);
-                (vectors.qv.resolve_bits(&lookup), vectors.qdv.resolve_bits(&lookup))
-            }
-            None => (BitVector::all_false(qvect_len), BitVector::all_false(qvect_len)),
-        };
-        assignment.set_qual(fragment, qv, qdv);
-    }
+    walk_qualifiers(ft, |f| roots.get(&f), qvect_len, assignment, |_| true);
 }
 
 /// Top-down unification of the selection (Stage-2) vectors.
@@ -178,27 +169,104 @@ pub fn unify_selection(
     root_init: &[bool],
     assignment: &mut DenseAssignment,
 ) {
-    let slen = root_init.len();
-    // The root fragment's ancestor summary is known exactly.
-    assignment.set_sel(FragmentId::ROOT, BitVector::from_bools(root_init));
-    for fragment in ft.top_down_order() {
-        if fragment == FragmentId::ROOT {
+    walk_selection(ft, virtuals, root_init, &BTreeSet::new(), assignment, |_| true);
+}
+
+/// What one `evalFT` walk did.
+#[derive(Debug, Default)]
+pub(crate) struct Walk {
+    /// Fragments whose values in the assignment changed.
+    pub(crate) changed: BTreeSet<FragmentId>,
+    /// Fragments the walk recomputed (the root's known summary excluded).
+    pub(crate) recomputed: usize,
+}
+
+/// `evalFT`'s bottom-up half, the one walk behind [`unify_qualifiers`] and
+/// a prepared query's dirty cone: a fragment's `Qual` values are recomputed
+/// when `recompute` asks for it or a sub-fragment's values changed; every
+/// other fragment keeps the values `assignment` already holds.
+pub(crate) fn walk_qualifiers<'a>(
+    ft: &FragmentTree,
+    root_of: impl Fn(FragmentId) -> Option<&'a QualVectors<PaxVar>>,
+    qvect_len: usize,
+    assignment: &mut DenseAssignment,
+    recompute: impl Fn(FragmentId) -> bool,
+) -> Walk {
+    let mut walk = Walk::default();
+    for fragment in ft.bottom_up_order() {
+        let below = |c: &FragmentId| walk.changed.contains(c);
+        if !recompute(fragment) && !ft.children(fragment).iter().any(below) {
             continue;
         }
-        let sel = match virtuals.get(&fragment) {
+        walk.recomputed += 1;
+        let (qv, qdv) = match root_of(fragment) {
+            Some(vectors) => {
+                let lookup = |var: &PaxVar| assignment.get(var);
+                (vectors.qv.resolve_bits(&lookup), vectors.qdv.resolve_bits(&lookup))
+            }
+            None => (BitVector::all_false(qvect_len), BitVector::all_false(qvect_len)),
+        };
+        if assignment.set_qual(fragment, qv, qdv) {
+            walk.changed.insert(fragment);
+        }
+    }
+    walk
+}
+
+/// `evalFT`'s top-down half, the one walk behind [`unify_selection`] and a
+/// prepared query's dirty cone. The root fragment's summary is `root_init`.
+/// Another fragment's `Sel` values are recomputed when `recompute` asks for
+/// it, its parent's values changed, or its recorded summary mentions a
+/// `Qual` variable of a fragment in `qual_changed`.
+pub(crate) fn walk_selection(
+    ft: &FragmentTree,
+    virtuals: &BTreeMap<FragmentId, CompactVector<PaxVar>>,
+    root_init: &[bool],
+    qual_changed: &BTreeSet<FragmentId>,
+    assignment: &mut DenseAssignment,
+    recompute: impl Fn(FragmentId) -> bool,
+) -> Walk {
+    let slen = root_init.len();
+    let mut walk = Walk::default();
+    for fragment in ft.top_down_order() {
+        let Some(parent) = ft.parent(fragment) else {
+            let root = BitVector::from_bools(root_init);
+            if recompute(fragment) && assignment.set_sel(fragment, root) {
+                walk.changed.insert(fragment);
+            }
+            continue;
+        };
+        let summary = virtuals.get(&fragment);
+        let mentions_changed = |vector: &CompactVector<PaxVar>| {
+            vector.variables().iter().any(|var| match var {
+                PaxVar::Qual { fragment: g, .. } => qual_changed.contains(g),
+                _ => false,
+            })
+        };
+        if !recompute(fragment)
+            && !walk.changed.contains(&parent)
+            && !summary.is_some_and(mentions_changed)
+        {
+            continue;
+        }
+        walk.recomputed += 1;
+        let sel = match summary {
             Some(vector) => resolve_summary(vector, slen, assignment),
             // The parent fragment was pruned or did not record a vector:
             // nothing above this fragment can match, so the summary is
             // all-false.
             None => BitVector::all_false(slen),
         };
-        assignment.set_sel(fragment, sel);
+        if assignment.set_sel(fragment, sel) {
+            walk.changed.insert(fragment);
+        }
     }
+    walk
 }
 
 /// Resolve a recorded ancestor summary to exactly `slen` constant bits
 /// under the current assignment (undecidable or missing entries are false).
-pub(crate) fn resolve_summary(
+fn resolve_summary(
     vector: &CompactVector<PaxVar>,
     slen: usize,
     assignment: &DenseAssignment,

@@ -287,13 +287,6 @@ impl Cluster {
         self.assignment.values().flat_map(|set| set.sites().iter().copied()).collect()
     }
 
-    /// Drop every site's scratch state (between independent executions).
-    pub fn reset(&self) {
-        for site in &self.sites {
-            Self::lock(site).clear_scratch();
-        }
-    }
-
     /// Direct read-only access to a site, for assertions in tests. Algorithm
     /// code must not use this to bypass the messaging layer. The guard must
     /// be dropped before the next round starts, or the round deadlocks.
@@ -705,13 +698,13 @@ mod tests {
         // sees only its own responses, and the per-site scratch state is
         // still writable (the mutexes were never poisoned).
         let responses = cluster.broadcast(0u8, |site, _| {
-            site.put_scratch("ok", true);
+            site.put_scratch(0, 0, FragmentId(0), true);
             site.id.index() as u64
         });
         assert_eq!(responses.len(), 3);
         assert_eq!(responses[&SiteId(2)], 2);
-        let ok = cluster.broadcast(0u8, |site, _| *site.scratch::<bool>("ok").unwrap());
-        assert!(ok.values().all(|&b| b));
+        let ok = cluster.broadcast(0u8, |site, _| site.take_scratch::<bool>(0, 0, FragmentId(0)));
+        assert!(ok.values().all(|&b| b == Some(true)));
     }
 
     #[test]
@@ -730,15 +723,15 @@ mod tests {
         let f = fragmented();
         let cluster = Cluster::new(&f, 2, Placement::RoundRobin);
         cluster.broadcast(0u8, |site, _| {
-            site.put_scratch("marker", site.id.index() as u64 + 100);
+            site.put_scratch(0, 0, FragmentId(0), site.id.index() as u64 + 100);
             0u8
         });
-        let markers = cluster.broadcast(0u8, |site, _| *site.scratch::<u64>("marker").unwrap());
+        let markers = cluster
+            .broadcast(0u8, |site, _| site.take_scratch::<u64>(0, 0, FragmentId(0)).unwrap());
         assert_eq!(markers[&SiteId(0)], 100);
         assert_eq!(markers[&SiteId(1)], 101);
-        cluster.reset();
-        let cleared = cluster.broadcast(0u8, |site, _| site.scratch::<u64>("marker").is_none());
-        assert!(cleared.values().all(|&b| b));
+        let taken = cluster.broadcast(0u8, |site, _| site.scratch_len());
+        assert!(taken.values().all(|&len| len == 0));
     }
 
     #[test]

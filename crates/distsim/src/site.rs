@@ -12,7 +12,7 @@
 use paxml_fragment::{Fragment, FragmentId};
 use serde::{Deserialize, Serialize};
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -43,11 +43,13 @@ impl fmt::Display for SiteId {
 
 /// The state a site keeps locally.
 ///
-/// Besides its fragments, a site may keep arbitrary *scratch state* between
-/// visits — e.g. the per-node qualifier vectors computed during Stage 1 of
-/// PaX3, which Stage 2 reads on the next visit, or the candidate-answer sets
-/// that Stage 3 resolves. The scratch store is keyed by string and typed via
-/// downcasting, so the algorithm crates can stash whatever they need without
+/// Besides its fragments, a site may keep *scratch state* between the visits
+/// of one execution — e.g. the per-node qualifier vectors computed during
+/// Stage 1 of PaX3, which Stage 2 reads on the next visit, or the
+/// candidate-answer sets that the collection visit resolves. Scratch is
+/// keyed by `(epoch, slot, fragment)`: the execution's pinned epoch, its
+/// scratch slot, and the fragment the value belongs to. Values are typed via
+/// downcasting, so the algorithm crates can park whatever they need without
 /// this crate knowing their types.
 pub struct SiteLocal {
     /// This site's id.
@@ -56,14 +58,17 @@ pub struct SiteLocal {
     /// Every list is non-empty; the snapshots are shared `Arc`s so reading
     /// a version never copies the tree.
     versions: BTreeMap<FragmentId, Vec<(u64, Arc<Fragment>)>>,
-    scratch: HashMap<String, Box<dyn Any + Send>>,
+    scratch: BTreeMap<ScratchKey, Box<dyn Any + Send>>,
     ops: u64,
 }
+
+/// Where a parked value lives: `(epoch, slot, fragment)`.
+type ScratchKey = (u64, usize, FragmentId);
 
 impl SiteLocal {
     /// Create an empty site.
     pub fn new(id: SiteId) -> Self {
-        SiteLocal { id, versions: BTreeMap::new(), scratch: HashMap::new(), ops: 0 }
+        SiteLocal { id, versions: BTreeMap::new(), scratch: BTreeMap::new(), ops: 0 }
     }
 
     /// Store a fragment at this site as the epoch-0 snapshot (the initial
@@ -117,8 +122,12 @@ impl SiteLocal {
     /// and future executions are pinned at or above `watermark`: per
     /// fragment, keep the newest version installed at or before the
     /// watermark (the one a reader at the watermark reads) plus everything
-    /// newer. Returns the number of versions dropped.
+    /// newer. Scratch parked under an epoch below the watermark goes too: no
+    /// execution that could take it back is still running (an execution a
+    /// failure abandoned between its visits leaves exactly such entries).
+    /// Returns the number of versions dropped.
     pub fn retire_below(&mut self, watermark: u64) -> usize {
+        self.scratch.retain(|&(epoch, _, _), _| epoch >= watermark);
         let mut dropped = 0;
         for versions in self.versions.values_mut() {
             let keep_from = versions.iter().rposition(|(e, _)| *e <= watermark).unwrap_or(0);
@@ -203,46 +212,42 @@ impl SiteLocal {
         (result, self.ops - ops_before, start.elapsed())
     }
 
-    /// Store a typed value in the scratch state (replacing any previous
-    /// value under the same key).
-    pub fn put_scratch<T: Send + 'static>(&mut self, key: impl Into<String>, value: T) {
-        self.scratch.insert(key.into(), Box::new(value));
+    /// Park a typed value for a later visit of the execution pinned to
+    /// `epoch` that owns `slot`, replacing any value under the same key.
+    pub fn put_scratch<T: Send + 'static>(
+        &mut self,
+        epoch: u64,
+        slot: usize,
+        fragment: FragmentId,
+        value: T,
+    ) {
+        self.scratch.insert((epoch, slot, fragment), Box::new(value));
     }
 
-    /// Borrow a typed value from the scratch state.
-    pub fn scratch<T: 'static>(&self, key: &str) -> Option<&T> {
-        self.scratch.get(key).and_then(|b| b.downcast_ref::<T>())
-    }
-
-    /// Mutably borrow a typed value from the scratch state.
-    pub fn scratch_mut<T: 'static>(&mut self, key: &str) -> Option<&mut T> {
-        self.scratch.get_mut(key).and_then(|b| b.downcast_mut::<T>())
-    }
-
-    /// Remove and return a typed value from the scratch state.
-    pub fn take_scratch<T: 'static>(&mut self, key: &str) -> Option<T> {
-        let boxed = self.scratch.remove(key)?;
-        match boxed.downcast::<T>() {
+    /// Take back the value parked under `(epoch, slot, fragment)`, if it is
+    /// a `T` (a value of another type stays parked).
+    pub fn take_scratch<T: 'static>(
+        &mut self,
+        epoch: u64,
+        slot: usize,
+        fragment: FragmentId,
+    ) -> Option<T> {
+        let key = (epoch, slot, fragment);
+        match self.scratch.remove(&key)?.downcast::<T>() {
             Ok(v) => Some(*v),
             Err(original) => {
-                // Wrong type requested: put the value back untouched.
-                self.scratch.insert(key.to_string(), original);
+                self.scratch.insert(key, original);
                 None
             }
         }
     }
 
-    /// Number of entries currently parked in the scratch store. Steady
-    /// state is zero: an execution must take back everything it parks
-    /// (per-execution scratch slots are never reused, so a leaked entry
-    /// would accumulate forever — leak regression tests assert on this).
+    /// Number of values currently parked. Steady state is zero: an
+    /// execution takes back everything it parks, and what an abandoned one
+    /// left behind retires with its epoch (leak regression tests assert on
+    /// this).
     pub fn scratch_len(&self) -> usize {
         self.scratch.len()
-    }
-
-    /// Drop all scratch state (between independent query executions).
-    pub fn clear_scratch(&mut self) {
-        self.scratch.clear();
     }
 }
 
@@ -252,7 +257,7 @@ impl fmt::Debug for SiteLocal {
             .field("id", &self.id)
             .field("fragments", &self.fragment_ids())
             .field("versions", &self.version_count())
-            .field("scratch_keys", &self.scratch.keys().collect::<Vec<_>>())
+            .field("scratch", &self.scratch.keys().collect::<Vec<_>>())
             .field("ops", &self.ops)
             .finish()
     }
@@ -317,23 +322,23 @@ mod tests {
     }
 
     #[test]
-    fn scratch_state_is_typed() {
+    fn scratch_state_is_typed_and_retires_with_its_epoch() {
         let mut s = SiteLocal::new(SiteId(0));
-        s.put_scratch("answers", vec![1u32, 2, 3]);
-        s.put_scratch("count", 7usize);
-        assert_eq!(s.scratch::<Vec<u32>>("answers"), Some(&vec![1, 2, 3]));
-        assert_eq!(s.scratch::<usize>("count"), Some(&7));
+        let (f1, f2) = (FragmentId(1), FragmentId(2));
+        s.put_scratch(3, 0, f1, vec![1u32, 2, 3]);
+        s.put_scratch(3, 1, f1, 7usize);
+        s.put_scratch(5, 0, f2, 9usize);
+        s.put_scratch(LATEST_EPOCH, 0, f2, 11usize);
         // Wrong type yields None without destroying the value.
-        assert_eq!(s.scratch::<String>("answers"), None);
-        assert_eq!(s.take_scratch::<String>("answers"), None);
-        assert_eq!(s.take_scratch::<Vec<u32>>("answers"), Some(vec![1, 2, 3]));
-        assert_eq!(s.scratch::<Vec<u32>>("answers"), None);
-        if let Some(count) = s.scratch_mut::<usize>("count") {
-            *count += 1;
-        }
-        assert_eq!(s.scratch::<usize>("count"), Some(&8));
-        s.clear_scratch();
-        assert_eq!(s.scratch::<usize>("count"), None);
+        assert_eq!(s.take_scratch::<String>(3, 0, f1), None);
+        assert_eq!(s.take_scratch::<Vec<u32>>(3, 0, f1), Some(vec![1, 2, 3]));
+        assert_eq!(s.take_scratch::<Vec<u32>>(3, 0, f1), None);
+        assert_eq!(s.scratch_len(), 3);
+        // Retiring below epoch 5 drops what epoch 3 left behind, and only that.
+        s.retire_below(5);
+        assert_eq!(s.scratch_len(), 2);
+        assert_eq!(s.take_scratch::<usize>(5, 0, f2), Some(9));
+        assert_eq!(s.take_scratch::<usize>(LATEST_EPOCH, 0, f2), Some(11));
     }
 
     #[test]

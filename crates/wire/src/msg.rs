@@ -40,8 +40,6 @@ pub enum WireRequest {
     /// Ask what the site currently stores (control-plane observability for
     /// the rebalance planner; uncharged, like `ScratchLen`).
     SiteLoad,
-    /// Clear all scratch state (between independent executions).
-    Reset,
     /// Clean shutdown: the site replies [`WireReply::ShuttingDown`] and
     /// exits its accept loop.
     Shutdown,
@@ -81,8 +79,6 @@ pub enum WireReply {
         /// Per-fragment resident bytes at the site's newest epoch.
         report: paxml_distsim::SiteLoadReport,
     },
-    /// Scratch state cleared.
-    ResetDone,
     /// The site is exiting its accept loop.
     ShuttingDown,
     /// The request could not be served (decode failure, task panic). The

@@ -114,10 +114,6 @@ fn serve_connection(
                     },
                 }
             }
-            WireRequest::Reset => {
-                lock_site(&site).clear_scratch();
-                WireReply::ResetDone
-            }
             WireRequest::Shutdown => {
                 shutting_down.store(true, Ordering::SeqCst);
                 let _ = msg::send(&mut stream, &WireReply::ShuttingDown);

@@ -432,9 +432,10 @@ impl Transport for TcpCluster {
                 }
             }
             // Dead connection: redial with the small probe budget and
-            // re-introduce ourselves. The revived site starts empty — the
-            // server's repair pass re-ships its fragments before readmitting
-            // it to the serving path.
+            // re-introduce ourselves. A site process that restarted comes
+            // back empty: the first round naming one of its copies gets a
+            // missing-fragment reply, which marks that copy stale, so reads
+            // fail over to a replica until the repair pass re-installs it.
             Err(_) => {
                 match connect_with_retry(site, peer, &self.options, self.options.probe_attempts) {
                     Ok(mut stream) => match handshake(&mut stream, site, Vec::new()) {
@@ -447,14 +448,6 @@ impl Transport for TcpCluster {
                     Err(_) => false,
                 }
             }
-        }
-    }
-
-    fn reset(&self) {
-        let _round = self.round_lock.lock().expect("the round lock is never poisoned");
-        for index in 0..self.conns.len() {
-            // Best effort: a dead site has no scratch worth clearing.
-            let _ = self.control(SiteId(index), &WireRequest::Reset, "resetting scratch");
         }
     }
 

@@ -14,8 +14,8 @@
 //! message variant the drivers produce through those assertions.
 
 use paxml_core::{
-    dispatch, Algorithm, EpochRequest, PaxResult, PaxServer, ProtocolResponse, TopologyChange,
-    Transport,
+    dispatch, Algorithm, EpochRequest, PaxError, PaxResult, PaxServer, ProtocolResponse,
+    TopologyChange, Transport,
 };
 use paxml_distsim::{encoded_size, Cluster, Delivery, Placement, ReplicaSet, SiteId};
 use paxml_fragment::FragmentId;
@@ -96,10 +96,6 @@ impl Transport for RecordingTransport {
 
     fn peer(&self, site: SiteId) -> String {
         format!("recording://{site}")
-    }
-
-    fn reset(&self) {
-        self.inner.reset()
     }
 
     fn scratch_len(&self, site: SiteId) -> usize {
@@ -235,9 +231,6 @@ fn workloads_cover_every_protocol_message_variant() {
         fn peer(&self, site: SiteId) -> String {
             format!("tagging://{site}")
         }
-        fn reset(&self) {
-            self.inner.reset()
-        }
         fn scratch_len(&self, site: SiteId) -> usize {
             self.inner.inspect_site(site).scratch_len()
         }
@@ -276,6 +269,12 @@ fn workloads_cover_every_protocol_message_variant() {
             })
             .expect("refragment");
         server.vacuum().expect("vacuum");
+        // The site that lost its only copy of F1 (migrated above) answers
+        // that it is missing.
+        let holder = server.deployment().site_of(FragmentId(1));
+        transport.inner.inspect_site(holder).purge_fragment(FragmentId(1));
+        let lost = server.query_once(query).expect_err("the only copy of F1 is gone");
+        assert!(matches!(lost, PaxError::FragmentMissing { .. }), "{lost}");
         all_seen.extend(transport.seen.lock().unwrap().iter().cloned());
     }
     // Exactly the response kinds the protocol has: none live but never
@@ -288,12 +287,12 @@ fn workloads_cover_every_protocol_message_variant() {
             ProtocolResponse::Sel(_) => "Sel",
             ProtocolResponse::Combined(_) => "Combined",
             ProtocolResponse::Collect(_) => "Collect",
-            ProtocolResponse::BatchCombined(_) => "BatchCombined",
+            ProtocolResponse::MultiCombined(_) => "MultiCombined",
             ProtocolResponse::BatchCollect(_) => "BatchCollect",
-            ProtocolResponse::SessionDelta(_) => "SessionDelta",
             ProtocolResponse::Fragments(_) => "Fragments",
             ProtocolResponse::Refragged(_) => "Refragged",
             ProtocolResponse::Vacuumed(_) => "Vacuumed",
+            ProtocolResponse::Missing(_) => "Missing",
         }
     }
     let every_kind: BTreeSet<String> = [
@@ -301,12 +300,12 @@ fn workloads_cover_every_protocol_message_variant() {
         "Sel",
         "Combined",
         "Collect",
-        "BatchCombined",
+        "MultiCombined",
         "BatchCollect",
-        "SessionDelta",
         "Fragments",
         "Refragged",
         "Vacuumed",
+        "Missing",
     ]
     .into_iter()
     .map(String::from)
