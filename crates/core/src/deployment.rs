@@ -25,25 +25,23 @@ use crate::transport::{
 };
 use paxml_distsim::{
     Cluster, ClusterStats, Delivery, FaultKind, FaultPlan, Placement, ReplicaSet, SiteId,
-    LATEST_EPOCH,
 };
 use paxml_fragment::{FragmentId, FragmentTree, FragmentedTree};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// One immutable version of the deployment's *topology*: the fragment tree
 /// (with its §5 annotations) plus the fragment→site placement map, tagged
 /// with a monotonically increasing version.
 ///
-/// Before online re-fragmentation, the topology was a constant captured at
-/// deploy time. Now every execution resolves the topology **as of its
-/// pinned epoch** via [`Deployment::topology_at`], so a reader that pinned
-/// epoch `N` keeps routing fragments to the sites that held them at `N`
-/// even while a re-fragmentation publishes epoch `N+1` with fragments moved
-/// elsewhere — the topology is versioned by exactly the same MVCC scheme as
-/// the fragment data itself.
+/// A topology belongs to the epochs that route by it: the server's pinned
+/// epoch holds its `Arc`, and every execution routes through the one its
+/// [`ExecCtx`] was pinned with. A reader that pinned epoch `N` therefore
+/// keeps routing fragments to the sites that held them at `N` even while a
+/// re-fragmentation publishes epoch `N+1` with fragments moved elsewhere,
+/// and a version nobody pins any more is simply dropped.
 #[derive(Debug, Clone)]
 pub struct Topology {
     /// The fragment tree `FT` with its annotations.
@@ -112,20 +110,6 @@ impl Topology {
     /// Number of fragments in this topology.
     pub fn fragment_count(&self) -> usize {
         self.fragment_tree.len()
-    }
-
-    /// Group a set of fragments by their *primary* site. Health-aware
-    /// executions route through `ExecCtx::group_by_site` instead, which
-    /// falls over to secondary replicas when the primary is out.
-    pub fn group_by_site(
-        &self,
-        fragments: impl IntoIterator<Item = FragmentId>,
-    ) -> BTreeMap<SiteId, Vec<FragmentId>> {
-        let mut out: BTreeMap<SiteId, Vec<FragmentId>> = BTreeMap::new();
-        for f in fragments {
-            out.entry(self.site_of(f)).or_default().push(f);
-        }
-        out
     }
 
     /// The sites that hold at least one fragment copy under this topology.
@@ -283,10 +267,10 @@ impl SiteHealth {
         }
     }
 
-    /// Drop staleness bookkeeping for copies of `fragment` (the fragment
-    /// left the placement entirely, e.g. merged away).
-    pub fn forget_fragment(&self, fragment: FragmentId) {
-        self.lock().stale.retain(|(f, _), _| *f != fragment);
+    /// Drop the marks of every copy `placed` rejects: copies no live
+    /// epoch's topology places any more, which no reader can route to.
+    pub fn forget_unplaced(&self, placed: impl Fn(FragmentId, SiteId) -> bool) {
+        self.lock().stale.retain(|&(fragment, site), _| placed(fragment, site));
     }
 }
 
@@ -365,11 +349,6 @@ pub struct Deployment {
     pub root_label: String,
     /// Cumulative number of real nodes across all fragments.
     pub total_nodes: usize,
-    /// Topology versions, each tagged with the first epoch it serves,
-    /// ascending. Append-only: [`Deployment::publish_topology`] pushes the
-    /// next version before the epoch pointer swaps, so a reader that pins
-    /// epoch `N+1` always finds `N+1`'s topology here.
-    topologies: RwLock<Vec<(u64, Arc<Topology>)>>,
     /// Site health bookkeeping shared by every execution: strikes,
     /// quarantine, stale copies.
     health: SiteHealth,
@@ -390,18 +369,10 @@ impl Deployment {
     /// from the fragmented tree; the fragment *data* is wherever the
     /// transport put it.
     pub fn over_transport(fragmented: &FragmentedTree, transport: Arc<dyn Transport>) -> Self {
-        // Capture the deploy-time placement from the transport once; from
-        // here on, routing is resolved through topology versions and the
-        // transport's own static assignment is never consulted again (it
-        // cannot know about fragments created by later splits).
-        let placement: BTreeMap<FragmentId, ReplicaSet> =
-            fragmented.fragment_tree.ids().iter().map(|&f| (f, transport.replicas_of(f))).collect();
-        let initial = Arc::new(Topology::new(fragmented.fragment_tree.clone(), placement, 0));
         Deployment {
             transport,
             root_label: fragmented.root_fragment().root_label.clone(),
             total_nodes: fragmented.total_real_nodes(),
-            topologies: RwLock::new(vec![(0, initial)]),
             health: SiteHealth::default(),
             gate: RoundGate::default(),
         }
@@ -423,38 +394,15 @@ impl Deployment {
         self.transport().site_count()
     }
 
-    /// The topology serving `epoch`: the newest version whose first epoch
-    /// is at or before it ([`LATEST_EPOCH`] resolves to the newest).
-    pub fn topology_at(&self, epoch: u64) -> Arc<Topology> {
-        let topologies = self.topologies.read().expect("topology lock poisoned");
-        topologies
-            .iter()
-            .rev()
-            .find(|(first, _)| *first <= epoch)
-            .map(|(_, t)| Arc::clone(t))
-            .unwrap_or_else(|| Arc::clone(&topologies[0].1))
-    }
-
-    /// The newest published topology.
-    pub fn current_topology(&self) -> Arc<Topology> {
-        self.topology_at(LATEST_EPOCH)
-    }
-
-    /// Publish the next topology version, serving epochs from
-    /// `first_epoch` on. Called by the server's re-fragmentation path
-    /// *before* the epoch pointer swaps, so by the time any reader can pin
-    /// `first_epoch` its topology is already resolvable.
-    pub(crate) fn publish_topology(&self, first_epoch: u64, topology: Arc<Topology>) {
-        let mut topologies = self.topologies.write().expect("topology lock poisoned");
-        debug_assert!(topologies.last().is_none_or(|(first, _)| *first < first_epoch));
-        topologies.push((first_epoch, topology));
-    }
-
-    /// The *primary* site storing a fragment **under the newest topology**.
-    /// Pinned executions should route through [`Deployment::topology_at`]
-    /// instead.
-    pub fn site_of(&self, fragment: FragmentId) -> SiteId {
-        self.current_topology().site_of(fragment)
+    /// The deploy-time topology (version 0): `fragmented`'s tree, placed
+    /// where the transport loaded it. The server pins it as epoch 0's;
+    /// server-less callers pin it into their [`ExecCtx`] themselves. This is
+    /// the only time the transport's static assignment is consulted (it
+    /// cannot know about fragments created by later splits).
+    pub fn deployed_topology(&self, fragmented: &FragmentedTree) -> Arc<Topology> {
+        let ft = &fragmented.fragment_tree;
+        let placement = ft.ids().iter().map(|&f| (f, self.transport.replicas_of(f))).collect();
+        Arc::new(Topology::new(ft.clone(), placement, 0))
     }
 
     /// The health tracker shared by every execution over this deployment.
@@ -540,21 +488,6 @@ impl Deployment {
         });
         !faulted && self.transport().link_alive(site)
     }
-
-    /// Number of fragments under the newest topology.
-    pub fn fragment_count(&self) -> usize {
-        self.current_topology().fragment_count()
-    }
-
-    /// Group a set of fragments by the site that stores them under the
-    /// newest topology. Pinned executions should use
-    /// [`Topology::group_by_site`] on their epoch's topology instead.
-    pub fn group_by_site(
-        &self,
-        fragments: impl IntoIterator<Item = FragmentId>,
-    ) -> BTreeMap<SiteId, Vec<FragmentId>> {
-        self.current_topology().group_by_site(fragments)
-    }
 }
 
 /// A borrowed execution context: one execution's private view of a shared
@@ -573,13 +506,16 @@ impl Deployment {
 /// Every context is **pinned to one deployment epoch**: each round wraps its
 /// requests in an [`EpochRequest`] envelope carrying the pinned epoch (and a
 /// retirement watermark), so all visits of an execution read one consistent
-/// set of fragment snapshots no matter how many updates publish mid-flight.
-/// A `PaxServer` pins the epoch current at execution entry; pinning
-/// [`LATEST_EPOCH`] reads the newest snapshots, whatever their epoch.
+/// set of fragment snapshots no matter how many updates publish mid-flight,
+/// and routes them by the [`Topology`] it was pinned with. A `PaxServer`
+/// pins the epoch current at execution entry, with that epoch's topology;
+/// pinning [`paxml_distsim::LATEST_EPOCH`] reads the newest snapshots.
 pub struct ExecCtx<'a> {
     deployment: &'a Deployment,
     /// The epoch every round of this execution reads.
     epoch: u64,
+    /// The fragment tree and placement every round routes by.
+    topology: Arc<Topology>,
     /// The retirement watermark shipped with every round (0 retires
     /// nothing; update rounds carry the coordinator's min-live epoch).
     retire_below: u64,
@@ -594,12 +530,18 @@ pub struct ExecCtx<'a> {
 }
 
 impl<'a> ExecCtx<'a> {
-    /// Start an execution pinned to `epoch`, shipping `retire_below` as the
-    /// retirement watermark on every round.
-    pub fn pinned(deployment: &'a Deployment, epoch: u64, retire_below: u64) -> Self {
+    /// Start an execution pinned to `epoch` and routed by `topology`,
+    /// shipping `retire_below` as the retirement watermark on every round.
+    pub fn pinned(
+        deployment: &'a Deployment,
+        epoch: u64,
+        topology: Arc<Topology>,
+        retire_below: u64,
+    ) -> Self {
         ExecCtx {
             deployment,
             epoch,
+            topology,
             retire_below,
             route: BTreeMap::new(),
             stats: ClusterStats::default(),
@@ -614,16 +556,13 @@ impl<'a> ExecCtx<'a> {
         if let Some(&site) = self.route.get(&fragment) {
             return Ok(site);
         }
-        let topology = self.deployment.topology_at(self.epoch);
-        let site = self.deployment.choose_replica(&topology, fragment, self.epoch)?;
+        let site = self.deployment.choose_replica(&self.topology, fragment, self.epoch)?;
         self.route.insert(fragment, site);
         Ok(site)
     }
 
-    /// Group fragments by the replica site this execution visits for each
-    /// — the health-aware, memoized counterpart of
-    /// [`Topology::group_by_site`]. Every driver routes its rounds through
-    /// this.
+    /// Group fragments by the replica site this execution visits for each.
+    /// Every driver routes its rounds through this.
     pub fn group_by_site(
         &mut self,
         fragments: impl IntoIterator<Item = FragmentId>,
@@ -645,10 +584,10 @@ impl<'a> ExecCtx<'a> {
         self.epoch
     }
 
-    /// The topology as of this execution's pinned epoch — the fragment
-    /// tree and placement every round of this execution routes by.
-    pub fn topology(&self) -> Arc<Topology> {
-        self.deployment.topology_at(self.epoch)
+    /// The topology this execution was pinned with — the fragment tree and
+    /// placement every round of this execution routes by.
+    pub fn topology(&self) -> &Arc<Topology> {
+        &self.topology
     }
 
     /// One coordinator round through the deployment's round gate: admit
@@ -688,6 +627,16 @@ impl<'a> ExecCtx<'a> {
 }
 
 #[cfg(test)]
+impl<'a> ExecCtx<'a> {
+    /// A context reading the newest snapshots, routed by `fragmented`'s
+    /// deploy-time topology: what server-less unit tests run over.
+    pub(crate) fn latest(deployment: &'a Deployment, fragmented: &FragmentedTree) -> Self {
+        let topology = deployment.deployed_topology(fragmented);
+        ExecCtx::pinned(deployment, paxml_distsim::LATEST_EPOCH, topology, 0)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use paxml_distsim::{FaultEvent, SiteWork};
@@ -713,10 +662,11 @@ mod tests {
     fn deployment_exposes_metadata() {
         let f = fragmented();
         let d = Deployment::new(&f, 2, Placement::RoundRobin);
-        assert_eq!(d.fragment_count(), 4);
+        assert_eq!(d.deployed_topology(&f).fragment_count(), 4);
         assert_eq!(d.root_label, "sites");
         assert_eq!(d.total_nodes, f.total_real_nodes());
-        let groups = d.group_by_site(vec![FragmentId(0), FragmentId(1), FragmentId(2)]);
+        let mut ctx = ExecCtx::latest(&d, &f);
+        let groups = ctx.group_by_site([FragmentId(0), FragmentId(1), FragmentId(2)]).unwrap();
         assert_eq!(groups[&SiteId(0)], vec![FragmentId(0), FragmentId(2)]);
         assert_eq!(groups[&SiteId(1)], vec![FragmentId(1)]);
     }
@@ -737,12 +687,12 @@ mod tests {
         let d = Deployment::over_transport(&f, cluster);
         assert!(d.cluster().is_some(), "as_cluster sees through the Arc");
         assert_eq!(d.site_count(), 2);
-        let mut ctx = ExecCtx::pinned(&d, LATEST_EPOCH, 0);
+        let mut ctx = ExecCtx::latest(&d, &fragmented());
         let requests = fetch_all(&mut ctx);
         let responses = ctx.round(requests).unwrap();
         let shipped: usize =
             responses.into_values().map(|r| r.into_fragments().unwrap().len()).sum();
-        assert_eq!(shipped, d.fragment_count());
+        assert_eq!(shipped, f.fragment_count());
     }
 
     /// A two-site transport that answers every request with an empty
@@ -792,7 +742,7 @@ mod tests {
     fn a_faulted_round_delivers_nothing_and_charges_nothing() {
         let (d, transport) = fake_deployment();
         d.set_fault_plan(Some(FaultPlan::scripted(vec![fault(1, 0, 0, FaultKind::Kill)])));
-        let mut ctx = ExecCtx::pinned(&d, LATEST_EPOCH, 0);
+        let mut ctx = ExecCtx::latest(&d, &fragmented());
 
         // An empty round is no round: no tick, no delivery, no meters.
         assert!(ctx.round(BTreeMap::new()).unwrap().is_empty());
@@ -823,7 +773,7 @@ mod tests {
         let (d, transport) = fake_deployment();
         let stall = Duration::from_millis(20);
         d.set_fault_plan(Some(FaultPlan::scripted(vec![fault(0, 0, 0, FaultKind::Delay(stall))])));
-        let mut ctx = ExecCtx::pinned(&d, LATEST_EPOCH, 0);
+        let mut ctx = ExecCtx::latest(&d, &fragmented());
         let requests = fetch_all(&mut ctx);
         let started = Instant::now();
         assert_eq!(ctx.round(requests).unwrap().len(), 2);
@@ -846,7 +796,7 @@ mod tests {
         assert_eq!(d.stats(), ClusterStats::default(), "and touch no meter");
 
         // One round to the healthy site moves the clock past the window.
-        let mut ctx = ExecCtx::pinned(&d, LATEST_EPOCH, 0);
+        let mut ctx = ExecCtx::latest(&d, &fragmented());
         let to_s0 = BTreeMap::from([(SiteId(0), ProtocolRequest::FetchFragments(Vec::new()))]);
         ctx.round(to_s0).unwrap();
         assert!(d.probe(SiteId(1)), "the site revived by schedule");
@@ -856,12 +806,12 @@ mod tests {
     fn the_commit_charges_recorder_and_ledger_identically() {
         let (d, _transport) = fake_deployment();
         // Background traffic from another execution.
-        let mut other = ExecCtx::pinned(&d, LATEST_EPOCH, 0);
+        let mut other = ExecCtx::latest(&d, &fragmented());
         let requests = fetch_all(&mut other);
         other.round(requests.clone()).unwrap();
 
         let baseline = d.stats();
-        let mut ctx = ExecCtx::pinned(&d, LATEST_EPOCH, 0);
+        let mut ctx = ExecCtx::latest(&d, &fragmented());
         ctx.round(requests.clone()).unwrap();
         ctx.round(requests).unwrap();
         // The recorder saw exactly its own two rounds, charged as observed…
@@ -890,7 +840,7 @@ mod tests {
             .map(|_| {
                 let d = Arc::clone(&d);
                 std::thread::spawn(move || {
-                    let mut ctx = ExecCtx::pinned(&d, LATEST_EPOCH, 0);
+                    let mut ctx = ExecCtx::latest(&d, &fragmented());
                     let requests = fetch_all(&mut ctx);
                     for _ in 0..rounds_per_thread {
                         assert_eq!(ctx.round(requests.clone()).unwrap().len(), 3);

@@ -91,7 +91,7 @@ use crate::vars::PaxVar;
 use crate::EvalOptions;
 use paxml_boolex::CompactVector;
 use paxml_distsim::SiteId;
-use paxml_fragment::{FragmentId, FragmentTree, UpdateOp};
+use paxml_fragment::{FragmentId, UpdateOp};
 use paxml_xpath::eval::QualVectors;
 use paxml_xpath::CompiledQuery;
 use serde::Serialize;
@@ -133,14 +133,16 @@ struct RefreshOutcome {
 /// cache entries sit behind [`Arc`]s, so cloning a session for the next
 /// epoch shares every clean fragment's vectors by reference and only the
 /// entries an update actually touches are deep-copied (via
-/// [`Arc::make_mut`]).
+/// [`Arc::make_mut`]). The compiled query and the topology are shared
+/// `Arc`s too: the prepared query's and the epoch's.
 #[derive(Clone)]
 pub(crate) struct QuerySession {
-    pub(crate) query: CompiledQuery,
+    pub(crate) query: Arc<CompiledQuery>,
     query_text: String,
     options: EvalOptions,
     plan: QueryPlan,
-    ft: FragmentTree,
+    /// The topology whose fragment tree the session's walks run over.
+    topology: Arc<Topology>,
     cache: BTreeMap<FragmentId, Arc<FragmentCache>>,
     /// Ancestor summaries recorded at virtual nodes, keyed by the
     /// sub-fragment they stand for (produced by the parent fragment).
@@ -158,10 +160,10 @@ impl QuerySession {
     /// topology version. No site is visited until a [`session_round`] runs
     /// the cold snapshot.
     pub(crate) fn new(
-        query: CompiledQuery,
+        query: Arc<CompiledQuery>,
         query_text: &str,
         options: &EvalOptions,
-        topology: &Topology,
+        topology: &Arc<Topology>,
         root_label: &str,
     ) -> QuerySession {
         let plan = QueryPlan::new(&query, options, topology, root_label);
@@ -170,7 +172,7 @@ impl QuerySession {
             query_text: query_text.to_string(),
             options: *options,
             plan,
-            ft: topology.fragment_tree.clone(),
+            topology: Arc::clone(topology),
             cache: BTreeMap::new(),
             virtuals: BTreeMap::new(),
             assignment: DenseAssignment::new(topology.fragment_tree.len()),
@@ -246,7 +248,7 @@ impl QuerySession {
         // The dirty cone: a fragment is recomputed when it (for `Qual`
         // values) or its parent (for `Sel` values) was updated; the walks
         // add whatever a changed value reaches.
-        let (ft, cache) = (&self.ft, &self.cache);
+        let (ft, cache) = (&self.topology.fragment_tree, &self.cache);
         let qual = if self.query.has_qualifiers() {
             let root_of =
                 |f| cache.get(&f).and_then(|entry: &Arc<FragmentCache>| entry.root.as_ref());
@@ -275,7 +277,7 @@ impl QuerySession {
             let needs = initial
                 || dirty_fragments.contains(&fragment)
                 || sel.changed.contains(&fragment)
-                || self.ft.children(fragment).iter().any(|c| qual.changed.contains(c));
+                || ft.children(fragment).iter().any(|c| qual.changed.contains(c));
             if !needs {
                 continue;
             }
@@ -317,11 +319,11 @@ impl QuerySession {
     /// no longer exist); the server cold-resets those instead.
     pub(crate) fn retopologize(
         &mut self,
-        topology: &Topology,
+        topology: &Arc<Topology>,
         root_label: &str,
         touched: &BTreeSet<FragmentId>,
     ) {
-        self.ft = topology.fragment_tree.clone();
+        self.topology = Arc::clone(topology);
         self.plan = QueryPlan::new(&self.query, &self.options, topology, root_label);
         for fragment in touched {
             self.cache.remove(fragment);
@@ -329,9 +331,10 @@ impl QuerySession {
         }
         // Fragments that left the tree entirely (merged away) must not keep
         // contributing cached answers.
-        self.cache.retain(|fragment, _| self.ft.contains(*fragment));
-        self.virtuals.retain(|fragment, _| self.ft.contains(*fragment));
-        self.assignment = DenseAssignment::new(self.ft.len());
+        let ft = &self.topology.fragment_tree;
+        self.cache.retain(|fragment, _| ft.contains(*fragment));
+        self.virtuals.retain(|fragment, _| ft.contains(*fragment));
+        self.assignment = DenseAssignment::new(ft.len());
         self.refresh_coordinator_state(&BTreeSet::new(), true);
     }
 }
@@ -391,7 +394,7 @@ pub(crate) fn session_round(
                 fragments.iter().copied().filter(|f| session.relevant().contains(f)).collect();
             if !here.is_empty() {
                 let inputs = here.iter().map(|&f| (f, session.plan.combined_input(f))).collect();
-                entries.push((session.query.clone(), inputs));
+                entries.push((session.query.as_ref().clone(), inputs));
                 asked.entry(site).or_default().push((id, here));
             }
         }

@@ -105,15 +105,25 @@ mod tests {
     use paxml_xpath::{centralized, compile_text};
 
     /// The classic engine drivers, compiled on the fly (the internal
-    /// equivalents of `PaxServer::query_once` for each algorithm).
-    fn eval_pax3(d: &Deployment, q: &str, o: &EvalOptions) -> ExecReport {
-        pax3::run(d, &compile_text(q).unwrap(), q, o, LATEST_EPOCH).unwrap()
+    /// equivalents of `PaxServer::query_once` for each algorithm), over a
+    /// fresh round-robin deployment of `f` on `sites` sites, or (`_on`) over
+    /// `d`, deployed from `f`.
+    fn eval_pax3(f: &FragmentedTree, sites: usize, q: &str, o: &EvalOptions) -> ExecReport {
+        eval_pax3_on(&Deployment::new(f, sites, Placement::RoundRobin), f, q, o)
     }
-    fn eval_pax2(d: &Deployment, q: &str, o: &EvalOptions) -> ExecReport {
-        pax2::run(d, &[(&compile_text(q).unwrap(), q)], o, LATEST_EPOCH, ExecMode::Query).unwrap()
+    fn eval_pax3_on(d: &Deployment, f: &FragmentedTree, q: &str, o: &EvalOptions) -> ExecReport {
+        pax3::run(ExecCtx::latest(d, f), &compile_text(q).unwrap(), q, o).unwrap()
     }
-    fn eval_naive(d: &Deployment, q: &str) -> ExecReport {
-        naive::run(d, &compile_text(q).unwrap(), q, LATEST_EPOCH).unwrap()
+    fn eval_pax2(f: &FragmentedTree, sites: usize, q: &str, o: &EvalOptions) -> ExecReport {
+        eval_pax2_on(&Deployment::new(f, sites, Placement::RoundRobin), f, q, o)
+    }
+    fn eval_pax2_on(d: &Deployment, f: &FragmentedTree, q: &str, o: &EvalOptions) -> ExecReport {
+        let q = [(&compile_text(q).unwrap(), q)];
+        pax2::run(ExecCtx::latest(d, f), &q, o, ExecMode::Query).unwrap()
+    }
+    fn eval_naive(f: &FragmentedTree, sites: usize, q: &str) -> ExecReport {
+        let d = Deployment::new(f, sites, Placement::RoundRobin);
+        naive::run(ExecCtx::latest(&d, f), &compile_text(q).unwrap(), q).unwrap()
     }
 
     /// The Fig. 1 clientele document.
@@ -227,8 +237,7 @@ mod tests {
             let expected = reference(tree, query);
             for use_annotations in [false, true] {
                 let options = EvalOptions { use_annotations };
-                let d = Deployment::new(fragmented, sites, Placement::RoundRobin);
-                let p3 = eval_pax3(&d, query, &options);
+                let p3 = eval_pax3(fragmented, sites, query, &options);
                 assert_eq!(
                     p3.answer_origins(),
                     expected,
@@ -238,9 +247,7 @@ mod tests {
                     p3.max_visits_per_site() <= 3,
                     "PaX3 visited a site more than 3 times on {query}"
                 );
-
-                let d = Deployment::new(fragmented, sites, Placement::RoundRobin);
-                let p2 = eval_pax2(&d, query, &options);
+                let p2 = eval_pax2(fragmented, sites, query, &options);
                 assert_eq!(
                     p2.answer_origins(),
                     expected,
@@ -251,8 +258,7 @@ mod tests {
                     "PaX2 visited a site more than 2 times on {query}"
                 );
             }
-            let d = Deployment::new(fragmented, sites, Placement::RoundRobin);
-            let naive = eval_naive(&d, query);
+            let naive = eval_naive(fragmented, sites, query);
             assert_eq!(naive.answer_origins(), expected, "Naive disagrees on {query}");
             assert_eq!(naive.max_visits_per_site(), 1);
         }
@@ -292,12 +298,10 @@ mod tests {
         let fragmented = fig1_fragmentation(&tree);
         for query in ["client/name", "//broker[//stock/code/text()='GOOG']/name"] {
             let expected = reference(&tree, query);
-            let d = Deployment::new(&fragmented, 1, Placement::SingleSite);
-            let p3 = eval_pax3(&d, query, &EvalOptions::default());
+            let p3 = eval_pax3(&fragmented, 1, query, &EvalOptions::default());
             assert_eq!(p3.answer_origins(), expected);
             assert!(p3.max_visits_per_site() <= 3);
-            let d = Deployment::new(&fragmented, 1, Placement::SingleSite);
-            let p2 = eval_pax2(&d, query, &EvalOptions::default());
+            let p2 = eval_pax2(&fragmented, 1, query, &EvalOptions::default());
             assert_eq!(p2.answer_origins(), expected);
             assert!(p2.max_visits_per_site() <= 2);
         }
@@ -309,30 +313,26 @@ mod tests {
         let fragmented = fig1_fragmentation(&tree);
 
         // PaX3 without annotations: Stage 1 skipped => 2 visits.
-        let d = Deployment::new(&fragmented, 4, Placement::RoundRobin);
-        let report = eval_pax3(&d, "client/broker/name", &EvalOptions::default());
+        let report = eval_pax3(&fragmented, 4, "client/broker/name", &EvalOptions::default());
         assert_eq!(report.max_visits_per_site(), 2);
 
         // PaX3 with annotations: exact init vectors => Stage 3 skipped => 1 visit.
-        let d = Deployment::new(&fragmented, 4, Placement::RoundRobin);
-        let report = eval_pax3(&d, "client/broker/name", &EvalOptions::with_annotations());
+        let report =
+            eval_pax3(&fragmented, 4, "client/broker/name", &EvalOptions::with_annotations());
         assert_eq!(report.max_visits_per_site(), 1);
 
         // PaX2 with annotations on a qualifier-free query: a single visit.
-        let d = Deployment::new(&fragmented, 4, Placement::RoundRobin);
-        let report = eval_pax2(&d, "client/broker/name", &EvalOptions::with_annotations());
+        let report =
+            eval_pax2(&fragmented, 4, "client/broker/name", &EvalOptions::with_annotations());
         assert_eq!(report.max_visits_per_site(), 1);
 
         // With qualifiers PaX3 needs all three stages.
-        let d = Deployment::new(&fragmented, 4, Placement::RoundRobin);
-        let report =
-            eval_pax3(&d, "client[country/text()='US']/broker/name", &EvalOptions::default());
+        let qualified = "client[country/text()='US']/broker/name";
+        let report = eval_pax3(&fragmented, 4, qualified, &EvalOptions::default());
         assert_eq!(report.max_visits_per_site(), 3);
 
         // ... while PaX2 stays at two.
-        let d = Deployment::new(&fragmented, 4, Placement::RoundRobin);
-        let report =
-            eval_pax2(&d, "client[country/text()='US']/broker/name", &EvalOptions::default());
+        let report = eval_pax2(&fragmented, 4, qualified, &EvalOptions::default());
         assert_eq!(report.max_visits_per_site(), 2);
     }
 
@@ -342,10 +342,8 @@ mod tests {
         let fragmented = fig1_fragmentation(&tree);
         // Example 5.1: client/name only needs the root fragment and the
         // client fragment.
-        let d = Deployment::new(&fragmented, 4, Placement::RoundRobin);
-        let without = eval_pax2(&d, "client/name", &EvalOptions::default());
-        let d = Deployment::new(&fragmented, 4, Placement::RoundRobin);
-        let with = eval_pax2(&d, "client/name", &EvalOptions::with_annotations());
+        let without = eval_pax2(&fragmented, 4, "client/name", &EvalOptions::default());
+        let with = eval_pax2(&fragmented, 4, "client/name", &EvalOptions::with_annotations());
         assert_eq!(without.answer_origins(), with.answer_origins());
         assert_eq!(without.queries[0].fragments_evaluated, 5);
         assert_eq!(with.queries[0].fragments_evaluated, 2);
@@ -375,11 +373,8 @@ mod tests {
         let fragmented = strategy::cut_at_labels(&tree, &["clientele"]).unwrap();
         let query =
             "clientele/client[country/text()='US']/broker[market/name/text()='NASDAQ']/name";
-
-        let d = Deployment::new(&fragmented, 8, Placement::RoundRobin);
-        let naive = eval_naive(&d, query);
-        let d = Deployment::new(&fragmented, 8, Placement::RoundRobin);
-        let pax = eval_pax2(&d, query, &EvalOptions::default());
+        let naive = eval_naive(&fragmented, 8, query);
+        let pax = eval_pax2(&fragmented, 8, query, &EvalOptions::default());
 
         assert_eq!(naive.answer_origins(), pax.answer_origins());
         assert_eq!(pax.answers().len(), 8 * 10 * 2); // NASDAQ brokers of US clients
@@ -414,11 +409,8 @@ mod tests {
         let query = "client[country/text()='US']/name";
         let small_frag = strategy::cut_at_labels(&base, &["client"]).unwrap();
         let grown_frag = strategy::cut_at_labels(&grown, &["client"]).unwrap();
-
-        let d_small = Deployment::new(&small_frag, 4, Placement::RoundRobin);
-        let small_report = eval_pax2(&d_small, query, &EvalOptions::default());
-        let d_grown = Deployment::new(&grown_frag, 4, Placement::RoundRobin);
-        let grown_report = eval_pax2(&d_grown, query, &EvalOptions::default());
+        let small_report = eval_pax2(&small_frag, 4, query, &EvalOptions::default());
+        let grown_report = eval_pax2(&grown_frag, 4, query, &EvalOptions::default());
 
         // Same answers (the US clients of the original subtree), roughly
         // |FT|-proportional traffic: the grown tree has ~200 more fragments,
@@ -438,9 +430,8 @@ mod tests {
     fn reports_expose_cost_meters() {
         let tree = clientele();
         let fragmented = fig1_fragmentation(&tree);
-        let d = Deployment::new(&fragmented, 4, Placement::RoundRobin);
-        let report =
-            eval_pax3(&d, "client[country/text()='US']/broker/name", &EvalOptions::default());
+        let qualified = "client[country/text()='US']/broker/name";
+        let report = eval_pax3(&fragmented, 4, qualified, &EvalOptions::default());
         assert!(report.total_ops() > 0);
         assert!(report.network_bytes() > 0);
         assert!(
@@ -464,8 +455,8 @@ mod tests {
         for query in ["client[country/text()='US']/name", "//stock[qt >= 50]/code", "client/name"] {
             for options in [EvalOptions::without_annotations(), EvalOptions::with_annotations()] {
                 for _ in 0..3 {
-                    eval_pax3(&d, query, &options);
-                    eval_pax2(&d, query, &options);
+                    eval_pax3_on(&d, &fragmented, query, &options);
+                    eval_pax2_on(&d, &fragmented, query, &options);
                 }
             }
         }
@@ -479,12 +470,11 @@ mod tests {
         let tree = clientele();
         let fragmented = fig1_fragmentation(&tree);
         let query = "//broker[//stock/code/text()='GOOG']/name";
-        let par = Deployment::new(&fragmented, 4, Placement::RoundRobin);
         let mut cluster = paxml_distsim::Cluster::new(&fragmented, 4, Placement::RoundRobin);
         cluster.sequential = true;
         let seq = Deployment::over_transport(&fragmented, std::sync::Arc::new(cluster));
-        let a = eval_pax2(&par, query, &EvalOptions::default());
-        let b = eval_pax2(&seq, query, &EvalOptions::default());
+        let a = eval_pax2(&fragmented, 4, query, &EvalOptions::default());
+        let b = eval_pax2_on(&seq, &fragmented, query, &EvalOptions::default());
         assert_eq!(a.answer_origins(), b.answer_origins());
         assert_eq!(a.stats.messages, b.stats.messages);
     }

@@ -7,7 +7,7 @@
 //! to avoid. The baseline exists so the benchmarks can show the traffic and
 //! latency gap.
 
-use crate::deployment::{Deployment, ExecCtx};
+use crate::deployment::ExecCtx;
 use crate::error::PaxResult;
 use crate::report::{Algorithm, AnswerItem, ExecMode, ExecReport, QueryOutcome};
 use crate::transport::ProtocolRequest;
@@ -17,20 +17,20 @@ use paxml_fragment::Fragment;
 use paxml_xml::NodeId;
 use paxml_xpath::{centralized, CompiledQuery};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The naive driver, reported as a unified [`ExecReport`] whose cluster
-/// meters cover exactly this execution. Takes the deployment *shared*: any
-/// number of runs may execute concurrently, each with its own recorder.
+/// meters cover exactly this execution. Runs over `ctx`, pinned by the
+/// caller; the deployment is shared, so any number of runs may execute
+/// concurrently, each with its own recorder.
 pub(crate) fn run(
-    deployment: &Deployment,
+    mut ctx: ExecCtx<'_>,
     query: &CompiledQuery,
     query_text: &str,
-    epoch: u64,
 ) -> PaxResult<ExecReport> {
     let start = Instant::now();
-    let mut ctx = ExecCtx::pinned(deployment, epoch, 0);
-    let topology = ctx.topology();
+    let (epoch, topology) = (ctx.epoch(), Arc::clone(ctx.topology()));
 
     // One visit per site, routed by the pinned epoch's topology: each site
     // ships exactly the fragments the topology places there, so stale

@@ -64,7 +64,7 @@
 //! assert!(report.max_visits_per_site() <= 2);
 //! ```
 
-use crate::deployment::{Deployment, ExecCtx};
+use crate::deployment::ExecCtx;
 use crate::error::PaxResult;
 use crate::plan::QueryPlan;
 use crate::protocol::{
@@ -80,6 +80,7 @@ use paxml_distsim::SiteId;
 use paxml_fragment::{FragmentId, FragmentTree};
 use paxml_xpath::CompiledQuery;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// What a collection visit tells one site: per fragment, the resolved truth
@@ -122,26 +123,24 @@ fn sole<T>(entries: Vec<T>) -> T {
 /// [`ExecReport`] whose cluster meters cover exactly this execution. `mode`
 /// picks the envelope — [`ExecMode::Query`] ships the slice of one in the
 /// single-query messages, [`ExecMode::Batch`] any slice in the multi-query
-/// ones — and nothing else. Takes the deployment *shared*: any number of
-/// runs may execute concurrently, each with its own recorder and scratch
-/// slots.
+/// ones — and nothing else. Runs over `ctx`, pinned by the caller to its
+/// epoch and topology; the deployment is shared, so any number of runs may
+/// execute concurrently, each with its own recorder and scratch slots.
 ///
 /// # Panics
 ///
 /// Panics when `mode` is not [`ExecMode::Batch`] and `queries` is not
 /// exactly one query.
 pub(crate) fn run(
-    deployment: &Deployment,
+    mut ctx: ExecCtx<'_>,
     queries: &[(&CompiledQuery, &str)],
     options: &EvalOptions,
-    epoch: u64,
     mode: ExecMode,
 ) -> PaxResult<ExecReport> {
     let batched = mode == ExecMode::Batch;
     assert!(batched || queries.len() == 1, "only a batch carries other than one query");
     let start = Instant::now();
-    let mut ctx = ExecCtx::pinned(deployment, epoch, 0);
-    let topology = ctx.topology();
+    let (deployment, epoch, topology) = (ctx.deployment(), ctx.epoch(), Arc::clone(ctx.topology()));
     let ft = &topology.fragment_tree;
     // A block of scratch slots, unique across concurrent executions: a
     // site's entry `i` parks under `slot_base + i`.
@@ -295,8 +294,9 @@ fn collect_slices(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paxml_distsim::{Placement, LATEST_EPOCH};
-    use paxml_fragment::strategy;
+    use crate::deployment::Deployment;
+    use paxml_distsim::Placement;
+    use paxml_fragment::{strategy, FragmentedTree};
     use paxml_xml::TreeBuilder;
     use paxml_xpath::compile_text;
 
@@ -313,7 +313,7 @@ mod tests {
         "nonexistent/path",
     ];
 
-    fn deployment() -> Deployment {
+    fn deployment() -> (Deployment, FragmentedTree) {
         let mut builder = TreeBuilder::new("clientele");
         for (name, country, broker, code, qt) in
             [("Anna", "US", "E*trade", "YHOO", "40"), ("Lisa", "Canada", "CIBC", "GOOG", "90")]
@@ -334,24 +334,25 @@ mod tests {
                 .close();
         }
         let fragmented = strategy::cut_at_labels(&builder.build(), &["broker", "market"]).unwrap();
-        Deployment::new(&fragmented, 4, Placement::RoundRobin)
+        (Deployment::new(&fragmented, 4, Placement::RoundRobin), fragmented)
     }
 
     #[test]
     fn a_batch_equals_its_queries_one_at_a_time_within_one_querys_visit_bound() {
-        let d = deployment();
+        let (d, f) = deployment();
         let compiled: Vec<CompiledQuery> =
             BATTERY.iter().map(|q| compile_text(q).unwrap()).collect();
         let slice: Vec<(&CompiledQuery, &str)> = compiled.iter().zip(BATTERY).collect();
         for use_annotations in [false, true] {
             let options = EvalOptions { use_annotations };
-            let batch = run(&d, &slice, &options, LATEST_EPOCH, ExecMode::Batch).unwrap();
+            let batch = run(ExecCtx::latest(&d, &f), &slice, &options, ExecMode::Batch).unwrap();
             assert_eq!(batch.len(), BATTERY.len());
             assert!(batch.max_visits_per_site() <= 2, "batch broke the PaX2 bound");
             assert!(batch.rounds() <= 2);
             let (mut rounds, mut visits) = (0, 0);
             for (one, outcome) in slice.iter().zip(&batch.queries) {
-                let single = run(&d, &[*one], &options, LATEST_EPOCH, ExecMode::Query).unwrap();
+                let ctx = ExecCtx::latest(&d, &f);
+                let single = run(ctx, &[*one], &options, ExecMode::Query).unwrap();
                 let alone = &single.queries[0];
                 assert_eq!(outcome.answers, alone.answers, "{} (XA={use_annotations})", one.1);
                 assert_eq!(outcome.fragments_evaluated, alone.fragments_evaluated);
@@ -367,8 +368,9 @@ mod tests {
 
     #[test]
     fn an_empty_batch_visits_nobody() {
-        let batch = run(&deployment(), &[], &EvalOptions::default(), LATEST_EPOCH, ExecMode::Batch)
-            .unwrap();
+        let (d, f) = deployment();
+        let batch =
+            run(ExecCtx::latest(&d, &f), &[], &EvalOptions::default(), ExecMode::Batch).unwrap();
         assert!(batch.is_empty());
         assert_eq!(batch.rounds(), 0);
         assert_eq!(batch.max_visits_per_site(), 0);

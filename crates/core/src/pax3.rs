@@ -17,7 +17,7 @@
 //! XPath-annotation optimization provides exact ancestor summaries Stage 3
 //! is skipped as well — matching the visit counts measured in Experiment 1.
 
-use crate::deployment::{Deployment, ExecCtx, Topology};
+use crate::deployment::{ExecCtx, Topology};
 use crate::error::PaxResult;
 use crate::pax2::collect_values;
 use crate::plan::QueryPlan;
@@ -33,22 +33,22 @@ use paxml_fragment::FragmentId;
 use paxml_xpath::eval::QualVectors;
 use paxml_xpath::CompiledQuery;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The PaX3 driver: the three-stage protocol, reported as a unified
-/// [`ExecReport`] whose cluster meters cover exactly this execution. Takes
-/// the deployment *shared*: any number of runs may execute concurrently,
-/// each with its own recorder and scratch slot.
+/// [`ExecReport`] whose cluster meters cover exactly this execution. Runs
+/// over `ctx`, pinned by the caller; the deployment is shared, so any
+/// number of runs may execute concurrently, each with its own recorder and
+/// scratch slot.
 pub(crate) fn run(
-    deployment: &Deployment,
+    mut ctx: ExecCtx<'_>,
     query: &CompiledQuery,
     query_text: &str,
     options: &EvalOptions,
-    epoch: u64,
 ) -> PaxResult<ExecReport> {
     let start = Instant::now();
-    let mut ctx = ExecCtx::pinned(deployment, epoch, 0);
-    let topology = ctx.topology();
+    let (deployment, epoch, topology) = (ctx.deployment(), ctx.epoch(), Arc::clone(ctx.topology()));
     let slot = deployment.allocate_slots(1);
     let ft = &topology.fragment_tree;
     let plan = QueryPlan::new(query, options, &topology, &deployment.root_label);

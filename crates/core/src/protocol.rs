@@ -669,7 +669,8 @@ pub fn batch_collect_task(
 /// and a partially-delivered round (a site dying mid-transfer) leaves at
 /// worst orphan versions at the epoch that was never published, which a
 /// retried build simply overwrites. Space held by fragments that migrated
-/// *away* is reclaimed later by a vacuum sweep's purge list.
+/// *away* is reclaimed later by a vacuum sweep, which keeps only what the
+/// live epochs place at the site.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct MsgRefrag {
     /// Fragments to install as the envelope epoch's snapshot at this site,
@@ -703,13 +704,14 @@ pub fn refrag_task(site: &mut SiteLocal, epoch: u64, request: MsgRefrag) -> Refr
 
 /// Payload of an explicit vacuum sweep: besides the envelope's retirement
 /// watermark (versions below it are dropped at every site), the coordinator
-/// may name fragments whose version lists should be removed *entirely* at
-/// the target site — fragments that migrated away or were merged out of
-/// existence by an old re-fragmentation no pinned execution can still see.
+/// names the fragments some live epoch's topology places at the target
+/// site. The site removes the version lists of every *other* fragment it
+/// holds entirely — copies that migrated away or were merged out of
+/// existence, which no pinned execution can still be routed to.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct MsgVacuum {
-    /// Fragments to purge wholesale at this site.
-    pub purge: Vec<FragmentId>,
+    /// Fragments to keep at this site; everything else is purged.
+    pub keep: Vec<FragmentId>,
 }
 
 #[cfg(test)]

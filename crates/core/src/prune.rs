@@ -449,8 +449,8 @@ mod tests {
         // A query whose first step matches nothing prunes every non-root
         // fragment — and the end-to-end evaluation over a real deployment
         // returns the empty answer after touching only the root fragment.
-        use crate::{pax2, pax3, Deployment, EvalOptions, ExecMode};
-        use paxml_distsim::{Placement, LATEST_EPOCH};
+        use crate::{pax2, pax3, Deployment, EvalOptions, ExecCtx, ExecMode};
+        use paxml_distsim::Placement;
         use paxml_fragment::fragment_at;
         use paxml_xml::TreeBuilder;
 
@@ -474,11 +474,12 @@ mod tests {
 
             let xa = EvalOptions::with_annotations();
             let d = Deployment::new(&fragmented, 3, Placement::RoundRobin);
-            let p2 = pax2::run(&d, &[(&q, query)], &xa, LATEST_EPOCH, ExecMode::Query).unwrap();
+            let ctx = ExecCtx::latest(&d, &fragmented);
+            let p2 = pax2::run(ctx, &[(&q, query)], &xa, ExecMode::Query).unwrap();
             assert!(p2.answers().is_empty(), "{query} must have no answers");
             assert_eq!(p2.queries[0].fragments_evaluated, 1);
             let d = Deployment::new(&fragmented, 3, Placement::RoundRobin);
-            let p3 = pax3::run(&d, &q, query, &xa, LATEST_EPOCH).unwrap();
+            let p3 = pax3::run(ExecCtx::latest(&d, &fragmented), &q, query, &xa).unwrap();
             assert!(p3.answers().is_empty());
             // Only the root fragment's site is ever visited.
             let visited: Vec<_> = d
@@ -488,7 +489,8 @@ mod tests {
                 .filter(|(_, s)| s.visits > 0)
                 .map(|(site, _)| *site)
                 .collect();
-            assert_eq!(visited, vec![d.site_of(FragmentId::ROOT)]);
+            let root_site = d.deployed_topology(&fragmented).site_of(FragmentId::ROOT);
+            assert_eq!(visited, vec![root_site]);
         }
     }
 

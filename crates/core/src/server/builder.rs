@@ -171,9 +171,10 @@ impl PaxServerBuilder {
         fragmented: &FragmentedTree,
         transport: Arc<dyn crate::transport::Transport>,
     ) -> PaxResult<PaxServer> {
-        let (current, epochs) = initial_epoch();
+        let deployment = Deployment::over_transport(fragmented, transport);
+        let (current, epochs) = initial_epoch(deployment.deployed_topology(fragmented));
         Ok(PaxServer {
-            deployment: Deployment::over_transport(fragmented, transport),
+            deployment,
             algorithm: self.algorithm,
             options: EvalOptions { use_annotations: self.use_annotations },
             retry: self.retry_policy,
@@ -182,7 +183,6 @@ impl PaxServerBuilder {
             epochs,
             prepared: RwLock::default(),
             update_hook: Mutex::new(None),
-            retired_placements: Mutex::new(Vec::new()),
             auto_vacuum_threshold: self.auto_vacuum_threshold,
             retired_at_last_vacuum: AtomicU64::new(0),
         })

@@ -12,7 +12,7 @@ use crate::protocol::{MsgRefrag, MsgVacuum};
 use crate::transport::{ProtocolRequest, VacuumOutcome};
 use paxml_distsim::{ReplicaSet, SiteId};
 use paxml_fragment::{Fragment, FragmentId};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
@@ -20,14 +20,20 @@ use std::sync::{Arc, Mutex, MutexGuard, Weak};
 ///
 /// The fragment *data* of an epoch lives site-side (each site keeps a
 /// version list per fragment, read at the pinned epoch number); the
-/// coordinator side of an epoch is the per-prepared-query residual-vector
-/// sessions consistent with that data. An epoch is dead when the last
-/// pinned execution drops its `Arc`; the server tracks epochs through
-/// [`Weak`] handles so retirement needs no reference counting of its own.
+/// coordinator side of an epoch is the topology that routes it and the
+/// per-prepared-query residual-vector sessions consistent with that data.
+/// The epoch is the only holder of "which topology routes epoch `N`": a
+/// topology version lives exactly as long as some epoch pins it. An epoch
+/// is dead when the last pinned execution drops its `Arc`; the server
+/// tracks epochs through [`Weak`] handles so retirement needs no reference
+/// counting of its own.
 pub(super) struct EpochInner {
     /// The epoch number tagged onto every protocol message of a pinned
     /// execution. Epoch 0 is the initial deployment.
     pub(super) number: u64,
+    /// The fragment tree and placement every execution pinned here routes
+    /// by. Epochs between re-fragmentations share one `Arc`.
+    pub(super) topology: Arc<Topology>,
     /// Residual-vector caches per prepared query (PaX2 servers), keyed by
     /// the prepared query's id, *consistent with this epoch's data*.
     /// Populated on first execution, carried copy-on-write into the next
@@ -109,23 +115,15 @@ pub struct SiteLoad {
     pub bytes_served: u64,
 }
 
-/// A fragment→site placement dissolved by a re-fragmentation. The old
-/// site's copy must outlive every epoch that still routes to it; the
-/// vacuum sweep purges it once the oldest live epoch reaches
-/// `removal_epoch`.
-pub(super) struct RetiredPlacement {
-    fragment: FragmentId,
-    site: SiteId,
-    /// The first epoch in which the placement no longer exists.
-    removal_epoch: u64,
-}
-
 /// The epoch registry: every epoch not yet proven dead, by number.
 pub(super) type EpochRegistry = BTreeMap<u64, Weak<EpochInner>>;
 
-/// Build the epoch-0 state shared by both deployment constructors.
-pub(super) fn initial_epoch() -> (Mutex<Arc<EpochInner>>, Mutex<EpochRegistry>) {
-    let epoch0 = Arc::new(EpochInner { number: 0, sessions: Mutex::new(BTreeMap::new()) });
+/// Build the epoch-0 state, routed by the deploy-time `topology`.
+pub(super) fn initial_epoch(
+    topology: Arc<Topology>,
+) -> (Mutex<Arc<EpochInner>>, Mutex<EpochRegistry>) {
+    let epoch0 =
+        Arc::new(EpochInner { number: 0, topology, sessions: Mutex::new(BTreeMap::new()) });
     let registry = BTreeMap::from([(0, Arc::downgrade(&epoch0))]);
     (Mutex::new(epoch0), Mutex::new(registry))
 }
@@ -138,9 +136,16 @@ impl PaxServer {
         Arc::clone(&self.current.lock().expect("the current-epoch lock is never poisoned"))
     }
 
-    /// The queue of placements awaiting their purge.
-    pub(super) fn retired(&self) -> MutexGuard<'_, Vec<RetiredPlacement>> {
-        self.retired_placements.lock().expect("the retired-placement lock is never poisoned")
+    /// A read-only execution context over `epoch`: its number, its
+    /// topology, and a watermark that retires nothing.
+    pub(super) fn reader(&self, epoch: &EpochInner) -> ExecCtx<'_> {
+        ExecCtx::pinned(&self.deployment, epoch.number, Arc::clone(&epoch.topology), 0)
+    }
+
+    /// The topology of the current epoch: the fragment tree and placement
+    /// new executions route by.
+    pub fn topology(&self) -> Arc<Topology> {
+        Arc::clone(&self.pin().topology)
     }
 
     /// Sweep the epoch registry — the one place dead entries are pruned —
@@ -192,7 +197,7 @@ impl PaxServer {
             live_epochs,
             retired_epochs: current.number + 1 - live_epochs as u64,
             session_cache_bytes,
-            placement_version: self.deployment.topology_at(current.number).version,
+            placement_version: current.topology.version,
             site_loads,
         }
     }
@@ -213,12 +218,12 @@ impl PaxServer {
     }
 
     /// Sweep every site — occupied or not — dropping fragment versions no
-    /// live epoch can still read and purging copies left behind by
-    /// migrations and merges once no live epoch routes to them. Update
-    /// rounds already piggyback the retirement watermark onto the sites
-    /// they visit; `vacuum` reaches the sites a sparse update stream never
-    /// touches. Returns the total versions dropped and left live across
-    /// the cluster.
+    /// live epoch can still read and purging every fragment no live epoch's
+    /// topology places there (copies left behind by migrations and merges),
+    /// and forget the stale marks of those copies. Update rounds already
+    /// piggyback the retirement watermark onto the sites they visit;
+    /// `vacuum` reaches the sites a sparse update stream never touches.
+    /// Returns the total versions dropped and left live across the cluster.
     ///
     /// With [`auto_vacuum_threshold`] set, the server also runs this sweep
     /// by itself at the end of an update or re-fragmentation once enough
@@ -237,23 +242,31 @@ impl PaxServer {
     fn sweep(&self) -> PaxResult<VacuumOutcome> {
         let current = self.pin();
         let (watermark, _) = self.live_epochs(None);
-        // Placements dissolved at or below the watermark can never be
-        // routed to again: purge their copies wholesale. Later removals
-        // stay queued for a future sweep.
-        let mut purge_by_site: BTreeMap<SiteId, Vec<FragmentId>> = BTreeMap::new();
-        for placement in self.retired().iter().filter(|p| p.removal_epoch <= watermark) {
-            purge_by_site.entry(placement.site).or_default().push(placement.fragment);
+        // Every (site, fragment) copy some live epoch's topology places.
+        // Epochs between re-fragmentations share a topology: scan each once.
+        let mut topologies: Vec<Arc<Topology>> = {
+            let registry = self.epochs.lock().expect("the epoch registry is never poisoned");
+            let live = registry.values().filter_map(Weak::upgrade);
+            live.map(|epoch| Arc::clone(&epoch.topology)).collect()
+        };
+        topologies.dedup_by_key(|topology| topology.version);
+        let mut keep = BTreeSet::new();
+        for (&fragment, replicas) in topologies.iter().flat_map(|t| &t.placement) {
+            keep.extend(replicas.sites().iter().map(|&site| (site, fragment)));
         }
-        let mut ctx = ExecCtx::pinned(&self.deployment, current.number, watermark);
+        self.deployment.health().forget_unplaced(|fragment, site| keep.contains(&(site, fragment)));
+        let (epoch, topology) = (current.number, Arc::clone(&current.topology));
+        let mut ctx = ExecCtx::pinned(&self.deployment, epoch, topology, watermark);
         let requests: BTreeMap<SiteId, ProtocolRequest> = (0..self.deployment.site_count())
             .map(|index| {
                 let site = SiteId(index);
-                let purge = purge_by_site.remove(&site).unwrap_or_default();
-                (site, ProtocolRequest::Vacuum(MsgVacuum { purge }))
+                let here = keep.range((site, FragmentId(0))..(SiteId(index + 1), FragmentId(0)));
+                let keep = here.map(|&(_, fragment)| fragment).collect();
+                (site, ProtocolRequest::Vacuum(MsgVacuum { keep }))
             })
             .collect();
-        // A failed sweep (a site process died) keeps every queued removal:
-        // purges are idempotent, so the next sweep simply retries them.
+        // A failed sweep (a site process died) is harmless: purges are
+        // idempotent, and the next sweep recomputes the same keep lists.
         let responses = ctx.round(requests)?;
         let mut outcome = VacuumOutcome { dropped: 0, live_versions: 0 };
         for response in responses.into_values() {
@@ -261,7 +274,6 @@ impl PaxServer {
             outcome.dropped += swept.dropped;
             outcome.live_versions += swept.live_versions;
         }
-        self.retired().retain(|p| p.removal_epoch > watermark);
         self.retired_at_last_vacuum
             .store(current.number + 1 - self.live_epochs(None).1 as u64, Ordering::Relaxed);
         Ok(outcome)
@@ -288,14 +300,15 @@ impl PaxServer {
 /// wholesale under [`PaxServer::with_failover`].
 pub(super) struct EpochBuild<'a> {
     pub(super) server: &'a PaxServer,
-    /// The epoch `N` the build starts from. The writer lock makes this the
-    /// only publisher, so the base (and its topology) is stable throughout.
+    /// The epoch `N` the build starts from, with its topology. The writer
+    /// lock makes this the only publisher, so the base is stable throughout.
     pub(super) base: Arc<EpochInner>,
-    /// Reads at the base: the base topology, and fetches pinned to `N`.
+    /// Reads at the base: fetches pinned to `N`, routed by its topology.
     pub(super) reader: RefragBase<'a>,
     /// Rounds pinned to `N + 1`. They piggyback the oldest live epoch as
     /// the retirement watermark, so visited sites retire dead versions for
-    /// free.
+    /// free. They address sites explicitly (the live-copy fan-out), so the
+    /// base topology they carry never routes a re-fragmentation's installs.
     pub(super) next: ExecCtx<'a>,
     /// Copies that miss this build's write, to be marked stale.
     stale: Vec<(FragmentId, SiteId)>,
@@ -312,10 +325,11 @@ impl<'a> EpochBuild<'a> {
         server.probe_quarantined();
         let base = server.pin();
         let (watermark, _) = server.live_epochs(None);
+        let topology = Arc::clone(&base.topology);
         EpochBuild {
             server,
-            reader: RefragBase::pinned(&server.deployment, base.number),
-            next: ExecCtx::pinned(&server.deployment, base.number + 1, watermark),
+            reader: RefragBase { ctx: server.reader(&base) },
+            next: ExecCtx::pinned(&server.deployment, base.number + 1, topology, watermark),
             base,
             stale: Vec::new(),
             repaired: Vec::new(),
@@ -372,13 +386,14 @@ impl<'a> EpochBuild<'a> {
 
     /// Apply everything the build decided on, in one fixed order, and —
     /// when the build produced one — publish epoch `N + 1`: `next` is its
-    /// sessions plus, for a re-fragmentation, its topology. Infallible, and
-    /// the only function that mutates the retired-placement queue, the
-    /// topology history or the current epoch, and the only writer of the
+    /// sessions plus, for a re-fragmentation, its topology (otherwise it
+    /// keeps routing by the base topology). Infallible, and the only
+    /// function that swaps the current epoch, and the only writer of the
     /// stale and repaired marks a build decides on, so every observer sees a
     /// build entirely or not at all. (Outside builds,
     /// [`PaxServer::with_failover`] records strikes and marks a copy stale
-    /// when its live site answers that it lost it.)
+    /// when its live site answers that it lost it, and the vacuum sweep
+    /// forgets the marks of copies no live epoch routes to.)
     pub(super) fn commit(self, next: Option<(Sessions, Option<Arc<Topology>>)>) {
         let server = self.server;
         let health = server.deployment.health();
@@ -394,33 +409,6 @@ impl<'a> EpochBuild<'a> {
         }
         let Some((sessions, topology)) = next else { return };
 
-        if let Some(topology) = &topology {
-            let base_topology = &self.reader.topology;
-            // Staleness bookkeeping for fragments the change dissolved
-            // entirely dies with them (their leftover versions are the
-            // vacuum's job).
-            for &fragment in base_topology.fragment_tree.ids() {
-                if !topology.fragment_tree.contains(fragment) {
-                    health.forget_fragment(fragment);
-                }
-            }
-            // Queue the dissolved placements for the vacuum sweep.
-            let placed = |f: &FragmentId, site| {
-                topology.placement.get(f).is_some_and(|set| set.contains(site))
-            };
-            let mut retired = server.retired();
-            // A fragment returning to a site it once left supersedes the
-            // pending wholesale purge of its old copy there — the install
-            // just made that placement live again, and the version-level
-            // sweep reclaims the stale copy instead.
-            retired.retain(|p| !placed(&p.fragment, p.site));
-            for (&fragment, old_set) in &base_topology.placement {
-                for &site in old_set.sites().iter().filter(|&&site| !placed(&fragment, site)) {
-                    retired.push(RetiredPlacement { fragment, site, removal_epoch: number });
-                }
-            }
-        }
-
         // Test instrumentation: hold the fully built, not-yet-visible epoch
         // open. No reader-visible lock is held here — readers must keep
         // completing on the base epoch however long the hook takes.
@@ -429,19 +417,15 @@ impl<'a> EpochBuild<'a> {
         {
             hook();
         }
-        // The topology goes first, so a reader that pins the new epoch
-        // always finds its topology.
-        if let Some(topology) = topology {
-            server.deployment.publish_topology(number, topology);
-        }
+        let topology = topology.unwrap_or_else(|| Arc::clone(&self.base.topology));
         let sessions = sessions.into_iter().map(|(id, s)| (id, Arc::new(Mutex::new(s)))).collect();
-        let next = Arc::new(EpochInner { number, sessions: Mutex::new(sessions) });
+        let next = Arc::new(EpochInner { number, topology, sessions: Mutex::new(sessions) });
         *server.current.lock().expect("the current-epoch lock is never poisoned") =
             Arc::clone(&next);
         let (_, live) = server.live_epochs(Some(&next));
         // Auto-vacuum, still under the writer lock. A failed sweep is
         // deliberately swallowed: the publish has already succeeded, and the
-        // queued removals survive for the next sweep.
+        // next sweep recomputes the same purges.
         if let Some(threshold) = server.auto_vacuum_threshold {
             let retired_epochs = number + 1 - live as u64;
             let swept = server.retired_at_last_vacuum.load(Ordering::Relaxed);

@@ -3,7 +3,6 @@
 
 use super::epochs::EpochInner;
 use super::{PaxServer, PreparedQuery};
-use crate::deployment::ExecCtx;
 use crate::error::PaxResult;
 use crate::incremental::{session_round, QuerySession};
 use crate::report::{Algorithm, ExecMode, ExecReport, QueryOutcome};
@@ -45,7 +44,7 @@ impl PaxServer {
         let compiled = compile_text(text)?;
         self.run_engine(&compiled, text, |epoch| {
             let slice = [(&compiled, text)];
-            pax2::run(&self.deployment, &slice, &self.options, epoch.number, ExecMode::Query)
+            pax2::run(self.reader(epoch), &slice, &self.options, ExecMode::Query)
         })
     }
 
@@ -62,12 +61,8 @@ impl PaxServer {
         self.with_failover(|| {
             let epoch = self.pin();
             match self.algorithm {
-                Algorithm::NaiveCentralized => {
-                    naive::run(&self.deployment, query, text, epoch.number)
-                }
-                Algorithm::PaX3 => {
-                    pax3::run(&self.deployment, query, text, &self.options, epoch.number)
-                }
+                Algorithm::NaiveCentralized => naive::run(self.reader(&epoch), query, text),
+                Algorithm::PaX3 => pax3::run(self.reader(&epoch), query, text, &self.options),
                 Algorithm::PaX2 => pax2(&epoch),
             }
         })
@@ -92,18 +87,16 @@ impl PaxServer {
                 // One classic run per query, folded into one report. The
                 // baseline has no annotation optimization to switch on.
                 let (start, naive) = (Instant::now(), EvalOptions::default());
-                let topology = self.deployment.topology_at(epoch.number);
                 let mut batch = ExecReport::skeleton(
                     self.algorithm,
                     &naive,
                     ExecMode::Batch,
                     epoch.number,
-                    &topology,
+                    &epoch.topology,
                     start,
                 );
                 for query in queries {
-                    let report =
-                        naive::run(&self.deployment, &query.compiled, query.text(), epoch.number)?;
+                    let report = naive::run(self.reader(&epoch), &query.compiled, query.text())?;
                     batch.coordinator_ops += report.coordinator_ops;
                     batch.stats.merge(&report.stats);
                     batch.queries.extend(report.queries);
@@ -114,7 +107,7 @@ impl PaxServer {
             let slice: Vec<(&CompiledQuery, &str)> =
                 queries.iter().map(|q| (q.compiled.as_ref(), q.text())).collect();
             let mut report =
-                pax2::run(&self.deployment, &slice, &self.options, epoch.number, ExecMode::Batch)?;
+                pax2::run(self.reader(&epoch), &slice, &self.options, ExecMode::Batch)?;
             // Batched execution always uses the shared-visit combined
             // protocol; the report names the server's configured
             // algorithm (PaX3's ≤ 3 bound holds a fortiori).
@@ -137,15 +130,14 @@ impl PaxServer {
     /// different queries run fully in parallel.
     fn execute_session(&self, query: &PreparedQuery, epoch: &EpochInner) -> PaxResult<ExecReport> {
         let start = Instant::now();
-        let topology = self.deployment.topology_at(epoch.number);
         let session_arc = {
             let mut map = epoch.sessions.lock().expect("the session-table lock is never poisoned");
             Arc::clone(map.entry(query.id).or_insert_with(|| {
                 Arc::new(Mutex::new(QuerySession::new(
-                    (*query.compiled).clone(),
+                    Arc::clone(&query.compiled),
                     query.text(),
                     &self.options,
-                    &topology,
+                    &epoch.topology,
                     &self.deployment.root_label,
                 )))
             }))
@@ -159,7 +151,7 @@ impl PaxServer {
         if !from_cache {
             // Cold snapshot: a session round with no ops, one visit per
             // relevant site, reading the pinned epoch's fragment versions.
-            let mut ctx = ExecCtx::pinned(&self.deployment, epoch.number, 0);
+            let mut ctx = self.reader(epoch);
             let relevant_by_site = ctx.group_by_site(session.relevant().iter().copied())?;
             let round = session_round(
                 &mut ctx,
@@ -185,7 +177,7 @@ impl PaxServer {
                 &self.options,
                 ExecMode::Query,
                 epoch.number,
-                &topology,
+                &epoch.topology,
                 start,
             )
         })

@@ -102,12 +102,15 @@ impl PaxServer {
                 // The site is up but lost the copy: mark it stale without a
                 // strike, so the router picks a replica and `repair`
                 // re-installs it. An update round names the epoch it builds,
-                // one past the newest its base can be read at.
+                // one past the newest its base can be read at. The retry
+                // pins the current epoch and routes by its topology, so that
+                // is where another copy must exist.
                 PaxError::FragmentMissing { site, fragment, epoch } => {
-                    let at = (*epoch).min(self.pin().number);
-                    health.mark_stale(*fragment, *site, at);
-                    let topology = self.deployment.topology_at(at);
-                    if self.deployment.choose_replica(&topology, *fragment, at).is_err() {
+                    let current = self.pin();
+                    health.mark_stale(*fragment, *site, (*epoch).min(current.number));
+                    let (topology, fragment, now) = (&current.topology, *fragment, current.number);
+                    let routed = topology.fragment_tree.contains(fragment);
+                    if routed && self.deployment.choose_replica(topology, fragment, now).is_err() {
                         return Err(error); // No other copy: a retry fails the same way.
                     }
                 }
@@ -151,7 +154,7 @@ impl EpochBuild<'_> {
         let mut repaired = 0usize;
         let mut pass = || -> PaxResult<()> {
             for (fragment, site) in self.server.deployment.health().unrepaired_stale() {
-                let placement = &self.reader.topology.placement;
+                let placement = &self.base.topology.placement;
                 if !placement.get(&fragment).is_some_and(|set| set.contains(site)) {
                     // The copy was re-fragmented away; nothing to repair and
                     // the vacuum sweep owns the leftover versions.

@@ -37,11 +37,12 @@
 //! The lifecycle is **pin → build → swap → retire**:
 //!
 //! * **Pin.** Every execution clones the current epoch handle on entry (one
-//!   short mutex hold — no lock is kept for the execution's duration) and
-//!   tags all of its protocol messages with that epoch number. Sites read
-//!   the fragment version current *at that epoch*, and every scratch slot
-//!   lives in a per-epoch namespace, so the execution is bit-identical to
-//!   one that ran with the cluster frozen at its pinned epoch.
+//!   short mutex hold — no lock is kept for the execution's duration),
+//!   routes by the topology that epoch owns, and tags all of its protocol
+//!   messages with that epoch number. Sites read the fragment version
+//!   current *at that epoch*, and every scratch slot lives in a per-epoch
+//!   namespace, so the execution is bit-identical to one that ran with the
+//!   cluster frozen at its pinned epoch.
 //! * **Build.** Every writer — [`PaxServer::apply_updates`],
 //!   [`PaxServer::refragment`], [`PaxServer::repair`] — serializes on a
 //!   writer mutex readers never touch and runs one private transaction,
@@ -57,16 +58,19 @@
 //!   ever takes**, and nothing a reader can observe changes.
 //! * **Swap.** Everything a build changes, it changes in the transaction's
 //!   one infallible `commit`, in one fixed order that ends in a single
-//!   pointer swap of the current-epoch handle. Executions that pinned epoch
-//!   `N` keep reading epoch `N` to completion; executions entering after
-//!   the swap read epoch `N + 1`. A failed build (e.g. an unreachable site)
-//!   never reaches `commit`, so it publishes nothing — the current epoch
-//!   stays `N` and pinned readers are unaffected.
+//!   pointer swap of the current-epoch handle. The new epoch carries its
+//!   topology (a re-fragmentation's new one, or the base epoch's); nothing
+//!   else records which topology routes which epoch. Executions that pinned
+//!   `N` keep reading `N` to completion; executions entering after the swap
+//!   read `N + 1`. A failed build (e.g. an unreachable site) never reaches
+//!   `commit`, so it publishes nothing and pinned readers are unaffected.
 //! * **Retire.** An epoch handle is an `Arc`; when the last pinned
-//!   execution drops it the epoch is dead. Site-side, superseded fragment
+//!   execution drops it the epoch is dead, and a topology version dies
+//!   with the last epoch routing by it. Site-side, superseded fragment
 //!   versions are dropped lazily: every update round piggybacks the oldest
-//!   still-live epoch as a retirement watermark on the sites it visits,
-//!   and [`PaxServer::vacuum`] sweeps every site explicitly.
+//!   still-live epoch as a retirement watermark on the sites it visits, and
+//!   [`PaxServer::vacuum`] sweeps every site, purging the fragments no live
+//!   epoch's topology places there and forgetting their stale marks.
 //!   [`PaxServer::server_stats`] meters live epochs and cache bytes.
 //!
 //! Lock order (outermost first): writer mutex → current-epoch handle →
@@ -169,7 +173,7 @@ pub use refrag::{RefragBase, RefragReport, TopologyChange};
 use crate::deployment::Deployment;
 use crate::report::Algorithm;
 use crate::EvalOptions;
-use epochs::{EpochInner, EpochRegistry, RetiredPlacement};
+use epochs::{EpochInner, EpochRegistry};
 use paxml_distsim::ClusterStats;
 use prepared::PreparedTable;
 use std::sync::atomic::AtomicU64;
@@ -190,9 +194,9 @@ pub struct PaxServer {
     /// path. Held across the whole build-and-publish of one update (and
     /// by [`PaxServer::vacuum`]), so epoch numbers advance one at a time.
     writer: Mutex<()>,
-    /// The epoch new executions pin. Readers hold this lock only long
-    /// enough to clone the `Arc`; `apply_updates` only long enough to swap
-    /// in the next epoch.
+    /// The epoch new executions pin, with the topology they route by.
+    /// Readers hold this lock only long enough to clone the `Arc`;
+    /// `apply_updates` only long enough to swap in the next epoch.
     current: Mutex<Arc<EpochInner>>,
     /// Every epoch not yet proven dead, by number. `Weak`: the registry
     /// never keeps an epoch alive, it only observes which ones still are.
@@ -204,10 +208,6 @@ pub struct PaxServer {
     /// publish swap, with no reader-visible lock held. Lets the
     /// wait-freedom suite hold an update open mid-air.
     update_hook: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
-    /// `(fragment, site)` placements dissolved by re-fragmentations, kept
-    /// until a vacuum sweep can prove no live epoch still routes to them
-    /// and purges the stale copies wholesale.
-    retired_placements: Mutex<Vec<RetiredPlacement>>,
     /// Auto-vacuum: sweep once this many epochs retired since the last
     /// sweep (`None`: only explicit [`PaxServer::vacuum`] calls sweep).
     auto_vacuum_threshold: Option<u64>,
@@ -250,7 +250,7 @@ impl PaxServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::PaxError;
+    use crate::error::{PaxError, PaxResult};
     use crate::report::ExecMode;
     use paxml_distsim::{FaultEvent, FaultKind, FaultPlan, ReplicaSet, SiteId};
     use paxml_fragment::{strategy, FragmentId, FragmentedTree, UpdateOp};
@@ -551,8 +551,8 @@ mod tests {
     }
 
     /// Everything a build may change: current epoch, placement version,
-    /// unrepaired stale copies, retired-placement queue length, sessions.
-    type Observed = (u64, u64, Vec<(FragmentId, SiteId)>, usize, usize);
+    /// unrepaired stale copies, sessions.
+    type Observed = (u64, u64, Vec<(FragmentId, SiteId)>, usize);
 
     fn observe(server: &PaxServer) -> Observed {
         let stats = server.server_stats();
@@ -560,7 +560,6 @@ mod tests {
             stats.current_epoch,
             stats.placement_version,
             server.deployment().health().unrepaired_stale(),
-            server.retired().len(),
             server.pin().sessions.lock().unwrap().len(),
         )
     }
@@ -570,35 +569,26 @@ mod tests {
         // One attempt per call, so a failed build surfaces instead of being
         // failed over, and the test drives the retry itself.
         let (server, fragmented) = replicated_server(1);
-        let (f1, f2, s1) = (FragmentId(1), FragmentId(2), SiteId(1));
+        let (f1, s1) = (FragmentId(1), SiteId(1));
         server.execute_text("client/broker/name").unwrap();
-        assert_eq!(observe(&server), (0, 0, vec![], 0, 1));
+        assert_eq!(observe(&server), (0, 0, vec![], 1));
 
         // An update whose one round S1 does not answer.
         kill_s1(&server, 0, 0);
         assert!(server.apply_updates(&rename_broker(&fragmented, "B")).is_err());
-        assert_eq!(observe(&server), (0, 0, vec![], 0, 1));
+        assert_eq!(observe(&server), (0, 0, vec![], 1));
         assert_eq!(server.apply_updates(&rename_broker(&fragmented, "B")).unwrap().epoch, 1);
-        assert_eq!(observe(&server), (1, 0, vec![], 0, 1));
+        assert_eq!(observe(&server), (1, 0, vec![], 1));
 
         // A migration of F2's primary copy from S2 to S1: one fetch round,
         // then the install round S1 does not answer.
-        let migrate = |base: &mut RefragBase<'_>| {
-            let mut placement = base.topology().placement.clone();
-            placement.insert(f2, ReplicaSet::of([s1, SiteId(0)]));
-            Ok(TopologyChange {
-                fragment_tree: base.topology().fragment_tree.clone(),
-                placement,
-                installs: base.fetch(&[f2])?.into_values().collect(),
-                touched: BTreeSet::new(),
-            })
-        };
+        let migrate = place_f2([s1, SiteId(0)]);
         kill_s1(&server, 1, 1);
-        assert!(server.refragment(migrate).is_err());
-        assert_eq!(observe(&server), (1, 0, vec![], 0, 1));
-        let report = server.refragment(migrate).unwrap();
+        assert!(server.refragment(&migrate).is_err());
+        assert_eq!(observe(&server), (1, 0, vec![], 1));
+        let report = server.refragment(&migrate).unwrap();
         assert_eq!((report.epoch, report.placement_version), (2, 1));
-        assert_eq!(observe(&server), (2, 1, vec![], 1, 1));
+        assert_eq!(observe(&server), (2, 1, vec![], 1));
 
         // A repair whose install round S1 does not answer. First the outage
         // that leaves F1's copy there stale: S1 is down for an update's
@@ -606,12 +596,12 @@ mod tests {
         kill_s1(&server, 0, 1);
         assert!(server.apply_updates(&rename_broker(&fragmented, "C")).is_err());
         assert_eq!(server.apply_updates(&rename_broker(&fragmented, "C")).unwrap().epoch, 3);
-        assert_eq!(observe(&server), (3, 1, vec![(f1, s1)], 1, 1));
+        assert_eq!(observe(&server), (3, 1, vec![(f1, s1)], 1));
         kill_s1(&server, 1, 1);
         assert!(server.repair().is_err());
-        assert_eq!(observe(&server), (3, 1, vec![(f1, s1)], 1, 1));
+        assert_eq!(observe(&server), (3, 1, vec![(f1, s1)], 1));
         assert_eq!(server.repair().unwrap(), 1);
-        assert_eq!(observe(&server), (3, 1, vec![], 1, 1));
+        assert_eq!(observe(&server), (3, 1, vec![], 1));
     }
 
     #[test]
@@ -620,8 +610,8 @@ mod tests {
         let (f1, s1, s2) = (FragmentId(1), SiteId(1), SiteId(2));
         let deployment = server.deployment();
         let stale = || deployment.health().unrepaired_stale();
-        let route =
-            |epoch| deployment.choose_replica(&deployment.topology_at(epoch), f1, epoch).unwrap();
+        let topology = server.topology();
+        let route = |epoch| deployment.choose_replica(&topology, f1, epoch).unwrap();
         let update = |to| server.apply_updates(&rename_broker(&fragmented, to)).unwrap();
 
         // S1 sits out two updates: epoch 1 fails over around it, epoch 2
@@ -651,6 +641,91 @@ mod tests {
         let report = update("E");
         assert_eq!(stale(), vec![]);
         assert!(report.visits_per_site().contains_key(&s1), "the repaired copy took the write");
+    }
+
+    /// Re-place F2's copies on `sites`, shipping its payload there.
+    fn place_f2(sites: [SiteId; 2]) -> impl Fn(&mut RefragBase<'_>) -> PaxResult<TopologyChange> {
+        move |base| {
+            let f2 = FragmentId(2);
+            let mut placement = base.topology().placement.clone();
+            placement.insert(f2, ReplicaSet::of(sites));
+            Ok(TopologyChange {
+                fragment_tree: base.topology().fragment_tree.clone(),
+                placement,
+                installs: base.fetch(&[f2])?.into_values().collect(),
+                touched: BTreeSet::new(),
+            })
+        }
+    }
+
+    #[test]
+    fn a_dissolved_fragments_stale_marks_hold_while_its_epoch_can_route_to_it() {
+        let (server, fragmented) = replicated_server(1);
+        let server = Arc::new(server);
+        let (f0, f1, s1) = (FragmentId(0), FragmentId(1), SiteId(1));
+        let (query, rename) = ("client/broker/name", rename_broker(&fragmented, "B"));
+
+        // S1 misses the rename of F1's broker: its copy goes stale at epoch 1.
+        kill_s1(&server, 0, 1);
+        assert!(server.apply_updates(&rename).is_err());
+        assert_eq!(server.apply_updates(&rename).unwrap().epoch, 1);
+        assert_eq!(server.deployment().health().unrepaired_stale(), vec![(f1, s1)]);
+        let mut mirror = fragmented.clone();
+        paxml_fragment::apply_update(&mut mirror.fragments[1], &rename[0].1).unwrap();
+        let tree = paxml_fragment::reassemble(&mirror).unwrap();
+        let answers = centralized::evaluate(&tree, query).unwrap().answers;
+        let expected: Vec<String> = answers.iter().filter_map(|&n| tree.text_of(n)).collect();
+
+        // A reader that pins epoch 1 while the merge of F1 into F0 commits.
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let (weak, into) = (Arc::downgrade(&server), Arc::clone(&seen));
+        server.set_update_hook(move || {
+            let server = weak.upgrade().expect("the hook runs inside a server call");
+            let report = server.query_once(query).unwrap();
+            into.lock().unwrap().push((report.epoch, report.answer_texts()));
+        });
+        // S1 is back, but down for the install round of the merge's
+        // opening repair pass, so its copy of F1 stays stale.
+        kill_s1(&server, 1, 1);
+        let merge = |base: &mut RefragBase<'_>| {
+            let fragment_tree = base.topology().fragment_tree.clone();
+            let mut fetched = base.fetch(&[f0, f1])?;
+            let (parent, child) = (fetched.remove(&f0).unwrap(), fetched.remove(&f1).unwrap());
+            let merged = paxml_fragment::merge_fragment(&parent, &child, &fragment_tree)?;
+            let mut placement = base.topology().placement.clone();
+            placement.remove(&f1);
+            Ok(TopologyChange {
+                fragment_tree: merged.fragment_tree,
+                placement,
+                installs: vec![merged.merged],
+                touched: BTreeSet::from([f0, f1]),
+            })
+        };
+        assert_eq!(server.refragment(merge).unwrap().epoch, 2);
+        server.clear_update_hook();
+        assert_eq!(*seen.lock().unwrap(), vec![(1, expected.clone())], "epoch 1 read a stale copy");
+        assert_eq!(server.query_once(query).unwrap().answer_texts(), expected);
+
+        // Once no live epoch routes to F1, the sweep forgets the mark.
+        assert_eq!(server.deployment().health().unrepaired_stale(), vec![(f1, s1)]);
+        server.vacuum().unwrap();
+        assert_eq!(server.deployment().health().unrepaired_stale(), vec![]);
+    }
+
+    #[test]
+    fn topology_versions_retire_with_their_epochs() {
+        let (server, _) = replicated_server(1);
+        server.execute_text("client/broker/name").unwrap();
+        let pinned = server.pin();
+        let deployed = Arc::downgrade(&pinned.topology);
+        server.refragment(place_f2([SiteId(1), SiteId(0)])).unwrap();
+        server.refragment(place_f2([SiteId(2), SiteId(0)])).unwrap();
+        assert_eq!(server.server_stats().placement_version, 2);
+        assert!(deployed.upgrade().is_some(), "a reader pinned at epoch 0 still routes by it");
+        drop(pinned);
+        server.vacuum().unwrap();
+        assert_eq!(server.server_stats().live_epochs, 1);
+        assert!(deployed.upgrade().is_none(), "an unpinned topology version leaked");
     }
 
     #[test]

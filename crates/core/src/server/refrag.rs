@@ -3,7 +3,7 @@
 
 use super::epochs::{install, EpochBuild};
 use super::PaxServer;
-use crate::deployment::{Deployment, ExecCtx, Topology};
+use crate::deployment::{ExecCtx, Topology};
 use crate::error::{PaxError, PaxResult};
 use crate::incremental::QuerySession;
 use crate::transport::ProtocolRequest;
@@ -28,17 +28,17 @@ impl PaxServer {
     /// 1. ships every install to its new site in one round pinned to epoch
     ///    `N + 1` (a failed round — e.g. a site killed mid-migration —
     ///    publishes **nothing**: readers keep epoch `N`);
-    /// 2. publishes the new topology version, then swaps the epoch pointer
-    ///    — in that order, so a reader that pins `N + 1` always finds
-    ///    `N + 1`'s topology;
+    /// 2. publishes epoch `N + 1` with the new topology version in one
+    ///    pointer swap — the epoch owns its topology, so a reader that pins
+    ///    `N + 1` routes by `N + 1`'s;
     /// 3. carries every residual-vector session into the new epoch:
     ///    sessions whose relevant fragments were untouched are
     ///    re-anchored to the new fragment tree coordinator-side (zero
     ///    visits), sessions that overlap the touched fragments are
     ///    cold-reset and re-snapshot lazily on their next execution;
-    /// 4. queues the dissolved `(fragment, site)` placements for the
-    ///    vacuum sweep, which purges the stale copies once no live epoch
-    ///    can route to them.
+    /// 4. leaves the dissolved `(fragment, site)` copies, and their stale
+    ///    marks, to the vacuum sweep, which purges a copy once no live
+    ///    epoch's topology places it.
     ///
     /// Readers are never blocked: in-flight executions keep reading their
     /// pinned epoch and its topology version to completion.
@@ -55,7 +55,7 @@ impl PaxServer {
         self.with_failover(|| {
             let mut epoch = EpochBuild::begin(self, &writer);
             let change = build(&mut epoch.reader)?;
-            let base_topology = Arc::clone(&epoch.reader.topology);
+            let base_topology = Arc::clone(&epoch.base.topology);
             self.validate_change(&change, &base_topology)?;
 
             // Transfer: one install round at N + 1, to every live replica
@@ -174,8 +174,8 @@ impl PaxServer {
     /// answer bit-identically.
     pub fn export_fragmentation(&self) -> PaxResult<FragmentedTree> {
         self.with_failover(|| {
-            let mut reader = RefragBase::pinned(&self.deployment, self.pin().number);
-            let topology = Arc::clone(&reader.topology);
+            let mut reader = RefragBase { ctx: self.reader(&self.pin()) };
+            let topology = Arc::clone(reader.ctx.topology());
             let shipped = reader.fetch(topology.fragment_tree.ids())?.into_values().collect();
             paxml_fragment::compact_fragmentation(shipped, &topology.fragment_tree)
                 .map_err(Into::into)
@@ -215,23 +215,15 @@ pub struct TopologyChange {
 /// sites (so a split or merge can read the payloads it re-cuts and the
 /// meters record the true cost of the re-fragmentation).
 pub struct RefragBase<'a> {
+    /// Reads pinned to the base epoch and routed by its topology; they
+    /// retire nothing.
     pub(super) ctx: ExecCtx<'a>,
-    pub(super) topology: Arc<Topology>,
 }
 
-impl<'a> RefragBase<'a> {
-    /// Reads pinned to `epoch`: its topology, and fetches that retire
-    /// nothing.
-    pub(super) fn pinned(deployment: &'a Deployment, epoch: u64) -> Self {
-        RefragBase {
-            ctx: ExecCtx::pinned(deployment, epoch, 0),
-            topology: deployment.topology_at(epoch),
-        }
-    }
-
+impl RefragBase<'_> {
     /// The topology at the base epoch — what the change is relative to.
     pub fn topology(&self) -> &Topology {
-        &self.topology
+        self.ctx.topology()
     }
 
     /// Fetch fragment payloads from the sites holding them (one charged

@@ -40,7 +40,7 @@ impl PaxServer {
         let _ = EpochBuild::begin(self, &writer).repair();
         self.with_failover(|| {
             let mut build = EpochBuild::begin(self, &writer);
-            let topology = Arc::clone(&build.reader.topology);
+            let topology = Arc::clone(&build.base.topology);
             let mut ops_by_fragment: BTreeMap<FragmentId, Vec<UpdateOp>> = BTreeMap::new();
             for (fragment, op) in updates {
                 if !topology.fragment_tree.contains(*fragment) {

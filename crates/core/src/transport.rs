@@ -39,7 +39,7 @@ use paxml_distsim::{
 };
 use paxml_fragment::{Fragment, FragmentId};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The envelope every coordinator→site message travels in: a protocol body
 /// plus the deployment epoch the visit is pinned to and a retirement
@@ -94,8 +94,8 @@ pub enum ProtocolRequest {
     /// envelope epoch's snapshots (see [`MsgRefrag`]).
     Refrag(MsgRefrag),
     /// Explicit retirement sweep: drop fragment versions below the
-    /// envelope's `retire_below` watermark, purge the named migrated-away
-    /// fragments wholesale, and report what remains. Sent by
+    /// envelope's `retire_below` watermark, purge every fragment not on the
+    /// keep list wholesale, and report what remains. Sent by
     /// `PaxServer::vacuum`, which exists because piggybacked watermarks
     /// only reach sites the next update happens to visit.
     Vacuum(MsgVacuum),
@@ -172,8 +172,9 @@ pub fn dispatch(site: &mut SiteLocal, request: EpochRequest) -> ProtocolResponse
     let EpochRequest { epoch, retire_below, body } = request;
     if let ProtocolRequest::Vacuum(msg) = body {
         let mut dropped = site.retire_below(retire_below);
-        for fragment in &msg.purge {
-            dropped += site.purge_fragment(*fragment);
+        let keep: BTreeSet<FragmentId> = msg.keep.into_iter().collect();
+        for fragment in site.fragment_ids().into_iter().filter(|f| !keep.contains(f)) {
+            dropped += site.purge_fragment(fragment);
         }
         site.charge_ops(1);
         return ProtocolResponse::Vacuumed(VacuumOutcome {

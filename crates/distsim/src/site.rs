@@ -141,9 +141,9 @@ impl SiteLocal {
     ///
     /// This is the reclamation step after a re-fragmentation retired the
     /// fragment from this site's placement (it migrated away, or was merged
-    /// into its parent). The coordinator only issues it once the retirement
-    /// watermark has passed the epoch that removed the fragment, so no
-    /// pinned reader can still be routed here for it.
+    /// into its parent). The coordinator only issues it once no live
+    /// epoch's topology places the fragment here, so no pinned reader can
+    /// still be routed here for it.
     pub fn purge_fragment(&mut self, fragment: FragmentId) -> usize {
         self.versions.remove(&fragment).map(|v| v.len()).unwrap_or(0)
     }

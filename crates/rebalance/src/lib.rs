@@ -46,7 +46,7 @@
 //!
 //! // Move the broker fragment to the other site, online. With replicated
 //! // placements a migrate moves one copy, so it names its source site.
-//! let from = server.deployment().site_of(FragmentId(1));
+//! let from = server.topology().site_of(FragmentId(1));
 //! let to = SiteId(1 - from.index());
 //! let report =
 //!     apply_ops(&server, &[RefragOp::Migrate { fragment: FragmentId(1), from, to }]).unwrap();

@@ -14,8 +14,8 @@
 //! message variant the drivers produce through those assertions.
 
 use paxml_core::{
-    dispatch, Algorithm, EpochRequest, PaxError, PaxResult, PaxServer, ProtocolResponse,
-    TopologyChange, Transport,
+    dispatch, Algorithm, EpochRequest, PaxError, PaxResult, PaxServer, ProtocolRequest,
+    ProtocolResponse, TopologyChange, Transport,
 };
 use paxml_distsim::{encoded_size, Cluster, Delivery, Placement, ReplicaSet, SiteId};
 use paxml_fragment::FragmentId;
@@ -202,6 +202,8 @@ fn workloads_cover_every_protocol_message_variant() {
     struct TaggingTransport {
         inner: Cluster,
         seen: Mutex<BTreeSet<String>>,
+        /// Fragments named on the keep lists of every `Vacuum` request.
+        kept: AtomicU64,
     }
 
     impl Transport for TaggingTransport {
@@ -209,6 +211,11 @@ fn workloads_cover_every_protocol_message_variant() {
             &self,
             requests: BTreeMap<SiteId, EpochRequest>,
         ) -> PaxResult<BTreeMap<SiteId, Delivery<ProtocolResponse>>> {
+            for request in requests.values() {
+                if let ProtocolRequest::Vacuum(msg) = &request.body {
+                    self.kept.fetch_add(msg.keep.len() as u64, Ordering::Relaxed);
+                }
+            }
             let checked: BTreeMap<SiteId, EpochRequest> = requests
                 .into_iter()
                 .map(|(site, request)| (site, check_roundtrip(&request, "request").0))
@@ -242,6 +249,7 @@ fn workloads_cover_every_protocol_message_variant() {
         let transport = Arc::new(TaggingTransport {
             inner: Cluster::new(&fragmented, 4, Placement::RoundRobin),
             seen: Mutex::new(BTreeSet::new()),
+            kept: AtomicU64::new(0),
         });
         let server = PaxServer::builder()
             .algorithm(algorithm)
@@ -269,9 +277,10 @@ fn workloads_cover_every_protocol_message_variant() {
             })
             .expect("refragment");
         server.vacuum().expect("vacuum");
+        assert!(transport.kept.load(Ordering::Relaxed) > 0, "the sweep kept nothing anywhere");
         // The site that lost its only copy of F1 (migrated above) answers
         // that it is missing.
-        let holder = server.deployment().site_of(FragmentId(1));
+        let holder = server.topology().site_of(FragmentId(1));
         transport.inner.inspect_site(holder).purge_fragment(FragmentId(1));
         let lost = server.query_once(query).expect_err("the only copy of F1 is gone");
         assert!(matches!(lost, PaxError::FragmentMissing { .. }), "{lost}");

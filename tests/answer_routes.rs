@@ -17,7 +17,7 @@ use paxml::core::protocol::{
 };
 use paxml::core::unify::{unify_qualifiers, unify_selection, DenseAssignment};
 use paxml::core::LATEST_EPOCH;
-use paxml::core::{analyze_with_trie, AnnotationAnalysis, ExecCtx, ProtocolRequest};
+use paxml::core::{analyze_with_trie, AnnotationAnalysis, ExecCtx, ProtocolRequest, Topology};
 use paxml::distsim::SiteId;
 use paxml::prelude::*;
 use paxml::xmark::{ft2, QueryGen, QueryGenConfig};
@@ -25,6 +25,7 @@ use paxml::xpath::eval::initial_vector;
 use paxml::xpath::CompiledQuery;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 const SITES: usize = 4;
 /// XMark labels that nest in one another, and values the generator
@@ -48,9 +49,8 @@ struct Plan {
 }
 
 impl Plan {
-    fn new(text: &str, d: &Deployment, annotations: bool) -> Plan {
+    fn new(text: &str, d: &Deployment, topology: &Topology, annotations: bool) -> Plan {
         let query = compile_text(text).expect("generated queries compile");
-        let topology = d.current_topology();
         let analysis = if annotations {
             analyze_with_trie(&query, &topology.path_trie(&d.root_label))
         } else {
@@ -86,8 +86,13 @@ struct Outcome {
 /// The first visit over every plan's entries — parked, or shipped — then
 /// `evalFT` per query and the resolution that route calls for. Returns the
 /// per-query outcomes and the first visit's total operations.
-fn run_route(d: &Deployment, plans: &[Plan], park: bool) -> (Vec<Outcome>, u64) {
-    let mut ctx = ExecCtx::pinned(d, LATEST_EPOCH, 0);
+fn run_route(
+    d: &Deployment,
+    topology: &Arc<Topology>,
+    plans: &[Plan],
+    park: bool,
+) -> (Vec<Outcome>, u64) {
+    let mut ctx = ExecCtx::pinned(d, LATEST_EPOCH, Arc::clone(topology), 0);
     let ft = ctx.topology().fragment_tree.clone();
     let base = d.allocate_slots(plans.len());
     type Entries = Vec<(CompiledQuery, BTreeMap<FragmentId, CombinedFragmentInput>)>;
@@ -186,14 +191,15 @@ proptest! {
     ) {
         let (_tree, fragmented) = ft2(0.2, seed);
         let d = Deployment::new(&fragmented, SITES, Placement::RoundRobin);
+        let topology = d.deployed_topology(&fragmented);
         let mut gen =
             QueryGen::new(QueryGenConfig::with_vocabulary(LABELS, TEXTS, ATTRS), query_seed);
         let generated = (0..count).map(|_| gen.query_text());
         let texts: Vec<String> = ANCHORS.iter().map(|a| a.to_string()).chain(generated).collect();
-        let plans: Vec<Plan> = texts.iter().map(|t| Plan::new(t, &d, annotations)).collect();
+        let plans: Vec<Plan> = texts.iter().map(|t| Plan::new(t, &d, &topology, annotations)).collect();
 
-        let (parked, parked_ops) = run_route(&d, &plans, true);
-        let (shipped, shipped_ops) = run_route(&d, &plans, false);
+        let (parked, parked_ops) = run_route(&d, &topology, &plans, true);
+        let (shipped, shipped_ops) = run_route(&d, &topology, &plans, false);
         prop_assert_eq!(&parked, &shipped, "{:?}", texts);
         prop_assert_eq!(parked_ops, shipped_ops, "first-visit ops for {:?}", texts);
         for site in 0..SITES {

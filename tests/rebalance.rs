@@ -249,13 +249,13 @@ fn migration_to_a_dead_site_publishes_nothing() {
             .fragment_tree
             .ids()
             .iter()
-            .find(|&&f| server.deployment().site_of(f) != victim)
+            .find(|&&f| server.topology().site_of(f) != victim)
             .expect("some fragment lives off the doomed site");
         cluster.kill_site(victim);
 
         // Twice, to show the failed attempt poisons nothing.
         for attempt in 0..2 {
-            let moved_home = server.deployment().site_of(moved);
+            let moved_home = server.topology().site_of(moved);
             match apply_ops(
                 &server,
                 &[RefragOp::Migrate { fragment: moved, from: moved_home, to: victim }],
@@ -452,7 +452,7 @@ proptest! {
                 .sites(sites)
                 .deploy(&fragmented)
                 .expect("deploy");
-            let home = server.deployment().site_of(FragmentId(1));
+            let home = server.topology().site_of(FragmentId(1));
             let away = SiteId((home.index() + 1) % sites);
             apply_ops(
                 &server,

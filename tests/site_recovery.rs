@@ -61,9 +61,8 @@ fn expected(tree: &XmlTree) -> Vec<paxml::xml::NodeId> {
 /// Drop every version of `fragment` at its primary site, as a restart
 /// would, and return that site.
 fn lose_primary_copy(server: &PaxServer, fragment: FragmentId) -> SiteId {
-    let deployment = server.deployment();
-    let primary = deployment.site_of(fragment);
-    deployment.cluster().unwrap().inspect_site(primary).purge_fragment(fragment);
+    let primary = server.topology().site_of(fragment);
+    server.deployment().cluster().unwrap().inspect_site(primary).purge_fragment(fragment);
     primary
 }
 

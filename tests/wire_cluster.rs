@@ -159,7 +159,7 @@ fn update_fails_mid_build_while_old_epoch_readers_finish_cleanly() {
 
         // Build an update batch, then kill one of the sites it must visit.
         let batch = UpdateWorkload::new(&fragmented, tree.all_nodes().count(), 11).next_batch(5, 3);
-        let doomed = server.deployment().site_of(batch[0].0);
+        let doomed = server.topology().site_of(batch[0].0);
         cluster.kill_site(doomed);
 
         // Readers on the old epoch run *through* the failing update.
