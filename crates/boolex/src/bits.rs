@@ -79,6 +79,13 @@ impl BitVector {
         BitVector::filled(len, u64::MAX)
     }
 
+    /// A vector of `len ≤ 64` entries whose entry `i` is bit `i` of `word`
+    /// (bits at positions `>= len` are dropped). No heap allocation.
+    pub fn from_word(len: usize, word: u64) -> Self {
+        assert!(len <= 64, "{len} entries do not fit one word");
+        BitVector::filled(len, word)
+    }
+
     /// Build from a slice of booleans.
     pub fn from_bools(bools: &[bool]) -> Self {
         let mut v = BitVector::all_false(bools.len());
@@ -282,6 +289,9 @@ mod tests {
         assert!(matches!(BitVector::all_true(64).words, Words::Inline(u64::MAX)));
         assert!(matches!(BitVector::all_false(65).words, Words::Spilled(_)));
         assert_eq!(BitVector::all_true(3).words(), &[0b111]);
+        assert_eq!(BitVector::from_word(3, u64::MAX), BitVector::all_true(3));
+        assert_eq!(BitVector::from_word(0, u64::MAX), BitVector::all_false(0));
+        assert_eq!(BitVector::from_word(64, 0b101).to_bools()[..3], [true, false, true]);
     }
 
     #[test]

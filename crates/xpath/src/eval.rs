@@ -31,19 +31,41 @@
 //! is *not* adjacent to a virtual node, all entries are already known truth
 //! values, so vectors stay as packed [`BitVector`]s — one inline word up to
 //! 64 entries — and the child-fold loops run word-wise (64 entries per
-//! AND/OR instruction). The constant path performs **no heap allocation per
-//! node**: the tree walks follow links, children are pushed straight onto
-//! the top-down stack, positional facts go through one per-sweep scratch,
-//! and what is left is a few allocations per pass (the per-node vector
-//! tables, and the amortised growth of the stack and the output lists) —
-//! `tests/allocations.rs` pins that. Only once a virtual node's fresh
-//! variables flow into a vector does it switch to per-entry formulas —
-//! and those formulas live as interned [`ExprId`]s in the visit's
-//! [`FormulaArena`], so combining the `O(k)` residual formulas never clones a
-//! subtree. Pass outputs are exported as [`CompactVector`]s (bits for
-//! fully-constant vectors, self-contained [`BoolExpr`] trees otherwise),
-//! which is also the wire format: a variable-free leaf fragment ships
-//! `⌈len/64⌉` words per vector.
+//! AND/OR instruction). Only once a virtual node's fresh variables flow into
+//! a vector does it switch to per-entry formulas — and those formulas live as
+//! interned [`ExprId`]s in the visit's [`FormulaArena`], so combining the
+//! `O(k)` residual formulas never clones a subtree.
+//!
+//! Each sweep computes a node's entries in one of two *lanes*, which share
+//! one definition of the entry semantics (`eval_qentry` and `compute_sv`,
+//! generic over the private `Lane` trait):
+//!
+//! * the **word lane** runs when every input of the node is constant and its
+//!   vector fits one word: entries are `bool`s written into a `u64` — plain
+//!   integer work, no arena, no `ExprId`. In the qualifier sweep that is a
+//!   non-virtual node whose two child folds are constant (and, for a query
+//!   with positional qualifier folds, whose children's own `QV`s are too),
+//!   with `|QVect| ≤ 64`; in the selection sweep, a carried vector of ≤ 64
+//!   constant entries and constant qualifier values at the node;
+//! * the **arena lane** computes [`ExprId`]s over the visit's arena, at the
+//!   few nodes with a symbolic input.
+//!
+//! In the selection sweep, a node whose `SV` is all false has no answer or
+//! candidate below it. For a query without positional predicates the sweep
+//! *fast-forwards* such a subtree: it walks it only to hand each virtual node
+//! below its all-false summary, in the pre-order position the full walk
+//! would give it. Both lanes and the fast-forward charge the cost model's
+//! `ops` exactly, so every meter is independent of the lane taken.
+//!
+//! The constant path performs **no heap allocation per node**: the tree walks
+//! follow links, children are pushed straight onto the top-down stack,
+//! positional facts go through one per-sweep scratch, and what is left is a
+//! few allocations per pass (the per-node vector tables of a query with
+//! qualifiers, and the amortised growth of the stack and the output lists) —
+//! `tests/allocations.rs` pins that. Pass outputs are exported as
+//! [`CompactVector`]s (bits for fully-constant vectors, self-contained
+//! [`BoolExpr`] trees otherwise), which is also the wire format: a
+//! variable-free leaf fragment ships `⌈len/64⌉` words per vector.
 
 use crate::ast::CmpOp;
 use crate::compile::{CompiledQuery, PosFilter, QAxis, QEntry, QEntryId, SelItem};
@@ -72,10 +94,24 @@ impl AVec {
         AVec::Bits(BitVector::all_false(len))
     }
 
+    /// The word lane's output as a vector of `len ≤ 64` entries.
+    fn from_word(len: usize, word: u64) -> AVec {
+        AVec::Bits(BitVector::from_word(len, word))
+    }
+
     fn len(&self) -> usize {
         match self {
             AVec::Bits(b) => b.len(),
             AVec::Ids(v) => v.len(),
+        }
+    }
+
+    /// The entries as one word, when all are constant and they fit one —
+    /// the word lane's input.
+    fn word(&self) -> Option<u64> {
+        match self {
+            AVec::Bits(b) if b.len() <= 64 => Some(b.words().first().copied().unwrap_or(0)),
+            _ => None,
         }
     }
 
@@ -146,6 +182,125 @@ impl AVec {
                 AVec::Ids(ids)
             }
         }
+    }
+}
+
+/// The value domain a node's entries are computed in: `bool`s in one word
+/// ([`Word`]) or interned ids over the visit's arena ([`FormulaArena`]).
+/// [`eval_qentry`] and [`compute_sv`] are written once against it, so both
+/// lanes share one definition of every entry kind.
+trait Lane {
+    /// One entry's value.
+    type Value: Copy + PartialEq;
+    /// A node's vector of entries.
+    type Vector;
+    /// A vector of `len` entries, all `false`.
+    fn zeros(len: usize) -> Self::Vector;
+    fn get(vector: &Self::Vector, index: usize) -> Self::Value;
+    fn set(vector: &mut Self::Vector, index: usize, value: Self::Value);
+    /// Entry `index` of a child's stored `QV` (read by positional folds).
+    fn stored(vector: &AVec, index: usize) -> Self::Value;
+    fn constant(value: bool) -> Self::Value;
+    fn not(&mut self, operand: Self::Value) -> Self::Value;
+    fn and(&mut self, a: Self::Value, b: Self::Value) -> Self::Value;
+    fn or(&mut self, a: Self::Value, b: Self::Value) -> Self::Value;
+    fn and_all(&mut self, operands: impl IntoIterator<Item = Self::Value>) -> Self::Value;
+    fn or_all(&mut self, operands: impl IntoIterator<Item = Self::Value>) -> Self::Value;
+}
+
+/// The word lane: a node's entries are the bits of one `u64`. It runs only
+/// where every input is constant and the vector has at most 64 entries.
+struct Word;
+
+impl Lane for Word {
+    type Value = bool;
+    type Vector = u64;
+
+    fn zeros(_len: usize) -> u64 {
+        0
+    }
+
+    fn get(word: &u64, index: usize) -> bool {
+        word >> index & 1 != 0
+    }
+
+    fn set(word: &mut u64, index: usize, value: bool) {
+        *word = *word & !(1 << index) | u64::from(value) << index;
+    }
+
+    fn stored(vector: &AVec, index: usize) -> bool {
+        vector.id(index).as_const().expect("the word lane reads constant children only")
+    }
+
+    fn constant(value: bool) -> bool {
+        value
+    }
+
+    fn not(&mut self, operand: bool) -> bool {
+        !operand
+    }
+
+    fn and(&mut self, a: bool, b: bool) -> bool {
+        a && b
+    }
+
+    fn or(&mut self, a: bool, b: bool) -> bool {
+        a || b
+    }
+
+    fn and_all(&mut self, operands: impl IntoIterator<Item = bool>) -> bool {
+        operands.into_iter().all(|b| b)
+    }
+
+    fn or_all(&mut self, operands: impl IntoIterator<Item = bool>) -> bool {
+        operands.into_iter().any(|b| b)
+    }
+}
+
+/// The arena lane: entries are ids into the visit's arena, so symbolic
+/// inputs combine into residual formulas.
+impl<V: VarLike> Lane for FormulaArena<V> {
+    type Value = ExprId;
+    type Vector = AVec;
+
+    fn zeros(len: usize) -> AVec {
+        AVec::all_false(len)
+    }
+
+    fn get(vector: &AVec, index: usize) -> ExprId {
+        vector.id(index)
+    }
+
+    fn set(vector: &mut AVec, index: usize, value: ExprId) {
+        vector.set(index, value);
+    }
+
+    fn stored(vector: &AVec, index: usize) -> ExprId {
+        vector.id(index)
+    }
+
+    fn constant(value: bool) -> ExprId {
+        ExprId::of_const(value)
+    }
+
+    fn not(&mut self, operand: ExprId) -> ExprId {
+        FormulaArena::not(self, operand)
+    }
+
+    fn and(&mut self, a: ExprId, b: ExprId) -> ExprId {
+        FormulaArena::and(self, a, b)
+    }
+
+    fn or(&mut self, a: ExprId, b: ExprId) -> ExprId {
+        FormulaArena::or(self, a, b)
+    }
+
+    fn and_all(&mut self, operands: impl IntoIterator<Item = ExprId>) -> ExprId {
+        FormulaArena::and_all(self, operands)
+    }
+
+    fn or_all(&mut self, operands: impl IntoIterator<Item = ExprId>) -> ExprId {
+        FormulaArena::or_all(self, operands)
     }
 }
 
@@ -238,7 +393,9 @@ impl<V: VarLike> QualVectors<V> {
 pub struct QualifierPassOutput<V: Ord> {
     /// Per-node `QV` vectors, indexed by the node's arena index. Entries are
     /// `None` for nodes outside the evaluated subtree. Virtual nodes hold the
-    /// vectors supplied by the `virtual_vectors` callback.
+    /// vectors supplied by the `virtual_vectors` callback. Empty for a query
+    /// without qualifiers, whose vectors have no entry to hold (PaX3 runs no
+    /// Stage 1 for such a query).
     pub node_qv: Vec<Option<CompactVector<V>>>,
     /// The `QV`/`QDV` vectors of the subtree root — what a fragment sends to
     /// the coordinator at the end of Stage 1.
@@ -272,9 +429,9 @@ pub fn qualifier_pass<V: VarLike>(
 /// subtree root's `QDV`, and the operation count.
 struct QualSweep {
     /// Per-node `QV`, indexed by arena index; `None` outside the subtree.
+    /// Both tables are empty for a query without qualifiers.
     node_qv: Vec<Option<AVec>>,
-    /// Per-node `QDV`; a node's entry is consumed when its parent folds it,
-    /// so after the sweep only the subtree root's is left.
+    /// Per-node `QDV`, indexed likewise.
     node_qdv: Vec<Option<AVec>>,
     ops: u64,
 }
@@ -283,9 +440,9 @@ impl QualSweep {
     /// The subtree root's `QV`/`QDV` in wire form (unswept only for a query
     /// without qualifiers, whose vectors are empty).
     fn root_vectors<V: VarLike>(&self, root: NodeId, arena: &FormulaArena<V>) -> QualVectors<V> {
-        let export = |vectors: &[Option<AVec>]| match &vectors[root.index()] {
-            Some(av) => av.clone().into_compact(arena),
-            None => CompactVector::all_false(0),
+        let export = |vectors: &[Option<AVec>]| match vectors.get(root.index()) {
+            Some(Some(av)) => av.clone().into_compact(arena),
+            _ => CompactVector::all_false(0),
         };
         QualVectors { qv: export(&self.node_qv), qdv: export(&self.node_qdv) }
     }
@@ -301,16 +458,22 @@ fn qualifier_sweep<V: VarLike>(
     mut virtual_vectors: impl FnMut(NodeId) -> QualVectors<V>,
 ) -> QualSweep {
     let qlen = query.qvect_len();
+    if qlen == 0 {
+        // No qualifier, nothing to compute bottom-up and no per-node table
+        // to fill: PaX3 skips Stage 1 for such a query, and so does every
+        // PaX2 and centralized visit.
+        return QualSweep { node_qv: Vec::new(), node_qdv: Vec::new(), ops: 0 };
+    }
     let mut sweep = QualSweep {
         node_qv: vec![None; tree.node_count()],
         node_qdv: vec![None; tree.node_count()],
         ops: 0,
     };
-    if qlen == 0 {
-        // No qualifier, nothing to compute bottom-up: PaX3 skips Stage 1 for
-        // such a query, and so does every PaX2 and centralized visit.
-        return sweep;
-    }
+    // A counted fold reads single children's `QV`s, which a constant fold
+    // does not vouch for: an OR with `true` hides a symbolic child.
+    let counted_folds = query.qvect.iter().any(|e| {
+        matches!(e, QEntry::Step { next_pos: Some(_), .. } | QEntry::Exists { pos: Some(_), .. })
+    });
 
     for v in tree.post_order(root) {
         if tree.is_virtual(v) {
@@ -326,39 +489,57 @@ fn qualifier_sweep<V: VarLike>(
         // (the paper's QCV) and "some child's subtree has entry i true".
         let mut child_any_qv = AVec::all_false(qlen);
         let mut child_any_qdv = AVec::all_false(qlen);
+        let mut constant_children = true;
         for c in tree.children(v) {
             let cqv = sweep.node_qv[c.index()].as_ref().expect("children processed before parent");
-            let cqdv = sweep.node_qdv[c.index()].take().expect("children processed before parent");
+            let cqdv =
+                sweep.node_qdv[c.index()].as_ref().expect("children processed before parent");
+            constant_children &= matches!(cqv, AVec::Bits(_));
             child_any_qv.or_into(cqv, arena);
-            child_any_qdv.or_into(&cqdv, arena);
+            child_any_qdv.or_into(cqdv, arena);
             sweep.ops += 2 * qlen as u64;
         }
 
-        let mut qv = AVec::all_false(qlen);
-        for (i, entry) in query.qvect.iter().enumerate() {
-            let value = eval_qentry(
-                arena,
-                tree,
-                v,
-                entry,
-                &qv,
-                &child_any_qv,
-                &child_any_qdv,
-                &sweep.node_qv,
-            );
-            qv.set(i, value);
-            sweep.ops += 1;
-        }
-
-        // QDV_v(i) = QV_v(i) ∨ (some child's QDV has i).
-        let mut qdv = child_any_qdv;
-        qdv.or_into(&qv, arena);
-        sweep.ops += qlen as u64;
+        let node_qv = &sweep.node_qv;
+        let (qv, qdv) = match (child_any_qv.word(), child_any_qdv.word()) {
+            (Some(any_qv), Some(any_qdv)) if constant_children || !counted_folds => {
+                let qv = eval_qv(&mut Word, tree, v, query, &any_qv, &any_qdv, node_qv);
+                (AVec::from_word(qlen, qv), AVec::from_word(qlen, qv | any_qdv))
+            }
+            _ => {
+                let qv = eval_qv(arena, tree, v, query, &child_any_qv, &child_any_qdv, node_qv);
+                // QDV_v(i) = QV_v(i) ∨ (some child's QDV has i).
+                let mut qdv = child_any_qdv;
+                qdv.or_into(&qv, arena);
+                (qv, qdv)
+            }
+        };
+        // One operation per entry, and `qlen` for the QDV, in either lane.
+        sweep.ops += 2 * qlen as u64;
 
         sweep.node_qv[v.index()] = Some(qv);
         sweep.node_qdv[v.index()] = Some(qdv);
     }
     sweep
+}
+
+/// Every `QVect` entry at the non-virtual node `v`, in one lane, from the
+/// folded child vectors (and, for counted folds, the children's own `QV`s).
+fn eval_qv<L: Lane>(
+    lane: &mut L,
+    tree: &XmlTree,
+    v: NodeId,
+    query: &CompiledQuery,
+    child_any_qv: &L::Vector,
+    child_any_qdv: &L::Vector,
+    node_qv: &[Option<AVec>],
+) -> L::Vector {
+    let mut qv = L::zeros(query.qvect_len());
+    for (i, entry) in query.qvect.iter().enumerate() {
+        let value = eval_qentry(lane, tree, v, entry, &qv, child_any_qv, child_any_qdv, node_qv);
+        L::set(&mut qv, i, value);
+    }
+    qv
 }
 
 /// `text` read as a number (whitespace trimmed, a leading `$` tolerated)
@@ -372,68 +553,61 @@ fn numeric_holds(text: Option<&str>, op: CmpOp, n: f64) -> bool {
 }
 
 /// Evaluate one `QVect` entry at a node, given the already-computed earlier
-/// entries at the same node (`qv_so_far`) and the folded child vectors. On
-/// the constant path this is pure integer work — no allocation at all.
+/// entries at the same node (`qv_so_far`) and the folded child vectors.
 ///
 /// `node_qv` gives access to the individual children's `QV` vectors; it is
 /// only consulted for positionally-filtered child steps, where the plain
 /// disjunctive fold is not enough (only the children at accepted sibling
 /// positions may witness the step).
 #[allow(clippy::too_many_arguments)]
-fn eval_qentry<V: VarLike>(
-    arena: &mut FormulaArena<V>,
+fn eval_qentry<L: Lane>(
+    lane: &mut L,
     tree: &XmlTree,
     v: NodeId,
     entry: &QEntry,
-    qv_so_far: &AVec,
-    child_any_qv: &AVec,
-    child_any_qdv: &AVec,
+    qv_so_far: &L::Vector,
+    child_any_qv: &L::Vector,
+    child_any_qdv: &L::Vector,
     node_qv: &[Option<AVec>],
-) -> ExprId {
+) -> L::Value {
     // Counted child-fold: OR of `entry` over the children sitting at
     // positions accepted by `filter`.
-    let counted_fold = |arena: &mut FormulaArena<V>, e: QEntryId, filter: &PosFilter| {
-        arena.or_all(position_accepts(tree, v, filter).filter(|&(_, ok)| ok).map(|(c, _)| {
-            node_qv[c.index()].as_ref().expect("children processed before parent").id(e)
+    let counted_fold = |lane: &mut L, e: QEntryId, filter: &PosFilter| {
+        lane.or_all(position_accepts(tree, v, filter).filter(|&(_, ok)| ok).map(|(c, _)| {
+            L::stored(node_qv[c.index()].as_ref().expect("children processed before parent"), e)
         }))
     };
+    let earlier = |e: &QEntryId| L::get(qv_so_far, *e);
     match entry {
-        QEntry::LabelTest(label) => ExprId::of_const(tree.label(v) == Some(label.as_str())),
-        QEntry::ElementTest => ExprId::of_const(tree.is_element(v)),
-        QEntry::TextTest(s) => ExprId::of_const(tree.text_value(v) == Some(s.as_str())),
-        QEntry::ValTest(op, n) => ExprId::of_const(numeric_holds(tree.text_value(v), *op, *n)),
-        QEntry::AttrTest(a) => ExprId::of_const(tree.attribute(v, a).is_some()),
-        QEntry::AttrValueTest(a, s) => ExprId::of_const(tree.attribute(v, a) == Some(s.as_str())),
-        QEntry::AttrCmpTest(a, op, n) => {
-            ExprId::of_const(numeric_holds(tree.attribute(v, a), *op, *n))
-        }
+        QEntry::LabelTest(label) => L::constant(tree.label(v) == Some(label.as_str())),
+        QEntry::ElementTest => L::constant(tree.is_element(v)),
+        QEntry::TextTest(s) => L::constant(tree.text_value(v) == Some(s.as_str())),
+        QEntry::ValTest(op, n) => L::constant(numeric_holds(tree.text_value(v), *op, *n)),
+        QEntry::AttrTest(a) => L::constant(tree.attribute(v, a).is_some()),
+        QEntry::AttrValueTest(a, s) => L::constant(tree.attribute(v, a) == Some(s.as_str())),
+        QEntry::AttrCmpTest(a, op, n) => L::constant(numeric_holds(tree.attribute(v, a), *op, *n)),
         QEntry::Step { test, quals, next, next_pos } => {
-            let next_id = match (next, next_pos) {
+            let next_value = match (next, next_pos) {
                 (None, _) => None,
-                (Some((QAxis::Child, e)), Some(filter)) => Some(counted_fold(arena, *e, filter)),
-                (Some((QAxis::Child, e)), None) => Some(child_any_qv.id(*e)),
-                (Some((QAxis::Descendant, e)), _) => Some(child_any_qdv.id(*e)),
+                (Some((QAxis::Child, e)), Some(filter)) => Some(counted_fold(lane, *e, filter)),
+                (Some((QAxis::Child, e)), None) => Some(L::get(child_any_qv, *e)),
+                (Some((QAxis::Descendant, e)), _) => Some(L::get(child_any_qdv, *e)),
             };
             // One n-ary conjunction: no intermediate `And` node is interned
             // for the prefix of a longer conjunct list (and on the constant
             // path `and_all` folds without touching the arena at all).
-            arena.and_all(
-                std::iter::once(qv_so_far.id(*test))
-                    .chain(quals.iter().map(|q| qv_so_far.id(*q)))
-                    .chain(next_id),
+            lane.and_all(
+                std::iter::once(earlier(test)).chain(quals.iter().map(earlier)).chain(next_value),
             )
         }
         QEntry::Exists { axis, entry, pos } => match (axis, pos) {
-            (QAxis::Child, Some(filter)) => counted_fold(arena, *entry, filter),
-            (QAxis::Child, None) => child_any_qv.id(*entry),
-            (QAxis::Descendant, _) => child_any_qdv.id(*entry),
+            (QAxis::Child, Some(filter)) => counted_fold(lane, *entry, filter),
+            (QAxis::Child, None) => L::get(child_any_qv, *entry),
+            (QAxis::Descendant, _) => L::get(child_any_qdv, *entry),
         },
-        QEntry::Not(e) => {
-            let inner = qv_so_far.id(*e);
-            arena.not(inner)
-        }
-        QEntry::And(es) => arena.and_all(es.iter().map(|e| qv_so_far.id(*e))),
-        QEntry::Or(es) => arena.or_all(es.iter().map(|e| qv_so_far.id(*e))),
+        QEntry::Not(e) => lane.not(earlier(e)),
+        QEntry::And(es) => lane.and_all(es.iter().map(earlier)),
+        QEntry::Or(es) => lane.or_all(es.iter().map(earlier)),
     }
 }
 
@@ -557,6 +731,10 @@ fn selection_sweep<V: VarLike>(
         virtual_vectors: Vec::new(),
         ops: 0,
     };
+    // Below a node whose SV is all false every SV is all false — unless a
+    // positional fact or the evaluation context sits below it, so only then
+    // is a dead subtree walked in full.
+    let fast_forward = query.sel_positions.is_empty() && context.is_none_or(|c| c == root);
 
     // Explicit DFS stack carrying the parent's (summarised) SV vector plus,
     // when the query has positional predicates, the node's own positional
@@ -577,7 +755,21 @@ fn selection_sweep<V: VarLike>(
             continue;
         }
 
-        let sv = compute_sv(arena, tree, v, query, &carried, context, qual_id);
+        // The word lane, unless the carried vector or a qualifier value read
+        // at `v` is symbolic. Giving up re-reads nothing into the arena: up
+        // to the first symbolic value every read was constant.
+        let word = carried.word().and_then(|carried| {
+            compute_sv(&mut Word, tree, v, query, &carried, context, &mut |_, v, e| {
+                qual_id(arena, v, e).as_const()
+            })
+        });
+        let sv = match word {
+            Some(sv) => AVec::from_word(slen, sv),
+            None => compute_sv(arena, tree, v, query, &carried, context, &mut |arena, v, e| {
+                Some(qual_id(arena, v, e))
+            })
+            .expect("the arena lane holds every value"),
+        };
         out.ops += slen as u64;
 
         if tree.is_element(v) || query.sel_items.is_empty() {
@@ -587,6 +779,19 @@ fn selection_sweep<V: VarLike>(
             } else if !last.is_const() {
                 out.candidates.push((v, arena.to_expr(last)));
             }
+        }
+
+        if fast_forward && sv.word() == Some(0) {
+            // The summary every node below `v` carries is all false; only
+            // the virtual nodes need it, in the order the full walk would
+            // reach them. Each node passed over costs what visiting it does.
+            for d in tree.descendants(v) {
+                if tree.is_virtual(d) {
+                    out.virtual_vectors.push((d, CompactVector::all_false(slen)));
+                }
+                out.ops += slen as u64;
+            }
+            continue;
         }
 
         // Children inherit v's vector as their ancestor summary, extended
@@ -612,45 +817,50 @@ fn selection_sweep<V: VarLike>(
 /// `SV` entries followed by this node's positional facts). The result has
 /// `svect_len` entries — the caller appends the children's facts when
 /// pushing them.
-fn compute_sv<V: VarLike>(
-    arena: &mut FormulaArena<V>,
+///
+/// `qual(lane, v, e)` is the value of `QVect` entry `e` at `v`; the word
+/// lane's reader returns `None` for a symbolic value, and so does this
+/// function then.
+fn compute_sv<L: Lane>(
+    lane: &mut L,
     tree: &XmlTree,
     v: NodeId,
     query: &CompiledQuery,
-    carried: &AVec,
+    carried: &L::Vector,
     context: Option<NodeId>,
-    qual_id: &mut impl FnMut(&mut FormulaArena<V>, NodeId, QEntryId) -> ExprId,
-) -> AVec {
+    qual: &mut impl FnMut(&mut L, NodeId, QEntryId) -> Option<L::Value>,
+) -> Option<L::Vector> {
     let slen = query.svect_len();
-    let mut sv = AVec::all_false(slen);
+    let f = L::constant(false);
+    let mut sv = L::zeros(slen);
     // Entry 0: the empty prefix — true only at the evaluation context.
-    sv.set(0, ExprId::of_const(Some(v) == context));
+    L::set(&mut sv, 0, L::constant(Some(v) == context));
     for (idx, item) in query.sel_items.iter().enumerate() {
         let i = idx + 1;
         let mut value = match item {
             SelItem::Label(l) => {
                 if tree.label(v) == Some(l.as_str()) {
-                    carried.id(i - 1)
+                    L::get(carried, i - 1)
                 } else {
-                    ExprId::FALSE
+                    f
                 }
             }
             SelItem::Wildcard => {
                 if tree.is_element(v) {
-                    carried.id(i - 1)
+                    L::get(carried, i - 1)
                 } else {
-                    ExprId::FALSE
+                    f
                 }
             }
-            SelItem::DescendantOrSelf => arena.or(carried.id(i), sv.id(i - 1)),
+            SelItem::DescendantOrSelf => lane.or(L::get(carried, i), L::get(&sv, i - 1)),
             SelItem::SelfQualifier(quals) => {
-                let mut acc = sv.id(i - 1);
+                let mut acc = L::get(&sv, i - 1);
                 for q in quals {
-                    if acc == ExprId::FALSE {
+                    if acc == f {
                         break;
                     }
-                    let qid = qual_id(arena, v, *q);
-                    acc = arena.and(acc, qid);
+                    let value = qual(lane, v, *q)?;
+                    acc = lane.and(acc, value);
                 }
                 acc
             }
@@ -660,15 +870,14 @@ fn compute_sv<V: VarLike>(
         if !query.sel_positions.is_empty() && matches!(item, SelItem::Label(_) | SelItem::Wildcard)
         {
             for (j, sp) in query.sel_positions.iter().enumerate() {
-                if sp.item == idx && value != ExprId::FALSE {
-                    let fact = carried.id(slen + j);
-                    value = arena.and(value, fact);
+                if sp.item == idx && value != f {
+                    value = lane.and(value, L::get(carried, slen + j));
                 }
             }
         }
-        sv.set(i, value);
+        L::set(&mut sv, i, value);
     }
-    sv
+    Some(sv)
 }
 
 /// Result of the PaX2 visit ([`combined_pass`]) over one subtree.
@@ -696,7 +905,7 @@ pub struct CombinedPassOutput<V: Ord> {
 /// `_local_var` is ignored: the paper's single traversal needs a `qz`
 /// placeholder per not-yet-known qualifier value, two sweeps do not. The
 /// parameter stays because the frozen `benchmark/src/shadow.rs` passes seven
-/// arguments; ROADMAP 5(b) drops it when the shadow is next opened.
+/// arguments; ROADMAP 7(b) drops it when the shadow is next opened.
 pub fn combined_pass<V: VarLike>(
     tree: &XmlTree,
     root: NodeId,
@@ -720,14 +929,21 @@ pub fn combined_pass<V: VarLike>(
     }
 }
 
+/// The property tests' random fragments and queries, shared with
+/// `tests/property_pipeline.rs`.
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod common;
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::compile::compile;
     use crate::normalize::normalize;
-    use crate::parse;
+    use crate::{centralized, parse, semantics};
     use paxml_boolex::Assignment;
-    use paxml_xml::TreeBuilder;
+    use paxml_xml::{NodeKind, TreeBuilder};
+    use proptest::prelude::*;
 
     /// Variable type for tests that never introduce variables.
     type NoVar = u8;
@@ -870,6 +1086,20 @@ mod tests {
     }
 
     #[test]
+    fn a_context_below_a_dead_summary_is_still_reached() {
+        // Every vector is all false down to the context, so the sweep must
+        // walk the dead subtree above it instead of fast-forwarding.
+        let tree = clientele();
+        let q = compiled("name");
+        let lisa = tree.find_all("client")[1];
+        let mut no_qualifier = |_: NodeId, _: QEntryId| -> BoolExpr<NoVar> { unreachable!() };
+        let init = CompactVector::all_false(q.svect_len());
+        let out = selection_pass(&tree, tree.root(), &q, init, Some(lisa), &mut no_qualifier);
+        assert_eq!(out.answers.len(), 1);
+        assert_eq!(tree.text_of(out.answers[0]), Some("Lisa".to_string()));
+    }
+
+    #[test]
     fn variables_flow_through_selection_when_init_is_unknown() {
         // Simulate a non-root fragment: the init vector is all variables.
         let tree = TreeBuilder::new("broker").leaf("name", "Bache").build();
@@ -894,5 +1124,386 @@ mod tests {
         let mut env = Assignment::new();
         env.set(var, true);
         assert!(formula.assign(&env).is_true());
+    }
+
+    /// Fresh `QV`/`QDV` variables for each virtual node, named after the
+    /// fragment it stands for.
+    fn fresh_vectors(
+        tree: &XmlTree,
+        qlen: usize,
+    ) -> impl Fn(NodeId) -> QualVectors<String> + Copy + '_ {
+        move |node| {
+            let stub = tree.kind(node).virtual_fragment().expect("asked for virtual nodes only");
+            QualVectors {
+                qv: CompactVector::fresh_variables(qlen, |i| format!("F{stub}.qv{i}")),
+                qdv: CompactVector::fresh_variables(qlen, |i| format!("F{stub}.qdv{i}")),
+            }
+        }
+    }
+
+    /// How a visit starts: the root fragment from the query's initial facts
+    /// at its evaluation context, any other fragment from fresh variables.
+    fn start(
+        q: &CompiledQuery,
+        tree: &XmlTree,
+        root_fragment: bool,
+    ) -> (CompactVector<String>, Option<NodeId>) {
+        let root = tree.root();
+        if root_fragment {
+            let init = initial_vector(q, tree.label(root).unwrap_or_default());
+            (CompactVector::from_bools(&init), evaluation_context(q, root))
+        } else {
+            (CompactVector::fresh_variables(q.init_len(), |i| format!("z{i}")), None)
+        }
+    }
+
+    /// Run a visit's two sweeps, then derive what they produced again in the
+    /// arena lane alone — every node's `QV`/`QDV` from its children's stored
+    /// vectors, and the selection output from a walk that takes the arena
+    /// lane at every node and fast-forwards nowhere — and assert that both
+    /// agree and that each sweep charged the cost model's `ops`.
+    fn assert_lanes_agree(tree: &XmlTree, q: &CompiledQuery, root_fragment: bool) {
+        let (root, qlen, slen) = (tree.root(), q.qvect_len(), q.svect_len());
+        let mut arena = FormulaArena::new();
+        let quals = qualifier_sweep(&mut arena, tree, root, q, fresh_vectors(tree, qlen));
+        let stored = |table: &[Option<AVec>], n: NodeId| table[n.index()].clone().expect("swept");
+
+        let mut qual_ops = 0;
+        for v in tree.post_order(root).filter(|_| qlen > 0) {
+            if tree.is_virtual(v) {
+                qual_ops += qlen;
+                continue;
+            }
+            let mut child_any_qv = AVec::all_false(qlen);
+            let mut child_any_qdv = AVec::all_false(qlen);
+            for c in tree.children(v) {
+                child_any_qv.or_into(&stored(&quals.node_qv, c), &mut arena);
+                child_any_qdv.or_into(&stored(&quals.node_qdv, c), &mut arena);
+                qual_ops += 2 * qlen;
+            }
+            let qv = eval_qv(&mut arena, tree, v, q, &child_any_qv, &child_any_qdv, &quals.node_qv);
+            let mut qdv = child_any_qdv;
+            qdv.or_into(&qv, &mut arena);
+            qual_ops += 2 * qlen;
+            let (got_qv, got_qdv) = (stored(&quals.node_qv, v), stored(&quals.node_qdv, v));
+            for i in 0..qlen {
+                assert_eq!(got_qv.id(i), qv.id(i), "QV entry {i} at {v:?}");
+                assert_eq!(got_qdv.id(i), qdv.id(i), "QDV entry {i} at {v:?}");
+            }
+        }
+        assert_eq!(quals.ops, qual_ops as u64, "qualifier sweep ops");
+
+        let (init, context) = start(q, tree, root_fragment);
+        let qual_id =
+            |v: NodeId, e: QEntryId| quals.node_qv[v.index()].as_ref().expect("swept").id(e);
+        let sel = selection_sweep(&mut arena, tree, root, q, &init, context, &mut |_, v, e| {
+            qual_id(v, e)
+        });
+
+        let mut expected = SelectionPassOutput {
+            answers: Vec::new(),
+            candidates: Vec::new(),
+            virtual_vectors: Vec::new(),
+            ops: 0,
+        };
+        let mut stack = vec![(root, AVec::from_compact(&init, &mut arena))];
+        let mut rows = Vec::new();
+        while let Some((v, carried)) = stack.pop() {
+            expected.ops += slen as u64;
+            if tree.is_virtual(v) {
+                expected.virtual_vectors.push((v, carried.into_compact(&arena)));
+                continue;
+            }
+            let sv = compute_sv(&mut arena, tree, v, q, &carried, context, &mut |_, v, e| {
+                Some(qual_id(v, e))
+            })
+            .expect("the arena lane holds every value");
+            let last = sv.id(slen - 1);
+            if tree.is_element(v) || q.sel_items.is_empty() {
+                if last == ExprId::TRUE {
+                    expected.answers.push(v);
+                } else if !last.is_const() {
+                    expected.candidates.push((v, arena.to_expr(last)));
+                }
+            }
+            child_fact_rows(tree, v, q, &mut rows);
+            expected.ops += (rows.len() * q.sel_positions.len()) as u64;
+            let children: Vec<NodeId> = tree.children(v).collect();
+            for (c, row) in children.into_iter().zip(&rows).rev() {
+                stack.push((c, sv.extended_with(row)));
+            }
+        }
+        assert_eq!(sel.answers, expected.answers, "answers");
+        assert_eq!(sel.candidates, expected.candidates, "candidates");
+        assert_eq!(sel.virtual_vectors, expected.virtual_vectors, "virtual-node summaries");
+        assert_eq!(sel.ops, expected.ops, "selection sweep ops");
+    }
+
+    proptest! {
+        #[test]
+        fn the_two_lanes_agree_at_every_node(
+            tree in common::fragment_strategy(),
+            query in common::kernel_query_strategy(),
+            root_fragment in prop::bool::ANY,
+        ) {
+            assert_lanes_agree(&tree, &compiled(&query), root_fragment);
+        }
+    }
+
+    /// `tree` with the subtree at each node of `cuts` replaced by a virtual
+    /// node standing for fragment `k + 1` (`cuts[k]`), and for every node of
+    /// the result the `tree` node it copies.
+    fn cut(tree: &XmlTree, cuts: &[NodeId]) -> (XmlTree, Vec<NodeId>) {
+        let root = tree.root();
+        let mut fragment = XmlTree::with_root_element(tree.label(root).expect("an element root"));
+        let mut origin = vec![root];
+        let mut walk = vec![(root, fragment.root())];
+        while let Some((from, to)) = walk.pop() {
+            for c in tree.children(from) {
+                let held = cuts.iter().position(|&x| x == c);
+                let kind = match held {
+                    Some(k) => NodeKind::virtual_node(k + 1, tree.label(c).map(str::to_string)),
+                    None => tree.kind(c).clone(),
+                };
+                let copy = fragment.append_child(to, kind);
+                assert_eq!(copy.index(), origin.len());
+                origin.push(c);
+                if held.is_none() {
+                    walk.push((c, copy));
+                }
+            }
+        }
+        (fragment, origin)
+    }
+
+    /// One lane-boundary case: the document `tree`, whose subtrees at `cuts`
+    /// another site holds, and the query `text`. Checks
+    /// * the centralized evaluator against the oracle on `tree`;
+    /// * the two lanes against each other on `tree` and on the cut fragment,
+    ///   as the root fragment and as an inner one;
+    /// * the fragment's PaX2 visit against PaX3's two passes;
+    /// * the distributed answer against the oracle: the visit's residual
+    ///   formulas resolved from the held subtrees' root vectors, plus each
+    ///   held subtree evaluated from the summary the visit ships for it.
+    ///
+    /// Returns the fragment and its PaX2 visit.
+    fn check_boundary(
+        tree: &XmlTree,
+        cuts: &[NodeId],
+        text: &str,
+    ) -> (XmlTree, CombinedPassOutput<String>) {
+        let q = compiled(text);
+        let mut oracle = semantics::oracle_eval(tree, text).unwrap();
+        oracle.sort();
+        assert_eq!(centralized::evaluate(tree, text).unwrap().answers, oracle, "centralized");
+
+        let (fragment, origin) = cut(tree, cuts);
+        for whole in [tree, &fragment] {
+            for root_fragment in [true, false] {
+                assert_lanes_agree(whole, &q, root_fragment);
+            }
+        }
+
+        let root = fragment.root();
+        let fresh = fresh_vectors(&fragment, q.qvect_len());
+        let (init, context) = start(&q, &fragment, true);
+        let quals = qualifier_pass(&fragment, root, &q, fresh);
+        let mut qual_value =
+            |v: NodeId, e| quals.node_qv[v.index()].as_ref().expect("swept").expr(e);
+        let pax3 = selection_pass(&fragment, root, &q, init.clone(), context, &mut qual_value);
+        let pax2 = combined_pass(&fragment, root, &q, init, context, fresh, |_, _| unreachable!());
+        let same = |a: &BoolExpr<String>, b: &BoolExpr<String>| {
+            let mut arena = FormulaArena::new();
+            arena.from_expr(a) == arena.from_expr(b)
+        };
+        assert_eq!(pax2.root, quals.root);
+        assert_eq!(pax2.answers, pax3.answers);
+        assert_eq!(pax2.candidates.len(), pax3.candidates.len());
+        for ((n2, f2), (n3, f3)) in pax2.candidates.iter().zip(&pax3.candidates) {
+            assert!(n2 == n3 && same(f2, f3), "candidate {n2:?}: {f2} vs {f3}");
+        }
+        assert_eq!(pax2.virtual_vectors.len(), pax3.virtual_vectors.len());
+        for ((n2, v2), (n3, v3)) in pax2.virtual_vectors.iter().zip(&pax3.virtual_vectors) {
+            assert!(n2 == n3 && (0..v2.len()).all(|i| same(&v2.expr(i), &v3.expr(i))));
+        }
+        assert_eq!(pax2.ops, quals.ops + pax3.ops);
+
+        let mut env = Assignment::new();
+        for (k, &held) in cuts.iter().enumerate() {
+            let vectors = qualifier_pass::<String>(tree, held, &q, |_| unreachable!()).root;
+            for i in 0..q.qvect_len() {
+                env.set(format!("F{}.qv{i}", k + 1), vectors.qv.const_at(i).unwrap());
+                env.set(format!("F{}.qdv{i}", k + 1), vectors.qdv.const_at(i).unwrap());
+            }
+        }
+        let mut answers: Vec<NodeId> = pax2.answers.iter().map(|n| origin[n.index()]).collect();
+        for (n, formula) in &pax2.candidates {
+            if formula.assign(&env).as_const().expect("every variable resolved") {
+                answers.push(origin[n.index()]);
+            }
+        }
+        for (vnode, summary) in &pax2.virtual_vectors {
+            let summary = summary.assign(&env).as_bools().expect("every variable resolved");
+            let below = combined_pass::<String>(
+                tree,
+                origin[vnode.index()],
+                &q,
+                CompactVector::from_bools(&summary),
+                None,
+                |_| unreachable!(),
+                |_, _| unreachable!(),
+            );
+            answers.extend(below.answers);
+        }
+        answers.sort();
+        assert_eq!(answers, oracle, "distributed answers");
+        (fragment, pax2)
+    }
+
+    #[test]
+    fn more_than_64_qvect_entries_take_the_arena_lane() {
+        let tree = TreeBuilder::new("r")
+            .open("a")
+            .leaf("b", "x")
+            .close()
+            .open("a")
+            .leaf("b", "t7")
+            .leaf("c", "x")
+            .close()
+            .open("a")
+            .leaf("b", "none")
+            .close()
+            .open("a")
+            .open("d")
+            .leaf("b", "US")
+            .close()
+            .leaf("b", "t19")
+            .close()
+            .build();
+        let text = common::wide_qualifier_query();
+        assert!(compiled(&text).qvect_len() > 64);
+        let a = tree.find_all("a");
+        let d = tree.find_first("d").unwrap();
+        check_boundary(&tree, &[a[1], d], &text);
+    }
+
+    #[test]
+    fn more_than_64_carried_entries_take_the_arena_lane() {
+        let mut tree = XmlTree::with_root_element("r");
+        let mut at = tree.root();
+        let mut middle = at;
+        for depth in 1..=40 {
+            at = tree.append_element(at, "e");
+            if depth % 10 == 0 {
+                tree.append_leaf(at, "s", "x");
+            }
+            if depth == 20 {
+                middle = at;
+            }
+        }
+        let text = common::deep_selection_query();
+        assert!(compiled(&text).init_len() > 64);
+        check_boundary(&tree, &[middle], &text);
+    }
+
+    #[test]
+    fn a_counted_fold_over_a_symbolic_child_takes_the_arena_lane() {
+        // The first `p`'s children make both of its child folds constant
+        // (`c` and `x` witness every entry), while the second counted `b` —
+        // the one `b[2]` reads — is held elsewhere: only the arena lane can
+        // carry its value.
+        let tree = TreeBuilder::new("r")
+            .open("p")
+            .element("c")
+            .open("x")
+            .element("b")
+            .open("b")
+            .element("c")
+            .close()
+            .close()
+            .open("b")
+            .element("c")
+            .close()
+            .open("b")
+            .element("c")
+            .close()
+            .close()
+            .open("p")
+            .open("b")
+            .element("c")
+            .close()
+            .element("b")
+            .close()
+            .build();
+        let p = tree.find_all("p");
+        let counted = |parent| tree.children(parent).filter(|&c| tree.label(c) == Some("b")).nth(1);
+        let cuts = [counted(p[0]).unwrap(), counted(p[1]).unwrap()];
+        let (fragment, pax2) = check_boundary(&tree, &cuts, "//p[b[2]/c]");
+        let q = compiled("//p[b[2]/c]");
+        let residual: Vec<_> =
+            pax2.candidates.iter().map(|(n, f)| (fragment.label(*n), f)).collect();
+        let step = q.qvect.iter().position(|e| matches!(e, QEntry::Step { next: Some(_), .. }));
+        let var = |k| BoolExpr::Var(format!("F{k}.qv{}", step.unwrap()));
+        assert_eq!(residual, [(Some("p"), &var(1)), (Some("p"), &var(2))]);
+    }
+
+    #[test]
+    fn a_positional_selection_path_walks_dead_subtrees_in_full() {
+        // `q` is dead for `/r/p/b[2]/c`, but the `b` held below it sits at
+        // position 2: its summary must still carry that fact.
+        let tree = TreeBuilder::new("r")
+            .open("p")
+            .open("b")
+            .element("c")
+            .close()
+            .open("b")
+            .element("c")
+            .close()
+            .element("b")
+            .close()
+            .open("q")
+            .element("b")
+            .open("b")
+            .element("c")
+            .close()
+            .close()
+            .build();
+        let second_b = |parent| tree.children(parent).nth(1).unwrap();
+        let cuts =
+            [second_b(tree.find_first("p").unwrap()), second_b(tree.find_first("q").unwrap())];
+        let (_, pax2) = check_boundary(&tree, &cuts, "/r/p/b[2]/c");
+        let summary = &pax2.virtual_vectors[1].1;
+        let facts = summary.as_bools().unwrap();
+        assert!(facts[..facts.len() - 1].iter().all(|&b| !b), "q's summary is dead");
+        assert_eq!(facts.last(), Some(&true), "but the held b's positional fact holds");
+    }
+
+    #[test]
+    fn a_dead_summary_above_a_virtual_node_ships_all_false_in_document_order() {
+        // `x` is dead for `/r/a//c`, so the sweep fast-forwards through it;
+        // the `y` held below it still gets its (all-false) summary, before
+        // the live one held below `a`.
+        let tree = TreeBuilder::new("r")
+            .open("x")
+            .open("y")
+            .element("c")
+            .close()
+            .element("c")
+            .close()
+            .open("a")
+            .open("y")
+            .element("c")
+            .close()
+            .element("c")
+            .close()
+            .build();
+        let (fragment, pax2) = check_boundary(&tree, &tree.find_all("y"), "/r/a//c");
+        let slen = compiled("/r/a//c").svect_len();
+        let shipped: Vec<_> =
+            pax2.virtual_vectors.iter().map(|(n, v)| (fragment.ancestors(*n).next(), v)).collect();
+        assert_eq!(shipped.len(), 2);
+        assert_eq!(shipped[0], (fragment.find_first("x"), &CompactVector::all_false(slen)));
+        assert_eq!(shipped[1].0, fragment.find_first("a"));
+        assert!(shipped[1].1.as_bools().unwrap().iter().any(|&b| b));
     }
 }

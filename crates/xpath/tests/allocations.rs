@@ -3,10 +3,13 @@
 //! nodes) may add only the few reallocations of the vectors that grow with
 //! the output or the widest fan-out — never one allocation per node.
 //!
+//! A query without qualifiers allocates no per-node table at all: its
+//! passes' bytes do not grow with the tree either.
+//!
 //! This binary has its own counting `#[global_allocator]`. Counts are kept
 //! per thread, so the test harness's other threads do not leak into them.
 
-use paxml_boolex::CompactVector;
+use paxml_boolex::{BoolExpr, CompactVector};
 use paxml_xml::{NodeId, XmlTree};
 use paxml_xpath::eval::{
     combined_pass, evaluation_context, initial_vector, qualifier_pass, selection_pass, QualVectors,
@@ -19,11 +22,13 @@ struct CountingAllocator;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn bump() {
+fn bump(bytes: usize) {
     // `try_with` is a no-op during thread teardown.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
@@ -32,7 +37,7 @@ fn bump() {
 // what is returned.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         // SAFETY: the caller's obligations for `alloc` are exactly `System`'s.
         unsafe { System.alloc(layout) }
     }
@@ -43,7 +48,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size);
         // SAFETY: `ptr` came from `System` with `layout`; `new_size` is the caller's to vouch for.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -52,13 +57,19 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Heap allocations (including reallocations) made by `f` on this thread,
+/// and the bytes they requested (a reallocation counts its new size).
+fn allocated<T>(f: impl FnOnce() -> T) -> (u64, u64) {
+    let before = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
+    let value = f();
+    let after = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
+    drop(value);
+    (after.0 - before.0, after.1 - before.1)
+}
+
 /// Heap allocations (including reallocations) made by `f` on this thread.
 fn allocations<T>(f: impl FnOnce() -> T) -> u64 {
-    let before = ALLOCATIONS.with(Cell::get);
-    let value = f();
-    let after = ALLOCATIONS.with(Cell::get);
-    drop(value);
-    after - before
+    allocated(f).0
 }
 
 /// `<site>` over `groups` × `<person><name>…</name><address><country>…`,
@@ -115,4 +126,45 @@ fn constant_path_allocations_do_not_grow_with_the_tree() {
         }
     }
     assert!(grown.is_empty(), "the constant path allocates per node: {grown:#?}");
+}
+
+/// Bytes a qualifier-free query's qualifier pass allocates over `tree`, and
+/// the qualifier sweep's share of its PaX2 visit: the combined pass's bytes
+/// less those of the selection pass it shares its selection sweep with.
+fn qualifier_free_bytes(tree: &XmlTree, query: &CompiledQuery) -> [u64; 2] {
+    let root = tree.root();
+    let init = CompactVector::from_bools(&initial_vector(query, "site"));
+    let context = evaluation_context(query, root);
+    let no_virtual = |_: NodeId| -> QualVectors<u8> { unreachable!("constant-only tree") };
+    let mut no_qualifier =
+        |_: NodeId, _: QEntryId| -> BoolExpr<u8> { unreachable!("no qualifier") };
+    let (_, qualifier) = allocated(|| qualifier_pass::<u8>(tree, root, query, no_virtual));
+    let (_, combined) = allocated(|| {
+        combined_pass::<u8>(tree, root, query, init.clone(), context, no_virtual, |_, _| 0)
+    });
+    let (_, selection) = allocated(|| {
+        selection_pass::<u8>(tree, root, query, init.clone(), context, &mut no_qualifier)
+    });
+    [qualifier, combined - selection]
+}
+
+#[test]
+fn qualifier_free_passes_allocate_no_per_node_table() {
+    let small = people(1_000);
+    let large = people(16_000);
+    let mut grown = Vec::new();
+    for text in ["/site/person/name", "//person/name"] {
+        let query = compile_text(text).expect("query compiles");
+        assert!(!query.has_qualifiers());
+        let at_small = qualifier_free_bytes(&small, &query);
+        let at_large = qualifier_free_bytes(&large, &query);
+        let parts = ["qualifier_pass", "combined − selection"];
+        for (part, (s, l)) in parts.iter().zip(at_small.iter().zip(&at_large)) {
+            println!("{text:45} {part:22} {s:>10} → {l:>10} bytes");
+            if l > s {
+                grown.push(format!("{part} for {text}: {s} → {l} bytes"));
+            }
+        }
+    }
+    assert!(grown.is_empty(), "a qualifier-free pass allocates per node: {grown:#?}");
 }

@@ -5,56 +5,14 @@
 //! the site kernel: over random *fragments* (trees with virtual nodes) the
 //! PaX2 visit computes what PaX3's two visits compute.
 
+mod common;
+
+use common::{fragment_strategy, kernel_query_strategy, query_strategy, tree_strategy};
 use paxml_boolex::{BoolExpr, CompactVector, FormulaArena};
-use paxml_xml::{NodeId, NodeKind, XmlTree};
+use paxml_xml::NodeId;
 use paxml_xpath::eval::{combined_pass, qualifier_pass, selection_pass, QualVectors};
 use paxml_xpath::{centralized, compile, compile_text, normalize, parse, semantics};
 use proptest::prelude::*;
-
-const LABELS: &[&str] = &["a", "b", "c", "d"];
-const TEXTS: &[&str] = &["x", "US", "7", "42"];
-
-/// Build a tree from `(parent choice, kind, cut)` triples; a triple with
-/// `cut == 0` becomes a virtual leaf standing for a missing sub-fragment
-/// (labelled root), so only [`fragment_strategy`] passes zeros.
-fn build_tree(spec: &[(usize, usize, usize)]) -> XmlTree {
-    let mut tree = XmlTree::with_root_element(LABELS[0]);
-    let mut elements: Vec<NodeId> = vec![tree.root()];
-    for (fragment, &(parent_choice, kind, cut)) in spec.iter().enumerate() {
-        let parent = elements[parent_choice % elements.len()];
-        let label = LABELS[kind % LABELS.len()];
-        if cut == 0 {
-            let stub = NodeKind::virtual_node(fragment + 1, Some(label.to_string()));
-            tree.append_child(parent, stub);
-        } else if kind % 5 == 4 {
-            tree.append_child(parent, NodeKind::text(TEXTS[kind % TEXTS.len()]));
-        } else {
-            elements.push(tree.append_element(parent, label));
-        }
-    }
-    tree
-}
-
-fn tree_strategy() -> impl Strategy<Value = XmlTree> {
-    prop::collection::vec((0usize..500, 0usize..20, Just(1usize)), 3..50)
-        .prop_map(|spec| build_tree(&spec))
-}
-
-/// A random fragment: about every sixth node is a virtual leaf.
-fn fragment_strategy() -> impl Strategy<Value = XmlTree> {
-    prop::collection::vec((0usize..500, 0usize..20, 0usize..6), 3..50)
-        .prop_map(|spec| build_tree(&spec))
-}
-
-/// [`query_strategy`] plus the positional shapes it does not generate.
-fn kernel_query_strategy() -> impl Strategy<Value = String> {
-    prop_oneof![
-        query_strategy(),
-        query_strategy(),
-        prop::sample::select(vec!["a/b[2]/c", "//b[last()]", "*[b[1]/c]/d", ".[//c]"])
-            .prop_map(str::to_string),
-    ]
-}
 
 /// Two residual formulas denote the same function when they intern to one
 /// id: the arena sorts and deduplicates operands, so formulas built in a
@@ -67,36 +25,6 @@ fn same_formula(a: &BoolExpr<String>, b: &BoolExpr<String>) -> bool {
 
 fn same_vector(a: &CompactVector<String>, b: &CompactVector<String>) -> bool {
     a.len() == b.len() && (0..a.len()).all(|i| same_formula(&a.expr(i), &b.expr(i)))
-}
-
-fn query_strategy() -> impl Strategy<Value = String> {
-    let step = prop_oneof![
-        prop::sample::select(LABELS.to_vec()).prop_map(str::to_string),
-        Just("*".to_string()),
-    ];
-    let qual = prop_oneof![
-        Just(String::new()),
-        prop::sample::select(LABELS.to_vec()).prop_map(|l| format!("[{l}]")),
-        (prop::sample::select(LABELS.to_vec()), prop::sample::select(TEXTS.to_vec()))
-            .prop_map(|(l, t)| format!("[{l}/text()=\"{t}\"]")),
-        (prop::sample::select(LABELS.to_vec()), 0u32..50)
-            .prop_map(|(l, n)| format!("[{l} >= {n}]")),
-        prop::sample::select(LABELS.to_vec()).prop_map(|l| format!("[not({l})]")),
-    ];
-    (prop::bool::ANY, prop::collection::vec((step, qual), 1..4)).prop_map(|(desc, steps)| {
-        let mut out = String::new();
-        if desc {
-            out.push_str("//");
-        }
-        for (i, (s, q)) in steps.iter().enumerate() {
-            if i > 0 {
-                out.push('/');
-            }
-            out.push_str(s);
-            out.push_str(q);
-        }
-        out
-    })
 }
 
 proptest! {
