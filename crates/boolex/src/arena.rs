@@ -196,6 +196,15 @@ impl<V: Clone + Eq + Hash + Ord> FormulaArena<V> {
         }
     }
 
+    /// The operands of a disjunction (sorted by id), or `None` when `id` is
+    /// not one.
+    pub fn or_operands(&self, id: ExprId) -> Option<&[ExprId]> {
+        match &self.nodes[id.0 as usize] {
+            Node::Or(operands) => Some(operands),
+            _ => None,
+        }
+    }
+
     /// Substitute truth values for variables (unmapped variables stay
     /// symbolic) and re-simplify. `memo` caches rewrites per node id for one
     /// environment; pass the same map while the environment is unchanged and

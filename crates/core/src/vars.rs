@@ -46,7 +46,7 @@ pub enum PaxVar {
     /// The paper's `qz` variables of PaX2: the value of `QVect` entry
     /// `entry` at node `node` of fragment `fragment`. Never minted: the
     /// variant stays only because the frozen `benchmark/src/shadow.rs` names
-    /// it; ROADMAP 7(b) drops it when the shadow is next opened.
+    /// it; the ROADMAP item "one formula representation" drops it.
     Local {
         /// The fragment the node belongs to.
         fragment: FragmentId,

@@ -27,41 +27,54 @@
 //!
 //! # Vector representation
 //!
-//! The kernel keeps per-node vectors in a two-tier form. At every node that
-//! is *not* adjacent to a virtual node, all entries are already known truth
-//! values, so vectors stay as packed [`BitVector`]s — one inline word up to
-//! 64 entries — and the child-fold loops run word-wise (64 entries per
-//! AND/OR instruction). Only once a virtual node's fresh variables flow into
-//! a vector does it switch to per-entry formulas — and those formulas live as
-//! interned [`ExprId`]s in the visit's [`FormulaArena`], so combining the
-//! `O(k)` residual formulas never clones a subtree.
+//! Outside the arena, vectors are packed [`BitVector`]s — one inline word up
+//! to 64 entries — and the child-fold loops run word-wise (64 entries per
+//! AND/OR instruction). Formulas over variables live as interned [`ExprId`]s
+//! in the visit's [`FormulaArena`], so combining the `O(k)` residual formulas
+//! never clones a subtree.
 //!
-//! Each sweep computes a node's entries in one of two *lanes*, which share
+//! Each sweep computes a node's entries in one of three *lanes*, which share
 //! one definition of the entry semantics (`eval_qentry` and `compute_sv`,
 //! generic over the private `Lane` trait):
 //!
 //! * the **word lane** runs when every input of the node is constant and its
-//!   vector fits one word: entries are `bool`s written into a `u64` — plain
-//!   integer work, no arena, no `ExprId`. In the qualifier sweep that is a
-//!   non-virtual node whose two child folds are constant (and, for a query
-//!   with positional qualifier folds, whose children's own `QV`s are too),
-//!   with `|QVect| ≤ 64`; in the selection sweep, a carried vector of ≤ 64
-//!   constant entries and constant qualifier values at the node;
-//! * the **arena lane** computes [`ExprId`]s over the visit's arena, at the
-//!   few nodes with a symbolic input.
+//!   vector fits one word: entries are `bool`s written into a `u64`. In the
+//!   qualifier sweep that is a non-virtual node whose two child folds are
+//!   constant (and, for a query with positional qualifier folds, whose
+//!   children's own `QV`s are too), with `|QVect| ≤ 64`; in the selection
+//!   sweep, a carried vector of ≤ 64 constant entries and constant qualifier
+//!   values at the node. This is the root fragment's selection sweep and
+//!   almost all of every qualifier sweep;
+//! * the **disjunction lane** runs a selection node whose carried vector
+//!   holds only constants and ORs of init entries — a non-root fragment's
+//!   sweep, which starts from fresh variables (§3.2) that `//` steps only ever
+//!   OR together. An entry is a `u64` set of disjuncts: bit 0 is `true`, bit
+//!   `j + 1` is init entry `j`; the lane is open for an init of at most 62
+//!   entries. The carried sets of the stack live in one flat per-sweep
+//!   buffer. A set becomes an arena id only where a formula leaves the site
+//!   (a candidate answer, a virtual node's summary), as the `Or` of its
+//!   variables — the id, tree and bytes the arena lane would give;
+//! * the **arena lane** computes [`ExprId`]s over the visit's arena. It runs a
+//!   node another lane cannot represent: a qualifier node near a virtual
+//!   node, a selection node that reads a symbolic qualifier value or ANDs two
+//!   different symbolic sets, or any vector with too many entries. Fallback
+//!   is per node: the node reruns in the arena lane, and its children
+//!   re-enter a faster lane as soon as their carried vector allows.
 //!
 //! In the selection sweep, a node whose `SV` is all false has no answer or
 //! candidate below it. For a query without positional predicates the sweep
 //! *fast-forwards* such a subtree: it walks it only to hand each virtual node
 //! below its all-false summary, in the pre-order position the full walk
-//! would give it. Both lanes and the fast-forward charge the cost model's
-//! `ops` exactly, so every meter is independent of the lane taken.
+//! would give it. The lanes and the fast-forward charge the cost model's
+//! `ops` exactly, so every meter is independent of the lane taken; every
+//! pass output counts its nodes per lane ([`LaneCounts`]).
 //!
-//! The constant path performs **no heap allocation per node**: the tree walks
-//! follow links, children are pushed straight onto the top-down stack,
-//! positional facts go through one per-sweep scratch, and what is left is a
-//! few allocations per pass (the per-node vector tables of a query with
-//! qualifiers, and the amortised growth of the stack and the output lists) —
+//! The word and disjunction lanes perform **no heap allocation per node**:
+//! the tree walks follow links, children are pushed straight onto the
+//! top-down stack, carried sets and positional facts go through per-sweep
+//! scratch, and what is left is a few allocations per pass (the per-node
+//! vector tables of a query with qualifiers, the init's variables, and the
+//! amortised growth of the stacks and the output lists) —
 //! `tests/allocations.rs` pins that. Pass outputs are exported as
 //! [`CompactVector`]s (bits for fully-constant vectors, self-contained
 //! [`BoolExpr`] trees otherwise), which is also the wire format: a
@@ -186,24 +199,29 @@ impl AVec {
 }
 
 /// The value domain a node's entries are computed in: `bool`s in one word
-/// ([`Word`]) or interned ids over the visit's arena ([`FormulaArena`]).
-/// [`eval_qentry`] and [`compute_sv`] are written once against it, so both
-/// lanes share one definition of every entry kind.
+/// ([`Word`]), disjunct sets in `u64`s ([`Disjunction`]) or interned ids over
+/// the visit's arena ([`FormulaArena`]). [`compute_sv`] is written once
+/// against it, and [`eval_qentry`] against its [`QualifierLane`] extension,
+/// so the lanes share one definition of every entry kind. A node's vector is
+/// written into storage its caller owns, which is how the disjunction lane
+/// keeps its vectors in one flat per-sweep buffer.
 trait Lane {
     /// One entry's value.
     type Value: Copy + PartialEq;
     /// A node's vector of entries.
-    type Vector;
-    /// A vector of `len` entries, all `false`.
-    fn zeros(len: usize) -> Self::Vector;
+    type Vector: ?Sized;
     fn get(vector: &Self::Vector, index: usize) -> Self::Value;
     fn set(vector: &mut Self::Vector, index: usize, value: Self::Value);
-    /// Entry `index` of a child's stored `QV` (read by positional folds).
-    fn stored(vector: &AVec, index: usize) -> Self::Value;
     fn constant(value: bool) -> Self::Value;
-    fn not(&mut self, operand: Self::Value) -> Self::Value;
     fn and(&mut self, a: Self::Value, b: Self::Value) -> Self::Value;
     fn or(&mut self, a: Self::Value, b: Self::Value) -> Self::Value;
+}
+
+/// What the qualifier sweep needs beyond [`Lane`]: its word and arena lanes.
+trait QualifierLane: Lane {
+    /// Entry `index` of a child's stored `QV` (read by positional folds).
+    fn stored(vector: &AVec, index: usize) -> Self::Value;
+    fn not(&mut self, operand: Self::Value) -> Self::Value;
     fn and_all(&mut self, operands: impl IntoIterator<Item = Self::Value>) -> Self::Value;
     fn or_all(&mut self, operands: impl IntoIterator<Item = Self::Value>) -> Self::Value;
 }
@@ -216,10 +234,6 @@ impl Lane for Word {
     type Value = bool;
     type Vector = u64;
 
-    fn zeros(_len: usize) -> u64 {
-        0
-    }
-
     fn get(word: &u64, index: usize) -> bool {
         word >> index & 1 != 0
     }
@@ -228,16 +242,8 @@ impl Lane for Word {
         *word = *word & !(1 << index) | u64::from(value) << index;
     }
 
-    fn stored(vector: &AVec, index: usize) -> bool {
-        vector.id(index).as_const().expect("the word lane reads constant children only")
-    }
-
     fn constant(value: bool) -> bool {
         value
-    }
-
-    fn not(&mut self, operand: bool) -> bool {
-        !operand
     }
 
     fn and(&mut self, a: bool, b: bool) -> bool {
@@ -246,6 +252,16 @@ impl Lane for Word {
 
     fn or(&mut self, a: bool, b: bool) -> bool {
         a || b
+    }
+}
+
+impl QualifierLane for Word {
+    fn stored(vector: &AVec, index: usize) -> bool {
+        vector.id(index).as_const().expect("the word lane reads constant children only")
+    }
+
+    fn not(&mut self, operand: bool) -> bool {
+        !operand
     }
 
     fn and_all(&mut self, operands: impl IntoIterator<Item = bool>) -> bool {
@@ -257,15 +273,63 @@ impl Lane for Word {
     }
 }
 
+/// The disjunct set `{true}`: bit 0.
+const TRUE_SET: u64 = 1;
+/// Marks a value the disjunction lane cannot represent; AND and OR carry it
+/// along, so a vector is checked for it once.
+const LOST: u64 = 1 << 63;
+/// Init entries the disjunction lane has bits for: bits 1..=62.
+const MAX_ATOMS: usize = 62;
+
+/// The disjunction lane: an entry is a `u64` set of disjuncts, bit 0 for
+/// `true` and bit `j + 1` for entry `j` of the sweep's init vector (see
+/// [`Atoms`]). Its values are exactly the constants and the ORs of init
+/// entries — what a non-root fragment's selection sweep carries from its
+/// fresh variables — so it runs that sweep as integer work. An AND of two
+/// different symbolic sets is [`LOST`]; the node then reruns in the arena
+/// lane.
+struct Disjunction;
+
+impl Lane for Disjunction {
+    type Value = u64;
+    type Vector = [u64];
+
+    fn get(sets: &[u64], index: usize) -> u64 {
+        sets[index]
+    }
+
+    fn set(sets: &mut [u64], index: usize, value: u64) {
+        sets[index] = value;
+    }
+
+    fn constant(value: bool) -> u64 {
+        u64::from(value)
+    }
+
+    fn and(&mut self, a: u64, b: u64) -> u64 {
+        match (a, b) {
+            (0, _) | (_, 0) => 0,
+            (TRUE_SET, s) | (s, TRUE_SET) => s,
+            _ if a == b => a,
+            _ => LOST,
+        }
+    }
+
+    fn or(&mut self, a: u64, b: u64) -> u64 {
+        let set = a | b;
+        if set & TRUE_SET != 0 {
+            TRUE_SET
+        } else {
+            set
+        }
+    }
+}
+
 /// The arena lane: entries are ids into the visit's arena, so symbolic
 /// inputs combine into residual formulas.
 impl<V: VarLike> Lane for FormulaArena<V> {
     type Value = ExprId;
     type Vector = AVec;
-
-    fn zeros(len: usize) -> AVec {
-        AVec::all_false(len)
-    }
 
     fn get(vector: &AVec, index: usize) -> ExprId {
         vector.id(index)
@@ -275,16 +339,8 @@ impl<V: VarLike> Lane for FormulaArena<V> {
         vector.set(index, value);
     }
 
-    fn stored(vector: &AVec, index: usize) -> ExprId {
-        vector.id(index)
-    }
-
     fn constant(value: bool) -> ExprId {
         ExprId::of_const(value)
-    }
-
-    fn not(&mut self, operand: ExprId) -> ExprId {
-        FormulaArena::not(self, operand)
     }
 
     fn and(&mut self, a: ExprId, b: ExprId) -> ExprId {
@@ -294,6 +350,16 @@ impl<V: VarLike> Lane for FormulaArena<V> {
     fn or(&mut self, a: ExprId, b: ExprId) -> ExprId {
         FormulaArena::or(self, a, b)
     }
+}
+
+impl<V: VarLike> QualifierLane for FormulaArena<V> {
+    fn stored(vector: &AVec, index: usize) -> ExprId {
+        vector.id(index)
+    }
+
+    fn not(&mut self, operand: ExprId) -> ExprId {
+        FormulaArena::not(self, operand)
+    }
 
     fn and_all(&mut self, operands: impl IntoIterator<Item = ExprId>) -> ExprId {
         FormulaArena::and_all(self, operands)
@@ -301,6 +367,65 @@ impl<V: VarLike> Lane for FormulaArena<V> {
 
     fn or_all(&mut self, operands: impl IntoIterator<Item = ExprId>) -> ExprId {
         FormulaArena::or_all(self, operands)
+    }
+}
+
+/// The ids the disjunction lane's bits stand for: a selection sweep's init
+/// vector as arena ids, bit `j + 1` for entry `j`. Empty when the init is
+/// constant or longer than [`MAX_ATOMS`], and the lane is then closed.
+/// Init entries are interned in init order, so the id-sorted operands of an
+/// `Or` are in bit order, and an id leaving the lane is the one the arena
+/// lane builds.
+struct Atoms(Vec<ExprId>);
+
+impl Atoms {
+    /// The set `id` denotes when it is a constant, an atom or an OR of atoms.
+    fn set_of<V: VarLike>(&self, id: ExprId, arena: &FormulaArena<V>) -> Option<u64> {
+        if let Some(value) = id.as_const() {
+            return Some(u64::from(value));
+        }
+        let bit = |id| self.0.iter().position(|&atom| atom == id).map(|j| 2 << j);
+        bit(id).or_else(|| {
+            arena.or_operands(id)?.iter().try_fold(0, |set, &operand| Some(set | bit(operand)?))
+        })
+    }
+
+    /// Write the sets of `vector`'s entries into `sets`, when the lane is
+    /// open and every entry is representable.
+    fn sets_of<V: VarLike>(
+        &self,
+        vector: &AVec,
+        arena: &FormulaArena<V>,
+        sets: &mut [u64],
+    ) -> bool {
+        !self.0.is_empty()
+            && sets.iter_mut().enumerate().all(|(i, set)| {
+                self.set_of(vector.id(i), arena).map(|value| *set = value).is_some()
+            })
+    }
+
+    /// The id of `set` — where a formula leaves the lane.
+    fn id_of<V: VarLike>(&self, set: u64, arena: &mut FormulaArena<V>) -> ExprId {
+        debug_assert_eq!(set & LOST, 0, "a lost value never leaves the lane");
+        debug_assert!(set & TRUE_SET == 0 || set == TRUE_SET, "a set holding true is {{true}}");
+        match set {
+            0 => ExprId::FALSE,
+            TRUE_SET => ExprId::TRUE,
+            _ if set.is_power_of_two() => self.0[set.trailing_zeros() as usize - 1],
+            _ => {
+                let bits = (1..=MAX_ATOMS).filter(|&b| set >> b & 1 != 0);
+                arena.or_all(bits.map(|b| self.0[b - 1]))
+            }
+        }
+    }
+
+    /// The vector of ids of `sets`.
+    fn vector_of<V: VarLike>(&self, sets: &[u64], arena: &mut FormulaArena<V>) -> AVec {
+        let mut vector = AVec::all_false(sets.len());
+        for (i, &set) in sets.iter().enumerate() {
+            vector.set(i, self.id_of(set, arena));
+        }
+        vector
     }
 }
 
@@ -403,6 +528,24 @@ pub struct QualifierPassOutput<V: Ord> {
     /// Number of elementary operations performed (nodes × vector entries),
     /// the paper's unit of computation cost.
     pub ops: u64,
+    /// Nodes computed in the word lane and in the arena lane.
+    pub lanes: LaneCounts,
+}
+
+/// How many nodes a sweep handled in each lane (see the module doc). Every
+/// node of the swept subtree is counted once; a virtual node in the lane of
+/// the vectors it holds. Counts are read by tests and probes and never
+/// leave the site.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LaneCounts {
+    /// Nodes whose entries were the bits of one word.
+    pub word: u64,
+    /// Selection nodes whose entries were disjunct sets of init entries.
+    pub disjunction: u64,
+    /// Nodes whose entries were ids in the visit's arena.
+    pub arena: u64,
+    /// Selection nodes passed over below an all-false summary.
+    pub fast_forwarded: u64,
 }
 
 /// Evaluate every `QVect` entry at every node of the subtree rooted at
@@ -422,7 +565,7 @@ pub fn qualifier_pass<V: VarLike>(
     let root = sweep.root_vectors(root, &arena);
     let node_qv =
         sweep.node_qv.into_iter().map(|av| av.map(|av| av.into_compact(&arena))).collect();
-    QualifierPassOutput { node_qv, root, ops: sweep.ops }
+    QualifierPassOutput { node_qv, root, ops: sweep.ops, lanes: sweep.lanes }
 }
 
 /// What the qualifier sweep leaves in the arena: every node's `QV`, the
@@ -434,6 +577,7 @@ struct QualSweep {
     /// Per-node `QDV`, indexed likewise.
     node_qdv: Vec<Option<AVec>>,
     ops: u64,
+    lanes: LaneCounts,
 }
 
 impl QualSweep {
@@ -462,12 +606,18 @@ fn qualifier_sweep<V: VarLike>(
         // No qualifier, nothing to compute bottom-up and no per-node table
         // to fill: PaX3 skips Stage 1 for such a query, and so does every
         // PaX2 and centralized visit.
-        return QualSweep { node_qv: Vec::new(), node_qdv: Vec::new(), ops: 0 };
+        return QualSweep {
+            node_qv: Vec::new(),
+            node_qdv: Vec::new(),
+            ops: 0,
+            lanes: LaneCounts::default(),
+        };
     }
     let mut sweep = QualSweep {
         node_qv: vec![None; tree.node_count()],
         node_qdv: vec![None; tree.node_count()],
         ops: 0,
+        lanes: LaneCounts::default(),
     };
     // A counted fold reads single children's `QV`s, which a constant fold
     // does not vouch for: an OR with `true` hides a symbolic child.
@@ -479,8 +629,14 @@ fn qualifier_sweep<V: VarLike>(
         if tree.is_virtual(v) {
             let vectors = virtual_vectors(v);
             debug_assert_eq!(vectors.qv.len(), qlen);
-            sweep.node_qv[v.index()] = Some(AVec::from_compact(&vectors.qv, arena));
-            sweep.node_qdv[v.index()] = Some(AVec::from_compact(&vectors.qdv, arena));
+            let (qv, qdv) =
+                (AVec::from_compact(&vectors.qv, arena), AVec::from_compact(&vectors.qdv, arena));
+            match (qv.word(), qdv.word()) {
+                (Some(_), Some(_)) => sweep.lanes.word += 1,
+                _ => sweep.lanes.arena += 1,
+            }
+            sweep.node_qv[v.index()] = Some(qv);
+            sweep.node_qdv[v.index()] = Some(qdv);
             sweep.ops += qlen as u64;
             continue;
         }
@@ -503,11 +659,15 @@ fn qualifier_sweep<V: VarLike>(
         let node_qv = &sweep.node_qv;
         let (qv, qdv) = match (child_any_qv.word(), child_any_qdv.word()) {
             (Some(any_qv), Some(any_qdv)) if constant_children || !counted_folds => {
-                let qv = eval_qv(&mut Word, tree, v, query, &any_qv, &any_qdv, node_qv);
+                sweep.lanes.word += 1;
+                let mut qv = 0;
+                eval_qv(&mut Word, tree, v, query, &any_qv, &any_qdv, node_qv, &mut qv);
                 (AVec::from_word(qlen, qv), AVec::from_word(qlen, qv | any_qdv))
             }
             _ => {
-                let qv = eval_qv(arena, tree, v, query, &child_any_qv, &child_any_qdv, node_qv);
+                sweep.lanes.arena += 1;
+                let mut qv = AVec::all_false(qlen);
+                eval_qv(arena, tree, v, query, &child_any_qv, &child_any_qdv, node_qv, &mut qv);
                 // QDV_v(i) = QV_v(i) ∨ (some child's QDV has i).
                 let mut qdv = child_any_qdv;
                 qdv.or_into(&qv, arena);
@@ -524,8 +684,10 @@ fn qualifier_sweep<V: VarLike>(
 }
 
 /// Every `QVect` entry at the non-virtual node `v`, in one lane, from the
-/// folded child vectors (and, for counted folds, the children's own `QV`s).
-fn eval_qv<L: Lane>(
+/// folded child vectors (and, for counted folds, the children's own `QV`s),
+/// written into `qv`.
+#[allow(clippy::too_many_arguments)]
+fn eval_qv<L: QualifierLane>(
     lane: &mut L,
     tree: &XmlTree,
     v: NodeId,
@@ -533,13 +695,12 @@ fn eval_qv<L: Lane>(
     child_any_qv: &L::Vector,
     child_any_qdv: &L::Vector,
     node_qv: &[Option<AVec>],
-) -> L::Vector {
-    let mut qv = L::zeros(query.qvect_len());
+    qv: &mut L::Vector,
+) {
     for (i, entry) in query.qvect.iter().enumerate() {
-        let value = eval_qentry(lane, tree, v, entry, &qv, child_any_qv, child_any_qdv, node_qv);
-        L::set(&mut qv, i, value);
+        let value = eval_qentry(lane, tree, v, entry, qv, child_any_qv, child_any_qdv, node_qv);
+        L::set(qv, i, value);
     }
-    qv
 }
 
 /// `text` read as a number (whitespace trimmed, a leading `$` tolerated)
@@ -560,7 +721,7 @@ fn numeric_holds(text: Option<&str>, op: CmpOp, n: f64) -> bool {
 /// disjunctive fold is not enough (only the children at accepted sibling
 /// positions may witness the step).
 #[allow(clippy::too_many_arguments)]
-fn eval_qentry<L: Lane>(
+fn eval_qentry<L: QualifierLane>(
     lane: &mut L,
     tree: &XmlTree,
     v: NodeId,
@@ -680,6 +841,8 @@ pub struct SelectionPassOutput<V: Ord> {
     pub virtual_vectors: Vec<(NodeId, CompactVector<V>)>,
     /// Elementary operations performed.
     pub ops: u64,
+    /// Nodes per lane.
+    pub lanes: LaneCounts,
 }
 
 /// Evaluate the selection path over the subtree rooted at `root`, top-down,
@@ -706,6 +869,16 @@ pub fn selection_pass<V: VarLike>(
     })
 }
 
+/// A vector as the selection sweep holds it: a node's carried vector (its
+/// parent's `SV` entries followed by its own positional facts) or its `SV`.
+enum Held {
+    /// A vector of the word or the arena lane.
+    Vector(AVec),
+    /// Disjunct sets in the sweep's buffers: a carried vector is the last
+    /// region of the set stack, an `SV` is in `sv_sets`.
+    Sets,
+}
+
 /// The top-down sweep (§3.2): the one pre-order loop body of the kernel.
 /// `qual_id(arena, v, e)` is the value of `QVect` entry `e` at node `v` as an
 /// id in `arena`; residual formulas leave the arena only where they leave
@@ -719,30 +892,36 @@ fn selection_sweep<V: VarLike>(
     context: Option<NodeId>,
     qual_id: &mut impl FnMut(&mut FormulaArena<V>, NodeId, QEntryId) -> ExprId,
 ) -> SelectionPassOutput<V> {
-    let slen = query.svect_len();
-    debug_assert_eq!(
-        init.len(),
-        query.init_len(),
-        "init vector must have |SVect| + |positions| entries"
-    );
+    let (slen, width, facts) = (query.svect_len(), query.init_len(), query.sel_positions.len());
+    debug_assert_eq!(init.len(), width, "init vector must have |SVect| + |positions| entries");
     let mut out = SelectionPassOutput {
         answers: Vec::new(),
         candidates: Vec::new(),
         virtual_vectors: Vec::new(),
         ops: 0,
+        lanes: LaneCounts::default(),
     };
     // Below a node whose SV is all false every SV is all false — unless a
     // positional fact or the evaluation context sits below it, so only then
     // is a dead subtree walked in full.
-    let fast_forward = query.sel_positions.is_empty() && context.is_none_or(|c| c == root);
+    let fast_forward = facts == 0 && context.is_none_or(|c| c == root);
 
     // Explicit DFS stack carrying the parent's (summarised) SV vector plus,
     // when the query has positional predicates, the node's own positional
     // facts (entries slen..slen+P, computed by the parent while pushing).
-    // `rows` is the sweep's fact scratch; neither it nor the stack allocates
-    // per node once grown.
+    // A symbolic init of at most 62 entries opens the disjunction lane: its
+    // stack entries keep their sets in `sets`, one region of `width` words
+    // each, in stack order, and a node's SV goes to `sv_sets`. `rows` is the
+    // sweep's fact scratch; none of them allocates per node once grown.
     let init = AVec::from_compact(init, arena);
-    let mut stack: Vec<(NodeId, AVec)> = vec![(root, init)];
+    let (atoms, carried) = match init {
+        AVec::Ids(ids) if ids.len() <= MAX_ATOMS => (Atoms(ids), Held::Sets),
+        init => (Atoms(Vec::new()), Held::Vector(init)),
+    };
+    let mut sets: Vec<u64> =
+        atoms.0.iter().map(|&id| atoms.set_of(id, arena).expect("an atom is a set")).collect();
+    let mut sv_sets = vec![0; if atoms.0.is_empty() { 0 } else { slen }];
+    let mut stack: Vec<(NodeId, Held)> = vec![(root, carried)];
     let mut rows: Vec<BitVector> = Vec::new();
     while let Some((v, carried)) = stack.pop() {
         if tree.is_virtual(v) {
@@ -750,30 +929,98 @@ fn selection_sweep<V: VarLike>(
             // of the missing fragment's root (and the root's own positional
             // facts) — exactly what that fragment needs as its initial
             // vector (§3.2, Example 3.4).
-            out.virtual_vectors.push((v, carried.into_compact(arena)));
+            let summary = match carried {
+                Held::Vector(vector) if vector.word().is_some() => {
+                    out.lanes.word += 1;
+                    vector
+                }
+                Held::Vector(vector) => {
+                    out.lanes.arena += 1;
+                    vector
+                }
+                Held::Sets => {
+                    out.lanes.disjunction += 1;
+                    let at = sets.len() - width;
+                    let vector = atoms.vector_of(&sets[at..], arena);
+                    sets.truncate(at);
+                    vector
+                }
+            };
+            out.virtual_vectors.push((v, summary.into_compact(arena)));
             out.ops += slen as u64;
             continue;
         }
 
-        // The word lane, unless the carried vector or a qualifier value read
-        // at `v` is symbolic. Giving up re-reads nothing into the arena: up
-        // to the first symbolic value every read was constant.
-        let word = carried.word().and_then(|carried| {
-            compute_sv(&mut Word, tree, v, query, &carried, context, &mut |_, v, e| {
-                qual_id(arena, v, e).as_const()
-            })
-        });
-        let sv = match word {
-            Some(sv) => AVec::from_word(slen, sv),
-            None => compute_sv(arena, tree, v, query, &carried, context, &mut |arena, v, e| {
-                Some(qual_id(arena, v, e))
-            })
-            .expect("the arena lane holds every value"),
+        // A node runs in the lane of its carried vector, unless a value it
+        // reads or computes is not representable there: then it reruns in
+        // the arena lane. Giving up re-reads nothing into the arena: up to
+        // the first symbolic qualifier value every read was constant.
+        let sv = match carried {
+            Held::Sets => {
+                let at = sets.len() - width;
+                let carried = &sets[at..];
+                let held = compute_sv(
+                    &mut Disjunction,
+                    tree,
+                    v,
+                    query,
+                    carried,
+                    &mut sv_sets,
+                    context,
+                    &mut |_, v, e| qual_id(arena, v, e).as_const().map(u64::from),
+                )
+                .is_some()
+                    && sv_sets.iter().all(|&set| set & LOST == 0);
+                let sv = if held {
+                    out.lanes.disjunction += 1;
+                    Held::Sets
+                } else {
+                    out.lanes.arena += 1;
+                    let carried = atoms.vector_of(carried, arena);
+                    Held::Vector(arena_sv(arena, tree, v, query, &carried, context, qual_id))
+                };
+                sets.truncate(at);
+                sv
+            }
+            Held::Vector(carried) => {
+                let mut word = 0;
+                let held = carried.word().is_some_and(|carried| {
+                    compute_sv(
+                        &mut Word,
+                        tree,
+                        v,
+                        query,
+                        &carried,
+                        &mut word,
+                        context,
+                        &mut |_, v, e| qual_id(arena, v, e).as_const(),
+                    )
+                    .is_some()
+                });
+                if held {
+                    out.lanes.word += 1;
+                    Held::Vector(AVec::from_word(slen, word))
+                } else {
+                    out.lanes.arena += 1;
+                    Held::Vector(arena_sv(arena, tree, v, query, &carried, context, qual_id))
+                }
+            }
+        };
+        // Fallback is per node: the children of an arena-lane node re-enter
+        // the disjunction lane when its SV holds only sets.
+        let sv = match sv {
+            Held::Vector(sv @ AVec::Ids(_)) if atoms.sets_of(&sv, arena, &mut sv_sets) => {
+                Held::Sets
+            }
+            sv => sv,
         };
         out.ops += slen as u64;
 
         if tree.is_element(v) || query.sel_items.is_empty() {
-            let last = sv.id(slen - 1);
+            let last = match &sv {
+                Held::Sets => atoms.id_of(sv_sets[slen - 1], arena),
+                Held::Vector(sv) => sv.id(slen - 1),
+            };
             if last == ExprId::TRUE {
                 out.answers.push(v);
             } else if !last.is_const() {
@@ -781,7 +1028,12 @@ fn selection_sweep<V: VarLike>(
             }
         }
 
-        if fast_forward && sv.word() == Some(0) {
+        let dead = fast_forward
+            && match &sv {
+                Held::Sets => sv_sets.iter().all(|&set| set == 0),
+                Held::Vector(sv) => sv.word() == Some(0),
+            };
+        if dead {
             // The summary every node below `v` carries is all false; only
             // the virtual nodes need it, in the order the full walk would
             // reach them. Each node passed over costs what visiting it does.
@@ -790,6 +1042,7 @@ fn selection_sweep<V: VarLike>(
                     out.virtual_vectors.push((d, CompactVector::all_false(slen)));
                 }
                 out.ops += slen as u64;
+                out.lanes.fast_forwarded += 1;
             }
             continue;
         }
@@ -801,40 +1054,81 @@ fn selection_sweep<V: VarLike>(
         // are pushed in document order and the run is reversed in place, so
         // the first child is popped first.
         let first = stack.len();
-        if query.sel_positions.is_empty() {
-            stack.extend(tree.children(v).map(|c| (c, sv.clone())));
-        } else {
+        if facts > 0 {
             child_fact_rows(tree, v, query, &mut rows);
-            out.ops += (rows.len() * query.sel_positions.len()) as u64;
-            stack.extend(tree.children(v).zip(&rows).map(|(c, row)| (c, sv.extended_with(row))));
+            out.ops += (rows.len() * facts) as u64;
+        }
+        match sv {
+            Held::Sets => {
+                // Each child's region is written back to front, and the run
+                // is reversed with the stack's: the first child's region
+                // ends up last, front to back.
+                let base = sets.len();
+                for (k, c) in tree.children(v).enumerate() {
+                    if facts > 0 {
+                        let row = &rows[k];
+                        sets.extend((0..facts).rev().map(|j| u64::from(row.get(j))));
+                    }
+                    sets.extend(sv_sets.iter().rev());
+                    stack.push((c, Held::Sets));
+                }
+                sets[base..].reverse();
+            }
+            Held::Vector(sv) if facts == 0 => {
+                stack.extend(tree.children(v).map(|c| (c, Held::Vector(sv.clone()))));
+            }
+            Held::Vector(sv) => stack.extend(
+                tree.children(v)
+                    .zip(&rows)
+                    .map(|(c, row)| (c, Held::Vector(sv.extended_with(row)))),
+            ),
         }
         stack[first..].reverse();
     }
     out
 }
 
+/// A node's `SV` in the arena lane, which holds every value.
+fn arena_sv<V: VarLike>(
+    arena: &mut FormulaArena<V>,
+    tree: &XmlTree,
+    v: NodeId,
+    query: &CompiledQuery,
+    carried: &AVec,
+    context: Option<NodeId>,
+    qual_id: &mut impl FnMut(&mut FormulaArena<V>, NodeId, QEntryId) -> ExprId,
+) -> AVec {
+    let mut sv = AVec::all_false(query.svect_len());
+    compute_sv(arena, tree, v, query, carried, &mut sv, context, &mut |arena, v, e| {
+        Some(qual_id(arena, v, e))
+    })
+    .expect("the arena lane holds every value");
+    sv
+}
+
 /// Compute the `SV` vector of a node from its carried vector (the parent's
-/// `SV` entries followed by this node's positional facts). The result has
-/// `svect_len` entries — the caller appends the children's facts when
+/// `SV` entries followed by this node's positional facts) into `sv`, which
+/// has `svect_len` entries — the caller appends the children's facts when
 /// pushing them.
 ///
-/// `qual(lane, v, e)` is the value of `QVect` entry `e` at `v`; the word
-/// lane's reader returns `None` for a symbolic value, and so does this
-/// function then.
+/// `qual(lane, v, e)` is the value of `QVect` entry `e` at `v`; the reader of
+/// a lane without symbolic qualifier values returns `None` for one, and so
+/// does this function then.
+#[allow(clippy::too_many_arguments)]
 fn compute_sv<L: Lane>(
     lane: &mut L,
     tree: &XmlTree,
     v: NodeId,
     query: &CompiledQuery,
     carried: &L::Vector,
+    sv: &mut L::Vector,
     context: Option<NodeId>,
     qual: &mut impl FnMut(&mut L, NodeId, QEntryId) -> Option<L::Value>,
-) -> Option<L::Vector> {
+) -> Option<()> {
     let slen = query.svect_len();
     let f = L::constant(false);
-    let mut sv = L::zeros(slen);
     // Entry 0: the empty prefix — true only at the evaluation context.
-    L::set(&mut sv, 0, L::constant(Some(v) == context));
+    L::set(sv, 0, L::constant(Some(v) == context));
     for (idx, item) in query.sel_items.iter().enumerate() {
         let i = idx + 1;
         let mut value = match item {
@@ -852,9 +1146,9 @@ fn compute_sv<L: Lane>(
                     f
                 }
             }
-            SelItem::DescendantOrSelf => lane.or(L::get(carried, i), L::get(&sv, i - 1)),
+            SelItem::DescendantOrSelf => lane.or(L::get(carried, i), L::get(sv, i - 1)),
             SelItem::SelfQualifier(quals) => {
-                let mut acc = L::get(&sv, i - 1);
+                let mut acc = L::get(sv, i - 1);
                 for q in quals {
                     if acc == f {
                         break;
@@ -875,9 +1169,9 @@ fn compute_sv<L: Lane>(
                 }
             }
         }
-        L::set(&mut sv, i, value);
+        L::set(sv, i, value);
     }
-    Some(sv)
+    Some(())
 }
 
 /// Result of the PaX2 visit ([`combined_pass`]) over one subtree.
@@ -894,6 +1188,10 @@ pub struct CombinedPassOutput<V: Ord> {
     pub root: QualVectors<V>,
     /// Elementary operations performed.
     pub ops: u64,
+    /// The qualifier sweep's nodes per lane.
+    pub qualifier_lanes: LaneCounts,
+    /// The selection sweep's nodes per lane.
+    pub selection_lanes: LaneCounts,
 }
 
 /// The PaX2 visit (§4) over one subtree: the qualifier sweep, then the
@@ -905,7 +1203,7 @@ pub struct CombinedPassOutput<V: Ord> {
 /// `_local_var` is ignored: the paper's single traversal needs a `qz`
 /// placeholder per not-yet-known qualifier value, two sweeps do not. The
 /// parameter stays because the frozen `benchmark/src/shadow.rs` passes seven
-/// arguments; ROADMAP 7(b) drops it when the shadow is next opened.
+/// arguments; the ROADMAP item "one formula representation" drops it.
 pub fn combined_pass<V: VarLike>(
     tree: &XmlTree,
     root: NodeId,
@@ -926,6 +1224,8 @@ pub fn combined_pass<V: VarLike>(
         virtual_vectors: sel.virtual_vectors,
         root: quals.root_vectors(root, &arena),
         ops: quals.ops + sel.ops,
+        qualifier_lanes: quals.lanes,
+        selection_lanes: sel.lanes,
     }
 }
 
@@ -1141,19 +1441,40 @@ mod tests {
         }
     }
 
-    /// How a visit starts: the root fragment from the query's initial facts
-    /// at its evaluation context, any other fragment from fresh variables.
+    /// How a visit starts.
+    #[derive(Debug, Clone, Copy)]
+    enum Start {
+        /// The root fragment: the query's initial facts at its evaluation
+        /// context.
+        Root,
+        /// Any other fragment: fresh variables.
+        Inner,
+        /// An inner fragment whose init is partly known: entry `i` is `true`
+        /// for `i % 3 == 0`, `false` for `i % 3 == 1`, a variable otherwise.
+        Partial,
+    }
+
+    const STARTS: [Start; 3] = [Start::Root, Start::Inner, Start::Partial];
+
     fn start(
         q: &CompiledQuery,
         tree: &XmlTree,
-        root_fragment: bool,
+        start: Start,
     ) -> (CompactVector<String>, Option<NodeId>) {
         let root = tree.root();
-        if root_fragment {
-            let init = initial_vector(q, tree.label(root).unwrap_or_default());
-            (CompactVector::from_bools(&init), evaluation_context(q, root))
-        } else {
-            (CompactVector::fresh_variables(q.init_len(), |i| format!("z{i}")), None)
+        let variable = |i| BoolExpr::Var(format!("z{i}"));
+        match start {
+            Start::Root => {
+                let init = initial_vector(q, tree.label(root).unwrap_or_default());
+                (CompactVector::from_bools(&init), evaluation_context(q, root))
+            }
+            Start::Inner => {
+                (CompactVector::from_exprs((0..q.init_len()).map(variable).collect()), None)
+            }
+            Start::Partial => {
+                let entry = |i| if i % 3 == 2 { variable(i) } else { BoolExpr::Const(i % 3 == 0) };
+                (CompactVector::from_exprs((0..q.init_len()).map(entry).collect()), None)
+            }
         }
     }
 
@@ -1161,15 +1482,18 @@ mod tests {
     /// arena lane alone — every node's `QV`/`QDV` from its children's stored
     /// vectors, and the selection output from a walk that takes the arena
     /// lane at every node and fast-forwards nowhere — and assert that both
-    /// agree and that each sweep charged the cost model's `ops`.
-    fn assert_lanes_agree(tree: &XmlTree, q: &CompiledQuery, root_fragment: bool) {
+    /// agree, that each sweep charged the cost model's `ops`, and that the
+    /// sweeps counted every node in one lane. Returns the selection sweep's
+    /// lane counts.
+    fn assert_lanes_agree(tree: &XmlTree, q: &CompiledQuery, start_at: Start) -> LaneCounts {
         let (root, qlen, slen) = (tree.root(), q.qvect_len(), q.svect_len());
         let mut arena = FormulaArena::new();
         let quals = qualifier_sweep(&mut arena, tree, root, q, fresh_vectors(tree, qlen));
         let stored = |table: &[Option<AVec>], n: NodeId| table[n.index()].clone().expect("swept");
 
-        let mut qual_ops = 0;
+        let (mut qual_ops, mut qual_nodes) = (0, 0);
         for v in tree.post_order(root).filter(|_| qlen > 0) {
+            qual_nodes += 1;
             if tree.is_virtual(v) {
                 qual_ops += qlen;
                 continue;
@@ -1181,7 +1505,8 @@ mod tests {
                 child_any_qdv.or_into(&stored(&quals.node_qdv, c), &mut arena);
                 qual_ops += 2 * qlen;
             }
-            let qv = eval_qv(&mut arena, tree, v, q, &child_any_qv, &child_any_qdv, &quals.node_qv);
+            let mut qv = AVec::all_false(qlen);
+            eval_qv(&mut arena, tree, v, q, &child_any_qv, &child_any_qdv, &quals.node_qv, &mut qv);
             let mut qdv = child_any_qdv;
             qdv.or_into(&qv, &mut arena);
             qual_ops += 2 * qlen;
@@ -1192,8 +1517,11 @@ mod tests {
             }
         }
         assert_eq!(quals.ops, qual_ops as u64, "qualifier sweep ops");
+        let LaneCounts { word, disjunction, arena: in_arena, fast_forwarded } = quals.lanes;
+        assert_eq!((disjunction, fast_forwarded), (0, 0), "qualifier sweep lanes");
+        assert_eq!(word + in_arena, qual_nodes, "every qualifier node counted once");
 
-        let (init, context) = start(q, tree, root_fragment);
+        let (init, context) = start(q, tree, start_at);
         let qual_id =
             |v: NodeId, e: QEntryId| quals.node_qv[v.index()].as_ref().expect("swept").id(e);
         let sel = selection_sweep(&mut arena, tree, root, q, &init, context, &mut |_, v, e| {
@@ -1205,19 +1533,20 @@ mod tests {
             candidates: Vec::new(),
             virtual_vectors: Vec::new(),
             ops: 0,
+            lanes: LaneCounts::default(),
         };
+        let mut nodes = 0;
         let mut stack = vec![(root, AVec::from_compact(&init, &mut arena))];
         let mut rows = Vec::new();
         while let Some((v, carried)) = stack.pop() {
+            nodes += 1;
             expected.ops += slen as u64;
             if tree.is_virtual(v) {
                 expected.virtual_vectors.push((v, carried.into_compact(&arena)));
                 continue;
             }
-            let sv = compute_sv(&mut arena, tree, v, q, &carried, context, &mut |_, v, e| {
-                Some(qual_id(v, e))
-            })
-            .expect("the arena lane holds every value");
+            let sv =
+                arena_sv(&mut arena, tree, v, q, &carried, context, &mut |_, v, e| qual_id(v, e));
             let last = sv.id(slen - 1);
             if tree.is_element(v) || q.sel_items.is_empty() {
                 if last == ExprId::TRUE {
@@ -1237,6 +1566,13 @@ mod tests {
         assert_eq!(sel.candidates, expected.candidates, "candidates");
         assert_eq!(sel.virtual_vectors, expected.virtual_vectors, "virtual-node summaries");
         assert_eq!(sel.ops, expected.ops, "selection sweep ops");
+        let LaneCounts { word, disjunction, arena: in_arena, fast_forwarded } = sel.lanes;
+        assert_eq!(
+            word + disjunction + in_arena + fast_forwarded,
+            nodes,
+            "every node counted once"
+        );
+        sel.lanes
     }
 
     proptest! {
@@ -1244,9 +1580,9 @@ mod tests {
         fn the_two_lanes_agree_at_every_node(
             tree in common::fragment_strategy(),
             query in common::kernel_query_strategy(),
-            root_fragment in prop::bool::ANY,
+            start_at in prop::sample::select(STARTS.to_vec()),
         ) {
-            assert_lanes_agree(&tree, &compiled(&query), root_fragment);
+            assert_lanes_agree(&tree, &compiled(&query), start_at);
         }
     }
 
@@ -1279,9 +1615,10 @@ mod tests {
     /// One lane-boundary case: the document `tree`, whose subtrees at `cuts`
     /// another site holds, and the query `text`. Checks
     /// * the centralized evaluator against the oracle on `tree`;
-    /// * the two lanes against each other on `tree` and on the cut fragment,
-    ///   as the root fragment and as an inner one;
-    /// * the fragment's PaX2 visit against PaX3's two passes;
+    /// * the lanes against the arena lane alone on `tree` and on the cut
+    ///   fragment, from every [`Start`];
+    /// * the fragment's PaX2 visit against PaX3's two passes, from every
+    ///   start;
     /// * the distributed answer against the oracle: the visit's residual
     ///   formulas resolved from the held subtrees' root vectors, plus each
     ///   held subtree evaluated from the summary the visit ships for it.
@@ -1299,34 +1636,39 @@ mod tests {
 
         let (fragment, origin) = cut(tree, cuts);
         for whole in [tree, &fragment] {
-            for root_fragment in [true, false] {
-                assert_lanes_agree(whole, &q, root_fragment);
+            for start_at in STARTS {
+                assert_lanes_agree(whole, &q, start_at);
             }
         }
 
         let root = fragment.root();
         let fresh = fresh_vectors(&fragment, q.qvect_len());
-        let (init, context) = start(&q, &fragment, true);
-        let quals = qualifier_pass(&fragment, root, &q, fresh);
-        let mut qual_value =
-            |v: NodeId, e| quals.node_qv[v.index()].as_ref().expect("swept").expr(e);
-        let pax3 = selection_pass(&fragment, root, &q, init.clone(), context, &mut qual_value);
-        let pax2 = combined_pass(&fragment, root, &q, init, context, fresh, |_, _| unreachable!());
         let same = |a: &BoolExpr<String>, b: &BoolExpr<String>| {
             let mut arena = FormulaArena::new();
             arena.from_expr(a) == arena.from_expr(b)
         };
-        assert_eq!(pax2.root, quals.root);
-        assert_eq!(pax2.answers, pax3.answers);
-        assert_eq!(pax2.candidates.len(), pax3.candidates.len());
-        for ((n2, f2), (n3, f3)) in pax2.candidates.iter().zip(&pax3.candidates) {
-            assert!(n2 == n3 && same(f2, f3), "candidate {n2:?}: {f2} vs {f3}");
-        }
-        assert_eq!(pax2.virtual_vectors.len(), pax3.virtual_vectors.len());
-        for ((n2, v2), (n3, v3)) in pax2.virtual_vectors.iter().zip(&pax3.virtual_vectors) {
-            assert!(n2 == n3 && (0..v2.len()).all(|i| same(&v2.expr(i), &v3.expr(i))));
-        }
-        assert_eq!(pax2.ops, quals.ops + pax3.ops);
+        let [pax2, _, _] = STARTS.map(|start_at| {
+            let (init, context) = start(&q, &fragment, start_at);
+            let quals = qualifier_pass(&fragment, root, &q, fresh);
+            let mut qual_value =
+                |v: NodeId, e| quals.node_qv[v.index()].as_ref().expect("swept").expr(e);
+            let pax3 = selection_pass(&fragment, root, &q, init.clone(), context, &mut qual_value);
+            let pax2 =
+                combined_pass(&fragment, root, &q, init, context, fresh, |_, _| unreachable!());
+            assert_eq!(pax2.root, quals.root);
+            assert_eq!(pax2.answers, pax3.answers);
+            assert_eq!(pax2.candidates.len(), pax3.candidates.len());
+            for ((n2, f2), (n3, f3)) in pax2.candidates.iter().zip(&pax3.candidates) {
+                assert!(n2 == n3 && same(f2, f3), "candidate {n2:?}: {f2} vs {f3}");
+            }
+            assert_eq!(pax2.virtual_vectors.len(), pax3.virtual_vectors.len());
+            for ((n2, v2), (n3, v3)) in pax2.virtual_vectors.iter().zip(&pax3.virtual_vectors) {
+                assert!(n2 == n3 && (0..v2.len()).all(|i| same(&v2.expr(i), &v3.expr(i))));
+            }
+            assert_eq!(pax2.ops, quals.ops + pax3.ops);
+            assert_eq!(pax2.selection_lanes, pax3.lanes);
+            pax2
+        });
 
         let mut env = Assignment::new();
         for (k, &held) in cuts.iter().enumerate() {
@@ -1505,5 +1847,129 @@ mod tests {
         assert_eq!(shipped[0], (fragment.find_first("x"), &CompactVector::all_false(slen)));
         assert_eq!(shipped[1].0, fragment.find_first("a"));
         assert!(shipped[1].1.as_bools().unwrap().iter().any(|&b| b));
+    }
+
+    #[test]
+    fn an_init_longer_than_62_entries_takes_the_arena_lane() {
+        let mut tree = XmlTree::with_root_element("r");
+        let mut at = tree.root();
+        let mut middle = at;
+        for depth in 1..=40 {
+            at = tree.append_element(at, "e");
+            if depth % 10 == 0 {
+                tree.append_leaf(at, "s", "x");
+            }
+            if depth == 20 {
+                middle = at;
+            }
+        }
+        // 62 entries fill the disjunction lane's bits; 63 do not fit.
+        for (text, width) in [("//*".repeat(30) + "/s", 62), ("//*".repeat(31), 63)] {
+            let q = compiled(&text);
+            assert_eq!(q.init_len(), width);
+            let (fragment, _) = check_boundary(&tree, &[middle], &text);
+            let lanes = assert_lanes_agree(&fragment, &q, Start::Inner);
+            let nodes = fragment.node_count() as u64;
+            if width == 62 {
+                assert_eq!((lanes.arena, lanes.disjunction), (0, nodes), "{text}");
+            } else {
+                assert_eq!((lanes.arena, lanes.disjunction), (nodes, 0), "{text}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_symbolic_qualifier_read_takes_the_arena_lane_at_one_node() {
+        // `a`'s qualifier reads `b`, held elsewhere, under the carried `//`
+        // variable; then the missing `@k`, which is false. Only `a` needs
+        // the arena lane: its SV is sets again, so its children re-enter.
+        let tree = TreeBuilder::new("r")
+            .open("a")
+            .element("b")
+            .open("d")
+            .element("e")
+            .close()
+            .element("d")
+            .close()
+            .build();
+        let text = "//a[b and @k]/d";
+        let (fragment, _) = check_boundary(&tree, &[tree.find_first("b").unwrap()], text);
+        let lanes = assert_lanes_agree(&fragment, &compiled(text), Start::Inner);
+        let expected = LaneCounts { word: 0, disjunction: 5, arena: 1, fast_forwarded: 0 };
+        assert_eq!(lanes, expected);
+    }
+
+    #[test]
+    fn a_positional_fact_under_a_symbolic_init_ands_two_sets() {
+        // At the fragment's root `b`, the step `b[2]` ANDs the carried `//`
+        // variable with the root's own positional fact, another variable.
+        // The conjunction is no set: the root and its children take the
+        // arena lane, and `d`, whose SV drops it, hands its children back.
+        let tree = TreeBuilder::new("b")
+            .element("c")
+            .open("d")
+            .open("b")
+            .element("c")
+            .close()
+            .open("b")
+            .element("c")
+            .close()
+            .close()
+            .build();
+        let text = "//b[2]/c";
+        let q = compiled(text);
+        let held = tree.children(tree.find_first("d").unwrap()).nth(1).unwrap();
+        let (fragment, _) = check_boundary(&tree, &[held], text);
+        let lanes = assert_lanes_agree(&fragment, &q, Start::Inner);
+        assert_eq!(lanes, LaneCounts { word: 0, disjunction: 3, arena: 3, fast_forwarded: 0 });
+
+        let root = fragment.root();
+        let (init, context) = start(&q, &fragment, Start::Inner);
+        let fresh = fresh_vectors(&fragment, q.qvect_len());
+        let visit = combined_pass(&fragment, root, &q, init, context, fresh, |_, _| unreachable!());
+        let var = |i: usize| BoolExpr::Var(format!("z{i}"));
+        let first_c = fragment.children(root).next();
+        let and = BoolExpr::And(vec![var(1), var(q.svect_len())]);
+        assert_eq!(visit.candidates.first(), Some(&(first_c.unwrap(), and)));
+    }
+
+    #[test]
+    fn an_or_of_init_variables_leaves_the_lane_as_the_arena_builds_it() {
+        // Below `a`, `//a//b`'s second `//` holds z1 ∨ z3: the candidate
+        // `b` and the summary shipped for the held `x` carry that `Or`.
+        let tree = TreeBuilder::new("r").open("a").element("b").element("x").close().build();
+        let text = "//a//b";
+        let q = compiled(text);
+        let (fragment, _) = check_boundary(&tree, &[tree.find_first("x").unwrap()], text);
+        let lanes = assert_lanes_agree(&fragment, &q, Start::Inner);
+        assert_eq!(lanes, LaneCounts { word: 0, disjunction: 4, arena: 0, fast_forwarded: 0 });
+
+        let root = fragment.root();
+        let (init, context) = start(&q, &fragment, Start::Inner);
+        let fresh = fresh_vectors(&fragment, q.qvect_len());
+        let visit = combined_pass(&fragment, root, &q, init, context, fresh, |_, _| unreachable!());
+        let var = |i: usize| BoolExpr::Var(format!("z{i}"));
+        let or = BoolExpr::Or(vec![var(1), var(3)]);
+        assert_eq!(visit.candidates, [(fragment.find_first("b").unwrap(), or.clone())]);
+        let f = BoolExpr::Const(false);
+        let summary = CompactVector::from_exprs(vec![f.clone(), var(1), var(1), or, f]);
+        assert_eq!(visit.virtual_vectors, [(fragment.virtual_nodes()[0], summary)]);
+    }
+
+    #[test]
+    fn true_absorbs_a_variable_in_a_partly_known_init() {
+        // From the partial start (true, false, z2, true), `a` matches its
+        // step on a known `true`, so the `//` after it is `true` ∨ z2 =
+        // `true`, and the `b` below is an answer, not a candidate.
+        let tree = TreeBuilder::new("a").open("c").element("b").close().build();
+        let text = "a//b";
+        let q = compiled(text);
+        let lanes = assert_lanes_agree(&tree, &q, Start::Partial);
+        assert_eq!(lanes, LaneCounts { word: 0, disjunction: 3, arena: 0, fast_forwarded: 0 });
+        let (init, context) = start(&q, &tree, Start::Partial);
+        let mut no_qualifier = |_: NodeId, _: QEntryId| -> BoolExpr<String> { unreachable!() };
+        let out = selection_pass(&tree, tree.root(), &q, init, context, &mut no_qualifier);
+        assert_eq!(out.answers, tree.find_all("b"));
+        assert!(out.candidates.is_empty());
     }
 }

@@ -6,6 +6,9 @@
 //! A query without qualifiers allocates no per-node table at all: its
 //! passes' bytes do not grow with the tree either.
 //!
+//! A non-root fragment's selection sweep starts from fresh variables and
+//! runs in the disjunction lane, so it too allocates per pass, not per node.
+//!
 //! This binary has its own counting `#[global_allocator]`. Counts are kept
 //! per thread, so the test harness's other threads do not leak into them.
 
@@ -167,4 +170,44 @@ fn qualifier_free_passes_allocate_no_per_node_table() {
         }
     }
     assert!(grown.is_empty(), "a qualifier-free pass allocates per node: {grown:#?}");
+}
+
+/// Allocations of the two passes that run a selection sweep over `tree`
+/// from fresh variables, as a non-root fragment's visit does.
+fn symbolic_pass_allocations(tree: &XmlTree, query: &CompiledQuery) -> [u64; 2] {
+    let root = tree.root();
+    let init = || CompactVector::fresh_variables(query.init_len(), |i| i as u8);
+    let no_virtual = |_: NodeId| -> QualVectors<u8> { unreachable!("no virtual node") };
+    let combined =
+        allocations(|| combined_pass::<u8>(tree, root, query, init(), None, no_virtual, |_, _| 0));
+    let quals = qualifier_pass::<u8>(tree, root, query, no_virtual);
+    let mut qual_value =
+        |v: NodeId, e: QEntryId| quals.node_qv[v.index()].as_ref().expect("swept").expr(e);
+    let init = init();
+    let selection =
+        allocations(|| selection_pass::<u8>(tree, root, query, init, None, &mut qual_value));
+    [combined, selection]
+}
+
+#[test]
+fn symbolic_init_allocations_do_not_grow_with_the_tree() {
+    let small = people(1_000);
+    let large = people(16_000);
+    let mut grown = Vec::new();
+    // Every person carries a variable down to `zip`, which never matches:
+    // the sweep stays symbolic and produces no candidate.
+    for text in ["//person/address/zip", "//person[address/country=\"US\"]/zip"] {
+        let query = compile_text(text).expect("query compiles");
+        let at_small = symbolic_pass_allocations(&small, &query);
+        let at_large = symbolic_pass_allocations(&large, &query);
+        for (pass, (s, l)) in
+            ["combined_pass", "selection_pass"].iter().zip(at_small.iter().zip(&at_large))
+        {
+            println!("{text:45} {pass:15} {s:>8} → {l:>8} allocations");
+            if l.saturating_sub(*s) > 16 {
+                grown.push(format!("{pass} for {text}: {s} → {l}"));
+            }
+        }
+    }
+    assert!(grown.is_empty(), "a symbolic-init sweep allocates per node: {grown:#?}");
 }
