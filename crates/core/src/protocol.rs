@@ -11,7 +11,9 @@
 //! * the collection visit, [`collect_task`] and [`batch_collect_task`];
 //! * the control tasks [`refrag_task`] and the vacuum sweep.
 //!
-//! Both first-visit tasks run one kernel, `combined_pass_on_fragment`. The
+//! Both first-visit tasks make one kernel call per fragment,
+//! `visit_fragment`: the multi-query task's queries share one qualifier
+//! sweep there (`paxml_xpath::eval`, "Many queries, one visit"). The
 //! multi-query task differs between its uses in one thing only: where an
 //! entry's uncertain answers go. A batch parks them site-side for the
 //! collection visit; a session round ships them with their formulas to the
@@ -78,7 +80,10 @@ use paxml_boolex::{BitVector, BoolExpr, CompactVector};
 use paxml_distsim::SiteLocal;
 use paxml_fragment::{Fragment, FragmentId, UpdateOp};
 use paxml_xml::NodeId;
-use paxml_xpath::eval::{combined_pass, qualifier_pass, selection_pass, QualVectors};
+use paxml_xpath::eval::{
+    multi_combined_pass, qualifier_pass, selection_pass, CombinedPassOutput, QualVectors,
+    VisitQuery,
+};
 use paxml_xpath::{CompiledQuery, QEntryId};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -354,34 +359,47 @@ pub struct EntryResponse {
     pub candidates: Vec<CandidateAnswer>,
 }
 
-/// PaX2's visit kernel (`combined_pass`: qualifier sweep, then selection
-/// sweep) for one query over one fragment, the one place the pass is
-/// configured. Charges its operations, deposits the root vectors and
-/// virtual-node summaries into `out`, and routes the answers: certain ones —
-/// and, when `slot` is `None`, every answer with its formula — go into
-/// `out`; the rest are parked under `slot` for the collection visit.
-fn combined_pass_on_fragment(
+/// PaX2's visit kernel over one fragment, for every query with input there:
+/// one [`multi_combined_pass`] (the qualifier sweep of the queries' union,
+/// each query's spine and selection sweeps), the one place the pass is
+/// configured. Charges the union phases' operations once; each visit is then
+/// routed by [`route_visit`].
+fn visit_fragment(
+    site: &mut SiteLocal,
+    fragment: &Fragment,
+    entries: &[(&CompiledQuery, &CombinedFragmentInput)],
+) -> Vec<CombinedPassOutput<PaxVar>> {
+    let (fid, root) = (fragment.id, fragment.tree.root());
+    let queries: Vec<VisitQuery<PaxVar>> = entries
+        .iter()
+        .map(|&(query, input)| VisitQuery {
+            query,
+            init: build_init(fid, &input.init, query.init_len()),
+            context: input.root_is_context.then_some(root),
+        })
+        .collect();
+    let pass = multi_combined_pass(&fragment.tree, root, &queries, |i, vnode| {
+        fresh_qual_vectors(virtual_child(fragment, vnode), queries[i].query.qvect_len())
+    });
+    site.charge_ops(pass.sharing.union_ops);
+    pass.visits
+}
+
+/// One query's visit of one fragment: charges its operations, deposits the
+/// root vectors and virtual-node summaries into `out`, and routes the
+/// answers: certain ones — and, when `slot` is `None`, every answer with its
+/// formula — go into `out`; the rest are parked under `slot` for the
+/// collection visit.
+fn route_visit(
     site: &mut SiteLocal,
     epoch: u64,
     slot: Option<usize>,
     fragment: &Fragment,
-    query: &CompiledQuery,
     input: &CombinedFragmentInput,
+    pass: CombinedPassOutput<PaxVar>,
     out: &mut EntryResponse,
 ) {
     let fid = fragment.id;
-    let qlen = query.qvect_len();
-    let init = build_init(fid, &input.init, query.init_len());
-    let context = if input.root_is_context { Some(fragment.tree.root()) } else { None };
-    let pass = combined_pass::<PaxVar>(
-        &fragment.tree,
-        fragment.tree.root(),
-        query,
-        init,
-        context,
-        |vnode| fresh_qual_vectors(virtual_child(fragment, vnode), qlen),
-        |_, _| unreachable!("the kernel mints no placeholder"),
-    );
     site.charge_ops(pass.ops);
     out.roots.insert(fid, pass.root);
     for (vnode, vector) in pass.virtual_vectors {
@@ -414,8 +432,9 @@ pub fn combined_task(
     let mut out = EntryResponse::default();
     for (&fragment_id, input) in &request.fragments {
         let fragment = snapshot(site, fragment_id, epoch);
-        let slot = Some(request.slot);
-        combined_pass_on_fragment(site, epoch, slot, &fragment, &request.query, input, &mut out);
+        let pass = visit_fragment(site, &fragment, &[(&request.query, input)]).pop();
+        let pass = pass.expect("one query, one visit");
+        route_visit(site, epoch, Some(request.slot), &fragment, input, pass, &mut out);
     }
     debug_assert!(out.candidates.is_empty(), "a parking visit ships no formula");
     CombinedResponse { roots: out.roots, virtuals: out.virtuals, answers: out.answers }
@@ -492,7 +511,7 @@ impl MultiCombinedResponse {
 /// snapshots.
 ///
 /// The loop is *fragment-major*: each fragment is taken out of the site map
-/// once and every entry naming it runs its pass over it.
+/// once, and one kernel call visits it for every entry naming it.
 pub fn multi_combined_task(
     site: &mut SiteLocal,
     epoch: u64,
@@ -504,10 +523,16 @@ pub fn multi_combined_task(
         request.entries.iter().flat_map(|(_, inputs)| inputs.keys().copied()).collect();
     for fragment_id in needed {
         let fragment = snapshot(site, fragment_id, epoch);
-        for (i, ((query, inputs), out)) in request.entries.iter().zip(&mut entries).enumerate() {
-            let Some(input) = inputs.get(&fragment_id) else { continue };
+        let (at, visiting): (Vec<usize>, Vec<_>) = request
+            .entries
+            .iter()
+            .enumerate()
+            .filter_map(|(i, (query, inputs))| Some((i, (query, inputs.get(&fragment_id)?))))
+            .unzip();
+        let passes = visit_fragment(site, &fragment, &visiting);
+        for ((i, (_, input)), pass) in at.into_iter().zip(visiting).zip(passes) {
             let slot = request.park.map(|base| base + i);
-            combined_pass_on_fragment(site, epoch, slot, &fragment, query, input, out);
+            route_visit(site, epoch, slot, &fragment, input, pass, &mut entries[i]);
         }
     }
     MultiCombinedResponse { ops, entries }

@@ -371,6 +371,17 @@ struct CachedBlock {
     root: usize,
 }
 
+/// Splice a query's `qvect` into `union`, the `QVect` several queries share
+/// in one multi-query visit: entries already in `union` are re-used, exactly
+/// as compiling one query re-uses them. Returns, for every entry of `qvect`,
+/// its id in `union`; distinct entries get distinct ids.
+pub(crate) fn splice_qvect(union: &mut Vec<QEntry>, qvect: &[QEntry]) -> Vec<QEntryId> {
+    let mut compiler = Compiler { qvect: std::mem::take(union), cache: None };
+    let map = compiler.splice(qvect);
+    *union = compiler.qvect;
+    map
+}
+
 /// Rewrite every entry-id reference through `map` (old id → new id).
 fn remap_entry(e: &QEntry, map: &[QEntryId]) -> QEntry {
     match e {
@@ -456,16 +467,17 @@ impl Compiler<'_> {
         self.qvect.len() - 1
     }
 
-    /// Splice a cached block into this compiler's `QVect`, entry by entry in
-    /// the block's (topological) order; `push` re-uses identical entries, so
-    /// splicing is a no-op when the subtree is already present.
-    fn splice(&mut self, block: &CachedBlock) -> QEntryId {
-        let mut map: Vec<QEntryId> = Vec::with_capacity(block.entries.len());
-        for e in &block.entries {
+    /// Splice `entries` (topologically ordered, with ids local to them, as a
+    /// cached block's or a whole `QVect`) into this compiler's `QVect`, entry
+    /// by entry; `push` re-uses identical entries, so splicing is a no-op
+    /// when they are already present. Returns the id each entry got.
+    fn splice(&mut self, entries: &[QEntry]) -> Vec<QEntryId> {
+        let mut map: Vec<QEntryId> = Vec::with_capacity(entries.len());
+        for e in entries {
             let remapped = remap_entry(e, &map);
             map.push(self.push(remapped));
         }
-        map[block.root]
+        map
     }
 
     /// Extract the reachable closure of `root` as a relocatable block with
@@ -517,7 +529,7 @@ impl Compiler<'_> {
                 if let Some(c) = self.cache.as_mut() {
                     c.hits += 1;
                 }
-                return Ok(self.splice(&block));
+                return Ok(self.splice(&block.entries)[block.root]);
             }
             let root = self.compile_qual_uncached(q)?;
             let block = self.extract(root);

@@ -19,7 +19,9 @@
 //!   qualifier sweep, then selection sweep reading the first sweep's vectors
 //!   in place. The paper fuses the two into one traversal with `qz`
 //!   placeholder variables; two in-memory sweeps inside the same visit need
-//!   no placeholder and no substitution (see PAPER.md, "Deviations").
+//!   no placeholder and no substitution (see PAPER.md, "Deviations");
+//! * [`multi_combined_pass`] — the PaX2 visit of many queries at once, of
+//!   which [`combined_pass`] is the batch of one (below).
 //!
 //! All passes are generic over the variable type `V` so that the distributed
 //! layer can use globally-unique variable names while the centralized
@@ -79,12 +81,46 @@
 //! [`CompactVector`]s (bits for fully-constant vectors, self-contained
 //! [`BoolExpr`] trees otherwise), which is also the wire format: a
 //! variable-free leaf fragment ships `⌈len/64⌉` words per vector.
+//!
+//! # Many queries, one visit
+//!
+//! A node with no virtual node below it has a constant `QV`/`QDV` for every
+//! query, and the word lane computes it. So a visit of many queries sweeps
+//! their qualifiers in two phases:
+//!
+//! * the **union phase** runs the post-order loop once over the *union* of
+//!   the queries' `QVect`s — each query's entries spliced in through the
+//!   compiler's dedup, which gives every query an injective map from its
+//!   entries to the union's. It stores one word per node for `QV` and one
+//!   for `QDV`, and leaves to the spine phases the *spine*: the virtual
+//!   nodes and their ancestors (a node is on it when it is virtual or has a
+//!   child on it), recorded in post-order;
+//! * each query's **spine phase** then runs the loop's per-node step over
+//!   the spine only, in the query's own arena: virtual-node import, child
+//!   folds and the word or arena lane, reading an off-spine child's vectors
+//!   — and, in a counted fold, its `QV` entries — from the union's words
+//!   through the query's map. Its selection sweep follows, as for one query.
+//!
+//! Queries are grouped greedily so that each group's union fits one word; a
+//! query wider than a word on its own is a group whose spine is every node,
+//! which is one query's sweep as before. The union phase charges what a
+//! sweep over the union `QVect` charges, `2·|union|` per child fold and per
+//! node, on the nodes it computes; a spine phase charges the usual rule on
+//! the spine. A batch of one — [`combined_pass`] — has the identity map and
+//! charges exactly one sweep's `ops`.
+//!
+//! **Why outputs cannot change.** The word lane interns nothing, so a
+//! query's arena receives, in the same order, exactly the interns its visit
+//! alone gives it: those of its spine nodes, then those of its selection
+//! sweep. Its answers, candidate formulas, virtual-node and root vectors are
+//! therefore `==` to its single visit's, and so are the bytes it ships.
 
 use crate::ast::CmpOp;
-use crate::compile::{CompiledQuery, PosFilter, QAxis, QEntry, QEntryId, SelItem};
+use crate::compile::{splice_qvect, CompiledQuery, PosFilter, QAxis, QEntry, QEntryId, SelItem};
 use paxml_boolex::{BitVector, BoolExpr, CompactVector, ExprId, FormulaArena};
 use paxml_xml::{NodeId, XmlTree};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::hash::Hash;
 
 /// Trait bound shorthand for formula variables.
@@ -219,8 +255,8 @@ trait Lane {
 
 /// What the qualifier sweep needs beyond [`Lane`]: its word and arena lanes.
 trait QualifierLane: Lane {
-    /// Entry `index` of a child's stored `QV` (read by positional folds).
-    fn stored(vector: &AVec, index: usize) -> Self::Value;
+    /// An entry of a child's stored `QV` (read by positional folds).
+    fn stored(id: ExprId) -> Self::Value;
     fn not(&mut self, operand: Self::Value) -> Self::Value;
     fn and_all(&mut self, operands: impl IntoIterator<Item = Self::Value>) -> Self::Value;
     fn or_all(&mut self, operands: impl IntoIterator<Item = Self::Value>) -> Self::Value;
@@ -256,8 +292,8 @@ impl Lane for Word {
 }
 
 impl QualifierLane for Word {
-    fn stored(vector: &AVec, index: usize) -> bool {
-        vector.id(index).as_const().expect("the word lane reads constant children only")
+    fn stored(id: ExprId) -> bool {
+        id.as_const().expect("the word lane reads constant children only")
     }
 
     fn not(&mut self, operand: bool) -> bool {
@@ -353,8 +389,8 @@ impl<V: VarLike> Lane for FormulaArena<V> {
 }
 
 impl<V: VarLike> QualifierLane for FormulaArena<V> {
-    fn stored(vector: &AVec, index: usize) -> ExprId {
-        vector.id(index)
+    fn stored(id: ExprId) -> ExprId {
+        id
     }
 
     fn not(&mut self, operand: ExprId) -> ExprId {
@@ -561,61 +597,223 @@ pub fn qualifier_pass<V: VarLike>(
     virtual_vectors: impl FnMut(NodeId) -> QualVectors<V>,
 ) -> QualifierPassOutput<V> {
     let mut arena: FormulaArena<V> = FormulaArena::new();
-    let sweep = qualifier_sweep(&mut arena, tree, root, query, virtual_vectors);
-    let root = sweep.root_vectors(root, &arena);
-    let node_qv =
-        sweep.node_qv.into_iter().map(|av| av.map(|av| av.into_compact(&arena))).collect();
-    QualifierPassOutput { node_qv, root, ops: sweep.ops, lanes: sweep.lanes }
-}
-
-/// What the qualifier sweep leaves in the arena: every node's `QV`, the
-/// subtree root's `QDV`, and the operation count.
-struct QualSweep {
-    /// Per-node `QV`, indexed by arena index; `None` outside the subtree.
-    /// Both tables are empty for a query without qualifiers.
-    node_qv: Vec<Option<AVec>>,
-    /// Per-node `QDV`, indexed likewise.
-    node_qdv: Vec<Option<AVec>>,
-    ops: u64,
-    lanes: LaneCounts,
-}
-
-impl QualSweep {
-    /// The subtree root's `QV`/`QDV` in wire form (unswept only for a query
-    /// without qualifiers, whose vectors are empty).
-    fn root_vectors<V: VarLike>(&self, root: NodeId, arena: &FormulaArena<V>) -> QualVectors<V> {
-        let export = |vectors: &[Option<AVec>]| match vectors.get(root.index()) {
-            Some(Some(av)) => av.clone().into_compact(arena),
-            _ => CompactVector::all_false(0),
-        };
-        QualVectors { qv: export(&self.node_qv), qdv: export(&self.node_qdv) }
+    let union = union_sweep::<V>(tree, root, &query.qvect);
+    let sweep = spine_sweep(&mut arena, tree, query, &union, None, virtual_vectors);
+    let mut node_qv = Vec::new();
+    if query.has_qualifiers() {
+        node_qv.resize(tree.node_count(), None);
+        for v in tree.post_order(root) {
+            node_qv[v.index()] = Some(sweep.vectors(v).0.into_compact(&arena));
+        }
     }
+    let root = sweep.root_vectors(root, &arena);
+    QualifierPassOutput { node_qv, root, ops: union.ops + sweep.ops, lanes: sweep.lanes }
 }
 
-/// The bottom-up sweep (§3.1): `QV`/`QDV` of every node of the subtree, as
-/// working vectors in `arena`. The one post-order loop body of the kernel.
-fn qualifier_sweep<V: VarLike>(
-    arena: &mut FormulaArena<V>,
-    tree: &XmlTree,
-    root: NodeId,
-    query: &CompiledQuery,
-    mut virtual_vectors: impl FnMut(NodeId) -> QualVectors<V>,
-) -> QualSweep {
-    let qlen = query.qvect_len();
-    if qlen == 0 {
+/// Marks a node off the spine in [`Union::spine_at`].
+const OFF_SPINE: u32 = u32::MAX;
+
+/// What a union phase leaves for the spine phases of its queries (see the
+/// module doc, "Many queries, one visit"). Every table is indexed by arena
+/// index and empty for a query without qualifiers.
+#[derive(Debug, Default)]
+struct Union {
+    /// `QV` of the union `QVect` at every node off the spine, as one word.
+    /// Empty when the union is wider than a word.
+    qv: Vec<u64>,
+    /// `QDV`, likewise.
+    qdv: Vec<u64>,
+    /// A node's position in `spine`, or [`OFF_SPINE`].
+    spine_at: Vec<u32>,
+    /// The nodes the union phase left to the spine phases, in post-order:
+    /// the virtual nodes and their ancestors, or every node when the union
+    /// is wider than a word.
+    spine: Vec<NodeId>,
+    /// Nodes the union phase computed.
+    nodes: u64,
+    /// Operations the union phase performed.
+    ops: u64,
+}
+
+/// The union phase: the bottom-up sweep (§3.1) of the union `QVect` over
+/// the subtree at `root` — the kernel's one post-order loop. A node is on
+/// the *spine* when it is virtual or has a child on the spine; the loop
+/// records it there for the spine phases and computes every other node,
+/// whose children are all constant, in the word lane.
+fn union_sweep<V: VarLike>(tree: &XmlTree, root: NodeId, qvect: &[QEntry]) -> Union {
+    if qvect.is_empty() {
         // No qualifier, nothing to compute bottom-up and no per-node table
         // to fill: PaX3 skips Stage 1 for such a query, and so does every
         // PaX2 and centralized visit.
-        return QualSweep {
-            node_qv: Vec::new(),
-            node_qdv: Vec::new(),
-            ops: 0,
-            lanes: LaneCounts::default(),
-        };
+        return Union::default();
     }
+    let (nodes, words) = (tree.node_count(), qvect.len() <= WORD);
+    let table = if words { nodes } else { 0 };
+    let mut union = Union {
+        qv: vec![0; table],
+        qdv: vec![0; table],
+        spine_at: vec![OFF_SPINE; nodes],
+        ..Union::default()
+    };
+    let (mut ops, mut lanes) = (0, LaneCounts::default());
+    for v in tree.post_order(root) {
+        if !words
+            || tree.is_virtual(v)
+            || tree.children(v).any(|c| union.spine_at[c.index()] != OFF_SPINE)
+        {
+            union.spine_at[v.index()] = union.spine.len() as u32;
+            union.spine.push(v);
+            continue;
+        }
+        let stored = Stored { union: &union, map: None, qlen: qvect.len(), qv: &[], qdv: &[] };
+        let vectors = sweep_node::<V>(None, tree, v, qvect, false, stored, &mut ops, &mut lanes);
+        let Pair::Words(qv, qdv) = vectors else {
+            unreachable!("a node off the spine folds constant words")
+        };
+        union.qv[v.index()] = qv;
+        union.qdv[v.index()] = qdv;
+    }
+    (union.ops, union.nodes) = (ops, lanes.word);
+    union
+}
+
+/// Entries a word holds: the word lane's limit.
+const WORD: usize = 64;
+
+/// What one query's qualifier sweep leaves in its arena: the `QV`/`QDV` of
+/// every spine node, read beside the union phase's words.
+struct QualSweep<'u> {
+    union: &'u Union,
+    /// The query's entry map into the union (see [`Stored::map`]).
+    map: Option<&'u [QEntryId]>,
+    qlen: usize,
+    /// `QV` per spine position.
+    qv: Vec<AVec>,
+    /// `QDV` per spine position.
+    qdv: Vec<AVec>,
+    /// The spine phase's operations.
+    ops: u64,
+    /// Nodes per lane, the union phase's counted in the word lane.
+    lanes: LaneCounts,
+}
+
+impl QualSweep<'_> {
+    #[inline]
+    fn stored(&self) -> Stored<'_> {
+        Stored { union: self.union, map: self.map, qlen: self.qlen, qv: &self.qv, qdv: &self.qdv }
+    }
+
+    /// Entry `e` of `v`'s `QV` as an arena id.
+    #[inline]
+    fn id(&self, v: NodeId, e: QEntryId) -> ExprId {
+        self.stored().id(v, e)
+    }
+
+    /// `v`'s `QV` and `QDV`.
+    fn vectors(&self, v: NodeId) -> (AVec, AVec) {
+        match self.stored().child(v) {
+            Child::Words(qv, qdv) => {
+                (AVec::from_word(self.qlen, qv), AVec::from_word(self.qlen, qdv))
+            }
+            Child::Vectors(qv, qdv) => (qv.clone(), qdv.clone()),
+        }
+    }
+
+    /// The subtree root's `QV`/`QDV` in wire form (unswept only for a query
+    /// without qualifiers, whose vectors are empty).
+    fn root_vectors<V: VarLike>(&self, root: NodeId, arena: &FormulaArena<V>) -> QualVectors<V> {
+        if self.qlen == 0 {
+            return QualVectors::all_false(0);
+        }
+        let (qv, qdv) = self.vectors(root);
+        QualVectors { qv: qv.into_compact(arena), qdv: qdv.into_compact(arena) }
+    }
+}
+
+/// Where a query's sweep reads the vectors of a node it has swept: the
+/// spine phase's own vectors on the spine, the union phase's words, through
+/// the query's entry map, off it.
+#[derive(Clone, Copy)]
+struct Stored<'a> {
+    union: &'a Union,
+    /// The union entry of each of the query's entries. `None` when they are
+    /// the union's first `qlen` entries in order — a batch of one, or the
+    /// first query of a group.
+    map: Option<&'a [QEntryId]>,
+    qlen: usize,
+    /// `QV` per spine position swept so far.
+    qv: &'a [AVec],
+    /// `QDV` per spine position swept so far.
+    qdv: &'a [AVec],
+}
+
+/// A swept node's vectors as a sweep folds them.
+enum Child<'a> {
+    /// `QV` and `QDV` as one word each.
+    Words(u64, u64),
+    /// Either is wider than a word or symbolic.
+    Vectors(&'a AVec, &'a AVec),
+}
+
+impl<'a> Stored<'a> {
+    /// The query's entries of a union word.
+    #[inline]
+    fn gather(&self, word: u64) -> u64 {
+        match self.map {
+            None => word & (u64::MAX >> (WORD - self.qlen)),
+            Some(map) => map.iter().enumerate().fold(0, |out, (i, &u)| out | (word >> u & 1) << i),
+        }
+    }
+
+    #[inline]
+    fn child(&self, c: NodeId) -> Child<'a> {
+        match self.union.spine_at[c.index()] {
+            OFF_SPINE => Child::Words(
+                self.gather(self.union.qv[c.index()]),
+                self.gather(self.union.qdv[c.index()]),
+            ),
+            at => {
+                let (qv, qdv) = (&self.qv[at as usize], &self.qdv[at as usize]);
+                match (qv.word(), qdv.word()) {
+                    (Some(qv), Some(qdv)) => Child::Words(qv, qdv),
+                    _ => Child::Vectors(qv, qdv),
+                }
+            }
+        }
+    }
+
+    /// Entry `e` of `v`'s `QV` as an arena id.
+    #[inline]
+    fn id(&self, v: NodeId, e: QEntryId) -> ExprId {
+        match self.union.spine_at[v.index()] {
+            OFF_SPINE => {
+                let u = self.map.map_or(e, |map| map[e]);
+                ExprId::of_const(self.union.qv[v.index()] >> u & 1 != 0)
+            }
+            at => self.qv[at as usize].id(e),
+        }
+    }
+}
+
+/// A spine phase: one query's qualifier sweep over the spine its group's
+/// union phase recorded, in that post-order, into the query's `arena`. Off
+/// the spine it reads the union's words through `map`.
+fn spine_sweep<'u, V: VarLike>(
+    arena: &mut FormulaArena<V>,
+    tree: &XmlTree,
+    query: &CompiledQuery,
+    union: &'u Union,
+    map: Option<&'u [QEntryId]>,
+    mut virtual_vectors: impl FnMut(NodeId) -> QualVectors<V>,
+) -> QualSweep<'u> {
+    let qlen = query.qvect_len();
+    let (mut ops, mut lanes) = (0, LaneCounts { word: union.nodes, ..LaneCounts::default() });
     let mut sweep = QualSweep {
-        node_qv: vec![None; tree.node_count()],
-        node_qdv: vec![None; tree.node_count()],
+        union,
+        map,
+        qlen,
+        qv: Vec::with_capacity(union.spine.len()),
+        qdv: Vec::with_capacity(union.spine.len()),
         ops: 0,
         lanes: LaneCounts::default(),
     };
@@ -624,63 +822,126 @@ fn qualifier_sweep<V: VarLike>(
     let counted_folds = query.qvect.iter().any(|e| {
         matches!(e, QEntry::Step { next_pos: Some(_), .. } | QEntry::Exists { pos: Some(_), .. })
     });
-
-    for v in tree.post_order(root) {
-        if tree.is_virtual(v) {
+    for &v in &union.spine {
+        let (qv, qdv) = if tree.is_virtual(v) {
             let vectors = virtual_vectors(v);
             debug_assert_eq!(vectors.qv.len(), qlen);
             let (qv, qdv) =
                 (AVec::from_compact(&vectors.qv, arena), AVec::from_compact(&vectors.qdv, arena));
             match (qv.word(), qdv.word()) {
-                (Some(_), Some(_)) => sweep.lanes.word += 1,
-                _ => sweep.lanes.arena += 1,
+                (Some(_), Some(_)) => lanes.word += 1,
+                _ => lanes.arena += 1,
             }
-            sweep.node_qv[v.index()] = Some(qv);
-            sweep.node_qdv[v.index()] = Some(qdv);
-            sweep.ops += qlen as u64;
-            continue;
-        }
+            ops += qlen as u64;
+            (qv, qdv)
+        } else {
+            let (arena, qvect, stored) = (Some(&mut *arena), &query.qvect, sweep.stored());
+            sweep_node(arena, tree, v, qvect, counted_folds, stored, &mut ops, &mut lanes)
+                .into_vectors(qlen)
+        };
+        sweep.qv.push(qv);
+        sweep.qdv.push(qdv);
+    }
+    sweep.ops = ops;
+    sweep.lanes = lanes;
+    sweep
+}
 
-        // Fold the children's vectors into "some child has entry i true"
-        // (the paper's QCV) and "some child's subtree has entry i true".
-        let mut child_any_qv = AVec::all_false(qlen);
-        let mut child_any_qdv = AVec::all_false(qlen);
-        let mut constant_children = true;
-        for c in tree.children(v) {
-            let cqv = sweep.node_qv[c.index()].as_ref().expect("children processed before parent");
-            let cqdv =
-                sweep.node_qdv[c.index()].as_ref().expect("children processed before parent");
-            constant_children &= matches!(cqv, AVec::Bits(_));
-            child_any_qv.or_into(cqv, arena);
-            child_any_qdv.or_into(cqdv, arena);
-            sweep.ops += 2 * qlen as u64;
-        }
+/// A pair of `QV`- and `QDV`-shaped vectors: a node's own, or its children's
+/// folded so far by [`sweep_node`].
+enum Pair {
+    /// One word each: constant entries, at most a word of them.
+    Words(u64, u64),
+    /// Working vectors.
+    Vectors(AVec, AVec),
+}
 
-        let node_qv = &sweep.node_qv;
-        let (qv, qdv) = match (child_any_qv.word(), child_any_qdv.word()) {
-            (Some(any_qv), Some(any_qdv)) if constant_children || !counted_folds => {
-                sweep.lanes.word += 1;
-                let mut qv = 0;
-                eval_qv(&mut Word, tree, v, query, &any_qv, &any_qdv, node_qv, &mut qv);
-                (AVec::from_word(qlen, qv), AVec::from_word(qlen, qv | any_qdv))
+impl Pair {
+    fn into_vectors(self, qlen: usize) -> (AVec, AVec) {
+        match self {
+            Pair::Words(qv, qdv) => (AVec::from_word(qlen, qv), AVec::from_word(qlen, qdv)),
+            Pair::Vectors(qv, qdv) => (qv, qdv),
+        }
+    }
+}
+
+/// The qualifier sweep's step at the non-virtual node `v` — the loop body
+/// both phases run. It folds the children's vectors into "some child has
+/// entry i true" (the paper's QCV) and "some child's subtree has entry i
+/// true", as words while every child's fit one; then it computes every entry
+/// in the word lane when both folds are constant words (and, for a query
+/// with counted folds, every child's own `QV` is constant), in the arena
+/// lane otherwise. The union phase passes no arena: its nodes only ever fold
+/// constant words.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn sweep_node<V: VarLike>(
+    mut arena: Option<&mut FormulaArena<V>>,
+    tree: &XmlTree,
+    v: NodeId,
+    qvect: &[QEntry],
+    counted_folds: bool,
+    stored: Stored<'_>,
+    ops: &mut u64,
+    lanes: &mut LaneCounts,
+) -> Pair {
+    let qlen = qvect.len();
+    let mut fold = if qlen <= WORD {
+        Pair::Words(0, 0)
+    } else {
+        Pair::Vectors(AVec::all_false(qlen), AVec::all_false(qlen))
+    };
+    let mut constant_children = true;
+    for c in tree.children(v) {
+        fold = match (fold, stored.child(c)) {
+            (Pair::Words(any_qv, any_qdv), Child::Words(qv, qdv)) => {
+                Pair::Words(any_qv | qv, any_qdv | qdv)
             }
-            _ => {
-                sweep.lanes.arena += 1;
-                let mut qv = AVec::all_false(qlen);
-                eval_qv(arena, tree, v, query, &child_any_qv, &child_any_qdv, node_qv, &mut qv);
-                // QDV_v(i) = QV_v(i) ∨ (some child's QDV has i).
-                let mut qdv = child_any_qdv;
-                qdv.or_into(&qv, arena);
-                (qv, qdv)
+            (fold, child) => {
+                let arena = arena.as_deref_mut().expect("the union phase folds words only");
+                let (mut any_qv, mut any_qdv) = fold.into_vectors(qlen);
+                match child {
+                    Child::Words(qv, qdv) => {
+                        any_qv.or_into(&AVec::from_word(qlen, qv), arena);
+                        any_qdv.or_into(&AVec::from_word(qlen, qdv), arena);
+                    }
+                    Child::Vectors(qv, qdv) => {
+                        constant_children &= matches!(qv, AVec::Bits(_));
+                        any_qv.or_into(qv, arena);
+                        any_qdv.or_into(qdv, arena);
+                    }
+                }
+                Pair::Vectors(any_qv, any_qdv)
             }
         };
-        // One operation per entry, and `qlen` for the QDV, in either lane.
-        sweep.ops += 2 * qlen as u64;
-
-        sweep.node_qv[v.index()] = Some(qv);
-        sweep.node_qdv[v.index()] = Some(qdv);
+        *ops += 2 * qlen as u64;
     }
-    sweep
+    // One operation per entry, and `qlen` for the QDV, in either lane.
+    *ops += 2 * qlen as u64;
+
+    let words = match &fold {
+        Pair::Words(any_qv, any_qdv) => Some((*any_qv, *any_qdv)),
+        Pair::Vectors(any_qv, any_qdv) => any_qv.word().zip(any_qdv.word()),
+    };
+    match words {
+        Some((any_qv, any_qdv)) if constant_children || !counted_folds => {
+            lanes.word += 1;
+            let mut qv = 0;
+            eval_qv(&mut Word, tree, v, qvect, &any_qv, &any_qdv, stored, &mut qv);
+            Pair::Words(qv, qv | any_qdv)
+        }
+        _ => {
+            lanes.arena += 1;
+            let arena = arena.expect("the union phase computes words only");
+            let (any_qv, any_qdv) = fold.into_vectors(qlen);
+            let mut qv = AVec::all_false(qlen);
+            eval_qv(arena, tree, v, qvect, &any_qv, &any_qdv, stored, &mut qv);
+            // QDV_v(i) = QV_v(i) ∨ (some child's QDV has i).
+            let mut qdv = any_qdv;
+            qdv.or_into(&qv, arena);
+            Pair::Vectors(qv, qdv)
+        }
+    }
 }
 
 /// Every `QVect` entry at the non-virtual node `v`, in one lane, from the
@@ -691,14 +952,14 @@ fn eval_qv<L: QualifierLane>(
     lane: &mut L,
     tree: &XmlTree,
     v: NodeId,
-    query: &CompiledQuery,
+    qvect: &[QEntry],
     child_any_qv: &L::Vector,
     child_any_qdv: &L::Vector,
-    node_qv: &[Option<AVec>],
+    stored: Stored<'_>,
     qv: &mut L::Vector,
 ) {
-    for (i, entry) in query.qvect.iter().enumerate() {
-        let value = eval_qentry(lane, tree, v, entry, qv, child_any_qv, child_any_qdv, node_qv);
+    for (i, entry) in qvect.iter().enumerate() {
+        let value = eval_qentry(lane, tree, v, entry, qv, child_any_qv, child_any_qdv, stored);
         L::set(qv, i, value);
     }
 }
@@ -716,11 +977,15 @@ fn numeric_holds(text: Option<&str>, op: CmpOp, n: f64) -> bool {
 /// Evaluate one `QVect` entry at a node, given the already-computed earlier
 /// entries at the same node (`qv_so_far`) and the folded child vectors.
 ///
-/// `node_qv` gives access to the individual children's `QV` vectors; it is
+/// `stored` gives access to the individual children's `QV` vectors; it is
 /// only consulted for positionally-filtered child steps, where the plain
 /// disjunctive fold is not enough (only the children at accepted sibling
 /// positions may witness the step).
+///
+/// Always inlined: it is the inner loop of both lanes, and a call per entry
+/// costs the word lane more than the entry does.
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 fn eval_qentry<L: QualifierLane>(
     lane: &mut L,
     tree: &XmlTree,
@@ -729,14 +994,16 @@ fn eval_qentry<L: QualifierLane>(
     qv_so_far: &L::Vector,
     child_any_qv: &L::Vector,
     child_any_qdv: &L::Vector,
-    node_qv: &[Option<AVec>],
+    stored: Stored<'_>,
 ) -> L::Value {
     // Counted child-fold: OR of `entry` over the children sitting at
     // positions accepted by `filter`.
     let counted_fold = |lane: &mut L, e: QEntryId, filter: &PosFilter| {
-        lane.or_all(position_accepts(tree, v, filter).filter(|&(_, ok)| ok).map(|(c, _)| {
-            L::stored(node_qv[c.index()].as_ref().expect("children processed before parent"), e)
-        }))
+        lane.or_all(
+            position_accepts(tree, v, filter)
+                .filter(|&(_, ok)| ok)
+                .map(|(c, _)| L::stored(stored.id(c, e))),
+        )
     };
     let earlier = |e: &QEntryId| L::get(qv_so_far, *e);
     match entry {
@@ -1186,9 +1453,11 @@ pub struct CombinedPassOutput<V: Ord> {
     pub virtual_vectors: Vec<(NodeId, CompactVector<V>)>,
     /// Root `QV`/`QDV` vectors (as in Stage 1 of PaX3).
     pub root: QualVectors<V>,
-    /// Elementary operations performed.
+    /// Elementary operations performed. In a [`multi_combined_pass`], the
+    /// query's own: its spine phase and its selection sweep.
     pub ops: u64,
-    /// The qualifier sweep's nodes per lane.
+    /// The qualifier sweep's nodes per lane — nodes of a union phase in the
+    /// word lane, where their values came from.
     pub qualifier_lanes: LaneCounts,
     /// The selection sweep's nodes per lane.
     pub selection_lanes: LaneCounts,
@@ -1198,7 +1467,8 @@ pub struct CombinedPassOutput<V: Ord> {
 /// selection sweep reading the first sweep's `QV` vectors in place — same
 /// arena, same site visit, so no formula is exported between the two and
 /// nothing has to be unified afterwards. Over an unfragmented tree this is
-/// the centralized evaluator.
+/// the centralized evaluator. It is the [`multi_combined_pass`] of one
+/// query, whose union is its own `QVect`.
 ///
 /// `_local_var` is ignored: the paper's single traversal needs a `qz`
 /// placeholder per not-yet-known qualifier value, two sweeps do not. The
@@ -1210,23 +1480,149 @@ pub fn combined_pass<V: VarLike>(
     query: &CompiledQuery,
     init: CompactVector<V>,
     context: Option<NodeId>,
-    virtual_qual_vectors: impl FnMut(NodeId) -> QualVectors<V>,
+    mut virtual_qual_vectors: impl FnMut(NodeId) -> QualVectors<V>,
     _local_var: impl Fn(NodeId, QEntryId) -> V,
 ) -> CombinedPassOutput<V> {
-    let mut arena: FormulaArena<V> = FormulaArena::new();
-    let quals = qualifier_sweep(&mut arena, tree, root, query, virtual_qual_vectors);
-    let sel = selection_sweep(&mut arena, tree, root, query, &init, context, &mut |_, v, e| {
-        quals.node_qv[v.index()].as_ref().expect("the qualifier sweep covered the subtree").id(e)
-    });
-    CombinedPassOutput {
-        answers: sel.answers,
-        candidates: sel.candidates,
-        virtual_vectors: sel.virtual_vectors,
-        root: quals.root_vectors(root, &arena),
-        ops: quals.ops + sel.ops,
-        qualifier_lanes: quals.lanes,
-        selection_lanes: sel.lanes,
+    let queries = [VisitQuery { query, init, context }];
+    let MultiPassOutput { visits, sharing } =
+        multi_combined_pass(tree, root, &queries, |_, v| virtual_qual_vectors(v));
+    let mut visit = visits.into_iter().next().expect("one query, one visit");
+    visit.ops += sharing.union_ops;
+    visit
+}
+
+/// One query of a [`multi_combined_pass`]: what [`combined_pass`] takes.
+#[derive(Debug, Clone)]
+pub struct VisitQuery<'q, V: Ord> {
+    /// The compiled query.
+    pub query: &'q CompiledQuery,
+    /// The `SV` vector of the subtree root's (possibly unknown) parent.
+    pub init: CompactVector<V>,
+    /// The node whose empty-prefix entry is true, if it is in the subtree.
+    pub context: Option<NodeId>,
+}
+
+/// What a [`multi_combined_pass`] shared between its queries. Read by tests
+/// and probes; never leaves the site.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QualifierSharing {
+    /// `QVect` entries of the visit's queries, summed.
+    pub summed_entries: u64,
+    /// Entries of the unions the visit swept, summed over its groups.
+    pub union_entries: u64,
+    /// Nodes the union phases computed.
+    pub union_nodes: u64,
+    /// Nodes the spine phases computed, summed over the queries.
+    pub spine_nodes: u64,
+    /// Operations of the union phases: `2·|union|` per child fold and per
+    /// node, as one qualifier sweep over the union charges them.
+    pub union_ops: u64,
+}
+
+/// Result of a [`multi_combined_pass`].
+#[derive(Debug, Clone)]
+pub struct MultiPassOutput<V: Ord> {
+    /// Per query, in order: its visit, `==` its [`combined_pass`] except
+    /// that `ops` leaves out the union phases.
+    pub visits: Vec<CombinedPassOutput<V>>,
+    /// The union phases: what they shared and what they cost.
+    pub sharing: QualifierSharing,
+}
+
+/// PaX2's visit (§4) of many queries over one subtree. Queries are grouped
+/// so that each group's union `QVect` fits one word; each group runs one
+/// union phase over the subtree, and each of its queries a spine phase and
+/// its selection sweep in its own arena (see the module doc, "Many queries,
+/// one visit"). A query wider than a word is a group of its own, whose
+/// spine is the whole subtree.
+///
+/// `virtual_qual_vectors(i, v)` stands for query `i`'s `QV`/`QDV` at the
+/// virtual node `v`, as in [`combined_pass`].
+pub fn multi_combined_pass<V: VarLike>(
+    tree: &XmlTree,
+    root: NodeId,
+    queries: &[VisitQuery<'_, V>],
+    mut virtual_qual_vectors: impl FnMut(usize, NodeId) -> QualVectors<V>,
+) -> MultiPassOutput<V> {
+    let mut sharing = QualifierSharing {
+        summed_entries: queries.iter().map(|q| q.query.qvect_len() as u64).sum(),
+        ..QualifierSharing::default()
+    };
+    let mut visits: Vec<Option<CombinedPassOutput<V>>> = queries.iter().map(|_| None).collect();
+    let mut visit = |i: usize, union: &Union, map: Option<&[QEntryId]>| {
+        let VisitQuery { query, init, context } = &queries[i];
+        let mut arena: FormulaArena<V> = FormulaArena::new();
+        let quals =
+            spine_sweep(&mut arena, tree, query, union, map, |v| virtual_qual_vectors(i, v));
+        let sel = selection_sweep(&mut arena, tree, root, query, init, *context, &mut |_, v, e| {
+            quals.id(v, e)
+        });
+        visits[i] = Some(CombinedPassOutput {
+            answers: sel.answers,
+            candidates: sel.candidates,
+            virtual_vectors: sel.virtual_vectors,
+            root: quals.root_vectors(root, &arena),
+            ops: quals.ops + sel.ops,
+            qualifier_lanes: quals.lanes,
+            selection_lanes: sel.lanes,
+        });
+    };
+    for group in groups(queries) {
+        let union = union_sweep::<V>(tree, root, &group.qvect);
+        sharing.union_entries += group.qvect.len() as u64;
+        sharing.union_nodes += union.nodes;
+        sharing.union_ops += union.ops;
+        for (i, map) in &group.members {
+            sharing.spine_nodes += union.spine.len() as u64;
+            visit(*i, &union, map.as_deref());
+        }
     }
+    // A query without qualifiers is in no group: it has nothing to sweep
+    // bottom-up.
+    let none = Union::default();
+    for (i, query) in queries.iter().enumerate() {
+        if !query.query.has_qualifiers() {
+            visit(i, &none, None);
+        }
+    }
+    let visits = visits.into_iter().map(|v| v.expect("every query visited")).collect();
+    MultiPassOutput { visits, sharing }
+}
+
+/// Queries whose qualifier values one union phase computes.
+struct Group<'q> {
+    /// The union of the members' `QVect`s.
+    qvect: Cow<'q, [QEntry]>,
+    /// Each member's index and entry map into `qvect` (see [`Stored::map`]).
+    members: Vec<(usize, Option<Vec<QEntryId>>)>,
+}
+
+/// The groups of the queries with qualifiers, formed greedily in query
+/// order: a query joins the open group while their union, built through
+/// the compiler's dedup, fits one word; otherwise it opens the next group.
+/// A query wider than a word on its own is a group of its own.
+fn groups<'q, V: Ord>(queries: &[VisitQuery<'q, V>]) -> Vec<Group<'q>> {
+    let mut groups: Vec<Group<'q>> = Vec::new();
+    let mut open = None;
+    for (i, query) in queries.iter().enumerate() {
+        let qvect = query.query.qvect.as_slice();
+        if qvect.is_empty() {
+            continue;
+        }
+        if let Some(group) = open.and_then(|g: usize| groups.get_mut(g)) {
+            let union = group.qvect.to_mut();
+            let before = union.len();
+            let map = splice_qvect(union, qvect);
+            if union.len() <= WORD {
+                group.members.push((i, Some(map)));
+                continue;
+            }
+            union.truncate(before);
+        }
+        open = (qvect.len() <= WORD).then_some(groups.len());
+        groups.push(Group { qvect: Cow::Borrowed(qvect), members: vec![(i, None)] });
+    }
+    groups
 }
 
 /// The property tests' random fragments and queries, shared with
@@ -1488,8 +1884,8 @@ mod tests {
     fn assert_lanes_agree(tree: &XmlTree, q: &CompiledQuery, start_at: Start) -> LaneCounts {
         let (root, qlen, slen) = (tree.root(), q.qvect_len(), q.svect_len());
         let mut arena = FormulaArena::new();
-        let quals = qualifier_sweep(&mut arena, tree, root, q, fresh_vectors(tree, qlen));
-        let stored = |table: &[Option<AVec>], n: NodeId| table[n.index()].clone().expect("swept");
+        let union = union_sweep::<String>(tree, root, &q.qvect);
+        let quals = spine_sweep(&mut arena, tree, q, &union, None, fresh_vectors(tree, qlen));
 
         let (mut qual_ops, mut qual_nodes) = (0, 0);
         for v in tree.post_order(root).filter(|_| qlen > 0) {
@@ -1501,29 +1897,30 @@ mod tests {
             let mut child_any_qv = AVec::all_false(qlen);
             let mut child_any_qdv = AVec::all_false(qlen);
             for c in tree.children(v) {
-                child_any_qv.or_into(&stored(&quals.node_qv, c), &mut arena);
-                child_any_qdv.or_into(&stored(&quals.node_qdv, c), &mut arena);
+                let (qv, qdv) = quals.vectors(c);
+                child_any_qv.or_into(&qv, &mut arena);
+                child_any_qdv.or_into(&qdv, &mut arena);
                 qual_ops += 2 * qlen;
             }
             let mut qv = AVec::all_false(qlen);
-            eval_qv(&mut arena, tree, v, q, &child_any_qv, &child_any_qdv, &quals.node_qv, &mut qv);
+            let (any_qv, any_qdv, stored) = (&child_any_qv, &child_any_qdv, quals.stored());
+            eval_qv(&mut arena, tree, v, &q.qvect, any_qv, any_qdv, stored, &mut qv);
             let mut qdv = child_any_qdv;
             qdv.or_into(&qv, &mut arena);
             qual_ops += 2 * qlen;
-            let (got_qv, got_qdv) = (stored(&quals.node_qv, v), stored(&quals.node_qdv, v));
+            let (got_qv, got_qdv) = quals.vectors(v);
             for i in 0..qlen {
                 assert_eq!(got_qv.id(i), qv.id(i), "QV entry {i} at {v:?}");
                 assert_eq!(got_qdv.id(i), qdv.id(i), "QDV entry {i} at {v:?}");
             }
         }
-        assert_eq!(quals.ops, qual_ops as u64, "qualifier sweep ops");
+        assert_eq!(union.ops + quals.ops, qual_ops as u64, "qualifier sweep ops");
         let LaneCounts { word, disjunction, arena: in_arena, fast_forwarded } = quals.lanes;
         assert_eq!((disjunction, fast_forwarded), (0, 0), "qualifier sweep lanes");
         assert_eq!(word + in_arena, qual_nodes, "every qualifier node counted once");
 
         let (init, context) = start(q, tree, start_at);
-        let qual_id =
-            |v: NodeId, e: QEntryId| quals.node_qv[v.index()].as_ref().expect("swept").id(e);
+        let qual_id = |v: NodeId, e: QEntryId| quals.id(v, e);
         let sel = selection_sweep(&mut arena, tree, root, q, &init, context, &mut |_, v, e| {
             qual_id(v, e)
         });
@@ -1583,6 +1980,130 @@ mod tests {
             start_at in prop::sample::select(STARTS.to_vec()),
         ) {
             assert_lanes_agree(&tree, &compiled(&query), start_at);
+        }
+    }
+
+    /// Visit `tree` with every query of `texts` at once, from `start_at`, and
+    /// assert that each query's output `==` its own [`combined_pass`] —
+    /// answers, candidate formula trees, virtual-node and root vectors,
+    /// lane counts — and that the visit costs at most the single visits'
+    /// summed `ops`, exactly those for a batch of one. Returns what the visit
+    /// shared.
+    fn assert_batch_equals_singles(
+        tree: &XmlTree,
+        texts: &[String],
+        start_at: Start,
+    ) -> QualifierSharing {
+        let root = tree.root();
+        let queries: Vec<CompiledQuery> = texts.iter().map(|text| compiled(text)).collect();
+        let visits: Vec<VisitQuery<String>> = queries
+            .iter()
+            .map(|query| {
+                let (init, context) = start(query, tree, start_at);
+                VisitQuery { query, init, context }
+            })
+            .collect();
+        let fresh = |i: usize, v| fresh_vectors(tree, queries[i].qvect_len())(v);
+        let batch = multi_combined_pass(tree, root, &visits, fresh);
+        assert_eq!(batch.visits.len(), visits.len());
+        let mut summed_ops = 0;
+        for (i, (visit, got)) in visits.iter().zip(&batch.visits).enumerate() {
+            let VisitQuery { query, init, context } = visit;
+            let held = fresh_vectors(tree, query.qvect_len());
+            let single = combined_pass(
+                tree,
+                root,
+                query,
+                init.clone(),
+                *context,
+                held,
+                |_, _| unreachable!(),
+            );
+            let text = &texts[i];
+            assert_eq!(got.answers, single.answers, "answers of {text}");
+            assert_eq!(got.candidates, single.candidates, "candidates of {text}");
+            assert_eq!(got.virtual_vectors, single.virtual_vectors, "summaries of {text}");
+            assert_eq!(got.root, single.root, "root vectors of {text}");
+            assert_eq!(got.qualifier_lanes, single.qualifier_lanes, "qualifier lanes of {text}");
+            assert_eq!(got.selection_lanes, single.selection_lanes, "selection lanes of {text}");
+            summed_ops += single.ops;
+        }
+        let ops = batch.visits.iter().map(|v| v.ops).sum::<u64>() + batch.sharing.union_ops;
+        assert!(ops <= summed_ops, "the batch costs {ops}, its queries {summed_ops}");
+        if texts.len() == 1 {
+            assert_eq!(ops, summed_ops, "a batch of one costs its single visit");
+        }
+        let sharing = batch.sharing;
+        let entries: usize = queries.iter().map(CompiledQuery::qvect_len).sum();
+        assert_eq!(sharing.summed_entries, entries as u64);
+        assert!(sharing.union_entries <= sharing.summed_entries);
+        sharing
+    }
+
+    /// Nodes of `tree` with a virtual node at or below them.
+    fn spine_len(tree: &XmlTree) -> u64 {
+        tree.post_order(tree.root())
+            .filter(|&v| tree.is_virtual(v) || tree.descendants(v).any(|d| tree.is_virtual(d)))
+            .count() as u64
+    }
+
+    /// `//a[b/text()="t{i}" or …]` over `range`: four `QVect` entries a text.
+    fn text_choice_query(range: std::ops::Range<usize>) -> String {
+        let tests: Vec<String> = range.map(|i| format!("b/text()=\"t{i}\"")).collect();
+        format!("//a[{}]", tests.join(" or "))
+    }
+
+    proptest! {
+        #[test]
+        fn a_multi_query_visit_equals_its_single_visits(
+            tree in common::fragment_strategy(),
+            texts in prop::collection::vec(common::kernel_query_strategy(), 1..=4),
+            start_at in prop::sample::select(STARTS.to_vec()),
+        ) {
+            assert_batch_equals_singles(&tree, &texts, start_at);
+        }
+
+        #[test]
+        fn a_union_wider_than_a_word_splits_the_batch(
+            tree in common::fragment_strategy(),
+            start_at in prop::sample::select(STARTS.to_vec()),
+        ) {
+            // The wide query is a group of its own and the two halves do not
+            // fit one word together: the counted fold joins the second half.
+            let (first, second) = (text_choice_query(0..12), text_choice_query(8..20));
+            let (a, b) = (compiled(&first), compiled(&second));
+            let mut union = a.qvect.clone();
+            splice_qvect(&mut union, &b.qvect);
+            assert!(a.qvect_len() <= WORD && b.qvect_len() <= WORD && union.len() > WORD);
+            let texts = [
+                common::wide_qualifier_query(),
+                first,
+                second,
+                "*[b[1]/c]/d".to_string(),
+                "a/b[2]/c".to_string(),
+                common::deep_selection_query(),
+            ];
+            let sharing = assert_batch_equals_singles(&tree, &texts, start_at);
+            let (nodes, spine) = (tree.node_count() as u64, spine_len(&tree));
+            // Two word-wide union phases; the wide group's spine is the tree.
+            assert_eq!(sharing.union_nodes, 2 * (nodes - spine));
+            assert_eq!(sharing.spine_nodes, nodes + 3 * spine);
+        }
+    }
+
+    #[test]
+    fn one_union_phase_serves_a_batch_that_fits_a_word() {
+        // `b` is held elsewhere: the spine is `b` and the root.
+        let tree = TreeBuilder::new("a").leaf("b", "x").open("c").leaf("b", "US").close().build();
+        let (fragment, _) = cut(&tree, &[tree.find_first("b").unwrap()]);
+        let texts = ["//a[b/text()=\"x\"]", "//c[b/text()=\"US\"]/b", "//c[b]", "//*[b]"];
+        let texts = texts.map(str::to_string);
+        for start_at in STARTS {
+            let sharing = assert_batch_equals_singles(&fragment, &texts, start_at);
+            let nodes = fragment.node_count() as u64;
+            assert_eq!(spine_len(&fragment), 2);
+            assert!(sharing.union_entries < sharing.summed_entries, "{sharing:?}");
+            assert_eq!((sharing.union_nodes, sharing.spine_nodes), (nodes - 2, 4 * 2));
         }
     }
 

@@ -129,3 +129,38 @@ fn pax2_batch_of_paper_queries_needs_at_most_two_visits_per_site() {
     }
     assert!(rounds >= 2 * batch.rounds(), "batching must amortize coordinator rounds");
 }
+
+/// The benchmark's `QMIX8` (`benchmark/src/lib.rs`).
+const QMIX8: [&str; 8] = [
+    "/sites/site/people/person",
+    "/sites/site/open_auctions//annotation",
+    "/sites/site/people/person[profile/age > 20 and address/country=\"US\"]/creditcard",
+    "/sites//people/person[profile/age > 20 and address/country=\"US\"]/creditcard",
+    "/sites/site/people/person/name",
+    "//person[address/country=\"US\"]/name",
+    "//open_auctions/auction/bidder/increase",
+    "/sites/site/regions//item[quantity > 5]/name",
+];
+
+#[test]
+fn a_batch_costs_less_than_its_queries_and_a_batch_of_one_what_its_query_does() {
+    // The queries' visit of a fragment sweeps their qualifiers' union once,
+    // so the batch does less work than its queries one at a time; with
+    // nothing to share, it does exactly their work.
+    let (_, ft2) = paxml::xmark::ft2(2.0, 42);
+    let server = PaxServer::builder().algorithm(Algorithm::PaX2).sites(4).deploy(&ft2).unwrap();
+    let batch = server.execute_batch_text(&QMIX8).unwrap();
+    let mut summed = 0;
+    for (text, outcome) in QMIX8.iter().zip(&batch.queries) {
+        let single = server.query_once(text).unwrap();
+        let alone = server.execute_batch_text(&[text]).unwrap();
+        assert_eq!(alone.total_ops(), single.total_ops(), "a batch of one: {text}");
+        let mut origins: Vec<_> = outcome.answers.iter().map(|a| a.origin).collect();
+        origins.sort();
+        assert_eq!(origins, single.answer_origins(), "{text}");
+        assert_eq!(alone.answer_origins(), single.answer_origins(), "{text}");
+        summed += single.total_ops();
+    }
+    println!("batch {} ops, its queries {summed}", batch.total_ops());
+    assert!(batch.total_ops() < summed, "batch {} ops, its queries {summed}", batch.total_ops());
+}

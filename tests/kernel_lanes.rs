@@ -1,14 +1,19 @@
-//! Which lane the site kernel runs PaX2's visits in, on the benchmark's
-//! data and queries: FT2 (the paper's Fig. 6 fragmentation of an XMark
-//! document) and the eight `QMIX8` queries. The root fragment starts from
-//! the query's initial facts, every other fragment from fresh variables,
-//! as PaX2 does; no selection node may need the arena lane.
+//! Which lane the site kernel runs PaX2's visits in, and what a batch's
+//! visit shares, on the benchmark's data and queries: FT2 (the paper's
+//! Fig. 6 fragmentation of an XMark document) and the eight `QMIX8`
+//! queries. The root fragment starts from the query's initial facts, every
+//! other fragment from fresh variables, as PaX2 does; no selection node may
+//! need the arena lane, and the eight queries' visit of a fragment must
+//! equal their eight single visits while sweeping their qualifiers once.
 
 use paxml_boolex::CompactVector;
-use paxml_xpath::compile_text;
+use paxml_fragment::Fragment;
+use paxml_xml::NodeId;
 use paxml_xpath::eval::{
-    combined_pass, evaluation_context, initial_vector, LaneCounts, QualVectors,
+    combined_pass, evaluation_context, initial_vector, multi_combined_pass, CombinedPassOutput,
+    LaneCounts, QualVectors, VisitQuery,
 };
+use paxml_xpath::{compile_text, CompiledQuery};
 
 /// The benchmark's `QMIX8` (`benchmark/src/lib.rs`).
 const QMIX8: [&str; 8] = [
@@ -33,6 +38,37 @@ fn add(total: &mut LaneCounts, lanes: LaneCounts) {
     total.fast_forwarded += lanes.fast_forwarded;
 }
 
+/// How PaX2 starts `query`'s visit of `fragment`: the initial facts at the
+/// root fragment, fresh variables elsewhere.
+fn visit_query<'q>(fragment: &Fragment, query: &'q CompiledQuery) -> VisitQuery<'q, Var> {
+    let (root, f) = (fragment.tree.root(), fragment.id.index());
+    let (init, context) = if f == 0 {
+        let facts = initial_vector(query, &fragment.root_label);
+        (CompactVector::from_bools(&facts), evaluation_context(query, root))
+    } else {
+        (CompactVector::fresh_variables(query.init_len(), |i| (f, 0, i)), None)
+    };
+    VisitQuery { query, init, context }
+}
+
+/// Fresh `QV`/`QDV` variables of `qlen` entries for the fragment a virtual
+/// node of `fragment` stands for.
+fn held(fragment: &Fragment, qlen: usize, vnode: NodeId) -> QualVectors<Var> {
+    let g = fragment.tree.kind(vnode).virtual_fragment().expect("asked for virtual nodes only");
+    let fresh = |vector| CompactVector::fresh_variables(qlen, move |i| (g, vector, i));
+    QualVectors { qv: fresh(1), qdv: fresh(2) }
+}
+
+/// `query`'s single PaX2 visit of `fragment`.
+fn single_visit(fragment: &Fragment, query: &CompiledQuery) -> CombinedPassOutput<Var> {
+    let (tree, root) = (&fragment.tree, fragment.tree.root());
+    let VisitQuery { init, context, .. } = visit_query(fragment, query);
+    let held = |vnode| held(fragment, query.qvect_len(), vnode);
+    combined_pass::<Var>(tree, root, query, init, context, held, |_, _| {
+        unreachable!("the kernel mints no placeholder")
+    })
+}
+
 #[test]
 fn no_selection_node_of_ft2_qmix8_takes_the_arena_lane() {
     let (_, ft) = paxml_xmark::ft2(2.0, 42);
@@ -41,24 +77,8 @@ fn no_selection_node_of_ft2_qmix8_takes_the_arena_lane() {
         let query = compile_text(text).expect("query compiles");
         let mut lanes = LaneCounts::default();
         for fragment in &ft.fragments {
-            let (tree, root, f) = (&fragment.tree, fragment.tree.root(), fragment.id.index());
-            let (init, context) = if f == 0 {
-                let facts = initial_vector(&query, &fragment.root_label);
-                (CompactVector::from_bools(&facts), evaluation_context(&query, root))
-            } else {
-                (CompactVector::fresh_variables(query.init_len(), |i| (f, 0, i)), None)
-            };
-            let held = |vnode| {
-                let g = tree.kind(vnode).virtual_fragment().expect("asked for virtual nodes only");
-                let fresh = |vector| {
-                    CompactVector::fresh_variables(query.qvect_len(), move |i| (g, vector, i))
-                };
-                QualVectors { qv: fresh(1), qdv: fresh(2) }
-            };
-            let visit = combined_pass::<Var>(tree, root, &query, init, context, held, |_, _| {
-                unreachable!("the kernel mints no placeholder")
-            });
-            let swept = visit.selection_lanes;
+            let (tree, f) = (&fragment.tree, fragment.id.index());
+            let swept = single_visit(fragment, &query).selection_lanes;
             assert_eq!(
                 swept.word + swept.disjunction + swept.arena + swept.fast_forwarded,
                 tree.node_count() as u64,
@@ -71,4 +91,44 @@ fn no_selection_node_of_ft2_qmix8_takes_the_arena_lane() {
         add(&mut total, lanes);
     }
     assert!(total.disjunction > 0, "the non-root fragments run in the disjunction lane");
+}
+
+#[test]
+fn one_qualifier_sweep_of_ft2_serves_all_of_qmix8() {
+    let (_, ft) = paxml_xmark::ft2(2.0, 42);
+    let queries: Vec<CompiledQuery> =
+        QMIX8.iter().map(|text| compile_text(text).expect("query compiles")).collect();
+    let with_qualifiers = queries.iter().filter(|q| q.has_qualifiers()).count() as u64;
+    for fragment in &ft.fragments {
+        let (tree, root, f) = (&fragment.tree, fragment.tree.root(), fragment.id.index());
+        let visits: Vec<VisitQuery<Var>> =
+            queries.iter().map(|q| visit_query(fragment, q)).collect();
+        let batch = multi_combined_pass(tree, root, &visits, |i, vnode| {
+            held(fragment, queries[i].qvect_len(), vnode)
+        });
+        let mut summed_ops = 0;
+        for ((query, text), got) in queries.iter().zip(QMIX8).zip(&batch.visits) {
+            let single = single_visit(fragment, query);
+            assert_eq!(got.answers, single.answers, "{text} at fragment {f}: answers");
+            assert_eq!(got.candidates, single.candidates, "{text} at fragment {f}: candidates");
+            assert_eq!(got.virtual_vectors, single.virtual_vectors, "{text} at {f}: summaries");
+            assert_eq!(got.root, single.root, "{text} at fragment {f}: root vectors");
+            assert_eq!(got.selection_lanes, single.selection_lanes, "{text} at {f}: lanes");
+            summed_ops += single.ops;
+        }
+        let sharing = batch.sharing;
+        let ops = batch.visits.iter().map(|v| v.ops).sum::<u64>() + sharing.union_ops;
+        println!("fragment {f:2}: {sharing:?}, ops {ops} of {summed_ops}");
+        assert!(ops < summed_ops, "fragment {f}: the batch costs {ops}, its queries {summed_ops}");
+        // Nineteen distinct entries of forty, in one union phase: every node
+        // off the spine once, every spine node once per query.
+        assert_eq!((sharing.union_entries, sharing.summed_entries), (19, 40));
+        let nodes = tree.node_count() as u64;
+        let spine = tree
+            .post_order(root)
+            .filter(|&v| tree.is_virtual(v) || tree.descendants(v).any(|d| tree.is_virtual(d)))
+            .count() as u64;
+        assert_eq!(sharing.union_nodes, nodes - spine, "fragment {f}: union-phase nodes");
+        assert_eq!(sharing.spine_nodes, with_qualifiers * spine, "fragment {f}: spine nodes");
+    }
 }
