@@ -35,33 +35,30 @@
 //! in the visit's [`FormulaArena`], so combining the `O(k)` residual formulas
 //! never clones a subtree.
 //!
-//! Each sweep computes a node's entries in one of three *lanes*, which share
+//! A node's entries are computed in a *lane*: `bool`s in one `u64` (the
+//! **word lane**), `u64` sets of disjuncts (the **disjunction lane**) or
+//! [`ExprId`]s over the visit's arena (the **arena lane**). The lanes share
 //! one definition of the entry semantics (`eval_qentry` and `compute_sv`,
-//! generic over the private `Lane` trait):
+//! generic over the private `Lane` trait), and each phase of a visit has one
+//! lane rule:
 //!
-//! * the **word lane** runs when every input of the node is constant and its
-//!   vector fits one word: entries are `bool`s written into a `u64`. In the
-//!   qualifier sweep that is a non-virtual node whose two child folds are
-//!   constant (and, for a query with positional qualifier folds, whose
-//!   children's own `QV`s are too), with `|QVect| ≤ 64`; in the selection
-//!   sweep, a carried vector of ≤ 64 constant entries and constant qualifier
-//!   values at the node. This is the root fragment's selection sweep and
-//!   almost all of every qualifier sweep;
-//! * the **disjunction lane** runs a selection node whose carried vector
-//!   holds only constants and ORs of init entries — a non-root fragment's
-//!   sweep, which starts from fresh variables (§3.2) that `//` steps only ever
-//!   OR together. An entry is a `u64` set of disjuncts: bit 0 is `true`, bit
-//!   `j + 1` is init entry `j`; the lane is open for an init of at most 62
+//! * the qualifier sweep's **union phase** (below) computes every node with
+//!   no virtual node below it. Its children are constant by construction, so
+//!   it runs the word lane, which it alone runs;
+//! * the qualifier sweep's **spine phase** computes the virtual nodes and
+//!   their ancestors, whose inputs may be symbolic, in the arena lane;
+//! * the **selection sweep** runs the disjunction lane. An entry is a `u64`
+//!   set of disjuncts: bit 0 is `true`, bit `j + 1` is init entry `j`. A
+//!   constant is the set `{}` or `{true}`, so the root fragment's facts are
+//!   sets at any width; a non-root fragment's fresh variables (§3.2), which
+//!   `//` steps only ever OR together, are sets while the init has at most 62
 //!   entries. The carried sets of the stack live in one flat per-sweep
 //!   buffer. A set becomes an arena id only where a formula leaves the site
 //!   (a candidate answer, a virtual node's summary), as the `Or` of its
-//!   variables — the id, tree and bytes the arena lane would give;
-//! * the **arena lane** computes [`ExprId`]s over the visit's arena. It runs a
-//!   node another lane cannot represent: a qualifier node near a virtual
-//!   node, a selection node that reads a symbolic qualifier value or ANDs two
-//!   different symbolic sets, or any vector with too many entries. Fallback
-//!   is per node: the node reruns in the arena lane, and its children
-//!   re-enter a faster lane as soon as their carried vector allows.
+//!   variables — the id, tree and bytes the arena lane would give. Fallback
+//!   is per node: a node that reads a symbolic qualifier value or ANDs two
+//!   different symbolic sets reruns in the arena lane, and its children
+//!   re-enter the disjunction lane as soon as its `SV` is sets again.
 //!
 //! In the selection sweep, a node whose `SV` is all false has no answer or
 //! candidate below it. For a query without positional predicates the sweep
@@ -71,12 +68,12 @@
 //! `ops` exactly, so every meter is independent of the lane taken; every
 //! pass output counts its nodes per lane ([`LaneCounts`]).
 //!
-//! The word and disjunction lanes perform **no heap allocation per node**:
-//! the tree walks follow links, children are pushed straight onto the
-//! top-down stack, carried sets and positional facts go through per-sweep
-//! scratch, and what is left is a few allocations per pass (the per-node
-//! vector tables of a query with qualifiers, the init's variables, and the
-//! amortised growth of the stacks and the output lists) —
+//! The union phase and the disjunction lane perform **no heap allocation per
+//! node**: the tree walks follow links, children are pushed straight onto
+//! the top-down stack, carried sets and positional facts go through
+//! per-sweep scratch, and what is left is a few allocations per pass (the
+//! per-node vector tables of a query with qualifiers, the init's variables,
+//! and the amortised growth of the stacks and the output lists) —
 //! `tests/allocations.rs` pins that. Pass outputs are exported as
 //! [`CompactVector`]s (bits for fully-constant vectors, self-contained
 //! [`BoolExpr`] trees otherwise), which is also the wire format: a
@@ -97,7 +94,7 @@
 //!   child on it), recorded in post-order;
 //! * each query's **spine phase** then runs the loop's per-node step over
 //!   the spine only, in the query's own arena: virtual-node import, child
-//!   folds and the word or arena lane, reading an off-spine child's vectors
+//!   folds and the arena lane, reading an off-spine child's vectors
 //!   — and, in a counted fold, its `QV` entries — from the union's words
 //!   through the query's map. Its selection sweep follows, as for one query.
 //!
@@ -109,7 +106,7 @@
 //! the spine. A batch of one — [`combined_pass`] — has the identity map and
 //! charges exactly one sweep's `ops`.
 //!
-//! **Why outputs cannot change.** The word lane interns nothing, so a
+//! **Why outputs cannot change.** The union phase interns nothing, so a
 //! query's arena receives, in the same order, exactly the interns its visit
 //! alone gives it: those of its spine nodes, then those of its selection
 //! sweep. Its answers, candidate formulas, virtual-node and root vectors are
@@ -143,7 +140,7 @@ impl AVec {
         AVec::Bits(BitVector::all_false(len))
     }
 
-    /// The word lane's output as a vector of `len ≤ 64` entries.
+    /// A union-phase word as a vector of `len ≤ 64` entries.
     fn from_word(len: usize, word: u64) -> AVec {
         AVec::Bits(BitVector::from_word(len, word))
     }
@@ -152,15 +149,6 @@ impl AVec {
         match self {
             AVec::Bits(b) => b.len(),
             AVec::Ids(v) => v.len(),
-        }
-    }
-
-    /// The entries as one word, when all are constant and they fit one —
-    /// the word lane's input.
-    fn word(&self) -> Option<u64> {
-        match self {
-            AVec::Bits(b) if b.len() <= 64 => Some(b.words().first().copied().unwrap_or(0)),
-            _ => None,
         }
     }
 
@@ -262,8 +250,9 @@ trait QualifierLane: Lane {
     fn or_all(&mut self, operands: impl IntoIterator<Item = Self::Value>) -> Self::Value;
 }
 
-/// The word lane: a node's entries are the bits of one `u64`. It runs only
-/// where every input is constant and the vector has at most 64 entries.
+/// The word lane: a node's entries are the bits of one `u64`. It runs the
+/// union phase, whose nodes have constant children and whose vector has at
+/// most 64 entries.
 struct Word;
 
 impl Lane for Word {
@@ -320,10 +309,10 @@ const MAX_ATOMS: usize = 62;
 /// The disjunction lane: an entry is a `u64` set of disjuncts, bit 0 for
 /// `true` and bit `j + 1` for entry `j` of the sweep's init vector (see
 /// [`Atoms`]). Its values are exactly the constants and the ORs of init
-/// entries — what a non-root fragment's selection sweep carries from its
-/// fresh variables — so it runs that sweep as integer work. An AND of two
-/// different symbolic sets is [`LOST`]; the node then reruns in the arena
-/// lane.
+/// entries — what a selection sweep carries from the root fragment's facts
+/// (`{}` and `{true}`) or from a non-root fragment's fresh variables — so it
+/// runs every selection sweep as integer work. An AND of two different
+/// symbolic sets is [`LOST`]; the node then reruns in the arena lane.
 struct Disjunction;
 
 impl Lane for Disjunction {
@@ -408,7 +397,7 @@ impl<V: VarLike> QualifierLane for FormulaArena<V> {
 
 /// The ids the disjunction lane's bits stand for: a selection sweep's init
 /// vector as arena ids, bit `j + 1` for entry `j`. Empty when the init is
-/// constant or longer than [`MAX_ATOMS`], and the lane is then closed.
+/// constant or longer than [`MAX_ATOMS`]; only constants are sets then.
 /// Init entries are interned in init order, so the id-sorted operands of an
 /// `Or` are in bit order, and an id leaving the lane is the one the arena
 /// lane builds.
@@ -426,18 +415,17 @@ impl Atoms {
         })
     }
 
-    /// Write the sets of `vector`'s entries into `sets`, when the lane is
-    /// open and every entry is representable.
+    /// Write the sets of `vector`'s entries into `sets`, when every entry is
+    /// representable.
     fn sets_of<V: VarLike>(
         &self,
         vector: &AVec,
         arena: &FormulaArena<V>,
         sets: &mut [u64],
     ) -> bool {
-        !self.0.is_empty()
-            && sets.iter_mut().enumerate().all(|(i, set)| {
-                self.set_of(vector.id(i), arena).map(|value| *set = value).is_some()
-            })
+        sets.iter_mut()
+            .enumerate()
+            .all(|(i, set)| self.set_of(vector.id(i), arena).map(|value| *set = value).is_some())
     }
 
     /// The id of `set` — where a formula leaves the lane.
@@ -564,17 +552,18 @@ pub struct QualifierPassOutput<V: Ord> {
     /// Number of elementary operations performed (nodes × vector entries),
     /// the paper's unit of computation cost.
     pub ops: u64,
-    /// Nodes computed in the word lane and in the arena lane.
+    /// Nodes of the union phase (word lane) and of the spine (arena lane).
     pub lanes: LaneCounts,
 }
 
 /// How many nodes a sweep handled in each lane (see the module doc). Every
-/// node of the swept subtree is counted once; a virtual node in the lane of
-/// the vectors it holds. Counts are read by tests and probes and never
-/// leave the site.
+/// node of the swept subtree is counted once: in the qualifier sweep, a
+/// union-phase node in the word lane and a spine node, virtual ones
+/// included, in the arena lane. Counts are read by tests and probes and
+/// never leave the site.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LaneCounts {
-    /// Nodes whose entries were the bits of one word.
+    /// Qualifier nodes whose entries were the bits of one word.
     pub word: u64,
     /// Selection nodes whose entries were disjunct sets of init entries.
     pub disjunction: u64,
@@ -597,7 +586,7 @@ pub fn qualifier_pass<V: VarLike>(
     virtual_vectors: impl FnMut(NodeId) -> QualVectors<V>,
 ) -> QualifierPassOutput<V> {
     let mut arena: FormulaArena<V> = FormulaArena::new();
-    let union = union_sweep::<V>(tree, root, &query.qvect);
+    let union = union_sweep(tree, root, &query.qvect);
     let sweep = spine_sweep(&mut arena, tree, query, &union, None, virtual_vectors);
     let mut node_qv = Vec::new();
     if query.has_qualifiers() {
@@ -640,24 +629,23 @@ struct Union {
 /// the *spine* when it is virtual or has a child on the spine; the loop
 /// records it there for the spine phases and computes every other node,
 /// whose children are all constant, in the word lane.
-fn union_sweep<V: VarLike>(tree: &XmlTree, root: NodeId, qvect: &[QEntry]) -> Union {
+fn union_sweep(tree: &XmlTree, root: NodeId, qvect: &[QEntry]) -> Union {
     if qvect.is_empty() {
         // No qualifier, nothing to compute bottom-up and no per-node table
         // to fill: PaX3 skips Stage 1 for such a query, and so does every
         // PaX2 and centralized visit.
         return Union::default();
     }
-    let (nodes, words) = (tree.node_count(), qvect.len() <= WORD);
-    let table = if words { nodes } else { 0 };
+    let (nodes, qlen) = (tree.node_count(), qvect.len());
+    let table = if qlen <= WORD { nodes } else { 0 };
     let mut union = Union {
         qv: vec![0; table],
         qdv: vec![0; table],
         spine_at: vec![OFF_SPINE; nodes],
         ..Union::default()
     };
-    let (mut ops, mut lanes) = (0, LaneCounts::default());
     for v in tree.post_order(root) {
-        if !words
+        if qlen > WORD
             || tree.is_virtual(v)
             || tree.children(v).any(|c| union.spine_at[c.index()] != OFF_SPINE)
         {
@@ -665,15 +653,22 @@ fn union_sweep<V: VarLike>(tree: &XmlTree, root: NodeId, qvect: &[QEntry]) -> Un
             union.spine.push(v);
             continue;
         }
-        let stored = Stored { union: &union, map: None, qlen: qvect.len(), qv: &[], qdv: &[] };
-        let vectors = sweep_node::<V>(None, tree, v, qvect, false, stored, &mut ops, &mut lanes);
-        let Pair::Words(qv, qdv) = vectors else {
-            unreachable!("a node off the spine folds constant words")
-        };
-        union.qv[v.index()] = qv;
-        union.qdv[v.index()] = qdv;
+        // Fold the children's words into "some child has entry i true"
+        // (the paper's QCV) and "some child's subtree has entry i true".
+        let (mut any_qv, mut any_qdv) = (0, 0);
+        for c in tree.children(v) {
+            any_qv |= union.qv[c.index()];
+            any_qdv |= union.qdv[c.index()];
+            union.ops += 2 * qlen as u64;
+        }
+        // One operation per entry, and `qlen` for the QDV.
+        union.ops += 2 * qlen as u64;
+        let stored = Stored { union: &union, map: None, qlen, qv: &[], qdv: &[] };
+        let mut qv = 0;
+        eval_qv(&mut Word, tree, v, qvect, &any_qv, &any_qdv, stored, &mut qv);
+        (union.qv[v.index()], union.qdv[v.index()]) = (qv, qv | any_qdv);
+        union.nodes += 1;
     }
-    (union.ops, union.nodes) = (ops, lanes.word);
     union
 }
 
@@ -693,7 +688,8 @@ struct QualSweep<'u> {
     qdv: Vec<AVec>,
     /// The spine phase's operations.
     ops: u64,
-    /// Nodes per lane, the union phase's counted in the word lane.
+    /// Nodes per lane: the union phase's in the word lane, the spine's in
+    /// the arena lane.
     lanes: LaneCounts,
 }
 
@@ -711,12 +707,8 @@ impl QualSweep<'_> {
 
     /// `v`'s `QV` and `QDV`.
     fn vectors(&self, v: NodeId) -> (AVec, AVec) {
-        match self.stored().child(v) {
-            Child::Words(qv, qdv) => {
-                (AVec::from_word(self.qlen, qv), AVec::from_word(self.qlen, qdv))
-            }
-            Child::Vectors(qv, qdv) => (qv.clone(), qdv.clone()),
-        }
+        let (qv, qdv) = self.stored().child(v);
+        (qv.into_owned(), qdv.into_owned())
     }
 
     /// The subtree root's `QV`/`QDV` in wire form (unswept only for a query
@@ -747,14 +739,6 @@ struct Stored<'a> {
     qdv: &'a [AVec],
 }
 
-/// A swept node's vectors as a sweep folds them.
-enum Child<'a> {
-    /// `QV` and `QDV` as one word each.
-    Words(u64, u64),
-    /// Either is wider than a word or symbolic.
-    Vectors(&'a AVec, &'a AVec),
-}
-
 impl<'a> Stored<'a> {
     /// The query's entries of a union word.
     #[inline]
@@ -765,20 +749,17 @@ impl<'a> Stored<'a> {
         }
     }
 
+    /// `c`'s `QV` and `QDV`.
     #[inline]
-    fn child(&self, c: NodeId) -> Child<'a> {
+    fn child(&self, c: NodeId) -> (Cow<'a, AVec>, Cow<'a, AVec>) {
         match self.union.spine_at[c.index()] {
-            OFF_SPINE => Child::Words(
-                self.gather(self.union.qv[c.index()]),
-                self.gather(self.union.qdv[c.index()]),
-            ),
-            at => {
-                let (qv, qdv) = (&self.qv[at as usize], &self.qdv[at as usize]);
-                match (qv.word(), qdv.word()) {
-                    (Some(qv), Some(qdv)) => Child::Words(qv, qdv),
-                    _ => Child::Vectors(qv, qdv),
-                }
+            OFF_SPINE => {
+                let word = |words: &[u64]| {
+                    Cow::Owned(AVec::from_word(self.qlen, self.gather(words[c.index()])))
+                };
+                (word(&self.union.qv), word(&self.union.qdv))
             }
+            at => (Cow::Borrowed(&self.qv[at as usize]), Cow::Borrowed(&self.qdv[at as usize])),
         }
     }
 
@@ -796,8 +777,8 @@ impl<'a> Stored<'a> {
 }
 
 /// A spine phase: one query's qualifier sweep over the spine its group's
-/// union phase recorded, in that post-order, into the query's `arena`. Off
-/// the spine it reads the union's words through `map`.
+/// union phase recorded, in that post-order, in the arena lane of the
+/// query's `arena`. Off the spine it reads the union's words through `map`.
 fn spine_sweep<'u, V: VarLike>(
     arena: &mut FormulaArena<V>,
     tree: &XmlTree,
@@ -806,142 +787,45 @@ fn spine_sweep<'u, V: VarLike>(
     map: Option<&'u [QEntryId]>,
     mut virtual_vectors: impl FnMut(NodeId) -> QualVectors<V>,
 ) -> QualSweep<'u> {
-    let qlen = query.qvect_len();
-    let (mut ops, mut lanes) = (0, LaneCounts { word: union.nodes, ..LaneCounts::default() });
+    let (qlen, spine) = (query.qvect_len(), union.spine.len());
     let mut sweep = QualSweep {
         union,
         map,
         qlen,
-        qv: Vec::with_capacity(union.spine.len()),
-        qdv: Vec::with_capacity(union.spine.len()),
+        qv: Vec::with_capacity(spine),
+        qdv: Vec::with_capacity(spine),
         ops: 0,
-        lanes: LaneCounts::default(),
+        lanes: LaneCounts { word: union.nodes, arena: spine as u64, ..LaneCounts::default() },
     };
-    // A counted fold reads single children's `QV`s, which a constant fold
-    // does not vouch for: an OR with `true` hides a symbolic child.
-    let counted_folds = query.qvect.iter().any(|e| {
-        matches!(e, QEntry::Step { next_pos: Some(_), .. } | QEntry::Exists { pos: Some(_), .. })
-    });
+    let mut ops = 0;
     for &v in &union.spine {
         let (qv, qdv) = if tree.is_virtual(v) {
             let vectors = virtual_vectors(v);
             debug_assert_eq!(vectors.qv.len(), qlen);
-            let (qv, qdv) =
-                (AVec::from_compact(&vectors.qv, arena), AVec::from_compact(&vectors.qdv, arena));
-            match (qv.word(), qdv.word()) {
-                (Some(_), Some(_)) => lanes.word += 1,
-                _ => lanes.arena += 1,
-            }
             ops += qlen as u64;
-            (qv, qdv)
+            (AVec::from_compact(&vectors.qv, arena), AVec::from_compact(&vectors.qdv, arena))
         } else {
-            let (arena, qvect, stored) = (Some(&mut *arena), &query.qvect, sweep.stored());
-            sweep_node(arena, tree, v, qvect, counted_folds, stored, &mut ops, &mut lanes)
-                .into_vectors(qlen)
+            // The union phase's step in the arena lane: the virtual node
+            // below `v` may make any of its inputs symbolic.
+            let (mut any_qv, mut any_qdv) = (AVec::all_false(qlen), AVec::all_false(qlen));
+            for c in tree.children(v) {
+                let (qv, qdv) = sweep.stored().child(c);
+                any_qv.or_into(&qv, arena);
+                any_qdv.or_into(&qdv, arena);
+                ops += 2 * qlen as u64;
+            }
+            ops += 2 * qlen as u64;
+            let mut qv = AVec::all_false(qlen);
+            eval_qv(arena, tree, v, &query.qvect, &any_qv, &any_qdv, sweep.stored(), &mut qv);
+            // QDV_v(i) = QV_v(i) ∨ (some child's QDV has i).
+            any_qdv.or_into(&qv, arena);
+            (qv, any_qdv)
         };
         sweep.qv.push(qv);
         sweep.qdv.push(qdv);
     }
     sweep.ops = ops;
-    sweep.lanes = lanes;
     sweep
-}
-
-/// A pair of `QV`- and `QDV`-shaped vectors: a node's own, or its children's
-/// folded so far by [`sweep_node`].
-enum Pair {
-    /// One word each: constant entries, at most a word of them.
-    Words(u64, u64),
-    /// Working vectors.
-    Vectors(AVec, AVec),
-}
-
-impl Pair {
-    fn into_vectors(self, qlen: usize) -> (AVec, AVec) {
-        match self {
-            Pair::Words(qv, qdv) => (AVec::from_word(qlen, qv), AVec::from_word(qlen, qdv)),
-            Pair::Vectors(qv, qdv) => (qv, qdv),
-        }
-    }
-}
-
-/// The qualifier sweep's step at the non-virtual node `v` — the loop body
-/// both phases run. It folds the children's vectors into "some child has
-/// entry i true" (the paper's QCV) and "some child's subtree has entry i
-/// true", as words while every child's fit one; then it computes every entry
-/// in the word lane when both folds are constant words (and, for a query
-/// with counted folds, every child's own `QV` is constant), in the arena
-/// lane otherwise. The union phase passes no arena: its nodes only ever fold
-/// constant words.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn sweep_node<V: VarLike>(
-    mut arena: Option<&mut FormulaArena<V>>,
-    tree: &XmlTree,
-    v: NodeId,
-    qvect: &[QEntry],
-    counted_folds: bool,
-    stored: Stored<'_>,
-    ops: &mut u64,
-    lanes: &mut LaneCounts,
-) -> Pair {
-    let qlen = qvect.len();
-    let mut fold = if qlen <= WORD {
-        Pair::Words(0, 0)
-    } else {
-        Pair::Vectors(AVec::all_false(qlen), AVec::all_false(qlen))
-    };
-    let mut constant_children = true;
-    for c in tree.children(v) {
-        fold = match (fold, stored.child(c)) {
-            (Pair::Words(any_qv, any_qdv), Child::Words(qv, qdv)) => {
-                Pair::Words(any_qv | qv, any_qdv | qdv)
-            }
-            (fold, child) => {
-                let arena = arena.as_deref_mut().expect("the union phase folds words only");
-                let (mut any_qv, mut any_qdv) = fold.into_vectors(qlen);
-                match child {
-                    Child::Words(qv, qdv) => {
-                        any_qv.or_into(&AVec::from_word(qlen, qv), arena);
-                        any_qdv.or_into(&AVec::from_word(qlen, qdv), arena);
-                    }
-                    Child::Vectors(qv, qdv) => {
-                        constant_children &= matches!(qv, AVec::Bits(_));
-                        any_qv.or_into(qv, arena);
-                        any_qdv.or_into(qdv, arena);
-                    }
-                }
-                Pair::Vectors(any_qv, any_qdv)
-            }
-        };
-        *ops += 2 * qlen as u64;
-    }
-    // One operation per entry, and `qlen` for the QDV, in either lane.
-    *ops += 2 * qlen as u64;
-
-    let words = match &fold {
-        Pair::Words(any_qv, any_qdv) => Some((*any_qv, *any_qdv)),
-        Pair::Vectors(any_qv, any_qdv) => any_qv.word().zip(any_qdv.word()),
-    };
-    match words {
-        Some((any_qv, any_qdv)) if constant_children || !counted_folds => {
-            lanes.word += 1;
-            let mut qv = 0;
-            eval_qv(&mut Word, tree, v, qvect, &any_qv, &any_qdv, stored, &mut qv);
-            Pair::Words(qv, qv | any_qdv)
-        }
-        _ => {
-            lanes.arena += 1;
-            let arena = arena.expect("the union phase computes words only");
-            let (any_qv, any_qdv) = fold.into_vectors(qlen);
-            let mut qv = AVec::all_false(qlen);
-            eval_qv(arena, tree, v, qvect, &any_qv, &any_qdv, stored, &mut qv);
-            // QDV_v(i) = QV_v(i) ∨ (some child's QDV has i).
-            let mut qdv = any_qdv;
-            qdv.or_into(&qv, arena);
-            Pair::Vectors(qv, qdv)
-        }
-    }
 }
 
 /// Every `QVect` entry at the non-virtual node `v`, in one lane, from the
@@ -1139,7 +1023,7 @@ pub fn selection_pass<V: VarLike>(
 /// A vector as the selection sweep holds it: a node's carried vector (its
 /// parent's `SV` entries followed by its own positional facts) or its `SV`.
 enum Held {
-    /// A vector of the word or the arena lane.
+    /// A vector of the arena lane.
     Vector(AVec),
     /// Disjunct sets in the sweep's buffers: a carried vector is the last
     /// region of the set stack, an `SV` is in `sv_sets`.
@@ -1176,18 +1060,25 @@ fn selection_sweep<V: VarLike>(
     // Explicit DFS stack carrying the parent's (summarised) SV vector plus,
     // when the query has positional predicates, the node's own positional
     // facts (entries slen..slen+P, computed by the parent while pushing).
-    // A symbolic init of at most 62 entries opens the disjunction lane: its
-    // stack entries keep their sets in `sets`, one region of `width` words
-    // each, in stack order, and a node's SV goes to `sv_sets`. `rows` is the
-    // sweep's fact scratch; none of them allocates per node once grown.
+    // The sweep starts in the disjunction lane whenever its init is sets —
+    // always for a constant init, and for a symbolic one of at most 62
+    // entries. Stack entries in that lane keep their sets in `sets`, one
+    // region of `width` words each, in stack order, and a node's SV goes to
+    // `sv_sets`. `rows` is the sweep's fact scratch; none of them allocates
+    // per node once grown.
     let init = AVec::from_compact(init, arena);
-    let (atoms, carried) = match init {
-        AVec::Ids(ids) if ids.len() <= MAX_ATOMS => (Atoms(ids), Held::Sets),
-        init => (Atoms(Vec::new()), Held::Vector(init)),
+    let atoms = match &init {
+        AVec::Ids(ids) if ids.len() <= MAX_ATOMS => Atoms(ids.clone()),
+        _ => Atoms(Vec::new()),
     };
-    let mut sets: Vec<u64> =
-        atoms.0.iter().map(|&id| atoms.set_of(id, arena).expect("an atom is a set")).collect();
-    let mut sv_sets = vec![0; if atoms.0.is_empty() { 0 } else { slen }];
+    let mut sets = vec![0; width];
+    let carried = if atoms.sets_of(&init, arena, &mut sets) {
+        Held::Sets
+    } else {
+        sets.clear();
+        Held::Vector(init)
+    };
+    let mut sv_sets = vec![0; slen];
     let mut stack: Vec<(NodeId, Held)> = vec![(root, carried)];
     let mut rows: Vec<BitVector> = Vec::new();
     while let Some((v, carried)) = stack.pop() {
@@ -1197,10 +1088,6 @@ fn selection_sweep<V: VarLike>(
             // facts) — exactly what that fragment needs as its initial
             // vector (§3.2, Example 3.4).
             let summary = match carried {
-                Held::Vector(vector) if vector.word().is_some() => {
-                    out.lanes.word += 1;
-                    vector
-                }
                 Held::Vector(vector) => {
                     out.lanes.arena += 1;
                     vector
@@ -1250,35 +1137,14 @@ fn selection_sweep<V: VarLike>(
                 sv
             }
             Held::Vector(carried) => {
-                let mut word = 0;
-                let held = carried.word().is_some_and(|carried| {
-                    compute_sv(
-                        &mut Word,
-                        tree,
-                        v,
-                        query,
-                        &carried,
-                        &mut word,
-                        context,
-                        &mut |_, v, e| qual_id(arena, v, e).as_const(),
-                    )
-                    .is_some()
-                });
-                if held {
-                    out.lanes.word += 1;
-                    Held::Vector(AVec::from_word(slen, word))
-                } else {
-                    out.lanes.arena += 1;
-                    Held::Vector(arena_sv(arena, tree, v, query, &carried, context, qual_id))
-                }
+                out.lanes.arena += 1;
+                Held::Vector(arena_sv(arena, tree, v, query, &carried, context, qual_id))
             }
         };
         // Fallback is per node: the children of an arena-lane node re-enter
         // the disjunction lane when its SV holds only sets.
         let sv = match sv {
-            Held::Vector(sv @ AVec::Ids(_)) if atoms.sets_of(&sv, arena, &mut sv_sets) => {
-                Held::Sets
-            }
+            Held::Vector(sv) if atoms.sets_of(&sv, arena, &mut sv_sets) => Held::Sets,
             sv => sv,
         };
         out.ops += slen as u64;
@@ -1295,11 +1161,8 @@ fn selection_sweep<V: VarLike>(
             }
         }
 
-        let dead = fast_forward
-            && match &sv {
-                Held::Sets => sv_sets.iter().all(|&set| set == 0),
-                Held::Vector(sv) => sv.word() == Some(0),
-            };
+        // An all-false SV is sets: only that lane can hold a dead node.
+        let dead = fast_forward && matches!(sv, Held::Sets) && sv_sets.iter().all(|&set| set == 0);
         if dead {
             // The summary every node below `v` carries is all false; only
             // the virtual nodes need it, in the order the full walk would
@@ -1456,8 +1319,8 @@ pub struct CombinedPassOutput<V: Ord> {
     /// Elementary operations performed. In a [`multi_combined_pass`], the
     /// query's own: its spine phase and its selection sweep.
     pub ops: u64,
-    /// The qualifier sweep's nodes per lane — nodes of a union phase in the
-    /// word lane, where their values came from.
+    /// The qualifier sweep's nodes per lane: the union phase's in the word
+    /// lane, the query's spine in the arena lane.
     pub qualifier_lanes: LaneCounts,
     /// The selection sweep's nodes per lane.
     pub selection_lanes: LaneCounts,
@@ -1568,7 +1431,7 @@ pub fn multi_combined_pass<V: VarLike>(
         });
     };
     for group in groups(queries) {
-        let union = union_sweep::<V>(tree, root, &group.qvect);
+        let union = union_sweep(tree, root, &group.qvect);
         sharing.union_entries += group.qvect.len() as u64;
         sharing.union_nodes += union.nodes;
         sharing.union_ops += union.ops;
@@ -1879,12 +1742,13 @@ mod tests {
     /// vectors, and the selection output from a walk that takes the arena
     /// lane at every node and fast-forwards nowhere — and assert that both
     /// agree, that each sweep charged the cost model's `ops`, and that the
-    /// sweeps counted every node in one lane. Returns the selection sweep's
-    /// lane counts.
+    /// sweeps counted every node in one lane: the qualifier sweep's spine in
+    /// the arena lane, no selection node in the word lane. Returns the
+    /// selection sweep's lane counts.
     fn assert_lanes_agree(tree: &XmlTree, q: &CompiledQuery, start_at: Start) -> LaneCounts {
         let (root, qlen, slen) = (tree.root(), q.qvect_len(), q.svect_len());
         let mut arena = FormulaArena::new();
-        let union = union_sweep::<String>(tree, root, &q.qvect);
+        let union = union_sweep(tree, root, &q.qvect);
         let quals = spine_sweep(&mut arena, tree, q, &union, None, fresh_vectors(tree, qlen));
 
         let (mut qual_ops, mut qual_nodes) = (0, 0);
@@ -1917,6 +1781,7 @@ mod tests {
         assert_eq!(union.ops + quals.ops, qual_ops as u64, "qualifier sweep ops");
         let LaneCounts { word, disjunction, arena: in_arena, fast_forwarded } = quals.lanes;
         assert_eq!((disjunction, fast_forwarded), (0, 0), "qualifier sweep lanes");
+        assert_eq!(in_arena, union.spine.len() as u64, "the spine runs in the arena lane");
         assert_eq!(word + in_arena, qual_nodes, "every qualifier node counted once");
 
         let (init, context) = start(q, tree, start_at);
@@ -1964,11 +1829,8 @@ mod tests {
         assert_eq!(sel.virtual_vectors, expected.virtual_vectors, "virtual-node summaries");
         assert_eq!(sel.ops, expected.ops, "selection sweep ops");
         let LaneCounts { word, disjunction, arena: in_arena, fast_forwarded } = sel.lanes;
-        assert_eq!(
-            word + disjunction + in_arena + fast_forwarded,
-            nodes,
-            "every node counted once"
-        );
+        assert_eq!(word, 0, "no selection node runs in the word lane");
+        assert_eq!(disjunction + in_arena + fast_forwarded, nodes, "every node counted once");
         sel.lanes
     }
 
@@ -2250,6 +2112,11 @@ mod tests {
         check_boundary(&tree, &[a[1], d], &text);
     }
 
+    /// Sixty-seven carried entries are more than a word holds and more than
+    /// the disjunction lane has bits for: fresh variables take the arena
+    /// lane from the fragment's root on, and a partly known init until
+    /// `true` has absorbed every variable, three levels down. The root
+    /// fragment's constants are sets at any width, so its sweep never does.
     #[test]
     fn more_than_64_carried_entries_take_the_arena_lane() {
         let mut tree = XmlTree::with_root_element("r");
@@ -2265,8 +2132,17 @@ mod tests {
             }
         }
         let text = common::deep_selection_query();
-        assert!(compiled(&text).init_len() > 64);
-        check_boundary(&tree, &[middle], &text);
+        let q = compiled(&text);
+        assert!(q.init_len() > 64);
+        let (fragment, _) = check_boundary(&tree, &[middle], &text);
+        let nodes = fragment.node_count() as u64;
+        let lanes = |start_at| {
+            let LaneCounts { disjunction, arena, .. } = assert_lanes_agree(&fragment, &q, start_at);
+            (disjunction, arena)
+        };
+        assert_eq!(lanes(Start::Root), (nodes, 0));
+        assert_eq!(lanes(Start::Inner), (0, nodes));
+        assert_eq!(lanes(Start::Partial), (nodes - 3, 3));
     }
 
     #[test]

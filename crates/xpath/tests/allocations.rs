@@ -6,11 +6,15 @@
 //! A query without qualifiers allocates no per-node table at all: its
 //! passes' bytes do not grow with the tree either.
 //!
-//! A non-root fragment's selection sweep starts from fresh variables and
-//! runs in the disjunction lane, so it too allocates per pass, not per node.
+//! The selection sweep runs in the disjunction lane from any init — the
+//! root fragment's constants at any width (67 entries here, more than a
+//! word holds) and a non-root fragment's fresh variables — so it allocates
+//! per pass, not per node, either way.
 //!
 //! This binary has its own counting `#[global_allocator]`. Counts are kept
 //! per thread, so the test harness's other threads do not leak into them.
+
+mod common;
 
 use paxml_boolex::{BoolExpr, CompactVector};
 use paxml_xml::{NodeId, XmlTree};
@@ -114,15 +118,16 @@ fn constant_path_allocations_do_not_grow_with_the_tree() {
     let large = people(16_000);
     assert_eq!((small.node_count(), large.node_count()), (6_001, 96_001));
     let mut grown = Vec::new();
-    for text in
-        ["/site/person[address/country=\"US\"]/name", "//person/name", "/site/person[2]/name"]
-    {
-        let query = compile_text(text).expect("query compiles");
+    let texts =
+        ["/site/person[address/country=\"US\"]/name", "//person/name", "/site/person[2]/name"];
+    // `//*` × 33 carries 67 constant entries, more than one word holds.
+    for text in texts.map(str::to_string).into_iter().chain([common::deep_selection_query()]) {
+        let query = compile_text(&text).expect("query compiles");
         let at_small = pass_allocations(&small, &query);
         let at_large = pass_allocations(&large, &query);
         let passes = ["combined_pass", "qualifier_pass", "selection_pass"];
         for (pass, (s, l)) in passes.iter().zip(at_small.iter().zip(&at_large)) {
-            println!("{text:45} {pass:15} {s:>8} → {l:>8} allocations");
+            println!("{text:45.45} {pass:15} {s:>8} → {l:>8} allocations");
             if l.saturating_sub(*s) > 16 {
                 grown.push(format!("{pass} for {text}: {s} → {l}"));
             }

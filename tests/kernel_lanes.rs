@@ -2,9 +2,11 @@
 //! visit shares, on the benchmark's data and queries: FT2 (the paper's
 //! Fig. 6 fragmentation of an XMark document) and the eight `QMIX8`
 //! queries. The root fragment starts from the query's initial facts, every
-//! other fragment from fresh variables, as PaX2 does; no selection node may
-//! need the arena lane, and the eight queries' visit of a fragment must
-//! equal their eight single visits while sweeping their qualifiers once.
+//! other fragment from fresh variables, as PaX2 does; every selection node
+//! must run in the disjunction lane (or be fast-forwarded) — none in the word
+//! lane, which only the qualifier sweep's union phase runs, and none in the
+//! arena lane — and the eight queries' visit of a fragment must equal their
+//! eight single visits while sweeping their qualifiers once.
 
 use paxml_boolex::CompactVector;
 use paxml_fragment::Fragment;
@@ -71,7 +73,7 @@ fn single_visit(fragment: &Fragment, query: &CompiledQuery) -> CombinedPassOutpu
 
 #[test]
 fn no_selection_node_of_ft2_qmix8_takes_the_arena_lane() {
-    let (_, ft) = paxml_xmark::ft2(2.0, 42);
+    let (document, ft) = paxml_xmark::ft2(2.0, 42);
     let mut total = LaneCounts::default();
     for text in QMIX8 {
         let query = compile_text(text).expect("query compiles");
@@ -84,13 +86,30 @@ fn no_selection_node_of_ft2_qmix8_takes_the_arena_lane() {
                 tree.node_count() as u64,
                 "{text}: every node of fragment {f} counted once"
             );
+            assert_eq!(swept.word, 0, "{text}: fragment {f}'s selection nodes in the word lane");
             add(&mut lanes, swept);
         }
         println!("{text:85} {lanes:?}");
         assert_eq!(lanes.arena, 0, "{text}: selection nodes in the arena lane");
         add(&mut total, lanes);
+
+        // The centralized evaluator: the unfragmented document's visit.
+        let root = document.root();
+        let facts = initial_vector(&query, document.label(root).expect("an element root"));
+        let init = CompactVector::from_bools(&facts);
+        let context = evaluation_context(&query, root);
+        let whole =
+            combined_pass::<Var>(&document, root, &query, init, context, no_virtual, |_, _| {
+                unreachable!("the kernel mints no placeholder")
+            });
+        let LaneCounts { word, arena, .. } = whole.selection_lanes;
+        assert_eq!((word, arena), (0, 0), "{text}: the document's selection lanes");
     }
-    assert!(total.disjunction > 0, "the non-root fragments run in the disjunction lane");
+    assert!(total.disjunction > 0, "the selection sweeps run in the disjunction lane");
+}
+
+fn no_virtual(_: NodeId) -> QualVectors<Var> {
+    unreachable!("the document has no virtual node")
 }
 
 #[test]
