@@ -72,7 +72,7 @@ fn queries() {
         let compiled = paxml_xpath::compile_text(text).unwrap();
         println!(
             "{name}: {text}\n      selection path: {}   |SVect|={} |QVect|={} qualifiers={} descendant-axis={}",
-            compiled.selection_path,
+            compiled.selection_path(),
             compiled.svect_len(),
             compiled.qvect_len(),
             compiled.has_qualifiers(),

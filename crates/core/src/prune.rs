@@ -17,6 +17,7 @@
 //!    round (this is why `PaX3-XA` needs one visit fewer for Q1 in Fig. 9).
 
 use paxml_fragment::{FragmentId, FragmentTree};
+use paxml_xpath::eval::root_context_vector;
 use paxml_xpath::{CompiledQuery, SelItem};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -107,7 +108,7 @@ pub fn analyze_with_trie(query: &CompiledQuery, trie: &PathTrie) -> AnnotationAn
 
     relevant.insert(FragmentId::ROOT);
     if no_qualifiers {
-        exact_init.insert(FragmentId::ROOT, document_vector(query));
+        exact_init.insert(FragmentId::ROOT, root_context_vector(query));
     }
 
     // DFS carrying (trie node, depth, parent SV, cumulative qualifier-feed).
@@ -115,7 +116,7 @@ pub fn analyze_with_trie(query: &CompiledQuery, trie: &PathTrie) -> AnnotationAn
     // matches a qualifier-bearing selection prefix — fragments below such a
     // node can influence that qualifier and must stay.
     let mut stack: Vec<(usize, usize, Vec<bool>, bool)> =
-        vec![(0, 0, document_vector(query), false)];
+        vec![(0, 0, root_context_vector(query), false)];
     while let Some((at, depth, parent_sv, parent_feeds)) = stack.pop() {
         let node = &trie.nodes[at];
         let sv = step_vector(query, &parent_sv, &node.label, depth);
@@ -180,7 +181,7 @@ pub fn analyze(query: &CompiledQuery, ft: &FragmentTree, root_label: &str) -> An
 
     relevant.insert(FragmentId::ROOT);
     if no_qualifiers {
-        exact_init.insert(FragmentId::ROOT, document_vector(query));
+        exact_init.insert(FragmentId::ROOT, root_context_vector(query));
     }
 
     for &fragment in ft.ids() {
@@ -215,7 +216,7 @@ pub fn analyze(query: &CompiledQuery, ft: &FragmentTree, root_label: &str) -> An
                 let parent_vector = if vectors.len() >= 2 {
                     vectors[vectors.len() - 2].clone()
                 } else {
-                    document_vector(query)
+                    root_context_vector(query)
                 };
                 exact_init.insert(fragment, parent_vector);
             }
@@ -223,21 +224,6 @@ pub fn analyze(query: &CompiledQuery, ft: &FragmentTree, root_label: &str) -> An
     }
 
     AnnotationAnalysis { relevant, exact_init, can_skip_final_stage: no_qualifiers }
-}
-
-/// The `SV` vector of the implicit document node, as plain booleans.
-fn document_vector(query: &CompiledQuery) -> Vec<bool> {
-    let mut sv = vec![false; query.svect_len()];
-    if query.absolute {
-        sv[0] = true;
-        for (idx, item) in query.sel_items.iter().enumerate() {
-            match item {
-                SelItem::DescendantOrSelf => sv[idx + 1] = sv[idx],
-                _ => break,
-            }
-        }
-    }
-    sv
 }
 
 /// Selection items that carry qualifiers: position j means the qualifier
@@ -279,7 +265,7 @@ fn step_vector(query: &CompiledQuery, parent: &[bool], label: &str, depth: usize
 /// Optimistic `SV` vectors along a label chain starting at the root element.
 fn chain_vectors(query: &CompiledQuery, chain: &[String]) -> Vec<Vec<bool>> {
     let mut vectors: Vec<Vec<bool>> = Vec::with_capacity(chain.len());
-    let mut parent = document_vector(query);
+    let mut parent = root_context_vector(query);
     for (depth, label) in chain.iter().enumerate() {
         let sv = step_vector(query, &parent, label, depth);
         vectors.push(sv.clone());

@@ -672,8 +672,10 @@ mod tests {
         assert_eq!(server.deployment().health().unrepaired_stale(), vec![(f1, s1)]);
         let mut mirror = fragmented.clone();
         paxml_fragment::apply_update(&mut mirror.fragments[1], &rename[0].1).unwrap();
-        let tree = paxml_fragment::reassemble(&mirror).unwrap();
-        let answers = centralized::evaluate(&tree, query).unwrap().answers;
+        // In the order the server reports answers: by origin id.
+        let (tree, origin) = paxml_fragment::reassemble_with_origin(&mirror).unwrap();
+        let mut answers = centralized::evaluate(&tree, query).unwrap().answers;
+        answers.sort_by_key(|n| origin[n.index()]);
         let expected: Vec<String> = answers.iter().filter_map(|&n| tree.text_of(n)).collect();
 
         // A reader that pins epoch 1 while the merge of F1 into F0 commits.

@@ -53,7 +53,16 @@ pub fn fragment_at(tree: &XmlTree, cuts: &[NodeId]) -> FragmentResult<Fragmented
         .collect();
 
     for &(fid, root) in &roots {
-        let (tree_copy, origin) = copy_with_virtual_cuts(tree, root, &fragment_of_cut);
+        let mut origin: Vec<u32> = Vec::new();
+        let tree_copy = tree.copy_subtree(
+            root,
+            // A child that starts a different fragment leaves a placeholder.
+            |c| {
+                let fid = fragment_of_cut.get(&c)?;
+                Some(NodeKind::virtual_node(fid.index(), tree.label(c).map(str::to_string)))
+            },
+            |src, _| origin.push(src.index() as u32),
+        );
         let root_label = tree.label(root).unwrap_or_default().to_string();
         fragments.push(Fragment { id: fid, tree: tree_copy, root_label, origin });
     }
@@ -81,47 +90,12 @@ pub fn fragment_at(tree: &XmlTree, cuts: &[NodeId]) -> FragmentResult<Fragmented
     Ok(out)
 }
 
-/// Deep-copy the subtree rooted at `root`, stopping at nested cut nodes and
-/// replacing them with virtual placeholders. Also returns, for every node of
-/// the copy, the arena index of the original node it corresponds to.
-fn copy_with_virtual_cuts(
-    tree: &XmlTree,
-    root: NodeId,
-    fragment_of_cut: &BTreeMap<NodeId, FragmentId>,
-) -> (XmlTree, Vec<u32>) {
-    let mut out = XmlTree::new(tree.kind(root).clone());
-    let out_root = out.root();
-    let mut origin: Vec<u32> = vec![root.index() as u32];
-    let mut stack: Vec<(NodeId, NodeId)> = vec![(root, out_root)];
-    while let Some((src, dst)) = stack.pop() {
-        let children: Vec<NodeId> = tree.children(src).collect();
-        for c in children {
-            if let Some(&fid) = fragment_of_cut.get(&c) {
-                // This child starts a different fragment: leave a placeholder.
-                let copied = out.append_child(
-                    dst,
-                    NodeKind::virtual_node(fid.index(), tree.label(c).map(str::to_string)),
-                );
-                debug_assert_eq!(copied.index(), origin.len());
-                origin.push(c.index() as u32);
-            } else {
-                let copied = out.append_child(dst, tree.kind(c).clone());
-                debug_assert_eq!(copied.index(), origin.len());
-                origin.push(c.index() as u32);
-                stack.push((c, copied));
-            }
-        }
-    }
-    (out, origin)
-}
-
 /// Splice every sub-fragment back in place of its virtual node, recovering a
 /// tree structurally identical to the original (this is what the
 /// `NaiveCentralized` baseline does at the query site after shipping all
 /// fragments there).
 pub fn reassemble(fragmented: &FragmentedTree) -> FragmentResult<XmlTree> {
-    fragmented.validate()?;
-    build_fragment(fragmented, FragmentId::ROOT)
+    reassemble_with_origin(fragmented).map(|(tree, _)| tree)
 }
 
 /// Like [`reassemble`], but also return, for every node of the reassembled
@@ -131,76 +105,50 @@ pub fn reassemble(fragmented: &FragmentedTree) -> FragmentResult<XmlTree> {
 /// identity as the distributed algorithms'.
 pub fn reassemble_with_origin(fragmented: &FragmentedTree) -> FragmentResult<(XmlTree, Vec<u32>)> {
     fragmented.validate()?;
-    let root_fragment = fragmented.fragment(FragmentId::ROOT)?;
-    let mut out = XmlTree::new(root_fragment.tree.kind(root_fragment.tree.root()).clone());
-    let mut origin: Vec<u32> = vec![root_fragment.origin[root_fragment.tree.root().index()]];
-    let out_root = out.root();
-    splice_children(
-        fragmented,
-        FragmentId::ROOT,
-        root_fragment.tree.root(),
-        &mut out,
-        out_root,
-        &mut origin,
-    )?;
-    Ok((out, origin))
+    // The document starts as one placeholder for the root fragment (its
+    // origin is filled in by the splice); each splice fills one placeholder
+    // and hands back those it copied.
+    let mut tree = XmlTree::new(NodeKind::virtual_node(FragmentId::ROOT.index(), None));
+    let mut origin = vec![u32::MAX];
+    let mut pending = vec![(tree.root(), FragmentId::ROOT)];
+    while let Some((vnode, id)) = pending.pop() {
+        pending.extend(splice(&mut tree, &mut origin, vnode, fragmented.fragment(id)?)?);
+    }
+    Ok((tree, origin))
 }
 
-fn splice_children(
-    fragmented: &FragmentedTree,
-    fragment_id: FragmentId,
-    src: NodeId,
-    out: &mut XmlTree,
-    dst: NodeId,
+/// Splice `child` into `tree` in place of its virtual node `vnode`: the
+/// placeholder takes the child root's kind and origin, then each of the
+/// child root's children is copied under it in turn, extending `origin` in
+/// arena order. Returns the virtual nodes the copy carried along, with the
+/// fragments they stand for.
+pub(crate) fn splice(
+    tree: &mut XmlTree,
     origin: &mut Vec<u32>,
-) -> FragmentResult<()> {
-    let fragment = fragmented.fragment(fragment_id)?;
-    let children: Vec<NodeId> = fragment.tree.children(src).collect();
-    for c in children {
-        if let Some(child_fid) = fragment.tree.kind(c).virtual_fragment() {
-            // Splice the whole child fragment in place of the placeholder.
-            let child_fid = FragmentId(child_fid);
-            let child = fragmented.fragment(child_fid)?;
-            let child_root = child.tree.root();
-            let copied = out.append_child(dst, child.tree.kind(child_root).clone());
-            debug_assert_eq!(copied.index(), origin.len());
-            origin.push(child.origin[child_root.index()]);
-            splice_children(fragmented, child_fid, child_root, out, copied, origin)?;
-        } else {
-            let copied = out.append_child(dst, fragment.tree.kind(c).clone());
-            debug_assert_eq!(copied.index(), origin.len());
-            origin.push(fragment.origin[c.index()]);
-            splice_children(fragmented, fragment_id, c, out, copied, origin)?;
-        }
+    vnode: NodeId,
+    child: &Fragment,
+) -> FragmentResult<Vec<(NodeId, FragmentId)>> {
+    let root = child.tree.root();
+    tree.replace_kind(vnode, child.tree.kind(root).clone())
+        .map_err(|e| FragmentError::Inconsistent { message: e.to_string() })?;
+    origin[vnode.index()] = child.origin[root.index()];
+    let mut placeholders = Vec::new();
+    for grandchild in child.tree.children(root) {
+        tree.append_subtree(
+            vnode,
+            &child.tree,
+            grandchild,
+            |_| None,
+            |src, copy| {
+                debug_assert_eq!(copy.index(), origin.len());
+                origin.push(child.origin[src.index()]);
+                if let Some(f) = child.tree.kind(src).virtual_fragment() {
+                    placeholders.push((copy, FragmentId(f)));
+                }
+            },
+        );
     }
-    Ok(())
-}
-
-fn build_fragment(fragmented: &FragmentedTree, id: FragmentId) -> FragmentResult<XmlTree> {
-    // Iterative worklist: start from a copy of the fragment and repeatedly
-    // replace virtual nodes by the (recursively assembled) child fragments.
-    // Recursion depth equals the fragment-tree depth, which is small, so a
-    // simple recursive formulation is fine here.
-    let fragment = fragmented.fragment(id)?;
-    let mut tree = fragment.tree.clone();
-    let virtuals: Vec<(NodeId, FragmentId)> = fragment.virtual_children();
-    for (vnode, child_id) in virtuals {
-        let child_tree = build_fragment(fragmented, child_id)?;
-        // Graft the child tree in place of the virtual node: graft under the
-        // virtual node's parent right before detaching the placeholder would
-        // lose document order, so instead we graft as a sibling and rely on
-        // order-insensitive comparison... Rather than that, we replace the
-        // placeholder's payload with the child root's payload and graft the
-        // child's children underneath — preserving document order exactly.
-        tree.replace_kind(vnode, child_tree.kind(child_tree.root()).clone())
-            .map_err(|e| FragmentError::Inconsistent { message: e.to_string() })?;
-        let grandchildren: Vec<NodeId> = child_tree.children(child_tree.root()).collect();
-        for gc in grandchildren {
-            tree.graft_tree(vnode, &child_tree, gc)
-                .map_err(|e| FragmentError::Inconsistent { message: e.to_string() })?;
-        }
-    }
-    Ok(tree)
+    Ok(placeholders)
 }
 
 #[cfg(test)]

@@ -14,8 +14,9 @@
 //! instead of `O(|FT|)`.
 
 use crate::error::{FragmentError, FragmentResult};
+use crate::fragmenter::splice;
 use crate::model::{Fragment, FragmentId, FragmentTree};
-use paxml_xml::{label_path, LabelPath, NodeId, NodeKind, XmlTree};
+use paxml_xml::{label_path, LabelPath, NodeId, NodeKind};
 
 /// The outcome of [`split_fragment`]: the rewritten original fragment, the
 /// newly created sub-fragment, the updated fragment tree, and the
@@ -83,8 +84,12 @@ pub fn split_fragment(
         label_path(&fragment.tree, fragment.tree.root(), cut).unwrap_or_else(LabelPath::empty);
 
     // --- the new child fragment: a verbatim copy of the cut subtree -------
-    let (child_tree, child_origin) =
-        copy_subtree_with_origin(&fragment.tree, cut, &fragment.origin);
+    let mut child_origin: Vec<u32> = Vec::new();
+    let child_tree = fragment.tree.copy_subtree(
+        cut,
+        |_| None,
+        |src, _| child_origin.push(fragment.origin[src.index()]),
+    );
     let child_label = fragment.tree.label(cut).unwrap_or_default().to_string();
     let child = Fragment {
         id: new_id,
@@ -157,12 +162,7 @@ pub fn merge_fragment(
     let mut tree = parent.tree.clone();
     let mut origin = parent.origin.clone();
     debug_assert_eq!(origin.len(), tree.node_count());
-    tree.replace_kind(vnode, child.tree.kind(child.tree.root()).clone())
-        .map_err(|e| FragmentError::Inconsistent { message: e.to_string() })?;
-    let grandchildren: Vec<NodeId> = child.tree.children(child.tree.root()).collect();
-    for gc in grandchildren {
-        graft_with_origin(&mut tree, vnode, &child.tree, gc, &child.origin, &mut origin)?;
-    }
+    splice(&mut tree, &mut origin, vnode, child)?;
     let merged = Fragment { id: parent.id, tree, root_label: parent.root_label.clone(), origin };
 
     // --- FT surgery: lift the child's edges, then drop the child ----------
@@ -224,56 +224,11 @@ pub fn compact_fragmentation(
     Ok(out)
 }
 
-/// Deep-copy the subtree at `root` (virtual placeholders copied verbatim),
-/// carrying the origin map along so answers out of the new fragment keep
-/// their global identity.
-fn copy_subtree_with_origin(tree: &XmlTree, root: NodeId, origin: &[u32]) -> (XmlTree, Vec<u32>) {
-    let mut out = XmlTree::new(tree.kind(root).clone());
-    let mut out_origin: Vec<u32> = vec![origin[root.index()]];
-    let mut stack: Vec<(NodeId, NodeId)> = vec![(root, out.root())];
-    while let Some((src, dst)) = stack.pop() {
-        let children: Vec<NodeId> = tree.children(src).collect();
-        for c in children {
-            let copied = out.append_child(dst, tree.kind(c).clone());
-            debug_assert_eq!(copied.index(), out_origin.len());
-            out_origin.push(origin[c.index()]);
-            stack.push((c, copied));
-        }
-    }
-    (out, out_origin)
-}
-
-/// Copy the subtree of `src` rooted at `src_root` as the last child of
-/// `parent` in `dst`, extending `dst`'s origin map in arena order.
-fn graft_with_origin(
-    dst: &mut XmlTree,
-    parent: NodeId,
-    src: &XmlTree,
-    src_root: NodeId,
-    src_origin: &[u32],
-    dst_origin: &mut Vec<u32>,
-) -> FragmentResult<()> {
-    let new_root = dst.append_child(parent, src.kind(src_root).clone());
-    debug_assert_eq!(new_root.index(), dst_origin.len());
-    dst_origin.push(src_origin[src_root.index()]);
-    let mut stack: Vec<(NodeId, NodeId)> = vec![(src_root, new_root)];
-    while let Some((s, d)) = stack.pop() {
-        let children: Vec<NodeId> = src.children(s).collect();
-        for c in children {
-            let copied = dst.append_child(d, src.kind(c).clone());
-            debug_assert_eq!(copied.index(), dst_origin.len());
-            dst_origin.push(src_origin[c.index()]);
-            stack.push((c, copied));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::strategy::cut_at_labels;
-    use paxml_xml::{parse, to_string};
+    use paxml_xml::{parse, to_string, XmlTree};
 
     fn assemble(fragments: Vec<Fragment>, ft: FragmentTree) -> XmlTree {
         compact_fragmentation(fragments, &ft).unwrap().reassemble().unwrap()

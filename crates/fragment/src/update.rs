@@ -109,16 +109,18 @@ pub fn apply_update(fragment: &mut Fragment, op: &UpdateOp) -> FragmentResult<us
             if subtree.all_nodes().any(|n| subtree.is_virtual(n)) {
                 return Err(invalid("inserted subtrees must not contain virtual nodes"));
             }
-            let before = fragment.tree.node_count();
-            fragment
-                .tree
-                .graft_tree(*parent, subtree, subtree.root())
-                .map_err(|e| invalid(e.to_string()))?;
-            let inserted = fragment.tree.node_count() - before;
-            for i in 0..inserted {
-                fragment.origin.push(origin_base + i as u32);
-            }
-            Ok(inserted)
+            let (origin, mut next) = (&mut fragment.origin, *origin_base);
+            fragment.tree.append_subtree(
+                *parent,
+                subtree,
+                subtree.root(),
+                |_| None,
+                |_, _| {
+                    origin.push(next);
+                    next += 1;
+                },
+            );
+            Ok((next - origin_base) as usize)
         }
         UpdateOp::DeleteSubtree { node } => {
             if *node == tree.root() {

@@ -91,9 +91,8 @@ impl TreeBuilder {
 
     /// Graft a copy of another tree as a child of the current element.
     pub fn subtree(mut self, other: &XmlTree) -> Self {
-        self.tree
-            .graft_tree(self.cursor(), other, other.root())
-            .expect("grafting a valid tree cannot fail");
+        let cursor = self.cursor();
+        self.tree.append_subtree(cursor, other, other.root(), |_| None, |_, _| {});
         self
     }
 

@@ -34,76 +34,90 @@ pub fn to_string_pretty(tree: &XmlTree) -> String {
 /// Serialize a tree with the given options.
 pub fn serialize(tree: &XmlTree, options: &SerializeOptions) -> String {
     let mut out = String::new();
-    write_node(tree, tree.root(), options, 0, &mut out);
+    // An explicit stack, so a deep document costs heap, not call stack: each
+    // entry opens a node or closes an element whose children went on lines
+    // of their own.
+    let mut stack = vec![Step::Open(tree.root(), 0)];
+    while let Some(step) = stack.pop() {
+        let (id, depth) = match step {
+            Step::Open(id, depth) => (id, depth),
+            Step::Close(id, depth) => {
+                pad(&mut out, options, depth);
+                close_tag(&mut out, tree.label(id).unwrap_or_default());
+                continue;
+            }
+        };
+        match tree.kind(id) {
+            NodeKind::Element { label, attributes } => {
+                pad(&mut out, options, depth);
+                out.push('<');
+                out.push_str(label);
+                for (name, value) in attributes {
+                    out.push(' ');
+                    out.push_str(name);
+                    out.push_str("=\"");
+                    out.push_str(&escape_attr(value));
+                    out.push('"');
+                }
+                if tree.first_child(id).is_none() {
+                    out.push_str("/>");
+                    continue;
+                }
+                out.push('>');
+                if tree.children(id).all(|c| matches!(tree.kind(c), NodeKind::Text { .. })) {
+                    // Keep `<name>Anna</name>` on one line even when pretty-printing.
+                    for c in tree.children(id) {
+                        out.push_str(&escape_text(tree.text_value(c).unwrap_or_default()));
+                    }
+                    close_tag(&mut out, label);
+                } else {
+                    stack.push(Step::Close(id, depth));
+                    let mut child = tree.node(id).last_child();
+                    while let Some(c) = child {
+                        stack.push(Step::Open(c, depth + 1));
+                        child = tree.node(c).prev_sibling();
+                    }
+                }
+            }
+            NodeKind::Text { value } => {
+                pad(&mut out, options, depth);
+                out.push_str(&escape_text(value));
+            }
+            NodeKind::Virtual { fragment, root_label } => {
+                pad(&mut out, options, depth);
+                out.push('<');
+                out.push_str(&options.virtual_element_name);
+                out.push_str(&format!(" fragment=\"{fragment}\""));
+                if let Some(l) = root_label {
+                    out.push_str(&format!(" root-label=\"{}\"", escape_attr(l)));
+                }
+                out.push_str("/>");
+            }
+        }
+    }
     out
 }
 
-fn write_node(
-    tree: &XmlTree,
-    id: NodeId,
-    options: &SerializeOptions,
-    depth: usize,
-    out: &mut String,
-) {
-    let pad = |out: &mut String, depth: usize| {
-        if let Some(width) = options.indent {
-            if !out.is_empty() {
-                out.push('\n');
-            }
-            out.push_str(&" ".repeat(width * depth));
+/// One entry of [`serialize`]'s stack: a node and its depth.
+enum Step {
+    Open(NodeId, usize),
+    Close(NodeId, usize),
+}
+
+/// Start a new, indented line when pretty-printing.
+fn pad(out: &mut String, options: &SerializeOptions, depth: usize) {
+    if let Some(width) = options.indent {
+        if !out.is_empty() {
+            out.push('\n');
         }
-    };
-    match tree.kind(id) {
-        NodeKind::Element { label, attributes } => {
-            pad(out, depth);
-            out.push('<');
-            out.push_str(label);
-            for (name, value) in attributes {
-                out.push(' ');
-                out.push_str(name);
-                out.push_str("=\"");
-                out.push_str(&escape_attr(value));
-                out.push('"');
-            }
-            let children: Vec<NodeId> = tree.children(id).collect();
-            if children.is_empty() {
-                out.push_str("/>");
-                return;
-            }
-            out.push('>');
-            let only_text = children.iter().all(|&c| matches!(tree.kind(c), NodeKind::Text { .. }));
-            for &c in &children {
-                if only_text {
-                    // Keep `<name>Anna</name>` on one line even when pretty-printing.
-                    if let NodeKind::Text { value } = tree.kind(c) {
-                        out.push_str(&escape_text(value));
-                    }
-                } else {
-                    write_node(tree, c, options, depth + 1, out);
-                }
-            }
-            if !only_text {
-                pad(out, depth);
-            }
-            out.push_str("</");
-            out.push_str(label);
-            out.push('>');
-        }
-        NodeKind::Text { value } => {
-            pad(out, depth);
-            out.push_str(&escape_text(value));
-        }
-        NodeKind::Virtual { fragment, root_label } => {
-            pad(out, depth);
-            out.push('<');
-            out.push_str(&options.virtual_element_name);
-            out.push_str(&format!(" fragment=\"{fragment}\""));
-            if let Some(l) = root_label {
-                out.push_str(&format!(" root-label=\"{}\"", escape_attr(l)));
-            }
-            out.push_str("/>");
-        }
+        out.push_str(&" ".repeat(width * depth));
     }
+}
+
+fn close_tag(out: &mut String, label: &str) {
+    out.push_str("</");
+    out.push_str(label);
+    out.push('>');
 }
 
 fn escape_text(input: &str) -> String {
@@ -183,6 +197,21 @@ mod tests {
         assert!(s.contains("paxml:fragment-ref"));
         assert!(s.contains("fragment=\"2\""));
         assert!(s.contains("root-label=\"market\""));
+    }
+
+    #[test]
+    fn deep_document_serializes_on_a_small_stack() {
+        // As deep as `parse`'s own deep-document test, on a 2 MiB thread.
+        let depth = 20_000;
+        let mut src: String = (0..depth - 1).map(|i| format!("<n{i}>")).collect();
+        src.push_str(&format!("<n{}/>", depth - 1));
+        src.extend((0..depth - 1).rev().map(|i| format!("</n{i}>")));
+        let worker = std::thread::Builder::new().stack_size(2 << 20).spawn(move || {
+            let tree = parse(&src).unwrap();
+            assert_eq!(to_string(&tree), src);
+            assert_eq!(to_string_pretty(&tree).lines().count(), 2 * depth - 1);
+        });
+        worker.unwrap().join().unwrap();
     }
 
     #[test]

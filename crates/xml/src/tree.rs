@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// The tree always has a root node (created by [`XmlTree::new`] or by the
 /// parser). Structural mutation goes through [`XmlTree::append_child`],
-/// [`XmlTree::detach`], and [`XmlTree::graft_tree`]; these maintain the
+/// [`XmlTree::detach`], and [`XmlTree::append_subtree`]; these maintain the
 /// sibling/child links so that traversals never observe an inconsistent
 /// structure.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -334,9 +334,6 @@ impl XmlTree {
 
     /// Copy the subtree of `other` rooted at `other_root` as the last child
     /// of `parent` in this tree, returning the id of the copied root.
-    ///
-    /// Used when reassembling a fragmented tree (the `NaiveCentralized`
-    /// baseline) and by the workload generator.
     pub fn graft_tree(
         &mut self,
         parent: NodeId,
@@ -345,31 +342,79 @@ impl XmlTree {
     ) -> XmlResult<NodeId> {
         self.check(parent)?;
         other.check(other_root)?;
-        let new_root = self.append_child(parent, other.kind(other_root).clone());
-        // Iterative copy to avoid recursion depth issues on deep trees.
-        let mut stack: Vec<(NodeId, NodeId)> = vec![(other_root, new_root)];
-        while let Some((src, dst)) = stack.pop() {
-            // Collect children first so we can push them in reverse and keep
-            // document order while using a stack.
-            let children: Vec<NodeId> = other.children(src).collect();
-            for &c in &children {
-                let copied = self.append_child(dst, other.kind(c).clone());
-                stack.push((c, copied));
-            }
-        }
-        Ok(new_root)
+        Ok(self.append_subtree(parent, other, other_root, |_| None, |_, _| {}))
     }
 
     /// Extract a deep copy of the subtree rooted at `id` as a standalone tree.
     pub fn extract_subtree(&self, id: NodeId) -> XmlResult<XmlTree> {
         self.check(id)?;
+        Ok(self.copy_subtree(id, |_| None, |_, _| {}))
+    }
+
+    /// A fresh tree holding a copy of the subtree rooted at `id`. The copy's
+    /// root is node 0; the rest is laid out as by
+    /// [`XmlTree::append_subtree`], with the same two callbacks.
+    pub fn copy_subtree(
+        &self,
+        id: NodeId,
+        placeholder: impl FnMut(NodeId) -> Option<NodeKind>,
+        copied: impl FnMut(NodeId, NodeId),
+    ) -> XmlTree {
         let mut out = XmlTree::new(self.kind(id).clone());
         let root = out.root();
-        let children: Vec<NodeId> = self.children(id).collect();
-        for c in children {
-            out.graft_tree(root, self, c)?;
+        out.copy_below(root, self, id, placeholder, copied);
+        out
+    }
+
+    /// Copy the subtree of `src` rooted at `src_root` as the last child of
+    /// `parent`, returning the id of the copied root. This and
+    /// [`XmlTree::copy_subtree`] are the one subtree copy of the workspace:
+    /// grafts, extracts, fragments, splits, merges, reassembly and inserted
+    /// subtrees all go through it, so they all number their copies alike.
+    ///
+    /// The copy is iterative and appends in one fixed order: the root, then,
+    /// repeatedly, pop a copied node off a stack, append all its children in
+    /// document order and push them. `copied(src, copy)` reports every node
+    /// as it is appended — in arena order, so callers can extend an origin
+    /// map. When `placeholder(child)` returns a kind, that child is copied as
+    /// a leaf of that kind and its subtree is skipped (the fragmenter's
+    /// virtual nodes); it is never asked about `src_root`.
+    pub fn append_subtree(
+        &mut self,
+        parent: NodeId,
+        src: &XmlTree,
+        src_root: NodeId,
+        placeholder: impl FnMut(NodeId) -> Option<NodeKind>,
+        copied: impl FnMut(NodeId, NodeId),
+    ) -> NodeId {
+        let root = self.append_child(parent, src.kind(src_root).clone());
+        self.copy_below(root, src, src_root, placeholder, copied);
+        root
+    }
+
+    /// The body of both copies: `root` already holds `src_root`'s kind.
+    fn copy_below(
+        &mut self,
+        root: NodeId,
+        src: &XmlTree,
+        src_root: NodeId,
+        mut placeholder: impl FnMut(NodeId) -> Option<NodeKind>,
+        mut copied: impl FnMut(NodeId, NodeId),
+    ) {
+        copied(src_root, root);
+        let mut stack = vec![(src_root, root)];
+        while let Some((from, to)) = stack.pop() {
+            for child in src.children(from) {
+                match placeholder(child) {
+                    Some(kind) => copied(child, self.append_child(to, kind)),
+                    None => {
+                        let copy = self.append_child(to, src.kind(child).clone());
+                        copied(child, copy);
+                        stack.push((child, copy));
+                    }
+                }
+            }
         }
-        Ok(out)
     }
 
     /// Replace the payload of a node (used by the fragmenter to swap a real

@@ -180,10 +180,6 @@ pub struct CompiledQuery {
     /// Positional predicates on selection-path steps, in path order. Each
     /// contributes one positional-fact entry to every carried vector.
     pub sel_positions: Vec<SelPos>,
-    /// Human-readable selection path (e.g. `//broker/name`), for reports.
-    pub selection_path: String,
-    /// The normalized query this was compiled from.
-    pub source: NormQuery,
 }
 
 impl CompiledQuery {
@@ -229,6 +225,31 @@ impl CompiledQuery {
         (self.init_len() + self.qvect_len()) as u64
     }
 
+    /// The human-readable selection path (e.g. `//broker/name`), for
+    /// reports: the selection steps joined by `/`, with `//` standing in for
+    /// its separator; `.` when the path has no step.
+    pub fn selection_path(&self) -> String {
+        let mut out = String::new();
+        if self.absolute {
+            out.push('/');
+        }
+        for step in self.selection_steps() {
+            if step == "//" {
+                // A `//` subsumes the single `/` separator.
+                if out.ends_with('/') {
+                    out.pop();
+                }
+            } else if !out.is_empty() && !out.ends_with('/') {
+                out.push('/');
+            }
+            out.push_str(&step);
+        }
+        if out.is_empty() {
+            out.push('.');
+        }
+        out
+    }
+
     /// The sequence of selection-step labels, with `//` rendered as `//` and
     /// wildcards as `*` — the "selection path" of the paper.
     pub fn selection_steps(&self) -> Vec<String> {
@@ -249,7 +270,7 @@ impl fmt::Display for CompiledQuery {
         write!(
             f,
             "CompiledQuery(selection: {}, |SVect| = {}, |QVect| = {})",
-            self.selection_path,
+            self.selection_path(),
             self.svect_len(),
             self.qvect_len()
         )
@@ -316,15 +337,7 @@ fn compile_inner(
             }
         }
     }
-    let selection_path = render_selection_path(query);
-    Ok(CompiledQuery {
-        absolute: query.absolute,
-        sel_items,
-        qvect: compiler.qvect,
-        sel_positions,
-        selection_path,
-        source: query.clone(),
-    })
+    Ok(CompiledQuery { absolute: query.absolute, sel_items, qvect: compiler.qvect, sel_positions })
 }
 
 /// A cache of compiled qualifier sub-trees shared across
@@ -417,37 +430,6 @@ fn entry_refs(e: &QEntry) -> Vec<QEntryId> {
         QEntry::And(es) | QEntry::Or(es) => es.clone(),
         _ => Vec::new(),
     }
-}
-
-fn render_selection_path(query: &NormQuery) -> String {
-    let mut out = String::new();
-    if query.absolute {
-        out.push('/');
-    }
-    let mut need_slash = false;
-    for item in query.path.selection_items() {
-        match item {
-            NormItem::DescendantOrSelf => {
-                // A `//` subsumes the single `/` separator.
-                if out.ends_with('/') {
-                    out.pop();
-                }
-                out.push_str("//");
-                need_slash = false;
-            }
-            other => {
-                if need_slash {
-                    out.push('/');
-                }
-                out.push_str(&other.to_string());
-                need_slash = true;
-            }
-        }
-    }
-    if out.is_empty() {
-        out.push('.');
-    }
-    out
 }
 
 struct Compiler<'c> {
@@ -711,7 +693,7 @@ mod tests {
         assert_eq!(c.qvect_len(), 0);
         assert!(!c.has_qualifiers());
         assert_eq!(c.svect_len(), 5); // 4 steps + the empty prefix
-        assert_eq!(c.selection_path, "/sites/site/people/person");
+        assert_eq!(c.selection_path(), "/sites/site/people/person");
         assert_eq!(c.selection_steps(), vec!["sites", "site", "people", "person"]);
     }
 
@@ -728,7 +710,7 @@ mod tests {
             comp("client[country/text() = \"US\"]/broker[market/name/text() = \"NASDAQ\"]/name");
         // Selection path client/broker/name plus two ε[q] items plus entry 0.
         assert_eq!(c.svect_len(), 6);
-        assert_eq!(c.selection_path, "client/broker/name");
+        assert_eq!(c.selection_path(), "client/broker/name");
         // The paper's QVect has 9 entries; ours differs slightly in shape but
         // must stay the same order of magnitude (linear in |Q|).
         assert!(c.qvect_len() >= 6);
@@ -792,7 +774,7 @@ mod tests {
         assert_eq!(c.sel_items.len(), 1);
         assert!(matches!(c.sel_items[0], SelItem::SelfQualifier(_)));
         assert!(c.has_qualifiers());
-        assert_eq!(c.selection_path, ".");
+        assert_eq!(c.selection_path(), ".");
     }
 
     #[test]

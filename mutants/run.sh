@@ -1,5 +1,5 @@
 #!/bin/sh
-# Mutation checks for the site kernel. Each mutants/NAME.patch breaks the
+# Mutation checks. Each mutants/NAME.patch breaks the
 # code on purpose and mutants/NAME.test holds the one `cargo test`
 # invocation that must catch it. For every mutant (or only those named on
 # the command line) this applies the patch with `git apply`, requires the
