@@ -19,7 +19,7 @@
 //! deployment's cumulative ledger.
 
 use crate::error::{PaxError, PaxResult};
-use crate::prune::PathTrie;
+use crate::prune::{FragmentLabels, PathTrie};
 use crate::transport::{
     injected_fault_error, EpochRequest, ProtocolRequest, ProtocolResponse, Transport,
 };
@@ -34,7 +34,8 @@ use std::time::{Duration, Instant};
 
 /// One immutable version of the deployment's *topology*: the fragment tree
 /// (with its §5 annotations) plus the fragment→site placement map, tagged
-/// with a monotonically increasing version.
+/// with a monotonically increasing version, and the fragments' §5 label
+/// sets.
 ///
 /// A topology belongs to the epochs that route by it: the server's pinned
 /// epoch holds its `Arc`, and every execution routes through the one its
@@ -53,10 +54,15 @@ pub struct Topology {
     /// published re-fragmentation. Carried on `ExecReport` so callers can
     /// assert which topology served a read.
     pub version: u64,
-    /// The label-path trie over the fragment annotations, built lazily on
-    /// first use and then shared by every query evaluated under this
-    /// topology version (the annotation analysis is `O(|distinct paths|)`
-    /// through it instead of `O(Σ chain lengths)` per query).
+    /// The element labels each fragment holds, when the analysis may prune
+    /// by them. An update that brings a label into a fragment publishes a
+    /// copy of the topology with grown sets under the same version.
+    labels: Option<Arc<FragmentLabels>>,
+    /// The label-path trie over the fragment annotations (and the label
+    /// sets), built lazily on first use and then shared by every query
+    /// evaluated under this topology (the annotation analysis is
+    /// `O(|distinct paths|)` through it instead of `O(Σ chain lengths)` per
+    /// query).
     path_trie: OnceLock<Arc<PathTrie>>,
 }
 
@@ -67,28 +73,44 @@ impl PartialEq for Topology {
         self.fragment_tree == other.fragment_tree
             && self.placement == other.placement
             && self.version == other.version
+            && self.labels == other.labels
     }
 }
 
 impl Topology {
-    /// Assemble a topology version. The path trie starts unbuilt.
+    /// Assemble a topology version without label sets: its analysis prunes
+    /// by label paths only. The path trie starts unbuilt.
     pub fn new(
         fragment_tree: FragmentTree,
         placement: BTreeMap<FragmentId, ReplicaSet>,
         version: u64,
     ) -> Topology {
-        Topology { fragment_tree, placement, version, path_trie: OnceLock::new() }
+        Topology { fragment_tree, placement, version, labels: None, path_trie: OnceLock::new() }
     }
 
-    /// The label-path trie for this topology version, built on first call
-    /// and cached: concurrent queries share one `Arc`. `root_label` is the
-    /// document root element's label (constant per deployment, so passing
-    /// it per call cannot change the cached value).
+    /// The same topology with the fragments' label sets, which must
+    /// describe its fragment tree. The path trie starts unbuilt.
+    pub(crate) fn with_labels(&self, labels: Arc<FragmentLabels>) -> Topology {
+        Topology { labels: Some(labels), path_trie: OnceLock::new(), ..self.clone() }
+    }
+
+    /// The fragments' label sets, if this topology carries them.
+    pub fn labels(&self) -> Option<&FragmentLabels> {
+        self.labels.as_deref()
+    }
+
+    /// The label-path trie for this topology, carrying its label sets,
+    /// built on first call and cached: concurrent queries share one `Arc`.
+    /// `root_label` is the document root element's label (constant per
+    /// deployment, so passing it per call cannot change the cached value).
     pub fn path_trie(&self, root_label: &str) -> Arc<PathTrie> {
-        Arc::clone(
-            self.path_trie
-                .get_or_init(|| Arc::new(PathTrie::build(&self.fragment_tree, root_label))),
-        )
+        Arc::clone(self.path_trie.get_or_init(|| {
+            let trie = PathTrie::build(&self.fragment_tree, root_label);
+            Arc::new(match &self.labels {
+                Some(labels) => trie.with_labels(Arc::clone(labels)),
+                None => trie,
+            })
+        }))
     }
     /// The *primary* site storing a fragment (the first replica).
     ///
@@ -395,14 +417,16 @@ impl Deployment {
     }
 
     /// The deploy-time topology (version 0): `fragmented`'s tree, placed
-    /// where the transport loaded it. The server pins it as epoch 0's;
-    /// server-less callers pin it into their [`ExecCtx`] themselves. This is
-    /// the only time the transport's static assignment is consulted (it
-    /// cannot know about fragments created by later splits).
+    /// where the transport loaded it, with its fragments' label sets. The
+    /// server pins it as epoch 0's; server-less callers pin it into their
+    /// [`ExecCtx`] themselves. This is the only time the transport's static
+    /// assignment is consulted (it cannot know about fragments created by
+    /// later splits).
     pub fn deployed_topology(&self, fragmented: &FragmentedTree) -> Arc<Topology> {
         let ft = &fragmented.fragment_tree;
         let placement = ft.ids().iter().map(|&f| (f, self.transport.replicas_of(f))).collect();
-        Arc::new(Topology::new(ft.clone(), placement, 0))
+        let labels = Arc::new(FragmentLabels::build(fragmented));
+        Arc::new(Topology::new(ft.clone(), placement, 0).with_labels(labels))
     }
 
     /// The health tracker shared by every execution over this deployment.

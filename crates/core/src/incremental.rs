@@ -307,12 +307,46 @@ impl QuerySession {
         RefreshOutcome { unify_ops, reunified_fragments: qual.recomputed + sel.recomputed }
     }
 
+    /// Re-plan over `topology`, whose label sets an update with the dirty
+    /// fragments `dirty` grew. Relevance only grows with the sets. A newly
+    /// relevant fragment that is dirty is evaluated by the update round
+    /// itself; a clean one has no cached vectors, so a snapshotted session
+    /// that gains one goes cold and re-snapshots on its next execution —
+    /// the update round still never visits a clean site.
+    pub(crate) fn replan(
+        &mut self,
+        topology: &Arc<Topology>,
+        root_label: &str,
+        dirty: &BTreeSet<FragmentId>,
+    ) {
+        let plan = QueryPlan::new(&self.query, &self.options, topology, root_label);
+        let gains_a_clean_fragment = plan
+            .analysis
+            .relevant
+            .iter()
+            .any(|f| !self.relevant().contains(f) && !dirty.contains(f));
+        if self.initialized && gains_a_clean_fragment {
+            *self = QuerySession::new(
+                Arc::clone(&self.query),
+                &self.query_text,
+                &self.options,
+                topology,
+                root_label,
+            );
+        } else {
+            self.plan = plan;
+            self.topology = Arc::clone(topology);
+        }
+    }
+
     /// Adopt a new fragment tree after a re-fragmentation that left this
     /// session's relevant fragments untouched. The annotation analysis is
     /// re-derived over the new tree, the (possibly stale) entries for the
     /// `touched` fragments are dropped, and the truth-value assignment is
     /// rebuilt from the surviving cached vectors — a pure coordinator-side
-    /// refresh that costs **zero site visits**.
+    /// refresh that costs **zero site visits**. Returns `false`, changing
+    /// nothing, when the new analysis keeps a fragment the session holds no
+    /// vectors for (a touched one, or one the new label sets let in).
     ///
     /// Sessions whose relevant set intersects the touched fragments cannot
     /// be salvaged this way (their residual vectors mention fragments that
@@ -322,9 +356,14 @@ impl QuerySession {
         topology: &Arc<Topology>,
         root_label: &str,
         touched: &BTreeSet<FragmentId>,
-    ) {
+    ) -> bool {
+        let plan = QueryPlan::new(&self.query, &self.options, topology, root_label);
+        let cached = |f: &FragmentId| self.cache.contains_key(f) && !touched.contains(f);
+        if !plan.analysis.relevant.iter().all(cached) {
+            return false;
+        }
         self.topology = Arc::clone(topology);
-        self.plan = QueryPlan::new(&self.query, &self.options, topology, root_label);
+        self.plan = plan;
         for fragment in touched {
             self.cache.remove(fragment);
             self.virtuals.remove(fragment);
@@ -336,6 +375,7 @@ impl QuerySession {
         self.virtuals.retain(|fragment, _| ft.contains(*fragment));
         self.assignment = DenseAssignment::new(ft.len());
         self.refresh_coordinator_state(&BTreeSet::new(), true);
+        true
     }
 }
 
@@ -568,5 +608,85 @@ mod tests {
         let texts = server.execute(&q).unwrap().answer_texts();
         assert_eq!(texts.len(), 8);
         assert!(texts.contains(&"edited".to_string()));
+    }
+
+    /// A site with one US person under `people` and one item under
+    /// `regions/europe`, cut at `cuts`.
+    fn site_cut_at(cuts: &[&str]) -> FragmentedTree {
+        let tree = TreeBuilder::new("site")
+            .open("people")
+            .open("person")
+            .leaf("name", "Anna")
+            .open("address")
+            .leaf("country", "US")
+            .close()
+            .close()
+            .close()
+            .open("regions")
+            .open("europe")
+            .open("item")
+            .leaf("name", "Bike")
+            .close()
+            .close()
+            .close()
+            .build();
+        strategy::cut_at_labels(&tree, cuts).unwrap()
+    }
+
+    /// Insert a US person named `name` under the root of `fragment`.
+    fn insert_person(fragmented: &FragmentedTree, fragment: usize, name: &str) -> UpdateOp {
+        let person = TreeBuilder::new("person")
+            .leaf("name", name)
+            .open("address")
+            .leaf("country", "US")
+            .close()
+            .build();
+        let parent = fragmented.fragments[fragment].tree.root();
+        UpdateOp::InsertSubtree { parent, subtree: person, origin_base: 1000 }
+    }
+
+    const US_NAMES: &str = "//person[address/country/text()='US']/name";
+
+    #[test]
+    fn an_insert_that_brings_a_needed_label_makes_a_pruned_fragment_relevant() {
+        // F1 (europe) holds no person, so label pruning drops it; an insert
+        // brings one in. F1 is dirty, its parent F0 is relevant: the update
+        // round evaluates F1 and the session stays warm.
+        let fragmented = site_cut_at(&["europe"]);
+        let server = server(&fragmented, true);
+        let q = server.prepare(US_NAMES).unwrap();
+        let first = server.execute(&q).unwrap();
+        assert_eq!(first.answer_texts(), vec!["Anna".to_string()]);
+        assert_eq!(first.queries[0].fragments_evaluated, 1);
+
+        let outcome = update(&server, 1, insert_person(&fragmented, 1, "Bert"));
+        assert_eq!(outcome.recomputed_fragments, 1, "the newly relevant F1 is evaluated");
+        let report = server.execute(&q).unwrap();
+        assert!(report.from_cache);
+        assert_eq!(report.answer_texts(), vec!["Anna".to_string(), "Bert".to_string()]);
+        assert_eq!(server.query_once(US_NAMES).unwrap().queries[0].fragments_evaluated, 2);
+    }
+
+    #[test]
+    fn a_clean_ancestor_becoming_relevant_sends_the_session_cold() {
+        // F1 (regions) → F2 (europe): neither subtree holds a person. An
+        // insert into F2 makes F2's and F1's subtrees hold one, so the clean
+        // F1 becomes relevant too. The update round still visits only F2's
+        // site; the session has no vectors for F1, so it goes cold and its
+        // next execution re-snapshots.
+        let fragmented = site_cut_at(&["regions", "europe"]);
+        let server = server(&fragmented, true);
+        let q = server.prepare(US_NAMES).unwrap();
+        let first = server.execute(&q).unwrap();
+        assert_eq!(first.answer_texts(), vec!["Anna".to_string()]);
+        assert_eq!(first.queries[0].fragments_evaluated, 1);
+
+        let outcome = update(&server, 2, insert_person(&fragmented, 2, "Bert"));
+        assert_eq!(outcome.refreshed_sessions, 0, "the cold session rides the round untouched");
+        let report = server.execute(&q).unwrap();
+        assert!(!report.from_cache, "the session went cold");
+        assert_eq!(report.queries[0].fragments_evaluated, 3);
+        assert_eq!(report.answer_texts(), vec!["Anna".to_string(), "Bert".to_string()]);
+        assert!(server.execute(&q).unwrap().from_cache);
     }
 }

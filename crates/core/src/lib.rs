@@ -63,7 +63,7 @@ mod vars;
 pub use deployment::{Deployment, ExecCtx, Topology};
 pub use error::{PaxError, PaxResult};
 pub use paxml_distsim::LATEST_EPOCH;
-pub use prune::{analyze_with_trie, AnnotationAnalysis, PathTrie};
+pub use prune::{analyze_with_trie, AnnotationAnalysis, FragmentLabels, PathTrie};
 pub use report::{
     answer_item, Algorithm, AnswerItem, ExecMode, ExecReport, QueryOutcome, UpdateOutcome,
 };

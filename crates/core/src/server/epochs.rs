@@ -32,7 +32,8 @@ pub(super) struct EpochInner {
     /// execution. Epoch 0 is the initial deployment.
     pub(super) number: u64,
     /// The fragment tree and placement every execution pinned here routes
-    /// by. Epochs between re-fragmentations share one `Arc`.
+    /// by. Consecutive epochs share one `Arc` until a re-fragmentation, or
+    /// an update that grows the label sets, publishes a new one.
     pub(super) topology: Arc<Topology>,
     /// Residual-vector caches per prepared query (PaX2 servers), keyed by
     /// the prepared query's id, *consistent with this epoch's data*.
@@ -386,8 +387,8 @@ impl<'a> EpochBuild<'a> {
 
     /// Apply everything the build decided on, in one fixed order, and —
     /// when the build produced one — publish epoch `N + 1`: `next` is its
-    /// sessions plus, for a re-fragmentation, its topology (otherwise it
-    /// keeps routing by the base topology). Infallible, and the only
+    /// sessions plus, for a re-fragmentation or an update that grew the
+    /// label sets, its topology (otherwise it keeps the base topology). Infallible, and the only
     /// function that swaps the current epoch, and the only writer of the
     /// stale and repaired marks a build decides on, so every observer sees a
     /// build entirely or not at all. (Outside builds,

@@ -59,8 +59,9 @@
 //! * **Swap.** Everything a build changes, it changes in the transaction's
 //!   one infallible `commit`, in one fixed order that ends in a single
 //!   pointer swap of the current-epoch handle. The new epoch carries its
-//!   topology (a re-fragmentation's new one, or the base epoch's); nothing
-//!   else records which topology routes which epoch. Executions that pinned
+//!   topology (a re-fragmentation's new one, the base epoch's with the
+//!   label sets an update grew, or the base epoch's); nothing else records
+//!   which topology routes which epoch. Executions that pinned
 //!   `N` keep reading `N` to completion; executions entering after the swap
 //!   read `N + 1`. A failed build (e.g. an unreachable site) never reaches
 //!   `commit`, so it publishes nothing and pinned readers are unaffected.
@@ -712,6 +713,74 @@ mod tests {
         assert_eq!(server.deployment().health().unrepaired_stale(), vec![(f1, s1)]);
         server.vacuum().unwrap();
         assert_eq!(server.deployment().health().unrepaired_stale(), vec![]);
+    }
+
+    #[test]
+    fn a_split_or_merge_recomputes_the_label_sets_it_installs() {
+        // Cut at the brokers; then split F1 at its market into F3 and merge
+        // it back. `//market/stock` starts every fragment exact, so it reads
+        // each fragment's own labels: after the split F1 holds no market,
+        // F3 does; after the merge F1 holds it again.
+        let tree = clientele();
+        let fragmented = strategy::cut_at_labels(&tree, &["broker"]).unwrap();
+        let builder = PaxServer::builder().annotations(true).sites(3).sequential(true);
+        let server = builder.deploy(&fragmented).unwrap();
+        let query = "//market/stock";
+        let mut expected = centralized::evaluate(&tree, query).unwrap().answers;
+        expected.sort();
+        let check = |fragments_evaluated: usize| {
+            let report = server.query_once(query).unwrap();
+            assert_eq!(report.answer_origins(), expected);
+            assert_eq!(report.queries[0].fragments_evaluated, fragments_evaluated);
+        };
+        let holds = |fragment: usize, label: &str| {
+            server.topology().labels().unwrap().holds(FragmentId(fragment), label)
+        };
+        let q = server.prepare("client/name").unwrap();
+        server.execute(&q).unwrap();
+        check(3);
+
+        let (f1, f3) = (FragmentId(1), FragmentId(3));
+        server
+            .refragment(|base| {
+                let f1_payload = base.fetch(&[f1])?.remove(&f1).unwrap();
+                let market = f1_payload.tree.find_first("market").unwrap();
+                let ft = &base.topology().fragment_tree;
+                let split = paxml_fragment::split_fragment(&f1_payload, ft, market, f3)?;
+                let mut placement = base.topology().placement.clone();
+                placement.insert(f3, ReplicaSet::solo(SiteId(0)));
+                Ok(TopologyChange {
+                    fragment_tree: split.fragment_tree,
+                    placement,
+                    installs: vec![split.parent, split.child],
+                    touched: BTreeSet::from([f1, f3]),
+                })
+            })
+            .unwrap();
+        assert!(!holds(1, "market") && !holds(1, "stock") && holds(1, "broker"));
+        assert!(holds(3, "market") && holds(3, "stock"));
+        check(3);
+        assert!(server.execute(&q).unwrap().from_cache, "an untouched session carries over");
+
+        server
+            .refragment(|base| {
+                let mut fetched = base.fetch(&[f1, f3])?;
+                let (parent, child) = (fetched.remove(&f1).unwrap(), fetched.remove(&f3).unwrap());
+                let ft = &base.topology().fragment_tree;
+                let merged = paxml_fragment::merge_fragment(&parent, &child, ft)?;
+                let mut placement = base.topology().placement.clone();
+                placement.remove(&f3);
+                Ok(TopologyChange {
+                    fragment_tree: merged.fragment_tree,
+                    placement,
+                    installs: vec![merged.merged],
+                    touched: BTreeSet::from([f1, f3]),
+                })
+            })
+            .unwrap();
+        assert!(holds(1, "market") && holds(1, "stock"));
+        assert!(!server.topology().fragment_tree.contains(f3));
+        check(3);
     }
 
     #[test]

@@ -31,10 +31,11 @@ impl PaxServer {
     /// 2. publishes epoch `N + 1` with the new topology version in one
     ///    pointer swap — the epoch owns its topology, so a reader that pins
     ///    `N + 1` routes by `N + 1`'s;
-    /// 3. carries every residual-vector session into the new epoch:
-    ///    sessions whose relevant fragments were untouched are
-    ///    re-anchored to the new fragment tree coordinator-side (zero
-    ///    visits), sessions that overlap the touched fragments are
+    /// 3. carries every residual-vector session into the new epoch, whose
+    ///    topology re-reads the label sets of the installed fragments:
+    ///    sessions whose relevant fragments were untouched (before and
+    ///    after) are re-anchored to the new fragment tree coordinator-side
+    ///    (zero visits), sessions that overlap the touched fragments are
     ///    cold-reset and re-snapshot lazily on their next execution;
     /// 4. leaves the dissolved `(fragment, site)` copies, and their stale
     ///    marks, to the vacuum sweep, which purges a copy once no live
@@ -69,18 +70,22 @@ impl PaxServer {
             install(&mut epoch.next, by_site)?;
 
             // Carry the sessions into the new epoch (no visits).
-            let next_topology = Arc::new(Topology::new(
-                change.fragment_tree,
-                change.placement,
-                base_topology.version + 1,
-            ));
+            let mut next_topology =
+                Topology::new(change.fragment_tree, change.placement, base_topology.version + 1);
+            if let Some(labels) = base_topology.labels() {
+                let labels = labels.refragmented(&next_topology.fragment_tree, &change.installs);
+                next_topology = next_topology.with_labels(Arc::new(labels));
+            }
+            let next_topology = Arc::new(next_topology);
             let root_label = &self.deployment.root_label;
             let mut sessions = epoch.base.cloned_sessions();
             let mut retopologized_sessions = 0usize;
             for session in sessions.values_mut() {
                 let overlaps = session.relevant().iter().any(|f| change.touched.contains(f));
-                if session.initialized && !overlaps {
-                    session.retopologize(&next_topology, root_label, &change.touched);
+                if session.initialized
+                    && !overlaps
+                    && session.retopologize(&next_topology, root_label, &change.touched)
+                {
                     retopologized_sessions += 1;
                 } else {
                     // Residual vectors mention fragments that changed shape (or

@@ -74,13 +74,28 @@ impl PaxServer {
                 }
             }
 
+            // Labels the ops bring in grow the next epoch's label sets;
+            // every session re-plans over them before the round, so a
+            // fragment the growth makes relevant is evaluated in it.
+            let grown = topology
+                .labels()
+                .and_then(|labels| labels.grown(&ops_by_fragment, &topology.fragment_tree));
+            let next_topology =
+                grown.map(|labels| Arc::new(topology.with_labels(Arc::new(labels))));
+            let mut sessions = build.base.cloned_sessions();
+            if let Some(next_topology) = &next_topology {
+                let dirty = ops_by_fragment.keys().copied().collect();
+                for session in sessions.values_mut() {
+                    session.replan(next_topology, &self.deployment.root_label, &dirty);
+                }
+            }
+
             // The one dirty round: each dirty site gets the ops for its
             // fragments plus, per session, the recompute instructions for
             // its share of that session's dirty-and-relevant fragments.
             // Sites install the updated fragments as versions of the next
             // epoch and recompute vectors against them, while readers on
             // older epochs keep seeing the old versions.
-            let mut sessions = build.base.cloned_sessions();
             let round = session_round(
                 &mut build.next,
                 &site_fragments,
@@ -88,7 +103,7 @@ impl PaxServer {
                 sessions.iter_mut().map(|(&id, session)| (id, session)).collect(),
             )?;
             let (epoch, stats) = (build.base.number + 1, std::mem::take(&mut build.next.stats));
-            build.commit(Some((sessions, None)));
+            build.commit(Some((sessions, next_topology)));
             Ok(ExecReport {
                 stats,
                 coordinator_ops: round.unify_ops,

@@ -41,7 +41,8 @@ const ATTRS: &[&str] = &["id", "category"];
 const ANCHORS: &[&str] =
     &["//person[address/country = \"Germany\"]/name", "//item[quantity > 5]/name"];
 
-/// One query as the PaX2 coordinator plans it.
+/// One query as the PaX2 coordinator plans it: with annotations, over the
+/// topology's trie, which carries the fragments' label sets.
 struct Plan {
     query: CompiledQuery,
     analysis: AnnotationAnalysis,
