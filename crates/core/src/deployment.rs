@@ -54,9 +54,10 @@ pub struct Topology {
     /// published re-fragmentation. Carried on `ExecReport` so callers can
     /// assert which topology served a read.
     pub version: u64,
-    /// The element labels each fragment holds, when the analysis may prune
-    /// by them. An update that brings a label into a fragment publishes a
-    /// copy of the topology with grown sets under the same version.
+    /// The element labels each fragment holds, which the §5 analysis prunes
+    /// by; `None` when the server runs without annotations, so no analysis
+    /// reads them. An update that brings a label into a fragment publishes
+    /// a copy of the topology with grown sets under the same version.
     labels: Option<Arc<FragmentLabels>>,
     /// The label-path trie over the fragment annotations (and the label
     /// sets), built lazily on first use and then shared by every query
@@ -78,23 +79,25 @@ impl PartialEq for Topology {
 }
 
 impl Topology {
-    /// Assemble a topology version without label sets: its analysis prunes
-    /// by label paths only. The path trie starts unbuilt.
+    /// Assemble a topology version. `labels` must describe `fragment_tree`,
+    /// and be `None` only for a server that runs without annotations. The
+    /// path trie starts unbuilt.
     pub fn new(
         fragment_tree: FragmentTree,
         placement: BTreeMap<FragmentId, ReplicaSet>,
         version: u64,
+        labels: Option<Arc<FragmentLabels>>,
     ) -> Topology {
-        Topology { fragment_tree, placement, version, labels: None, path_trie: OnceLock::new() }
+        Topology { fragment_tree, placement, version, labels, path_trie: OnceLock::new() }
     }
 
-    /// The same topology with the fragments' label sets, which must
-    /// describe its fragment tree. The path trie starts unbuilt.
+    /// The same topology with grown label sets. The path trie starts
+    /// unbuilt.
     pub(crate) fn with_labels(&self, labels: Arc<FragmentLabels>) -> Topology {
         Topology { labels: Some(labels), path_trie: OnceLock::new(), ..self.clone() }
     }
 
-    /// The fragments' label sets, if this topology carries them.
+    /// The fragments' label sets; `None` without annotations.
     pub fn labels(&self) -> Option<&FragmentLabels> {
         self.labels.as_deref()
     }
@@ -103,13 +106,15 @@ impl Topology {
     /// built on first call and cached: concurrent queries share one `Arc`.
     /// `root_label` is the document root element's label (constant per
     /// deployment, so passing it per call cannot change the cached value).
+    ///
+    /// # Panics
+    /// Panics on a topology without label sets: only a server with
+    /// annotations runs the analysis, and its topologies carry them.
     pub fn path_trie(&self, root_label: &str) -> Arc<PathTrie> {
         Arc::clone(self.path_trie.get_or_init(|| {
+            let labels = self.labels.as_ref().expect("an annotated topology carries label sets");
             let trie = PathTrie::build(&self.fragment_tree, root_label);
-            Arc::new(match &self.labels {
-                Some(labels) => trie.with_labels(Arc::clone(labels)),
-                None => trie,
-            })
+            Arc::new(trie.with_labels(Arc::clone(labels)))
         }))
     }
     /// The *primary* site storing a fragment (the first replica).
@@ -417,16 +422,20 @@ impl Deployment {
     }
 
     /// The deploy-time topology (version 0): `fragmented`'s tree, placed
-    /// where the transport loaded it, with its fragments' label sets. The
-    /// server pins it as epoch 0's; server-less callers pin it into their
-    /// [`ExecCtx`] themselves. This is the only time the transport's static
-    /// assignment is consulted (it cannot know about fragments created by
-    /// later splits).
-    pub fn deployed_topology(&self, fragmented: &FragmentedTree) -> Arc<Topology> {
+    /// where the transport loaded it, with its fragments' label sets when
+    /// `annotations` is on. The server pins it as epoch 0's; server-less
+    /// callers pin it into their [`ExecCtx`] themselves. This is the only
+    /// time the transport's static assignment is consulted (it cannot know
+    /// about fragments created by later splits).
+    pub fn deployed_topology(
+        &self,
+        fragmented: &FragmentedTree,
+        annotations: bool,
+    ) -> Arc<Topology> {
         let ft = &fragmented.fragment_tree;
         let placement = ft.ids().iter().map(|&f| (f, self.transport.replicas_of(f))).collect();
-        let labels = Arc::new(FragmentLabels::build(fragmented));
-        Arc::new(Topology::new(ft.clone(), placement, 0).with_labels(labels))
+        let labels = annotations.then(|| Arc::new(FragmentLabels::build(fragmented)));
+        Arc::new(Topology::new(ft.clone(), placement, 0, labels))
     }
 
     /// The health tracker shared by every execution over this deployment.
@@ -653,9 +662,10 @@ impl<'a> ExecCtx<'a> {
 #[cfg(test)]
 impl<'a> ExecCtx<'a> {
     /// A context reading the newest snapshots, routed by `fragmented`'s
-    /// deploy-time topology: what server-less unit tests run over.
+    /// deploy-time topology with label sets: what server-less unit tests
+    /// run over, with annotations on or off.
     pub(crate) fn latest(deployment: &'a Deployment, fragmented: &FragmentedTree) -> Self {
-        let topology = deployment.deployed_topology(fragmented);
+        let topology = deployment.deployed_topology(fragmented, true);
         ExecCtx::pinned(deployment, paxml_distsim::LATEST_EPOCH, topology, 0)
     }
 }
@@ -686,7 +696,7 @@ mod tests {
     fn deployment_exposes_metadata() {
         let f = fragmented();
         let d = Deployment::new(&f, 2, Placement::RoundRobin);
-        assert_eq!(d.deployed_topology(&f).fragment_count(), 4);
+        assert_eq!(d.deployed_topology(&f, false).fragment_count(), 4);
         assert_eq!(d.root_label, "sites");
         assert_eq!(d.total_nodes, f.total_real_nodes());
         let mut ctx = ExecCtx::latest(&d, &f);

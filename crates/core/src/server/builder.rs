@@ -172,7 +172,8 @@ impl PaxServerBuilder {
         transport: Arc<dyn crate::transport::Transport>,
     ) -> PaxResult<PaxServer> {
         let deployment = Deployment::over_transport(fragmented, transport);
-        let (current, epochs) = initial_epoch(deployment.deployed_topology(fragmented));
+        let (current, epochs) =
+            initial_epoch(deployment.deployed_topology(fragmented, self.use_annotations));
         Ok(PaxServer {
             deployment,
             algorithm: self.algorithm,

@@ -70,13 +70,15 @@ impl PaxServer {
             install(&mut epoch.next, by_site)?;
 
             // Carry the sessions into the new epoch (no visits).
-            let mut next_topology =
-                Topology::new(change.fragment_tree, change.placement, base_topology.version + 1);
-            if let Some(labels) = base_topology.labels() {
-                let labels = labels.refragmented(&next_topology.fragment_tree, &change.installs);
-                next_topology = next_topology.with_labels(Arc::new(labels));
-            }
-            let next_topology = Arc::new(next_topology);
+            let labels = base_topology.labels().map(|labels| {
+                Arc::new(labels.refragmented(&change.fragment_tree, &change.installs))
+            });
+            let next_topology = Arc::new(Topology::new(
+                change.fragment_tree,
+                change.placement,
+                base_topology.version + 1,
+                labels,
+            ));
             let root_label = &self.deployment.root_label;
             let mut sessions = epoch.base.cloned_sessions();
             let mut retopologized_sessions = 0usize;

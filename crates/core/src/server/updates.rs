@@ -74,9 +74,10 @@ impl PaxServer {
                 }
             }
 
-            // Labels the ops bring in grow the next epoch's label sets;
-            // every session re-plans over them before the round, so a
-            // fragment the growth makes relevant is evaluated in it.
+            // Labels the ops bring in grow the next epoch's label sets (a
+            // server without annotations keeps none); every session
+            // re-plans over them before the round, so a fragment the growth
+            // makes relevant is evaluated in it.
             let grown = topology
                 .labels()
                 .and_then(|labels| labels.grown(&ops_by_fragment, &topology.fragment_tree));

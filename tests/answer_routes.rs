@@ -192,7 +192,7 @@ proptest! {
     ) {
         let (_tree, fragmented) = ft2(0.2, seed);
         let d = Deployment::new(&fragmented, SITES, Placement::RoundRobin);
-        let topology = d.deployed_topology(&fragmented);
+        let topology = d.deployed_topology(&fragmented, annotations);
         let mut gen =
             QueryGen::new(QueryGenConfig::with_vocabulary(LABELS, TEXTS, ATTRS), query_seed);
         let generated = (0..count).map(|_| gen.query_text());

@@ -123,7 +123,8 @@ fn label_pruning_agrees_with_its_references_through_update_batches() {
                 plain.apply_updates(&batch).unwrap();
             }
             let after = pax2.topology();
-            assert!(after.labels().is_some(), "a deployment carries label sets");
+            assert!(after.labels().is_some(), "an annotated server carries label sets");
+            assert!(plain.topology().labels().is_none(), "a server without annotations has none");
 
             for ((text, query), prepared) in texts.iter().zip(&compiled).zip(&prepared) {
                 let context = format!("seed {seed} round {round}: {text}");
