@@ -81,7 +81,7 @@ use paxml_distsim::SiteLocal;
 use paxml_fragment::{Fragment, FragmentId, UpdateOp};
 use paxml_xml::NodeId;
 use paxml_xpath::eval::{
-    multi_combined_pass, qualifier_pass, selection_pass, CombinedPassOutput, QualVectors,
+    multi_combined_pass, qualifier_pass, selection_pass_with, CombinedPassOutput, QualVectors,
     VisitQuery,
 };
 use paxml_xpath::{CompiledQuery, QEntryId};
@@ -267,12 +267,14 @@ pub fn selection_task(site: &mut SiteLocal, epoch: u64, request: SelRequest) -> 
             let vector = stored_qv.as_ref().and_then(|qv| qv[v.index()].as_ref());
             vector.map_or(BoolExpr::constant(false), |vec| vec.expr(e).assign(&qual_assignment))
         };
-        let out = selection_pass::<PaxVar>(
+        let summary = site.label_summary_at(fragment_id, epoch);
+        let out = selection_pass_with::<PaxVar>(
             &fragment.tree,
             fragment.tree.root(),
             query,
             init,
             context,
+            summary.as_deref(),
             &mut qual_value,
         );
         site.charge_ops(out.ops);
@@ -361,11 +363,12 @@ pub struct EntryResponse {
 
 /// PaX2's visit kernel over one fragment, for every query with input there:
 /// one [`multi_combined_pass`] (the qualifier sweep of the queries' union,
-/// each query's spine and selection sweeps), the one place the pass is
-/// configured. Charges the union phases' operations once; each visit is then
-/// routed by [`route_visit`].
+/// each query's spine and selection sweeps, the latter over the snapshot's
+/// label summary), the one place the pass is configured. Charges the union
+/// phases' operations once; each visit is then routed by [`route_visit`].
 fn visit_fragment(
     site: &mut SiteLocal,
+    epoch: u64,
     fragment: &Fragment,
     entries: &[(&CompiledQuery, &CombinedFragmentInput)],
 ) -> Vec<CombinedPassOutput<PaxVar>> {
@@ -378,9 +381,11 @@ fn visit_fragment(
             context: input.root_is_context.then_some(root),
         })
         .collect();
-    let pass = multi_combined_pass(&fragment.tree, root, &queries, |i, vnode| {
-        fresh_qual_vectors(virtual_child(fragment, vnode), queries[i].query.qvect_len())
-    });
+    let summary = site.label_summary_at(fid, epoch);
+    let pass =
+        multi_combined_pass(&fragment.tree, root, &queries, summary.as_deref(), |i, vnode| {
+            fresh_qual_vectors(virtual_child(fragment, vnode), queries[i].query.qvect_len())
+        });
     site.charge_ops(pass.sharing.union_ops);
     pass.visits
 }
@@ -432,7 +437,7 @@ pub fn combined_task(
     let mut out = EntryResponse::default();
     for (&fragment_id, input) in &request.fragments {
         let fragment = snapshot(site, fragment_id, epoch);
-        let pass = visit_fragment(site, &fragment, &[(&request.query, input)]).pop();
+        let pass = visit_fragment(site, epoch, &fragment, &[(&request.query, input)]).pop();
         let pass = pass.expect("one query, one visit");
         route_visit(site, epoch, Some(request.slot), &fragment, input, pass, &mut out);
     }
@@ -529,7 +534,7 @@ pub fn multi_combined_task(
             .enumerate()
             .filter_map(|(i, (query, inputs))| Some((i, (query, inputs.get(&fragment_id)?))))
             .unzip();
-        let passes = visit_fragment(site, &fragment, &visiting);
+        let passes = visit_fragment(site, epoch, &fragment, &visiting);
         for ((i, (_, input)), pass) in at.into_iter().zip(visiting).zip(passes) {
             let slot = request.park.map(|base| base + i);
             route_visit(site, epoch, slot, &fragment, input, pass, &mut entries[i]);

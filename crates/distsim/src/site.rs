@@ -8,8 +8,13 @@
 //! disturbs readers still executing against epoch `e`. Old snapshots are
 //! dropped by [`SiteLocal::retire_below`] once the coordinator proves no
 //! in-flight execution can still pin them.
+//!
+//! A snapshot's [`LabelSummary`], which the selection sweep reads to pass
+//! over hopeless subtrees, is built on the first visit that asks for it
+//! ([`SiteLocal::label_summary_at`]) and lives and dies with the snapshot.
 
 use paxml_fragment::{Fragment, FragmentId};
+use paxml_xml::LabelSummary;
 use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -55,15 +60,30 @@ pub struct SiteLocal {
     /// This site's id.
     pub id: SiteId,
     /// Per-fragment version lists, sorted by install epoch (ascending).
-    /// Every list is non-empty; the snapshots are shared `Arc`s so reading
-    /// a version never copies the tree.
-    versions: BTreeMap<FragmentId, Vec<(u64, Arc<Fragment>)>>,
+    /// Every list is non-empty.
+    versions: BTreeMap<FragmentId, Vec<Version>>,
     scratch: BTreeMap<ScratchKey, Box<dyn Any + Send>>,
     ops: u64,
 }
 
 /// Where a parked value lives: `(epoch, slot, fragment)`.
 type ScratchKey = (u64, usize, FragmentId);
+
+/// One snapshot of a fragment. The snapshot and its summary are shared
+/// `Arc`s, so reading either never copies it.
+struct Version {
+    /// The update epoch that installed it.
+    epoch: u64,
+    fragment: Arc<Fragment>,
+    /// Built on first use; replacing or retiring the version drops it.
+    summary: Option<Arc<LabelSummary>>,
+}
+
+impl Version {
+    fn new(epoch: u64, fragment: Fragment) -> Version {
+        Version { epoch, fragment: Arc::new(fragment), summary: None }
+    }
+}
 
 impl SiteLocal {
     /// Create an empty site.
@@ -74,7 +94,7 @@ impl SiteLocal {
     /// Store a fragment at this site as the epoch-0 snapshot (the initial
     /// deployment), dropping any previous versions of the same fragment.
     pub fn add_fragment(&mut self, fragment: Fragment) {
-        self.versions.insert(fragment.id, vec![(0, Arc::new(fragment))]);
+        self.versions.insert(fragment.id, vec![Version::new(0, fragment)]);
     }
 
     /// The snapshot of a fragment a reader pinned to `epoch` sees: the
@@ -82,7 +102,21 @@ impl SiteLocal {
     /// [`LATEST_EPOCH`] this is simply the newest version.
     pub fn fragment_at(&self, fragment: FragmentId, epoch: u64) -> Option<Arc<Fragment>> {
         let versions = self.versions.get(&fragment)?;
-        versions.iter().rev().find(|(e, _)| *e <= epoch).map(|(_, f)| Arc::clone(f))
+        versions.iter().rev().find(|v| v.epoch <= epoch).map(|v| Arc::clone(&v.fragment))
+    }
+
+    /// The [`LabelSummary`] of the snapshot [`SiteLocal::fragment_at`]
+    /// returns, built the first time a visit asks for it and dropped when
+    /// the snapshot is replaced or retired.
+    pub fn label_summary_at(
+        &mut self,
+        fragment: FragmentId,
+        epoch: u64,
+    ) -> Option<Arc<LabelSummary>> {
+        let versions = self.versions.get_mut(&fragment)?;
+        let version = versions.iter_mut().rev().find(|v| v.epoch <= epoch)?;
+        let tree = &version.fragment.tree;
+        Some(Arc::clone(version.summary.get_or_insert_with(|| Arc::new(LabelSummary::of(tree)))))
     }
 
     /// The snapshot an update building `epoch` starts from: the newest
@@ -93,10 +127,12 @@ impl SiteLocal {
     /// newest version (in-place update semantics).
     pub fn update_base(&self, fragment: FragmentId, epoch: u64) -> Option<Arc<Fragment>> {
         let versions = self.versions.get(&fragment)?;
-        if epoch == LATEST_EPOCH {
-            return versions.last().map(|(_, f)| Arc::clone(f));
-        }
-        versions.iter().rev().find(|(e, _)| *e < epoch).map(|(_, f)| Arc::clone(f))
+        let base = if epoch == LATEST_EPOCH {
+            versions.last()
+        } else {
+            versions.iter().rev().find(|v| v.epoch < epoch)
+        };
+        base.map(|v| Arc::clone(&v.fragment))
     }
 
     /// Install `fragment` as the snapshot of install-epoch `epoch`,
@@ -107,14 +143,14 @@ impl SiteLocal {
         let versions = self.versions.entry(fragment.id).or_default();
         if epoch == LATEST_EPOCH {
             match versions.last_mut() {
-                Some(last) => last.1 = Arc::new(fragment),
-                None => versions.push((0, Arc::new(fragment))),
+                Some(last) => *last = Version::new(last.epoch, fragment),
+                None => versions.push(Version::new(0, fragment)),
             }
             return;
         }
-        match versions.binary_search_by_key(&epoch, |(e, _)| *e) {
-            Ok(i) => versions[i].1 = Arc::new(fragment),
-            Err(i) => versions.insert(i, (epoch, Arc::new(fragment))),
+        match versions.binary_search_by_key(&epoch, |v| v.epoch) {
+            Ok(i) => versions[i] = Version::new(epoch, fragment),
+            Err(i) => versions.insert(i, Version::new(epoch, fragment)),
         }
     }
 
@@ -130,7 +166,7 @@ impl SiteLocal {
         self.scratch.retain(|&(epoch, _, _), _| epoch >= watermark);
         let mut dropped = 0;
         for versions in self.versions.values_mut() {
-            let keep_from = versions.iter().rposition(|(e, _)| *e <= watermark).unwrap_or(0);
+            let keep_from = versions.iter().rposition(|v| v.epoch <= watermark).unwrap_or(0);
             dropped += keep_from;
             versions.drain(..keep_from);
         }
@@ -157,8 +193,8 @@ impl SiteLocal {
             .filter_map(|(id, v)| {
                 v.iter()
                     .rev()
-                    .find(|(e, _)| *e <= epoch)
-                    .map(|(_, f)| (*id, crate::encoded_size(f.as_ref())))
+                    .find(|v| v.epoch <= epoch)
+                    .map(|v| (*id, crate::encoded_size(v.fragment.as_ref())))
             })
             .collect()
     }
@@ -187,7 +223,8 @@ impl SiteLocal {
         self.versions
             .values()
             .filter_map(|v| v.last())
-            .map(|(_, f)| f.tree.all_nodes().filter(|&n| !f.tree.is_virtual(n)).count())
+            .map(|v| &v.fragment.tree)
+            .map(|tree| tree.all_nodes().filter(|&n| !tree.is_virtual(n)).count())
             .sum()
     }
 
@@ -319,6 +356,36 @@ mod tests {
         s.install_version(LATEST_EPOCH, fragment(3, "new"));
         assert_eq!(s.version_count(), 1, "in-place semantics must not grow the version list");
         assert_eq!(s.fragment_at(FragmentId(3), 0).unwrap().root_label, "new");
+    }
+
+    #[test]
+    fn a_label_summary_is_built_once_per_version_and_dropped_with_it() {
+        let mut s = SiteLocal::new(SiteId(0));
+        let f = FragmentId(1);
+        s.add_fragment(fragment(1, "v0"));
+        assert!(s.label_summary_at(FragmentId(9), 0).is_none());
+        // Two visits of one version share one build.
+        let first = s.label_summary_at(f, 0).unwrap();
+        assert!(Arc::ptr_eq(&first, &s.label_summary_at(f, LATEST_EPOCH).unwrap()));
+        let v0 = Arc::downgrade(&first);
+        drop(first);
+        // A version installed above leaves it alone.
+        s.install_version(2, fragment(1, "v2"));
+        let v2 = s.label_summary_at(f, 2).unwrap();
+        assert!(v0.upgrade().is_some());
+        // Replacing a version at its epoch, or in place at the latest
+        // epoch, drops its summary; the new snapshot gets a fresh one.
+        s.install_version(2, fragment(1, "v2 again"));
+        assert!(!Arc::ptr_eq(&v2, &s.label_summary_at(f, 2).unwrap()));
+        let replaced = Arc::downgrade(&v2);
+        drop(v2);
+        assert!(replaced.upgrade().is_none());
+        let latest = Arc::downgrade(&s.label_summary_at(f, LATEST_EPOCH).unwrap());
+        s.install_version(LATEST_EPOCH, fragment(1, "v2 in place"));
+        assert!(latest.upgrade().is_none());
+        // So does retiring it.
+        assert_eq!(s.retire_below(2), 1);
+        assert!(v0.upgrade().is_none());
     }
 
     #[test]

@@ -39,6 +39,7 @@ mod parse;
 mod path;
 mod serialize;
 mod stats;
+mod summary;
 mod tree;
 
 pub use builder::TreeBuilder;
@@ -48,6 +49,7 @@ pub use parse::{parse, Parser};
 pub use path::{label_path, path_from_root, LabelPath};
 pub use serialize::{to_string, to_string_pretty, SerializeOptions};
 pub use stats::TreeStats;
+pub use summary::LabelSummary;
 pub use tree::{Ancestors, Descendants, PostOrder, PreOrder, Siblings, XmlTree};
 
 #[cfg(test)]

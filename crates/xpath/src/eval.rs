@@ -68,6 +68,31 @@
 //! `ops` exactly, so every meter is independent of the lane taken; every
 //! pass output counts its nodes per lane ([`LaneCounts`]).
 //!
+//! # Passing over a subtree
+//!
+//! A live `SV` can be as hopeless as a dead one: an entry leads to an answer
+//! below `v` only if every label step left in the path after it names a
+//! node below `v`. Over the fragment's [`LabelSummary`] — per node, the
+//! labels strictly below it, its subtree size and whether a virtual node
+//! lies below it; a site builds one per fragment version — the selection
+//! sweep passes over `v`'s subtree, wherever the fast-forward may run, when
+//!
+//! * no virtual node lies below `v`, so no summary is shipped from it; and
+//! * no live entry `i` of `SV_v` (a non-empty set, an id other than
+//!   `false`) both reaches the children — `i + 1 < |SVect|`, or item
+//!   `i − 1` is `//` — and finds every label step of `sel_items[i..]` below
+//!   `v`. A label the fragment lacks is below no node.
+//!
+//! Below such a node every last entry is `false`, so nothing there answers
+//! or is a candidate. The sweep charges `(size(v) − 1)·|SVect|`, what the
+//! walk costs, and counts those nodes as fast-forwarded: `ops` and every
+//! output are the full walk's. With no virtual node below, every qualifier
+//! value there is a constant, so the walk it saves would intern at most ORs
+//! of carried values, whose place in a later formula does not depend on
+//! when they were interned: formula trees are the full walk's too. Only
+//! [`multi_combined_pass`] and [`selection_pass_with`] take a summary; the
+//! other passes, and so the centralized evaluator, walk every node.
+//!
 //! The union phase and the disjunction lane perform **no heap allocation per
 //! node**: the tree walks follow links, children are pushed straight onto
 //! the top-down stack, carried sets and positional facts go through
@@ -115,7 +140,7 @@
 use crate::ast::CmpOp;
 use crate::compile::{splice_qvect, CompiledQuery, PosFilter, QAxis, QEntry, QEntryId, SelItem};
 use paxml_boolex::{BitVector, BoolExpr, CompactVector, ExprId, FormulaArena};
-use paxml_xml::{NodeId, XmlTree};
+use paxml_xml::{LabelSummary, NodeId, XmlTree};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::hash::Hash;
@@ -569,7 +594,9 @@ pub struct LaneCounts {
     pub disjunction: u64,
     /// Nodes whose entries were ids in the visit's arena.
     pub arena: u64,
-    /// Selection nodes passed over below an all-false summary.
+    /// Selection nodes passed over below a summary that can reach no
+    /// answer: an all-false one, or one whose live entries still need a
+    /// label the subtree lacks (see the module doc).
     pub fast_forwarded: u64,
 }
 
@@ -1014,8 +1041,24 @@ pub fn selection_pass<V: VarLike>(
     context: Option<NodeId>,
     qual_value: &mut impl FnMut(NodeId, QEntryId) -> BoolExpr<V>,
 ) -> SelectionPassOutput<V> {
+    selection_pass_with(tree, root, query, init, context, None, qual_value)
+}
+
+/// [`selection_pass`] over `tree`'s [`LabelSummary`], which lets the sweep
+/// pass over a subtree that can hold no answer (see the module doc); `None`
+/// walks every node. PaX3's Stage 2, whose qualifier values at a node
+/// without a virtual node below are constants, is what passes a summary.
+pub fn selection_pass_with<V: VarLike>(
+    tree: &XmlTree,
+    root: NodeId,
+    query: &CompiledQuery,
+    init: CompactVector<V>,
+    context: Option<NodeId>,
+    summary: Option<&LabelSummary>,
+    qual_value: &mut impl FnMut(NodeId, QEntryId) -> BoolExpr<V>,
+) -> SelectionPassOutput<V> {
     let mut arena: FormulaArena<V> = FormulaArena::new();
-    selection_sweep(&mut arena, tree, root, query, &init, context, &mut |arena, v, e| {
+    selection_sweep(&mut arena, tree, root, query, &init, context, summary, &mut |arena, v, e| {
         arena.from_expr(&qual_value(v, e))
     })
 }
@@ -1033,7 +1076,9 @@ enum Held {
 /// The top-down sweep (§3.2): the one pre-order loop body of the kernel.
 /// `qual_id(arena, v, e)` is the value of `QVect` entry `e` at node `v` as an
 /// id in `arena`; residual formulas leave the arena only where they leave
-/// the site (candidate answers, virtual-node vectors).
+/// the site (candidate answers, virtual-node vectors). With `tree`'s
+/// `summary` it passes over the subtrees that can hold no answer.
+#[allow(clippy::too_many_arguments)]
 fn selection_sweep<V: VarLike>(
     arena: &mut FormulaArena<V>,
     tree: &XmlTree,
@@ -1041,6 +1086,7 @@ fn selection_sweep<V: VarLike>(
     query: &CompiledQuery,
     init: &CompactVector<V>,
     context: Option<NodeId>,
+    summary: Option<&LabelSummary>,
     qual_id: &mut impl FnMut(&mut FormulaArena<V>, NodeId, QEntryId) -> ExprId,
 ) -> SelectionPassOutput<V> {
     let (slen, width, facts) = (query.svect_len(), query.init_len(), query.sel_positions.len());
@@ -1056,6 +1102,8 @@ fn selection_sweep<V: VarLike>(
     // positional fact or the evaluation context sits below it, so only then
     // is a dead subtree walked in full.
     let fast_forward = facts == 0 && context.is_none_or(|c| c == root);
+    // Where the fast-forward may run, so may the summary's pass-over.
+    let summary = summary.filter(|_| fast_forward);
 
     // Explicit DFS stack carrying the parent's (summarised) SV vector plus,
     // when the query has positional predicates, the node's own positional
@@ -1078,7 +1126,11 @@ fn selection_sweep<V: VarLike>(
         sets.clear();
         Held::Vector(init)
     };
-    let mut sv_sets = vec![0; slen];
+    // One scratch buffer holds a node's SV sets and, with a summary, the
+    // labels each entry still needs.
+    let mut scratch = vec![0; if summary.is_some() { 2 * slen } else { slen }];
+    let (sv_sets, needs) = scratch.split_at_mut(slen);
+    let hopeful = summary.map_or(0..0, |summary| hopeful_entries(query, summary, needs));
     let mut stack: Vec<(NodeId, Held)> = vec![(root, carried)];
     let mut rows: Vec<BitVector> = Vec::new();
     while let Some((v, carried)) = stack.pop() {
@@ -1119,7 +1171,7 @@ fn selection_sweep<V: VarLike>(
                     v,
                     query,
                     carried,
-                    &mut sv_sets,
+                    sv_sets,
                     context,
                     &mut |_, v, e| qual_id(arena, v, e).as_const().map(u64::from),
                 )
@@ -1144,7 +1196,7 @@ fn selection_sweep<V: VarLike>(
         // Fallback is per node: the children of an arena-lane node re-enter
         // the disjunction lane when its SV holds only sets.
         let sv = match sv {
-            Held::Vector(sv) if atoms.sets_of(&sv, arena, &mut sv_sets) => Held::Sets,
+            Held::Vector(sv) if atoms.sets_of(&sv, arena, sv_sets) => Held::Sets,
             sv => sv,
         };
         out.ops += slen as u64;
@@ -1161,6 +1213,24 @@ fn selection_sweep<V: VarLike>(
             }
         }
 
+        if let Some(summary) = summary {
+            // Pass over `v`'s subtree when it holds no virtual node and no
+            // live entry can reach an answer in it. Each node passed over
+            // costs what visiting it does.
+            let below = summary.below(v);
+            let live = |i: usize| match &sv {
+                Held::Sets => sv_sets[i] != 0,
+                Held::Vector(sv) => sv.id(i) != ExprId::FALSE,
+            };
+            if !summary.has_virtual_below(v)
+                && hopeful.clone().all(|i| needs[i] & !below != 0 || !live(i))
+            {
+                let passed = u64::from(summary.size(v)) - 1;
+                out.ops += passed * slen as u64;
+                out.lanes.fast_forwarded += passed;
+                continue;
+            }
+        }
         // An all-false SV is sets: only that lane can hold a dead node.
         let dead = fast_forward && matches!(sv, Held::Sets) && sv_sets.iter().all(|&set| set == 0);
         if dead {
@@ -1216,6 +1286,35 @@ fn selection_sweep<V: VarLike>(
         stack[first..].reverse();
     }
     out
+}
+
+/// The entries of an `SV` that may still lead to an answer below a node of
+/// `summary`'s tree, with the labels each needs written into `needs`: entry
+/// `i` needs every label step of `sel_items[i..]` to lie below the node. An
+/// entry before the last label the tree lacks can never reach an answer,
+/// and the last entry reaches the children only through a `//` before it.
+fn hopeful_entries(
+    query: &CompiledQuery,
+    summary: &LabelSummary,
+    needs: &mut [u64],
+) -> std::ops::Range<usize> {
+    let items = &query.sel_items;
+    let mut from = 0;
+    needs[items.len()] = 0;
+    for (idx, item) in items.iter().enumerate().rev() {
+        needs[idx] = needs[idx + 1];
+        if let SelItem::Label(label) = item {
+            match summary.bit(label) {
+                Some(bit) => needs[idx] |= bit,
+                None => {
+                    from = idx + 1;
+                    break;
+                }
+            }
+        }
+    }
+    let last_reaches = matches!(items.last(), Some(SelItem::DescendantOrSelf));
+    from..if last_reaches { items.len() + 1 } else { items.len() }
 }
 
 /// A node's `SV` in the arena lane, which holds every value.
@@ -1348,7 +1447,7 @@ pub fn combined_pass<V: VarLike>(
 ) -> CombinedPassOutput<V> {
     let queries = [VisitQuery { query, init, context }];
     let MultiPassOutput { visits, sharing } =
-        multi_combined_pass(tree, root, &queries, |_, v| virtual_qual_vectors(v));
+        multi_combined_pass(tree, root, &queries, None, |_, v| virtual_qual_vectors(v));
     let mut visit = visits.into_iter().next().expect("one query, one visit");
     visit.ops += sharing.union_ops;
     visit
@@ -1399,12 +1498,15 @@ pub struct MultiPassOutput<V: Ord> {
 /// one visit"). A query wider than a word is a group of its own, whose
 /// spine is the whole subtree.
 ///
-/// `virtual_qual_vectors(i, v)` stands for query `i`'s `QV`/`QDV` at the
-/// virtual node `v`, as in [`combined_pass`].
+/// `summary` is `tree`'s [`LabelSummary`], over which the selection sweeps
+/// pass over the subtrees that can hold no answer (see the module doc);
+/// `None` walks every node. `virtual_qual_vectors(i, v)` stands for query
+/// `i`'s `QV`/`QDV` at the virtual node `v`, as in [`combined_pass`].
 pub fn multi_combined_pass<V: VarLike>(
     tree: &XmlTree,
     root: NodeId,
     queries: &[VisitQuery<'_, V>],
+    summary: Option<&LabelSummary>,
     mut virtual_qual_vectors: impl FnMut(usize, NodeId) -> QualVectors<V>,
 ) -> MultiPassOutput<V> {
     let mut sharing = QualifierSharing {
@@ -1417,9 +1519,16 @@ pub fn multi_combined_pass<V: VarLike>(
         let mut arena: FormulaArena<V> = FormulaArena::new();
         let quals =
             spine_sweep(&mut arena, tree, query, union, map, |v| virtual_qual_vectors(i, v));
-        let sel = selection_sweep(&mut arena, tree, root, query, init, *context, &mut |_, v, e| {
-            quals.id(v, e)
-        });
+        let sel = selection_sweep(
+            &mut arena,
+            tree,
+            root,
+            query,
+            init,
+            *context,
+            summary,
+            &mut |_, v, e| quals.id(v, e),
+        );
         visits[i] = Some(CombinedPassOutput {
             answers: sel.answers,
             candidates: sel.candidates,
@@ -1786,9 +1895,10 @@ mod tests {
 
         let (init, context) = start(q, tree, start_at);
         let qual_id = |v: NodeId, e: QEntryId| quals.id(v, e);
-        let sel = selection_sweep(&mut arena, tree, root, q, &init, context, &mut |_, v, e| {
-            qual_id(v, e)
-        });
+        let sel =
+            selection_sweep(&mut arena, tree, root, q, &init, context, None, &mut |_, v, e| {
+                qual_id(v, e)
+            });
 
         let mut expected = SelectionPassOutput {
             answers: Vec::new(),
@@ -1866,7 +1976,7 @@ mod tests {
             })
             .collect();
         let fresh = |i: usize, v| fresh_vectors(tree, queries[i].qvect_len())(v);
-        let batch = multi_combined_pass(tree, root, &visits, fresh);
+        let batch = multi_combined_pass(tree, root, &visits, None, fresh);
         assert_eq!(batch.visits.len(), visits.len());
         let mut summed_ops = 0;
         for (i, (visit, got)) in visits.iter().zip(&batch.visits).enumerate() {
@@ -1907,6 +2017,161 @@ mod tests {
         tree.post_order(tree.root())
             .filter(|&v| tree.is_virtual(v) || tree.descendants(v).any(|d| tree.is_virtual(d)))
             .count() as u64
+    }
+
+    /// Visit `tree` with every query of `texts` at once, from `start_at`,
+    /// over `tree`'s [`LabelSummary`] and without one, and assert that the
+    /// summary changes no output — answers, candidate formula trees,
+    /// virtual-node and root vectors, `ops`, what the visit shared — and
+    /// that each sweep still counts every node once, computing no more of
+    /// them. Returns the selection nodes computed without and with it.
+    fn assert_summary_changes_nothing(
+        tree: &XmlTree,
+        texts: &[String],
+        start_at: Start,
+    ) -> [u64; 2] {
+        let root = tree.root();
+        let queries: Vec<CompiledQuery> = texts.iter().map(|text| compiled(text)).collect();
+        let visits: Vec<VisitQuery<String>> = queries
+            .iter()
+            .map(|query| {
+                let (init, context) = start(query, tree, start_at);
+                VisitQuery { query, init, context }
+            })
+            .collect();
+        let fresh = |i: usize, v| fresh_vectors(tree, queries[i].qvect_len())(v);
+        let summary = LabelSummary::of(tree);
+        let walked = multi_combined_pass(tree, root, &visits, None, fresh);
+        let passed = multi_combined_pass(tree, root, &visits, Some(&summary), fresh);
+        assert_eq!(passed.sharing, walked.sharing);
+        let computed = |lanes: LaneCounts| lanes.disjunction + lanes.arena;
+        let mut nodes = [0, 0];
+        for ((text, walked), got) in texts.iter().zip(&walked.visits).zip(&passed.visits) {
+            assert_eq!(got.answers, walked.answers, "answers of {text}");
+            assert_eq!(got.candidates, walked.candidates, "candidates of {text}");
+            assert_eq!(got.virtual_vectors, walked.virtual_vectors, "summaries of {text}");
+            assert_eq!(got.root, walked.root, "root vectors of {text}");
+            assert_eq!(got.ops, walked.ops, "ops of {text}");
+            assert_eq!(got.qualifier_lanes, walked.qualifier_lanes, "qualifier lanes of {text}");
+            let (got, walked) = (got.selection_lanes, walked.selection_lanes);
+            assert_eq!(got.word + walked.word, 0, "{text}: selection nodes in the word lane");
+            assert_eq!(
+                computed(got) + got.fast_forwarded,
+                computed(walked) + walked.fast_forwarded,
+                "{text}: every selection node counted once"
+            );
+            assert!(computed(got) <= computed(walked), "{text}: {got:?} computes more");
+            nodes[0] += computed(walked);
+            nodes[1] += computed(got);
+        }
+        nodes
+    }
+
+    proptest! {
+        #[test]
+        fn a_label_summary_changes_no_output_of_a_visit(
+            tree in common::fragment_strategy(),
+            texts in prop::collection::vec(
+                prop_oneof![common::kernel_query_strategy(), Just("a//.".to_string())],
+                1..=4,
+            ),
+            start_at in prop::sample::select(STARTS.to_vec()),
+        ) {
+            assert_summary_changes_nothing(&tree, &texts, start_at);
+        }
+    }
+
+    #[test]
+    fn a_hopeless_subtree_holding_a_virtual_node_is_walked() {
+        // From the root fragment's facts nothing under `x` or `z` can answer
+        // `/r/a//c`, but the `y` held below `x` still needs its summary: the
+        // fast-forward walks `x` and passes over `z` with or without the
+        // summary. From fresh variables both carry a live `//` entry, and
+        // only `z` lacks a `c`: the summary passes over its two `b`s.
+        let tree = TreeBuilder::new("r")
+            .open("x")
+            .open("y")
+            .element("c")
+            .close()
+            .element("c")
+            .close()
+            .open("a")
+            .open("y")
+            .element("c")
+            .close()
+            .element("c")
+            .close()
+            .open("z")
+            .element("b")
+            .element("b")
+            .close()
+            .build();
+        let (fragment, _) = cut(&tree, &tree.find_all("y"));
+        let (texts, nodes) = (["/r/a//c".to_string()], fragment.node_count() as u64);
+        let computed =
+            STARTS.map(|start_at| assert_summary_changes_nothing(&fragment, &texts, start_at));
+        assert_eq!(computed, [[nodes - 4, nodes - 4], [nodes, nodes - 2], [nodes, nodes - 2]]);
+    }
+
+    #[test]
+    fn a_trailing_descendant_or_self_reaches_the_children() {
+        // The last entry of `a//.` holds at `a`, and the `//` before it
+        // hands it to every node below: `b` and `c` answer too.
+        let tree = TreeBuilder::new("r").open("a").open("b").element("c").close().close().build();
+        let (a, b, c) = (tree.find_first("a"), tree.find_first("b"), tree.find_first("c"));
+        let q = compiled("a//.");
+        let summary = LabelSummary::of(&tree);
+        let (init, context) = start(&q, &tree, Start::Root);
+        let visit = multi_combined_pass(
+            &tree,
+            tree.root(),
+            &[VisitQuery { query: &q, init, context }],
+            Some(&summary),
+            |_, _| unreachable!(),
+        );
+        let answers: Vec<_> = visit.visits[0].answers.iter().map(|&n| Some(n)).collect();
+        assert_eq!(answers, [a, b, c]);
+        for start_at in STARTS {
+            assert_summary_changes_nothing(&tree, &["a//.".to_string()], start_at);
+        }
+    }
+
+    #[test]
+    fn a_passed_over_subtree_costs_what_walking_it_does() {
+        // `/r/a/b` needs a `b` below `a`: the `a` without one and the `d`
+        // subtree are passed over, charging `|SVect|` per node below them.
+        let tree = TreeBuilder::new("r")
+            .open("a")
+            .element("b")
+            .close()
+            .open("a")
+            .open("c")
+            .element("c")
+            .close()
+            .close()
+            .open("d")
+            .open("a")
+            .element("b")
+            .close()
+            .close()
+            .build();
+        let q = compiled("/r/a/b");
+        let summary = LabelSummary::of(&tree);
+        let (init, context) = start(&q, &tree, Start::Root);
+        let visits = [VisitQuery { query: &q, init, context }];
+        let walk = |summary| {
+            multi_combined_pass(&tree, tree.root(), &visits, summary, |_, _| unreachable!())
+        };
+        let (walked, passed) = (walk(None), walk(Some(&summary)));
+        let (walked, passed) = (&walked.visits[0], &passed.visits[0]);
+        assert_eq!(passed.answers, [tree.find_first("b").unwrap()]);
+        assert_eq!(passed.ops, walked.ops);
+        assert_eq!(passed.ops, (tree.node_count() * q.svect_len()) as u64);
+        // The dead `d` fast-forwards over its two nodes below, and the dead
+        // outer `c` over its one. With the summary the second `a`, live but
+        // without a `b` below, passes over both of its `c`s instead.
+        assert_eq!(walked.selection_lanes.fast_forwarded, 3);
+        assert_eq!(passed.selection_lanes.fast_forwarded, 4);
     }
 
     /// `//a[b/text()="t{i}" or …]` over `range`: four `QVect` entries a text.

@@ -11,15 +11,19 @@
 //! word holds) and a non-root fragment's fresh variables — so it allocates
 //! per pass, not per node, either way.
 //!
+//! A sweep over a prebuilt label summary, which passes over the subtrees
+//! that can hold no answer, allocates no more than one without it.
+//!
 //! This binary has its own counting `#[global_allocator]`. Counts are kept
 //! per thread, so the test harness's other threads do not leak into them.
 
 mod common;
 
 use paxml_boolex::{BoolExpr, CompactVector};
-use paxml_xml::{NodeId, XmlTree};
+use paxml_xml::{LabelSummary, NodeId, XmlTree};
 use paxml_xpath::eval::{
-    combined_pass, evaluation_context, initial_vector, qualifier_pass, selection_pass, QualVectors,
+    combined_pass, evaluation_context, initial_vector, multi_combined_pass, qualifier_pass,
+    selection_pass, QualVectors, VisitQuery,
 };
 use paxml_xpath::{compile_text, CompiledQuery, QEntryId};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -215,4 +219,70 @@ fn symbolic_init_allocations_do_not_grow_with_the_tree() {
         }
     }
     assert!(grown.is_empty(), "a symbolic-init sweep allocates per node: {grown:#?}");
+}
+
+/// Allocations of `query`'s PaX2 visit of `tree`, from the root fragment's
+/// facts and from fresh variables, each without a label summary and over
+/// one built beforehand.
+fn summary_pass_allocations(tree: &XmlTree, query: &CompiledQuery) -> [u64; 4] {
+    let root = tree.root();
+    let summary = LabelSummary::of(tree);
+    let no_virtual = |_: usize, _: NodeId| -> QualVectors<u8> { unreachable!("no virtual node") };
+    let facts = VisitQuery {
+        query,
+        init: CompactVector::from_bools(&initial_vector(query, "site")),
+        context: evaluation_context(query, root),
+    };
+    let fresh = VisitQuery {
+        query,
+        init: CompactVector::fresh_variables(query.init_len(), |i| i as u8),
+        context: None,
+    };
+    let visit = |start: &VisitQuery<u8>, summary| {
+        let queries = std::slice::from_ref(start);
+        allocations(|| multi_combined_pass::<u8>(tree, root, queries, summary, no_virtual))
+    };
+    [
+        visit(&facts, None),
+        visit(&facts, Some(&summary)),
+        visit(&fresh, None),
+        visit(&fresh, Some(&summary)),
+    ]
+}
+
+#[test]
+fn a_pass_over_a_label_summary_allocates_no_more_than_one_without() {
+    let small = people(1_000);
+    let large = people(16_000);
+    let mut problems = Vec::new();
+    let texts = [
+        "/site/person[address/country=\"US\"]/name",
+        "//person/name",
+        "//person/address/zip",
+        "/site/person[2]/name",
+    ];
+    for text in texts.map(str::to_string).into_iter().chain([common::deep_selection_query()]) {
+        let query = compile_text(&text).expect("query compiles");
+        let at_small = summary_pass_allocations(&small, &query);
+        let at_large = summary_pass_allocations(&large, &query);
+        // 67 fresh variables are more than the disjunction lane has bits
+        // for: that sweep runs the arena lane, with or without a summary.
+        let starts: &[_] =
+            if query.init_len() > 62 { &[("facts", 0)] } else { &[("facts", 0), ("fresh", 2)] };
+        for &(start, pair) in starts {
+            let (walked, passed) = (at_large[pair], at_large[pair + 1]);
+            println!(
+                "{text:45.45} {start}: {} → {passed} over a summary, {} → {walked} without",
+                at_small[pair + 1],
+                at_small[pair],
+            );
+            if at_small[pair + 1] > at_small[pair] || passed > walked {
+                problems.push(format!("{text} from {start}: the summary allocates more"));
+            }
+            if passed.saturating_sub(at_small[pair + 1]) > 16 {
+                problems.push(format!("{text} from {start}: a summary pass allocates per node"));
+            }
+        }
+    }
+    assert!(problems.is_empty(), "{problems:#?}");
 }

@@ -6,11 +6,13 @@
 //! must run in the disjunction lane (or be fast-forwarded) — none in the word
 //! lane, which only the qualifier sweep's union phase runs, and none in the
 //! arena lane — and the eight queries' visit of a fragment must equal their
-//! eight single visits while sweeping their qualifiers once.
+//! eight single visits while sweeping their qualifiers once. Over each
+//! fragment's label summary the visit passes over the subtrees that can hold
+//! no answer: the same outputs, fewer selection nodes computed.
 
 use paxml_boolex::CompactVector;
 use paxml_fragment::Fragment;
-use paxml_xml::NodeId;
+use paxml_xml::{LabelSummary, NodeId};
 use paxml_xpath::eval::{
     combined_pass, evaluation_context, initial_vector, multi_combined_pass, CombinedPassOutput,
     LaneCounts, QualVectors, VisitQuery,
@@ -122,7 +124,7 @@ fn one_qualifier_sweep_of_ft2_serves_all_of_qmix8() {
         let (tree, root, f) = (&fragment.tree, fragment.tree.root(), fragment.id.index());
         let visits: Vec<VisitQuery<Var>> =
             queries.iter().map(|q| visit_query(fragment, q)).collect();
-        let batch = multi_combined_pass(tree, root, &visits, |i, vnode| {
+        let batch = multi_combined_pass(tree, root, &visits, None, |i, vnode| {
             held(fragment, queries[i].qvect_len(), vnode)
         });
         let mut summed_ops = 0;
@@ -150,4 +152,49 @@ fn one_qualifier_sweep_of_ft2_serves_all_of_qmix8() {
         assert_eq!(sharing.union_nodes, nodes - spine, "fragment {f}: union-phase nodes");
         assert_eq!(sharing.spine_nodes, with_qualifiers * spine, "fragment {f}: spine nodes");
     }
+}
+
+#[test]
+fn a_label_summary_passes_over_hopeless_subtrees_of_ft2() {
+    let (_, ft) = paxml_xmark::ft2(2.0, 42);
+    let queries: Vec<CompiledQuery> =
+        QMIX8.iter().map(|text| compile_text(text).expect("query compiles")).collect();
+    let computed = |lanes: LaneCounts| lanes.disjunction + lanes.arena;
+    let (mut walked_nodes, mut passed_nodes) = (Vec::new(), Vec::new());
+    for fragment in &ft.fragments {
+        let (tree, root, f) = (&fragment.tree, fragment.tree.root(), fragment.id.index());
+        let visits: Vec<VisitQuery<Var>> =
+            queries.iter().map(|q| visit_query(fragment, q)).collect();
+        let summary = LabelSummary::of(tree);
+        let visit = |summary| {
+            multi_combined_pass(tree, root, &visits, summary, |i, vnode| {
+                held(fragment, queries[i].qvect_len(), vnode)
+            })
+        };
+        let (walked, passed) = (visit(None), visit(Some(&summary)));
+        let (mut walked_sum, mut passed_sum) = (0, 0);
+        for ((text, walked), got) in QMIX8.iter().zip(&walked.visits).zip(&passed.visits) {
+            assert_eq!(got.answers, walked.answers, "{text} at fragment {f}: answers");
+            assert_eq!(got.candidates, walked.candidates, "{text} at {f}: candidates");
+            assert_eq!(got.virtual_vectors, walked.virtual_vectors, "{text} at {f}: summaries");
+            assert_eq!(got.root, walked.root, "{text} at fragment {f}: root vectors");
+            assert_eq!(got.ops, walked.ops, "{text} at fragment {f}: ops");
+            let (got, walked) = (got.selection_lanes, walked.selection_lanes);
+            assert_eq!(
+                computed(got) + got.fast_forwarded,
+                computed(walked) + walked.fast_forwarded,
+                "{text} at fragment {f}: every node counted once"
+            );
+            walked_sum += computed(walked);
+            passed_sum += computed(got);
+        }
+        println!("fragment {f:2}: {walked_sum:6} → {passed_sum:6} selection nodes computed");
+        walked_nodes.push(walked_sum);
+        passed_nodes.push(passed_sum);
+    }
+    // Per fragment, the eight queries' selection nodes computed.
+    assert_eq!(walked_nodes, [1071, 4230, 2478, 3393, 1568, 5540, 3198, 4693, 2023, 1480]);
+    assert_eq!(passed_nodes, [264, 844, 256, 524, 152, 1119, 328, 724, 194, 250]);
+    let total = |nodes: &[u64]| nodes.iter().sum::<u64>();
+    assert!(total(&passed_nodes) < total(&walked_nodes));
 }
