@@ -17,7 +17,7 @@ const SHARED_BIT: u32 = 63;
 /// [`LabelSummary::of`] builds it in one iterative post-order pass, at
 /// 12⅛ bytes per arena node. A summary describes the tree it was built from
 /// and goes stale with any edit of it: its holder rebuilds it per version.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct LabelSummary {
     /// The bit of every element label of the tree.
     bits: HashMap<String, u64>,
@@ -45,7 +45,7 @@ impl LabelSummary {
         for v in tree.post_order(tree.root()) {
             let (k, size) = (v.index(), summary.sizes[v.index()] + 1);
             summary.sizes[k] = size;
-            let Some(parent) = tree.parent(v).filter(|_| v != tree.root()) else { continue };
+            let Some(parent) = tree.parent(v) else { continue };
             let p = parent.index();
             let own = tree.label(v).map_or(0, |label| summary.bit_or_insert(label));
             summary.below[p] |= summary.below[k] | own;
