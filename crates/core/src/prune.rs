@@ -277,9 +277,9 @@ fn union(into: &mut LabelSet, other: &[u64]) {
 /// every fragment's arena with no per-node allocation. Detached nodes are
 /// read too, so a set may hold labels its fragment no longer has — never
 /// the other way round. An update grows the sets with the labels its
-/// inserts and relabels bring in ([`FragmentLabels::grown`]), a
+/// inserts and relabels bring in (`FragmentLabels::grown`), a
 /// re-fragmentation re-reads the fragments it installs
-/// ([`FragmentLabels::refragmented`]).
+/// (`FragmentLabels::refragmented`).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FragmentLabels {
     /// Label → id, dense in first-seen order.

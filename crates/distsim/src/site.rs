@@ -127,12 +127,10 @@ impl SiteLocal {
     /// newest version (in-place update semantics).
     pub fn update_base(&self, fragment: FragmentId, epoch: u64) -> Option<Arc<Fragment>> {
         let versions = self.versions.get(&fragment)?;
-        let base = if epoch == LATEST_EPOCH {
-            versions.last()
-        } else {
-            versions.iter().rev().find(|v| v.epoch < epoch)
-        };
-        base.map(|v| Arc::clone(&v.fragment))
+        if epoch == LATEST_EPOCH {
+            return versions.last().map(|v| Arc::clone(&v.fragment));
+        }
+        versions.iter().rev().find(|v| v.epoch < epoch).map(|v| Arc::clone(&v.fragment))
     }
 
     /// Install `fragment` as the snapshot of install-epoch `epoch`,

@@ -2137,6 +2137,37 @@ mod tests {
     }
 
     #[test]
+    fn labels_sharing_the_overflow_bit_never_pass_over_an_answer() {
+        // 80 labels below `r`: from `p31` on they share bit 63, so a subtree
+        // holding any of them looks as if it held every one.
+        let mut tree = XmlTree::with_root_element("r");
+        for k in 0..40 {
+            let p = tree.append_element(tree.root(), format!("p{k}"));
+            tree.append_element(p, format!("l{k}"));
+        }
+        let summary = LabelSummary::of(&tree);
+        assert_eq!(summary.bit("p33"), Some(1 << 63));
+        for text in ["//p33/l33", "/r/p33/l33", "//*/l33", "//p33/l3"] {
+            let mut oracle = semantics::oracle_eval(&tree, text).unwrap();
+            oracle.sort();
+            let q = compiled(text);
+            let (init, context) = start(&q, &tree, Start::Root);
+            let visits = [VisitQuery { query: &q, init, context }];
+            let visit = multi_combined_pass(
+                &tree,
+                tree.root(),
+                &visits,
+                Some(&summary),
+                |_, _| unreachable!(),
+            );
+            assert_eq!(visit.visits[0].answers, oracle, "{text}");
+            for start_at in STARTS {
+                assert_summary_changes_nothing(&tree, &[text.to_string()], start_at);
+            }
+        }
+    }
+
+    #[test]
     fn a_passed_over_subtree_costs_what_walking_it_does() {
         // `/r/a/b` needs a `b` below `a`: the `a` without one and the `d`
         // subtree are passed over, charging `|SVect|` per node below them.
