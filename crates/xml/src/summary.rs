@@ -19,7 +19,7 @@ const SHARED_BIT: u32 = 63;
 /// and goes stale with any edit of it: its holder rebuilds it per version.
 #[derive(Debug, Clone)]
 pub struct LabelSummary {
-    /// The bit of every element label of the tree.
+    /// The bit of every element label below the root.
     bits: HashMap<String, u64>,
     /// Per arena index: the bits of the labels strictly below the node.
     below: Vec<u64>,
@@ -66,7 +66,8 @@ impl LabelSummary {
         bit
     }
 
-    /// The bit of `label`, or `None` when no element of the tree carries it.
+    /// The bit of `label`, or `None` when no element below the root carries
+    /// it (the root is below no node).
     pub fn bit(&self, label: &str) -> Option<u64> {
         self.bits.get(label).copied()
     }
