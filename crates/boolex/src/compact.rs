@@ -98,13 +98,6 @@ impl<V: Clone + Eq + Ord + Hash> CompactVector<V> {
         }
     }
 
-    /// The last entry as an owned formula — the paper consults
-    /// `SVv(|SVect(Q)|)` to decide whether a node is an answer.
-    pub fn last_expr(&self) -> BoolExpr<V> {
-        debug_assert!(!self.is_empty(), "vectors are never empty when consulted");
-        self.expr(self.len() - 1)
-    }
-
     /// Overwrite an entry, promoting to the `Formulas` arm when a
     /// non-constant formula lands in a bits vector and demoting back to
     /// `Bits` when the last symbolic entry is overwritten by a constant —

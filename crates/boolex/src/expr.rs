@@ -173,11 +173,6 @@ impl<V: Clone + Eq + Ord + Hash> BoolExpr<V> {
         matches!(self, BoolExpr::Const(true))
     }
 
-    /// Is this formula the constant `false`?
-    pub fn is_false(&self) -> bool {
-        matches!(self, BoolExpr::Const(false))
-    }
-
     /// Does the formula still contain unknowns?
     pub fn has_variables(&self) -> bool {
         match self {

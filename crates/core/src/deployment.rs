@@ -26,7 +26,7 @@ use crate::transport::{
 use paxml_distsim::{
     Cluster, ClusterStats, Delivery, FaultKind, FaultPlan, Placement, ReplicaSet, SiteId,
 };
-use paxml_fragment::{FragmentId, FragmentTree, FragmentedTree};
+use paxml_fragment::{Fragment, FragmentId, FragmentTree, FragmentedTree};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -170,13 +170,12 @@ impl StaleRange {
     }
 }
 
-/// Coordinator-side health bookkeeping for the sites: fault strikes,
-/// quarantine, and per-copy staleness.
+/// Coordinator-side health bookkeeping for the sites: quarantine and
+/// per-copy staleness.
 ///
-/// The state machine per site is `live → (strike…) → quarantined →
-/// (probe ok) → live`: a transient fault records a strike, enough strikes
-/// quarantine the site (the router stops choosing its copies), and after a
-/// cooldown the server probes it — readmission clears the strikes.
+/// The state machine per site is `live → quarantined → (probe ok) → live`:
+/// a transient fault quarantines the site (the router stops choosing its
+/// copies), and after a cooldown the server probes it for readmission.
 /// Staleness is tracked per *(fragment, site)* copy, not per site: a
 /// readmitted site serves again immediately for copies that never missed a
 /// write, while copies that did stay off the routing path until repaired.
@@ -190,8 +189,6 @@ pub struct SiteHealth {
 
 #[derive(Debug, Default)]
 struct HealthState {
-    /// Consecutive transient faults per site since the last readmission.
-    strikes: BTreeMap<SiteId, u32>,
     /// Quarantined sites with the time of quarantine entry (or of the last
     /// failed probe — the probe cooldown restarts on every failure).
     quarantined: BTreeMap<SiteId, Instant>,
@@ -205,25 +202,15 @@ impl SiteHealth {
         self.inner.lock().expect("the health lock is never poisoned")
     }
 
-    /// Record a transient fault at `site`; once `quarantine_after` strikes
-    /// accumulate, the site is quarantined.
-    pub fn record_fault(&self, site: SiteId, quarantine_after: u32) {
-        let mut state = self.lock();
-        let strikes = state.strikes.entry(site).or_insert(0);
-        *strikes += 1;
-        if *strikes >= quarantine_after.max(1) {
-            state.quarantined.entry(site).or_insert_with(Instant::now);
-        }
+    /// Record a transient fault at `site`: quarantine it, keeping the
+    /// entry time of a site already quarantined.
+    pub fn record_fault(&self, site: SiteId) {
+        self.lock().quarantined.entry(site).or_insert_with(Instant::now);
     }
 
     /// Is the site currently quarantined?
     pub fn is_quarantined(&self, site: SiteId) -> bool {
         self.lock().quarantined.contains_key(&site)
-    }
-
-    /// All currently quarantined sites.
-    pub fn quarantined_sites(&self) -> BTreeSet<SiteId> {
-        self.lock().quarantined.keys().copied().collect()
     }
 
     /// Quarantined sites whose cooldown has elapsed — due for a liveness
@@ -245,12 +232,10 @@ impl SiteHealth {
         }
     }
 
-    /// A probe succeeded: readmit the site and clear its strikes. Stale
-    /// copies it holds stay off the routing path until repaired.
+    /// A probe succeeded: readmit the site. Stale copies it holds stay off
+    /// the routing path until repaired.
     pub fn readmit(&self, site: SiteId) {
-        let mut state = self.lock();
-        state.quarantined.remove(&site);
-        state.strikes.remove(&site);
+        self.lock().quarantined.remove(&site);
     }
 
     /// Record that the copy of `fragment` at `site` missed the write that
@@ -376,8 +361,8 @@ pub struct Deployment {
     pub root_label: String,
     /// Cumulative number of real nodes across all fragments.
     pub total_nodes: usize,
-    /// Site health bookkeeping shared by every execution: strikes,
-    /// quarantine, stale copies.
+    /// Site health bookkeeping shared by every execution: quarantine and
+    /// stale copies.
     health: SiteHealth,
     /// Fault plan, fault clock, cumulative ledger and slot counter.
     gate: RoundGate,
@@ -605,6 +590,24 @@ impl<'a> ExecCtx<'a> {
             out.entry(self.site_for(f)?).or_default().push(f);
         }
         Ok(out)
+    }
+
+    /// Fetch fragment payloads from the sites this execution routes them
+    /// to: one charged round, grouped by site.
+    pub(crate) fn fetch(
+        &mut self,
+        fragments: impl IntoIterator<Item = FragmentId>,
+    ) -> PaxResult<BTreeMap<FragmentId, Fragment>> {
+        let requests = self
+            .group_by_site(fragments)?
+            .into_iter()
+            .map(|(site, fragments)| (site, ProtocolRequest::FetchFragments(fragments)))
+            .collect();
+        let mut fetched = BTreeMap::new();
+        for response in self.round(requests)?.into_values() {
+            fetched.extend(response.into_fragments()?.into_iter().map(|f| (f.id, f)));
+        }
+        Ok(fetched)
     }
 
     /// The shared deployment this execution runs over.

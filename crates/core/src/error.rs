@@ -72,7 +72,7 @@ impl PaxError {
     /// [`PaxServer`](crate::server::PaxServer). Everything else is
     /// *permanent*: a codec mismatch, an invariant violation or a
     /// misconfiguration reproduces identically on retry, so retrying only
-    /// hides the bug and burns the deadline budget.
+    /// hides the bug and burns the retry budget.
     pub fn is_transient(&self) -> bool {
         matches!(self, PaxError::SiteUnreachable { .. } | PaxError::FragmentMissing { .. })
     }

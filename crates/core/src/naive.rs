@@ -10,13 +10,9 @@
 use crate::deployment::ExecCtx;
 use crate::error::PaxResult;
 use crate::report::{Algorithm, AnswerItem, ExecMode, ExecReport, QueryOutcome};
-use crate::transport::ProtocolRequest;
 use crate::EvalOptions;
-use paxml_distsim::SiteId;
-use paxml_fragment::Fragment;
 use paxml_xml::NodeId;
 use paxml_xpath::{centralized, CompiledQuery};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -35,15 +31,7 @@ pub(crate) fn run(
     // One visit per site, routed by the pinned epoch's topology: each site
     // ships exactly the fragments the topology places there, so stale
     // copies left behind by a migration are never read.
-    let mut requests: BTreeMap<SiteId, ProtocolRequest> = BTreeMap::new();
-    for (site, fragments) in ctx.group_by_site(topology.fragment_tree.ids().iter().copied())? {
-        requests.insert(site, ProtocolRequest::FetchFragments(fragments));
-    }
-    let responses = ctx.round(requests)?;
-    let mut shipped: Vec<Fragment> = Vec::new();
-    for response in responses.into_values() {
-        shipped.extend(response.into_fragments()?);
-    }
+    let shipped = ctx.fetch(topology.fragment_tree.ids().iter().copied())?.into_values().collect();
 
     // Reassemble the document at the coordinator. Fragment ids may have
     // gaps after re-fragmentations; compacting re-indexes them densely.

@@ -144,10 +144,11 @@ impl PaxServerBuilder {
                     .into(),
             });
         }
-        let mut cluster = match self.assignment.take() {
-            Some(assignment) => Cluster::with_assignment(fragmented, sites, assignment),
-            None => Cluster::replicated(fragmented, sites, self.placement, self.replication),
+        let replicas = match self.assignment.take() {
+            Some(assignment) => assignment.into_iter().map(|(f, site)| (f, site.into())).collect(),
+            None => self.placement.replica_sets(fragmented, sites, self.replication),
         };
+        let mut cluster = Cluster::with_replicas(fragmented, sites, replicas);
         cluster.sequential = self.sequential;
         cluster.site_delay = std::mem::take(&mut self.site_delays);
         self.deploy_over(fragmented, Arc::new(cluster))

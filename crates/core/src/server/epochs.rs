@@ -392,7 +392,7 @@ impl<'a> EpochBuild<'a> {
     /// function that swaps the current epoch, and the only writer of the
     /// stale and repaired marks a build decides on, so every observer sees a
     /// build entirely or not at all. (Outside builds,
-    /// [`PaxServer::with_failover`] records strikes and marks a copy stale
+    /// [`PaxServer::with_failover`] quarantines sites and marks a copy stale
     /// when its live site answers that it lost it, and the vacuum sweep
     /// forgets the marks of copies no live epoch routes to.)
     pub(super) fn commit(self, next: Option<(Sessions, Option<Arc<Topology>>)>) {

@@ -6,31 +6,25 @@ use super::epochs::{install, EpochBuild};
 use super::PaxServer;
 use crate::error::{PaxError, PaxResult};
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+/// Ceiling on the backoff between two attempts of one operation.
+const BACKOFF_CAP: Duration = Duration::from_millis(200);
 
 /// How a [`PaxServer`] turns transient site faults into retries and
 /// failovers. Every client-facing operation — executions, updates,
 /// re-fragmentations — runs under this policy: a transient failure
-/// ([`PaxError::is_transient`]) records a strike against the faulty site,
-/// backs off, and retries the whole operation, which re-routes around
-/// quarantined sites onto their next live replica. Permanent errors
-/// surface immediately.
+/// ([`PaxError::is_transient`]) quarantines the faulty site, backs off,
+/// and retries the whole operation, which re-routes around quarantined
+/// sites onto their next live replica. Permanent errors surface
+/// immediately.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts per operation, first try included (default 3).
     pub max_attempts: u32,
-    /// Backoff before retry `n` is `backoff_step × n` (default 10 ms).
+    /// Backoff before retry `n` is `backoff_step × n`, never more than
+    /// 200 ms (default 10 ms).
     pub backoff_step: Duration,
-    /// Backoff never exceeds this (default 200 ms).
-    pub backoff_cap: Duration,
-    /// Per-operation deadline budget: once elapsed time plus the pending
-    /// backoff would cross it, the operation fails with the last transient
-    /// error instead of retrying (default `None` — only `max_attempts`
-    /// bounds the loop).
-    pub deadline: Option<Duration>,
-    /// Transient faults a site may accumulate before it is quarantined
-    /// (default 1: the first fault quarantines).
-    pub quarantine_after: u32,
     /// How long a quarantined site rests before the server probes it for
     /// readmission; a failed probe restarts the cooldown (default 100 ms).
     pub probe_cooldown: Duration,
@@ -41,9 +35,6 @@ impl Default for RetryPolicy {
         RetryPolicy {
             max_attempts: 3,
             backoff_step: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(200),
-            deadline: None,
-            quarantine_after: 1,
             probe_cooldown: Duration::from_millis(100),
         }
     }
@@ -56,8 +47,8 @@ impl PaxServer {
     }
 
     /// Probe every quarantined site whose cooldown has elapsed; a site that
-    /// answers is readmitted (strikes cleared — its stale copies stay off
-    /// the routing path until [`PaxServer::repair`] refreshes them).
+    /// answers is readmitted (its stale copies stay off the routing path
+    /// until [`PaxServer::repair`] refreshes them).
     pub(super) fn probe_quarantined(&self) {
         let health = self.deployment.health();
         for site in health.due_for_probe(self.retry.probe_cooldown) {
@@ -70,22 +61,19 @@ impl PaxServer {
     }
 
     /// Run one operation under the server's [`RetryPolicy`]: probe due
-    /// quarantined sites, attempt, and on a *transient* failure strike the
-    /// faulty site (quarantining it once it crosses the threshold) — or,
-    /// when a live site lost a copy, mark that copy stale — back off, and
-    /// retry the whole operation, which re-routes around quarantined sites
-    /// and stale copies onto their next live replicas. Each attempt is
-    /// whole-operation: a retried execution pins the epoch afresh and gets
-    /// fresh scratch slots (what a failed attempt parked retires with its
-    /// epoch), a retried update re-builds its round, so no attempt ever
-    /// reads another attempt's partial state. Permanent errors
-    /// surface immediately; the deadline budget bounds the total time spent
-    /// retrying.
+    /// quarantined sites, attempt, and on a *transient* failure quarantine
+    /// the faulty site — or, when a live site lost a copy, mark that copy
+    /// stale — back off, and retry the whole operation, which re-routes
+    /// around quarantined sites and stale copies onto their next live
+    /// replicas. Each attempt is whole-operation: a retried execution pins
+    /// the epoch afresh and gets fresh scratch slots (what a failed attempt
+    /// parked retires with its epoch), a retried update re-builds its round,
+    /// so no attempt ever reads another attempt's partial state. Permanent
+    /// errors surface immediately.
     pub(super) fn with_failover<T>(
         &self,
         mut operation: impl FnMut() -> PaxResult<T>,
     ) -> PaxResult<T> {
-        let started = Instant::now();
         let mut attempt = 0u32;
         loop {
             self.probe_quarantined();
@@ -97,10 +85,10 @@ impl PaxServer {
             let health = self.deployment.health();
             match &error {
                 PaxError::SiteUnreachable { site, .. } => {
-                    health.record_fault(*site, self.retry.quarantine_after);
+                    health.record_fault(*site);
                 }
-                // The site is up but lost the copy: mark it stale without a
-                // strike, so the router picks a replica and `repair`
+                // The site is up but lost the copy: mark it stale without
+                // quarantining it, so the router picks a replica and `repair`
                 // re-installs it. An update round names the epoch it builds,
                 // one past the newest its base can be read at. The retry
                 // pins the current epoch and routes by its topology, so that
@@ -120,13 +108,7 @@ impl PaxServer {
             if attempt >= self.retry.max_attempts.max(1) {
                 return Err(error);
             }
-            let backoff = (self.retry.backoff_step * attempt).min(self.retry.backoff_cap);
-            if let Some(deadline) = self.retry.deadline {
-                if started.elapsed() + backoff >= deadline {
-                    return Err(error);
-                }
-            }
-            std::thread::sleep(backoff);
+            std::thread::sleep((self.retry.backoff_step * attempt).min(BACKOFF_CAP));
         }
     }
 

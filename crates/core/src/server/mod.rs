@@ -189,7 +189,7 @@ pub struct PaxServer {
     deployment: Deployment,
     algorithm: Algorithm,
     options: EvalOptions,
-    /// Fault handling: retry budget, backoff, quarantine thresholds.
+    /// Fault handling: retry budget, backoff, probe cooldown.
     retry: RetryPolicy,
     /// Serializes updaters against each other — never taken by the read
     /// path. Held across the whole build-and-publish of one update (and
@@ -528,7 +528,6 @@ mod tests {
             max_attempts,
             backoff_step: Duration::ZERO,
             probe_cooldown: Duration::ZERO,
-            ..RetryPolicy::default()
         };
         let builder = PaxServer::builder().sites(3).replication(2).sequential(true);
         let server = builder.retry_policy(retry_policy).deploy(&fragmented).unwrap();

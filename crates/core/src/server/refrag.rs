@@ -6,7 +6,6 @@ use super::PaxServer;
 use crate::deployment::{ExecCtx, Topology};
 use crate::error::{PaxError, PaxResult};
 use crate::incremental::QuerySession;
-use crate::transport::ProtocolRequest;
 use paxml_distsim::{ClusterStats, ReplicaSet, SiteId};
 use paxml_fragment::{Fragment, FragmentId, FragmentTree, FragmentedTree};
 use std::collections::{BTreeMap, BTreeSet};
@@ -181,9 +180,10 @@ impl PaxServer {
     /// answer bit-identically.
     pub fn export_fragmentation(&self) -> PaxResult<FragmentedTree> {
         self.with_failover(|| {
-            let mut reader = RefragBase { ctx: self.reader(&self.pin()) };
-            let topology = Arc::clone(reader.ctx.topology());
-            let shipped = reader.fetch(topology.fragment_tree.ids())?.into_values().collect();
+            let mut reader = self.reader(&self.pin());
+            let topology = Arc::clone(reader.topology());
+            let ids = topology.fragment_tree.ids().iter().copied();
+            let shipped = reader.fetch(ids)?.into_values().collect();
             paxml_fragment::compact_fragmentation(shipped, &topology.fragment_tree)
                 .map_err(Into::into)
         })
@@ -236,17 +236,7 @@ impl RefragBase<'_> {
     /// Fetch fragment payloads from the sites holding them (one charged
     /// round, grouped by site, pinned to the base epoch).
     pub fn fetch(&mut self, fragments: &[FragmentId]) -> PaxResult<BTreeMap<FragmentId, Fragment>> {
-        let requests = self
-            .ctx
-            .group_by_site(fragments.iter().copied())?
-            .into_iter()
-            .map(|(site, fragments)| (site, ProtocolRequest::FetchFragments(fragments)))
-            .collect();
-        let mut fetched = BTreeMap::new();
-        for response in self.ctx.round(requests)?.into_values() {
-            fetched.extend(response.into_fragments()?.into_iter().map(|f| (f.id, f)));
-        }
-        Ok(fetched)
+        self.ctx.fetch(fragments.iter().copied())
     }
 }
 

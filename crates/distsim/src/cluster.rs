@@ -212,35 +212,17 @@ impl Cluster {
     /// Build a cluster with `site_count` sites and distribute the fragments
     /// of `fragmented` according to `placement` (one copy each).
     pub fn new(fragmented: &FragmentedTree, site_count: usize, placement: Placement) -> Self {
-        Self::replicated(fragmented, site_count, placement, 1)
-    }
-
-    /// Build a cluster where every fragment lives on `replication` sites
-    /// (see [`Placement::replica_sets`]).
-    pub fn replicated(
-        fragmented: &FragmentedTree,
-        site_count: usize,
-        placement: Placement,
-        replication: usize,
-    ) -> Self {
-        let assignment = placement.replica_sets(fragmented, site_count, replication);
-        Self::with_replicas(fragmented, site_count, assignment)
-    }
-
-    /// Build a cluster with an explicit fragment→site assignment (fragments
-    /// not mentioned default to `S0`; each fragment gets one copy).
-    pub fn with_assignment(
-        fragmented: &FragmentedTree,
-        site_count: usize,
-        assignment: BTreeMap<FragmentId, SiteId>,
-    ) -> Self {
-        let replicas = assignment.into_iter().map(|(f, site)| (f, site.into())).collect();
-        Self::with_replicas(fragmented, site_count, replicas)
+        Self::with_replicas(
+            fragmented,
+            site_count,
+            placement.replica_sets(fragmented, site_count, 1),
+        )
     }
 
     /// Build a cluster with an explicit fragment→replica-set assignment,
-    /// completed by [`clamp_assignment`]. Every replica site stores a full
-    /// copy of the fragment.
+    /// completed by [`clamp_assignment`] ([`Placement::replica_sets`] builds
+    /// one from a placement). Every replica site stores a full copy of the
+    /// fragment.
     pub fn with_replicas(
         fragmented: &FragmentedTree,
         site_count: usize,
@@ -492,9 +474,9 @@ mod tests {
     fn explicit_assignment_is_respected_and_clamped() {
         let f = fragmented();
         let mut assignment = BTreeMap::new();
-        assignment.insert(FragmentId(1), SiteId(1));
-        assignment.insert(FragmentId(2), SiteId(99)); // clamped to the last site
-        let cluster = Cluster::with_assignment(&f, 2, assignment);
+        assignment.insert(FragmentId(1), SiteId(1).into());
+        assignment.insert(FragmentId(2), SiteId(99).into()); // clamped to the last site
+        let cluster = Cluster::with_replicas(&f, 2, assignment);
         assert_eq!(cluster.site_of(FragmentId(0)), SiteId(0)); // default
         assert_eq!(cluster.site_of(FragmentId(1)), SiteId(1));
         assert_eq!(cluster.site_of(FragmentId(2)), SiteId(1));
@@ -503,7 +485,7 @@ mod tests {
     #[test]
     fn replicated_placement_stores_every_copy_and_never_colocates() {
         let f = fragmented();
-        let cluster = Cluster::replicated(&f, 3, Placement::RoundRobin, 2);
+        let cluster = Cluster::with_replicas(&f, 3, Placement::RoundRobin.replica_sets(&f, 3, 2));
         for fragment in [FragmentId(0), FragmentId(1), FragmentId(2), FragmentId(3)] {
             let set = cluster.replicas_of(fragment);
             assert_eq!(set.len(), 2, "every fragment has two distinct copies");
@@ -518,7 +500,7 @@ mod tests {
         assert_eq!(cluster.occupied_sites().len(), 3);
         // Replication clamps to the site count instead of wrapping into
         // duplicates.
-        let full = Cluster::replicated(&f, 2, Placement::RoundRobin, 5);
+        let full = Cluster::with_replicas(&f, 2, Placement::RoundRobin.replica_sets(&f, 2, 5));
         assert_eq!(full.replicas_of(FragmentId(0)).len(), 2);
     }
 

@@ -33,4 +33,4 @@ pub mod tcp;
 pub use paxml_distsim::codec::{self, decode, encode, CodecError};
 pub use process::{ProcessCluster, SiteProcess};
 pub use site_server::SiteServer;
-pub use tcp::{TcpCluster, TcpOptions};
+pub use tcp::TcpCluster;

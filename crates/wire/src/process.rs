@@ -7,7 +7,7 @@
 //! to them, and tears everything down on drop — shutdown messages first
 //! (via the `TcpCluster` drop), then a kill as backstop.
 
-use crate::tcp::TcpCluster;
+use crate::tcp::{TcpCluster, READ_TIMEOUT};
 use paxml_core::{PaxError, PaxResult};
 use paxml_distsim::{Placement, SiteId};
 use paxml_fragment::FragmentedTree;
@@ -94,9 +94,8 @@ impl ProcessCluster {
 
     /// Like [`ProcessCluster::spawn`], but every fragment is stored on
     /// `replication` site processes (primary by `placement`, secondaries
-    /// round-robin on the next sites — see
-    /// [`TcpCluster::connect_replicated`]), so a single killed process
-    /// leaves every fragment with a live copy.
+    /// round-robin on the next sites — see [`Placement::replica_sets`]), so
+    /// a single killed process leaves every fragment with a live copy.
     pub fn spawn_replicated(
         program: impl AsRef<OsStr> + Copy,
         fragmented: &FragmentedTree,
@@ -112,8 +111,13 @@ impl ProcessCluster {
             })?);
         }
         let addrs: Vec<SocketAddr> = sites.iter().map(|s| s.addr).collect();
-        let transport =
-            Arc::new(TcpCluster::connect_replicated(fragmented, &addrs, placement, replication)?);
+        let replicas = placement.replica_sets(fragmented, addrs.len(), replication);
+        let transport = Arc::new(TcpCluster::connect_with_replicas(
+            fragmented,
+            &addrs,
+            replicas,
+            READ_TIMEOUT,
+        )?);
         Ok(ProcessCluster { transport, sites })
     }
 

@@ -23,12 +23,11 @@
 //! [`Transport::link_alive`] (the link half of `Deployment::probe`): the
 //! server's health tracker quarantines the site, re-probes it after a
 //! cooldown, and the probe redials with a deliberately small attempt budget
-//! ([`TcpOptions::probe_attempts`]) so readmission checks never stall the
-//! serving path.
+//! so readmission checks never stall the serving path.
 //!
-//! Socket knobs (read timeout, connect/probe backoff) live in
-//! [`TcpOptions`], fixed when the cluster is constructed
-//! ([`TcpCluster::connect_with_replicas`]). Injected faults never reach
+//! The read timeout is fixed when the cluster is constructed
+//! ([`TcpCluster::connect_with_replicas`]); the dial and probe budgets are
+//! constants of this module. Injected faults never reach
 //! this module: the deployment's round gate refuses a scheduled round
 //! before `deliver` is called, on this transport exactly as on the
 //! simulator.
@@ -59,40 +58,21 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
-/// Socket-level tuning of a [`TcpCluster`], fixed at construction
-/// ([`TcpCluster::connect_with_replicas`]; the other constructors use the
-/// defaults).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TcpOptions {
-    /// Per-read deadline on every site socket: a site that accepts the
-    /// connection but never replies fails the round after this long instead
-    /// of hanging the coordinator.
-    pub read_timeout: Duration,
-    /// How many times to retry the initial connect to a site before giving
-    /// up (site processes come up asynchronously).
-    pub connect_attempts: u32,
-    /// Linear backoff increment between connect attempts.
-    pub connect_backoff_step: Duration,
-    /// Ceiling on the per-attempt connect backoff.
-    pub connect_backoff_cap: Duration,
-    /// How many connect attempts a liveness *probe* makes before declaring
-    /// the site still dead. Deliberately much smaller than
-    /// `connect_attempts`: probes run on the serving path when a
-    /// quarantined site comes up for readmission, and must answer fast.
-    pub probe_attempts: u32,
-}
-
-impl Default for TcpOptions {
-    fn default() -> Self {
-        TcpOptions {
-            read_timeout: Duration::from_secs(30),
-            connect_attempts: 40,
-            connect_backoff_step: Duration::from_millis(5),
-            connect_backoff_cap: Duration::from_millis(150),
-            probe_attempts: 2,
-        }
-    }
-}
+/// The per-read deadline of [`TcpCluster::connect`] and
+/// [`ProcessCluster`](crate::ProcessCluster).
+pub(crate) const READ_TIMEOUT: Duration = Duration::from_secs(30);
+/// How many times the initial dial to a site is tried before giving up
+/// (site processes come up asynchronously).
+const CONNECT_ATTEMPTS: u32 = 40;
+/// Linear backoff increment between dial attempts.
+const CONNECT_BACKOFF_STEP: Duration = Duration::from_millis(5);
+/// Ceiling on the backoff between dial attempts.
+const CONNECT_BACKOFF_CAP: Duration = Duration::from_millis(150);
+/// How many dial attempts a liveness *probe* makes before declaring the
+/// site still dead. Deliberately much smaller than [`CONNECT_ATTEMPTS`]:
+/// probes run on the serving path when a quarantined site comes up for
+/// readmission, and must answer fast.
+const PROBE_ATTEMPTS: u32 = 2;
 
 /// One site's connection: alive, or dead with the error that killed it.
 struct Connection {
@@ -127,58 +107,37 @@ pub struct TcpCluster {
     /// Serializes rounds and control operations: per-connection streams
     /// must not interleave messages of concurrent rounds.
     round_lock: Mutex<()>,
-    /// Socket tuning: the initial dial used it, probe redials reuse it.
-    options: TcpOptions,
+    /// Per-read deadline on every site socket: the initial dial set it,
+    /// probe redials set it again.
+    read_timeout: Duration,
 }
 
 impl TcpCluster {
     /// Connect to one site per address, distribute the fragments of
     /// `fragmented` according to `placement` (one copy each), and load each
     /// site with its share — the socket equivalent of
-    /// [`paxml_distsim::Cluster::new`].
+    /// [`paxml_distsim::Cluster::new`]. Reads time out after 30 s.
     pub fn connect(
         fragmented: &FragmentedTree,
         addrs: &[SocketAddr],
         placement: Placement,
     ) -> PaxResult<TcpCluster> {
-        Self::connect_replicated(fragmented, addrs, placement, 1)
-    }
-
-    /// Connect with every fragment stored on `replication` sites (see
-    /// [`Placement::replica_sets`]) — the socket equivalent of
-    /// [`paxml_distsim::Cluster::replicated`].
-    pub fn connect_replicated(
-        fragmented: &FragmentedTree,
-        addrs: &[SocketAddr],
-        placement: Placement,
-        replication: usize,
-    ) -> PaxResult<TcpCluster> {
-        let assignment = placement.replica_sets(fragmented, addrs.len(), replication);
-        Self::connect_with_replicas(fragmented, addrs, assignment, TcpOptions::default())
-    }
-
-    /// Connect with an explicit fragment→site assignment (fragments not
-    /// mentioned go to site 0; site indices are clamped to the address
-    /// list, mirroring [`paxml_distsim::Cluster::with_assignment`]). Each
-    /// fragment gets one copy.
-    pub fn connect_with_assignment(
-        fragmented: &FragmentedTree,
-        addrs: &[SocketAddr],
-        assignment: BTreeMap<FragmentId, SiteId>,
-    ) -> PaxResult<TcpCluster> {
-        let replicas = assignment.into_iter().map(|(f, site)| (f, site.into())).collect();
-        Self::connect_with_replicas(fragmented, addrs, replicas, TcpOptions::default())
+        let assignment = placement.replica_sets(fragmented, addrs.len(), 1);
+        Self::connect_with_replicas(fragmented, addrs, assignment, READ_TIMEOUT)
     }
 
     /// The most general constructor: an explicit fragment→replica-set
     /// assignment (completed by [`clamp_assignment`], exactly like the
-    /// simulator's) and explicit socket tuning for the initial dial. Every
-    /// replica site is loaded with a full copy of its fragments.
+    /// simulator's; [`Placement::replica_sets`] builds one from a
+    /// placement) and the per-read deadline on every site socket — a site
+    /// that accepts the connection but never replies fails the round after
+    /// `read_timeout` instead of hanging the coordinator. Every replica
+    /// site is loaded with a full copy of its fragments.
     pub fn connect_with_replicas(
         fragmented: &FragmentedTree,
         addrs: &[SocketAddr],
         assignment: BTreeMap<FragmentId, ReplicaSet>,
-        options: TcpOptions,
+        read_timeout: Duration,
     ) -> PaxResult<TcpCluster> {
         if addrs.is_empty() {
             return Err(PaxError::InvalidConfig {
@@ -196,7 +155,7 @@ impl TcpCluster {
         let mut conns = Vec::with_capacity(addrs.len());
         for (index, addr) in addrs.iter().enumerate() {
             let site = SiteId(index);
-            let mut stream = connect_with_retry(site, *addr, &options, options.connect_attempts)?;
+            let mut stream = connect_with_retry(site, *addr, read_timeout, CONNECT_ATTEMPTS)?;
             let fragments = std::mem::take(&mut per_site[index]);
             handshake(&mut stream, site, fragments).map_err(|err| PaxError::SiteUnreachable {
                 site,
@@ -209,7 +168,7 @@ impl TcpCluster {
             addrs: addrs.to_vec(),
             assignment,
             round_lock: Mutex::new(()),
-            options,
+            read_timeout,
         })
     }
 
@@ -243,13 +202,12 @@ impl TcpCluster {
 }
 
 /// Dial `addr` with bounded linear backoff (the site process may still be
-/// binding its listener when the coordinator starts). `attempts` is passed
-/// separately from `options` because liveness probes dial with the much
-/// smaller [`TcpOptions::probe_attempts`] budget.
+/// binding its listener when the coordinator starts): [`CONNECT_ATTEMPTS`]
+/// for the initial dial, [`PROBE_ATTEMPTS`] for a liveness probe.
 fn connect_with_retry(
     site: SiteId,
     addr: SocketAddr,
-    options: &TcpOptions,
+    read_timeout: Duration,
     attempts: u32,
 ) -> PaxResult<TcpStream> {
     let mut last_error = String::new();
@@ -257,7 +215,7 @@ fn connect_with_retry(
         match TcpStream::connect(addr) {
             Ok(stream) => {
                 stream
-                    .set_read_timeout(Some(options.read_timeout))
+                    .set_read_timeout(Some(read_timeout))
                     .and_then(|()| stream.set_nodelay(true))
                     .map_err(|err| PaxError::SiteUnreachable {
                         site,
@@ -267,9 +225,7 @@ fn connect_with_retry(
             }
             Err(err) => last_error = err.to_string(),
         }
-        std::thread::sleep(
-            (options.connect_backoff_step * (attempt + 1)).min(options.connect_backoff_cap),
-        );
+        std::thread::sleep((CONNECT_BACKOFF_STEP * (attempt + 1)).min(CONNECT_BACKOFF_CAP));
     }
     Err(PaxError::SiteUnreachable {
         site,
@@ -436,18 +392,16 @@ impl Transport for TcpCluster {
             // back empty: the first round naming one of its copies gets a
             // missing-fragment reply, which marks that copy stale, so reads
             // fail over to a replica until the repair pass re-installs it.
-            Err(_) => {
-                match connect_with_retry(site, peer, &self.options, self.options.probe_attempts) {
-                    Ok(mut stream) => match handshake(&mut stream, site, Vec::new()) {
-                        Ok(()) => {
-                            conn.stream = Ok(stream);
-                            true
-                        }
-                        Err(_) => false,
-                    },
+            Err(_) => match connect_with_retry(site, peer, self.read_timeout, PROBE_ATTEMPTS) {
+                Ok(mut stream) => match handshake(&mut stream, site, Vec::new()) {
+                    Ok(()) => {
+                        conn.stream = Ok(stream);
+                        true
+                    }
                     Err(_) => false,
-                }
-            }
+                },
+                Err(_) => false,
+            },
         }
     }
 

@@ -47,7 +47,7 @@ pub use error::{XmlError, XmlResult};
 pub use node::{Node, NodeId, NodeKind};
 pub use parse::{parse, Parser};
 pub use path::{label_path, path_from_root, LabelPath};
-pub use serialize::{to_string, to_string_pretty, SerializeOptions};
+pub use serialize::{to_string, to_string_pretty};
 pub use stats::TreeStats;
 pub use summary::LabelSummary;
 pub use tree::{Ancestors, Descendants, PostOrder, PreOrder, Siblings, XmlTree};

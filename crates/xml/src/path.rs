@@ -22,11 +22,6 @@ impl LabelPath {
         LabelPath { steps: Vec::new() }
     }
 
-    /// Build a path from label steps.
-    pub fn from_steps(steps: impl IntoIterator<Item = impl Into<String>>) -> Self {
-        LabelPath { steps: steps.into_iter().map(Into::into).collect() }
-    }
-
     /// Parse a `/`-separated path such as `client/broker/market`.
     /// Empty segments are ignored, so a leading `/` is harmless.
     pub fn parse(text: &str) -> Self {

@@ -3,36 +3,24 @@
 use crate::node::{NodeId, NodeKind};
 use crate::tree::XmlTree;
 
-/// Options controlling serialization.
-#[derive(Debug, Clone)]
-pub struct SerializeOptions {
-    /// Indent child elements by this many spaces per nesting level.
-    /// `None` produces a compact single-line document.
-    pub indent: Option<usize>,
-    /// How virtual nodes are rendered. They have no XML equivalent, so the
-    /// serializer emits a self-closing marker element carrying the fragment
-    /// id; this keeps serialization total (useful for debugging fragments).
-    pub virtual_element_name: String,
-}
-
-impl Default for SerializeOptions {
-    fn default() -> Self {
-        SerializeOptions { indent: None, virtual_element_name: "paxml:fragment-ref".to_string() }
-    }
-}
+/// How virtual nodes are rendered. They have no XML equivalent, so the
+/// serializer emits a self-closing marker element carrying the fragment id;
+/// this keeps serialization total (useful for debugging fragments).
+const VIRTUAL_ELEMENT_NAME: &str = "paxml:fragment-ref";
 
 /// Serialize a tree compactly.
 pub fn to_string(tree: &XmlTree) -> String {
-    serialize(tree, &SerializeOptions::default())
+    serialize(tree, None)
 }
 
 /// Serialize a tree with two-space indentation.
 pub fn to_string_pretty(tree: &XmlTree) -> String {
-    serialize(tree, &SerializeOptions { indent: Some(2), ..SerializeOptions::default() })
+    serialize(tree, Some(2))
 }
 
-/// Serialize a tree with the given options.
-pub fn serialize(tree: &XmlTree, options: &SerializeOptions) -> String {
+/// Serialize a tree, indenting child elements by `indent` spaces per
+/// nesting level, or on a single line when `indent` is `None`.
+fn serialize(tree: &XmlTree, indent: Option<usize>) -> String {
     let mut out = String::new();
     // An explicit stack, so a deep document costs heap, not call stack: each
     // entry opens a node or closes an element whose children went on lines
@@ -42,14 +30,14 @@ pub fn serialize(tree: &XmlTree, options: &SerializeOptions) -> String {
         let (id, depth) = match step {
             Step::Open(id, depth) => (id, depth),
             Step::Close(id, depth) => {
-                pad(&mut out, options, depth);
+                pad(&mut out, indent, depth);
                 close_tag(&mut out, tree.label(id).unwrap_or_default());
                 continue;
             }
         };
         match tree.kind(id) {
             NodeKind::Element { label, attributes } => {
-                pad(&mut out, options, depth);
+                pad(&mut out, indent, depth);
                 out.push('<');
                 out.push_str(label);
                 for (name, value) in attributes {
@@ -80,13 +68,13 @@ pub fn serialize(tree: &XmlTree, options: &SerializeOptions) -> String {
                 }
             }
             NodeKind::Text { value } => {
-                pad(&mut out, options, depth);
+                pad(&mut out, indent, depth);
                 out.push_str(&escape_text(value));
             }
             NodeKind::Virtual { fragment, root_label } => {
-                pad(&mut out, options, depth);
+                pad(&mut out, indent, depth);
                 out.push('<');
-                out.push_str(&options.virtual_element_name);
+                out.push_str(VIRTUAL_ELEMENT_NAME);
                 out.push_str(&format!(" fragment=\"{fragment}\""));
                 if let Some(l) = root_label {
                     out.push_str(&format!(" root-label=\"{}\"", escape_attr(l)));
@@ -105,8 +93,8 @@ enum Step {
 }
 
 /// Start a new, indented line when pretty-printing.
-fn pad(out: &mut String, options: &SerializeOptions, depth: usize) {
-    if let Some(width) = options.indent {
+fn pad(out: &mut String, indent: Option<usize>, depth: usize) {
+    if let Some(width) = indent {
         if !out.is_empty() {
             out.push('\n');
         }

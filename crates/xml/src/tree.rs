@@ -110,14 +110,6 @@ impl XmlTree {
         }
     }
 
-    /// Does the node occupy an element slot among its siblings — a real
-    /// element or a virtual placeholder standing in for one? Positional
-    /// predicates count exactly these nodes.
-    #[inline]
-    pub fn is_element_like(&self, id: NodeId) -> bool {
-        matches!(&self.node(id).kind, NodeKind::Element { .. } | NodeKind::Virtual { .. })
-    }
-
     /// Is the node an element?
     #[inline]
     pub fn is_element(&self, id: NodeId) -> bool {

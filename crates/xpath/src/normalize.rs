@@ -281,11 +281,6 @@ impl NormPath {
         self.items.iter().any(|i| matches!(i, NormItem::Qualifier(_)))
     }
 
-    /// Does the path contain a positional predicate (at the top level)?
-    pub fn has_position(&self) -> bool {
-        self.items.iter().any(|i| matches!(i, NormItem::Position(_)))
-    }
-
     /// Does the path contain a `//` item (at the top level, not inside
     /// qualifiers)?
     pub fn has_descendant(&self) -> bool {

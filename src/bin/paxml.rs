@@ -244,40 +244,63 @@ fn server(
         .map_err(|e| e.to_string())
 }
 
+/// The distributed algorithm `--algorithm` names, or `None` for
+/// `centralized`.
+fn parse_algorithm(options: &Options) -> Result<Option<Algorithm>, String> {
+    match options.algorithm.as_str() {
+        "pax2" => Ok(Some(Algorithm::PaX2)),
+        "pax3" => Ok(Some(Algorithm::PaX3)),
+        "naive" => Ok(Some(Algorithm::NaiveCentralized)),
+        "centralized" => Ok(None),
+        other => Err(format!("unknown algorithm {other:?}")),
+    }
+}
+
+/// Run the query once on `server` and print its summary and answers.
+fn answer(server: &PaxServer, query_text: &str, options: &Options) -> Result<(), String> {
+    let report = server.query_once(query_text).map_err(|e| e.to_string())?;
+    println!("{}", report.summary());
+    let answers = report.answers();
+    let rows = answers.iter().map(|item| (item.label.as_str(), item.text.clone()));
+    print_answers(rows, options.show_answers);
+    Ok(())
+}
+
+/// Print at most `limit` answers as `<label> text` lines.
+fn print_answers<'a>(
+    answers: impl ExactSizeIterator<Item = (&'a str, Option<String>)>,
+    limit: usize,
+) {
+    let total = answers.len();
+    for (label, text) in answers.take(limit) {
+        match text {
+            Some(text) => println!("  <{label}> {text}"),
+            None => println!("  <{label}>"),
+        }
+    }
+    if total > limit {
+        println!("  … and {} more", total - limit);
+    }
+}
+
 fn run_query(
     tree: &XmlTree,
     fragmented: &FragmentedTree,
     query_text: &str,
     options: &Options,
 ) -> Result<(), String> {
-    let algorithm = match options.algorithm.as_str() {
-        "pax2" => Algorithm::PaX2,
-        "pax3" => Algorithm::PaX3,
-        "naive" => Algorithm::NaiveCentralized,
-        "centralized" => {
-            // No distribution at all: evaluate over the original document.
-            let result = centralized::evaluate(tree, query_text).map_err(|e| e.to_string())?;
-            println!("{} answers ({} elementary operations)", result.answers.len(), result.ops);
-            print_answer_nodes(tree, &result.answers, options.show_answers);
-            return Ok(());
-        }
-        other => return Err(format!("unknown algorithm {other:?}")),
+    let Some(algorithm) = parse_algorithm(options)? else {
+        // No distribution at all: evaluate over the original document.
+        let result = centralized::evaluate(tree, query_text).map_err(|e| e.to_string())?;
+        println!("{} answers ({} elementary operations)", result.answers.len(), result.ops);
+        let rows = result
+            .answers
+            .iter()
+            .map(|&node| (tree.label(node).unwrap_or("?"), tree.text_of(node)));
+        print_answers(rows, options.show_answers);
+        return Ok(());
     };
-    let server = server(fragmented, options, algorithm, options.annotations)?;
-    let report = server.query_once(query_text).map_err(|e| e.to_string())?;
-
-    println!("{}", report.summary());
-    let answers = report.answers();
-    for item in answers.iter().take(options.show_answers) {
-        match &item.text {
-            Some(text) => println!("  <{}> {}", item.label, text),
-            None => println!("  <{}>", item.label),
-        }
-    }
-    if answers.len() > options.show_answers {
-        println!("  … and {} more", answers.len() - options.show_answers);
-    }
-    Ok(())
+    answer(&server(fragmented, options, algorithm, options.annotations)?, query_text, options)
 }
 
 /// `paxml site --listen <addr>`: one site of a TCP cluster. Announces the
@@ -314,16 +337,8 @@ fn run_cluster(
     query_text: &str,
     options: &Options,
 ) -> Result<(), String> {
-    let algorithm = match options.algorithm.as_str() {
-        "pax2" => Algorithm::PaX2,
-        "pax3" => Algorithm::PaX3,
-        "naive" => Algorithm::NaiveCentralized,
-        "centralized" => {
-            return Err(
-                "`cluster` distributes the document; use `query` for centralized".to_string()
-            )
-        }
-        other => return Err(format!("unknown algorithm {other:?}")),
+    let Some(algorithm) = parse_algorithm(options)? else {
+        return Err("`cluster` distributes the document; use `query` for centralized".to_string());
     };
     let program = std::env::current_exe().map_err(|e| format!("cannot find own binary: {e}"))?;
     let sites = options.sites;
@@ -339,19 +354,7 @@ fn run_cluster(
         .annotations(options.annotations)
         .deploy_over(fragmented, cluster.transport.clone())
         .map_err(|e| e.to_string())?;
-    let report = server.query_once(query_text).map_err(|e| e.to_string())?;
-
-    println!("{}", report.summary());
-    let answers = report.answers();
-    for item in answers.iter().take(options.show_answers) {
-        match &item.text {
-            Some(text) => println!("  <{}> {}", item.label, text),
-            None => println!("  <{}>", item.label),
-        }
-    }
-    if answers.len() > options.show_answers {
-        println!("  … and {} more", answers.len() - options.show_answers);
-    }
+    answer(&server, query_text, options)?;
     // Dropping the server and the cluster sends each site a clean shutdown
     // message, then reaps the child processes.
     println!("shutting the cluster down …");
@@ -367,16 +370,8 @@ fn run_stats(
     query_text: &str,
     options: &Options,
 ) -> Result<(), String> {
-    let algorithm = match options.algorithm.as_str() {
-        "pax2" => Algorithm::PaX2,
-        "pax3" => Algorithm::PaX3,
-        "naive" => Algorithm::NaiveCentralized,
-        "centralized" => {
-            return Err(
-                "`stats` meters a distributed deployment; use `query` for centralized".to_string()
-            )
-        }
-        other => return Err(format!("unknown algorithm {other:?}")),
+    let Some(algorithm) = parse_algorithm(options)? else {
+        return Err("`stats` meters a distributed deployment; use `query` for centralized".into());
     };
     let server = server(fragmented, options, algorithm, options.annotations)?;
     let prepared = server.prepare(query_text).map_err(|e| e.to_string())?;
@@ -437,18 +432,6 @@ fn print_server_stats(server: &PaxServer) {
         );
     }
     println!("max site bytes: {}", stats.max_site_bytes());
-}
-
-fn print_answer_nodes(tree: &XmlTree, answers: &[paxml::xml::NodeId], limit: usize) {
-    for &node in answers.iter().take(limit) {
-        match tree.text_of(node) {
-            Some(text) => println!("  <{}> {}", tree.label(node).unwrap_or("?"), text),
-            None => println!("  <{}>", tree.label(node).unwrap_or("?")),
-        }
-    }
-    if answers.len() > limit {
-        println!("  … and {} more", answers.len() - limit);
-    }
 }
 
 fn compare_algorithms(

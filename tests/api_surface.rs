@@ -4,15 +4,23 @@
 //! someone's build.
 //!
 //! Everything in this file is a *compile-time* assertion (function-pointer
-//! coercions fail to compile on any signature drift) plus one runtime check
-//! of the explicit-assignment builder path.
+//! coercions and exhaustive struct literals fail to compile on any drift)
+//! plus runtime checks of the explicit-assignment builder path and of the
+//! retry defaults.
 
+use paxml::core::RetryPolicy;
+use paxml::distsim::{Cluster, ReplicaSet};
 use paxml::prelude::*;
+use paxml::wire::TcpCluster;
 use std::collections::BTreeMap;
+use std::net::SocketAddr;
 use std::time::Duration;
 
 /// Update-batch slices, named so the pinned fn-pointer types stay readable.
 type Updates<'a> = &'a [(FragmentId, UpdateOp)];
+
+/// Fragment→replica-set assignments, named for the same reason.
+type Replicas = BTreeMap<FragmentId, ReplicaSet>;
 
 /// The `PaxServer` session API, pinned.
 #[test]
@@ -75,4 +83,25 @@ fn an_explicit_assignment_deploys_through_the_builder() {
     assignment.insert(FragmentId(0), paxml::distsim::SiteId(0));
     let server = PaxServer::builder().sites(2).assignment(assignment).deploy(&fragmented).unwrap();
     assert_eq!(server.query_once(query).unwrap().answer_texts(), vec!["Etrade".to_string()]);
+}
+
+/// The settable values and the transport constructors, pinned: the retry
+/// policy is built field by field, so a new setting fails to compile here
+/// until it is listed, and each transport has one constructor by placement
+/// and one general constructor by replica sets.
+#[test]
+fn settings_and_transport_constructors_are_pinned() {
+    let policy = RetryPolicy {
+        max_attempts: 3,
+        backoff_step: Duration::from_millis(10),
+        probe_cooldown: Duration::from_millis(100),
+    };
+    assert_eq!(policy, RetryPolicy::default());
+
+    let _: fn(&FragmentedTree, usize, Placement) -> Cluster = Cluster::new;
+    let _: fn(&FragmentedTree, usize, Replicas) -> Cluster = Cluster::with_replicas;
+    let _: fn(&FragmentedTree, &[SocketAddr], Placement) -> PaxResult<TcpCluster> =
+        TcpCluster::connect;
+    let _: fn(&FragmentedTree, &[SocketAddr], Replicas, Duration) -> PaxResult<TcpCluster> =
+        TcpCluster::connect_with_replicas;
 }

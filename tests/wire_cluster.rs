@@ -16,7 +16,7 @@
 use paxml::core::RetryPolicy;
 use paxml::prelude::*;
 use paxml::wire::msg::{self, WireReply, WireRequest};
-use paxml::wire::{ProcessCluster, SiteServer, TcpCluster, TcpOptions};
+use paxml::wire::{ProcessCluster, SiteServer, TcpCluster};
 use paxml_distsim::{ClusterStats, Placement, SiteId};
 use paxml_xmark::{clientele_fragmentation, ft1, UpdateWorkload, PAPER_QUERIES};
 use std::net::{SocketAddr, TcpListener};
@@ -269,11 +269,10 @@ fn a_hung_site_trips_the_deadline_and_fails_over() {
                 let _ = site.run();
             });
         }
-        let options =
-            TcpOptions { read_timeout: Duration::from_millis(300), ..TcpOptions::default() };
         let replicas = Placement::RoundRobin.replica_sets(&fragmented, addrs.len(), 2);
+        let read_timeout = Duration::from_millis(300);
         let transport = Arc::new(
-            TcpCluster::connect_with_replicas(&fragmented, &addrs, replicas, options)
+            TcpCluster::connect_with_replicas(&fragmented, &addrs, replicas, read_timeout)
                 .expect("connect (the hung site still answers the handshake)"),
         );
 
@@ -359,17 +358,19 @@ fn killed_site_reports_unreachable_without_hanging() {
         // the two sites that stayed up.
         let all_addrs: Vec<_> = cluster.addresses().collect();
         let survivor_addrs = [all_addrs[0], all_addrs[2]];
-        let survivors: std::collections::BTreeMap<FragmentId, SiteId> = fragmented
+        let survivors = fragmented
             .fragment_tree
             .ids()
             .iter()
-            .map(|&id| (id, if id.index() == 0 { SiteId(0) } else { SiteId(1) }))
+            .map(|&id| (id, if id.index() == 0 { SiteId(0) } else { SiteId(1) }.into()))
             .collect();
+        let read_timeout = Duration::from_secs(30);
         let rerouted = Arc::new(
-            paxml::wire::TcpCluster::connect_with_assignment(
+            TcpCluster::connect_with_replicas(
                 &fragmented,
                 &survivor_addrs,
                 survivors,
+                read_timeout,
             )
             .expect("reconnect to survivors"),
         );
