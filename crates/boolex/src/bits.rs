@@ -170,26 +170,6 @@ impl BitVector {
         }
     }
 
-    /// Word-wise `self &= other`. Both vectors must have the same length.
-    pub fn and_assign(&mut self, other: &BitVector) {
-        debug_assert_eq!(self.len, other.len);
-        for (w, o) in self.words_mut().iter_mut().zip(other.words()) {
-            *w &= o;
-        }
-    }
-
-    /// Word-wise complement, preserving the canonical-form invariant.
-    pub fn not_assign(&mut self) {
-        let mask = tail_mask(self.len);
-        let words = self.words_mut();
-        for w in words.iter_mut() {
-            *w = !*w;
-        }
-        if let Some(last) = words.last_mut() {
-            *last &= mask;
-        }
-    }
-
     /// `self` followed by the entries of `tail`, shifted in word-wise (no
     /// heap allocation while the result has at most 64 entries).
     pub fn concat(&self, tail: &BitVector) -> BitVector {
@@ -301,14 +281,6 @@ mod tests {
         let mut or = a.clone();
         or.or_assign(&b);
         assert_eq!(or.to_bools(), vec![true, true, true, false, true]);
-        let mut and = a.clone();
-        and.and_assign(&b);
-        assert_eq!(and.to_bools(), vec![true, false, false, false, true]);
-        let mut not = a.clone();
-        not.not_assign();
-        assert_eq!(not.to_bools(), vec![false, true, false, true, false]);
-        assert_eq!(not.words().len(), 1);
-        assert!(not.words()[0] < 32, "tail bits must stay masked");
     }
 
     #[test]

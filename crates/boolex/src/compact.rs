@@ -187,15 +187,6 @@ impl<V: Clone + Eq + Ord + Hash> CompactVector<V> {
             }
         }
     }
-
-    /// Total syntactic size (a bits entry counts 1, like a `Const` node) —
-    /// used by tests asserting the communication bound.
-    pub fn total_size(&self) -> usize {
-        match self {
-            CompactVector::Bits(b) => b.len(),
-            CompactVector::Formulas(f) => f.iter().map(BoolExpr::size).sum(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -213,7 +204,6 @@ mod tests {
         assert_eq!(v.const_at(2), Some(true));
         assert_eq!(v.as_bools(), Some(vec![false, false, true, false, false]));
         assert!(v.is_fully_resolved());
-        assert_eq!(v.total_size(), 5);
         assert!(v.variables().is_empty());
     }
 

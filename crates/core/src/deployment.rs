@@ -1,11 +1,13 @@
-//! A deployment: the transport to the sites plus the coordinator-side
-//! metadata (the fragment tree and its annotations).
+//! A deployment: the transport to the sites, the sites' health, and the
+//! round gate every round passes; and the [`Topology`] versions that route
+//! by it.
 //!
 //! The coordinator (query site `S_Q`) knows the fragment tree `FT` — which
 //! fragment is a sub-fragment of which, where each fragment lives, and the
-//! optional XPath annotations — but never the fragment *data*; all data
-//! access goes through the messaging layer so that traffic and visits are
-//! accounted faithfully. The messaging layer itself is pluggable: by
+//! XPath annotations with their §5 index — from the topology an execution
+//! is pinned with, but never the fragment *data*; all data access goes
+//! through the messaging layer so that traffic and visits are accounted
+//! faithfully. The messaging layer itself is pluggable: by
 //! default a deployment owns an in-process simulated [`Cluster`], but any
 //! [`Transport`] (such as `paxml-wire`'s TCP cluster of real site
 //! processes) can stand in — the drivers only ever see the trait.
@@ -29,13 +31,12 @@ use paxml_distsim::{
 use paxml_fragment::{Fragment, FragmentId, FragmentTree, FragmentedTree};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// One immutable version of the deployment's *topology*: the fragment tree
 /// (with its §5 annotations) plus the fragment→site placement map, tagged
-/// with a monotonically increasing version, and the fragments' §5 label
-/// sets.
+/// with a monotonically increasing version, and the §5 index over them.
 ///
 /// A topology belongs to the epochs that route by it: the server's pinned
 /// epoch holds its `Arc`, and every execution routes through the one its
@@ -54,69 +55,57 @@ pub struct Topology {
     /// published re-fragmentation. Carried on `ExecReport` so callers can
     /// assert which topology served a read.
     pub version: u64,
-    /// The element labels each fragment holds, which the §5 analysis prunes
-    /// by; `None` when the server runs without annotations, so no analysis
-    /// reads them. An update that brings a label into a fragment publishes
+    /// The document root element's label, where every annotation path
+    /// starts.
+    root_label: String,
+    /// The §5 index: the label-path trie over the fragment annotations,
+    /// carrying the fragments' label sets, shared by every query planned
+    /// under this topology; `None` when the server runs without
+    /// annotations. An update that brings a label into a fragment publishes
     /// a copy of the topology with grown sets under the same version.
-    labels: Option<Arc<FragmentLabels>>,
-    /// The label-path trie over the fragment annotations (and the label
-    /// sets), built lazily on first use and then shared by every query
-    /// evaluated under this topology (the annotation analysis is
-    /// `O(|distinct paths|)` through it instead of `O(Σ chain lengths)` per
-    /// query).
-    path_trie: OnceLock<Arc<PathTrie>>,
-}
-
-impl PartialEq for Topology {
-    fn eq(&self, other: &Self) -> bool {
-        // The trie cache is derived state: whether it has been built yet
-        // must not affect topology identity.
-        self.fragment_tree == other.fragment_tree
-            && self.placement == other.placement
-            && self.version == other.version
-            && self.labels == other.labels
-    }
+    annotations: Option<Arc<PathTrie>>,
 }
 
 impl Topology {
-    /// Assemble a topology version. `labels` must describe `fragment_tree`,
-    /// and be `None` only for a server that runs without annotations. The
-    /// path trie starts unbuilt.
+    /// Assemble a topology version, building its §5 index when `labels`
+    /// is given. `labels` must describe `fragment_tree`, whose document
+    /// root element is labelled `root_label`.
     pub fn new(
         fragment_tree: FragmentTree,
         placement: BTreeMap<FragmentId, ReplicaSet>,
         version: u64,
+        root_label: String,
         labels: Option<Arc<FragmentLabels>>,
     ) -> Topology {
-        Topology { fragment_tree, placement, version, labels, path_trie: OnceLock::new() }
+        let annotations = labels.map(|labels| {
+            Arc::new(PathTrie::build(&fragment_tree, &root_label).with_labels(labels))
+        });
+        Topology { fragment_tree, placement, version, root_label, annotations }
     }
 
-    /// The same topology with grown label sets. The path trie starts
-    /// unbuilt.
+    /// The same topology with grown label sets, and its index rebuilt over
+    /// them.
     pub(crate) fn with_labels(&self, labels: Arc<FragmentLabels>) -> Topology {
-        Topology { labels: Some(labels), path_trie: OnceLock::new(), ..self.clone() }
+        let (ft, placement) = (self.fragment_tree.clone(), self.placement.clone());
+        Topology::new(ft, placement, self.version, self.root_label.clone(), Some(labels))
+    }
+
+    /// The §5 index every query under this topology is analysed with;
+    /// `None` without annotations.
+    pub fn annotations(&self) -> Option<&PathTrie> {
+        self.annotations.as_deref()
+    }
+
+    /// The document root element's label.
+    pub fn root_label(&self) -> &str {
+        &self.root_label
     }
 
     /// The fragments' label sets; `None` without annotations.
     pub fn labels(&self) -> Option<&FragmentLabels> {
-        self.labels.as_deref()
+        self.annotations()?.labels.as_deref()
     }
 
-    /// The label-path trie for this topology, carrying its label sets,
-    /// built on first call and cached: concurrent queries share one `Arc`.
-    /// `root_label` is the document root element's label (constant per
-    /// deployment, so passing it per call cannot change the cached value).
-    ///
-    /// # Panics
-    /// Panics on a topology without label sets: only a server with
-    /// annotations runs the analysis, and its topologies carry them.
-    pub fn path_trie(&self, root_label: &str) -> Arc<PathTrie> {
-        Arc::clone(self.path_trie.get_or_init(|| {
-            let labels = self.labels.as_ref().expect("an annotated topology carries label sets");
-            let trie = PathTrie::build(&self.fragment_tree, root_label);
-            Arc::new(trie.with_labels(Arc::clone(labels)))
-        }))
-    }
     /// The *primary* site storing a fragment (the first replica).
     ///
     /// # Panics
@@ -352,15 +341,13 @@ impl RoundGate {
     }
 }
 
-/// A deployment of one fragmented document over a set of sites.
+/// A deployment of one fragmented document over a set of sites: the
+/// transport, the sites' health and the round gate. It holds no document
+/// metadata — what the coordinator knows of the document is in the
+/// [`Topology`] each execution is pinned with.
 pub struct Deployment {
     /// The transport to the simulated or real sites.
     transport: Arc<dyn Transport>,
-    /// Label of the original tree's root element (stored in the root
-    /// fragment; needed by the annotation analysis).
-    pub root_label: String,
-    /// Cumulative number of real nodes across all fragments.
-    pub total_nodes: usize,
     /// Site health bookkeeping shared by every execution: quarantine and
     /// stale copies.
     health: SiteHealth,
@@ -371,23 +358,16 @@ pub struct Deployment {
 impl Deployment {
     /// Deploy a fragmented tree over `site_count` simulated sites.
     pub fn new(fragmented: &FragmentedTree, site_count: usize, placement: Placement) -> Self {
-        Self::over_transport(fragmented, Arc::new(Cluster::new(fragmented, site_count, placement)))
+        Self::over_transport(Arc::new(Cluster::new(fragmented, site_count, placement)))
     }
 
     /// Run over an already-built transport: a [`Cluster`] configured by the
     /// caller (replication, explicit assignment, sequential mode, site
     /// delays), or e.g. a TCP cluster whose site processes have already
-    /// loaded their fragments. The coordinator-side metadata still comes
-    /// from the fragmented tree; the fragment *data* is wherever the
+    /// loaded their fragments. The fragment *data* is wherever the
     /// transport put it.
-    pub fn over_transport(fragmented: &FragmentedTree, transport: Arc<dyn Transport>) -> Self {
-        Deployment {
-            transport,
-            root_label: fragmented.root_fragment().root_label.clone(),
-            total_nodes: fragmented.total_real_nodes(),
-            health: SiteHealth::default(),
-            gate: RoundGate::default(),
-        }
+    pub fn over_transport(transport: Arc<dyn Transport>) -> Self {
+        Deployment { transport, health: SiteHealth::default(), gate: RoundGate::default() }
     }
 
     /// The transport this deployment talks to its sites through.
@@ -407,8 +387,8 @@ impl Deployment {
     }
 
     /// The deploy-time topology (version 0): `fragmented`'s tree, placed
-    /// where the transport loaded it, with its fragments' label sets when
-    /// `annotations` is on. The server pins it as epoch 0's; server-less
+    /// where the transport loaded it, with its §5 index over its fragments'
+    /// label sets when `annotations` is on. The server pins it as epoch 0's; server-less
     /// callers pin it into their [`ExecCtx`] themselves. This is the only
     /// time the transport's static assignment is consulted (it cannot know
     /// about fragments created by later splits).
@@ -419,8 +399,9 @@ impl Deployment {
     ) -> Arc<Topology> {
         let ft = &fragmented.fragment_tree;
         let placement = ft.ids().iter().map(|&f| (f, self.transport.replicas_of(f))).collect();
+        let root_label = fragmented.root_fragment().root_label.clone();
         let labels = annotations.then(|| Arc::new(FragmentLabels::build(fragmented)));
-        Arc::new(Topology::new(ft.clone(), placement, 0, labels))
+        Arc::new(Topology::new(ft.clone(), placement, 0, root_label, labels))
     }
 
     /// The health tracker shared by every execution over this deployment.
@@ -665,10 +646,14 @@ impl<'a> ExecCtx<'a> {
 #[cfg(test)]
 impl<'a> ExecCtx<'a> {
     /// A context reading the newest snapshots, routed by `fragmented`'s
-    /// deploy-time topology with label sets: what server-less unit tests
-    /// run over, with annotations on or off.
-    pub(crate) fn latest(deployment: &'a Deployment, fragmented: &FragmentedTree) -> Self {
-        let topology = deployment.deployed_topology(fragmented, true);
+    /// deploy-time topology, with its §5 index when `annotations` is on:
+    /// what server-less unit tests run over.
+    pub(crate) fn latest(
+        deployment: &'a Deployment,
+        fragmented: &FragmentedTree,
+        annotations: bool,
+    ) -> Self {
+        let topology = deployment.deployed_topology(fragmented, annotations);
         ExecCtx::pinned(deployment, paxml_distsim::LATEST_EPOCH, topology, 0)
     }
 }
@@ -700,9 +685,8 @@ mod tests {
         let f = fragmented();
         let d = Deployment::new(&f, 2, Placement::RoundRobin);
         assert_eq!(d.deployed_topology(&f, false).fragment_count(), 4);
-        assert_eq!(d.root_label, "sites");
-        assert_eq!(d.total_nodes, f.total_real_nodes());
-        let mut ctx = ExecCtx::latest(&d, &f);
+        assert_eq!(d.deployed_topology(&f, false).root_label(), "sites");
+        let mut ctx = ExecCtx::latest(&d, &f, false);
         let groups = ctx.group_by_site([FragmentId(0), FragmentId(1), FragmentId(2)]).unwrap();
         assert_eq!(groups[&SiteId(0)], vec![FragmentId(0), FragmentId(2)]);
         assert_eq!(groups[&SiteId(1)], vec![FragmentId(1)]);
@@ -721,10 +705,10 @@ mod tests {
         // the custom-transport arm end to end.
         let f = fragmented();
         let cluster: Arc<dyn Transport> = Arc::new(Cluster::new(&f, 2, Placement::RoundRobin));
-        let d = Deployment::over_transport(&f, cluster);
+        let d = Deployment::over_transport(cluster);
         assert!(d.cluster().is_some(), "as_cluster sees through the Arc");
         assert_eq!(d.site_count(), 2);
-        let mut ctx = ExecCtx::latest(&d, &fragmented());
+        let mut ctx = ExecCtx::latest(&d, &fragmented(), false);
         let requests = fetch_all(&mut ctx);
         let responses = ctx.round(requests).unwrap();
         let shipped: usize =
@@ -768,7 +752,7 @@ mod tests {
 
     fn fake_deployment() -> (Deployment, Arc<FakeTransport>) {
         let transport = Arc::new(FakeTransport::default());
-        (Deployment::over_transport(&fragmented(), transport.clone()), transport)
+        (Deployment::over_transport(transport.clone()), transport)
     }
 
     fn fault(site: usize, from_round: u64, to_round: u64, kind: FaultKind) -> FaultEvent {
@@ -779,7 +763,7 @@ mod tests {
     fn a_faulted_round_delivers_nothing_and_charges_nothing() {
         let (d, transport) = fake_deployment();
         d.set_fault_plan(Some(FaultPlan::scripted(vec![fault(1, 0, 0, FaultKind::Kill)])));
-        let mut ctx = ExecCtx::latest(&d, &fragmented());
+        let mut ctx = ExecCtx::latest(&d, &fragmented(), false);
 
         // An empty round is no round: no tick, no delivery, no meters.
         assert!(ctx.round(BTreeMap::new()).unwrap().is_empty());
@@ -810,7 +794,7 @@ mod tests {
         let (d, transport) = fake_deployment();
         let stall = Duration::from_millis(20);
         d.set_fault_plan(Some(FaultPlan::scripted(vec![fault(0, 0, 0, FaultKind::Delay(stall))])));
-        let mut ctx = ExecCtx::latest(&d, &fragmented());
+        let mut ctx = ExecCtx::latest(&d, &fragmented(), false);
         let requests = fetch_all(&mut ctx);
         let started = Instant::now();
         assert_eq!(ctx.round(requests).unwrap().len(), 2);
@@ -833,7 +817,7 @@ mod tests {
         assert_eq!(d.stats(), ClusterStats::default(), "and touch no meter");
 
         // One round to the healthy site moves the clock past the window.
-        let mut ctx = ExecCtx::latest(&d, &fragmented());
+        let mut ctx = ExecCtx::latest(&d, &fragmented(), false);
         let to_s0 = BTreeMap::from([(SiteId(0), ProtocolRequest::FetchFragments(Vec::new()))]);
         ctx.round(to_s0).unwrap();
         assert!(d.probe(SiteId(1)), "the site revived by schedule");
@@ -843,12 +827,12 @@ mod tests {
     fn the_commit_charges_recorder_and_ledger_identically() {
         let (d, _transport) = fake_deployment();
         // Background traffic from another execution.
-        let mut other = ExecCtx::latest(&d, &fragmented());
+        let mut other = ExecCtx::latest(&d, &fragmented(), false);
         let requests = fetch_all(&mut other);
         other.round(requests.clone()).unwrap();
 
         let baseline = d.stats();
-        let mut ctx = ExecCtx::latest(&d, &fragmented());
+        let mut ctx = ExecCtx::latest(&d, &fragmented(), false);
         ctx.round(requests.clone()).unwrap();
         ctx.round(requests).unwrap();
         // The recorder saw exactly its own two rounds, charged as observed…
@@ -877,7 +861,7 @@ mod tests {
             .map(|_| {
                 let d = Arc::clone(&d);
                 std::thread::spawn(move || {
-                    let mut ctx = ExecCtx::latest(&d, &fragmented());
+                    let mut ctx = ExecCtx::latest(&d, &fragmented(), false);
                     let requests = fetch_all(&mut ctx);
                     for _ in 0..rounds_per_thread {
                         assert_eq!(ctx.round(requests.clone()).unwrap().len(), 3);

@@ -88,7 +88,6 @@ use crate::report::{AnswerItem, UpdateOutcome};
 use crate::transport::ProtocolRequest;
 use crate::unify::{walk_qualifiers, walk_selection, DenseAssignment, Walk};
 use crate::vars::PaxVar;
-use crate::EvalOptions;
 use paxml_boolex::CompactVector;
 use paxml_distsim::SiteId;
 use paxml_fragment::{FragmentId, UpdateOp};
@@ -139,7 +138,6 @@ struct RefreshOutcome {
 pub(crate) struct QuerySession {
     pub(crate) query: Arc<CompiledQuery>,
     query_text: String,
-    options: EvalOptions,
     plan: QueryPlan,
     /// The topology whose fragment tree the session's walks run over.
     topology: Arc<Topology>,
@@ -162,15 +160,12 @@ impl QuerySession {
     pub(crate) fn new(
         query: Arc<CompiledQuery>,
         query_text: &str,
-        options: &EvalOptions,
         topology: &Arc<Topology>,
-        root_label: &str,
     ) -> QuerySession {
-        let plan = QueryPlan::new(&query, options, topology, root_label);
+        let plan = QueryPlan::new(&query, topology);
         QuerySession {
             query,
             query_text: query_text.to_string(),
-            options: *options,
             plan,
             topology: Arc::clone(topology),
             cache: BTreeMap::new(),
@@ -184,11 +179,6 @@ impl QuerySession {
     /// The query this session evaluates.
     pub(crate) fn query_text(&self) -> &str {
         &self.query_text
-    }
-
-    /// The evaluation options the session was created with.
-    pub(crate) fn options(&self) -> &EvalOptions {
-        &self.options
     }
 
     /// The current answers, sorted by original-document position.
@@ -313,26 +303,15 @@ impl QuerySession {
     /// itself; a clean one has no cached vectors, so a snapshotted session
     /// that gains one goes cold and re-snapshots on its next execution —
     /// the update round still never visits a clean site.
-    pub(crate) fn replan(
-        &mut self,
-        topology: &Arc<Topology>,
-        root_label: &str,
-        dirty: &BTreeSet<FragmentId>,
-    ) {
-        let plan = QueryPlan::new(&self.query, &self.options, topology, root_label);
+    pub(crate) fn replan(&mut self, topology: &Arc<Topology>, dirty: &BTreeSet<FragmentId>) {
+        let plan = QueryPlan::new(&self.query, topology);
         let gains_a_clean_fragment = plan
             .analysis
             .relevant
             .iter()
             .any(|f| !self.relevant().contains(f) && !dirty.contains(f));
         if self.initialized && gains_a_clean_fragment {
-            *self = QuerySession::new(
-                Arc::clone(&self.query),
-                &self.query_text,
-                &self.options,
-                topology,
-                root_label,
-            );
+            *self = QuerySession::new(Arc::clone(&self.query), &self.query_text, topology);
         } else {
             self.plan = plan;
             self.topology = Arc::clone(topology);
@@ -354,10 +333,9 @@ impl QuerySession {
     pub(crate) fn retopologize(
         &mut self,
         topology: &Arc<Topology>,
-        root_label: &str,
         touched: &BTreeSet<FragmentId>,
     ) -> bool {
-        let plan = QueryPlan::new(&self.query, &self.options, topology, root_label);
+        let plan = QueryPlan::new(&self.query, topology);
         let cached = |f: &FragmentId| self.cache.contains_key(f) && !touched.contains(f);
         if !plan.analysis.relevant.iter().all(cached) {
             return false;

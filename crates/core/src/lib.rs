@@ -76,26 +76,6 @@ pub use transport::{
 };
 pub use vars::{PaxVar, QualVecKind};
 
-/// Options shared by the distributed algorithms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EvalOptions {
-    /// Use the XPath-annotation optimization of §5 (the "XA" curves of the
-    /// experimental study). Off by default ("NA").
-    pub use_annotations: bool,
-}
-
-impl EvalOptions {
-    /// The "NA" configuration (no annotations).
-    pub fn without_annotations() -> Self {
-        EvalOptions { use_annotations: false }
-    }
-
-    /// The "XA" configuration (annotations enabled).
-    pub fn with_annotations() -> Self {
-        EvalOptions { use_annotations: true }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,25 +85,25 @@ mod tests {
     use paxml_xpath::{centralized, compile_text};
 
     /// The classic engine drivers, compiled on the fly (the internal
-    /// equivalents of `PaxServer::query_once` for each algorithm), over a
-    /// fresh round-robin deployment of `f` on `sites` sites, or (`_on`) over
-    /// `d`, deployed from `f`.
-    fn eval_pax3(f: &FragmentedTree, sites: usize, q: &str, o: &EvalOptions) -> ExecReport {
-        eval_pax3_on(&Deployment::new(f, sites, Placement::RoundRobin), f, q, o)
+    /// equivalents of `PaxServer::query_once` for each algorithm), with the
+    /// §5 index when `xa` is on, over a fresh round-robin deployment of `f`
+    /// on `sites` sites, or (`_on`) over `d`, deployed from `f`.
+    fn eval_pax3(f: &FragmentedTree, sites: usize, q: &str, xa: bool) -> ExecReport {
+        eval_pax3_on(&Deployment::new(f, sites, Placement::RoundRobin), f, q, xa)
     }
-    fn eval_pax3_on(d: &Deployment, f: &FragmentedTree, q: &str, o: &EvalOptions) -> ExecReport {
-        pax3::run(ExecCtx::latest(d, f), &compile_text(q).unwrap(), q, o).unwrap()
+    fn eval_pax3_on(d: &Deployment, f: &FragmentedTree, q: &str, xa: bool) -> ExecReport {
+        pax3::run(ExecCtx::latest(d, f, xa), &compile_text(q).unwrap(), q).unwrap()
     }
-    fn eval_pax2(f: &FragmentedTree, sites: usize, q: &str, o: &EvalOptions) -> ExecReport {
-        eval_pax2_on(&Deployment::new(f, sites, Placement::RoundRobin), f, q, o)
+    fn eval_pax2(f: &FragmentedTree, sites: usize, q: &str, xa: bool) -> ExecReport {
+        eval_pax2_on(&Deployment::new(f, sites, Placement::RoundRobin), f, q, xa)
     }
-    fn eval_pax2_on(d: &Deployment, f: &FragmentedTree, q: &str, o: &EvalOptions) -> ExecReport {
+    fn eval_pax2_on(d: &Deployment, f: &FragmentedTree, q: &str, xa: bool) -> ExecReport {
         let q = [(&compile_text(q).unwrap(), q)];
-        pax2::run(ExecCtx::latest(d, f), &q, o, ExecMode::Query).unwrap()
+        pax2::run(ExecCtx::latest(d, f, xa), &q, ExecMode::Query).unwrap()
     }
     fn eval_naive(f: &FragmentedTree, sites: usize, q: &str) -> ExecReport {
         let d = Deployment::new(f, sites, Placement::RoundRobin);
-        naive::run(ExecCtx::latest(&d, f), &compile_text(q).unwrap(), q).unwrap()
+        naive::run(ExecCtx::latest(&d, f, false), &compile_text(q).unwrap(), q).unwrap()
     }
 
     /// The Fig. 1 clientele document.
@@ -235,24 +215,15 @@ mod tests {
     fn check_all_algorithms(tree: &XmlTree, fragmented: &FragmentedTree, sites: usize) {
         for query in query_battery() {
             let expected = reference(tree, query);
-            for use_annotations in [false, true] {
-                let options = EvalOptions { use_annotations };
-                let p3 = eval_pax3(fragmented, sites, query, &options);
-                assert_eq!(
-                    p3.answer_origins(),
-                    expected,
-                    "PaX3 (XA={use_annotations}) disagrees on {query}"
-                );
+            for xa in [false, true] {
+                let p3 = eval_pax3(fragmented, sites, query, xa);
+                assert_eq!(p3.answer_origins(), expected, "PaX3 (XA={xa}) disagrees on {query}");
                 assert!(
                     p3.max_visits_per_site() <= 3,
                     "PaX3 visited a site more than 3 times on {query}"
                 );
-                let p2 = eval_pax2(fragmented, sites, query, &options);
-                assert_eq!(
-                    p2.answer_origins(),
-                    expected,
-                    "PaX2 (XA={use_annotations}) disagrees on {query}"
-                );
+                let p2 = eval_pax2(fragmented, sites, query, xa);
+                assert_eq!(p2.answer_origins(), expected, "PaX2 (XA={xa}) disagrees on {query}");
                 assert!(
                     p2.max_visits_per_site() <= 2,
                     "PaX2 visited a site more than 2 times on {query}"
@@ -298,10 +269,10 @@ mod tests {
         let fragmented = fig1_fragmentation(&tree);
         for query in ["client/name", "//broker[//stock/code/text()='GOOG']/name"] {
             let expected = reference(&tree, query);
-            let p3 = eval_pax3(&fragmented, 1, query, &EvalOptions::default());
+            let p3 = eval_pax3(&fragmented, 1, query, false);
             assert_eq!(p3.answer_origins(), expected);
             assert!(p3.max_visits_per_site() <= 3);
-            let p2 = eval_pax2(&fragmented, 1, query, &EvalOptions::default());
+            let p2 = eval_pax2(&fragmented, 1, query, false);
             assert_eq!(p2.answer_origins(), expected);
             assert!(p2.max_visits_per_site() <= 2);
         }
@@ -313,26 +284,24 @@ mod tests {
         let fragmented = fig1_fragmentation(&tree);
 
         // PaX3 without annotations: Stage 1 skipped => 2 visits.
-        let report = eval_pax3(&fragmented, 4, "client/broker/name", &EvalOptions::default());
+        let report = eval_pax3(&fragmented, 4, "client/broker/name", false);
         assert_eq!(report.max_visits_per_site(), 2);
 
         // PaX3 with annotations: exact init vectors => Stage 3 skipped => 1 visit.
-        let report =
-            eval_pax3(&fragmented, 4, "client/broker/name", &EvalOptions::with_annotations());
+        let report = eval_pax3(&fragmented, 4, "client/broker/name", true);
         assert_eq!(report.max_visits_per_site(), 1);
 
         // PaX2 with annotations on a qualifier-free query: a single visit.
-        let report =
-            eval_pax2(&fragmented, 4, "client/broker/name", &EvalOptions::with_annotations());
+        let report = eval_pax2(&fragmented, 4, "client/broker/name", true);
         assert_eq!(report.max_visits_per_site(), 1);
 
         // With qualifiers PaX3 needs all three stages.
         let qualified = "client[country/text()='US']/broker/name";
-        let report = eval_pax3(&fragmented, 4, qualified, &EvalOptions::default());
+        let report = eval_pax3(&fragmented, 4, qualified, false);
         assert_eq!(report.max_visits_per_site(), 3);
 
         // ... while PaX2 stays at two.
-        let report = eval_pax2(&fragmented, 4, qualified, &EvalOptions::default());
+        let report = eval_pax2(&fragmented, 4, qualified, false);
         assert_eq!(report.max_visits_per_site(), 2);
     }
 
@@ -342,8 +311,8 @@ mod tests {
         let fragmented = fig1_fragmentation(&tree);
         // Example 5.1: client/name only needs the root fragment and the
         // client fragment.
-        let without = eval_pax2(&fragmented, 4, "client/name", &EvalOptions::default());
-        let with = eval_pax2(&fragmented, 4, "client/name", &EvalOptions::with_annotations());
+        let without = eval_pax2(&fragmented, 4, "client/name", false);
+        let with = eval_pax2(&fragmented, 4, "client/name", true);
         assert_eq!(without.answer_origins(), with.answer_origins());
         assert_eq!(without.queries[0].fragments_evaluated, 5);
         assert_eq!(with.queries[0].fragments_evaluated, 2);
@@ -374,7 +343,7 @@ mod tests {
         let query =
             "clientele/client[country/text()='US']/broker[market/name/text()='NASDAQ']/name";
         let naive = eval_naive(&fragmented, 8, query);
-        let pax = eval_pax2(&fragmented, 8, query, &EvalOptions::default());
+        let pax = eval_pax2(&fragmented, 8, query, false);
 
         assert_eq!(naive.answer_origins(), pax.answer_origins());
         assert_eq!(pax.answers().len(), 8 * 10 * 2); // NASDAQ brokers of US clients
@@ -409,8 +378,8 @@ mod tests {
         let query = "client[country/text()='US']/name";
         let small_frag = strategy::cut_at_labels(&base, &["client"]).unwrap();
         let grown_frag = strategy::cut_at_labels(&grown, &["client"]).unwrap();
-        let small_report = eval_pax2(&small_frag, 4, query, &EvalOptions::default());
-        let grown_report = eval_pax2(&grown_frag, 4, query, &EvalOptions::default());
+        let small_report = eval_pax2(&small_frag, 4, query, false);
+        let grown_report = eval_pax2(&grown_frag, 4, query, false);
 
         // Same answers (the US clients of the original subtree), roughly
         // |FT|-proportional traffic: the grown tree has ~200 more fragments,
@@ -431,7 +400,7 @@ mod tests {
         let tree = clientele();
         let fragmented = fig1_fragmentation(&tree);
         let qualified = "client[country/text()='US']/broker/name";
-        let report = eval_pax3(&fragmented, 4, qualified, &EvalOptions::default());
+        let report = eval_pax3(&fragmented, 4, qualified, false);
         assert!(report.total_ops() > 0);
         assert!(report.network_bytes() > 0);
         assert!(
@@ -453,10 +422,10 @@ mod tests {
         let fragmented = fig1_fragmentation(&tree);
         let d = Deployment::new(&fragmented, 4, Placement::RoundRobin);
         for query in ["client[country/text()='US']/name", "//stock[qt >= 50]/code", "client/name"] {
-            for options in [EvalOptions::without_annotations(), EvalOptions::with_annotations()] {
+            for xa in [false, true] {
                 for _ in 0..3 {
-                    eval_pax3_on(&d, &fragmented, query, &options);
-                    eval_pax2_on(&d, &fragmented, query, &options);
+                    eval_pax3_on(&d, &fragmented, query, xa);
+                    eval_pax2_on(&d, &fragmented, query, xa);
                 }
             }
         }
@@ -472,9 +441,9 @@ mod tests {
         let query = "//broker[//stock/code/text()='GOOG']/name";
         let mut cluster = paxml_distsim::Cluster::new(&fragmented, 4, Placement::RoundRobin);
         cluster.sequential = true;
-        let seq = Deployment::over_transport(&fragmented, std::sync::Arc::new(cluster));
-        let a = eval_pax2(&fragmented, 4, query, &EvalOptions::default());
-        let b = eval_pax2_on(&seq, &fragmented, query, &EvalOptions::default());
+        let seq = Deployment::over_transport(std::sync::Arc::new(cluster));
+        let a = eval_pax2(&fragmented, 4, query, false);
+        let b = eval_pax2_on(&seq, &fragmented, query, false);
         assert_eq!(a.answer_origins(), b.answer_origins());
         assert_eq!(a.stats.messages, b.stats.messages);
     }

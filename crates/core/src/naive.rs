@@ -10,7 +10,6 @@
 use crate::deployment::ExecCtx;
 use crate::error::PaxResult;
 use crate::report::{Algorithm, AnswerItem, ExecMode, ExecReport, QueryOutcome};
-use crate::EvalOptions;
 use paxml_xml::NodeId;
 use paxml_xpath::{centralized, CompiledQuery};
 use std::sync::Arc;
@@ -55,8 +54,7 @@ pub(crate) fn run(
     let mut answers = answers;
     answers.sort();
 
-    // The baseline has no annotation optimization to switch on.
-    let (algorithm, options) = (Algorithm::NaiveCentralized, EvalOptions::default());
+    let algorithm = Algorithm::NaiveCentralized;
     Ok(ExecReport {
         queries: vec![QueryOutcome {
             query: query_text.to_string(),
@@ -66,6 +64,6 @@ pub(crate) fn run(
         }],
         stats: ctx.stats,
         coordinator_ops: result.ops,
-        ..ExecReport::skeleton(algorithm, &options, ExecMode::Query, epoch, &topology, start)
+        ..ExecReport::skeleton(algorithm, ExecMode::Query, epoch, &topology, start)
     })
 }

@@ -75,7 +75,6 @@ use crate::report::{Algorithm, ExecMode, ExecReport, QueryOutcome};
 use crate::transport::{ProtocolRequest, ProtocolResponse};
 use crate::unify::{unify_qualifiers, unify_selection, DenseAssignment};
 use crate::vars::PaxVar;
-use crate::EvalOptions;
 use paxml_distsim::SiteId;
 use paxml_fragment::{FragmentId, FragmentTree};
 use paxml_xpath::CompiledQuery;
@@ -134,7 +133,6 @@ fn sole<T>(entries: Vec<T>) -> T {
 pub(crate) fn run(
     mut ctx: ExecCtx<'_>,
     queries: &[(&CompiledQuery, &str)],
-    options: &EvalOptions,
     mode: ExecMode,
 ) -> PaxResult<ExecReport> {
     let batched = mode == ExecMode::Batch;
@@ -150,10 +148,8 @@ pub(crate) fn run(
     // Plan every query; per site, one entry per query with work there, in
     // query order. `pending[q]` are the fragments whose answers stay
     // uncertain after the pass and need the collection visit.
-    let plans: Vec<QueryPlan> = queries
-        .iter()
-        .map(|(query, _)| QueryPlan::new(query, options, &topology, &deployment.root_label))
-        .collect();
+    let plans: Vec<QueryPlan> =
+        queries.iter().map(|(query, _)| QueryPlan::new(query, &topology)).collect();
     let mut pending: Vec<Vec<FragmentId>> = vec![Vec::new(); queries.len()];
     type Inputs = BTreeMap<FragmentId, CombinedFragmentInput>;
     let mut stage1: BTreeMap<SiteId, Vec<(usize, Inputs)>> = BTreeMap::new();
@@ -274,7 +270,7 @@ pub(crate) fn run(
         queries: outcomes,
         stats: ctx.stats,
         coordinator_ops: coordinator_ops.iter().sum(),
-        ..ExecReport::skeleton(Algorithm::PaX2, options, mode, epoch, &topology, start)
+        ..ExecReport::skeleton(Algorithm::PaX2, mode, epoch, &topology, start)
     })
 }
 
@@ -343,18 +339,18 @@ mod tests {
         let compiled: Vec<CompiledQuery> =
             BATTERY.iter().map(|q| compile_text(q).unwrap()).collect();
         let slice: Vec<(&CompiledQuery, &str)> = compiled.iter().zip(BATTERY).collect();
-        for use_annotations in [false, true] {
-            let options = EvalOptions { use_annotations };
-            let batch = run(ExecCtx::latest(&d, &f), &slice, &options, ExecMode::Batch).unwrap();
+        for xa in [false, true] {
+            let ctx = ExecCtx::latest(&d, &f, xa);
+            let batch = run(ctx, &slice, ExecMode::Batch).unwrap();
             assert_eq!(batch.len(), BATTERY.len());
             assert!(batch.max_visits_per_site() <= 2, "batch broke the PaX2 bound");
             assert!(batch.rounds() <= 2);
             let (mut rounds, mut visits) = (0, 0);
             for (one, outcome) in slice.iter().zip(&batch.queries) {
-                let ctx = ExecCtx::latest(&d, &f);
-                let single = run(ctx, &[*one], &options, ExecMode::Query).unwrap();
+                let ctx = ExecCtx::latest(&d, &f, xa);
+                let single = run(ctx, &[*one], ExecMode::Query).unwrap();
                 let alone = &single.queries[0];
-                assert_eq!(outcome.answers, alone.answers, "{} (XA={use_annotations})", one.1);
+                assert_eq!(outcome.answers, alone.answers, "{} (XA={xa})", one.1);
                 assert_eq!(outcome.fragments_evaluated, alone.fragments_evaluated);
                 assert_eq!(outcome.coordinator_ops, alone.coordinator_ops);
                 rounds += single.rounds();
@@ -369,8 +365,7 @@ mod tests {
     #[test]
     fn an_empty_batch_visits_nobody() {
         let (d, f) = deployment();
-        let batch =
-            run(ExecCtx::latest(&d, &f), &[], &EvalOptions::default(), ExecMode::Batch).unwrap();
+        let batch = run(ExecCtx::latest(&d, &f, false), &[], ExecMode::Batch).unwrap();
         assert!(batch.is_empty());
         assert_eq!(batch.rounds(), 0);
         assert_eq!(batch.max_visits_per_site(), 0);

@@ -26,7 +26,6 @@ use crate::report::{Algorithm, AnswerItem, ExecMode, ExecReport, QueryOutcome};
 use crate::transport::ProtocolRequest;
 use crate::unify::{unify_qualifiers, unify_selection, DenseAssignment};
 use crate::vars::PaxVar;
-use crate::EvalOptions;
 use paxml_boolex::CompactVector;
 use paxml_distsim::SiteId;
 use paxml_fragment::FragmentId;
@@ -45,13 +44,12 @@ pub(crate) fn run(
     mut ctx: ExecCtx<'_>,
     query: &CompiledQuery,
     query_text: &str,
-    options: &EvalOptions,
 ) -> PaxResult<ExecReport> {
     let start = Instant::now();
     let (deployment, epoch, topology) = (ctx.deployment(), ctx.epoch(), Arc::clone(ctx.topology()));
     let slot = deployment.allocate_slots(1);
     let ft = &topology.fragment_tree;
-    let plan = QueryPlan::new(query, options, &topology, &deployment.root_label);
+    let plan = QueryPlan::new(query, &topology);
     let mut coordinator_ops: u64 = 0;
     let mut answers: Vec<AnswerItem> = Vec::new();
 
@@ -133,7 +131,7 @@ pub(crate) fn run(
         }],
         stats: ctx.stats,
         coordinator_ops,
-        ..ExecReport::skeleton(Algorithm::PaX3, options, ExecMode::Query, epoch, &topology, start)
+        ..ExecReport::skeleton(Algorithm::PaX3, ExecMode::Query, epoch, &topology, start)
     })
 }
 

@@ -7,7 +7,6 @@
 use crate::deployment::Topology;
 use crate::protocol::{CombinedFragmentInput, InitVector};
 use crate::prune::{analyze_with_trie, AnnotationAnalysis};
-use crate::EvalOptions;
 use paxml_boolex::BitVector;
 use paxml_fragment::FragmentId;
 use paxml_xpath::eval::initial_vector;
@@ -27,22 +26,16 @@ pub(crate) struct QueryPlan {
 }
 
 impl QueryPlan {
-    /// Plan `query` over one topology version. The label-path trie is only
-    /// built (once per topology) when the annotation optimization is on.
-    pub(crate) fn new(
-        query: &CompiledQuery,
-        options: &EvalOptions,
-        topology: &Topology,
-        root_label: &str,
-    ) -> QueryPlan {
-        let analysis = if options.use_annotations {
-            analyze_with_trie(query, &topology.path_trie(root_label))
-        } else {
-            AnnotationAnalysis::keep_all(&topology.fragment_tree)
+    /// Plan `query` over one topology version, through its §5 index when
+    /// it has one.
+    pub(crate) fn new(query: &CompiledQuery, topology: &Topology) -> QueryPlan {
+        let analysis = match topology.annotations() {
+            Some(trie) => analyze_with_trie(query, trie),
+            None => AnnotationAnalysis::keep_all(&topology.fragment_tree),
         };
         QueryPlan {
             analysis,
-            root_init: initial_vector(query, root_label),
+            root_init: initial_vector(query, topology.root_label()),
             relative: !query.absolute,
             has_qualifiers: query.has_qualifiers(),
         }

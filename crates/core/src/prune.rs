@@ -49,16 +49,16 @@ use std::sync::Arc;
 /// `O(Σ path lengths · |Q|)`.
 ///
 /// The trie depends only on the fragment tree and the document root label,
-/// not on any query, so a deployment builds it once per topology (see
-/// `Topology::path_trie`) and shares it across all prepared queries. The
-/// topology's trie also carries its fragments' label sets, and then prunes
-/// by them too.
+/// not on any query, so each annotated topology builds it once, with the
+/// topology (see [`Topology::annotations`](crate::Topology::annotations)),
+/// and shares it across all prepared queries. The topology's trie also
+/// carries its fragments' label sets, and then prunes by them too.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PathTrie {
     /// Nodes in creation order; node 0 is the document root element.
     nodes: Vec<TrieNode>,
     /// The label sets of the fragments, when the analysis may prune by them.
-    labels: Option<Arc<FragmentLabels>>,
+    pub(crate) labels: Option<Arc<FragmentLabels>>,
 }
 
 /// One distinct label path in a [`PathTrie`].
@@ -666,7 +666,7 @@ mod tests {
         // A query whose first step matches nothing prunes every non-root
         // fragment — and the end-to-end evaluation over a real deployment
         // returns the empty answer after touching only the root fragment.
-        use crate::{pax2, pax3, Deployment, EvalOptions, ExecCtx, ExecMode};
+        use crate::{pax2, pax3, Deployment, ExecCtx, ExecMode};
         use paxml_distsim::Placement;
         use paxml_fragment::fragment_at;
         use paxml_xml::TreeBuilder;
@@ -689,14 +689,13 @@ mod tests {
             assert_eq!(a.relevant.len(), 1, "{query} must prune every non-root fragment");
             assert!(a.relevant.contains(&FragmentId::ROOT));
 
-            let xa = EvalOptions::with_annotations();
             let d = Deployment::new(&fragmented, 3, Placement::RoundRobin);
-            let ctx = ExecCtx::latest(&d, &fragmented);
-            let p2 = pax2::run(ctx, &[(&q, query)], &xa, ExecMode::Query).unwrap();
+            let ctx = ExecCtx::latest(&d, &fragmented, true);
+            let p2 = pax2::run(ctx, &[(&q, query)], ExecMode::Query).unwrap();
             assert!(p2.answers().is_empty(), "{query} must have no answers");
             assert_eq!(p2.queries[0].fragments_evaluated, 1);
             let d = Deployment::new(&fragmented, 3, Placement::RoundRobin);
-            let p3 = pax3::run(ExecCtx::latest(&d, &fragmented), &q, query, &xa).unwrap();
+            let p3 = pax3::run(ExecCtx::latest(&d, &fragmented, true), &q, query).unwrap();
             assert!(p3.answers().is_empty());
             // Only the root fragment's site is ever visited.
             let visited: Vec<_> = d

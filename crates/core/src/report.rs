@@ -2,7 +2,6 @@
 //! performance guarantees.
 
 use crate::deployment::Topology;
-use crate::EvalOptions;
 use paxml_distsim::{ClusterStats, SiteId};
 use paxml_fragment::FragmentId;
 use paxml_xml::{NodeId, XmlTree};
@@ -130,7 +129,8 @@ pub struct ExecReport {
     /// report carries `PaX3` but its meters are two-visit ones (the ≤ 3
     /// bound holds a fortiori).
     pub algorithm: Algorithm,
-    /// Was the XPath-annotation optimization (§5) enabled?
+    /// Was the XPath-annotation optimization (§5) enabled: did the
+    /// topology this execution was pinned with carry the §5 index?
     pub annotations_used: bool,
     /// What kind of execution this report describes.
     pub mode: ExecMode,
@@ -170,7 +170,6 @@ impl ExecReport {
     /// once.
     pub(crate) fn skeleton(
         algorithm: Algorithm,
-        options: &EvalOptions,
         mode: ExecMode,
         epoch: u64,
         topology: &Topology,
@@ -178,7 +177,7 @@ impl ExecReport {
     ) -> ExecReport {
         ExecReport {
             algorithm,
-            annotations_used: options.use_annotations,
+            annotations_used: topology.annotations().is_some(),
             mode,
             queries: Vec::new(),
             update: None,

@@ -5,7 +5,6 @@ use super::{PaxServer, RetryPolicy};
 use crate::deployment::Deployment;
 use crate::error::{PaxError, PaxResult};
 use crate::report::Algorithm;
-use crate::EvalOptions;
 use paxml_distsim::{Cluster, Placement, SiteId};
 use paxml_fragment::{FragmentId, FragmentedTree};
 use std::collections::BTreeMap;
@@ -55,7 +54,9 @@ impl PaxServerBuilder {
         self
     }
 
-    /// Enable the XPath-annotation optimization of §5 (default off).
+    /// Enable the XPath-annotation optimization of §5 (default off): the
+    /// topology of a PaX2 or PaX3 server then carries the label-path index.
+    /// The naive baseline, which ships every fragment, ignores it.
     pub fn annotations(mut self, on: bool) -> Self {
         self.use_annotations = on;
         self
@@ -172,13 +173,15 @@ impl PaxServerBuilder {
         fragmented: &FragmentedTree,
         transport: Arc<dyn crate::transport::Transport>,
     ) -> PaxResult<PaxServer> {
-        let deployment = Deployment::over_transport(fragmented, transport);
+        let deployment = Deployment::over_transport(transport);
+        // Only the PaX engines plan through the §5 index; the naive
+        // baseline ships every fragment anyway.
+        let annotations = self.use_annotations && self.algorithm != Algorithm::NaiveCentralized;
         let (current, epochs) =
-            initial_epoch(deployment.deployed_topology(fragmented, self.use_annotations));
+            initial_epoch(deployment.deployed_topology(fragmented, annotations));
         Ok(PaxServer {
             deployment,
             algorithm: self.algorithm,
-            options: EvalOptions { use_annotations: self.use_annotations },
             retry: self.retry_policy,
             writer: Mutex::new(()),
             current,

@@ -6,7 +6,7 @@ use super::{PaxServer, PreparedQuery};
 use crate::error::PaxResult;
 use crate::incremental::{session_round, QuerySession};
 use crate::report::{Algorithm, ExecMode, ExecReport, QueryOutcome};
-use crate::{naive, pax2, pax3, EvalOptions};
+use crate::{naive, pax2, pax3};
 use paxml_xpath::{compile_text, CompiledQuery};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -44,7 +44,7 @@ impl PaxServer {
         let compiled = compile_text(text)?;
         self.run_engine(&compiled, text, |epoch| {
             let slice = [(&compiled, text)];
-            pax2::run(self.reader(epoch), &slice, &self.options, ExecMode::Query)
+            pax2::run(self.reader(epoch), &slice, ExecMode::Query)
         })
     }
 
@@ -62,7 +62,7 @@ impl PaxServer {
             let epoch = self.pin();
             match self.algorithm {
                 Algorithm::NaiveCentralized => naive::run(self.reader(&epoch), query, text),
-                Algorithm::PaX3 => pax3::run(self.reader(&epoch), query, text, &self.options),
+                Algorithm::PaX3 => pax3::run(self.reader(&epoch), query, text),
                 Algorithm::PaX2 => pax2(&epoch),
             }
         })
@@ -84,12 +84,10 @@ impl PaxServer {
         self.with_failover(|| {
             let epoch = self.pin();
             if self.algorithm == Algorithm::NaiveCentralized {
-                // One classic run per query, folded into one report. The
-                // baseline has no annotation optimization to switch on.
-                let (start, naive) = (Instant::now(), EvalOptions::default());
+                // One classic run per query, folded into one report.
+                let start = Instant::now();
                 let mut batch = ExecReport::skeleton(
                     self.algorithm,
-                    &naive,
                     ExecMode::Batch,
                     epoch.number,
                     &epoch.topology,
@@ -106,8 +104,7 @@ impl PaxServer {
             }
             let slice: Vec<(&CompiledQuery, &str)> =
                 queries.iter().map(|q| (q.compiled.as_ref(), q.text())).collect();
-            let mut report =
-                pax2::run(self.reader(&epoch), &slice, &self.options, ExecMode::Batch)?;
+            let mut report = pax2::run(self.reader(&epoch), &slice, ExecMode::Batch)?;
             // Batched execution always uses the shared-visit combined
             // protocol; the report names the server's configured
             // algorithm (PaX3's ≤ 3 bound holds a fortiori).
@@ -136,9 +133,7 @@ impl PaxServer {
                 Arc::new(Mutex::new(QuerySession::new(
                     Arc::clone(&query.compiled),
                     query.text(),
-                    &self.options,
                     &epoch.topology,
-                    &self.deployment.root_label,
                 )))
             }))
         };
@@ -174,7 +169,6 @@ impl PaxServer {
             from_cache,
             ..ExecReport::skeleton(
                 Algorithm::PaX2,
-                &self.options,
                 ExecMode::Query,
                 epoch.number,
                 &epoch.topology,

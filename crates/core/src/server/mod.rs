@@ -173,7 +173,6 @@ pub use refrag::{RefragBase, RefragReport, TopologyChange};
 
 use crate::deployment::Deployment;
 use crate::report::Algorithm;
-use crate::EvalOptions;
 use epochs::{EpochInner, EpochRegistry};
 use paxml_distsim::ClusterStats;
 use prepared::PreparedTable;
@@ -188,7 +187,6 @@ use std::sync::{Arc, Mutex, RwLock};
 pub struct PaxServer {
     deployment: Deployment,
     algorithm: Algorithm,
-    options: EvalOptions,
     /// Fault handling: retry budget, backoff, probe cooldown.
     retry: RetryPolicy,
     /// Serializes updaters against each other — never taken by the read
@@ -225,11 +223,6 @@ impl PaxServer {
     /// The engine serving single-query executions.
     pub fn algorithm(&self) -> Algorithm {
         self.algorithm
-    }
-
-    /// The evaluation options of this session.
-    pub fn options(&self) -> &EvalOptions {
-        &self.options
     }
 
     /// The owned deployment (read-only; all mutation goes through the
@@ -302,6 +295,24 @@ mod tests {
             .sequential(true)
             .deploy(fragmented)
             .unwrap()
+    }
+
+    #[test]
+    fn a_naive_server_gets_no_index_and_no_report_claims_one() {
+        // The baseline ships every fragment, so `.annotations(true)` gives
+        // it no label sets to build or grow, and none of its reports says
+        // the optimization was used.
+        let tree = clientele();
+        let fragmented = strategy::cut_at_labels(&tree, &["broker"]).unwrap();
+        let builder = PaxServer::builder().algorithm(Algorithm::NaiveCentralized).annotations(true);
+        let server = builder.sites(3).sequential(true).deploy(&fragmented).unwrap();
+        assert!(server.topology().labels().is_none());
+        let q = server.prepare("client/name").unwrap();
+        assert!(!server.execute(&q).unwrap().annotations_used);
+        assert!(!server.execute_batch(&[q]).unwrap().annotations_used);
+        let update = server.apply_updates(&rename_broker(&fragmented, "RBC")).unwrap();
+        assert!(!update.annotations_used);
+        assert!(server.topology().labels().is_none());
     }
 
     #[test]

@@ -76,16 +76,16 @@ impl PaxServer {
                 change.fragment_tree,
                 change.placement,
                 base_topology.version + 1,
+                base_topology.root_label().to_string(),
                 labels,
             ));
-            let root_label = &self.deployment.root_label;
             let mut sessions = epoch.base.cloned_sessions();
             let mut retopologized_sessions = 0usize;
             for session in sessions.values_mut() {
                 let overlaps = session.relevant().iter().any(|f| change.touched.contains(f));
                 if session.initialized
                     && !overlaps
-                    && session.retopologize(&next_topology, root_label, &change.touched)
+                    && session.retopologize(&next_topology, &change.touched)
                 {
                     retopologized_sessions += 1;
                 } else {
@@ -95,9 +95,7 @@ impl PaxServer {
                     *session = QuerySession::new(
                         session.query.clone(),
                         session.query_text(),
-                        session.options(),
                         &next_topology,
-                        root_label,
                     );
                 }
             }

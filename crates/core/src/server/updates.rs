@@ -52,14 +52,7 @@ impl PaxServer {
             }
             let report = |update, epoch| ExecReport {
                 update: Some(update),
-                ..ExecReport::skeleton(
-                    self.algorithm,
-                    &self.options,
-                    ExecMode::Update,
-                    epoch,
-                    &topology,
-                    start,
-                )
+                ..ExecReport::skeleton(self.algorithm, ExecMode::Update, epoch, &topology, start)
             };
             if ops_by_fragment.is_empty() {
                 // Nothing changes: no visit, no session refreshed, no new
@@ -87,7 +80,7 @@ impl PaxServer {
             if let Some(next_topology) = &next_topology {
                 let dirty = ops_by_fragment.keys().copied().collect();
                 for session in sessions.values_mut() {
-                    session.replan(next_topology, &self.deployment.root_label, &dirty);
+                    session.replan(next_topology, &dirty);
                 }
             }
 

@@ -103,12 +103,6 @@ impl ClusterStats {
         self.sites.values().map(|s| s.visits).max().unwrap_or(0)
     }
 
-    /// Total operations across sites (recomputed from the per-site counters;
-    /// equals [`ClusterStats::total_ops`]).
-    pub fn total_site_ops(&self) -> u64 {
-        self.sites.values().map(|s| s.ops).sum()
-    }
-
     /// Sum of per-site busy time — the "total computation time" plotted in
     /// the paper's Experiment 3 (Fig. 11).
     pub fn total_busy(&self) -> Duration {
@@ -230,7 +224,6 @@ mod tests {
         assert_eq!(s.sites[&SiteId(1)].visits, 1);
         assert_eq!(s.max_visits_per_site(), 2);
         assert_eq!(s.total_ops, 160);
-        assert_eq!(s.total_site_ops(), 160);
         assert_eq!(s.total_bytes(), 64 + 32 + 10 + 20 + 5 + 5);
         assert_eq!(s.messages, 6);
     }

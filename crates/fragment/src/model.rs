@@ -64,11 +64,6 @@ impl Fragment {
             .collect()
     }
 
-    /// Is this a leaf fragment (no sub-fragments)?
-    pub fn is_leaf(&self) -> bool {
-        self.virtual_children().is_empty()
-    }
-
     /// Number of reachable nodes (including virtual placeholders).
     pub fn size(&self) -> usize {
         self.tree.all_nodes().count()
@@ -417,8 +412,6 @@ mod tests {
         let root = ft.root_fragment();
         assert_eq!(root.virtual_children().len(), 1);
         assert_eq!(root.virtual_children()[0].1, FragmentId(1));
-        assert!(!root.is_leaf());
-        assert!(ft.fragment(FragmentId(1)).unwrap().is_leaf());
         assert!(ft.fragment(FragmentId(7)).is_err());
     }
 

@@ -81,22 +81,13 @@ pub struct ProcessCluster {
 }
 
 impl ProcessCluster {
-    /// Spawn `site_count` site processes from `program`, distribute the
-    /// fragments of `fragmented` with `placement`, and connect to them.
+    /// Spawn `site_count` site processes from `program`, store every
+    /// fragment of `fragmented` on `replication` of them (primary by
+    /// `placement`, secondaries round-robin on the next sites — see
+    /// [`Placement::replica_sets`]; 1 leaves it unreplicated, more leave a
+    /// live copy of every fragment when one process is killed), and
+    /// connect to them.
     pub fn spawn(
-        program: impl AsRef<OsStr> + Copy,
-        fragmented: &FragmentedTree,
-        site_count: usize,
-        placement: Placement,
-    ) -> PaxResult<ProcessCluster> {
-        Self::spawn_replicated(program, fragmented, site_count, placement, 1)
-    }
-
-    /// Like [`ProcessCluster::spawn`], but every fragment is stored on
-    /// `replication` site processes (primary by `placement`, secondaries
-    /// round-robin on the next sites — see [`Placement::replica_sets`]), so
-    /// a single killed process leaves every fragment with a live copy.
-    pub fn spawn_replicated(
         program: impl AsRef<OsStr> + Copy,
         fragmented: &FragmentedTree,
         site_count: usize,

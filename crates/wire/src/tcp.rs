@@ -55,7 +55,7 @@ use paxml_fragment::{Fragment, FragmentId, FragmentedTree};
 use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 /// The per-read deadline of [`TcpCluster::connect`] and
@@ -101,12 +101,12 @@ impl Connection {
 /// Dropping the cluster sends every live site a clean
 /// [`WireRequest::Shutdown`].
 pub struct TcpCluster {
-    conns: Vec<Mutex<Connection>>,
+    /// One connection per site, in site order, behind the one lock that
+    /// serializes rounds and control operations: per-connection streams
+    /// must not interleave messages of concurrent rounds.
+    conns: Mutex<Vec<Connection>>,
     addrs: Vec<SocketAddr>,
     assignment: BTreeMap<FragmentId, ReplicaSet>,
-    /// Serializes rounds and control operations: per-connection streams
-    /// must not interleave messages of concurrent rounds.
-    round_lock: Mutex<()>,
     /// Per-read deadline on every site socket: the initial dial set it,
     /// probe redials set it again.
     read_timeout: Duration,
@@ -161,27 +161,17 @@ impl TcpCluster {
                 site,
                 detail: format!("{addr}: handshake failed: {err}"),
             })?;
-            conns.push(Mutex::new(Connection { stream: Ok(stream) }));
+            conns.push(Connection { stream: Ok(stream) });
         }
-        Ok(TcpCluster {
-            conns,
-            addrs: addrs.to_vec(),
-            assignment,
-            round_lock: Mutex::new(()),
-            read_timeout,
-        })
-    }
-
-    fn lock_conn(&self, site: SiteId) -> MutexGuard<'_, Connection> {
-        self.conns[site.index()].lock().expect("connection locks are never poisoned")
+        Ok(TcpCluster { conns: Mutex::new(conns), addrs: addrs.to_vec(), assignment, read_timeout })
     }
 
     fn addr(&self, site: SiteId) -> SocketAddr {
         self.addrs[site.index()]
     }
 
-    /// Send one control request to a site and read its reply, marking the
-    /// connection dead on any io failure.
+    /// Send one control request to a site and read its reply under the
+    /// round lock, marking the connection dead on any io failure.
     fn control(
         &self,
         site: SiteId,
@@ -189,7 +179,8 @@ impl TcpCluster {
         operation: &str,
     ) -> PaxResult<WireReply> {
         let peer = self.addr(site);
-        let mut conn = self.lock_conn(site);
+        let mut conns = self.conns.lock().expect("the round lock is never poisoned");
+        let conn = &mut conns[site.index()];
         let stream = match &mut conn.stream {
             Ok(stream) => stream,
             Err(detail) => return Err(PaxError::SiteUnreachable { site, detail: detail.clone() }),
@@ -257,9 +248,9 @@ impl Transport for TcpCluster {
         requests: BTreeMap<SiteId, EpochRequest>,
     ) -> PaxResult<BTreeMap<SiteId, Delivery<ProtocolResponse>>> {
         for site in requests.keys() {
-            assert!(site.index() < self.conns.len(), "request addressed to unknown site {site}");
+            assert!(site.index() < self.addrs.len(), "request addressed to unknown site {site}");
         }
-        let _round = self.round_lock.lock().expect("the round lock is never poisoned");
+        let mut conns = self.conns.lock().expect("the round lock is never poisoned");
 
         // Phase 1 — write every request frame. On the first failure stop
         // sending (sites later in the order receive nothing this round).
@@ -270,7 +261,7 @@ impl Transport for TcpCluster {
             let body = codec::encode(request);
             let request_bytes = body.len() as u64;
             let peer = self.addr(*site);
-            let mut conn = self.lock_conn(*site);
+            let conn = &mut conns[site.index()];
             let result = match &mut conn.stream {
                 Ok(stream) => msg::send(stream, &WireRequest::Round { body }),
                 Err(detail) => {
@@ -295,7 +286,7 @@ impl Transport for TcpCluster {
         let mut delivered = BTreeMap::new();
         for (site, request_bytes, operation) in sent {
             let peer = self.addr(site);
-            let mut conn = self.lock_conn(site);
+            let conn = &mut conns[site.index()];
             let reply = match &mut conn.stream {
                 Ok(stream) => msg::recv::<WireReply>(stream),
                 Err(detail) => Err(io::Error::other(detail.clone())),
@@ -348,7 +339,7 @@ impl Transport for TcpCluster {
     }
 
     fn site_count(&self) -> usize {
-        self.conns.len()
+        self.addrs.len()
     }
 
     fn replicas_of(&self, fragment: FragmentId) -> ReplicaSet {
@@ -363,12 +354,12 @@ impl Transport for TcpCluster {
     }
 
     fn link_alive(&self, site: SiteId) -> bool {
-        if site.index() >= self.conns.len() {
+        if site.index() >= self.addrs.len() {
             return false;
         }
         let peer = self.addr(site);
-        let _round = self.round_lock.lock().expect("the round lock is never poisoned");
-        let mut conn = self.lock_conn(site);
+        let mut conns = self.conns.lock().expect("the round lock is never poisoned");
+        let conn = &mut conns[site.index()];
         match &mut conn.stream {
             // Live connection: one Hello round-trip settles it.
             Ok(stream) => {
@@ -406,7 +397,6 @@ impl Transport for TcpCluster {
     }
 
     fn scratch_len(&self, site: SiteId) -> usize {
-        let _round = self.round_lock.lock().expect("the round lock is never poisoned");
         match self.control(site, &WireRequest::ScratchLen, "probing scratch length") {
             Ok(WireReply::ScratchLen { len }) => len,
             Ok(other) => panic!("unexpected reply to a scratch-len probe: {other:?}"),
@@ -415,7 +405,6 @@ impl Transport for TcpCluster {
     }
 
     fn site_load(&self, site: SiteId) -> SiteLoadReport {
-        let _round = self.round_lock.lock().expect("the round lock is never poisoned");
         match self.control(site, &WireRequest::SiteLoad, "probing site load") {
             Ok(WireReply::SiteLoad { report }) => report,
             // A dead or confused site stores nothing we can observe; load
@@ -427,9 +416,11 @@ impl Transport for TcpCluster {
 
 impl Drop for TcpCluster {
     fn drop(&mut self) {
-        for conn in &mut self.conns {
-            let connection = conn.get_mut().expect("connection locks are never poisoned");
-            if let Ok(stream) = &mut connection.stream {
+        // A round that panicked leaves the lock poisoned; the shutdown is
+        // best-effort either way, and a drop must not panic.
+        let conns = self.conns.get_mut().unwrap_or_else(PoisonError::into_inner);
+        for conn in conns {
+            if let Ok(stream) = &mut conn.stream {
                 // Give the site its clean shutdown; ignore failures — the
                 // peer may already be gone.
                 let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));

@@ -29,4 +29,4 @@ pub use clientele::{clientele_document, clientele_fragmentation, CLIENTELE_QUERY
 pub use generator::{generate, XmarkConfig, XmarkGenerator, NODES_PER_VMB};
 pub use querygen::{QueryGen, QueryGenConfig};
 pub use topology::{ft1, ft2, Ft2Layout, PAPER_QUERIES};
-pub use updates::{StreamEvent, UpdateWorkload};
+pub use updates::UpdateWorkload;

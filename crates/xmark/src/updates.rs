@@ -19,15 +19,6 @@ use paxml_xml::{NodeId, TreeBuilder, XmlTree};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// One event of a mixed workload stream.
-#[derive(Debug, Clone)]
-pub enum StreamEvent {
-    /// Evaluate a query.
-    Query(String),
-    /// Apply a batch of fragment updates.
-    Update(Vec<(FragmentId, UpdateOp)>),
-}
-
 /// A generator of valid random update batches over one fragmentation.
 pub struct UpdateWorkload {
     mirror: FragmentedTree,
@@ -90,25 +81,6 @@ impl UpdateWorkload {
             }
         }
         batch
-    }
-
-    /// A mixed stream: `rounds` repetitions of one update batch followed by
-    /// one of the given queries (round-robin).
-    pub fn mixed_stream(
-        &mut self,
-        rounds: usize,
-        ops_per_batch: usize,
-        max_dirty_fragments: usize,
-        queries: &[&str],
-    ) -> Vec<StreamEvent> {
-        let mut events = Vec::with_capacity(rounds * 2);
-        for i in 0..rounds {
-            events.push(StreamEvent::Update(self.next_batch(ops_per_batch, max_dirty_fragments)));
-            if !queries.is_empty() {
-                events.push(StreamEvent::Query(queries[i % queries.len()].to_string()));
-            }
-        }
-        events
     }
 
     /// Propose one op against `fragment` (validity is re-checked by actually
@@ -293,16 +265,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn mixed_streams_interleave_updates_and_queries() {
-        let (tree, fragmented) = ft1(3, 0.4, 17);
-        let nodes = tree.all_nodes().count();
-        let mut workload = UpdateWorkload::new(&fragmented, nodes, 23);
-        let stream = workload.mixed_stream(4, 3, 2, &["/sites/site/people/person"]);
-        assert_eq!(stream.len(), 8);
-        assert!(matches!(stream[0], StreamEvent::Update(_)));
-        assert!(matches!(stream[1], StreamEvent::Query(_)));
     }
 }

@@ -87,11 +87,6 @@ impl NodeKind {
         matches!(self, NodeKind::Element { .. })
     }
 
-    /// Is this a text node?
-    pub fn is_text(&self) -> bool {
-        matches!(self, NodeKind::Text { .. })
-    }
-
     /// Is this a virtual (placeholder) node?
     pub fn is_virtual(&self) -> bool {
         matches!(self, NodeKind::Virtual { .. })
@@ -190,13 +185,11 @@ mod tests {
     fn kind_predicates() {
         let e = NodeKind::element("broker");
         assert!(e.is_element());
-        assert!(!e.is_text());
         assert!(!e.is_virtual());
         assert_eq!(e.label(), Some("broker"));
         assert_eq!(e.text_value(), None);
 
         let t = NodeKind::text("GOOG");
-        assert!(t.is_text());
         assert_eq!(t.text_value(), Some("GOOG"));
         assert_eq!(t.label(), None);
 

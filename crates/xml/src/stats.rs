@@ -71,11 +71,6 @@ impl TreeStats {
         self.element_count + self.text_count + self.virtual_count
     }
 
-    /// Number of distinct element labels.
-    pub fn distinct_labels(&self) -> usize {
-        self.label_histogram.len()
-    }
-
     /// How many elements carry the given label.
     pub fn count_of(&self, label: &str) -> usize {
         self.label_histogram.get(label).copied().unwrap_or(0)
@@ -99,7 +94,6 @@ mod tests {
         assert_eq!(s.text_bytes, 10);
         assert_eq!(s.count_of("b"), 2);
         assert_eq!(s.count_of("zzz"), 0);
-        assert_eq!(s.distinct_labels(), 3);
     }
 
     #[test]

@@ -57,17 +57,11 @@ impl XmlTree {
     /// Immutable access to a node.
     ///
     /// # Panics
-    /// Panics if `id` is out of bounds; use [`XmlTree::try_node`] for a
-    /// fallible variant.
+    /// Panics if `id` is out of bounds; [`XmlTree::contains`] tells
+    /// beforehand.
     #[inline]
     pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.index()]
-    }
-
-    /// Fallible access to a node.
-    pub fn try_node(&self, id: NodeId) -> XmlResult<&Node> {
-        self.check(id)?;
-        Ok(&self.nodes[id.index()])
     }
 
     fn node_mut(&mut self, id: NodeId) -> &mut Node {
@@ -163,16 +157,6 @@ impl XmlTree {
         } else {
             None
         }
-    }
-
-    /// The text of a node interpreted as a number, for the paper's
-    /// `val() op num` qualifier tests. Accepts an optional leading `$`
-    /// (the running example uses prices like `$374`).
-    pub fn numeric_value(&self, id: NodeId) -> Option<f64> {
-        let text = self.text_of(id)?;
-        let trimmed = text.trim();
-        let trimmed = trimmed.strip_prefix('$').unwrap_or(trimmed);
-        trimmed.parse::<f64>().ok()
     }
 
     // ------------------------------------------------------------------
@@ -738,18 +722,6 @@ mod tests {
     }
 
     #[test]
-    fn numeric_value_strips_dollar_sign() {
-        let mut t = XmlTree::with_root_element("r");
-        let root = t.root();
-        let buy = t.append_leaf(root, "buy", "$374");
-        let qt = t.append_leaf(root, "qt", "40");
-        let name = t.append_leaf(root, "name", "Anna");
-        assert_eq!(t.numeric_value(buy), Some(374.0));
-        assert_eq!(t.numeric_value(qt), Some(40.0));
-        assert_eq!(t.numeric_value(name), None);
-    }
-
-    #[test]
     fn detach_unlinks_subtree() {
         let mut t = sample();
         let b = t.find_first("b").unwrap();
@@ -873,13 +845,6 @@ mod tests {
         assert_eq!(t.find_all("x"), vec![a1, inner, a2]);
         assert_eq!(t.find_first("x"), Some(a1));
         assert_eq!(t.find_first("zzz"), None);
-    }
-
-    #[test]
-    fn invalid_node_id_is_reported() {
-        let t = sample();
-        let bad = NodeId::from_index(999);
-        assert!(matches!(t.try_node(bad), Err(XmlError::InvalidNodeId { id: 999 })));
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub use compile::{
     QEntryId, SelItem, SelPos,
 };
 pub use error::{XPathError, XPathResult};
-pub use normalize::{normalize, normalize_qualifier, NormItem, NormPath, NormQual, NormQuery};
+pub use normalize::{normalize, NormItem, NormPath, NormQual, NormQuery};
 pub use parser::parse;
 
 /// Parse, normalize and compile a query in one call — the form every

@@ -86,11 +86,6 @@ pub fn normalize(query: &Query) -> NormQuery {
     NormQuery { absolute: query.absolute, path: NormPath { items } }
 }
 
-/// Normalize a bare qualifier (used by tests and by Boolean-query helpers).
-pub fn normalize_qualifier(q: &Qualifier) -> NormQual {
-    norm_qual(q)
-}
-
 fn normalize_path(path: &PathExpr, out: &mut Vec<NormItem>) {
     match path {
         PathExpr::Empty => {
@@ -266,25 +261,9 @@ fn merge_qualifier_runs(items: Vec<NormItem>) -> Vec<NormItem> {
 }
 
 impl NormPath {
-    /// The *selection path* of the paper: the items with every qualifier
-    /// (and positional predicate) struck out — only labels, wildcards and
-    /// `//` remain.
-    pub fn selection_items(&self) -> Vec<&NormItem> {
-        self.items
-            .iter()
-            .filter(|i| !matches!(i, NormItem::Qualifier(_) | NormItem::Position(_)))
-            .collect()
-    }
-
     /// Does the path contain any qualifier item (at the top level)?
     pub fn has_qualifier(&self) -> bool {
         self.items.iter().any(|i| matches!(i, NormItem::Qualifier(_)))
-    }
-
-    /// Does the path contain a `//` item (at the top level, not inside
-    /// qualifiers)?
-    pub fn has_descendant(&self) -> bool {
-        self.items.iter().any(|i| matches!(i, NormItem::DescendantOrSelf))
     }
 }
 
@@ -399,10 +378,6 @@ mod tests {
         } else {
             panic!("expected a path qualifier, got {:?}", items[1]);
         }
-
-        // Striking out qualifiers leaves the selection path client/broker/name.
-        let sel: Vec<String> = n.path.selection_items().iter().map(|i| i.to_string()).collect();
-        assert_eq!(sel, vec!["client", "broker", "name"]);
     }
 
     #[test]
@@ -432,7 +407,6 @@ mod tests {
         let n = norm("/sites/site/open_auctions//annotation");
         let kinds: Vec<String> = n.path.items.iter().map(|i| i.to_string()).collect();
         assert_eq!(kinds, vec!["sites", "site", "open_auctions", "//", "annotation"]);
-        assert!(n.path.has_descendant());
         assert!(!n.path.has_qualifier());
         assert!(n.absolute);
     }

@@ -344,7 +344,7 @@ fn run_cluster(
     let sites = options.sites;
     println!("spawning {sites} site processes …");
     let cluster =
-        paxml::wire::ProcessCluster::spawn(&program, fragmented, sites, Placement::RoundRobin)
+        paxml::wire::ProcessCluster::spawn(&program, fragmented, sites, Placement::RoundRobin, 1)
             .map_err(|e| e.to_string())?;
     for site in cluster.addresses() {
         println!("  site listening on {site}");

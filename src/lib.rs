@@ -76,8 +76,8 @@ pub use paxml_xpath as xpath;
 pub mod prelude {
     pub use paxml_core::server::{PaxServer, PaxServerBuilder, PreparedQuery, ServerStats};
     pub use paxml_core::{
-        Algorithm, AnswerItem, Deployment, EvalOptions, ExecMode, ExecReport, PaxError, PaxResult,
-        QueryOutcome, UpdateOutcome,
+        Algorithm, AnswerItem, Deployment, ExecMode, ExecReport, PaxError, PaxResult, QueryOutcome,
+        UpdateOutcome,
     };
     pub use paxml_distsim::Placement;
     pub use paxml_fragment::{fragment_at, strategy, FragmentId, FragmentedTree, UpdateOp};

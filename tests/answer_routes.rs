@@ -41,8 +41,8 @@ const ATTRS: &[&str] = &["id", "category"];
 const ANCHORS: &[&str] =
     &["//person[address/country = \"Germany\"]/name", "//item[quantity > 5]/name"];
 
-/// One query as the PaX2 coordinator plans it: with annotations, over the
-/// topology's trie, which carries the fragments' label sets.
+/// One query as the PaX2 coordinator plans it: over the topology's trie,
+/// which carries the fragments' label sets, when it has one.
 struct Plan {
     query: CompiledQuery,
     analysis: AnnotationAnalysis,
@@ -50,14 +50,13 @@ struct Plan {
 }
 
 impl Plan {
-    fn new(text: &str, d: &Deployment, topology: &Topology, annotations: bool) -> Plan {
+    fn new(text: &str, topology: &Topology) -> Plan {
         let query = compile_text(text).expect("generated queries compile");
-        let analysis = if annotations {
-            analyze_with_trie(&query, &topology.path_trie(&d.root_label))
-        } else {
-            AnnotationAnalysis::keep_all(&topology.fragment_tree)
+        let analysis = match topology.annotations() {
+            Some(trie) => analyze_with_trie(&query, trie),
+            None => AnnotationAnalysis::keep_all(&topology.fragment_tree),
         };
-        Plan { root_init: initial_vector(&query, &d.root_label), analysis, query }
+        Plan { root_init: initial_vector(&query, topology.root_label()), analysis, query }
     }
 
     fn input(&self, fragment: FragmentId) -> CombinedFragmentInput {
@@ -197,7 +196,7 @@ proptest! {
             QueryGen::new(QueryGenConfig::with_vocabulary(LABELS, TEXTS, ATTRS), query_seed);
         let generated = (0..count).map(|_| gen.query_text());
         let texts: Vec<String> = ANCHORS.iter().map(|a| a.to_string()).chain(generated).collect();
-        let plans: Vec<Plan> = texts.iter().map(|t| Plan::new(t, &d, &topology, annotations)).collect();
+        let plans: Vec<Plan> = texts.iter().map(|t| Plan::new(t, &topology)).collect();
 
         let (parked, parked_ops) = run_route(&d, &topology, &plans, true);
         let (shipped, shipped_ops) = run_route(&d, &topology, &plans, false);

@@ -8,12 +8,14 @@
 //! plus runtime checks of the explicit-assignment builder path and of the
 //! retry defaults.
 
-use paxml::core::RetryPolicy;
+use paxml::core::{FragmentLabels, PathTrie, RetryPolicy, Topology, Transport};
 use paxml::distsim::{Cluster, ReplicaSet};
+use paxml::fragment::FragmentTree;
 use paxml::prelude::*;
 use paxml::wire::TcpCluster;
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Update-batch slices, named so the pinned fn-pointer types stay readable.
@@ -104,4 +106,16 @@ fn settings_and_transport_constructors_are_pinned() {
         TcpCluster::connect;
     let _: fn(&FragmentedTree, &[SocketAddr], Replicas, Duration) -> PaxResult<TcpCluster> =
         TcpCluster::connect_with_replicas;
+}
+
+/// The topology is the one home of the §5 index and of the document root
+/// label; a deployment is built from its transport alone. Pinned.
+#[test]
+fn the_topology_owns_the_index_and_a_deployment_only_its_transport() {
+    type Labels = Option<Arc<FragmentLabels>>;
+    let _: fn(FragmentTree, Replicas, u64, String, Labels) -> Topology = Topology::new;
+    let _: fn(&Topology) -> Option<&PathTrie> = Topology::annotations;
+    let _: fn(&Topology) -> &str = Topology::root_label;
+    let _: fn(&Topology) -> Option<&FragmentLabels> = Topology::labels;
+    let _: fn(Arc<dyn Transport>) -> Deployment = Deployment::over_transport;
 }

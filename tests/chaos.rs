@@ -24,8 +24,11 @@ use paxml::xmark::{clientele_fragmentation, UpdateWorkload};
 use paxml_distsim::{FaultEvent, FaultKind, FaultPlan, Placement, SiteId};
 use std::time::Duration;
 
+#[path = "common/watchdog.rs"]
+mod watchdog;
+use watchdog::with_watchdog;
+
 const BIN: &str = env!("CARGO_BIN_EXE_paxml");
-const WATCHDOG: Duration = Duration::from_secs(120);
 
 const SITES: usize = 3;
 const REPLICAS: usize = 2;
@@ -37,23 +40,6 @@ const QUERIES: [&str; 2] = [
     "client[country/text()='US']/broker[market/name/text()='NASDAQ']/name",
     "//broker[//stock/code/text()='GOOG']/name",
 ];
-
-/// Run `body` on its own thread and fail loudly if it neither returns nor
-/// panics within the watchdog interval.
-fn with_watchdog<F: FnOnce() + Send + 'static>(body: F) {
-    let (done_tx, done_rx) = std::sync::mpsc::channel();
-    let handle = std::thread::spawn(move || {
-        body();
-        let _ = done_tx.send(());
-    });
-    match done_rx.recv_timeout(WATCHDOG) {
-        Ok(()) => handle.join().expect("test body panicked after completing"),
-        Err(_) => match handle.is_finished() {
-            true => handle.join().expect("test body panicked"),
-            false => panic!("test body hung for {WATCHDOG:?} — the transport wedged"),
-        },
-    }
-}
 
 /// One kill window for `victim` starting at round tick `from`.
 fn kill(victim: SiteId, from: u64) -> FaultPlan {
@@ -176,14 +162,9 @@ fn any_single_site_kill_is_invisible_over_tcp() {
         cases.push(Some((0, 0, "queries")));
         cases.push(Some((1, refrag_tick, "refrag")));
         for case in cases {
-            let cluster = ProcessCluster::spawn_replicated(
-                BIN,
-                &fragmented,
-                SITES,
-                Placement::RoundRobin,
-                REPLICAS,
-            )
-            .expect("spawn replicated site processes");
+            let cluster =
+                ProcessCluster::spawn(BIN, &fragmented, SITES, Placement::RoundRobin, REPLICAS)
+                    .expect("spawn replicated site processes");
             let plan = match case {
                 Some((victim, from, _)) => kill(SiteId(victim), from),
                 None => FaultPlan::scripted(Vec::new()),

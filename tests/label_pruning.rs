@@ -78,13 +78,10 @@ fn centralized_origins(mirror: &FragmentedTree, query: &str) -> Vec<NodeId> {
 fn analyses(
     query: &CompiledQuery,
     topology: &Topology,
-    root_label: &str,
 ) -> (AnnotationAnalysis, AnnotationAnalysis) {
-    let path_only = PathTrie::build(&topology.fragment_tree, root_label);
-    (
-        analyze_with_trie(query, &topology.path_trie(root_label)),
-        analyze_with_trie(query, &path_only),
-    )
+    let path_only = PathTrie::build(&topology.fragment_tree, topology.root_label());
+    let labelled = topology.annotations().expect("an annotated server's topology has an index");
+    (analyze_with_trie(query, labelled), analyze_with_trie(query, &path_only))
 }
 
 #[test]
@@ -103,7 +100,6 @@ fn label_pruning_agrees_with_its_references_through_update_batches() {
         let pax2 = server(&fragmented, Algorithm::PaX2, true);
         let pax3 = server(&fragmented, Algorithm::PaX3, true);
         let plain = server(&fragmented, Algorithm::PaX2, false);
-        let root_label = pax2.deployment().root_label.clone();
         let prepared: Vec<PreparedQuery> = texts.iter().map(|t| pax2.prepare(t).unwrap()).collect();
         for query in &prepared {
             pax2.execute(query).unwrap();
@@ -128,7 +124,7 @@ fn label_pruning_agrees_with_its_references_through_update_batches() {
 
             for ((text, query), prepared) in texts.iter().zip(&compiled).zip(&prepared) {
                 let context = format!("seed {seed} round {round}: {text}");
-                let (labelled, path_only) = analyses(query, &after, &root_label);
+                let (labelled, path_only) = analyses(query, &after);
                 // (2) and (3).
                 assert!(labelled.relevant.is_subset(&path_only.relevant), "{context}");
                 pruned_fragments += path_only.relevant.len() - labelled.relevant.len();
@@ -142,7 +138,7 @@ fn label_pruning_agrees_with_its_references_through_update_batches() {
                     }
                 }
                 // (4): warm unless a clean fragment joined the relevant set.
-                let (earlier, _) = analyses(query, &before, &root_label);
+                let (earlier, _) = analyses(query, &before);
                 let joined: BTreeSet<FragmentId> =
                     labelled.relevant.difference(&earlier.relevant).copied().collect();
                 let goes_cold = !joined.is_subset(&dirty);

@@ -18,28 +18,13 @@ use paxml::xmark::{ft1, PAPER_QUERIES};
 use paxml_distsim::SiteId;
 use proptest::prelude::*;
 use std::sync::Arc;
-use std::time::Duration;
+
+#[path = "common/watchdog.rs"]
+mod watchdog;
+use watchdog::with_watchdog;
 
 const BIN: &str = env!("CARGO_BIN_EXE_paxml");
-const WATCHDOG: Duration = Duration::from_secs(120);
 const ALGORITHMS: [Algorithm; 3] = [Algorithm::PaX2, Algorithm::PaX3, Algorithm::NaiveCentralized];
-
-/// Run `body` on its own thread and fail loudly if it neither returns nor
-/// panics within the watchdog interval (transport tests only).
-fn with_watchdog<F: FnOnce() + Send + 'static>(body: F) {
-    let (done_tx, done_rx) = std::sync::mpsc::channel();
-    let handle = std::thread::spawn(move || {
-        body();
-        let _ = done_tx.send(());
-    });
-    match done_rx.recv_timeout(WATCHDOG) {
-        Ok(()) => handle.join().expect("test body panicked after completing"),
-        Err(_) => match handle.is_finished() {
-            true => handle.join().expect("test body panicked"),
-            false => panic!("test body hung for {WATCHDOG:?} — the transport wedged"),
-        },
-    }
-}
 
 /// The paper's workload queries (text only — the tuple is `(label, query)`).
 fn queries() -> Vec<&'static str> {
@@ -183,7 +168,7 @@ fn refragmentation_over_tcp_matches_the_simulator() {
             .sites(sites)
             .deploy(&fragmented)
             .expect("deploy simulator");
-        let cluster = ProcessCluster::spawn(BIN, &fragmented, sites, Placement::RoundRobin)
+        let cluster = ProcessCluster::spawn(BIN, &fragmented, sites, Placement::RoundRobin, 1)
             .expect("spawn site processes");
         let tcp = PaxServer::builder()
             .algorithm(Algorithm::PaX2)
@@ -228,7 +213,7 @@ fn migration_to_a_dead_site_publishes_nothing() {
     with_watchdog(|| {
         let sites = 3;
         let (_tree, fragmented) = ft1(4, 0.02, 21);
-        let mut cluster = ProcessCluster::spawn(BIN, &fragmented, sites, Placement::RoundRobin)
+        let mut cluster = ProcessCluster::spawn(BIN, &fragmented, sites, Placement::RoundRobin, 1)
             .expect("spawn site processes");
         let server = Arc::new(
             PaxServer::builder()

@@ -23,27 +23,11 @@ use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-const BIN: &str = env!("CARGO_BIN_EXE_paxml");
-const WATCHDOG: Duration = Duration::from_secs(120);
+#[path = "common/watchdog.rs"]
+mod watchdog;
+use watchdog::with_watchdog;
 
-/// Run `body` on its own thread and fail loudly if it neither returns nor
-/// panics within the watchdog interval — the shape a lost shutdown or an
-/// unnoticed dead socket would take.
-fn with_watchdog<F: FnOnce() + Send + 'static>(body: F) {
-    let (done_tx, done_rx) = std::sync::mpsc::channel();
-    let handle = std::thread::spawn(move || {
-        body();
-        let _ = done_tx.send(());
-    });
-    match done_rx.recv_timeout(WATCHDOG) {
-        Ok(()) => handle.join().expect("test body panicked after completing"),
-        Err(_) => match handle.is_finished() {
-            // The body panicked: propagate the original failure.
-            true => handle.join().expect("test body panicked"),
-            false => panic!("test body hung for {WATCHDOG:?} — the transport wedged"),
-        },
-    }
-}
+const BIN: &str = env!("CARGO_BIN_EXE_paxml");
 
 fn assert_stats_match(sim: &ClusterStats, tcp: &ClusterStats, context: &str) {
     assert_eq!(sim.rounds, tcp.rounds, "{context}: rounds diverged");
@@ -90,7 +74,7 @@ fn xmark_workload_matches_simulator_across_processes() {
                 .placement(Placement::RoundRobin)
                 .deploy(&fragmented)
                 .expect("deploy simulator");
-            let cluster = ProcessCluster::spawn(BIN, &fragmented, sites, Placement::RoundRobin)
+            let cluster = ProcessCluster::spawn(BIN, &fragmented, sites, Placement::RoundRobin, 1)
                 .expect("spawn site processes");
             let tcp = PaxServer::builder()
                 .algorithm(algorithm)
@@ -139,7 +123,7 @@ fn xmark_workload_matches_simulator_across_processes() {
 fn update_fails_mid_build_while_old_epoch_readers_finish_cleanly() {
     with_watchdog(|| {
         let (tree, fragmented) = clientele_fragmentation();
-        let mut cluster = ProcessCluster::spawn(BIN, &fragmented, 3, Placement::RoundRobin)
+        let mut cluster = ProcessCluster::spawn(BIN, &fragmented, 3, Placement::RoundRobin, 1)
             .expect("spawn site processes");
         let server = Arc::new(
             PaxServer::builder()
@@ -324,7 +308,7 @@ fn a_hung_site_trips_the_deadline_and_fails_over() {
 fn killed_site_reports_unreachable_without_hanging() {
     with_watchdog(|| {
         let (_tree, fragmented) = clientele_fragmentation();
-        let mut cluster = ProcessCluster::spawn(BIN, &fragmented, 3, Placement::RoundRobin)
+        let mut cluster = ProcessCluster::spawn(BIN, &fragmented, 3, Placement::RoundRobin, 1)
             .expect("spawn site processes");
         let transport = cluster.transport.clone();
         let server = PaxServer::builder()

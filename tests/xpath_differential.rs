@@ -33,7 +33,10 @@ use paxml_xml::{NodeId, NodeKind, XmlTree};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::Duration;
+
+#[path = "common/watchdog.rs"]
+mod watchdog;
+use watchdog::with_watchdog;
 
 const LABELS: &[&str] = &["a", "b", "c", "d", "e"];
 const TEXTS: &[&str] = &["x", "y", "10", "42", "US"];
@@ -329,24 +332,6 @@ fn updates_then_refragmentation_preserve_the_agreement() {
 // ---------------------------------------------------------------------------
 
 const BIN: &str = env!("CARGO_BIN_EXE_paxml");
-const WATCHDOG: Duration = Duration::from_secs(120);
-
-/// Run `body` on its own thread and fail loudly if it neither returns nor
-/// panics within the watchdog interval — the shape a transport hang takes.
-fn with_watchdog<F: FnOnce() + Send + 'static>(body: F) {
-    let (done_tx, done_rx) = std::sync::mpsc::channel();
-    let handle = std::thread::spawn(move || {
-        body();
-        let _ = done_tx.send(());
-    });
-    match done_rx.recv_timeout(WATCHDOG) {
-        Ok(()) => handle.join().expect("test body panicked after completing"),
-        Err(_) => match handle.is_finished() {
-            true => handle.join().expect("test body panicked"),
-            false => panic!("test body hung for {WATCHDOG:?} — the transport wedged"),
-        },
-    }
-}
 
 fn assert_reports_match(sim: &ExecReport, tcp: &ExecReport, context: &str) {
     assert_eq!(sim.queries.len(), tcp.queries.len(), "{context}: query count");
@@ -393,7 +378,7 @@ fn widened_queries_match_the_simulator_over_tcp() {
                 .placement(Placement::RoundRobin)
                 .deploy(&fragmented)
                 .expect("deploy simulator");
-            let cluster = ProcessCluster::spawn(BIN, &fragmented, sites, Placement::RoundRobin)
+            let cluster = ProcessCluster::spawn(BIN, &fragmented, sites, Placement::RoundRobin, 1)
                 .expect("spawn site processes");
             let tcp = PaxServer::builder()
                 .algorithm(algorithm)
