@@ -250,31 +250,34 @@ impl Transport for TcpCluster {
         for site in requests.keys() {
             assert!(site.index() < self.addrs.len(), "request addressed to unknown site {site}");
         }
+        // Encode every body before taking the round lock, so threads sharing
+        // the cluster wait on each other only for the sockets.
+        let bodies: Vec<(SiteId, &'static str, Vec<u8>)> = requests
+            .iter()
+            .map(|(site, request)| (*site, request.body.kind(), codec::encode(request)))
+            .collect();
         let mut conns = self.conns.lock().expect("the round lock is never poisoned");
 
         // Phase 1 — write every request frame. On the first failure stop
         // sending (sites later in the order receive nothing this round).
-        let mut sent: Vec<(SiteId, u64, &'static str)> = Vec::with_capacity(requests.len());
+        let mut sent: Vec<(SiteId, u64, &'static str)> = Vec::with_capacity(bodies.len());
         let mut failure: Option<PaxError> = None;
-        for (site, request) in &requests {
-            let operation = request.body.kind();
-            let body = codec::encode(request);
+        for (site, operation, body) in bodies {
             let request_bytes = body.len() as u64;
-            let peer = self.addr(*site);
+            let peer = self.addr(site);
             let conn = &mut conns[site.index()];
             let result = match &mut conn.stream {
                 Ok(stream) => msg::send(stream, &WireRequest::Round { body }),
                 Err(detail) => {
-                    failure =
-                        Some(PaxError::SiteUnreachable { site: *site, detail: detail.clone() });
+                    failure = Some(PaxError::SiteUnreachable { site, detail: detail.clone() });
                     break;
                 }
             };
             match result {
-                Ok(()) => sent.push((*site, request_bytes, operation)),
+                Ok(()) => sent.push((site, request_bytes, operation)),
                 Err(err) => {
                     let label = format!("sending {operation}");
-                    failure = Some(conn.kill(*site, peer, &label, &err));
+                    failure = Some(conn.kill(site, peer, &label, &err));
                     break;
                 }
             }

@@ -19,7 +19,7 @@
 //! config and seed produce the same stream, so failures reported by a
 //! fixed-seed CI run reproduce locally.
 
-use paxml_xpath::{CmpOp, PathExpr, PosPred, Qualifier, Query};
+use paxml_xpath::{Atom, CmpOp, PathExpr, PosPred, Qualifier, Query};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -155,13 +155,14 @@ impl QueryGen {
         let attr_kinds = if self.config.attributes { 3 } else { 0 };
         match self.rng.gen_range(0..3 + attr_kinds) {
             0 => Qualifier::Path(self.qual_path(1)),
-            1 => Qualifier::TextEquals(self.qual_path(0), self.text()),
-            2 => Qualifier::ValCompare(self.qual_path(0), self.cmp_op(), self.number()),
-            3 => Qualifier::HasAttr(self.qual_path(0), self.attr()),
-            4 => Qualifier::AttrEquals(self.qual_path(0), self.attr(), self.text()),
-            _ => {
-                Qualifier::AttrCompare(self.qual_path(0), self.attr(), self.cmp_op(), self.number())
-            }
+            1 => Qualifier::Test(self.qual_path(0), Atom::Text(self.text())),
+            2 => Qualifier::Test(self.qual_path(0), Atom::Val(self.cmp_op(), self.number())),
+            3 => Qualifier::Test(self.qual_path(0), Atom::Attr(self.attr())),
+            4 => Qualifier::Test(self.qual_path(0), Atom::AttrText(self.attr(), self.text())),
+            _ => Qualifier::Test(
+                self.qual_path(0),
+                Atom::AttrVal(self.attr(), self.cmp_op(), self.number()),
+            ),
         }
     }
 

@@ -100,25 +100,35 @@ impl fmt::Display for PosPred {
     }
 }
 
+/// An atomic test at the node a qualifier path reaches — the paper's
+/// `text() = str` and `val() op num`, widened with attribute tests. Both the
+/// surface AST ([`Qualifier::Test`]) and the normal form
+/// ([`NormQual::Atom`](crate::NormQual::Atom)) carry it unchanged.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum Atom {
+    /// `text() = "str"`: some text child carries exactly this string.
+    Text(String),
+    /// `val() op num`: some text child parses as a number satisfying the
+    /// comparison.
+    Val(CmpOp, f64),
+    /// `@attr`: the node carries the attribute.
+    Attr(String),
+    /// `@attr = "str"`: the attribute exists with exactly this value.
+    AttrText(String, String),
+    /// `@attr op num`: the attribute exists and parses as a number
+    /// satisfying the comparison.
+    AttrVal(String, CmpOp, f64),
+}
+
 /// A qualifier `q` of the grammar.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Qualifier {
     /// Existential path test: `[Q]` holds at `v` iff some node is reachable
     /// from `v` via `Q`.
     Path(PathExpr),
-    /// `[Q/text() = "str"]`.
-    TextEquals(PathExpr, String),
-    /// `[Q/val() op num]`.
-    ValCompare(PathExpr, CmpOp, f64),
-    /// `[Q/@attr]` — some node reachable via `Q` carries the attribute
-    /// (`[@attr]` when `Q` is `ε`). A widening beyond the paper's X.
-    HasAttr(PathExpr, String),
-    /// `[Q/@attr = "str"]` — some node reachable via `Q` carries the
-    /// attribute with exactly this string value.
-    AttrEquals(PathExpr, String, String),
-    /// `[Q/@attr op num]` — some node reachable via `Q` carries the
-    /// attribute with a numeric value satisfying the comparison.
-    AttrCompare(PathExpr, String, CmpOp, f64),
+    /// `[Q/atom]`: some node reachable via `Q` passes the atomic test
+    /// (`[atom]` when `Q` is `ε`).
+    Test(PathExpr, Atom),
     /// A positional predicate on the step it qualifies (see [`PosPred`]).
     Position(PosPred),
     /// `¬ q` (written `not(q)` or `!q` in the concrete syntax).
@@ -175,27 +185,6 @@ impl PathExpr {
             PathExpr::Qualified(p, q) => 1 + p.size() + q.size(),
         }
     }
-
-    /// Does this path (or any nested qualifier) contain a `//` axis?
-    pub fn has_descendant_axis(&self) -> bool {
-        match self {
-            PathExpr::Empty | PathExpr::Label(_) | PathExpr::Wildcard => false,
-            PathExpr::Descendant(_, _) => true,
-            PathExpr::Child(a, b) => a.has_descendant_axis() || b.has_descendant_axis(),
-            PathExpr::Qualified(p, q) => p.has_descendant_axis() || q.has_descendant_axis(),
-        }
-    }
-
-    /// Does this path carry any qualifier?
-    pub fn has_qualifier(&self) -> bool {
-        match self {
-            PathExpr::Empty | PathExpr::Label(_) | PathExpr::Wildcard => false,
-            PathExpr::Child(a, b) | PathExpr::Descendant(a, b) => {
-                a.has_qualifier() || b.has_qualifier()
-            }
-            PathExpr::Qualified(_, _) => true,
-        }
-    }
 }
 
 impl Qualifier {
@@ -218,29 +207,10 @@ impl Qualifier {
     pub fn size(&self) -> usize {
         match self {
             Qualifier::Path(p) => 1 + p.size(),
-            Qualifier::TextEquals(p, _) => 2 + p.size(),
-            Qualifier::ValCompare(p, _, _) => 2 + p.size(),
-            Qualifier::HasAttr(p, _) => 2 + p.size(),
-            Qualifier::AttrEquals(p, _, _) => 2 + p.size(),
-            Qualifier::AttrCompare(p, _, _, _) => 2 + p.size(),
+            Qualifier::Test(p, _) => 2 + p.size(),
             Qualifier::Position(_) => 1,
             Qualifier::Not(q) => 1 + q.size(),
             Qualifier::And(a, b) | Qualifier::Or(a, b) => 1 + a.size() + b.size(),
-        }
-    }
-
-    fn has_descendant_axis(&self) -> bool {
-        match self {
-            Qualifier::Path(p) => p.has_descendant_axis(),
-            Qualifier::TextEquals(p, _) | Qualifier::ValCompare(p, _, _) => p.has_descendant_axis(),
-            Qualifier::HasAttr(p, _)
-            | Qualifier::AttrEquals(p, _, _)
-            | Qualifier::AttrCompare(p, _, _, _) => p.has_descendant_axis(),
-            Qualifier::Position(_) => false,
-            Qualifier::Not(q) => q.has_descendant_axis(),
-            Qualifier::And(a, b) | Qualifier::Or(a, b) => {
-                a.has_descendant_axis() || b.has_descendant_axis()
-            }
         }
     }
 }
@@ -249,20 +219,6 @@ impl Query {
     /// Total size `|Q|` of the query.
     pub fn size(&self) -> usize {
         self.path.size()
-    }
-
-    /// Does the query (selection path or any qualifier) use `//`?
-    pub fn has_descendant_axis(&self) -> bool {
-        self.absolute_leading_descendant() || self.path.has_descendant_axis()
-    }
-
-    /// Does the query carry qualifiers?
-    pub fn has_qualifier(&self) -> bool {
-        self.path.has_qualifier()
-    }
-
-    fn absolute_leading_descendant(&self) -> bool {
-        false // the leading // is already encoded inside `path` by the parser
     }
 }
 
@@ -287,30 +243,24 @@ impl fmt::Display for Qualifier {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Qualifier::Path(p) => write!(f, "{p}"),
-            Qualifier::TextEquals(p, s) => match p {
-                PathExpr::Empty => write!(f, "text() = \"{s}\""),
-                _ => write!(f, "{p}/text() = \"{s}\""),
-            },
-            Qualifier::ValCompare(p, op, n) => match p {
-                PathExpr::Empty => write!(f, "val() {op} {n}"),
-                _ => write!(f, "{p}/val() {op} {n}"),
-            },
-            Qualifier::HasAttr(p, a) => match p {
-                PathExpr::Empty => write!(f, "@{a}"),
-                _ => write!(f, "{p}/@{a}"),
-            },
-            Qualifier::AttrEquals(p, a, s) => match p {
-                PathExpr::Empty => write!(f, "@{a} = \"{s}\""),
-                _ => write!(f, "{p}/@{a} = \"{s}\""),
-            },
-            Qualifier::AttrCompare(p, a, op, n) => match p {
-                PathExpr::Empty => write!(f, "@{a} {op} {n}"),
-                _ => write!(f, "{p}/@{a} {op} {n}"),
-            },
+            Qualifier::Test(PathExpr::Empty, atom) => write!(f, "{atom}"),
+            Qualifier::Test(p, atom) => write!(f, "{p}/{atom}"),
             Qualifier::Position(p) => write!(f, "{p}"),
             Qualifier::Not(q) => write!(f, "not({q})"),
             Qualifier::And(a, b) => write!(f, "({a} and {b})"),
             Qualifier::Or(a, b) => write!(f, "({a} or {b})"),
+        }
+    }
+}
+
+impl fmt::Display for Atom {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Atom::Text(s) => write!(f, "text() = \"{s}\""),
+            Atom::Val(op, n) => write!(f, "val() {op} {n}"),
+            Atom::Attr(a) => write!(f, "@{a}"),
+            Atom::AttrText(a, s) => write!(f, "@{a} = \"{s}\""),
+            Atom::AttrVal(a, op, n) => write!(f, "@{a} {op} {n}"),
         }
     }
 }
@@ -355,14 +305,12 @@ mod tests {
         // //broker[//stock/code/text()="goog"]/name
         let stock_path =
             PathExpr::Empty.descendant(PathExpr::label("stock")).child(PathExpr::label("code"));
-        let qual = Qualifier::TextEquals(stock_path, "goog".into());
+        let qual = Qualifier::Test(stock_path, Atom::Text("goog".into()));
         let q = PathExpr::Empty
             .descendant(PathExpr::label("broker"))
             .qualified(qual)
             .child(PathExpr::label("name"));
         assert!(q.size() > 8);
-        assert!(q.has_descendant_axis());
-        assert!(q.has_qualifier());
     }
 
     #[test]
@@ -386,19 +334,12 @@ mod tests {
         let q = Query {
             absolute: false,
             path: PathExpr::label("client")
-                .qualified(Qualifier::TextEquals(PathExpr::label("country"), "US".into()))
+                .qualified(Qualifier::Test(PathExpr::label("country"), Atom::Text("US".into())))
                 .child(PathExpr::label("name")),
         };
         let s = q.to_string();
         assert!(s.contains("client["));
         assert!(s.contains("country/text() = \"US\""));
         assert!(s.ends_with("/name"));
-    }
-
-    #[test]
-    fn plain_paths_report_no_qualifier_or_descendant() {
-        let q = PathExpr::label("a").child(PathExpr::label("b"));
-        assert!(!q.has_descendant_axis());
-        assert!(!q.has_qualifier());
     }
 }

@@ -10,7 +10,7 @@
 //! Both vectors are linear in `|Q|`, which is what bounds the size of every
 //! message exchanged between sites.
 
-use crate::ast::{CmpOp, PosPred};
+use crate::ast::{Atom, CmpOp, PosPred};
 use crate::error::{XPathError, XPathResult};
 use crate::normalize::{NormItem, NormPath, NormQual, NormQuery};
 use serde::{Deserialize, Serialize};
@@ -449,6 +449,12 @@ impl Compiler<'_> {
         self.qvect.len() - 1
     }
 
+    /// `test` at some text child of the node.
+    fn push_text_test(&mut self, test: QEntry) -> QEntryId {
+        let entry = self.push(test);
+        self.push(QEntry::Exists { axis: QAxis::Child, entry, pos: None })
+    }
+
     /// Splice `entries` (topologically ordered, with ids local to them, as a
     /// cached block's or a whole `QVect`) into this compiler's `QVect`, entry
     /// by entry; `push` re-uses identical entries, so splicing is a no-op
@@ -526,17 +532,14 @@ impl Compiler<'_> {
 
     fn compile_qual_uncached(&mut self, q: &NormQual) -> XPathResult<QEntryId> {
         match q {
-            NormQual::TextIs(s) => {
-                let atom = self.push(QEntry::TextTest(s.clone()));
-                Ok(self.push(QEntry::Exists { axis: QAxis::Child, entry: atom, pos: None }))
-            }
-            NormQual::ValIs(op, n) => {
-                let atom = self.push(QEntry::ValTest(*op, *n));
-                Ok(self.push(QEntry::Exists { axis: QAxis::Child, entry: atom, pos: None }))
-            }
-            NormQual::HasAttr(a) => Ok(self.push(QEntry::AttrTest(a.clone()))),
-            NormQual::AttrIs(a, s) => Ok(self.push(QEntry::AttrValueTest(a.clone(), s.clone()))),
-            NormQual::AttrCmp(a, op, n) => Ok(self.push(QEntry::AttrCmpTest(a.clone(), *op, *n))),
+            // A text test holds at a text child, an attribute test at the node.
+            NormQual::Atom(atom) => Ok(match atom {
+                Atom::Text(s) => self.push_text_test(QEntry::TextTest(s.clone())),
+                Atom::Val(op, n) => self.push_text_test(QEntry::ValTest(*op, *n)),
+                Atom::Attr(a) => self.push(QEntry::AttrTest(a.clone())),
+                Atom::AttrText(a, s) => self.push(QEntry::AttrValueTest(a.clone(), s.clone())),
+                Atom::AttrVal(a, op, n) => self.push(QEntry::AttrCmpTest(a.clone(), *op, *n)),
+            }),
             NormQual::Not(inner) => {
                 let e = self.compile_qual(inner)?;
                 Ok(self.push(QEntry::Not(e)))

@@ -79,6 +79,13 @@ pub enum XPathError {
     /// path (`[.//b[2]]`) — counting among `//`-reachable nodes is not
     /// supported.
     PositionOnDescendantStep,
+    /// A query past one of the parser's bounds: more than
+    /// [`MAX_QUERY_DEPTH`](crate::MAX_QUERY_DEPTH) nested `[`, `(` and `not`,
+    /// or more than [`MAX_QUERY_SIZE`](crate::MAX_QUERY_SIZE) tokens.
+    QueryTooLarge {
+        /// Byte offset of the first token past the bound.
+        offset: usize,
+    },
 }
 
 impl fmt::Display for XPathError {
@@ -122,6 +129,12 @@ impl fmt::Display for XPathError {
             XPathError::PositionOnDescendantStep => {
                 write!(f, "positional predicate on a descendant-axis step inside a qualifier is not supported")
             }
+            XPathError::QueryTooLarge { offset } => write!(
+                f,
+                "query too large at offset {offset}: at most {} nested '[', '(' and 'not', and {} tokens",
+                crate::MAX_QUERY_DEPTH,
+                crate::MAX_QUERY_SIZE
+            ),
         }
     }
 }

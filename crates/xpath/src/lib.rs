@@ -8,12 +8,18 @@
 //! q := Q | q/text() = str | q/val() op num | ¬q | q ∧ q | q ∨ q
 //! ```
 //!
+//! widened with attribute tests, positional predicates and verbose axes.
 //! The crate provides, in processing order:
 //!
 //! 1. [`parse`] — concrete syntax → surface AST ([`Query`], [`PathExpr`],
-//!    [`Qualifier`]).
+//!    [`Qualifier`]). One grammar reads the selection path and every
+//!    qualifier path; the five atomic tests (`text() = s`, `val() op n`,
+//!    `@a`, `@a = s`, `@a op n`) are one [`Atom`]. A query nested deeper
+//!    than [`MAX_QUERY_DEPTH`] or longer than [`MAX_QUERY_SIZE`] tokens is
+//!    rejected with [`XPathError::QueryTooLarge`].
 //! 2. [`normalize`](normalize()) — surface AST → the paper's normal form
-//!    `β₁/…/βₙ` ([`NormQuery`]).
+//!    `β₁/…/βₙ` ([`NormQuery`]), where `Q/atom` becomes
+//!    `normalize(Q)/ε[atom]` ([`NormQual::Atom`]).
 //! 3. [`compile`](compile()) — normal form → the vector representation
 //!    ([`CompiledQuery`]: `SVect(Q)` selection items and `QVect(Q)`
 //!    qualifier sub-queries).
@@ -48,14 +54,14 @@ mod normalize;
 mod parser;
 pub mod semantics;
 
-pub use ast::{CmpOp, PathExpr, PosPred, Qualifier, Query};
+pub use ast::{Atom, CmpOp, PathExpr, PosPred, Qualifier, Query};
 pub use compile::{
     compile, compile_with_cache, CompileCache, CompiledQuery, PosFilter, PosTest, QAxis, QEntry,
     QEntryId, SelItem, SelPos,
 };
 pub use error::{XPathError, XPathResult};
 pub use normalize::{normalize, NormItem, NormPath, NormQual, NormQuery};
-pub use parser::parse;
+pub use parser::{parse, MAX_QUERY_DEPTH, MAX_QUERY_SIZE};
 
 /// Parse, normalize and compile a query in one call — the form every
 /// downstream crate uses.

@@ -5,12 +5,12 @@
 //! `ε[q]`, and consecutive `ε[q]` items are merged into a single one whose
 //! qualifier is the conjunction of the originals.
 //!
-//! Qualifiers are normalized the same way; `Q/text() = "str"` becomes
-//! `normalize(Q)/ε[text() = "str"]` and `Q/val() op n` becomes
-//! `normalize(Q)/ε[val() op n]`, exactly as in the paper's `normalize(·)`
-//! rules.
+//! Qualifiers are normalized the same way, with one rule for every atomic
+//! test: `Q/text() = "str"` becomes `normalize(Q)/ε[text() = "str"]`, exactly
+//! as in the paper's `normalize(·)` rules, and `val()` and the attribute
+//! tests of [`Atom`] follow it.
 
-use crate::ast::{CmpOp, PathExpr, PosPred, Qualifier, Query};
+use crate::ast::{Atom, PathExpr, PosPred, Qualifier, Query};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -43,24 +43,12 @@ pub struct NormPath {
 /// A normalized qualifier.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum NormQual {
-    /// Existence of a downward path from the context node. The atomic tests
-    /// `text() = s` / `val() op n` appear as trailing `ε[…]` items of this
-    /// path, mirroring the paper's normal form.
+    /// Existence of a downward path from the context node. Its atomic
+    /// tests appear as trailing `ε[…]` items of this path, mirroring the
+    /// paper's normal form.
     Path(NormPath),
-    /// `text() = "str"` at the context node: some text child of the context
-    /// node carries exactly this string.
-    TextIs(String),
-    /// `val() op num` at the context node: some text child of the context
-    /// node parses as a number satisfying the comparison.
-    ValIs(CmpOp, f64),
-    /// `@attr` at the context node: the context node carries the attribute.
-    HasAttr(String),
-    /// `@attr = "str"` at the context node: the attribute exists and has
-    /// exactly this string value.
-    AttrIs(String, String),
-    /// `@attr op num` at the context node: the attribute exists and parses
-    /// as a number satisfying the comparison.
-    AttrCmp(String, CmpOp, f64),
+    /// An atomic test at the context node.
+    Atom(Atom),
     /// Negation.
     Not(Box<NormQual>),
     /// Conjunction (flattened).
@@ -124,67 +112,8 @@ fn normalize_path(path: &PathExpr, out: &mut Vec<NormItem>) {
 
 fn norm_qual(q: &Qualifier) -> NormQual {
     match q {
-        Qualifier::Path(p) => {
-            let mut items = Vec::new();
-            normalize_path(p, &mut items);
-            let items = merge_qualifier_runs(items);
-            if items.is_empty() {
-                // `[.]` — trivially true.
-                NormQual::And(Vec::new())
-            } else {
-                NormQual::Path(NormPath { items })
-            }
-        }
-        Qualifier::TextEquals(p, s) => {
-            let mut items = Vec::new();
-            normalize_path(p, &mut items);
-            if items.is_empty() {
-                NormQual::TextIs(s.clone())
-            } else {
-                items.push(NormItem::Qualifier(NormQual::TextIs(s.clone())));
-                NormQual::Path(NormPath { items: merge_qualifier_runs(items) })
-            }
-        }
-        Qualifier::ValCompare(p, op, n) => {
-            let mut items = Vec::new();
-            normalize_path(p, &mut items);
-            if items.is_empty() {
-                NormQual::ValIs(*op, *n)
-            } else {
-                items.push(NormItem::Qualifier(NormQual::ValIs(*op, *n)));
-                NormQual::Path(NormPath { items: merge_qualifier_runs(items) })
-            }
-        }
-        Qualifier::HasAttr(p, a) => {
-            let mut items = Vec::new();
-            normalize_path(p, &mut items);
-            if items.is_empty() {
-                NormQual::HasAttr(a.clone())
-            } else {
-                items.push(NormItem::Qualifier(NormQual::HasAttr(a.clone())));
-                NormQual::Path(NormPath { items: merge_qualifier_runs(items) })
-            }
-        }
-        Qualifier::AttrEquals(p, a, s) => {
-            let mut items = Vec::new();
-            normalize_path(p, &mut items);
-            if items.is_empty() {
-                NormQual::AttrIs(a.clone(), s.clone())
-            } else {
-                items.push(NormItem::Qualifier(NormQual::AttrIs(a.clone(), s.clone())));
-                NormQual::Path(NormPath { items: merge_qualifier_runs(items) })
-            }
-        }
-        Qualifier::AttrCompare(p, a, op, n) => {
-            let mut items = Vec::new();
-            normalize_path(p, &mut items);
-            if items.is_empty() {
-                NormQual::AttrCmp(a.clone(), *op, *n)
-            } else {
-                items.push(NormItem::Qualifier(NormQual::AttrCmp(a.clone(), *op, *n)));
-                NormQual::Path(NormPath { items: merge_qualifier_runs(items) })
-            }
-        }
+        Qualifier::Path(p) => norm_test(p, None),
+        Qualifier::Test(p, atom) => norm_test(p, Some(atom)),
         Qualifier::Position(_) => {
             // A bare position used as a Boolean qualifier has no context to
             // count in; the parser never produces this shape (positions are
@@ -204,6 +133,21 @@ fn norm_qual(q: &Qualifier) -> NormQual {
             flatten_or(a, &mut parts);
             flatten_or(b, &mut parts);
             NormQual::Or(parts)
+        }
+    }
+}
+
+/// `[Q]` or `[Q/atom]`: the paper's rule `Q/atom` → `normalize(Q)/ε[atom]`.
+/// With `Q = ε` only the atom is left, and `[.]` is trivially true.
+fn norm_test(path: &PathExpr, atom: Option<&Atom>) -> NormQual {
+    let mut items = Vec::new();
+    normalize_path(path, &mut items);
+    match (items.is_empty(), atom) {
+        (true, None) => NormQual::And(Vec::new()),
+        (true, Some(atom)) => NormQual::Atom(atom.clone()),
+        (false, atom) => {
+            items.extend(atom.map(|a| NormItem::Qualifier(NormQual::Atom(a.clone()))));
+            NormQual::Path(NormPath { items: merge_qualifier_runs(items) })
         }
     }
 }
@@ -260,13 +204,6 @@ fn merge_qualifier_runs(items: Vec<NormItem>) -> Vec<NormItem> {
     out
 }
 
-impl NormPath {
-    /// Does the path contain any qualifier item (at the top level)?
-    pub fn has_qualifier(&self) -> bool {
-        self.items.iter().any(|i| matches!(i, NormItem::Qualifier(_)))
-    }
-}
-
 impl fmt::Display for NormItem {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -303,11 +240,7 @@ impl fmt::Display for NormQual {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             NormQual::Path(p) => write!(f, "{p}"),
-            NormQual::TextIs(s) => write!(f, "text() = \"{s}\""),
-            NormQual::ValIs(op, n) => write!(f, "val() {op} {n}"),
-            NormQual::HasAttr(a) => write!(f, "@{a}"),
-            NormQual::AttrIs(a, s) => write!(f, "@{a} = \"{s}\""),
-            NormQual::AttrCmp(a, op, n) => write!(f, "@{a} {op} {n}"),
+            NormQual::Atom(atom) => write!(f, "{atom}"),
             NormQual::Not(q) => write!(f, "not({q})"),
             NormQual::And(qs) => {
                 if qs.is_empty() {
@@ -350,7 +283,7 @@ impl fmt::Display for NormQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse;
+    use crate::{parse, CmpOp};
 
     fn norm(text: &str) -> NormQuery {
         normalize(&parse(text).unwrap())
@@ -374,7 +307,9 @@ mod tests {
         if let NormItem::Qualifier(NormQual::Path(p)) = &items[1] {
             assert_eq!(p.items.len(), 2);
             assert_eq!(p.items[0], NormItem::Label("country".into()));
-            assert!(matches!(&p.items[1], NormItem::Qualifier(NormQual::TextIs(s)) if s == "US"));
+            assert!(
+                matches!(&p.items[1], NormItem::Qualifier(NormQual::Atom(Atom::Text(s))) if s == "US")
+            );
         } else {
             panic!("expected a path qualifier, got {:?}", items[1]);
         }
@@ -407,7 +342,7 @@ mod tests {
         let n = norm("/sites/site/open_auctions//annotation");
         let kinds: Vec<String> = n.path.items.iter().map(|i| i.to_string()).collect();
         assert_eq!(kinds, vec!["sites", "site", "open_auctions", "//", "annotation"]);
-        assert!(!n.path.has_qualifier());
+        assert!(!n.path.items.iter().any(|i| matches!(i, NormItem::Qualifier(_))));
         assert!(n.absolute);
     }
 
@@ -425,7 +360,7 @@ mod tests {
             NormItem::Qualifier(NormQual::Path(p)) => {
                 assert_eq!(p.items.len(), 2);
                 assert!(
-                    matches!(&p.items[1], NormItem::Qualifier(NormQual::TextIs(s)) if s == "GOOG")
+                    matches!(&p.items[1], NormItem::Qualifier(NormQual::Atom(Atom::Text(s))) if s == "GOOG")
                 );
             }
             other => panic!("unexpected {other:?}"),
@@ -437,7 +372,7 @@ mod tests {
         let n = norm("person[profile/age > 20]");
         match &n.path.items[1] {
             NormItem::Qualifier(NormQual::Path(p)) => match p.items.last().unwrap() {
-                NormItem::Qualifier(NormQual::ValIs(op, num)) => {
+                NormItem::Qualifier(NormQual::Atom(Atom::Val(op, num))) => {
                     assert_eq!(*op, CmpOp::Gt);
                     assert_eq!(*num, 20.0);
                 }
@@ -499,7 +434,7 @@ mod tests {
     fn text_is_on_context_via_dot() {
         let n = norm("code[text() = 'GOOG']");
         match &n.path.items[1] {
-            NormItem::Qualifier(NormQual::TextIs(s)) => assert_eq!(s, "GOOG"),
+            NormItem::Qualifier(NormQual::Atom(Atom::Text(s))) => assert_eq!(s, "GOOG"),
             other => panic!("unexpected {other:?}"),
         }
     }

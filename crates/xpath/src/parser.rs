@@ -3,38 +3,73 @@
 //! Accepted concrete syntax (ASCII spellings of the paper's notation):
 //!
 //! ```text
-//! query      := ('/' | '//')? path
-//! path       := step (('/' | '//') step)*
-//! step       := ('.' | NAME | '*') ('[' qualifier ']')*
-//! qualifier  := or
-//! or         := and (('or' | '||' | '∨') and)*
+//! query      := path
+//! path       := ('/' | '//')? (step ('/' | '//'))* (step | ending)
+//! step       := axis? ('.' | NAME | '*') ('[' (position | qualifier) ']')*
+//! axis       := ('child' | 'descendant-or-self' | 'attribute') '::'
+//! ending     := ('@' | 'attribute::') NAME | 'text' '(' ')' | 'val' '(' ')'
+//! position   := NUMBER | 'last' '(' ')'
+//! qualifier  := and (('or' | '||' | '∨') and)*
 //! and        := unary (('and' | '&&' | '∧') unary)*
 //! unary      := ('not' | '!' | '¬') unary | '(' qualifier ')' | comparison
-//! comparison := qpath (CMP (STRING | NUMBER))?
-//! qpath      := ('/' | '//')? qstep (('/' | '//') qstep)*
-//! qstep      := step | 'text' '(' ')' | 'val' '(' ')'
+//! comparison := path (CMP (STRING | NUMBER))?
 //! ```
 //!
+//! One `path` production reads both the selection path and every qualifier
+//! path. A leading `/` or `//` makes the query absolute; inside a qualifier
+//! `/p` and `p` both start at the context node's children. The endings are
+//! the atomic tests of [`Atom`]: `text()` and `val()` end qualifier paths
+//! only and must be compared, while the selection path may end in `@a`
+//! (not after `//`), which reads as the qualifier `[@a]` on its last step.
 //! The shorthands `path = "str"` and `path > 20` used by the paper's
-//! experiment queries (Fig. 7) are accepted as sugar for
-//! `path/text() = "str"` and `path/val() > 20`.
+//! experiment queries (Fig. 7) are sugar for `path/text() = "str"` and
+//! `path/val() > 20`.
+//!
+//! Two bounds keep every recursion over a query shallow: at most
+//! [`MAX_QUERY_DEPTH`] nested `[`, `(` and `not`, and at most
+//! [`MAX_QUERY_SIZE`] tokens (`|Q|`). Past either, [`parse`] fails with
+//! [`XPathError::QueryTooLarge`].
 
-use crate::ast::{CmpOp, PathExpr, PosPred, Qualifier, Query};
+use crate::ast::{Atom, CmpOp, PathExpr, PosPred, Qualifier, Query};
 use crate::error::{XPathError, XPathResult};
 use crate::lexer::{tokenize, Token, TokenKind};
+
+/// The deepest nesting of `[`, `(` and `not` a query may have.
+pub const MAX_QUERY_DEPTH: usize = 64;
+
+/// The most tokens a query may have: its size `|Q|`.
+pub const MAX_QUERY_SIZE: usize = 1024;
 
 /// Parse a query from its concrete syntax.
 pub fn parse(input: &str) -> XPathResult<Query> {
     let tokens = tokenize(input)?;
-    let mut parser = ParserState { tokens, pos: 0 };
-    let query = parser.parse_query()?;
-    parser.expect_eof()?;
-    Ok(query)
+    // `tokens` ends with `Eof`; a real token at index MAX_QUERY_SIZE is one
+    // past the bound.
+    if let Some(past) = tokens.get(MAX_QUERY_SIZE).filter(|t| t.kind != TokenKind::Eof) {
+        return Err(XPathError::QueryTooLarge { offset: past.offset });
+    }
+    let mut parser = ParserState { tokens, pos: 0, depth: 0 };
+    if parser.eat(&TokenKind::Eof) {
+        return Err(XPathError::EmptyQuery);
+    }
+    let absolute = matches!(parser.peek(), TokenKind::Slash | TokenKind::DoubleSlash);
+    let (path, _) = parser.parse_path(false)?;
+    parser.expect(&TokenKind::Eof, "end of query")?;
+    Ok(Query { absolute, path })
 }
 
 struct ParserState {
     tokens: Vec<Token>,
     pos: usize,
+    /// The `[`, `(` and `not` the parser is inside of.
+    depth: usize,
+}
+
+/// The test that ends a qualifier path.
+enum Ending {
+    Text,
+    Val,
+    Attr(String),
 }
 
 impl ParserState {
@@ -63,6 +98,15 @@ impl ParserState {
         }
     }
 
+    /// Consume `kind`, or fail saying what was expected.
+    fn expect(&mut self, kind: &TokenKind, expected: &str) -> XPathResult<()> {
+        if self.eat(kind) {
+            Ok(())
+        } else {
+            Err(self.unexpected(expected))
+        }
+    }
+
     fn unexpected(&self, expected: &str) -> XPathError {
         XPathError::UnexpectedToken {
             offset: self.peek_offset(),
@@ -71,132 +115,119 @@ impl ParserState {
         }
     }
 
-    fn expect_eof(&self) -> XPathResult<()> {
-        if matches!(self.peek(), TokenKind::Eof) {
-            Ok(())
+    /// Enter one more `[`, `(` or `not`, the one at `offset`; [`Self::leave`]
+    /// closes it.
+    fn enter(&mut self, offset: usize) -> XPathResult<()> {
+        self.depth += 1;
+        if self.depth > MAX_QUERY_DEPTH {
+            return Err(XPathError::QueryTooLarge { offset });
+        }
+        Ok(())
+    }
+
+    fn leave(&mut self) {
+        self.depth -= 1;
+    }
+
+    fn lookahead_is_call(&self) -> bool {
+        matches!(self.tokens.get(self.pos + 1).map(|t| &t.kind), Some(TokenKind::LParen))
+    }
+
+    /// Read a path: the selection path (`in_qualifier` false) or a qualifier
+    /// path, whose trailing `text()` / `val()` / `@a` test comes back beside
+    /// the path that leads to it. The selection path's `@a` ending becomes
+    /// the qualifier `[@a]` on its last step — `person/@id` parses as
+    /// `person[@id]` — so the selection stays node-valued.
+    fn parse_path(&mut self, in_qualifier: bool) -> XPathResult<(PathExpr, Option<Ending>)> {
+        let mut descendant = if self.eat(&TokenKind::DoubleSlash) {
+            true
         } else {
-            Err(self.unexpected("end of query"))
-        }
-    }
-
-    fn parse_query(&mut self) -> XPathResult<Query> {
-        let (absolute, leading_descendant) = match self.peek() {
-            TokenKind::Slash => {
-                self.bump();
-                (true, false)
-            }
-            TokenKind::DoubleSlash => {
-                self.bump();
-                (true, true)
-            }
-            TokenKind::Eof => return Err(XPathError::EmptyQuery),
-            _ => (false, false),
+            let _ = self.eat(&TokenKind::Slash);
+            false
         };
-        let path = self.parse_path(leading_descendant, /*in_qualifier=*/ false)?;
-        Ok(Query { absolute, path })
-    }
-
-    /// Consume an explicit `axis::` prefix if the next tokens are a name
-    /// followed by `::`. Only `child`, `descendant-or-self` and `attribute`
-    /// are supported; anything else is a hard error.
-    fn parse_axis_prefix(&mut self) -> XPathResult<Option<AxisKind>> {
-        let TokenKind::Name(name) = self.peek().clone() else { return Ok(None) };
-        if !matches!(self.tokens.get(self.pos + 1).map(|t| &t.kind), Some(TokenKind::DoubleColon)) {
-            return Ok(None);
-        }
-        let offset = self.peek_offset();
-        self.bump(); // the axis name
-        self.bump(); // `::`
-        match name.as_str() {
-            "child" => Ok(Some(AxisKind::Child)),
-            "descendant-or-self" => Ok(Some(AxisKind::Descendant)),
-            "attribute" => Ok(Some(AxisKind::Attribute)),
-            _ => Err(XPathError::UnknownAxis { offset, axis: name }),
-        }
-    }
-
-    /// The name after an `@` / `attribute::`.
-    fn parse_attribute_name(&mut self, at_offset: usize) -> XPathResult<String> {
-        match self.peek().clone() {
-            TokenKind::Name(n) => {
-                self.bump();
-                Ok(n)
-            }
-            _ => Err(XPathError::ExpectedAttributeName { offset: at_offset }),
-        }
-    }
-
-    /// Parse a `/`-separated sequence of steps. `leading_descendant` is true
-    /// when the caller already consumed a leading `//`.
-    ///
-    /// A final attribute step `…/@attr` (or `…/attribute::attr`) desugars to
-    /// an attribute-existence qualifier on the preceding path — `person/@id`
-    /// parses as `person[@id]` — so the selection semantics stay node-valued.
-    /// An attribute step anywhere but last, or after `//`, is an error.
-    fn parse_path(
-        &mut self,
-        leading_descendant: bool,
-        in_qualifier: bool,
-    ) -> XPathResult<PathExpr> {
         let mut acc: Option<PathExpr> = None;
-        let mut pending = if leading_descendant { Axis::Descendant } else { Axis::Child };
         loop {
-            // An explicit `axis::` prefix on this step?
-            let mut attr_axis = false;
-            if let Some(kind) = self.parse_axis_prefix()? {
-                match kind {
-                    AxisKind::Child => {}
-                    AxisKind::Descendant => pending = Axis::Descendant,
-                    AxisKind::Attribute => attr_axis = true,
-                }
-            }
-            if attr_axis || matches!(self.peek(), TokenKind::At) {
-                let at_offset = self.peek_offset();
-                if !attr_axis {
-                    self.bump(); // `@`
-                }
-                if pending == Axis::Descendant {
+            let attribute_axis = self.parse_axis_prefix(&mut descendant)?;
+            let offset = self.peek_offset();
+            if attribute_axis || self.eat(&TokenKind::At) {
+                if !in_qualifier && descendant {
                     return Err(XPathError::UnexpectedToken {
-                        offset: at_offset,
+                        offset,
                         found: "an attribute step after '//'".to_string(),
                         expected: "a child-axis attribute step ('/@attr')".to_string(),
                     });
                 }
-                let name = self.parse_attribute_name(at_offset)?;
-                let prefix = acc.unwrap_or(PathExpr::Empty);
-                let step = prefix.qualified(Qualifier::HasAttr(PathExpr::Empty, name));
+                let TokenKind::Name(name) = self.peek().clone() else {
+                    return Err(XPathError::ExpectedAttributeName { offset });
+                };
+                self.bump();
+                if in_qualifier {
+                    return Ok((ending_path(acc, descendant, true), Some(Ending::Attr(name))));
+                }
                 if matches!(
                     self.peek(),
                     TokenKind::Slash | TokenKind::DoubleSlash | TokenKind::LBracket
                 ) {
                     return Err(XPathError::AttributeStepNotLast { offset: self.peek_offset() });
                 }
-                return Ok(step);
+                let prefix = acc.unwrap_or(PathExpr::Empty);
+                return Ok((
+                    prefix.qualified(Qualifier::Test(PathExpr::Empty, Atom::Attr(name))),
+                    None,
+                ));
             }
-            let step = self.parse_step(in_qualifier)?;
-            acc = Some(match acc {
-                None => match pending {
-                    Axis::Child => step,
-                    Axis::Descendant => {
-                        PathExpr::Descendant(Box::new(PathExpr::Empty), Box::new(step))
+            if let TokenKind::Name(name) = self.peek() {
+                let ending = match name.as_str() {
+                    "text" => Some(Ending::Text),
+                    "val" => Some(Ending::Val),
+                    _ => None,
+                };
+                if let Some(ending) = ending.filter(|_| self.lookahead_is_call()) {
+                    if !in_qualifier {
+                        return Err(XPathError::TestOutsideQualifier { offset });
                     }
-                },
-                Some(prev) => match pending {
-                    Axis::Child => PathExpr::Child(Box::new(prev), Box::new(step)),
-                    Axis::Descendant => PathExpr::Descendant(Box::new(prev), Box::new(step)),
-                },
-            });
-            match self.peek() {
-                TokenKind::Slash => {
-                    self.bump();
-                    pending = Axis::Child;
+                    self.bump(); // name
+                    self.bump(); // (
+                    self.expect(&TokenKind::RParen, "')' after text(/val(")?;
+                    return Ok((ending_path(acc, descendant, false), Some(ending)));
                 }
-                TokenKind::DoubleSlash => {
-                    self.bump();
-                    pending = Axis::Descendant;
-                }
-                _ => return Ok(acc.expect("at least one step was parsed")),
             }
+            let step = self.parse_step()?;
+            acc = Some(match (acc, descendant) {
+                (None, false) => step,
+                (None, true) => PathExpr::Empty.descendant(step),
+                (Some(prev), false) => prev.child(step),
+                (Some(prev), true) => prev.descendant(step),
+            });
+            descendant = match self.peek() {
+                TokenKind::Slash => false,
+                TokenKind::DoubleSlash => true,
+                _ => return Ok((acc.expect("a step was read"), None)),
+            };
+            self.bump();
+        }
+    }
+
+    /// Consume an explicit `axis::` prefix if the next tokens are a name
+    /// followed by `::`: `descendant-or-self::` sets `descendant`, and the
+    /// result says whether it was `attribute::`. Only these two and `child`
+    /// exist; anything else is a hard error.
+    fn parse_axis_prefix(&mut self, descendant: &mut bool) -> XPathResult<bool> {
+        let TokenKind::Name(name) = self.peek().clone() else { return Ok(false) };
+        if !matches!(self.tokens.get(self.pos + 1).map(|t| &t.kind), Some(TokenKind::DoubleColon)) {
+            return Ok(false);
+        }
+        let offset = self.peek_offset();
+        self.bump(); // the axis name
+        self.bump(); // `::`
+        match name.as_str() {
+            "child" => Ok(false),
+            "descendant-or-self" => {
+                *descendant = true;
+                Ok(false)
+            }
+            "attribute" => Ok(true),
+            _ => Err(XPathError::UnknownAxis { offset, axis: name }),
         }
     }
 
@@ -216,9 +247,7 @@ impl ParserState {
             TokenKind::Name(name) if name == "last" && self.lookahead_is_call() => {
                 self.bump(); // last
                 self.bump(); // (
-                if !self.eat(&TokenKind::RParen) {
-                    return Err(self.unexpected("')' after last("));
-                }
+                self.expect(&TokenKind::RParen, "')' after last(")?;
                 Ok(Some(PosPred::Last))
             }
             _ => Ok(None),
@@ -227,299 +256,147 @@ impl ParserState {
 
     /// A single step: `.`, a name, or `*`, optionally followed by predicates
     /// (qualifiers or positional predicates).
-    fn parse_step(&mut self, in_qualifier: bool) -> XPathResult<PathExpr> {
+    fn parse_step(&mut self) -> XPathResult<PathExpr> {
         let offset = self.peek_offset();
-        let base = match self.bump() {
+        let mut acc = match self.bump() {
             TokenKind::Dot => PathExpr::Empty,
             TokenKind::Star => PathExpr::Wildcard,
-            TokenKind::Name(name) => {
-                if !in_qualifier
-                    && (name == "text" || name == "val")
-                    && matches!(self.peek(), TokenKind::LParen)
-                {
-                    return Err(XPathError::TestOutsideQualifier { offset });
-                }
-                PathExpr::Label(name)
-            }
-            _ => {
-                // We consumed a token we should not have; report at its offset.
+            TokenKind::Name(name) => PathExpr::Label(name),
+            other => {
                 return Err(XPathError::UnexpectedToken {
                     offset,
-                    found: format!("{:?}", self.tokens[self.pos.saturating_sub(1)].kind),
+                    found: format!("{other:?}"),
                     expected: "a step (name, '*' or '.')".to_string(),
                 });
             }
         };
-        let base_is_step = matches!(base, PathExpr::Label(_) | PathExpr::Wildcard);
-        let mut acc = base;
+        let base_is_step = acc != PathExpr::Empty;
         while matches!(self.peek(), TokenKind::LBracket) {
+            self.enter(self.peek_offset())?;
             self.bump();
-            if let Some(pred) = self.try_parse_position()? {
+            let predicate = if let Some(pred) = self.try_parse_position()? {
                 if !base_is_step {
                     return Err(XPathError::PositionWithoutStep);
                 }
-                if !self.eat(&TokenKind::RBracket) {
-                    return Err(self.unexpected("']' closing the position"));
-                }
-                acc = PathExpr::Qualified(Box::new(acc), Box::new(Qualifier::Position(pred)));
-                continue;
-            }
-            let q = self.parse_qualifier()?;
-            if !self.eat(&TokenKind::RBracket) {
-                return Err(self.unexpected("']' closing the qualifier"));
-            }
-            acc = PathExpr::Qualified(Box::new(acc), Box::new(q));
+                self.expect(&TokenKind::RBracket, "']' closing the position")?;
+                Qualifier::Position(pred)
+            } else {
+                let q = self.parse_qualifier()?;
+                self.expect(&TokenKind::RBracket, "']' closing the qualifier")?;
+                q
+            };
+            self.leave();
+            acc = acc.qualified(predicate);
         }
         Ok(acc)
     }
 
     fn parse_qualifier(&mut self) -> XPathResult<Qualifier> {
-        self.parse_or()
-    }
-
-    fn parse_or(&mut self) -> XPathResult<Qualifier> {
         let mut left = self.parse_and()?;
-        while matches!(self.peek(), TokenKind::Or) {
-            self.bump();
-            let right = self.parse_and()?;
-            left = Qualifier::Or(Box::new(left), Box::new(right));
+        while self.eat(&TokenKind::Or) {
+            left = left.or(self.parse_and()?);
         }
         Ok(left)
     }
 
     fn parse_and(&mut self) -> XPathResult<Qualifier> {
         let mut left = self.parse_unary()?;
-        while matches!(self.peek(), TokenKind::And) {
-            self.bump();
-            let right = self.parse_unary()?;
-            left = Qualifier::And(Box::new(left), Box::new(right));
+        while self.eat(&TokenKind::And) {
+            left = left.and(self.parse_unary()?);
         }
         Ok(left)
     }
 
     fn parse_unary(&mut self) -> XPathResult<Qualifier> {
-        match self.peek() {
+        let offset = self.peek_offset();
+        let q = match self.peek() {
             TokenKind::Not => {
+                self.enter(offset)?;
                 self.bump();
                 // `not(...)` or prefix `!q` / `¬q`.
-                if matches!(self.peek(), TokenKind::LParen) {
-                    self.bump();
+                if self.eat(&TokenKind::LParen) {
                     let inner = self.parse_qualifier()?;
-                    if !self.eat(&TokenKind::RParen) {
-                        return Err(self.unexpected("')' closing not(...)"));
-                    }
-                    Ok(Qualifier::Not(Box::new(inner)))
+                    self.expect(&TokenKind::RParen, "')' closing not(...)")?;
+                    inner.negate()
                 } else {
-                    let inner = self.parse_unary()?;
-                    Ok(Qualifier::Not(Box::new(inner)))
+                    self.parse_unary()?.negate()
                 }
             }
             TokenKind::LParen => {
+                self.enter(offset)?;
                 self.bump();
                 let inner = self.parse_qualifier()?;
-                if !self.eat(&TokenKind::RParen) {
-                    return Err(self.unexpected("')'"));
-                }
-                Ok(inner)
+                self.expect(&TokenKind::RParen, "')'")?;
+                inner
             }
-            _ => self.parse_comparison(),
-        }
+            _ => return self.parse_comparison(),
+        };
+        self.leave();
+        Ok(q)
     }
 
     /// A qualifier path, optionally compared against a string or a number.
     ///
-    /// `text() op num` (a numeric comparison against a text node) desugars
-    /// onto the `val()` machinery: `[price/text() > 20]` parses as
-    /// `[price/val() > 20]`. String comparisons stay exact-match.
+    /// A comparison without an ending compares the path's text: `[p = "s"]`
+    /// is `[p/text() = "s"]`, and `text() op num` (like `p op num`) desugars
+    /// onto `val()`: `[price/text() > 20]` parses as `[price/val() > 20]`.
+    /// String comparisons stay exact-match; `!=` negates `=`.
     fn parse_comparison(&mut self) -> XPathResult<Qualifier> {
-        let (path, test) = self.parse_qualifier_path()?;
-        match self.peek().clone() {
-            TokenKind::Cmp(op) => {
-                self.bump();
-                match self.bump() {
-                    TokenKind::Str(s) => match &test {
-                        Some(TrailingTest::Val) => Err(XPathError::UnexpectedToken {
-                            offset: self.peek_offset(),
-                            found: "a string literal after val()".to_string(),
-                            expected: "a number".to_string(),
-                        }),
-                        Some(TrailingTest::Attr(name)) => {
-                            let base = Qualifier::AttrEquals(path, name.clone(), s);
-                            match op {
-                                CmpOp::Eq => Ok(base),
-                                CmpOp::Ne => Ok(Qualifier::Not(Box::new(base))),
-                                _ => Err(XPathError::UnexpectedToken {
-                                    offset: self.peek_offset(),
-                                    found: "an ordering comparison against a string".to_string(),
-                                    expected: "'=' or '!=' for attribute comparisons".to_string(),
-                                }),
-                            }
-                        }
-                        _ => {
-                            let base = Qualifier::TextEquals(path, s);
-                            match op {
-                                CmpOp::Eq => Ok(base),
-                                CmpOp::Ne => Ok(Qualifier::Not(Box::new(base))),
-                                _ => Err(XPathError::UnexpectedToken {
-                                    offset: self.peek_offset(),
-                                    found: "an ordering comparison against a string".to_string(),
-                                    expected: "'=' or '!=' for text() comparisons".to_string(),
-                                }),
-                            }
-                        }
-                    },
-                    TokenKind::Number(n) => match &test {
-                        Some(TrailingTest::Attr(name)) => {
-                            Ok(Qualifier::AttrCompare(path, name.clone(), op, n))
-                        }
-                        _ => Ok(Qualifier::ValCompare(path, op, n)),
-                    },
-                    other => Err(XPathError::UnexpectedToken {
-                        offset: self.peek_offset(),
-                        found: format!("{other:?}"),
-                        expected: "a string or numeric literal".to_string(),
-                    }),
-                }
-            }
-            _ => match test {
+        let (path, ending) = self.parse_path(true)?;
+        let TokenKind::Cmp(op) = *self.peek() else {
+            return match ending {
                 None => Ok(Qualifier::Path(path)),
-                Some(TrailingTest::Attr(name)) => Ok(Qualifier::HasAttr(path, name)),
+                Some(Ending::Attr(name)) => Ok(Qualifier::Test(path, Atom::Attr(name))),
                 Some(_) => Err(self.unexpected("a comparison after text()/val()")),
-            },
-        }
-    }
-
-    /// Parse the path part of a qualifier, detecting a trailing `text()` or
-    /// `val()` test. Returns the path *without* the trailing test step.
-    fn parse_qualifier_path(&mut self) -> XPathResult<(PathExpr, Option<TrailingTest>)> {
-        // Optional leading axis. Inside qualifiers both `/p` and `p` mean a
-        // path starting at the children of the context node (the paper's
-        // experiment queries write `[/profile/age > 20]`); a leading `//`
-        // starts at any descendant.
-        let leading_descendant = if self.eat(&TokenKind::DoubleSlash) {
-            true
-        } else {
-            let _ = self.eat(&TokenKind::Slash);
-            false
+            };
         };
-
-        let mut acc: Option<PathExpr> = None;
-        let mut pending_axis = if leading_descendant { Axis::Descendant } else { Axis::Child };
-        loop {
-            // An explicit `axis::` prefix on this step?
-            let mut attr_axis = false;
-            if let Some(kind) = self.parse_axis_prefix()? {
-                match kind {
-                    AxisKind::Child => {}
-                    AxisKind::Descendant => pending_axis = Axis::Descendant,
-                    AxisKind::Attribute => attr_axis = true,
-                }
+        self.bump();
+        let (atom, compared) = match (self.bump(), ending) {
+            (TokenKind::Str(_), Some(Ending::Val)) => {
+                return Err(XPathError::UnexpectedToken {
+                    offset: self.peek_offset(),
+                    found: "a string literal after val()".to_string(),
+                    expected: "a number".to_string(),
+                })
             }
-
-            // A trailing attribute test? `[a/@id …]`, `[@id …]`, `[a//@id …]`
-            // (the latter descends like `//text()` does: any strict element
-            // descendant of the prefix carrying the attribute).
-            if attr_axis || matches!(self.peek(), TokenKind::At) {
-                let at_offset = self.peek_offset();
-                if !attr_axis {
-                    self.bump(); // `@`
-                }
-                let name = self.parse_attribute_name(at_offset)?;
-                let path = match (acc, pending_axis) {
-                    (None, Axis::Child) => PathExpr::Empty,
-                    (None, Axis::Descendant) => PathExpr::Descendant(
-                        Box::new(PathExpr::Empty),
-                        Box::new(PathExpr::Wildcard),
-                    ),
-                    (Some(p), Axis::Child) => p,
-                    (Some(p), Axis::Descendant) => {
-                        PathExpr::Descendant(Box::new(p), Box::new(PathExpr::Wildcard))
-                    }
-                };
-                return Ok((path, Some(TrailingTest::Attr(name))));
+            (TokenKind::Str(s), Some(Ending::Attr(name))) => (Atom::AttrText(name, s), "attribute"),
+            (TokenKind::Str(s), _) => (Atom::Text(s), "text()"),
+            (TokenKind::Number(n), Some(Ending::Attr(name))) => {
+                return Ok(Qualifier::Test(path, Atom::AttrVal(name, op, n)))
             }
-
-            // A trailing test?
-            if let TokenKind::Name(name) = self.peek().clone() {
-                if (name == "text" || name == "val") && self.lookahead_is_call() {
-                    self.bump(); // name
-                    self.bump(); // (
-                    if !self.eat(&TokenKind::RParen) {
-                        return Err(self.unexpected("')' after text(/val("));
-                    }
-                    let path = acc.unwrap_or(PathExpr::Empty);
-                    let path = if pending_axis == Axis::Descendant && acc_is_none_marker(&path) {
-                        // `[//text() = "x"]` — descend to any text node.
-                        PathExpr::Descendant(
-                            Box::new(PathExpr::Empty),
-                            Box::new(PathExpr::Wildcard),
-                        )
-                    } else {
-                        path
-                    };
-                    let test = if name == "text" { TrailingTest::Text } else { TrailingTest::Val };
-                    return Ok((path, Some(test)));
-                }
+            (TokenKind::Number(n), _) => return Ok(Qualifier::Test(path, Atom::Val(op, n))),
+            (other, _) => {
+                return Err(XPathError::UnexpectedToken {
+                    offset: self.peek_offset(),
+                    found: format!("{other:?}"),
+                    expected: "a string or numeric literal".to_string(),
+                })
             }
-
-            let step = self.parse_step(/*in_qualifier=*/ true)?;
-            acc = Some(match acc {
-                None => {
-                    if pending_axis == Axis::Descendant {
-                        PathExpr::Descendant(Box::new(PathExpr::Empty), Box::new(step))
-                    } else {
-                        step
-                    }
-                }
-                Some(prev) => match pending_axis {
-                    Axis::Child => PathExpr::Child(Box::new(prev), Box::new(step)),
-                    Axis::Descendant => PathExpr::Descendant(Box::new(prev), Box::new(step)),
-                },
-            });
-
-            match self.peek() {
-                TokenKind::Slash => {
-                    self.bump();
-                    pending_axis = Axis::Child;
-                }
-                TokenKind::DoubleSlash => {
-                    self.bump();
-                    pending_axis = Axis::Descendant;
-                }
-                _ => return Ok((acc.unwrap_or(PathExpr::Empty), None)),
-            }
+        };
+        let test = Qualifier::Test(path, atom);
+        match op {
+            CmpOp::Eq => Ok(test),
+            CmpOp::Ne => Ok(test.negate()),
+            _ => Err(XPathError::UnexpectedToken {
+                offset: self.peek_offset(),
+                found: "an ordering comparison against a string".to_string(),
+                expected: format!("'=' or '!=' for {compared} comparisons"),
+            }),
         }
     }
+}
 
-    fn lookahead_is_call(&self) -> bool {
-        matches!(self.tokens.get(self.pos + 1).map(|t| &t.kind), Some(TokenKind::LParen))
+/// The path a qualifier path's ending applies to. After `//` the ending
+/// descends to any element below: `[//@a]`, `[p//@a]` and `[//text() = s]`.
+/// After a step, `text()` and `val()` drop the `//` — `[p//text() = s]`
+/// tests `p`'s own text children.
+fn ending_path(acc: Option<PathExpr>, descendant: bool, attribute: bool) -> PathExpr {
+    let path = acc.unwrap_or(PathExpr::Empty);
+    if descendant && (attribute || path == PathExpr::Empty) {
+        path.descendant(PathExpr::Wildcard)
+    } else {
+        path
     }
-}
-
-#[derive(PartialEq, Clone, Copy)]
-enum Axis {
-    Child,
-    Descendant,
-}
-
-/// An explicit `axis::` prefix.
-#[derive(PartialEq, Clone, Copy)]
-enum AxisKind {
-    Child,
-    Descendant,
-    Attribute,
-}
-
-/// Trailing `text()` / `val()` / `@attr` marker inside a qualifier path.
-#[derive(Debug, Clone, PartialEq)]
-enum TrailingTest {
-    Text,
-    Val,
-    Attr(String),
-}
-
-fn acc_is_none_marker(path: &PathExpr) -> bool {
-    matches!(path, PathExpr::Empty)
 }
 
 #[cfg(test)]
@@ -530,8 +407,8 @@ mod tests {
     fn parses_paper_query_q1() {
         let q = parse("/sites/site/people/person").unwrap();
         assert!(q.absolute);
-        assert!(!q.has_qualifier());
-        assert!(!q.has_descendant_axis());
+        assert!(!q.to_string().contains('['));
+        assert!(!q.to_string().contains("//"));
         assert_eq!(q.to_string(), "/sites/site/people/person");
     }
 
@@ -539,8 +416,8 @@ mod tests {
     fn parses_paper_query_q2_with_descendant() {
         let q = parse("/sites/site/open_auctions//annotation").unwrap();
         assert!(q.absolute);
-        assert!(q.has_descendant_axis());
-        assert!(!q.has_qualifier());
+        assert!(q.to_string().contains("//"));
+        assert!(!q.to_string().contains('['));
     }
 
     #[test]
@@ -549,8 +426,8 @@ mod tests {
             "/sites/site/people/person[profile/age > 20 and address/country=\"US\"]/creditcard",
         )
         .unwrap();
-        assert!(q.has_qualifier());
-        assert!(!q.has_descendant_axis());
+        assert!(q.to_string().contains('['));
+        assert!(!q.to_string().contains("//"));
         // The qualifier sits on `person`, the selection continues to creditcard.
         match &q.path {
             PathExpr::Child(prefix, last) => {
@@ -575,8 +452,8 @@ mod tests {
             "/sites//people/person[/profile/age > 20 and /address/country=\"US\"]/creditcard",
         )
         .unwrap();
-        assert!(q.has_qualifier());
-        assert!(q.has_descendant_axis());
+        assert!(q.to_string().contains('['));
+        assert!(q.to_string().contains("//"));
     }
 
     #[test]
@@ -588,7 +465,7 @@ mod tests {
         )
         .unwrap();
         assert!(q.absolute);
-        assert!(q.has_qualifier());
+        assert!(q.to_string().contains('['));
         let rendered = q.to_string();
         assert!(rendered.starts_with("//broker["));
         assert!(rendered.contains("not("));
@@ -609,7 +486,7 @@ mod tests {
             parse("client[country/text() = \"US\"]/broker[market/name/text() = \"NASDAQ\"]/name")
                 .unwrap();
         assert!(!q.absolute);
-        assert!(q.has_qualifier());
+        assert!(q.to_string().contains('['));
         assert_eq!(
             q.to_string(),
             "client[country/text() = \"US\"]/broker[market/name/text() = \"NASDAQ\"]/name"
@@ -621,14 +498,14 @@ mod tests {
         let q = parse("person[address/country=\"US\"]").unwrap();
         match &q.path {
             PathExpr::Qualified(_, qual) => {
-                assert!(matches!(**qual, Qualifier::TextEquals(_, _)));
+                assert!(matches!(**qual, Qualifier::Test(_, Atom::Text(_))));
             }
             other => panic!("unexpected {other:?}"),
         }
         let q = parse("person[profile/age >= 21]").unwrap();
         match &q.path {
             PathExpr::Qualified(_, qual) => match &**qual {
-                Qualifier::ValCompare(_, op, n) => {
+                Qualifier::Test(_, Atom::Val(op, n)) => {
                     assert_eq!(*op, CmpOp::Ge);
                     assert_eq!(*n, 21.0);
                 }
@@ -641,11 +518,11 @@ mod tests {
     #[test]
     fn explicit_val_test() {
         let q = parse("stock[buy/val() < 100]").unwrap();
-        assert!(q.has_qualifier());
+        assert!(q.to_string().contains('['));
         let q = parse("stock[buy/val() != 80]").unwrap();
         match &q.path {
             PathExpr::Qualified(_, qual) => {
-                assert!(matches!(**qual, Qualifier::ValCompare(_, CmpOp::Ne, _)));
+                assert!(matches!(**qual, Qualifier::Test(_, Atom::Val(CmpOp::Ne, _))));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -663,10 +540,10 @@ mod tests {
     #[test]
     fn nested_predicates_and_wildcards() {
         let q = parse("*/client[broker[market/name/text()='TSE']]/name").unwrap();
-        assert!(q.has_qualifier());
+        assert!(q.to_string().contains('['));
         let q = parse("//*[qt > 50]").unwrap();
-        assert!(q.has_qualifier());
-        assert!(q.has_descendant_axis());
+        assert!(q.to_string().contains('['));
+        assert!(q.to_string().contains("//"));
     }
 
     #[test]
@@ -723,7 +600,7 @@ mod tests {
         let q = parse("code[text()='GOOG']").unwrap();
         match &q.path {
             PathExpr::Qualified(_, qual) => match &**qual {
-                Qualifier::TextEquals(p, s) => {
+                Qualifier::Test(p, Atom::Text(s)) => {
                     assert_eq!(*p, PathExpr::Empty);
                     assert_eq!(s, "GOOG");
                 }

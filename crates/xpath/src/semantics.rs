@@ -7,7 +7,7 @@
 //! PaX2) can be checked against an independent implementation in unit,
 //! integration and property-based tests.
 
-use crate::ast::{CmpOp, PosPred};
+use crate::ast::{Atom, CmpOp, PosPred};
 use crate::compile::{PosFilter, PosTest};
 use crate::error::XPathResult;
 use crate::normalize::{normalize, NormItem, NormPath, NormQual, NormQuery};
@@ -137,27 +137,24 @@ fn eval_qual(tree: &XmlTree, q: &NormQual, ctx: Ctx) -> bool {
         NormQual::Path(p) => {
             !eval_items(tree, &p.items, &std::iter::once(ctx).collect()).is_empty()
         }
-        NormQual::TextIs(s) => match ctx {
-            None => false,
-            Some(v) => tree.children(v).any(|c| tree.text_value(c) == Some(s.as_str())),
-        },
-        NormQual::ValIs(op, n) => match ctx {
-            None => false,
-            Some(v) => tree
-                .children(v)
-                .any(|c| tree.text_value(c).map(|t| numeric_matches(t, *op, *n)).unwrap_or(false)),
-        },
-        NormQual::HasAttr(a) => matches!(ctx, Some(v) if tree.attribute(v, a).is_some()),
-        NormQual::AttrIs(a, s) => {
-            matches!(ctx, Some(v) if tree.attribute(v, a) == Some(s.as_str()))
-        }
-        NormQual::AttrCmp(a, op, n) => match ctx {
-            None => false,
-            Some(v) => tree.attribute(v, a).map(|t| numeric_matches(t, *op, *n)).unwrap_or(false),
-        },
+        NormQual::Atom(atom) => ctx.is_some_and(|v| atom_holds(tree, atom, v)),
         NormQual::Not(inner) => !eval_qual(tree, inner, ctx),
         NormQual::And(parts) => parts.iter().all(|p| eval_qual(tree, p, ctx)),
         NormQual::Or(parts) => parts.iter().any(|p| eval_qual(tree, p, ctx)),
+    }
+}
+
+/// Does the atomic test hold at `v`? Text tests read `v`'s text children.
+fn atom_holds(tree: &XmlTree, atom: &Atom, v: NodeId) -> bool {
+    let mut texts = tree.children(v).filter_map(|c| tree.text_value(c));
+    match atom {
+        Atom::Text(s) => texts.any(|t| t == s),
+        Atom::Val(op, n) => texts.any(|t| numeric_matches(t, *op, *n)),
+        Atom::Attr(a) => tree.attribute(v, a).is_some(),
+        Atom::AttrText(a, s) => tree.attribute(v, a) == Some(s.as_str()),
+        Atom::AttrVal(a, op, n) => {
+            tree.attribute(v, a).is_some_and(|t| numeric_matches(t, *op, *n))
+        }
     }
 }
 

@@ -155,10 +155,14 @@ fn malformed_input_yields_clean_errors() {
     let (_, stderr, ok) = run(&["frobnicate"]);
     assert!(!ok);
     assert!(stderr.contains("unknown command"));
-    // Unparsable query.
-    let (_, stderr, ok) = run(&["query", doc.path().to_str().unwrap(), "a[["]);
-    assert!(!ok);
-    assert!(stderr.contains("error"));
+    // Unparsable query, and one nested past the parser's bound: a clean
+    // error, not an abort.
+    let deep = format!("a[{}a{}]", "(".repeat(20_000), ")".repeat(20_000));
+    for query in ["a[[", deep.as_str()] {
+        let (_, stderr, ok) = run(&["query", doc.path().to_str().unwrap(), query]);
+        assert!(!ok);
+        assert!(stderr.starts_with("error: "), "{stderr}");
+    }
     // Missing file.
     let (_, stderr, ok) = run(&["query", "/nonexistent/file.xml", "a"]);
     assert!(!ok);
