@@ -132,12 +132,15 @@ struct RefreshOutcome {
 /// cache entries sit behind [`Arc`]s, so cloning a session for the next
 /// epoch shares every clean fragment's vectors by reference and only the
 /// entries an update actually touches are deep-copied (via
-/// [`Arc::make_mut`]). The compiled query and the topology are shared
-/// `Arc`s too: the prepared query's and the epoch's.
+/// [`Arc::make_mut`]). The compiled query, its text and the topology are
+/// shared `Arc`s too: the prepared query's and the epoch's. So is the merged
+/// answer list, which a refresh replaces only when some fragment's answers
+/// changed: a warm execution hands it out by reference count, and a session
+/// carried into the next epoch keeps sharing it.
 #[derive(Clone)]
 pub(crate) struct QuerySession {
     pub(crate) query: Arc<CompiledQuery>,
-    query_text: String,
+    query_text: Arc<str>,
     plan: QueryPlan,
     /// The topology whose fragment tree the session's walks run over.
     topology: Arc<Topology>,
@@ -148,7 +151,7 @@ pub(crate) struct QuerySession {
     /// The cached truth values of every `Qual`/`Sel` variable, packed as
     /// per-fragment bitsets.
     assignment: DenseAssignment,
-    answers: Vec<AnswerItem>,
+    answers: Arc<[AnswerItem]>,
     /// Has the initial snapshot round run yet?
     pub(crate) initialized: bool,
 }
@@ -159,30 +162,30 @@ impl QuerySession {
     /// the cold snapshot.
     pub(crate) fn new(
         query: Arc<CompiledQuery>,
-        query_text: &str,
+        query_text: Arc<str>,
         topology: &Arc<Topology>,
     ) -> QuerySession {
         let plan = QueryPlan::new(&query, topology);
         QuerySession {
             query,
-            query_text: query_text.to_string(),
+            query_text,
             plan,
             topology: Arc::clone(topology),
             cache: BTreeMap::new(),
             virtuals: BTreeMap::new(),
             assignment: DenseAssignment::new(topology.fragment_tree.len()),
-            answers: Vec::new(),
+            answers: Arc::new([]),
             initialized: false,
         }
     }
 
     /// The query this session evaluates.
-    pub(crate) fn query_text(&self) -> &str {
+    pub(crate) fn query_text(&self) -> &Arc<str> {
         &self.query_text
     }
 
     /// The current answers, sorted by original-document position.
-    pub(crate) fn answers(&self) -> &[AnswerItem] {
+    pub(crate) fn answers(&self) -> &Arc<[AnswerItem]> {
         &self.answers
     }
 
@@ -292,7 +295,7 @@ impl QuerySession {
                 self.cache.values().flat_map(|entry| entry.resolved.iter().cloned()).collect();
             answers.sort();
             answers.dedup();
-            self.answers = answers;
+            self.answers = answers.into();
         }
         RefreshOutcome { unify_ops, reunified_fragments: qual.recomputed + sel.recomputed }
     }
@@ -311,7 +314,8 @@ impl QuerySession {
             .iter()
             .any(|f| !self.relevant().contains(f) && !dirty.contains(f));
         if self.initialized && gains_a_clean_fragment {
-            *self = QuerySession::new(Arc::clone(&self.query), &self.query_text, topology);
+            *self =
+                QuerySession::new(Arc::clone(&self.query), Arc::clone(&self.query_text), topology);
         } else {
             self.plan = plan;
             self.topology = Arc::clone(topology);

@@ -57,8 +57,8 @@ pub(crate) fn run(
     let algorithm = Algorithm::NaiveCentralized;
     Ok(ExecReport {
         queries: vec![QueryOutcome {
-            query: query_text.to_string(),
-            answers,
+            query: query_text.into(),
+            answers: answers.into(),
             fragments_evaluated: topology.fragment_tree.len(),
             coordinator_ops: result.ops,
         }],

@@ -259,8 +259,8 @@ pub(crate) fn run(
             answers.sort();
             answers.dedup();
             QueryOutcome {
-                query: queries[query_index].1.to_string(),
-                answers,
+                query: queries[query_index].1.into(),
+                answers: answers.into(),
                 fragments_evaluated: plans[query_index].analysis.relevant.len(),
                 coordinator_ops: coordinator_ops[query_index],
             }

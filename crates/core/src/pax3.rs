@@ -124,8 +124,8 @@ pub(crate) fn run(
     answers.dedup();
     Ok(ExecReport {
         queries: vec![QueryOutcome {
-            query: query_text.to_string(),
-            answers,
+            query: query_text.into(),
+            answers: answers.into(),
             fragments_evaluated: plan.analysis.relevant.len(),
             coordinator_ops,
         }],

@@ -544,7 +544,8 @@ pub fn multi_combined_task(
 }
 
 /// Apply one fragment's ops copy-on-write and install the result as
-/// `epoch`'s snapshot (see [`multi_combined_task`]).
+/// `epoch`'s snapshot (see [`multi_combined_task`]). The copy is allocated
+/// once, with room for every node the batch inserts.
 fn apply_ops(
     site: &mut SiteLocal,
     epoch: u64,
@@ -552,7 +553,14 @@ fn apply_ops(
     ops: &[UpdateOp],
 ) -> OpOutcome {
     let base = site.update_base(fragment, epoch).expect("dispatch checked the update base");
-    let mut updated = base.as_ref().clone();
+    let inserted = ops
+        .iter()
+        .map(|op| match op {
+            UpdateOp::InsertSubtree { subtree, .. } => subtree.subtree_size(subtree.root()),
+            _ => 0,
+        })
+        .sum();
+    let mut updated = base.clone_with_room(inserted);
     let mut outcome = OpOutcome::default();
     for op in ops {
         if let Err(e) = paxml_fragment::apply_update(&mut updated, op) {
@@ -914,6 +922,28 @@ mod tests {
         assert!(outcome.rejected.as_ref().unwrap().contains("root"));
         // Vectors are refreshed regardless, so coordinator caches stay valid.
         assert!(response.entries[0].roots.contains_key(&FragmentId(1)));
+    }
+
+    #[test]
+    fn an_update_allocates_its_new_version_at_its_final_size() {
+        let (_, fragmented) = small_fragmented();
+        let mut site = one_site_with(fragmented.fragments.clone());
+        let f1 = &fragmented.fragments[1];
+        let insert = |name: &str| UpdateOp::InsertSubtree {
+            parent: f1.tree.root(),
+            subtree: TreeBuilder::new("name").text(name).build(),
+            origin_base: 100,
+        };
+        let text = f1.tree.children(f1.tree.find_first("name").unwrap()).next().unwrap();
+        let edit = UpdateOp::EditText { node: text, text: "Bache".into() };
+        let response = ship_f1(&mut site, 1, vec![insert("Ally"), edit, insert("Schwab")]);
+        assert_eq!(response.ops[&FragmentId(1)], OpOutcome { applied: 3, rejected: None });
+        // Three nodes plus two inserted subtrees of two: a copy grown by
+        // pushing would hold room for twelve.
+        let at_1 = site.fragment_at(FragmentId(1), 1).unwrap();
+        assert_eq!(at_1.tree.node_count(), 7);
+        assert_eq!(at_1.tree.capacity(), at_1.tree.node_count());
+        assert_eq!(at_1.origin.capacity(), at_1.origin.len());
     }
 
     #[test]

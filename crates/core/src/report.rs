@@ -8,6 +8,7 @@ use paxml_xml::{NodeId, XmlTree};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One answer node shipped back to the query site.
@@ -75,12 +76,16 @@ impl fmt::Display for ExecMode {
 /// One query's slice of an [`ExecReport`]: its answers plus the per-query
 /// meters (the cluster-level meters are shared across the execution and live
 /// on the report itself).
+///
+/// The text and the answers are shared and immutable: a cached PaX2
+/// execution hands out its session's answer list by reference count, and
+/// cloning an outcome never copies an answer.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct QueryOutcome {
     /// The query text as prepared.
-    pub query: String,
+    pub query: Arc<str>,
     /// The answers, sorted by their position in the original document.
-    pub answers: Vec<AnswerItem>,
+    pub answers: Arc<[AnswerItem]>,
     /// Number of fragments that actually participated (after pruning).
     pub fragments_evaluated: usize,
     /// Coordinator-side unification work attributable to this query.
@@ -194,7 +199,7 @@ impl ExecReport {
     /// The answers of a single-query execution (the first query's answers;
     /// empty for updates).
     pub fn answers(&self) -> &[AnswerItem] {
-        self.queries.first().map(|q| q.answers.as_slice()).unwrap_or(&[])
+        self.queries.first().map(|q| &q.answers[..]).unwrap_or(&[])
     }
 
     /// The answers' origin node ids, sorted — the canonical comparison key.
@@ -369,6 +374,24 @@ mod tests {
     }
 
     #[test]
+    fn an_outcome_encodes_as_owned_lists_and_decodes_back() {
+        let t = TreeBuilder::new("broker").leaf("name", "Bache").build();
+        let name = t.find_first("name").unwrap();
+        let answers = vec![answer_item(FragmentId(1), &t, name, NodeId::from_index(9))];
+        let outcome = QueryOutcome {
+            query: "//broker/name".into(),
+            answers: answers.clone().into(),
+            fragments_evaluated: 2,
+            coordinator_ops: 7,
+        };
+        let bytes = paxml_distsim::codec::encode(&outcome);
+        let owned = (String::from("//broker/name"), answers, 2usize, 7u64);
+        assert_eq!(bytes, paxml_distsim::codec::encode(&owned));
+        let decoded: QueryOutcome = paxml_distsim::codec::decode(&bytes).unwrap();
+        assert_eq!((decoded.query, decoded.answers), (outcome.query, outcome.answers));
+    }
+
+    #[test]
     fn report_accessors() {
         let t = TreeBuilder::new("broker").leaf("name", "Bache").build();
         let name = t.find_first("name").unwrap();
@@ -381,7 +404,8 @@ mod tests {
                 answers: vec![
                     answer_item(FragmentId(1), &t, name, NodeId::from_index(9)),
                     answer_item(FragmentId(0), &t, name, NodeId::from_index(3)),
-                ],
+                ]
+                .into(),
                 fragments_evaluated: 2,
                 coordinator_ops: 7,
             }],

@@ -132,7 +132,7 @@ impl PaxServer {
             Arc::clone(map.entry(query.id).or_insert_with(|| {
                 Arc::new(Mutex::new(QuerySession::new(
                     Arc::clone(&query.compiled),
-                    query.text(),
+                    Arc::clone(&query.text),
                     &epoch.topology,
                 )))
             }))
@@ -140,7 +140,8 @@ impl PaxServer {
         let mut session = session_arc.lock().expect("a session lock is never poisoned");
         // A warm cache is current for this epoch (every update carries the
         // sessions into the next epoch refreshed): answer without visiting
-        // a single site.
+        // a single site, handing out the session's text and answer list by
+        // reference count.
         let from_cache = session.initialized;
         let (mut stats, mut fragments_evaluated, mut coordinator_ops) = Default::default();
         if !from_cache {
@@ -159,8 +160,8 @@ impl PaxServer {
         }
         Ok(ExecReport {
             queries: vec![QueryOutcome {
-                query: session.query_text().to_string(),
-                answers: session.answers().to_vec(),
+                query: Arc::clone(session.query_text()),
+                answers: Arc::clone(session.answers()),
                 fragments_evaluated,
                 coordinator_ops,
             }],

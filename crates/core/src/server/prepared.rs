@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 pub struct PreparedQuery {
     /// Position in the server's prepared-query table.
     pub(super) id: usize,
-    text: Arc<str>,
+    pub(super) text: Arc<str>,
     pub(super) compiled: Arc<CompiledQuery>,
 }
 

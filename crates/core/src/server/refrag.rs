@@ -94,7 +94,7 @@ impl PaxServer {
                     // re-snapshots against the new topology.
                     *session = QuerySession::new(
                         session.query.clone(),
-                        session.query_text(),
+                        Arc::clone(session.query_text()),
                         &next_topology,
                     );
                 }

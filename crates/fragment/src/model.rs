@@ -50,6 +50,20 @@ pub struct Fragment {
 }
 
 impl Fragment {
+    /// A copy of this fragment whose node arena and origin map have room for
+    /// `extra_nodes` more entries: what an update that inserts that many
+    /// nodes starts from, so that its new version is allocated once.
+    pub fn clone_with_room(&self, extra_nodes: usize) -> Fragment {
+        let mut origin = Vec::with_capacity(self.origin.len() + extra_nodes);
+        origin.extend_from_slice(&self.origin);
+        Fragment {
+            id: self.id,
+            tree: self.tree.clone_with_room(extra_nodes),
+            root_label: self.root_label.clone(),
+            origin,
+        }
+    }
+
     /// The original-tree node a fragment node corresponds to.
     pub fn origin_of(&self, node: NodeId) -> NodeId {
         NodeId::from_index(self.origin[node.index()] as usize)

@@ -28,6 +28,15 @@ impl XmlTree {
         XmlTree::new(NodeKind::element(label))
     }
 
+    /// A copy of this tree whose arena has room for `extra` more nodes, so
+    /// that appending that many allocates nothing — where `clone` followed
+    /// by appends would double the arena.
+    pub fn clone_with_room(&self, extra: usize) -> XmlTree {
+        let mut nodes = Vec::with_capacity(self.nodes.len() + extra);
+        nodes.extend_from_slice(&self.nodes);
+        XmlTree { nodes, root: self.root }
+    }
+
     /// The root node of the tree.
     #[inline]
     pub fn root(&self) -> NodeId {
@@ -38,6 +47,11 @@ impl XmlTree {
     #[inline]
     pub fn node_count(&self) -> usize {
         self.nodes.len()
+    }
+
+    /// Number of nodes the arena holds room for without reallocating.
+    pub fn capacity(&self) -> usize {
+        self.nodes.capacity()
     }
 
     /// Does this id refer to a node of this tree?
@@ -494,38 +508,56 @@ impl XmlTree {
         self.all_nodes().filter(|&n| self.label(n) == Some(label)).collect()
     }
 
-    /// Validate the internal structure of the tree: every child points back
-    /// to its parent, sibling links are consistent, and there are no cycles.
-    /// Intended for tests and debug assertions; cost is `O(n)`.
+    /// Validate the internal structure of the tree: the root and every link
+    /// name a node of the arena, the root has no parent and no siblings,
+    /// every child points back to its parent, sibling links are consistent,
+    /// and there are no cycles. Never panics, whatever the links (a decoded
+    /// tree carries whatever ids its bytes held); cost is `O(n)`.
     pub fn validate(&self) -> XmlResult<()> {
+        // Range first: the walk below follows links through `node`, which
+        // indexes the arena. With every link in range, the walk checks each
+        // node's child chain before it steps into it, so it never follows a
+        // link it has not checked.
+        let violation = |message| Err(XmlError::StructureViolation { message });
+        if !self.contains(self.root) {
+            return violation(format!("root {} is outside the arena", self.root));
+        }
+        for (i, node) in self.nodes.iter().enumerate() {
+            let links = [
+                node.parent,
+                node.first_child,
+                node.last_child,
+                node.next_sibling,
+                node.prev_sibling,
+            ];
+            if let Some(id) = links.into_iter().flatten().find(|&id| !self.contains(id)) {
+                return violation(format!("node {i} links to {id}, outside the arena"));
+            }
+        }
+        let root = self.node(self.root);
+        if root.parent.is_some() || root.next_sibling.is_some() || root.prev_sibling.is_some() {
+            return violation(format!("root {} has a parent or a sibling", self.root));
+        }
         let mut seen = vec![false; self.nodes.len()];
         for id in self.all_nodes() {
             let idx = id.index();
             if seen[idx] {
-                return Err(XmlError::StructureViolation {
-                    message: format!("node {id} reachable twice (cycle or shared child)"),
-                });
+                return violation(format!("node {id} reachable twice (cycle or shared child)"));
             }
             seen[idx] = true;
             let mut prev: Option<NodeId> = None;
             for c in self.children(id) {
                 let cn = self.node(c);
                 if cn.parent != Some(id) {
-                    return Err(XmlError::StructureViolation {
-                        message: format!("child {c} of {id} has wrong parent link"),
-                    });
+                    return violation(format!("child {c} of {id} has wrong parent link"));
                 }
                 if cn.prev_sibling != prev {
-                    return Err(XmlError::StructureViolation {
-                        message: format!("sibling chain broken at {c}"),
-                    });
+                    return violation(format!("sibling chain broken at {c}"));
                 }
                 prev = Some(c);
             }
             if self.node(id).last_child != prev {
-                return Err(XmlError::StructureViolation {
-                    message: format!("last_child link of {id} is stale"),
-                });
+                return violation(format!("last_child link of {id} is stale"));
             }
         }
         Ok(())

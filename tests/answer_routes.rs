@@ -216,7 +216,7 @@ proptest! {
             .unwrap();
         let batch = server.execute_batch_text(&texts).unwrap();
         for (outcome, ours) in batch.queries.iter().zip(&parked) {
-            prop_assert_eq!(&outcome.answers, &ours.answers, "{}", outcome.query);
+            prop_assert_eq!(&outcome.answers[..], &ours.answers[..], "{}", outcome.query);
             prop_assert_eq!(outcome.fragments_evaluated, ours.fragments_evaluated);
             prop_assert_eq!(outcome.coordinator_ops, ours.coordinator_ops);
         }
