@@ -68,8 +68,8 @@ pub use report::{
     answer_item, Algorithm, AnswerItem, ExecMode, ExecReport, QueryOutcome, UpdateOutcome,
 };
 pub use server::{
-    PaxServer, PaxServerBuilder, PrepareSetStats, PreparedQuery, RefragBase, RefragReport,
-    RetryPolicy, ServerStats, SiteLoad, TopologyChange,
+    PaxServer, PaxServerBuilder, PrepareSetStats, PreparedQuery, RefragOp, RefragReport,
+    RetryPolicy, ServerStats, SiteLoad,
 };
 pub use transport::{
     dispatch, EpochRequest, ProtocolRequest, ProtocolResponse, Transport, VacuumOutcome,

@@ -8,7 +8,6 @@ use crate::report::Algorithm;
 use paxml_distsim::{Cluster, Placement, SiteId};
 use paxml_fragment::{FragmentId, FragmentedTree};
 use std::collections::BTreeMap;
-use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
@@ -24,7 +23,6 @@ pub struct PaxServerBuilder {
     replication: usize,
     sequential: bool,
     site_delays: BTreeMap<SiteId, Duration>,
-    auto_vacuum_threshold: Option<u64>,
     retry_policy: RetryPolicy,
 }
 
@@ -39,7 +37,6 @@ impl Default for PaxServerBuilder {
             replication: 1,
             sequential: false,
             site_delays: BTreeMap::new(),
-            auto_vacuum_threshold: None,
             retry_policy: RetryPolicy::default(),
         }
     }
@@ -112,16 +109,6 @@ impl PaxServerBuilder {
         self
     }
 
-    /// Sweep the cluster automatically once that many epochs have retired
-    /// since the last sweep (default: never — [`PaxServer::vacuum`] stays
-    /// explicit). The sweep runs at the end of the update or
-    /// re-fragmentation that crossed the threshold, under the same writer
-    /// lock, so it never races another publisher.
-    pub fn auto_vacuum_threshold(mut self, retired_epochs: u64) -> Self {
-        self.auto_vacuum_threshold = Some(retired_epochs.max(1));
-        self
-    }
-
     /// Deploy `fragmented` over the configured cluster and start the
     /// session.
     pub fn deploy(mut self, fragmented: &FragmentedTree) -> PaxResult<PaxServer> {
@@ -188,8 +175,6 @@ impl PaxServerBuilder {
             epochs,
             prepared: RwLock::default(),
             update_hook: Mutex::new(None),
-            auto_vacuum_threshold: self.auto_vacuum_threshold,
-            retired_at_last_vacuum: AtomicU64::new(0),
         })
     }
 }

@@ -4,7 +4,7 @@
 //! [`EpochBuild`] — the one transaction through which the server changes
 //! anything a reader can observe.
 
-use super::{PaxServer, RefragBase};
+use super::PaxServer;
 use crate::deployment::{ExecCtx, Topology};
 use crate::error::{PaxError, PaxResult};
 use crate::incremental::QuerySession;
@@ -13,7 +13,6 @@ use crate::transport::{ProtocolRequest, VacuumOutcome};
 use paxml_distsim::{ReplicaSet, SiteId};
 use paxml_fragment::{Fragment, FragmentId};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
 /// One immutable deployment epoch: the unit executions pin on entry.
@@ -225,22 +224,8 @@ impl PaxServer {
     /// piggyback the retirement watermark onto the sites they visit;
     /// `vacuum` reaches the sites a sparse update stream never touches.
     /// Returns the total versions dropped and left live across the cluster.
-    ///
-    /// With [`auto_vacuum_threshold`] set, the server also runs this sweep
-    /// by itself at the end of an update or re-fragmentation once enough
-    /// epochs have retired; the explicit call keeps working either way.
-    ///
-    /// [`auto_vacuum_threshold`]: super::PaxServerBuilder::auto_vacuum_threshold
     pub fn vacuum(&self) -> PaxResult<VacuumOutcome> {
         let _writer = self.writer.lock().expect("the writer lock is never poisoned");
-        self.sweep()
-    }
-
-    /// The sweep itself, callers already holding the writer lock (the
-    /// public [`PaxServer::vacuum`] and the auto-vacuum trigger at the end
-    /// of [`EpochBuild::commit`] — taking the writer mutex here again would
-    /// deadlock).
-    fn sweep(&self) -> PaxResult<VacuumOutcome> {
         let current = self.pin();
         let (watermark, _) = self.live_epochs(None);
         // Every (site, fragment) copy some live epoch's topology places.
@@ -275,8 +260,6 @@ impl PaxServer {
             outcome.dropped += swept.dropped;
             outcome.live_versions += swept.live_versions;
         }
-        self.retired_at_last_vacuum
-            .store(current.number + 1 - self.live_epochs(None).1 as u64, Ordering::Relaxed);
         Ok(outcome)
     }
 }
@@ -305,7 +288,7 @@ pub(super) struct EpochBuild<'a> {
     /// lock makes this the only publisher, so the base is stable throughout.
     pub(super) base: Arc<EpochInner>,
     /// Reads at the base: fetches pinned to `N`, routed by its topology.
-    pub(super) reader: RefragBase<'a>,
+    pub(super) reader: ExecCtx<'a>,
     /// Rounds pinned to `N + 1`. They piggyback the oldest live epoch as
     /// the retirement watermark, so visited sites retire dead versions for
     /// free. They address sites explicitly (the live-copy fan-out), so the
@@ -329,7 +312,7 @@ impl<'a> EpochBuild<'a> {
         let topology = Arc::clone(&base.topology);
         EpochBuild {
             server,
-            reader: RefragBase { ctx: server.reader(&base) },
+            reader: server.reader(&base),
             next: ExecCtx::pinned(&server.deployment, base.number + 1, topology, watermark),
             base,
             stale: Vec::new(),
@@ -423,17 +406,7 @@ impl<'a> EpochBuild<'a> {
         let next = Arc::new(EpochInner { number, topology, sessions: Mutex::new(sessions) });
         *server.current.lock().expect("the current-epoch lock is never poisoned") =
             Arc::clone(&next);
-        let (_, live) = server.live_epochs(Some(&next));
-        // Auto-vacuum, still under the writer lock. A failed sweep is
-        // deliberately swallowed: the publish has already succeeded, and the
-        // next sweep recomputes the same purges.
-        if let Some(threshold) = server.auto_vacuum_threshold {
-            let retired_epochs = number + 1 - live as u64;
-            let swept = server.retired_at_last_vacuum.load(Ordering::Relaxed);
-            if retired_epochs.saturating_sub(swept) >= threshold {
-                let _ = server.sweep();
-            }
-        }
+        server.live_epochs(Some(&next));
     }
 }
 

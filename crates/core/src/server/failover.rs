@@ -146,10 +146,10 @@ impl EpochBuild<'_> {
                 if !self.is_up(site) {
                     continue; // Still down; a later pass will get it.
                 }
-                let Some(payload) = self.reader.fetch(&[fragment])?.remove(&fragment) else {
+                let Some(payload) = self.reader.fetch([fragment])?.remove(&fragment) else {
                     continue;
                 };
-                install(&mut self.reader.ctx, BTreeMap::from([(site, vec![payload])]))?;
+                install(&mut self.reader, BTreeMap::from([(site, vec![payload])]))?;
                 self.repaired.push((fragment, site));
                 repaired += 1;
             }

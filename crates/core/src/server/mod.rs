@@ -169,14 +169,13 @@ pub use builder::PaxServerBuilder;
 pub use epochs::{ServerStats, SiteLoad};
 pub use failover::RetryPolicy;
 pub use prepared::{PrepareSetStats, PreparedQuery};
-pub use refrag::{RefragBase, RefragReport, TopologyChange};
+pub use refrag::{RefragOp, RefragReport};
 
 use crate::deployment::Deployment;
 use crate::report::Algorithm;
 use epochs::{EpochInner, EpochRegistry};
 use paxml_distsim::ClusterStats;
 use prepared::PreparedTable;
-use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex, RwLock};
 
 /// A long-lived evaluation session over one deployment: prepared queries,
@@ -207,11 +206,6 @@ pub struct PaxServer {
     /// publish swap, with no reader-visible lock held. Lets the
     /// wait-freedom suite hold an update open mid-air.
     update_hook: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
-    /// Auto-vacuum: sweep once this many epochs retired since the last
-    /// sweep (`None`: only explicit [`PaxServer::vacuum`] calls sweep).
-    auto_vacuum_threshold: Option<u64>,
-    /// Total retired-epoch count as of the last (auto or explicit) vacuum.
-    retired_at_last_vacuum: AtomicU64,
 }
 
 impl PaxServer {
@@ -244,13 +238,13 @@ impl PaxServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::{PaxError, PaxResult};
+    use crate::error::PaxError;
     use crate::report::ExecMode;
-    use paxml_distsim::{FaultEvent, FaultKind, FaultPlan, ReplicaSet, SiteId};
+    use paxml_distsim::{FaultEvent, FaultKind, FaultPlan, SiteId};
     use paxml_fragment::{strategy, FragmentId, FragmentedTree, UpdateOp};
     use paxml_xml::{TreeBuilder, XmlTree};
     use paxml_xpath::centralized;
-    use std::collections::{BTreeMap, BTreeSet};
+    use std::collections::BTreeMap;
     use std::time::Duration;
 
     fn clientele() -> XmlTree {
@@ -593,7 +587,7 @@ mod tests {
 
         // A migration of F2's primary copy from S2 to S1: one fetch round,
         // then the install round S1 does not answer.
-        let migrate = place_f2([s1, SiteId(0)]);
+        let migrate = move_f2(SiteId(2), s1);
         kill_s1(&server, 1, 1);
         assert!(server.refragment(&migrate).is_err());
         assert_eq!(observe(&server), (1, 0, vec![], 1));
@@ -654,26 +648,16 @@ mod tests {
         assert!(report.visits_per_site().contains_key(&s1), "the repaired copy took the write");
     }
 
-    /// Re-place F2's copies on `sites`, shipping its payload there.
-    fn place_f2(sites: [SiteId; 2]) -> impl Fn(&mut RefragBase<'_>) -> PaxResult<TopologyChange> {
-        move |base| {
-            let f2 = FragmentId(2);
-            let mut placement = base.topology().placement.clone();
-            placement.insert(f2, ReplicaSet::of(sites));
-            Ok(TopologyChange {
-                fragment_tree: base.topology().fragment_tree.clone(),
-                placement,
-                installs: base.fetch(&[f2])?.into_values().collect(),
-                touched: BTreeSet::new(),
-            })
-        }
+    /// Move F2's copy at `from` to `to`, shipping its payload there.
+    fn move_f2(from: SiteId, to: SiteId) -> [RefragOp; 1] {
+        [RefragOp::Migrate { fragment: FragmentId(2), from, to }]
     }
 
     #[test]
     fn a_dissolved_fragments_stale_marks_hold_while_its_epoch_can_route_to_it() {
         let (server, fragmented) = replicated_server(1);
         let server = Arc::new(server);
-        let (f0, f1, s1) = (FragmentId(0), FragmentId(1), SiteId(1));
+        let (f1, s1) = (FragmentId(1), SiteId(1));
         let (query, rename) = ("client/broker/name", rename_broker(&fragmented, "B"));
 
         // S1 misses the rename of F1's broker: its copy goes stale at epoch 1.
@@ -700,21 +684,7 @@ mod tests {
         // S1 is back, but down for the install round of the merge's
         // opening repair pass, so its copy of F1 stays stale.
         kill_s1(&server, 1, 1);
-        let merge = |base: &mut RefragBase<'_>| {
-            let fragment_tree = base.topology().fragment_tree.clone();
-            let mut fetched = base.fetch(&[f0, f1])?;
-            let (parent, child) = (fetched.remove(&f0).unwrap(), fetched.remove(&f1).unwrap());
-            let merged = paxml_fragment::merge_fragment(&parent, &child, &fragment_tree)?;
-            let mut placement = base.topology().placement.clone();
-            placement.remove(&f1);
-            Ok(TopologyChange {
-                fragment_tree: merged.fragment_tree,
-                placement,
-                installs: vec![merged.merged],
-                touched: BTreeSet::from([f0, f1]),
-            })
-        };
-        assert_eq!(server.refragment(merge).unwrap().epoch, 2);
+        assert_eq!(server.refragment(&[RefragOp::Merge { child: f1 }]).unwrap().epoch, 2);
         server.clear_update_hook();
         assert_eq!(*seen.lock().unwrap(), vec![(1, expected.clone())], "epoch 1 read a stale copy");
         assert_eq!(server.query_once(query).unwrap().answer_texts(), expected);
@@ -751,43 +721,15 @@ mod tests {
         check(3);
 
         let (f1, f3) = (FragmentId(1), FragmentId(3));
-        server
-            .refragment(|base| {
-                let f1_payload = base.fetch(&[f1])?.remove(&f1).unwrap();
-                let market = f1_payload.tree.find_first("market").unwrap();
-                let ft = &base.topology().fragment_tree;
-                let split = paxml_fragment::split_fragment(&f1_payload, ft, market, f3)?;
-                let mut placement = base.topology().placement.clone();
-                placement.insert(f3, ReplicaSet::solo(SiteId(0)));
-                Ok(TopologyChange {
-                    fragment_tree: split.fragment_tree,
-                    placement,
-                    installs: vec![split.parent, split.child],
-                    touched: BTreeSet::from([f1, f3]),
-                })
-            })
-            .unwrap();
+        let cut = fragmented.fragments[1].tree.find_first("market").unwrap();
+        let split = RefragOp::Split { fragment: f1, cut, place_on: SiteId(0).into() };
+        server.refragment(&[split]).unwrap();
         assert!(!holds(1, "market") && !holds(1, "stock") && holds(1, "broker"));
         assert!(holds(3, "market") && holds(3, "stock"));
         check(3);
         assert!(server.execute(&q).unwrap().from_cache, "an untouched session carries over");
 
-        server
-            .refragment(|base| {
-                let mut fetched = base.fetch(&[f1, f3])?;
-                let (parent, child) = (fetched.remove(&f1).unwrap(), fetched.remove(&f3).unwrap());
-                let ft = &base.topology().fragment_tree;
-                let merged = paxml_fragment::merge_fragment(&parent, &child, ft)?;
-                let mut placement = base.topology().placement.clone();
-                placement.remove(&f3);
-                Ok(TopologyChange {
-                    fragment_tree: merged.fragment_tree,
-                    placement,
-                    installs: vec![merged.merged],
-                    touched: BTreeSet::from([f1, f3]),
-                })
-            })
-            .unwrap();
+        server.refragment(&[RefragOp::Merge { child: f3 }]).unwrap();
         assert!(holds(1, "market") && holds(1, "stock"));
         assert!(!server.topology().fragment_tree.contains(f3));
         check(3);
@@ -799,8 +741,8 @@ mod tests {
         server.execute_text("client/broker/name").unwrap();
         let pinned = server.pin();
         let deployed = Arc::downgrade(&pinned.topology);
-        server.refragment(place_f2([SiteId(1), SiteId(0)])).unwrap();
-        server.refragment(place_f2([SiteId(2), SiteId(0)])).unwrap();
+        server.refragment(&move_f2(SiteId(2), SiteId(1))).unwrap();
+        server.refragment(&move_f2(SiteId(1), SiteId(2))).unwrap();
         assert_eq!(server.server_stats().placement_version, 2);
         assert!(deployed.upgrade().is_some(), "a reader pinned at epoch 0 still routes by it");
         drop(pinned);

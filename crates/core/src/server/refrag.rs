@@ -1,5 +1,6 @@
 //! The topology write path: online re-fragmentation, built as the next
-//! epoch, and the export of the current fragmentation.
+//! epoch from a sequence of [`RefragOp`]s, and the export of the current
+//! fragmentation.
 
 use super::epochs::{install, EpochBuild};
 use super::PaxServer;
@@ -7,26 +8,72 @@ use crate::deployment::{ExecCtx, Topology};
 use crate::error::{PaxError, PaxResult};
 use crate::incremental::QuerySession;
 use paxml_distsim::{ClusterStats, ReplicaSet, SiteId};
-use paxml_fragment::{Fragment, FragmentId, FragmentTree, FragmentedTree};
+use paxml_fragment::{
+    merge_fragment, split_fragment, Fragment, FragmentError, FragmentId, FragmentTree,
+    FragmentedTree,
+};
+use paxml_xml::NodeId;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// One primitive operation on the deployment topology. A sequence of them
+/// is one [`PaxServer::refragment`] call; each op is checked against the
+/// topology the ops before it have built, so later ops can name fragments
+/// earlier ops created.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RefragOp {
+    /// Cut `fragment` at the interior element `cut`: the subtree below it
+    /// becomes a new fragment (the next unused id) placed on `place_on`;
+    /// its place in the parent is taken by a virtual node. The §5
+    /// annotations of the new edge — and of any sub-fragment edges the cut
+    /// carries along — are re-derived incrementally.
+    Split {
+        /// The fragment to cut.
+        fragment: FragmentId,
+        /// The element node (in the fragment's own tree) to cut at.
+        cut: NodeId,
+        /// Where the new fragment will live — every site of the set gets a
+        /// copy (`ReplicaSet::from(site)` for the unreplicated case).
+        place_on: ReplicaSet,
+    },
+    /// Splice `child` back into its FT parent: the child's data replaces
+    /// the parent's virtual node, the child's sub-fragments are lifted to
+    /// the parent with joined annotations, and the child's id disappears.
+    Merge {
+        /// The fragment to dissolve into its parent.
+        child: FragmentId,
+    },
+    /// Move one copy of `fragment` — data unchanged — to another site. The
+    /// rest of its replica set stays put.
+    Migrate {
+        /// The fragment to move.
+        fragment: FragmentId,
+        /// The site giving its copy up (must hold one).
+        from: SiteId,
+        /// The destination site (must not hold one yet).
+        to: SiteId,
+    },
+}
+
 impl PaxServer {
-    /// Re-shape the deployment topology online: apply a re-fragmentation
-    /// built by `build` — splits, merges, migrations, any mix — publishing
-    /// the result as the **next epoch** exactly like
-    /// [`PaxServer::apply_updates`] does for data edits.
+    /// Re-shape the deployment topology online: apply `ops` — splits,
+    /// merges, migrations, any mix, in order — publishing the result as
+    /// the **next epoch** exactly like [`PaxServer::apply_updates`] does
+    /// for data edits. This is the only way the topology changes.
     ///
-    /// `build` runs against a [`RefragBase`] pinned to the base epoch: it
-    /// can fetch fragment payloads (charged protocol rounds, so the meters
-    /// stay faithful) and must return the [`TopologyChange`] describing
-    /// the new fragment tree, the complete new placement, and the fragment
-    /// payloads to install. The server then:
+    /// The ops fold against the base epoch: payloads are fetched from the
+    /// sites on demand (charged rounds, so the meters stay faithful), and
+    /// fragments created or rewritten by earlier ops are edited in place,
+    /// so a split fragment can be split again or migrated within the same
+    /// sequence. An op naming an unknown fragment or a nonexistent site, a
+    /// migration from a site without a copy or onto one that already holds
+    /// a copy, and an invalid cut or merge fail the call before the
+    /// install round. The server then:
     ///
-    /// 1. ships every install to its new site in one round pinned to epoch
-    ///    `N + 1` (a failed round — e.g. a site killed mid-migration —
-    ///    publishes **nothing**: readers keep epoch `N`);
+    /// 1. ships everything whose content or site changed in one round
+    ///    pinned to epoch `N + 1` (a failed round — e.g. a site killed
+    ///    mid-migration — publishes **nothing**: readers keep epoch `N`);
     /// 2. publishes epoch `N + 1` with the new topology version in one
     ///    pointer swap — the epoch owns its topology, so a reader that pins
     ///    `N + 1` routes by `N + 1`'s;
@@ -42,21 +89,17 @@ impl PaxServer {
     ///
     /// Readers are never blocked: in-flight executions keep reading their
     /// pinned epoch and its topology version to completion.
-    pub fn refragment(
-        &self,
-        mut build: impl FnMut(&mut RefragBase<'_>) -> PaxResult<TopologyChange>,
-    ) -> PaxResult<RefragReport> {
+    pub fn refragment(&self, ops: &[RefragOp]) -> PaxResult<RefragReport> {
         let start = Instant::now();
         let writer = self.writer.lock().expect("the writer lock is never poisoned");
         let _ = EpochBuild::begin(self, &writer).repair();
-        // The builder closure is `FnMut` precisely so a failover can re-run
-        // it against fresh health state (its fetches re-route around sites
-        // quarantined by the failed attempt).
+        // A failover re-runs the fold against fresh health state: its
+        // fetches re-route around sites quarantined by the failed attempt.
         self.with_failover(|| {
             let mut epoch = EpochBuild::begin(self, &writer);
-            let change = build(&mut epoch.reader)?;
             let base_topology = Arc::clone(&epoch.base.topology);
-            self.validate_change(&change, &base_topology)?;
+            let sites = self.deployment.site_count();
+            let change = TopologyChange::fold(&mut epoch.reader, &base_topology, sites, ops)?;
 
             // Transfer: one install round at N + 1, to every live replica
             // site of each installed fragment.
@@ -100,7 +143,7 @@ impl PaxServer {
                 }
             }
 
-            let mut stats = std::mem::take(&mut epoch.reader.ctx.stats);
+            let mut stats = std::mem::take(&mut epoch.reader.stats);
             stats.merge(&epoch.next.stats);
             let (base_epoch, placement_version) = (epoch.base.number, next_topology.version);
             let invalidated_sessions = sessions.len() - retopologized_sessions;
@@ -116,58 +159,6 @@ impl PaxServer {
                 elapsed: start.elapsed(),
             })
         })
-    }
-
-    /// Sanity-check a [`TopologyChange`] before anything ships.
-    fn validate_change(&self, change: &TopologyChange, base: &Topology) -> PaxResult<()> {
-        let sites = self.deployment.site_count();
-        if change.fragment_tree.is_empty() {
-            return Err(PaxError::InvalidConfig {
-                message: "a re-fragmentation cannot leave the tree empty".into(),
-            });
-        }
-        let installed: BTreeSet<FragmentId> = change.installs.iter().map(|f| f.id).collect();
-        for &fragment in change.fragment_tree.ids() {
-            let Some(replicas) = change.placement.get(&fragment) else {
-                return Err(PaxError::InvalidConfig {
-                    message: format!("fragment {fragment} has no placement in the new topology"),
-                });
-            };
-            for &site in replicas.sites() {
-                if site.index() >= sites {
-                    return Err(PaxError::InvalidConfig {
-                        message: format!("fragment {fragment} placed on nonexistent site {site}"),
-                    });
-                }
-            }
-            // Anything new, moved, or gaining a copy on a site that never
-            // held it must ship a payload — that site has no version of it
-            // to read.
-            let base_set = base.placement.get(&fragment);
-            let needs_install =
-                replicas.sites().iter().any(|&site| base_set.is_none_or(|set| !set.contains(site)));
-            if needs_install && !installed.contains(&fragment) {
-                return Err(PaxError::InvalidConfig {
-                    message: format!(
-                        "fragment {fragment} is new or re-placed on {replicas} but ships no \
-                         payload"
-                    ),
-                });
-            }
-        }
-        for fragment in &installed {
-            if !change.fragment_tree.contains(*fragment) {
-                return Err(PaxError::InvalidConfig {
-                    message: format!("install for fragment {fragment} absent from the new tree"),
-                });
-            }
-        }
-        if change.placement.keys().any(|f| !change.fragment_tree.contains(*f)) {
-            return Err(PaxError::InvalidConfig {
-                message: "the placement maps a fragment the new tree does not have".into(),
-            });
-        }
-        Ok(())
     }
 
     /// Ship every fragment of the **current** topology to the coordinator
@@ -188,56 +179,6 @@ impl PaxServer {
     }
 }
 
-/// The new shape a [`PaxServer::refragment`] closure hands back: the
-/// complete post-change fragment tree, where every fragment lives, which
-/// payloads must ship, and which fragments changed shape.
-#[derive(Debug, Clone)]
-pub struct TopologyChange {
-    /// The fragment tree after the change — the complete tree, not a
-    /// delta. Fragment ids the base tree had may be gone (merges),
-    /// brand-new ids may appear (splits); ids need not be dense.
-    pub fragment_tree: FragmentTree,
-    /// Where every fragment of `fragment_tree` lives after the change — an
-    /// ordered replica set per fragment, primary first (unreplicated
-    /// changes hold solo sets, and `ReplicaSet: From<SiteId>` keeps the
-    /// single-site construction terse). Must cover the whole tree.
-    pub placement: BTreeMap<FragmentId, ReplicaSet>,
-    /// The payloads to install. Every fragment that is **new, or that
-    /// gains a copy on a site not holding it in the base topology** must
-    /// appear here — that site has no version of it to read. Fragments
-    /// whose replica sets stay put ship nothing.
-    pub installs: Vec<Fragment>,
-    /// Fragments whose *content or shape* changed — split parents and
-    /// their offspring, merge products, and every base fragment they
-    /// replace. Pure migrations touch nothing. Residual-vector sessions
-    /// overlapping this set are invalidated; the rest carry over with
-    /// zero visits.
-    pub touched: BTreeSet<FragmentId>,
-}
-
-/// The base-epoch view a [`PaxServer::refragment`] closure builds against:
-/// the topology being re-shaped, plus charged fragment fetches from the
-/// sites (so a split or merge can read the payloads it re-cuts and the
-/// meters record the true cost of the re-fragmentation).
-pub struct RefragBase<'a> {
-    /// Reads pinned to the base epoch and routed by its topology; they
-    /// retire nothing.
-    pub(super) ctx: ExecCtx<'a>,
-}
-
-impl RefragBase<'_> {
-    /// The topology at the base epoch — what the change is relative to.
-    pub fn topology(&self) -> &Topology {
-        self.ctx.topology()
-    }
-
-    /// Fetch fragment payloads from the sites holding them (one charged
-    /// round, grouped by site, pinned to the base epoch).
-    pub fn fetch(&mut self, fragments: &[FragmentId]) -> PaxResult<BTreeMap<FragmentId, Fragment>> {
-        self.ctx.fetch(fragments.iter().copied())
-    }
-}
-
 /// What a [`PaxServer::refragment`] did, with the meters it paid doing it.
 #[derive(Debug, Clone)]
 pub struct RefragReport {
@@ -255,9 +196,146 @@ pub struct RefragReport {
     /// Residual-vector sessions carried into the new epoch with zero
     /// visits — their caches stayed valid under the new topology.
     pub retopologized_sessions: usize,
-    /// Cluster meters for the whole re-fragmentation: the closure's
-    /// fetches plus the install round.
+    /// Cluster meters for the whole re-fragmentation: the fold's fetches
+    /// plus the install round.
     pub stats: ClusterStats,
-    /// Wall-clock time from closure entry to publish.
+    /// Wall-clock time from the call to the publish.
     pub elapsed: Duration,
+}
+
+/// What an op sequence folds into: the complete post-change fragment tree,
+/// where every fragment lives, which payloads must ship, and which
+/// fragments changed shape.
+struct TopologyChange {
+    /// The fragment tree after the change. Fragment ids the base tree had
+    /// may be gone (merges), new ids may appear (splits).
+    fragment_tree: FragmentTree,
+    /// Every fragment's replica set after the change, primary first.
+    placement: BTreeMap<FragmentId, ReplicaSet>,
+    /// The payloads to install: every fragment whose content changed or
+    /// that gained a copy on a site that did not hold it.
+    installs: Vec<Fragment>,
+    /// Fragments whose content or shape changed — split parents and their
+    /// offspring, merge products, and every base fragment they replace.
+    /// Pure migrations touch nothing. Sessions overlapping this set are
+    /// cold-reset; the rest carry over with zero visits.
+    touched: BTreeSet<FragmentId>,
+}
+
+impl TopologyChange {
+    /// Fold `ops` in order over `base`, the topology `reader` is pinned
+    /// to, on a cluster of `sites` sites.
+    fn fold(
+        reader: &mut ExecCtx<'_>,
+        base: &Topology,
+        sites: usize,
+        ops: &[RefragOp],
+    ) -> PaxResult<Self> {
+        let mut ft = base.fragment_tree.clone();
+        let mut placement = base.placement.clone();
+        // Payloads the sequence has fetched or rewritten so far.
+        let mut working: BTreeMap<FragmentId, Fragment> = BTreeMap::new();
+        let mut touched: BTreeSet<FragmentId> = BTreeSet::new();
+        let mut next_id = ft.max_id().index() + 1;
+        let check_site = |site: SiteId| {
+            if site.index() < sites {
+                return Ok(());
+            }
+            Err(PaxError::InvalidConfig {
+                message: format!("no site {site}: the cluster has {sites}"),
+            })
+        };
+
+        for op in ops {
+            let (RefragOp::Split { fragment, .. }
+            | RefragOp::Merge { child: fragment }
+            | RefragOp::Migrate { fragment, .. }) = op;
+            if !ft.contains(*fragment) {
+                return Err(FragmentError::UnknownFragment { fragment: fragment.index() }.into());
+            }
+            match op {
+                RefragOp::Split { fragment, cut, place_on } => {
+                    place_on.sites().iter().try_for_each(|&site| check_site(site))?;
+                    let source = obtain(reader, &working, *fragment)?;
+                    let new_id = FragmentId(next_id);
+                    next_id += 1;
+                    let outcome = split_fragment(&source, &ft, *cut, new_id)?;
+                    ft = outcome.fragment_tree;
+                    placement.insert(new_id, place_on.clone());
+                    working.insert(*fragment, outcome.parent);
+                    working.insert(new_id, outcome.child);
+                    touched.insert(*fragment);
+                    touched.insert(new_id);
+                }
+                RefragOp::Merge { child } => {
+                    let parent_id = ft.parent(*child).ok_or_else(|| PaxError::InvalidConfig {
+                        message: format!("cannot merge {child}: it has no parent fragment"),
+                    })?;
+                    let child_frag = obtain(reader, &working, *child)?;
+                    let parent_frag = obtain(reader, &working, parent_id)?;
+                    let outcome = merge_fragment(&parent_frag, &child_frag, &ft)?;
+                    ft = outcome.fragment_tree;
+                    placement.remove(child);
+                    working.remove(child);
+                    working.insert(parent_id, outcome.merged);
+                    touched.insert(parent_id);
+                    touched.insert(*child);
+                }
+                RefragOp::Migrate { fragment, from, to } => {
+                    check_site(*to)?;
+                    let replicas =
+                        placement.get_mut(fragment).expect("the tree's fragments are placed");
+                    if !replicas.contains(*from) || replicas.contains(*to) {
+                        return Err(PaxError::InvalidConfig {
+                            message: format!(
+                                "cannot migrate {fragment} from {from} to {to}: the source must \
+                                 hold a copy and the destination must not (replicas: {replicas})"
+                            ),
+                        });
+                    }
+                    replicas.migrate(*from, *to);
+                }
+            }
+        }
+
+        // Everything rewritten or re-placed ships. Pure migrations' payloads
+        // still live site-side at the base epoch: fetch them all in one
+        // round.
+        let install_ids: BTreeSet<FragmentId> = ft
+            .ids()
+            .iter()
+            .copied()
+            .filter(|f| working.contains_key(f) || base.placement.get(f) != placement.get(f))
+            .collect();
+        let missing: Vec<FragmentId> =
+            install_ids.iter().copied().filter(|f| !working.contains_key(f)).collect();
+        let mut fetched = reader.fetch(missing)?;
+        let installs = install_ids
+            .into_iter()
+            .map(|fragment| {
+                working.remove(&fragment).or_else(|| fetched.remove(&fragment)).ok_or_else(|| {
+                    PaxError::Protocol {
+                        message: format!("no payload obtainable for fragment {fragment}"),
+                    }
+                })
+            })
+            .collect::<PaxResult<_>>()?;
+        Ok(TopologyChange { fragment_tree: ft, placement, installs, touched })
+    }
+}
+
+/// A fragment's current payload under the sequence so far: the working
+/// copy when an earlier op rewrote it, the site's base-epoch version
+/// otherwise (one charged fetch round).
+fn obtain(
+    reader: &mut ExecCtx<'_>,
+    working: &BTreeMap<FragmentId, Fragment>,
+    fragment: FragmentId,
+) -> PaxResult<Fragment> {
+    if let Some(payload) = working.get(&fragment) {
+        return Ok(payload.clone());
+    }
+    reader.fetch([fragment])?.remove(&fragment).ok_or_else(|| PaxError::Protocol {
+        message: format!("the site holding fragment {fragment} returned no payload"),
+    })
 }

@@ -80,16 +80,11 @@ impl ReplicaSet {
     }
 
     /// Replace the copy at `from` with one at `to` (a migration of one
-    /// replica). No-op when `from` is absent; if `to` is already a member
-    /// the `from` entry is simply dropped (the sets never hold duplicates).
+    /// replica), in place. No-op when `from` is absent. The caller keeps
+    /// `to` out of the set beforehand: the sets never hold duplicates.
     pub fn migrate(&mut self, from: SiteId, to: SiteId) {
-        if let Some(position) = self.0.iter().position(|&s| s == from) {
-            if self.0.contains(&to) {
-                self.0.remove(position);
-                assert!(!self.0.is_empty(), "a migration cannot empty a replica set");
-            } else {
-                self.0[position] = to;
-            }
+        if let Some(site) = self.0.iter_mut().find(|site| **site == from) {
+            *site = to;
         }
     }
 }
@@ -262,12 +257,9 @@ mod tests {
         let mut set = ReplicaSet::of([SiteId(0), SiteId(1)]);
         set.migrate(SiteId(0), SiteId(2));
         assert_eq!(set.sites(), &[SiteId(2), SiteId(1)]);
-        // Migrating onto an existing member collapses the duplicate.
-        set.migrate(SiteId(2), SiteId(1));
-        assert_eq!(set.sites(), &[SiteId(1)]);
         // Migrating an absent copy is a no-op.
         set.migrate(SiteId(9), SiteId(0));
-        assert_eq!(set.sites(), &[SiteId(1)]);
+        assert_eq!(set.sites(), &[SiteId(2), SiteId(1)]);
     }
 
     #[test]

@@ -3,15 +3,11 @@
 //! The paper fixes the fragmentation and placement at deploy time; this
 //! crate makes both **mutable online**, without ever blocking readers:
 //!
-//! * [`RefragOp`] — the primitive operations on the deployment topology:
-//!   [`RefragOp::Split`] cuts a fragment in two, [`RefragOp::Merge`]
-//!   splices a child back into its parent, [`RefragOp::Migrate`] moves a
-//!   fragment to another site. [`apply_ops`] executes any sequence of them
-//!   as **one** [`PaxServer::refragment`] call — fetch payloads, rewrite
-//!   the fragment tree with incrementally re-derived §5 annotations (the
-//!   surgery of `paxml_fragment::split_fragment` / `merge_fragment`),
-//!   ship the installs, publish the next epoch. A failure anywhere
-//!   publishes nothing.
+//! * [`RefragOp`] — the primitive operations on the deployment topology,
+//!   defined in the core next to [`PaxServer::refragment`], which takes any
+//!   sequence of them: [`RefragOp::Split`] cuts a fragment in two,
+//!   [`RefragOp::Merge`] splices a child back into its parent,
+//!   [`RefragOp::Migrate`] moves one copy of a fragment to another site.
 //! * [`CostModel`] + [`plan`] — per-site load observation (resident
 //!   fragments/bytes from [`Transport::site_load`], historical traffic
 //!   from the cumulative meters) feeding a greedy planner that evens out
@@ -30,7 +26,7 @@
 //! use paxml_core::{server::PaxServer, Algorithm};
 //! use paxml_distsim::SiteId;
 //! use paxml_fragment::{strategy::cut_at_labels, FragmentId};
-//! use paxml_rebalance::{apply_ops, RefragOp};
+//! use paxml_rebalance::RefragOp;
 //! use paxml_xml::TreeBuilder;
 //!
 //! let tree = TreeBuilder::new("clientele")
@@ -49,7 +45,7 @@
 //! let from = server.topology().site_of(FragmentId(1));
 //! let to = SiteId(1 - from.index());
 //! let report =
-//!     apply_ops(&server, &[RefragOp::Migrate { fragment: FragmentId(1), from, to }]).unwrap();
+//!     server.refragment(&[RefragOp::Migrate { fragment: FragmentId(1), from, to }]).unwrap();
 //! assert_eq!(report.installed_fragments, 1);
 //!
 //! let after = server.execute(&q).unwrap();
@@ -60,8 +56,15 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod ops;
 mod plan;
 
-pub use ops::{apply_ops, RefragOp};
+pub use paxml_core::server::RefragOp;
+use paxml_core::server::{PaxServer, RefragReport};
+use paxml_core::PaxResult;
 pub use plan::{plan, rebalance, CostModel, Objective, PlannerOptions, RebalanceOutcome, SiteCost};
+
+/// `server.refragment(ops)`, kept under this name for callers that predate
+/// [`PaxServer::refragment`] taking the ops itself.
+pub fn apply_ops(server: &PaxServer, ops: &[RefragOp]) -> PaxResult<RefragReport> {
+    server.refragment(ops)
+}

@@ -9,8 +9,7 @@
 //!
 //! [`Transport::site_load`]: paxml_core::Transport::site_load
 
-use crate::ops::{apply_ops, RefragOp};
-use paxml_core::server::{PaxServer, RefragReport};
+use paxml_core::server::{PaxServer, RefragOp, RefragReport};
 use paxml_core::PaxResult;
 use paxml_distsim::SiteId;
 use paxml_fragment::FragmentId;
@@ -140,7 +139,7 @@ impl CostModel {
 /// heaviest site to the lightest until no move improves the objective, the
 /// bytes-moved budget is exhausted, or `max_moves` is reached. Returns
 /// pure migrations (splits/merges are policy decisions [`plan`] does not
-/// take — hand-build those with [`apply_ops`]).
+/// take — hand-build those for [`PaxServer::refragment`]).
 pub fn plan(model: &CostModel, options: &PlannerOptions) -> Vec<RefragOp> {
     let mut per_site = model.weights(options.objective);
     // Resident bytes ride along so the budget is charged in real bytes
@@ -221,7 +220,7 @@ pub fn rebalance(server: &PaxServer, options: &PlannerOptions) -> PaxResult<Reba
     let model = CostModel::observe(server);
     let before = model.max_site_bytes();
     let ops = plan(&model, options);
-    let report = if ops.is_empty() { None } else { Some(apply_ops(server, &ops)?) };
+    let report = if ops.is_empty() { None } else { Some(server.refragment(&ops)?) };
     if report.is_some() {
         let _ = server.vacuum();
     }

@@ -15,7 +15,7 @@
 
 use paxml_core::{
     dispatch, Algorithm, EpochRequest, PaxError, PaxResult, PaxServer, ProtocolRequest,
-    ProtocolResponse, TopologyChange, Transport,
+    ProtocolResponse, RefragOp, Transport,
 };
 use paxml_distsim::{encoded_size, Cluster, Delivery, Placement, ReplicaSet, SiteId};
 use paxml_fragment::FragmentId;
@@ -263,19 +263,10 @@ fn workloads_cover_every_protocol_message_variant() {
         let batch = workload.next_batch(3, 2);
         server.apply_updates(&batch).expect("apply_updates");
         // A pure migration (F1 moves one site over) and a sweep.
-        server
-            .refragment(|base| {
-                let mut placement = base.topology().placement.clone();
-                let to = SiteId((base.topology().site_of(FragmentId(1)).index() + 1) % 4);
-                placement.insert(FragmentId(1), to.into());
-                Ok(TopologyChange {
-                    fragment_tree: base.topology().fragment_tree.clone(),
-                    placement,
-                    installs: base.fetch(&[FragmentId(1)])?.into_values().collect(),
-                    touched: BTreeSet::new(),
-                })
-            })
-            .expect("refragment");
+        let from = server.topology().site_of(FragmentId(1));
+        let to = SiteId((from.index() + 1) % 4);
+        let migrate = RefragOp::Migrate { fragment: FragmentId(1), from, to };
+        server.refragment(&[migrate]).expect("refragment");
         server.vacuum().expect("vacuum");
         assert!(transport.kept.load(Ordering::Relaxed) > 0, "the sweep kept nothing anywhere");
         // The site that lost its only copy of F1 (migrated above) answers

@@ -8,6 +8,7 @@
 //! plus runtime checks of the explicit-assignment builder path and of the
 //! retry defaults.
 
+use paxml::core::server::{RefragOp, RefragReport};
 use paxml::core::{FragmentLabels, PathTrie, RetryPolicy, Topology, Transport};
 use paxml::distsim::{Cluster, ReplicaSet};
 use paxml::fragment::FragmentTree;
@@ -118,4 +119,12 @@ fn the_topology_owns_the_index_and_a_deployment_only_its_transport() {
     let _: fn(&Topology) -> &str = Topology::root_label;
     let _: fn(&Topology) -> Option<&FragmentLabels> = Topology::labels;
     let _: fn(Arc<dyn Transport>) -> Deployment = Deployment::over_transport;
+}
+
+/// Re-fragmentation has one entry point, which takes op sequences; the
+/// rebalance crate names the core's op type rather than a copy. Pinned.
+#[test]
+fn the_topology_changes_only_through_refrag_ops() {
+    let _: fn(&PaxServer, &[RefragOp]) -> PaxResult<RefragReport> = PaxServer::refragment;
+    let _: fn(paxml::rebalance::RefragOp) -> RefragOp = |op| op;
 }

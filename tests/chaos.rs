@@ -18,7 +18,7 @@
 
 use paxml::core::RetryPolicy;
 use paxml::prelude::*;
-use paxml::rebalance::{apply_ops, RefragOp};
+use paxml::rebalance::RefragOp;
 use paxml::wire::ProcessCluster;
 use paxml::xmark::{clientele_fragmentation, UpdateWorkload};
 use paxml_distsim::{FaultEvent, FaultKind, FaultPlan, Placement, SiteId};
@@ -87,7 +87,7 @@ fn run_workload(
     // Move fragment 1's primary copy off S1 (its replicas are {S1, S2}
     // under round-robin ×2, so S0 keeps the copies apart).
     let ops = [RefragOp::Migrate { fragment: FragmentId(1), from: SiteId(1), to: SiteId(0) }];
-    let report = apply_ops(server, &ops).expect("the migration must survive the schedule");
+    let report = server.refragment(&ops).expect("the migration must survive the schedule");
     log.push(format!("refrag: @e{} v{}", report.epoch, report.placement_version));
     for (query, p) in QUERIES.iter().zip(&prepared) {
         let report = server.execute(p).expect("post-refrag execution");

@@ -8,14 +8,16 @@
 //! TCP transport; a round-trip (split then merge, migrate there and back)
 //! is bit-identical to never having touched the deployment at all; the
 //! cost-model planner reduces the max-site load on a skewed deployment;
-//! and a site dying mid-migration publishes nothing — clean
-//! `SiteUnreachable`, old topology serving throughout.
+//! a site dying mid-migration publishes nothing — clean
+//! `SiteUnreachable`, old topology serving throughout; and an invalid op
+//! fails with a typed error and publishes nothing either.
 
+use paxml::fragment::FragmentError;
 use paxml::prelude::*;
-use paxml::rebalance::{apply_ops, rebalance, PlannerOptions, RefragOp};
+use paxml::rebalance::{rebalance, PlannerOptions, RefragOp};
 use paxml::wire::ProcessCluster;
-use paxml::xmark::{ft1, PAPER_QUERIES};
-use paxml_distsim::SiteId;
+use paxml::xmark::{clientele_fragmentation, ft1, PAPER_QUERIES};
+use paxml_distsim::{ReplicaSet, SiteId};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -137,7 +139,7 @@ fn mixed_op_sequences_conform_to_a_fresh_deploy() {
         let mut version = 0u64;
         for (step, ops) in steps {
             let report =
-                apply_ops(&server, &ops).unwrap_or_else(|e| panic!("{algorithm} {step}: {e}"));
+                server.refragment(&ops).unwrap_or_else(|e| panic!("{algorithm} {step}: {e}"));
             version += 1;
             assert_eq!(
                 report.placement_version, version,
@@ -183,8 +185,8 @@ fn refragmentation_over_tcp_matches_the_simulator() {
             },
             RefragOp::Migrate { fragment: FragmentId(2), from: SiteId(2), to: SiteId(0) },
         ];
-        let s = apply_ops(&sim, &ops).expect("simulator refragmentation");
-        let t = apply_ops(&tcp, &ops).expect("TCP refragmentation");
+        let s = sim.refragment(&ops).expect("simulator refragmentation");
+        let t = tcp.refragment(&ops).expect("TCP refragmentation");
         assert_eq!(s.installed_fragments, t.installed_fragments, "install counts diverged");
         assert_eq!(s.placement_version, t.placement_version, "topology versions diverged");
 
@@ -241,10 +243,11 @@ fn migration_to_a_dead_site_publishes_nothing() {
         // Twice, to show the failed attempt poisons nothing.
         for attempt in 0..2 {
             let moved_home = server.topology().site_of(moved);
-            match apply_ops(
-                &server,
-                &[RefragOp::Migrate { fragment: moved, from: moved_home, to: victim }],
-            ) {
+            match server.refragment(&[RefragOp::Migrate {
+                fragment: moved,
+                from: moved_home,
+                to: victim,
+            }]) {
                 Err(PaxError::SiteUnreachable { site, .. }) => {
                     assert_eq!(site, victim, "attempt {attempt}: wrong site blamed");
                 }
@@ -323,17 +326,15 @@ fn a_zero_budget_plans_nothing() {
     assert_eq!(server.server_stats().placement_version, 0);
 }
 
-/// Auto-vacuum across re-fragmentations: with a threshold configured,
-/// ping-pong migrations must not accumulate superseded fragment copies on
-/// the sites — the sweep runs as a side effect of publishing, no explicit
-/// `vacuum` call anywhere.
+/// Vacuum across re-fragmentations: ping-pong migrations leave a
+/// superseded copy behind on the sites at each publish, and one explicit
+/// sweep reclaims every one of them once no reader pins an old epoch.
 #[test]
-fn auto_vacuum_bounds_refragmentation_garbage() {
+fn vacuum_reclaims_refragmentation_garbage() {
     let (_tree, fragmented) = ft1(4, 0.01, 5);
     let server = PaxServer::builder()
         .algorithm(Algorithm::PaX2)
         .sites(2)
-        .auto_vacuum_threshold(2)
         .deploy(&fragmented)
         .expect("deploy");
     let site_versions = |server: &PaxServer| -> usize {
@@ -349,25 +350,152 @@ fn auto_vacuum_bounds_refragmentation_garbage() {
     for round in 0..6u64 {
         let to = SiteId((round as usize) % 2);
         let from = SiteId(((round as usize) + 1) % 2);
-        apply_ops(&server, &[RefragOp::Migrate { fragment: FragmentId(1), from, to }])
+        server
+            .refragment(&[RefragOp::Migrate { fragment: FragmentId(1), from, to }])
             .expect("ping-pong migration");
     }
     let stats = server.server_stats();
     assert_eq!(stats.current_epoch, 6);
     assert_eq!(stats.live_epochs, 1, "no reader pins old epochs here");
-    // The auto sweep runs while the publishing epoch is still pinned, so
-    // each ping-pong site may keep one version the next sweep reclaims —
-    // bounded garbage, against the 6 extra copies an unvacuumed run piles
-    // up on top of the originals.
     assert!(
-        site_versions(&server) <= one_fragment_everywhere + 4,
-        "superseded copies piled up past the auto-vacuum threshold: {} versions for {} fragments",
-        site_versions(&server),
-        one_fragment_everywhere
+        site_versions(&server) > one_fragment_everywhere,
+        "the migrations left no superseded copy to sweep"
     );
-    // An explicit sweep still exists and finishes the job.
     server.vacuum().expect("explicit vacuum");
     assert_eq!(site_versions(&server), one_fragment_everywhere);
+}
+
+/// The Fig. 2 clientele over three sites, `replication` copies each.
+fn clientele_server(replication: usize) -> (PaxServer, FragmentedTree) {
+    let (_, fragmented) = clientele_fragmentation();
+    let server = PaxServer::builder()
+        .sites(3)
+        .replication(replication)
+        .sequential(true)
+        .deploy(&fragmented)
+        .expect("deploy");
+    (server, fragmented)
+}
+
+/// Rename Anna's broker: one edit on F1.
+fn rename_broker(server: &PaxServer, fragmented: &FragmentedTree, to: &str) -> ExecReport {
+    let tree = &fragmented.fragments[1].tree;
+    let node = tree.children(tree.find_first("name").expect("a broker name")).next().unwrap();
+    let edit = UpdateOp::EditText { node, text: to.into() };
+    server.apply_updates(&[(FragmentId(1), edit)]).expect("the writer is still usable")
+}
+
+/// A migration onto the site the copy already lives on, with one copy:
+/// rejected before any round. (It used to empty the replica set under
+/// the writer lock, which panicked and poisoned every later update.)
+#[test]
+fn a_migration_onto_its_own_site_is_rejected() {
+    let (server, fragmented) = clientele_server(1);
+    let home = server.topology().site_of(FragmentId(1));
+    let before = server.cumulative_stats();
+    let ops = [RefragOp::Migrate { fragment: FragmentId(1), from: home, to: home }];
+    let error = server.refragment(&ops).expect_err("a migration onto its own site");
+    assert!(matches!(error, PaxError::InvalidConfig { .. }), "{error}");
+    assert_eq!(server.cumulative_stats().delta_since(&before).rounds, 0, "no round ran");
+    assert_eq!(server.topology().replicas_of(FragmentId(1)), &ReplicaSet::solo(home));
+    assert_eq!(rename_broker(&server, &fragmented, "B").epoch, 1);
+}
+
+/// A migration onto the site of the fragment's other copy, at replication
+/// 2: rejected before any round. (It used to publish an epoch with the
+/// replica set shrunk to one copy.)
+#[test]
+fn a_migration_onto_a_site_holding_another_copy_is_rejected() {
+    let (server, fragmented) = clientele_server(2);
+    let replicas = server.topology().replicas_of(FragmentId(1)).clone();
+    let (from, to) = (replicas.sites()[0], replicas.sites()[1]);
+    let before = server.cumulative_stats();
+    let ops = [RefragOp::Migrate { fragment: FragmentId(1), from, to }];
+    let error = server.refragment(&ops).expect_err("a migration onto the other copy's site");
+    assert!(matches!(error, PaxError::InvalidConfig { .. }), "{error}");
+    assert_eq!(server.cumulative_stats().delta_since(&before).rounds, 0, "no round ran");
+    assert_eq!(server.server_stats().current_epoch, 0, "an epoch was published");
+    assert_eq!(server.topology().replicas_of(FragmentId(1)), &replicas);
+    assert_eq!(rename_broker(&server, &fragmented, "B").epoch, 1);
+}
+
+/// Every kind of invalid op sequence fails with its typed error and
+/// publishes nothing: epoch, placement version, stale marks and answers
+/// stay as they were. A valid op afterwards publishes exactly once.
+#[test]
+fn invalid_ops_publish_nothing() {
+    let (server, fragmented) = clientele_server(1);
+    let (f0, f1, unknown) = (FragmentId(0), FragmentId(1), FragmentId(99));
+    let home = server.topology().site_of(f1);
+    let (away, nowhere) = (SiteId((home.index() + 1) % 3), SiteId(9));
+    let broker = &fragmented.fragments[1].tree;
+    let market = broker.find_first("market").expect("Anna's broker has an NYSE market");
+    let text = broker.children(broker.find_first("name").unwrap()).next().unwrap();
+    let split =
+        |cut, place_on: SiteId| RefragOp::Split { fragment: f1, cut, place_on: place_on.into() };
+    let new_id = FragmentId(fragmented.fragment_tree.max_id().index() + 1);
+
+    type Expected = fn(&PaxError) -> bool;
+    let invalid_config: Expected = |e| matches!(e, PaxError::InvalidConfig { .. });
+    let unknown_fragment: Expected =
+        |e| matches!(e, PaxError::Fragment(FragmentError::UnknownFragment { fragment: 99 }));
+    let rows: Vec<(&str, Vec<RefragOp>, Expected)> = vec![
+        (
+            "a migrate from a site with no copy",
+            vec![RefragOp::Migrate { fragment: f1, from: away, to: away }],
+            invalid_config,
+        ),
+        (
+            "a migrate to a nonexistent site",
+            vec![RefragOp::Migrate { fragment: f1, from: home, to: nowhere }],
+            invalid_config,
+        ),
+        ("a split placed on a nonexistent site", vec![split(market, nowhere)], invalid_config),
+        ("a merge of the root", vec![RefragOp::Merge { child: f0 }], invalid_config),
+        ("a split at a non-element node", vec![split(text, away)], |e| {
+            matches!(e, PaxError::Fragment(FragmentError::CutAtNonElement { .. }))
+        }),
+        (
+            "a split of an unknown fragment",
+            vec![RefragOp::Split { fragment: unknown, cut: market, place_on: away.into() }],
+            unknown_fragment,
+        ),
+        (
+            "a merge of an unknown fragment",
+            vec![RefragOp::Merge { child: unknown }],
+            unknown_fragment,
+        ),
+        (
+            "a migrate of an unknown fragment",
+            vec![RefragOp::Migrate { fragment: unknown, from: home, to: away }],
+            unknown_fragment,
+        ),
+        (
+            "a valid split, then a migrate of its child from a site with no copy",
+            vec![split(market, away), RefragOp::Migrate { fragment: new_id, from: home, to: away }],
+            invalid_config,
+        ),
+    ];
+
+    let query = "client/broker/market/name";
+    let observe = |server: &PaxServer| {
+        let stats = server.server_stats();
+        let stale = server.deployment().health().unrepaired_stale();
+        let answers = server.query_once(query).expect("the old topology serves").answer_texts();
+        (stats.current_epoch, stats.placement_version, stale, answers)
+    };
+    let before = observe(&server);
+    assert_eq!((before.0, before.1), (0, 0));
+    for (row, ops, expected) in rows {
+        let error = server.refragment(&ops).expect_err(row);
+        assert!(expected(&error), "{row}: unexpected error {error}");
+        assert_eq!(observe(&server), before, "{row}: something was published");
+    }
+    let report = server.refragment(&[split(market, away)]).expect("a valid split");
+    assert_eq!((report.epoch, report.placement_version), (1, 1));
+    let after = observe(&server);
+    assert_eq!((after.0, after.1), (1, 1), "the valid op published exactly once");
+    assert_eq!(after.3, before.3, "a split changes no answer");
 }
 
 proptest! {
@@ -405,7 +533,7 @@ proptest! {
                 .sites(sites)
                 .deploy(&fragmented)
                 .expect("deploy");
-            apply_ops(&server, &[
+            server.refragment(&[
                 RefragOp::Split { fragment: victim, cut, place_on: SiteId(0).into() },
                 RefragOp::Merge { child: new_id },
             ]).expect("split then merge");
@@ -439,16 +567,12 @@ proptest! {
                 .expect("deploy");
             let home = server.topology().site_of(FragmentId(1));
             let away = SiteId((home.index() + 1) % sites);
-            apply_ops(
-                &server,
-                &[RefragOp::Migrate { fragment: FragmentId(1), from: home, to: away }],
-            )
-            .expect("migrate away");
-            apply_ops(
-                &server,
-                &[RefragOp::Migrate { fragment: FragmentId(1), from: away, to: home }],
-            )
-            .expect("migrate home");
+            server
+                .refragment(&[RefragOp::Migrate { fragment: FragmentId(1), from: home, to: away }])
+                .expect("migrate away");
+            server
+                .refragment(&[RefragOp::Migrate { fragment: FragmentId(1), from: away, to: home }])
+                .expect("migrate home");
             prop_assert_eq!(server.server_stats().placement_version, 2);
             for query in queries() {
                 let a = server.query_once(query).expect("round-tripped server");

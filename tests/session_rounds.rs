@@ -4,7 +4,7 @@
 //! a cold snapshot may do to the sites' version lists.
 
 use paxml::prelude::*;
-use paxml::rebalance::{apply_ops, RefragOp};
+use paxml::rebalance::RefragOp;
 use paxml::wire::{SiteServer, TcpCluster};
 use paxml_distsim::SiteId;
 use paxml_fragment::reassemble_with_origin;
@@ -56,7 +56,7 @@ fn never_snapshotted_sessions_ride_update_rounds_untouched() {
     // market query only, so exactly that session is invalidated.
     let cut = fragmented.fragments[1].tree.find_first("market").unwrap();
     let split = RefragOp::Split { fragment: FragmentId(1), cut, place_on: SiteId(0).into() };
-    let refrag = apply_ops(&server, &[split]).unwrap();
+    let refrag = server.refragment(&[split]).unwrap();
     assert_eq!((refrag.invalidated_sessions, refrag.retopologized_sessions), (1, 1));
 
     // An edit in F0, which is relevant to both queries.

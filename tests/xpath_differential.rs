@@ -24,7 +24,7 @@
 //! widened surface syntax.
 
 use paxml::prelude::*;
-use paxml::rebalance::{apply_ops, RefragOp};
+use paxml::rebalance::RefragOp;
 use paxml::wire::ProcessCluster;
 use paxml::xmark::{QueryGen, QueryGenConfig, UpdateWorkload};
 use paxml::xpath::semantics::oracle_eval;
@@ -315,7 +315,7 @@ fn updates_then_refragmentation_preserve_the_agreement() {
             RefragOp::Migrate { fragment: new_id, from: SiteId(sites - 1), to: SiteId(0) },
         ];
         for (algorithm, s) in &servers {
-            apply_ops(s, &ops).unwrap_or_else(|e| panic!("seed {seed} {algorithm} refrag: {e}"));
+            s.refragment(&ops).unwrap_or_else(|e| panic!("seed {seed} {algorithm} refrag: {e}"));
         }
         assert_servers_match_mirror(
             &servers,
