@@ -81,10 +81,10 @@ use paxml_distsim::SiteLocal;
 use paxml_fragment::{Fragment, FragmentId, UpdateOp};
 use paxml_xml::NodeId;
 use paxml_xpath::eval::{
-    multi_combined_pass, qualifier_pass, selection_pass_with, CombinedPassOutput, QualVectors,
-    VisitQuery,
+    multi_combined_pass, parked_selection_pass, qualifier_sweep, CombinedPassOutput,
+    ParkedQualifiers, QualVectors, VisitQuery,
 };
-use paxml_xpath::{CompiledQuery, QEntryId};
+use paxml_xpath::CompiledQuery;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -142,16 +142,16 @@ pub enum InitVector {
 /// Request of the qualifier stage.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct QualRequest {
-    /// The execution's scratch slot (where the per-node `QV` vectors are
-    /// parked for the selection visit).
+    /// The execution's scratch slot (where the qualifier sweep is parked for
+    /// the selection visit).
     pub slot: usize,
     /// The compiled query (sent to every site — the `O(|Q|·|FT|)` part of
     /// the communication bound).
     pub query: CompiledQuery,
     /// The fragments (stored at the target site) to evaluate.
     pub fragments: Vec<FragmentId>,
-    /// The subset of `fragments` whose per-node vectors a later selection
-    /// visit will consume (the annotation-relevant ones). Every fragment
+    /// The subset of `fragments` whose qualifier sweep a later selection
+    /// visit will read (the annotation-relevant ones). Every fragment
     /// still contributes its root vectors, but only these park state in
     /// the site's scratch — parking for a fragment the selection stage
     /// prunes would leave the entry behind until its epoch retires.
@@ -167,16 +167,17 @@ pub struct QualResponse {
     pub roots: BTreeMap<FragmentId, QualVectors<PaxVar>>,
 }
 
-/// Site-side task of the qualifier stage: one bottom-up pass per fragment,
-/// storing the per-node `QV` vectors locally for the next visit. The pass
-/// reads the fragment snapshot of the visit's pinned `epoch` (an `Arc`
-/// handle — fragment data is never copied).
+/// Site-side task of the qualifier stage: one bottom-up sweep per fragment,
+/// parked as it left it ([`ParkedQualifiers`]) for the selection visit when
+/// the fragment is in `park`. The sweep reads the fragment snapshot of the
+/// visit's pinned `epoch` (an `Arc` handle — fragment data is never
+/// copied).
 pub fn qualifier_task(site: &mut SiteLocal, epoch: u64, request: QualRequest) -> QualResponse {
     let mut roots = BTreeMap::new();
     let qlen = request.query.qvect_len();
     for &fragment_id in &request.fragments {
         let fragment = snapshot(site, fragment_id, epoch);
-        let out = qualifier_pass::<PaxVar>(
+        let out = qualifier_sweep::<PaxVar>(
             &fragment.tree,
             fragment.tree.root(),
             &request.query,
@@ -185,7 +186,7 @@ pub fn qualifier_task(site: &mut SiteLocal, epoch: u64, request: QualRequest) ->
         site.charge_ops(out.ops);
         roots.insert(fragment_id, out.root);
         if request.park.contains(&fragment_id) {
-            site.put_scratch(epoch, request.slot, fragment_id, out.node_qv);
+            site.put_scratch(epoch, request.slot, fragment_id, out.parked);
         }
     }
     QualResponse { roots }
@@ -248,7 +249,8 @@ fn build_init(fragment: FragmentId, init: &InitVector, svect_len: usize) -> Comp
     }
 }
 
-/// Site-side task of the selection stage (PaX3 Stage 2).
+/// Site-side task of the selection stage (PaX3 Stage 2): one top-down sweep
+/// per fragment, reading the qualifier sweep its site parked in place.
 pub fn selection_task(site: &mut SiteLocal, epoch: u64, request: SelRequest) -> SelResponse {
     let query = &request.query;
     let mut virtuals = BTreeMap::new();
@@ -258,24 +260,18 @@ pub fn selection_task(site: &mut SiteLocal, epoch: u64, request: SelRequest) -> 
         let init = build_init(fragment_id, &input.init, query.init_len());
         let context = if input.root_is_context { Some(fragment.tree.root()) } else { None };
         let qual_assignment = assignment_from_pairs(&input.qual_values);
-        let stored_qv = site.take_scratch::<Vec<Option<CompactVector<PaxVar>>>>(
-            epoch,
-            request.slot,
-            fragment_id,
-        );
-        let mut qual_value = |v: NodeId, e: QEntryId| -> BoolExpr<PaxVar> {
-            let vector = stored_qv.as_ref().and_then(|qv| qv[v.index()].as_ref());
-            vector.map_or(BoolExpr::constant(false), |vec| vec.expr(e).assign(&qual_assignment))
-        };
+        let parked =
+            site.take_scratch::<ParkedQualifiers<PaxVar>>(epoch, request.slot, fragment_id);
         let summary = site.label_summary_at(fragment_id, epoch);
-        let out = selection_pass_with::<PaxVar>(
+        let out = parked_selection_pass::<PaxVar>(
             &fragment.tree,
             fragment.tree.root(),
             query,
             init,
             context,
             summary.as_deref(),
-            &mut qual_value,
+            parked.as_ref(),
+            &qual_assignment,
         );
         site.charge_ops(out.ops);
 
@@ -798,7 +794,7 @@ mod tests {
             },
         );
         assert_eq!(response.roots.len(), 2);
-        assert_eq!(site.scratch_len(), 2, "both fragments park their per-node vectors");
+        assert_eq!(site.scratch_len(), 2, "both fragments park their qualifier sweep");
         assert!(site.ops() > 0);
         // The leaf fragment F1 has no virtual nodes, so its root vectors are
         // already fully resolved — and therefore ship as packed bits.

@@ -9,12 +9,14 @@
 //!   vectors, answers and candidate answers, and the vector to ship for each
 //!   virtual node. It reads qualifier values through a callback.
 //!
-//! The three public passes are thin shells over them, shared by the
-//! centralized evaluator and the distributed algorithms (`paxml-core`):
+//! The public passes are thin shells over them, shared by the centralized
+//! evaluator and the distributed algorithms (`paxml-core`):
 //!
-//! * [`qualifier_pass`] — PaX3 Stage 1: qualifier sweep, exported;
-//! * [`selection_pass`] — PaX3 Stage 2: selection sweep over imported
-//!   qualifier values, exported;
+//! * [`qualifier_sweep`] — PaX3 Stage 1: qualifier sweep, root vectors
+//!   exported and the rest kept as [`ParkedQualifiers`] — the union phase's
+//!   words and the spine's vectors — for the site to park;
+//! * [`parked_selection_pass`] — PaX3 Stage 2: selection sweep reading the
+//!   parked words in place, over the fragment's label summary;
 //! * [`combined_pass`] — the PaX2 visit (§4) and the centralized evaluator:
 //!   qualifier sweep, then selection sweep reading the first sweep's vectors
 //!   in place. The paper fuses the two into one traversal with `qz`
@@ -22,6 +24,12 @@
 //!   no placeholder and no substitution (see PAPER.md, "Deviations");
 //! * [`multi_combined_pass`] — the PaX2 visit of many queries at once, of
 //!   which [`combined_pass`] is the batch of one (below).
+//!
+//! Like PaX2's visit, PaX3's two stages export nothing per node: between its
+//! sweeps a fragment ships only its root vectors. [`qualifier_pass`], which
+//! exports one vector per node, and [`selection_pass`], which reads them
+//! back through a callback, are the older Stage 1 and Stage 2 shapes, kept
+//! for the benchmark's re-enactment of PaX3 and the kernel tests.
 //!
 //! All passes are generic over the variable type `V` so that the distributed
 //! layer can use globally-unique variable names while the centralized
@@ -90,8 +98,9 @@
 //! value there is a constant, so the walk it saves would intern at most ORs
 //! of carried values, whose place in a later formula does not depend on
 //! when they were interned: formula trees are the full walk's too. Only
-//! [`multi_combined_pass`] and [`selection_pass_with`] take a summary; the
-//! other passes, and so the centralized evaluator, walk every node.
+//! [`multi_combined_pass`] (PaX2's visit) and [`parked_selection_pass`]
+//! (PaX3's Stage 2) take a summary; the other passes, and so the centralized
+//! evaluator, walk every node.
 //!
 //! The union phase and the disjunction lane perform **no heap allocation per
 //! node**: the tree walks follow links, children are pushed straight onto
@@ -139,7 +148,7 @@
 
 use crate::ast::CmpOp;
 use crate::compile::{splice_qvect, CompiledQuery, PosFilter, QAxis, QEntry, QEntryId, SelItem};
-use paxml_boolex::{BitVector, BoolExpr, CompactVector, ExprId, FormulaArena};
+use paxml_boolex::{Assignment, BitVector, BoolExpr, CompactVector, ExprId, FormulaArena};
 use paxml_xml::{LabelSummary, NodeId, XmlTree};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -601,7 +610,8 @@ pub struct LaneCounts {
 }
 
 /// Evaluate every `QVect` entry at every node of the subtree rooted at
-/// `root`, bottom-up, in a single pass.
+/// `root`, bottom-up, in a single pass, and export each node's `QV`: the
+/// [`qualifier_sweep`] with one vector per node built from what it parks.
 ///
 /// `virtual_vectors` supplies, for every virtual node encountered, the
 /// `QV`/`QDV` vectors standing for the missing sub-fragment's root — fresh
@@ -612,18 +622,96 @@ pub fn qualifier_pass<V: VarLike>(
     query: &CompiledQuery,
     virtual_vectors: impl FnMut(NodeId) -> QualVectors<V>,
 ) -> QualifierPassOutput<V> {
-    let mut arena: FormulaArena<V> = FormulaArena::new();
-    let union = union_sweep(tree, root, &query.qvect);
-    let sweep = spine_sweep(&mut arena, tree, query, &union, None, virtual_vectors);
+    let QualifierSweepOutput { parked, root: root_vectors, ops, lanes } =
+        qualifier_sweep(tree, root, query, virtual_vectors);
     let mut node_qv = Vec::new();
     if query.has_qualifiers() {
         node_qv.resize(tree.node_count(), None);
         for v in tree.post_order(root) {
-            node_qv[v.index()] = Some(sweep.vectors(v).0.into_compact(&arena));
+            node_qv[v.index()] = Some(parked.vector(v));
         }
     }
-    let root = sweep.root_vectors(root, &arena);
-    QualifierPassOutput { node_qv, root, ops: union.ops + sweep.ops, lanes: sweep.lanes }
+    QualifierPassOutput { node_qv, root: root_vectors, ops, lanes }
+}
+
+/// What PaX3's Stage 1 leaves at a site for Stage 2, read there in place by
+/// [`parked_selection_pass`]: the union phase's `QV` word and spine position
+/// of every node, and the spine's `QV` vectors in wire form. The spine —
+/// the virtual nodes and their ancestors — is what a single query's sweep
+/// computes in its arena; every other node's `QV` is its word.
+#[derive(Debug)]
+pub struct ParkedQualifiers<V: Ord> {
+    /// `|QVect|`.
+    qlen: usize,
+    /// `QV` at every node off the spine, as one word (empty when `QVect` is
+    /// wider than a word, and every node is on the spine).
+    qv: Vec<u64>,
+    /// A node's position in `spine`, or [`OFF_SPINE`].
+    spine_at: Vec<u32>,
+    /// `QV` per spine position.
+    spine: Vec<CompactVector<V>>,
+}
+
+impl<V: VarLike> ParkedQualifiers<V> {
+    /// `v`'s `QV` in wire form: packed bits off the spine.
+    fn vector(&self, v: NodeId) -> CompactVector<V> {
+        match self.spine_at[v.index()] {
+            OFF_SPINE => CompactVector::Bits(BitVector::from_word(self.qlen, self.qv[v.index()])),
+            at => self.spine[at as usize].clone(),
+        }
+    }
+
+    /// Entry `e` of `v`'s `QV` under `env` as an id in `arena`. Off the
+    /// spine it is a constant, which interns nothing.
+    #[inline]
+    fn id(
+        &self,
+        arena: &mut FormulaArena<V>,
+        v: NodeId,
+        e: QEntryId,
+        env: &Assignment<V>,
+    ) -> ExprId {
+        match self.spine_at[v.index()] {
+            OFF_SPINE => ExprId::of_const(self.qv[v.index()] >> e & 1 != 0),
+            at => arena.from_expr(&self.spine[at as usize].expr(e).assign(env)),
+        }
+    }
+}
+
+/// Result of the [`qualifier_sweep`] over one subtree.
+#[derive(Debug)]
+pub struct QualifierSweepOutput<V: Ord> {
+    /// What Stage 2 reads, for the site to park.
+    pub parked: ParkedQualifiers<V>,
+    /// The `QV`/`QDV` vectors of the subtree root — what a fragment sends to
+    /// the coordinator at the end of Stage 1.
+    pub root: QualVectors<V>,
+    /// Number of elementary operations performed (nodes × vector entries).
+    pub ops: u64,
+    /// Nodes of the union phase (word lane) and of the spine (arena lane).
+    pub lanes: LaneCounts,
+}
+
+/// PaX3's Stage 1 over the subtree rooted at `root`: the qualifier sweep of
+/// one query, whose root vectors are exported and whose per-node state stays
+/// as the sweep computed it — one word per node off the spine — for
+/// [`parked_selection_pass`]. `virtual_vectors` supplies each virtual
+/// node's `QV`/`QDV`, as in [`qualifier_pass`].
+pub fn qualifier_sweep<V: VarLike>(
+    tree: &XmlTree,
+    root: NodeId,
+    query: &CompiledQuery,
+    virtual_vectors: impl FnMut(NodeId) -> QualVectors<V>,
+) -> QualifierSweepOutput<V> {
+    let mut arena: FormulaArena<V> = FormulaArena::new();
+    let union = union_sweep(tree, root, &query.qvect);
+    let sweep = spine_sweep(&mut arena, tree, query, &union, None, virtual_vectors);
+    let root_vectors = sweep.root_vectors(root, &arena);
+    let QualSweep { qv: spine, ops, lanes, .. } = sweep;
+    let spine = spine.into_iter().map(|qv| qv.into_compact(&arena)).collect();
+    let Union { qv, spine_at, ops: union_ops, .. } = union;
+    let parked = ParkedQualifiers { qlen: query.qvect_len(), qv, spine_at, spine };
+    QualifierSweepOutput { parked, root: root_vectors, ops: union_ops + ops, lanes }
 }
 
 /// Marks a node off the spine in [`Union::spine_at`].
@@ -1041,25 +1129,34 @@ pub fn selection_pass<V: VarLike>(
     context: Option<NodeId>,
     qual_value: &mut impl FnMut(NodeId, QEntryId) -> BoolExpr<V>,
 ) -> SelectionPassOutput<V> {
-    selection_pass_with(tree, root, query, init, context, None, qual_value)
+    let mut arena: FormulaArena<V> = FormulaArena::new();
+    selection_sweep(&mut arena, tree, root, query, &init, context, None, &mut |arena, v, e| {
+        arena.from_expr(&qual_value(v, e))
+    })
 }
 
-/// [`selection_pass`] over `tree`'s [`LabelSummary`], which lets the sweep
-/// pass over a subtree that can hold no answer (see the module doc); `None`
-/// walks every node. PaX3's Stage 2, whose qualifier values at a node
-/// without a virtual node below are constants, is what passes a summary.
-pub fn selection_pass_with<V: VarLike>(
+/// PaX3's Stage 2 over the subtree rooted at `root`: the [`selection_pass`]
+/// whose qualifier values are read in place from what the fragment's
+/// [`qualifier_sweep`] parked, under `env`, the resolved values of the
+/// qualifier variables of its sub-fragments. Off the spine a value is a bit
+/// of a word; on it, the spine vector's entry under `env`. `None` stands
+/// for a query without qualifiers, which reads none. Over `tree`'s
+/// [`LabelSummary`] the sweep passes over a subtree that can hold no answer
+/// (see the module doc); `None` walks every node.
+#[allow(clippy::too_many_arguments)]
+pub fn parked_selection_pass<V: VarLike>(
     tree: &XmlTree,
     root: NodeId,
     query: &CompiledQuery,
     init: CompactVector<V>,
     context: Option<NodeId>,
     summary: Option<&LabelSummary>,
-    qual_value: &mut impl FnMut(NodeId, QEntryId) -> BoolExpr<V>,
+    parked: Option<&ParkedQualifiers<V>>,
+    env: &Assignment<V>,
 ) -> SelectionPassOutput<V> {
     let mut arena: FormulaArena<V> = FormulaArena::new();
     selection_sweep(&mut arena, tree, root, query, &init, context, summary, &mut |arena, v, e| {
-        arena.from_expr(&qual_value(v, e))
+        parked.map_or(ExprId::FALSE, |parked| parked.id(arena, v, e, env))
     })
 }
 
@@ -1952,6 +2049,105 @@ mod tests {
             start_at in prop::sample::select(STARTS.to_vec()),
         ) {
             assert_lanes_agree(&tree, &compiled(&query), start_at);
+        }
+    }
+
+    /// How many of a fragment's qualifier variables Stage 2's environment
+    /// resolves: all of them, or about two in three (the rest stay symbolic
+    /// on the spine).
+    #[derive(Debug, Clone, Copy)]
+    enum Resolved {
+        All,
+        Partly,
+    }
+
+    /// Values for the `QV`/`QDV` variables of `tree`'s virtual nodes (as
+    /// [`fresh_vectors`] names them), drawn from `seed`.
+    fn qualifier_env(
+        tree: &XmlTree,
+        qlen: usize,
+        seed: u64,
+        resolved: Resolved,
+    ) -> Assignment<String> {
+        let mut env = Assignment::new();
+        let mut state = seed;
+        for v in tree.virtual_nodes() {
+            let stub = tree.kind(v).virtual_fragment().expect("a virtual node");
+            for i in 0..qlen {
+                for vector in ["qv", "qdv"] {
+                    state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    let draw = state >> 33;
+                    if matches!(resolved, Resolved::All) || !draw.is_multiple_of(3) {
+                        env.set(format!("F{stub}.{vector}{i}"), draw & 1 != 0);
+                    }
+                }
+            }
+        }
+        env
+    }
+
+    /// PaX3's two stages over `tree` as a site runs them — the qualifier
+    /// sweep parked, then Stage 2 reading it in place under `env` — against
+    /// Stage 2 over [`qualifier_pass`]'s per-node vectors read back through
+    /// [`selection_pass`]'s callback (its sweep, when over a summary), and
+    /// assert equal root vectors, answers, candidate formula trees,
+    /// virtual-node vectors, `ops` and lane counts.
+    fn assert_parked_reads_agree(
+        tree: &XmlTree,
+        q: &CompiledQuery,
+        start_at: Start,
+        summary: Option<&LabelSummary>,
+        env: &Assignment<String>,
+    ) {
+        let (root, fresh) = (tree.root(), fresh_vectors(tree, q.qvect_len()));
+        let exported = qualifier_pass(tree, root, q, fresh);
+        let swept = qualifier_sweep(tree, root, q, fresh);
+        assert_eq!(swept.root, exported.root, "root vectors");
+        assert_eq!((swept.ops, swept.lanes), (exported.ops, exported.lanes), "qualifier sweep");
+
+        let (init, context) = start(q, tree, start_at);
+        let parked = q.has_qualifiers().then_some(&swept.parked);
+        let got = parked_selection_pass(tree, root, q, init.clone(), context, summary, parked, env);
+        let mut qual_value =
+            |v: NodeId, e| exported.node_qv[v.index()].as_ref().expect("swept").expr(e).assign(env);
+        let expected = match summary {
+            None => selection_pass(tree, root, q, init, context, &mut qual_value),
+            Some(_) => {
+                let mut arena = FormulaArena::new();
+                selection_sweep(
+                    &mut arena,
+                    tree,
+                    root,
+                    q,
+                    &init,
+                    context,
+                    summary,
+                    &mut |a, v, e| a.from_expr(&qual_value(v, e)),
+                )
+            }
+        };
+        assert_eq!(got.answers, expected.answers, "answers");
+        assert_eq!(got.candidates, expected.candidates, "candidates");
+        assert_eq!(got.virtual_vectors, expected.virtual_vectors, "virtual-node summaries");
+        assert_eq!(got.ops, expected.ops, "selection sweep ops");
+        assert_eq!(got.lanes, expected.lanes, "selection sweep lanes");
+    }
+
+    proptest! {
+        #[test]
+        fn stage_two_over_the_parked_sweep_equals_it_over_exported_vectors(
+            tree in common::fragment_strategy(),
+            query in common::kernel_query_strategy(),
+            start_at in prop::sample::select(STARTS.to_vec()),
+            seed in any::<u64>(),
+            resolved in prop::sample::select(vec![Resolved::All, Resolved::Partly]),
+        ) {
+            let q = compiled(&query);
+            let env = qualifier_env(&tree, q.qvect_len(), seed, resolved);
+            let summary = LabelSummary::of(&tree);
+            for summary in [None, Some(&summary)] {
+                assert_parked_reads_agree(&tree, &q, start_at, summary, &env);
+            }
         }
     }
 

@@ -14,6 +14,10 @@
 //! A sweep over a prebuilt label summary, which passes over the subtrees
 //! that can hold no answer, allocates no more than one without it.
 //!
+//! PaX3's Stage 1 keeps its qualifier sweep as the sweep left it — one word
+//! per node off the spine — instead of exporting one vector per node: it
+//! allocates per pass, and fewer bytes per node than the export.
+//!
 //! This binary has its own counting `#[global_allocator]`. Counts are kept
 //! per thread, so the test harness's other threads do not leak into them.
 
@@ -23,7 +27,7 @@ use paxml_boolex::{BoolExpr, CompactVector};
 use paxml_xml::{LabelSummary, NodeId, XmlTree};
 use paxml_xpath::eval::{
     combined_pass, evaluation_context, initial_vector, multi_combined_pass, qualifier_pass,
-    selection_pass, QualVectors, VisitQuery,
+    qualifier_sweep, selection_pass, QualVectors, VisitQuery,
 };
 use paxml_xpath::{compile_text, CompiledQuery, QEntryId};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -282,6 +286,48 @@ fn a_pass_over_a_label_summary_allocates_no_more_than_one_without() {
             if passed.saturating_sub(at_small[pair + 1]) > 16 {
                 problems.push(format!("{text} from {start}: a summary pass allocates per node"));
             }
+        }
+    }
+    assert!(problems.is_empty(), "{problems:#?}");
+}
+
+/// Heap blocks and bytes of PaX3's parking [`qualifier_sweep`] over `tree`,
+/// and of [`qualifier_pass`], which exports a vector per node from it.
+fn parking_sweep_allocations(tree: &XmlTree, query: &CompiledQuery) -> [(u64, u64); 2] {
+    let root = tree.root();
+    let no_virtual = |_: NodeId| -> QualVectors<u8> { unreachable!("constant-only tree") };
+    [
+        allocated(|| qualifier_sweep::<u8>(tree, root, query, no_virtual)),
+        allocated(|| qualifier_pass::<u8>(tree, root, query, no_virtual)),
+    ]
+}
+
+#[test]
+fn the_parking_sweep_allocates_per_pass_and_fewer_bytes_than_the_export() {
+    let small = people(1_000);
+    let large = people(16_000);
+    let nodes = large.node_count() as u64;
+    let mut problems = Vec::new();
+    let texts = [
+        "/site/person[address/country=\"US\"]/name",
+        "//person[name/text()=\"p7\" or not(address/country)]/name",
+    ];
+    for text in texts {
+        let query = compile_text(text).expect("query compiles");
+        let [(s, _), _] = parking_sweep_allocations(&small, &query);
+        let [(l, parked), (_, exported)] = parking_sweep_allocations(&large, &query);
+        let per_node = |bytes: u64| bytes as f64 / nodes as f64;
+        println!(
+            "{text:45.45} qualifier_sweep {s:>6} → {l:>6} allocations, {:.1} bytes/node \
+             (qualifier_pass {:.1})",
+            per_node(parked),
+            per_node(exported),
+        );
+        if l.saturating_sub(s) > 16 {
+            problems.push(format!("{text}: the parking sweep allocates per node: {s} → {l}"));
+        }
+        if parked >= exported {
+            problems.push(format!("{text}: {parked} bytes parked, {exported} exported"));
         }
     }
     assert!(problems.is_empty(), "{problems:#?}");
