@@ -25,9 +25,7 @@ use crate::prune::{FragmentLabels, PathTrie};
 use crate::transport::{
     injected_fault_error, EpochRequest, ProtocolRequest, ProtocolResponse, Transport,
 };
-use paxml_distsim::{
-    Cluster, ClusterStats, Delivery, FaultKind, FaultPlan, Placement, ReplicaSet, SiteId,
-};
+use paxml_distsim::{Cluster, ClusterStats, Delivery, FaultKind, FaultPlan, ReplicaSet, SiteId};
 use paxml_fragment::{Fragment, FragmentId, FragmentTree, FragmentedTree};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -356,16 +354,10 @@ pub struct Deployment {
 }
 
 impl Deployment {
-    /// Deploy a fragmented tree over `site_count` simulated sites.
-    pub fn new(fragmented: &FragmentedTree, site_count: usize, placement: Placement) -> Self {
-        Self::over_transport(Arc::new(Cluster::new(fragmented, site_count, placement)))
-    }
-
-    /// Run over an already-built transport: a [`Cluster`] configured by the
-    /// caller (replication, explicit assignment, sequential mode, site
-    /// delays), or e.g. a TCP cluster whose site processes have already
-    /// loaded their fragments. The fragment *data* is wherever the
-    /// transport put it.
+    /// Run over an already-built transport: a simulated [`Cluster`] (e.g.
+    /// `Arc::new(Cluster::new(&fragmented, sites, placement))`), or a TCP
+    /// cluster whose site processes have already loaded their fragments.
+    /// The fragment *data* is wherever the transport put it.
     pub fn over_transport(transport: Arc<dyn Transport>) -> Self {
         Deployment { transport, health: SiteHealth::default(), gate: RoundGate::default() }
     }
@@ -508,7 +500,8 @@ impl Deployment {
 /// set of fragment snapshots no matter how many updates publish mid-flight,
 /// and routes them by the [`Topology`] it was pinned with. A `PaxServer`
 /// pins the epoch current at execution entry, with that epoch's topology;
-/// pinning [`paxml_distsim::LATEST_EPOCH`] reads the newest snapshots.
+/// pinning the read-only [`paxml_distsim::LATEST_EPOCH`] reads the newest
+/// snapshots.
 pub struct ExecCtx<'a> {
     deployment: &'a Deployment,
     /// The epoch every round of this execution reads.
@@ -661,7 +654,7 @@ impl<'a> ExecCtx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paxml_distsim::{FaultEvent, SiteWork};
+    use paxml_distsim::{FaultEvent, Placement, SiteWork};
     use paxml_fragment::strategy::cut_children_of_root;
     use paxml_xml::TreeBuilder;
 
@@ -683,7 +676,7 @@ mod tests {
     #[test]
     fn deployment_exposes_metadata() {
         let f = fragmented();
-        let d = Deployment::new(&f, 2, Placement::RoundRobin);
+        let d = Deployment::over_transport(Arc::new(Cluster::new(&f, 2, Placement::RoundRobin)));
         assert_eq!(d.deployed_topology(&f, false).fragment_count(), 4);
         assert_eq!(d.deployed_topology(&f, false).root_label(), "sites");
         let mut ctx = ExecCtx::latest(&d, &f, false);
@@ -855,7 +848,11 @@ mod tests {
         // its own rounds, and the cumulative ledger must equal the sum of
         // all per-thread recorders.
         let f = fragmented();
-        let d = Arc::new(Deployment::new(&f, 3, Placement::RoundRobin));
+        let d = Arc::new(Deployment::over_transport(Arc::new(Cluster::new(
+            &f,
+            3,
+            Placement::RoundRobin,
+        ))));
         let (threads, rounds_per_thread) = (4u32, 25u32);
         let handles: Vec<_> = (0..threads)
             .map(|_| {
@@ -888,7 +885,11 @@ mod tests {
 
     #[test]
     fn slot_allocation_never_repeats() {
-        let d = Arc::new(Deployment::new(&fragmented(), 1, Placement::SingleSite));
+        let d = Arc::new(Deployment::over_transport(Arc::new(Cluster::new(
+            &fragmented(),
+            1,
+            Placement::SingleSite,
+        ))));
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let d = Arc::clone(&d);

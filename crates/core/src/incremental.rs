@@ -484,12 +484,7 @@ mod tests {
     }
 
     fn server(fragmented: &FragmentedTree, annotations: bool) -> PaxServer {
-        PaxServer::builder()
-            .annotations(annotations)
-            .sites(3)
-            .sequential(true)
-            .deploy(fragmented)
-            .unwrap()
+        PaxServer::builder().annotations(annotations).sites(3).deploy(fragmented).unwrap()
     }
 
     /// The text node under the `nth` element labelled `label`.

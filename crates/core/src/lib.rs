@@ -79,30 +79,36 @@ pub use vars::{PaxVar, QualVecKind};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paxml_distsim::Placement;
+    use paxml_distsim::{Cluster, Placement};
     use paxml_fragment::{fragment_at, strategy, FragmentedTree};
     use paxml_xml::{NodeId, TreeBuilder, XmlTree};
     use paxml_xpath::{centralized, compile_text};
+    use std::sync::Arc;
+
+    /// A fresh round-robin deployment of `f` over `sites` simulated sites.
+    fn deploy(f: &FragmentedTree, sites: usize) -> Deployment {
+        Deployment::over_transport(Arc::new(Cluster::new(f, sites, Placement::RoundRobin)))
+    }
 
     /// The classic engine drivers, compiled on the fly (the internal
     /// equivalents of `PaxServer::query_once` for each algorithm), with the
     /// §5 index when `xa` is on, over a fresh round-robin deployment of `f`
     /// on `sites` sites, or (`_on`) over `d`, deployed from `f`.
     fn eval_pax3(f: &FragmentedTree, sites: usize, q: &str, xa: bool) -> ExecReport {
-        eval_pax3_on(&Deployment::new(f, sites, Placement::RoundRobin), f, q, xa)
+        eval_pax3_on(&deploy(f, sites), f, q, xa)
     }
     fn eval_pax3_on(d: &Deployment, f: &FragmentedTree, q: &str, xa: bool) -> ExecReport {
         pax3::run(ExecCtx::latest(d, f, xa), &compile_text(q).unwrap(), q).unwrap()
     }
     fn eval_pax2(f: &FragmentedTree, sites: usize, q: &str, xa: bool) -> ExecReport {
-        eval_pax2_on(&Deployment::new(f, sites, Placement::RoundRobin), f, q, xa)
+        eval_pax2_on(&deploy(f, sites), f, q, xa)
     }
     fn eval_pax2_on(d: &Deployment, f: &FragmentedTree, q: &str, xa: bool) -> ExecReport {
         let q = [(&compile_text(q).unwrap(), q)];
         pax2::run(ExecCtx::latest(d, f, xa), &q, ExecMode::Query).unwrap()
     }
     fn eval_naive(f: &FragmentedTree, sites: usize, q: &str) -> ExecReport {
-        let d = Deployment::new(f, sites, Placement::RoundRobin);
+        let d = deploy(f, sites);
         naive::run(ExecCtx::latest(&d, f, false), &compile_text(q).unwrap(), q).unwrap()
     }
 
@@ -420,7 +426,7 @@ mod tests {
         use paxml_distsim::SiteId;
         let tree = clientele();
         let fragmented = fig1_fragmentation(&tree);
-        let d = Deployment::new(&fragmented, 4, Placement::RoundRobin);
+        let d = deploy(&fragmented, 4);
         for query in ["client[country/text()='US']/name", "//stock[qt >= 50]/code", "client/name"] {
             for xa in [false, true] {
                 for _ in 0..3 {
@@ -432,19 +438,5 @@ mod tests {
         for site in 0..4 {
             assert_eq!(d.transport().scratch_len(SiteId(site)), 0, "scratch leaked at site {site}");
         }
-    }
-
-    #[test]
-    fn sequential_and_parallel_deployments_agree() {
-        let tree = clientele();
-        let fragmented = fig1_fragmentation(&tree);
-        let query = "//broker[//stock/code/text()='GOOG']/name";
-        let mut cluster = paxml_distsim::Cluster::new(&fragmented, 4, Placement::RoundRobin);
-        cluster.sequential = true;
-        let seq = Deployment::over_transport(std::sync::Arc::new(cluster));
-        let a = eval_pax2(&fragmented, 4, query, false);
-        let b = eval_pax2_on(&seq, &fragmented, query, false);
-        assert_eq!(a.answer_origins(), b.answer_origins());
-        assert_eq!(a.stats.messages, b.stats.messages);
     }
 }

@@ -291,7 +291,7 @@ fn collect_slices(
 mod tests {
     use super::*;
     use crate::deployment::Deployment;
-    use paxml_distsim::Placement;
+    use paxml_distsim::{Cluster, Placement};
     use paxml_fragment::{strategy, FragmentedTree};
     use paxml_xml::TreeBuilder;
     use paxml_xpath::compile_text;
@@ -330,7 +330,14 @@ mod tests {
                 .close();
         }
         let fragmented = strategy::cut_at_labels(&builder.build(), &["broker", "market"]).unwrap();
-        (Deployment::new(&fragmented, 4, Placement::RoundRobin), fragmented)
+        (
+            Deployment::over_transport(Arc::new(Cluster::new(
+                &fragmented,
+                4,
+                Placement::RoundRobin,
+            ))),
+            fragmented,
+        )
     }
 
     #[test]

@@ -481,6 +481,7 @@ fn id_of(ids: &mut HashMap<String, u32>, label: &str) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use paxml_distsim::Cluster;
     use paxml_xml::LabelPath;
     use paxml_xpath::compile_text;
 
@@ -689,12 +690,20 @@ mod tests {
             assert_eq!(a.relevant.len(), 1, "{query} must prune every non-root fragment");
             assert!(a.relevant.contains(&FragmentId::ROOT));
 
-            let d = Deployment::new(&fragmented, 3, Placement::RoundRobin);
+            let d = Deployment::over_transport(Arc::new(Cluster::new(
+                &fragmented,
+                3,
+                Placement::RoundRobin,
+            )));
             let ctx = ExecCtx::latest(&d, &fragmented, true);
             let p2 = pax2::run(ctx, &[(&q, query)], ExecMode::Query).unwrap();
             assert!(p2.answers().is_empty(), "{query} must have no answers");
             assert_eq!(p2.queries[0].fragments_evaluated, 1);
-            let d = Deployment::new(&fragmented, 3, Placement::RoundRobin);
+            let d = Deployment::over_transport(Arc::new(Cluster::new(
+                &fragmented,
+                3,
+                Placement::RoundRobin,
+            )));
             let p3 = pax3::run(ExecCtx::latest(&d, &fragmented, true), &q, query).unwrap();
             assert!(p3.answers().is_empty());
             // Only the root fragment's site is ever visited.

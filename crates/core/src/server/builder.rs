@@ -9,7 +9,6 @@ use paxml_distsim::{Cluster, Placement, SiteId};
 use paxml_fragment::{FragmentId, FragmentedTree};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::Duration;
 
 /// Builder for a [`PaxServer`]. Obtain with [`PaxServer::builder`],
 /// configure, then [`PaxServerBuilder::deploy`] over a fragmented tree.
@@ -21,8 +20,6 @@ pub struct PaxServerBuilder {
     sites: Option<usize>,
     assignment: Option<BTreeMap<FragmentId, SiteId>>,
     replication: usize,
-    sequential: bool,
-    site_delays: BTreeMap<SiteId, Duration>,
     retry_policy: RetryPolicy,
 }
 
@@ -35,8 +32,6 @@ impl Default for PaxServerBuilder {
             sites: None,
             assignment: None,
             replication: 1,
-            sequential: false,
-            site_delays: BTreeMap::new(),
             retry_policy: RetryPolicy::default(),
         }
     }
@@ -96,19 +91,6 @@ impl PaxServerBuilder {
         self
     }
 
-    /// Run coordinator rounds sequentially (deterministic) instead of on
-    /// the per-site worker pool (default parallel).
-    pub fn sequential(mut self, sequential: bool) -> Self {
-        self.sequential = sequential;
-        self
-    }
-
-    /// Slow one site down artificially (skew/failure-injection studies).
-    pub fn site_delay(mut self, site: SiteId, delay: Duration) -> Self {
-        self.site_delays.insert(site, delay);
-        self
-    }
-
     /// Deploy `fragmented` over the configured cluster and start the
     /// session.
     pub fn deploy(mut self, fragmented: &FragmentedTree) -> PaxResult<PaxServer> {
@@ -136,25 +118,18 @@ impl PaxServerBuilder {
             Some(assignment) => assignment.into_iter().map(|(f, site)| (f, site.into())).collect(),
             None => self.placement.replica_sets(fragmented, sites, self.replication),
         };
-        let mut cluster = Cluster::with_replicas(fragmented, sites, replicas);
-        cluster.sequential = self.sequential;
-        cluster.site_delay = std::mem::take(&mut self.site_delays);
+        let cluster = Cluster::with_replicas(fragmented, sites, replicas);
         self.deploy_over(fragmented, Arc::new(cluster))
     }
 
     /// Deploy over an externally built [`Transport`](crate::Transport)
     /// (e.g. `paxml-wire`'s `TcpCluster`) and start the session.
     ///
-    /// The transport already owns the site topology, so the simulator-only
-    /// builder knobs — [`sites`](PaxServerBuilder::sites),
-    /// [`placement`](PaxServerBuilder::placement),
-    /// [`assignment`](PaxServerBuilder::assignment),
-    /// [`sequential`](PaxServerBuilder::sequential) and
-    /// [`site_delay`](PaxServerBuilder::site_delay) — do not apply here and
-    /// are ignored; [`algorithm`](PaxServerBuilder::algorithm),
+    /// The transport already owns the site topology, so only
+    /// [`algorithm`](PaxServerBuilder::algorithm),
     /// [`annotations`](PaxServerBuilder::annotations) and
-    /// [`retry_policy`](PaxServerBuilder::retry_policy) take effect. Socket
-    /// tuning belongs to the transport's own constructor.
+    /// [`retry_policy`](PaxServerBuilder::retry_policy) take effect here.
+    /// Socket tuning belongs to the transport's own constructor.
     pub fn deploy_over(
         self,
         fragmented: &FragmentedTree,

@@ -94,25 +94,37 @@ pub struct ServerStats {
 impl ServerStats {
     /// The largest resident-bytes figure any single site carries.
     pub fn max_site_bytes(&self) -> u64 {
-        self.site_loads.iter().map(|l| l.resident_bytes).max().unwrap_or(0)
+        self.site_loads.iter().map(SiteLoad::resident_bytes).max().unwrap_or(0)
     }
 }
 
-/// One site's load figures inside [`ServerStats`]: what it stores now
-/// (resident fragments/bytes at the newest epoch) and what it has served
-/// since the deployment started (cumulative visits and protocol bytes).
+/// One site's load, from [`PaxServer::site_loads`]: what it stores now
+/// (its fragments' bytes at the newest epoch) and what it has served since
+/// the deployment started (cumulative visits and protocol bytes). It is
+/// both what [`ServerStats`] shows and the rebalance planner's input.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SiteLoad {
     /// The site.
     pub site: SiteId,
-    /// Distinct fragments resident at the site's newest epoch.
-    pub fragment_count: usize,
-    /// Bytes those fragments occupy under the canonical encoding.
-    pub resident_bytes: u64,
+    /// Per-fragment resident bytes at the site's newest epoch, under the
+    /// canonical encoding.
+    pub fragments: Vec<(FragmentId, u64)>,
     /// Cumulative visits the coordinator paid this site.
     pub visits: u32,
     /// Cumulative protocol bytes moved to and from this site.
     pub bytes_served: u64,
+}
+
+impl SiteLoad {
+    /// Number of distinct fragments resident at the site.
+    pub fn fragment_count(&self) -> usize {
+        self.fragments.len()
+    }
+
+    /// Total resident bytes across the site's fragments.
+    pub fn resident_bytes(&self) -> u64 {
+        self.fragments.iter().map(|(_, bytes)| bytes).sum()
+    }
 }
 
 /// The epoch registry: every epoch not yet proven dead, by number.
@@ -177,29 +189,34 @@ impl PaxServer {
                 .map(|arc| arc.lock().expect("a session lock is never poisoned").cache_bytes())
                 .sum()
         };
-        let cumulative = self.deployment.stats();
-        let site_loads = (0..self.deployment.site_count())
-            .map(|index| {
-                let site = SiteId(index);
-                let report = self.deployment.transport().site_load(site);
-                let served = cumulative.sites.get(&site).cloned().unwrap_or_default();
-                SiteLoad {
-                    site,
-                    fragment_count: report.fragment_count(),
-                    resident_bytes: report.resident_bytes(),
-                    visits: served.visits,
-                    bytes_served: served.bytes_received + served.bytes_sent,
-                }
-            })
-            .collect();
         ServerStats {
             current_epoch: current.number,
             live_epochs,
             retired_epochs: current.number + 1 - live_epochs as u64,
             session_cache_bytes,
             placement_version: current.topology.version,
-            site_loads,
+            site_loads: self.site_loads(),
         }
+    }
+
+    /// Every site's load, one entry per site of the cluster (occupied or
+    /// not): one uncharged [`Transport::site_load`](crate::Transport::site_load)
+    /// probe per site, joined with the cumulative ledger's visits and bytes.
+    pub fn site_loads(&self) -> Vec<SiteLoad> {
+        let cumulative = self.deployment.stats();
+        (0..self.deployment.site_count())
+            .map(|index| {
+                let site = SiteId(index);
+                let report = self.deployment.transport().site_load(site);
+                let served = cumulative.sites.get(&site).cloned().unwrap_or_default();
+                SiteLoad {
+                    site,
+                    fragments: report.fragments,
+                    visits: served.visits,
+                    bytes_served: served.bytes_received + served.bytes_sent,
+                }
+            })
+            .collect()
     }
 
     /// Install a hook [`PaxServer::apply_updates`] invokes after the build

@@ -283,12 +283,7 @@ mod tests {
     }
 
     fn server_for(algorithm: Algorithm, fragmented: &FragmentedTree) -> PaxServer {
-        PaxServer::builder()
-            .algorithm(algorithm)
-            .sites(4)
-            .sequential(true)
-            .deploy(fragmented)
-            .unwrap()
+        PaxServer::builder().algorithm(algorithm).sites(4).deploy(fragmented).unwrap()
     }
 
     #[test]
@@ -299,7 +294,7 @@ mod tests {
         let tree = clientele();
         let fragmented = strategy::cut_at_labels(&tree, &["broker"]).unwrap();
         let builder = PaxServer::builder().algorithm(Algorithm::NaiveCentralized).annotations(true);
-        let server = builder.sites(3).sequential(true).deploy(&fragmented).unwrap();
+        let server = builder.sites(3).deploy(&fragmented).unwrap();
         assert!(server.topology().labels().is_none());
         let q = server.prepare("client/name").unwrap();
         assert!(!server.execute(&q).unwrap().annotations_used);
@@ -534,7 +529,7 @@ mod tests {
             backoff_step: Duration::ZERO,
             probe_cooldown: Duration::ZERO,
         };
-        let builder = PaxServer::builder().sites(3).replication(2).sequential(true);
+        let builder = PaxServer::builder().sites(3).replication(2);
         let server = builder.retry_policy(retry_policy).deploy(&fragmented).unwrap();
         server.deployment().set_fault_plan(Some(FaultPlan::scripted(Vec::new())));
         (server, fragmented)
@@ -703,7 +698,7 @@ mod tests {
         // F3 does; after the merge F1 holds it again.
         let tree = clientele();
         let fragmented = strategy::cut_at_labels(&tree, &["broker"]).unwrap();
-        let builder = PaxServer::builder().annotations(true).sites(3).sequential(true);
+        let builder = PaxServer::builder().annotations(true).sites(3);
         let server = builder.deploy(&fragmented).unwrap();
         let query = "//market/stock";
         let mut expected = centralized::evaluate(&tree, query).unwrap().answers;

@@ -49,7 +49,7 @@ use std::collections::{BTreeMap, BTreeSet};
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EpochRequest {
     /// The epoch this visit reads (and, for update bodies, installs).
-    /// [`LATEST_EPOCH`] means "the newest snapshot, updated in place" — what
+    /// [`LATEST_EPOCH`] means "the newest snapshot" and is read-only — what
     /// a driver run outside an epoch-versioned server reads.
     pub epoch: u64,
     /// Retirement watermark: before the body runs, the site drops every
@@ -62,7 +62,8 @@ pub struct EpochRequest {
 
 impl EpochRequest {
     /// Wrap a body at [`LATEST_EPOCH`] with no retirement — the envelope of
-    /// a visit outside an epoch-versioned server.
+    /// a read outside an epoch-versioned server. Reads only: an update body
+    /// must install at a real epoch.
     pub fn latest(body: ProtocolRequest) -> EpochRequest {
         EpochRequest { epoch: LATEST_EPOCH, retire_below: 0, body }
     }

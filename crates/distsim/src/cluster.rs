@@ -16,10 +16,11 @@
 //!   their own mutex, and per-execution state is kept apart by caller-owned
 //!   scratch *slots*;
 //! * the worker threads form a **persistent per-site pool**: they are
-//!   spawned once per cluster (lazily, on the first parallel round) and fed
-//!   jobs over channels, so thread setup cost does not scale with
-//!   `rounds × sites` the way the earlier thread-per-site-per-round design
-//!   did — a difference that compounds under batch workloads;
+//!   spawned once per cluster (lazily, on the first round to two or more
+//!   sites) and fed jobs over channels, so thread setup cost does not scale
+//!   with `rounds × sites` the way the earlier thread-per-site-per-round
+//!   design did — a difference that compounds under batch workloads. A
+//!   round to one site runs inline on the coordinator thread instead;
 //! * every request and response is **measured** site-side with the byte
 //!   meter ([`encoded_size`], the wire codec run over a counting sink), and
 //!   every task is bracketed by [`SiteLocal::metered`] — but the cluster
@@ -28,9 +29,9 @@
 //!   [`ClusterStats::commit_round`](crate::ClusterStats::commit_round) to
 //!   whichever recorders it keeps (`paxml-core`'s round gate keeps one per
 //!   execution and one cumulative ledger per deployment);
-//! * a site's reported busy time is its task time plus its configured
-//!   [`Cluster::site_delay`]; the round's parallel cost is the **slowest**
-//!   site's, modelling the parallel computation cost of §3.4.
+//! * a site's reported busy time is its task time; committing a round
+//!   charges its parallel cost at the **slowest** site's, modelling the
+//!   parallel computation cost of §3.4.
 //!
 //! ```
 //! use paxml_distsim::{Cluster, ClusterStats, Placement};
@@ -72,7 +73,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// How fragments are placed onto sites.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,20 +192,13 @@ impl WorkerPool {
 ///
 /// `Cluster` is `Sync`: rounds take `&self` and may be issued from many
 /// coordinator threads concurrently (see the module docs for how responses
-/// are kept apart). Configuration fields (`sequential`, `site_delay`) are
-/// plain data set up before the cluster is shared.
+/// are kept apart).
 pub struct Cluster {
     sites: Vec<Arc<Mutex<SiteLocal>>>,
     assignment: BTreeMap<FragmentId, ReplicaSet>,
-    /// The persistent worker pool (spawned lazily on the first round that
-    /// actually runs in parallel; `sequential` clusters never spawn it).
+    /// The persistent worker pool (spawned lazily on the first round to
+    /// two or more sites).
     pool: OnceLock<WorkerPool>,
-    /// Artificial per-site slow-down used by failure/skew-injection tests,
-    /// added to the busy time the site reports.
-    pub site_delay: BTreeMap<SiteId, Duration>,
-    /// Run rounds sequentially (deterministic debugging) instead of on the
-    /// per-site worker pool.
-    pub sequential: bool,
 }
 
 impl Cluster {
@@ -241,8 +234,6 @@ impl Cluster {
             sites: sites.into_iter().map(|s| Arc::new(Mutex::new(s))).collect(),
             assignment,
             pool: OnceLock::new(),
-            site_delay: BTreeMap::new(),
-            sequential: false,
         }
     }
 
@@ -309,21 +300,20 @@ impl Cluster {
         let task = Arc::new(task);
         let make_job = |site_id: SiteId, req: Req| {
             let task = Arc::clone(&task);
-            let delay = self.site_delay.get(&site_id).copied().unwrap_or_default();
             move |site: &mut SiteLocal| {
                 let request_bytes = encoded_size(&req);
                 let (response, ops, busy) = site.metered(|site| task(site, req));
                 let response_bytes = encoded_size(&response);
-                let work = SiteWork { request_bytes, response_bytes, ops, busy: busy + delay };
+                let work = SiteWork { request_bytes, response_bytes, ops, busy };
                 (site_id, Delivery { response, work })
             }
         };
 
-        if self.sequential || requests.len() <= 1 {
-            // Inline execution on the coordinator thread: deterministic, and
-            // avoids a pool wake-up when only one site is involved. Panics
-            // are caught and re-raised after the site guard is released, so
-            // a faulty task cannot poison the site mutex.
+        if requests.len() <= 1 {
+            // A round to one site runs inline on the coordinator thread: it
+            // has nothing to overlap, so it skips the pool wake-up. The panic
+            // is caught and re-raised after the site guard is released, so a
+            // faulty task cannot poison the site mutex.
             let mut delivered = BTreeMap::new();
             for (site_id, req) in requests {
                 let job = make_job(site_id, req);
@@ -541,18 +531,6 @@ mod tests {
     }
 
     #[test]
-    fn sequential_and_parallel_rounds_agree() {
-        let f = fragmented();
-        let parallel = Cluster::new(&f, 3, Placement::RoundRobin);
-        let mut sequential = Cluster::new(&f, 3, Placement::RoundRobin);
-        sequential.sequential = true;
-        let task = |site: &mut SiteLocal, _req: u8| site.fragment_ids().len() as u64;
-        let a = parallel.broadcast(0u8, task);
-        let b = sequential.broadcast(0u8, task);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn worker_pool_threads_persist_across_rounds() {
         let f = fragmented();
         let cluster = Cluster::new(&f, 3, Placement::RoundRobin);
@@ -690,14 +668,23 @@ mod tests {
     }
 
     #[test]
-    fn sequential_clusters_never_spawn_workers() {
+    fn one_site_rounds_run_inline_and_never_spawn_workers() {
         let f = fragmented();
-        let mut cluster = Cluster::new(&f, 3, Placement::RoundRobin);
-        cluster.sequential = true;
-        for _ in 0..5 {
-            cluster.broadcast(0u8, |_, _| 0u8);
+        let cluster = Cluster::new(&f, 3, Placement::RoundRobin);
+        let coordinator = std::thread::current().id();
+        for site in [SiteId(0), SiteId(1), SiteId(2), SiteId(1)] {
+            let delivered = cluster.deliver(BTreeMap::from([(site, 0u8)]), move |_, _| {
+                std::thread::current().id() == coordinator
+            });
+            assert!(delivered[&site].response, "a one-site round ran off the coordinator thread");
         }
-        assert!(cluster.pool.get().is_none());
+        assert!(cluster.pool.get().is_none(), "a one-site round woke the pool");
+        // The first round to two sites spawns it.
+        let requests = BTreeMap::from([(SiteId(0), 0u8), (SiteId(1), 0u8)]);
+        let delivered =
+            cluster.deliver(requests, move |_, _| std::thread::current().id() == coordinator);
+        assert!(delivered.values().all(|d| !d.response), "a two-site round ran inline");
+        assert!(cluster.pool.get().is_some());
     }
 
     #[test]
@@ -714,16 +701,6 @@ mod tests {
         assert_eq!(markers[&SiteId(1)], 101);
         let taken = cluster.broadcast(0u8, |site, _| site.scratch_len());
         assert!(taken.values().all(|&len| len == 0));
-    }
-
-    #[test]
-    fn site_delay_inflates_parallel_time() {
-        let f = fragmented();
-        let mut cluster = Cluster::new(&f, 3, Placement::RoundRobin);
-        cluster.site_delay.insert(SiteId(1), Duration::from_millis(5));
-        let mut stats = ClusterStats::default();
-        broadcast_into(&cluster, &mut stats, 0u8, |_, _| 0u8);
-        assert!(stats.parallel_time() >= Duration::from_millis(5));
     }
 
     #[test]

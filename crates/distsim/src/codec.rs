@@ -27,7 +27,8 @@ use std::fmt::Display;
 /// Encoding only fails on values outside the format's envelope (an unsized
 /// sequence, an enum with ≥ 256 variants); decoding fails on any malformed
 /// input: truncated buffers, over-long varints, invalid UTF-8, out-of-range
-/// integers, unknown tags, or trailing garbage.
+/// integers, unknown tags, nesting deeper than [`MAX_NESTING`], or trailing
+/// garbage.
 #[derive(Debug, PartialEq, Eq)]
 pub struct CodecError(String);
 
@@ -70,13 +71,32 @@ pub(crate) fn write_into<T: Serialize + ?Sized, S: Sink>(value: &T, sink: S) -> 
     writer.out
 }
 
+/// The deepest nesting [`decode`] accepts: boxes, sequences and maps inside
+/// one another, the envelope included. Past it, decoding fails with a
+/// [`CodecError`] instead of recursing further, so a hostile frame cannot
+/// overflow the decoding thread's stack; at this depth even a debug build
+/// decodes a formula on a 2 MiB thread.
+///
+/// The one recursive type on the wire is the Boolean formula
+/// (`paxml_boolex::BoolExpr`, one level per `Not`, `And` and `Or`).
+/// Formulas flatten (no `And` directly under an `And`, no `Or` under an
+/// `Or`) and fold constants, so each level of one is owed to a token of its
+/// own in the query that made it: a step's label for the `Or` over the
+/// nodes the step reaches, a `[` for the `And` of a step's qualifiers, and
+/// an `and`, `or` or `not` for its own level. Query text is at most 1,024
+/// tokens (`paxml_xpath::MAX_QUERY_SIZE`), so a formula is at most 1,024
+/// levels deep. The message around it gets the 64 levels of query nesting
+/// (`paxml_xpath::MAX_QUERY_DEPTH`) on top; no message the conformance
+/// suites ship nests deeper than 7 levels, formulas included.
+pub const MAX_NESTING: usize = 1024 + 64;
+
 /// Decode a value of type `T` from `bytes`.
 ///
 /// The whole buffer must be consumed: trailing bytes are a protocol
 /// violation, not padding — a length-prefixed frame carries exactly one
-/// message.
+/// message. Nesting deeper than [`MAX_NESTING`] is refused.
 pub fn decode<T: for<'de> Deserialize<'de>>(bytes: &[u8]) -> Result<T, CodecError> {
-    let mut reader = WireReader { input: bytes, pos: 0 };
+    let mut reader = WireReader { input: bytes, pos: 0, depth: 0 };
     let value = T::deserialize(&mut reader)?;
     if reader.pos != bytes.len() {
         return Err(CodecError(format!(
@@ -341,6 +361,8 @@ impl_compound!(ser::SerializeStructVariant: serialize_field(&'static str));
 struct WireReader<'de> {
     input: &'de [u8],
     pos: usize,
+    /// Nesting levels entered and not yet left.
+    depth: usize,
 }
 
 impl<'de> WireReader<'de> {
@@ -472,6 +494,19 @@ impl<'de> Deserializer<'de> for WireReader<'de> {
     }
     fn read_variant_tag(&mut self) -> Result<u32, CodecError> {
         Ok(self.take_byte()? as u32)
+    }
+    fn enter_nested(&mut self) -> Result<(), CodecError> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return Err(CodecError(format!(
+                "nesting deeper than {MAX_NESTING} levels at byte {}",
+                self.pos
+            )));
+        }
+        Ok(())
+    }
+    fn leave_nested(&mut self) {
+        self.depth -= 1;
     }
 }
 

@@ -23,8 +23,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The epoch sentinel that always resolves to a fragment's newest snapshot.
-/// A visit outside an epoch-pinned server reads and writes at this epoch:
-/// reads see the latest version and updates replace it in place.
+/// It is read-only: a visit outside an epoch-pinned server and the site-load
+/// probes read at it, and every write installs at a real update epoch.
 pub const LATEST_EPOCH: u64 = u64::MAX;
 
 /// Identifier of a site (`S0`, `S1`, … in the paper's figures).
@@ -123,29 +123,17 @@ impl SiteLocal {
     /// version installed **strictly before** `epoch`. Strictness matters
     /// for crash consistency — a failed epoch build may leave an orphaned
     /// version at `epoch` on sites it reached, and a retry must not apply
-    /// its ops on top of that orphan. With [`LATEST_EPOCH`] the base is the
-    /// newest version (in-place update semantics).
+    /// its ops on top of that orphan.
     pub fn update_base(&self, fragment: FragmentId, epoch: u64) -> Option<Arc<Fragment>> {
         let versions = self.versions.get(&fragment)?;
-        if epoch == LATEST_EPOCH {
-            return versions.last().map(|v| Arc::clone(&v.fragment));
-        }
         versions.iter().rev().find(|v| v.epoch < epoch).map(|v| Arc::clone(&v.fragment))
     }
 
     /// Install `fragment` as the snapshot of install-epoch `epoch`,
     /// replacing an existing version at exactly that epoch (a retried epoch
-    /// build overwrites its own orphan). With [`LATEST_EPOCH`] the newest
-    /// version is replaced in place, keeping its install epoch.
+    /// build overwrites its own orphan).
     pub fn install_version(&mut self, epoch: u64, fragment: Fragment) {
         let versions = self.versions.entry(fragment.id).or_default();
-        if epoch == LATEST_EPOCH {
-            match versions.last_mut() {
-                Some(last) => *last = Version::new(last.epoch, fragment),
-                None => versions.push(Version::new(0, fragment)),
-            }
-            return;
-        }
         match versions.binary_search_by_key(&epoch, |v| v.epoch) {
             Ok(i) => versions[i] = Version::new(epoch, fragment),
             Err(i) => versions.insert(i, Version::new(epoch, fragment)),
@@ -339,21 +327,12 @@ mod tests {
         // An update building epoch 2 starts from epoch 1's snapshot even if
         // an orphaned version already sits at epoch 2.
         assert_eq!(s.update_base(FragmentId(1), 2).unwrap().root_label, "v1");
-        assert_eq!(s.update_base(FragmentId(1), LATEST_EPOCH).unwrap().root_label, "v2");
+        assert_eq!(s.update_base(FragmentId(1), 3).unwrap().root_label, "v2");
         // Retire below epoch 2: only the newest ≤ 2 survives.
         assert_eq!(s.retire_below(2), 2);
         assert_eq!(s.version_count(), 1);
         assert_eq!(s.fragment_at(FragmentId(1), 2).unwrap().root_label, "v2");
         assert_eq!(s.fragment_at(FragmentId(1), 1), None);
-    }
-
-    #[test]
-    fn latest_epoch_updates_replace_in_place() {
-        let mut s = SiteLocal::new(SiteId(0));
-        s.add_fragment(fragment(3, "old"));
-        s.install_version(LATEST_EPOCH, fragment(3, "new"));
-        assert_eq!(s.version_count(), 1, "in-place semantics must not grow the version list");
-        assert_eq!(s.fragment_at(FragmentId(3), 0).unwrap().root_label, "new");
     }
 
     #[test]
@@ -371,16 +350,16 @@ mod tests {
         s.install_version(2, fragment(1, "v2"));
         let v2 = s.label_summary_at(f, 2).unwrap();
         assert!(v0.upgrade().is_some());
-        // Replacing a version at its epoch, or in place at the latest
-        // epoch, drops its summary; the new snapshot gets a fresh one.
+        // Replacing a version at its epoch, the newest included, drops its
+        // summary; the new snapshot gets a fresh one.
         s.install_version(2, fragment(1, "v2 again"));
         assert!(!Arc::ptr_eq(&v2, &s.label_summary_at(f, 2).unwrap()));
         let replaced = Arc::downgrade(&v2);
         drop(v2);
         assert!(replaced.upgrade().is_none());
-        let latest = Arc::downgrade(&s.label_summary_at(f, LATEST_EPOCH).unwrap());
-        s.install_version(LATEST_EPOCH, fragment(1, "v2 in place"));
-        assert!(latest.upgrade().is_none());
+        let newest = Arc::downgrade(&s.label_summary_at(f, LATEST_EPOCH).unwrap());
+        s.install_version(2, fragment(1, "v2 once more"));
+        assert!(newest.upgrade().is_none());
         // So does retiring it.
         assert_eq!(s.retire_below(2), 1);
         assert!(v0.upgrade().is_none());

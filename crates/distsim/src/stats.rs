@@ -30,27 +30,15 @@ pub struct SiteStats {
     pub bytes_sent: u64,
 }
 
-/// A snapshot of what one site currently stores: the storage-side input of
-/// the rebalance planner, reported per site without charging the byte
-/// meters (it is control-plane observability, not protocol traffic).
+/// A snapshot of what one site currently stores, reported without charging
+/// the byte meters (it is control-plane observability, not protocol
+/// traffic): the storage-side half of `paxml-core`'s `SiteLoad`.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SiteLoadReport {
     /// The reporting site.
     pub site: SiteId,
     /// Per-fragment resident bytes (newest snapshots, canonical encoding).
     pub fragments: Vec<(paxml_fragment::FragmentId, u64)>,
-}
-
-impl SiteLoadReport {
-    /// Number of distinct fragments resident at the site.
-    pub fn fragment_count(&self) -> usize {
-        self.fragments.len()
-    }
-
-    /// Total resident bytes across the site's fragments.
-    pub fn resident_bytes(&self) -> u64 {
-        self.fragments.iter().map(|(_, b)| b).sum()
-    }
 }
 
 /// What one site's share of a delivered round cost, as the transport

@@ -8,9 +8,9 @@
 //!   sequence of them: [`RefragOp::Split`] cuts a fragment in two,
 //!   [`RefragOp::Merge`] splices a child back into its parent,
 //!   [`RefragOp::Migrate`] moves one copy of a fragment to another site.
-//! * [`CostModel`] + [`plan`] — per-site load observation (resident
-//!   fragments/bytes from [`Transport::site_load`], historical traffic
-//!   from the cumulative meters) feeding a greedy planner that evens out
+//! * [`CostModel`] + [`plan`] — per-site load observation
+//!   ([`PaxServer::site_loads`]: resident fragments/bytes and historical
+//!   traffic) feeding a greedy planner that evens out
 //!   hot sites under a configurable [`Objective`] and an optional
 //!   bytes-moved budget.
 //! * [`rebalance`] — observe, plan, apply: the closed loop.
@@ -20,7 +20,7 @@
 //! and a reader never observes a half-moved deployment.
 //!
 //! [`PaxServer::refragment`]: paxml_core::server::PaxServer::refragment
-//! [`Transport::site_load`]: paxml_core::Transport::site_load
+//! [`PaxServer::site_loads`]: paxml_core::server::PaxServer::site_loads
 //!
 //! ```
 //! use paxml_core::{server::PaxServer, Algorithm};
@@ -61,7 +61,7 @@ mod plan;
 pub use paxml_core::server::RefragOp;
 use paxml_core::server::{PaxServer, RefragReport};
 use paxml_core::PaxResult;
-pub use plan::{plan, rebalance, CostModel, Objective, PlannerOptions, RebalanceOutcome, SiteCost};
+pub use plan::{plan, rebalance, CostModel, Objective, PlannerOptions, RebalanceOutcome};
 
 /// `server.refragment(ops)`, kept under this name for callers that predate
 /// [`PaxServer::refragment`] taking the ops itself.

@@ -1,15 +1,13 @@
 //! The cost model and the greedy placement planner.
 //!
-//! The model is observation-only: per-site resident bytes (what each site
-//! stores, from the uncharged [`Transport::site_load`] control probe) and
-//! per-site cumulative traffic (what each site has served, from the
-//! deployment's meters). The planner is pure — it maps a [`CostModel`] to
-//! a list of [`RefragOp::Migrate`]s — so it can be unit-tested without a
-//! cluster; [`rebalance`] closes the loop against a live server.
-//!
-//! [`Transport::site_load`]: paxml_core::Transport::site_load
+//! The model is observation-only: the server's [`SiteLoad`]s, that is
+//! per-site resident bytes (what each site stores) and per-site cumulative
+//! traffic (what each site has served). The planner is pure — it maps a
+//! [`CostModel`] to a list of [`RefragOp::Migrate`]s — so it can be
+//! unit-tested without a cluster; [`rebalance`] closes the loop against a
+//! live server.
 
-use paxml_core::server::{PaxServer, RefragOp, RefragReport};
+use paxml_core::server::{PaxServer, RefragOp, RefragReport, SiteLoad};
 use paxml_core::PaxResult;
 use paxml_distsim::SiteId;
 use paxml_fragment::FragmentId;
@@ -51,58 +49,17 @@ impl Default for PlannerOptions {
     }
 }
 
-/// One site's observed cost inputs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SiteCost {
-    /// The site.
-    pub site: SiteId,
-    /// Resident fragments with their bytes (newest epoch).
-    pub fragments: Vec<(FragmentId, u64)>,
-    /// Cumulative protocol bytes this site has served.
-    pub bytes_served: u64,
-    /// Cumulative visits the coordinator paid this site.
-    pub visits: u64,
-}
-
-impl SiteCost {
-    /// Total resident bytes at the site.
-    pub fn resident_bytes(&self) -> u64 {
-        self.fragments.iter().map(|(_, b)| b).sum()
-    }
-}
-
-/// The planner's input: one [`SiteCost`] per site of the cluster.
+/// The planner's input: one [`SiteLoad`] per site of the cluster.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CostModel {
     /// Per-site observations, one entry per site (occupied or not).
-    pub sites: Vec<SiteCost>,
+    pub sites: Vec<SiteLoad>,
 }
 
 impl CostModel {
-    /// Observe a live server: one uncharged load probe per site plus the
-    /// cumulative traffic meters.
+    /// Observe a live server: [`PaxServer::site_loads`].
     pub fn observe(server: &PaxServer) -> CostModel {
-        let cumulative = server.cumulative_stats();
-        let deployment = server.deployment();
-        let sites = (0..deployment.site_count())
-            .map(|index| {
-                let site = SiteId(index);
-                let load = deployment.transport().site_load(site);
-                let served = cumulative.sites.get(&site);
-                SiteCost {
-                    site,
-                    fragments: load.fragments,
-                    bytes_served: served.map(|s| s.bytes_received + s.bytes_sent).unwrap_or(0),
-                    visits: served.map(|s| u64::from(s.visits)).unwrap_or(0),
-                }
-            })
-            .collect();
-        CostModel { sites }
-    }
-
-    /// The largest per-site resident-bytes figure.
-    pub fn max_site_bytes(&self) -> u64 {
-        self.sites.iter().map(SiteCost::resident_bytes).max().unwrap_or(0)
+        CostModel { sites: server.site_loads() }
     }
 
     /// Per-fragment weights under `objective`, grouped per site.
@@ -217,14 +174,14 @@ pub struct RebalanceOutcome {
 /// (and show up as freed in `max_site_bytes_after`) as soon as no reader
 /// pins the old topology.
 pub fn rebalance(server: &PaxServer, options: &PlannerOptions) -> PaxResult<RebalanceOutcome> {
-    let model = CostModel::observe(server);
-    let before = model.max_site_bytes();
-    let ops = plan(&model, options);
+    let stats = server.server_stats();
+    let before = stats.max_site_bytes();
+    let ops = plan(&CostModel { sites: stats.site_loads }, options);
     let report = if ops.is_empty() { None } else { Some(server.refragment(&ops)?) };
     if report.is_some() {
         let _ = server.vacuum();
     }
-    let after = CostModel::observe(server).max_site_bytes();
+    let after = server.server_stats().max_site_bytes();
     Ok(RebalanceOutcome { ops, report, max_site_bytes_before: before, max_site_bytes_after: after })
 }
 
@@ -237,11 +194,11 @@ mod tests {
             sites: sites
                 .into_iter()
                 .enumerate()
-                .map(|(index, fragments)| SiteCost {
+                .map(|(index, fragments)| SiteLoad {
                     site: SiteId(index),
                     fragments: fragments.into_iter().map(|(f, b)| (FragmentId(f), b)).collect(),
-                    bytes_served: 0,
                     visits: 0,
+                    bytes_served: 0,
                 })
                 .collect(),
         }

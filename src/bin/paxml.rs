@@ -425,8 +425,8 @@ fn print_server_stats(server: &PaxServer) {
         println!(
             "{:<8} {:>10} {:>16} {:>8} {:>14}",
             load.site.to_string(),
-            load.fragment_count,
-            load.resident_bytes,
+            load.fragment_count(),
+            load.resident_bytes(),
             load.visits,
             load.bytes_served
         );

@@ -18,7 +18,7 @@ use paxml::core::protocol::{
 use paxml::core::unify::{unify_qualifiers, unify_selection, DenseAssignment};
 use paxml::core::LATEST_EPOCH;
 use paxml::core::{analyze_with_trie, AnnotationAnalysis, ExecCtx, ProtocolRequest, Topology};
-use paxml::distsim::SiteId;
+use paxml::distsim::{Cluster, SiteId};
 use paxml::prelude::*;
 use paxml::xmark::{ft2, QueryGen, QueryGenConfig};
 use paxml::xpath::eval::initial_vector;
@@ -190,7 +190,7 @@ proptest! {
         annotations in any::<bool>(),
     ) {
         let (_tree, fragmented) = ft2(0.2, seed);
-        let d = Deployment::new(&fragmented, SITES, Placement::RoundRobin);
+        let d = Deployment::over_transport(Arc::new(Cluster::new(&fragmented, SITES, Placement::RoundRobin)));
         let topology = d.deployed_topology(&fragmented, annotations);
         let mut gen =
             QueryGen::new(QueryGenConfig::with_vocabulary(LABELS, TEXTS, ATTRS), query_seed);
@@ -211,7 +211,6 @@ proptest! {
             .annotations(annotations)
             .sites(SITES)
             .placement(Placement::RoundRobin)
-            .sequential(true)
             .deploy(&fragmented)
             .unwrap();
         let batch = server.execute_batch_text(&texts).unwrap();

@@ -33,7 +33,6 @@ fn server_api_compiles_against_its_pinned_signatures() {
     let _: fn(PaxServerBuilder, bool) -> PaxServerBuilder = PaxServerBuilder::annotations;
     let _: fn(PaxServerBuilder, Placement) -> PaxServerBuilder = PaxServerBuilder::placement;
     let _: fn(PaxServerBuilder, usize) -> PaxServerBuilder = PaxServerBuilder::sites;
-    let _: fn(PaxServerBuilder, bool) -> PaxServerBuilder = PaxServerBuilder::sequential;
     let _: fn(PaxServerBuilder, &FragmentedTree) -> PaxResult<PaxServer> = PaxServerBuilder::deploy;
     // The whole serving path takes `&self`: a `PaxServer` is shared across
     // client threads (see `tests/concurrent_server.rs`); only `prepare` and

@@ -36,7 +36,6 @@ fn pax2_server(fragmented: &FragmentedTree, sites: usize, annotations: bool) -> 
         .annotations(annotations)
         .placement(Placement::RoundRobin)
         .sites(sites)
-        .sequential(true)
         .deploy(fragmented)
         .expect("valid configuration")
 }

@@ -15,8 +15,7 @@
 //!   of those executions' recorders.
 //!
 //! These are loom-free stress tests: they rely on real threads hammering
-//! the real worker pool (the servers here are deliberately *not*
-//! `sequential`), with enough iterations that an unsynchronized
+//! the real worker pool, with enough iterations that an unsynchronized
 //! read-during-update or crossed response channel fails deterministically
 //! in practice.
 
@@ -101,7 +100,7 @@ fn interleaved_updates_never_produce_torn_reads() {
         .collect();
 
     // The writer: after each generation, the server's answer must be
-    // bit-identical to a from-scratch sequential replay over a mirror of
+    // bit-identical to a from-scratch serial replay over a mirror of
     // the updated fragments.
     let mut mirror = fragmented.clone();
     for generation in 1..=generations {
@@ -112,18 +111,14 @@ fn interleaved_updates_never_produce_torn_reads() {
         let update = server.apply_updates(&ops).unwrap();
         assert_eq!(update.clean_site_visits(), 0);
 
-        let replay = PaxServer::builder()
-            .algorithm(Algorithm::PaX2)
-            .sites(3)
-            .sequential(true)
-            .deploy(&mirror)
-            .unwrap();
+        let replay =
+            PaxServer::builder().algorithm(Algorithm::PaX2).sites(3).deploy(&mirror).unwrap();
         let expected = replay.query_once("//broker/name").unwrap();
         let observed = server.execute(&query).unwrap();
         assert_eq!(
             observed.answer_texts(),
             expected.answer_texts(),
-            "post-update answers diverged from the sequential replay at generation {generation}"
+            "post-update answers diverged from the serial replay at generation {generation}"
         );
         assert_eq!(observed.answer_origins(), expected.answer_origins());
     }
@@ -135,10 +130,10 @@ fn interleaved_updates_never_produce_torn_reads() {
 }
 
 /// Every algorithm, executed from many threads at once (mixing prepared,
-/// batch and one-shot paths), answers bit-identically to a sequential
-/// server over the same fragmentation.
+/// batch and one-shot paths), answers bit-identically to a server serving
+/// one query at a time over the same fragmentation.
 #[test]
-fn concurrent_executions_are_bit_identical_to_sequential_ones() {
+fn concurrent_executions_are_bit_identical_to_serial_ones() {
     let tree = clientele();
     let fragmented = strategy::cut_at_labels(&tree, &["broker"]).unwrap();
     let queries = [
@@ -148,15 +143,11 @@ fn concurrent_executions_are_bit_identical_to_sequential_ones() {
         "client[not(country/text()='US')]/broker/name",
     ];
     for algorithm in [Algorithm::NaiveCentralized, Algorithm::PaX3, Algorithm::PaX2] {
-        // The reference: one sequential server, one query at a time.
-        let sequential = PaxServer::builder()
-            .algorithm(algorithm)
-            .sites(3)
-            .sequential(true)
-            .deploy(&fragmented)
-            .unwrap();
+        // The reference: one server, one query at a time.
+        let serial =
+            PaxServer::builder().algorithm(algorithm).sites(3).deploy(&fragmented).unwrap();
         let expected: Vec<Vec<String>> =
-            queries.iter().map(|q| sequential.query_once(q).unwrap().answer_texts()).collect();
+            queries.iter().map(|q| serial.query_once(q).unwrap().answer_texts()).collect();
 
         let server = Arc::new(
             PaxServer::builder().algorithm(algorithm).sites(3).deploy(&fragmented).unwrap(),

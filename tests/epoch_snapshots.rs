@@ -9,7 +9,7 @@
 //!
 //! * **linearized snapshots** — under random interleavings of executions,
 //!   batches and update streams across threads, every answer is
-//!   bit-identical to a sequential replay of the exact epoch the report
+//!   bit-identical to a serial replay of the exact epoch the report
 //!   says it pinned — never a torn pre/post mix (property test);
 //! * **wait-freedom** — a reader completes executions *while* a
 //!   deliberately slowed update is in flight, instead of queueing behind
@@ -58,13 +58,12 @@ fn rename_ops(fragmented: &FragmentedTree, suffix: &str) -> Vec<(FragmentId, Upd
     ops
 }
 
-/// Answers of `query` over `fragmented` on an idle, sequential server —
+/// Answers of `query` over `fragmented` on an idle server, one at a time —
 /// the reference every pinned-epoch read must match bit-for-bit.
-fn sequential_replay(fragmented: &FragmentedTree, query: &str) -> Vec<String> {
+fn serial_replay(fragmented: &FragmentedTree, query: &str) -> Vec<String> {
     PaxServer::builder()
         .algorithm(Algorithm::PaX2)
         .sites(3)
-        .sequential(true)
         .deploy(fragmented)
         .unwrap()
         .query_once(query)
@@ -78,13 +77,13 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
     /// Random interleavings of prepared executions, batches and update
-    /// streams across threads: every report's answers equal a sequential
+    /// streams across threads: every report's answers equal a serial
     /// replay of the epoch it pinned. Expected answers for every epoch are
     /// precomputed against a mirror before any concurrency starts, so each
     /// read is checked against the one legal snapshot for its epoch — a
     /// pre/post mix within one execution can never pass.
     #[test]
-    fn answers_match_a_sequential_replay_of_the_pinned_epoch(
+    fn answers_match_a_serial_replay_of_the_pinned_epoch(
         generations in 2u64..6,
         reader_count in 2usize..5,
         use_batches in any::<bool>(),
@@ -97,7 +96,7 @@ proptest! {
         let mut mirror = fragmented.clone();
         let mut expected: Vec<Vec<Vec<String>>> = Vec::new();
         let mut ops: Vec<Vec<(FragmentId, UpdateOp)>> = Vec::new();
-        expected.push(EPOCH_QUERIES.iter().map(|q| sequential_replay(&mirror, q)).collect());
+        expected.push(EPOCH_QUERIES.iter().map(|q| serial_replay(&mirror, q)).collect());
         for generation in 1..=generations {
             let batch = rename_ops(&mirror, &format!("g{generation}"));
             for (fragment, op) in &batch {
@@ -105,7 +104,7 @@ proptest! {
                     .unwrap();
             }
             ops.push(batch);
-            expected.push(EPOCH_QUERIES.iter().map(|q| sequential_replay(&mirror, q)).collect());
+            expected.push(EPOCH_QUERIES.iter().map(|q| serial_replay(&mirror, q)).collect());
         }
 
         let server = Arc::new(
@@ -141,7 +140,7 @@ proptest! {
                                     .collect();
                                 assert_eq!(
                                     texts, expected[epoch][q],
-                                    "batch read of {:?} diverged from the sequential \
+                                    "batch read of {:?} diverged from the serial \
                                      replay of its pinned epoch {epoch}",
                                     EPOCH_QUERIES[q]
                                 );
@@ -153,7 +152,7 @@ proptest! {
                             assert_eq!(
                                 report.answer_texts(),
                                 expected[epoch][q],
-                                "read of {:?} diverged from the sequential replay of \
+                                "read of {:?} diverged from the serial replay of \
                                  its pinned epoch {epoch}",
                                 EPOCH_QUERIES[q]
                             );

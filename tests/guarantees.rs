@@ -8,6 +8,10 @@
 //! 3. the total computation is comparable to the centralized evaluation of
 //!    the same query over the unfragmented tree;
 //! 4. the parallel computation cost is governed by the largest site load.
+//!
+//! Guarantee 4 is a charging rule, pinned where the charge is made: each
+//! round costs its slowest and its busiest site
+//! (`paxml-distsim`'s `stats.rs::commit_round_charges_every_site_then_the_round_at_its_maxima`).
 
 use paxml::prelude::*;
 use paxml::xmark::{ft1, ft2, PAPER_QUERIES};
@@ -119,29 +123,6 @@ fn total_computation_is_comparable_to_centralized() {
         );
         assert_eq!(report.answers().len(), central.answers.len());
     }
-}
-
-#[test]
-fn parallelism_reduces_perceived_time_on_skewed_sites() {
-    // With an artificially slow site, the parallel time tracks the slowest
-    // site (not the sum), demonstrating that the rounds really overlap.
-    let (_, fragmented) = ft1(6, 1.2, 21);
-    let query = PAPER_QUERIES[3].1;
-    let server = PaxServer::builder()
-        .algorithm(Algorithm::PaX2)
-        .sites(6)
-        .placement(Placement::RoundRobin)
-        .site_delay(paxml::distsim::SiteId(3), std::time::Duration::from_millis(30))
-        .deploy(&fragmented)
-        .unwrap();
-    let report = server.query_once(query).unwrap();
-    let parallel = report.parallel_time();
-    let total = report.total_computation_time();
-    // The 30 ms delay dominates each of the two rounds the slow site joins,
-    // but the other sites' work happens concurrently, so the perceived time
-    // stays well below the summed busy time plus delays.
-    assert!(parallel >= std::time::Duration::from_millis(30));
-    assert!(parallel < total + std::time::Duration::from_millis(70));
 }
 
 #[test]

@@ -59,7 +59,6 @@ fn server(fragmented: &FragmentedTree, algorithm: Algorithm, annotations: bool) 
         .annotations(annotations)
         .placement(Placement::RoundRobin)
         .sites(SITES)
-        .sequential(true)
         .deploy(fragmented)
         .expect("valid configuration")
 }

@@ -107,7 +107,6 @@ proptest! {
                 .annotations(annotations)
                 .placement(Placement::RoundRobin)
                 .sites(sites)
-                .sequential(true)
                 .deploy(&fragmented)
                 .expect("valid configuration")
         };

@@ -294,7 +294,7 @@ fn planner_reduces_max_site_load_on_a_skewed_deployment() {
     let report = outcome.report.expect("a non-empty plan publishes");
     assert_eq!(report.placement_version, 1);
     assert!(
-        server.server_stats().site_loads.iter().filter(|l| l.fragment_count > 0).count() > 1,
+        server.server_stats().site_loads.iter().filter(|l| l.fragment_count() > 0).count() > 1,
         "fragments still all live on one site"
     );
     assert_conforms_to_fresh_deploy(&server, Algorithm::PaX2, sites, "post-rebalance");
@@ -368,12 +368,8 @@ fn vacuum_reclaims_refragmentation_garbage() {
 /// The Fig. 2 clientele over three sites, `replication` copies each.
 fn clientele_server(replication: usize) -> (PaxServer, FragmentedTree) {
     let (_, fragmented) = clientele_fragmentation();
-    let server = PaxServer::builder()
-        .sites(3)
-        .replication(replication)
-        .sequential(true)
-        .deploy(&fragmented)
-        .expect("deploy");
+    let server =
+        PaxServer::builder().sites(3).replication(replication).deploy(&fragmented).expect("deploy");
     (server, fragmented)
 }
 

@@ -37,7 +37,6 @@ fn server(
         .annotations(annotations && algorithm != Algorithm::NaiveCentralized)
         .placement(Placement::RoundRobin)
         .sites(sites)
-        .sequential(true)
         .deploy(fragmented)
         .expect("valid configuration")
 }

@@ -40,12 +40,7 @@ fn served_answers(report: &ExecReport) -> Vec<(NodeId, Option<String>)> {
 fn never_snapshotted_sessions_ride_update_rounds_untouched() {
     // Fig. 2: F0 holds Anna and Kim, F1 Anna's broker, F4 Lisa's client.
     let (_, fragmented) = clientele_fragmentation();
-    let server = PaxServer::builder()
-        .annotations(true)
-        .sites(SITES)
-        .sequential(true)
-        .deploy(&fragmented)
-        .unwrap();
+    let server = PaxServer::builder().annotations(true).sites(SITES).deploy(&fragmented).unwrap();
     let (names, markets) = ("client/name", "client/broker/market/name");
     let q_names = server.prepare(names).unwrap();
     let q_markets = server.prepare(markets).unwrap();

@@ -46,7 +46,6 @@ fn server(fragmented: &FragmentedTree, replication: usize) -> PaxServer {
     PaxServer::builder()
         .sites(3)
         .replication(replication)
-        .sequential(true)
         .retry_policy(retry)
         .deploy(fragmented)
         .unwrap()

@@ -81,12 +81,7 @@ fn clientele(clients: usize) -> FragmentedTree {
 }
 
 fn server(fragmented: &FragmentedTree) -> PaxServer {
-    PaxServer::builder()
-        .algorithm(Algorithm::PaX2)
-        .sites(3)
-        .sequential(true)
-        .deploy(fragmented)
-        .unwrap()
+    PaxServer::builder().algorithm(Algorithm::PaX2).sites(3).deploy(fragmented).unwrap()
 }
 
 /// Rename the broker of client `client` (in fragment `client + 1`).
