@@ -78,7 +78,7 @@ use crate::unify::{assignment_from_pairs, fresh_qual_vectors, fresh_selection_ve
 use crate::vars::PaxVar;
 use paxml_boolex::{BitVector, BoolExpr, CompactVector};
 use paxml_distsim::SiteLocal;
-use paxml_fragment::{Fragment, FragmentId, UpdateOp};
+use paxml_fragment::{Fragment, FragmentError, FragmentId, UpdateOp};
 use paxml_xml::NodeId;
 use paxml_xpath::eval::{
     multi_combined_pass, parked_selection_pass, qualifier_sweep, CombinedPassOutput,
@@ -717,23 +717,34 @@ pub struct MsgRefrag {
 pub struct RefragOutcome {
     /// The fragments installed, in request order.
     pub installed: Vec<FragmentId>,
+    /// Why each fragment that failed [`Fragment::check`] was not
+    /// installed, in request order.
+    pub rejected: Vec<FragmentError>,
 }
 
 /// Site-side task of a re-fragmentation round: install each shipped
-/// fragment as the envelope epoch's snapshot. Installation is copy-on-write
-/// against the version lists — readers pinned to older epochs are
-/// untouched, and re-installing the same fragment at the same epoch
-/// replaces the earlier attempt in place.
+/// fragment that passes [`Fragment::check`] as the envelope epoch's
+/// snapshot, and reject the others. Installation is copy-on-write against
+/// the version lists — readers pinned to older epochs are untouched, and
+/// re-installing the same fragment at the same epoch replaces the earlier
+/// attempt in place.
 pub fn refrag_task(site: &mut SiteLocal, epoch: u64, request: MsgRefrag) -> RefragOutcome {
-    let mut installed = Vec::with_capacity(request.installs.len());
+    let mut outcome = RefragOutcome {
+        installed: Vec::with_capacity(request.installs.len()),
+        rejected: Vec::new(),
+    };
     for fragment in request.installs {
         // Receiving and storing a fragment costs its shipped size, the same
         // meter the naive baseline's Fetch uses for the reverse direction.
         site.charge_ops(paxml_distsim::encoded_size(&fragment));
-        installed.push(fragment.id);
+        if let Err(err) = fragment.check() {
+            outcome.rejected.push(err);
+            continue;
+        }
+        outcome.installed.push(fragment.id);
         site.install_version(epoch, fragment);
     }
-    RefragOutcome { installed }
+    outcome
 }
 
 /// Payload of an explicit vacuum sweep: besides the envelope's retirement
@@ -776,6 +787,24 @@ mod tests {
         let broker = tree.find_first("broker").unwrap();
         let fragmented = fragment_at(&tree, &[broker]).unwrap();
         (tree, fragmented)
+    }
+
+    #[test]
+    fn a_refrag_install_that_fails_its_check_is_rejected() {
+        let (_, fragmented) = small_fragmented();
+        let mut site = SiteLocal::new(SiteId(0));
+        let good = fragmented.fragments[1].clone();
+        let mut short = fragmented.fragments[0].clone();
+        short.origin.pop();
+        let outcome = refrag_task(&mut site, 1, MsgRefrag { installs: vec![short, good] });
+        assert_eq!(outcome.installed, vec![FragmentId(1)]);
+        assert!(
+            matches!(&outcome.rejected[..], [FragmentError::Malformed { fragment: 0, .. }]),
+            "{:?}",
+            outcome.rejected
+        );
+        assert!(site.fragment_at(FragmentId(0), 1).is_none(), "the short fragment installed");
+        assert!(site.fragment_at(FragmentId(1), 1).is_some());
     }
 
     #[test]

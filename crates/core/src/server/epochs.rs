@@ -438,7 +438,9 @@ pub(super) fn install(
         .map(|(site, installs)| (site, ProtocolRequest::Refrag(MsgRefrag { installs })))
         .collect();
     for response in ctx.round(requests)?.into_values() {
-        response.into_refragged()?;
+        if let Some(rejected) = response.into_refragged()?.rejected.into_iter().next() {
+            return Err(rejected.into());
+        }
     }
     Ok(())
 }

@@ -1,12 +1,15 @@
 //! Error types for fragmentation.
 
+use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Result alias for the crate.
 pub type FragmentResult<T> = Result<T, FragmentError>;
 
-/// Errors raised while fragmenting or reassembling trees.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Errors raised while fragmenting or reassembling trees. They travel
+/// between site and coordinator (a site's rejected install), so they
+/// serialize.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FragmentError {
     /// A cut point was the root of the tree (the root always stays in the
     /// root fragment).
@@ -37,6 +40,15 @@ pub enum FragmentError {
         /// Human-readable description.
         message: String,
     },
+    /// A fragment a site was sent fails [`Fragment::check`](crate::Fragment::check):
+    /// its tree is malformed or its origin map does not cover its nodes.
+    /// The site does not install it.
+    Malformed {
+        /// The fragment's id.
+        fragment: usize,
+        /// What is wrong with it.
+        message: String,
+    },
     /// The fragmented tree is internally inconsistent (e.g. a virtual node
     /// references a fragment that does not exist) — only reachable by
     /// corrupting the structure by hand.
@@ -60,6 +72,9 @@ impl fmt::Display for FragmentError {
             }
             FragmentError::InvalidUpdate { message } => {
                 write!(f, "invalid fragment update: {message}")
+            }
+            FragmentError::Malformed { fragment, message } => {
+                write!(f, "malformed fragment F{fragment}: {message}")
             }
             FragmentError::Inconsistent { message } => {
                 write!(f, "inconsistent fragmented tree: {message}")

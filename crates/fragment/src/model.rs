@@ -64,6 +64,21 @@ impl Fragment {
         }
     }
 
+    /// Check what a site relies on before it installs a fragment it was
+    /// sent: a well-formed tree ([`XmlTree::validate`]) and an origin entry
+    /// for every node, which [`Fragment::origin_of`] indexes by arena index.
+    pub fn check(&self) -> FragmentResult<()> {
+        let malformed = |message| FragmentError::Malformed { fragment: self.id.0, message };
+        if self.origin.len() != self.tree.node_count() {
+            return Err(malformed(format!(
+                "{} origin entries for {} nodes",
+                self.origin.len(),
+                self.tree.node_count()
+            )));
+        }
+        self.tree.validate().map_err(|err| malformed(err.to_string()))
+    }
+
     /// The original-tree node a fragment node corresponds to.
     pub fn origin_of(&self, node: NodeId) -> NodeId {
         NodeId::from_index(self.origin[node.index()] as usize)

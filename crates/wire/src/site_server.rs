@@ -13,6 +13,7 @@ use crate::msg::{self, WireReply, WireRequest};
 use paxml_core::dispatch;
 use paxml_core::EpochRequest;
 use paxml_distsim::{SiteId, SiteLocal};
+use paxml_fragment::Fragment;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -95,11 +96,18 @@ fn serve_connection(
                 WireReply::Hello { site: id }
             }
             WireRequest::Load { fragments } => {
-                let mut guard = lock_site(&site);
-                for fragment in fragments {
-                    guard.add_fragment(fragment);
+                // A load installs all of its fragments or, when one fails
+                // its check, none.
+                match fragments.iter().try_for_each(Fragment::check) {
+                    Ok(()) => {
+                        let mut guard = lock_site(&site);
+                        for fragment in fragments {
+                            guard.add_fragment(fragment);
+                        }
+                        WireReply::Loaded { fragments: guard.fragment_count() }
+                    }
+                    Err(err) => WireReply::Error { message: err.to_string() },
                 }
-                WireReply::Loaded { fragments: guard.fragment_count() }
             }
             WireRequest::Round { body } => serve_round(&site, &body),
             WireRequest::ScratchLen => {

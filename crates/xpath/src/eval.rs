@@ -46,9 +46,9 @@
 //! A node's entries are computed in a *lane*: `bool`s in one `u64` (the
 //! **word lane**), `u64` sets of disjuncts (the **disjunction lane**) or
 //! [`ExprId`]s over the visit's arena (the **arena lane**). The lanes share
-//! one definition of the entry semantics (`eval_qentry` and `compute_sv`,
-//! generic over the private `Lane` trait), and each phase of a visit has one
-//! lane rule:
+//! one definition of the entry semantics — the qualifier sweep's compiled
+//! program (below) and `compute_sv`, generic over the private `Lane` trait —
+//! and each phase of a visit has one lane rule:
 //!
 //! * the qualifier sweep's **union phase** (below) computes every node with
 //!   no virtual node below it. Its children are constant by construction, so
@@ -102,12 +102,40 @@
 //! (PaX3's Stage 2) take a summary; the other passes, and so the centralized
 //! evaluator, walk every node.
 //!
+//! # The program
+//!
+//! A qualifier sweep compiles the `QVect` it holds once, into a flat
+//! `QProgram`, and runs it at every node instead of matching on each entry:
+//!
+//! * the **atoms** — tests of the node's own label, text or attributes — are
+//!   computed once per node, by node kind. An element looks its label up
+//!   among the distinct `LabelTest` labels and ORs in that label's mask, the
+//!   `ElementTest` mask and those of its attribute tests; a text node runs
+//!   the text tests, parsing its value as a number once for all `ValTest`s;
+//!   a virtual node runs none;
+//! * the **structural entries** follow in entry order, each reading only
+//!   earlier entries of the node (the compiler emits a `QVect` in
+//!   topological order). In the word lane each is one test of the node's
+//!   word against masks: a `Step` is `qv & me == me && any_qv & ch == ch &&
+//!   any_qdv & de == de` over its test and qualifiers (`me`) and its child
+//!   (`ch`) or descendant (`de`) continuation in the children's folds; an
+//!   `Exists`, `Not`, `And` or `Or` is one mask test. A counted (positional)
+//!   fold reads the children's stored words.
+//!
+//! The arena lane runs the same program over the same operand lists, in the
+//! order the entries list them, so it interns what a per-entry evaluation
+//! would: every formula, and so every byte, is the one the entry's
+//! definition gives. The tests keep that per-entry evaluation as a
+//! reference (`eval::tests::eval_qentry`) and check both lanes against it at
+//! every node.
+//!
 //! The union phase and the disjunction lane perform **no heap allocation per
 //! node**: the tree walks follow links, children are pushed straight onto
 //! the top-down stack, carried sets and positional facts go through
 //! per-sweep scratch, and what is left is a few allocations per pass (the
-//! per-node vector tables of a query with qualifiers, the init's variables,
-//! and the amortised growth of the stacks and the output lists) —
+//! per-node vector tables of a query with qualifiers, its program's lists,
+//! the init's variables, and the amortised growth of the stacks and the
+//! output lists) —
 //! `tests/allocations.rs` pins that. Pass outputs are exported as
 //! [`CompactVector`]s (bits for fully-constant vectors, self-contained
 //! [`BoolExpr`] trees otherwise), which is also the wire format: a
@@ -149,7 +177,7 @@
 use crate::ast::CmpOp;
 use crate::compile::{splice_qvect, CompiledQuery, PosFilter, QAxis, QEntry, QEntryId, SelItem};
 use paxml_boolex::{Assignment, BitVector, BoolExpr, CompactVector, ExprId, FormulaArena};
-use paxml_xml::{LabelSummary, NodeId, XmlTree};
+use paxml_xml::{LabelSummary, NodeId, NodeKind, XmlTree};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::hash::Hash;
@@ -256,13 +284,13 @@ impl AVec {
     }
 }
 
-/// The value domain a node's entries are computed in: `bool`s in one word
-/// ([`Word`]), disjunct sets in `u64`s ([`Disjunction`]) or interned ids over
-/// the visit's arena ([`FormulaArena`]). [`compute_sv`] is written once
-/// against it, and [`eval_qentry`] against its [`QualifierLane`] extension,
-/// so the lanes share one definition of every entry kind. A node's vector is
-/// written into storage its caller owns, which is how the disjunction lane
-/// keeps its vectors in one flat per-sweep buffer.
+/// The value domain a selection node's entries are computed in: disjunct
+/// sets in `u64`s ([`Disjunction`]) or interned ids over the visit's arena
+/// ([`FormulaArena`]). [`compute_sv`] is written once against it, so the
+/// lanes share one definition of every `SVect` entry kind. A node's vector
+/// is written into storage its caller owns, which is how the disjunction
+/// lane keeps its vectors in one flat per-sweep buffer. (The qualifier
+/// sweep's lanes share their definition through [`QProgram`].)
 trait Lane {
     /// One entry's value.
     type Value: Copy + PartialEq;
@@ -273,63 +301,6 @@ trait Lane {
     fn constant(value: bool) -> Self::Value;
     fn and(&mut self, a: Self::Value, b: Self::Value) -> Self::Value;
     fn or(&mut self, a: Self::Value, b: Self::Value) -> Self::Value;
-}
-
-/// What the qualifier sweep needs beyond [`Lane`]: its word and arena lanes.
-trait QualifierLane: Lane {
-    /// An entry of a child's stored `QV` (read by positional folds).
-    fn stored(id: ExprId) -> Self::Value;
-    fn not(&mut self, operand: Self::Value) -> Self::Value;
-    fn and_all(&mut self, operands: impl IntoIterator<Item = Self::Value>) -> Self::Value;
-    fn or_all(&mut self, operands: impl IntoIterator<Item = Self::Value>) -> Self::Value;
-}
-
-/// The word lane: a node's entries are the bits of one `u64`. It runs the
-/// union phase, whose nodes have constant children and whose vector has at
-/// most 64 entries.
-struct Word;
-
-impl Lane for Word {
-    type Value = bool;
-    type Vector = u64;
-
-    fn get(word: &u64, index: usize) -> bool {
-        word >> index & 1 != 0
-    }
-
-    fn set(word: &mut u64, index: usize, value: bool) {
-        *word = *word & !(1 << index) | u64::from(value) << index;
-    }
-
-    fn constant(value: bool) -> bool {
-        value
-    }
-
-    fn and(&mut self, a: bool, b: bool) -> bool {
-        a && b
-    }
-
-    fn or(&mut self, a: bool, b: bool) -> bool {
-        a || b
-    }
-}
-
-impl QualifierLane for Word {
-    fn stored(id: ExprId) -> bool {
-        id.as_const().expect("the word lane reads constant children only")
-    }
-
-    fn not(&mut self, operand: bool) -> bool {
-        !operand
-    }
-
-    fn and_all(&mut self, operands: impl IntoIterator<Item = bool>) -> bool {
-        operands.into_iter().all(|b| b)
-    }
-
-    fn or_all(&mut self, operands: impl IntoIterator<Item = bool>) -> bool {
-        operands.into_iter().any(|b| b)
-    }
 }
 
 /// The disjunct set `{true}`: bit 0.
@@ -408,24 +379,6 @@ impl<V: VarLike> Lane for FormulaArena<V> {
 
     fn or(&mut self, a: ExprId, b: ExprId) -> ExprId {
         FormulaArena::or(self, a, b)
-    }
-}
-
-impl<V: VarLike> QualifierLane for FormulaArena<V> {
-    fn stored(id: ExprId) -> ExprId {
-        id
-    }
-
-    fn not(&mut self, operand: ExprId) -> ExprId {
-        FormulaArena::not(self, operand)
-    }
-
-    fn and_all(&mut self, operands: impl IntoIterator<Item = ExprId>) -> ExprId {
-        FormulaArena::and_all(self, operands)
-    }
-
-    fn or_all(&mut self, operands: impl IntoIterator<Item = ExprId>) -> ExprId {
-        FormulaArena::or_all(self, operands)
     }
 }
 
@@ -743,7 +696,9 @@ struct Union {
 /// the subtree at `root` — the kernel's one post-order loop. A node is on
 /// the *spine* when it is virtual or has a child on the spine; the loop
 /// records it there for the spine phases and computes every other node,
-/// whose children are all constant, in the word lane.
+/// whose children are all constant, in the word lane: one walk of its
+/// children both folds their words and finds a spine child, and the
+/// sweep's [`QProgram`] computes the node from the folds.
 fn union_sweep(tree: &XmlTree, root: NodeId, qvect: &[QEntry]) -> Union {
     if qvect.is_empty() {
         // No qualifier, nothing to compute bottom-up and no per-node table
@@ -752,39 +707,50 @@ fn union_sweep(tree: &XmlTree, root: NodeId, qvect: &[QEntry]) -> Union {
         return Union::default();
     }
     let (nodes, qlen) = (tree.node_count(), qvect.len());
-    let table = if qlen <= WORD { nodes } else { 0 };
-    let mut union = Union {
-        qv: vec![0; table],
-        qdv: vec![0; table],
-        spine_at: vec![OFF_SPINE; nodes],
-        ..Union::default()
-    };
-    for v in tree.post_order(root) {
-        if qlen > WORD
-            || tree.is_virtual(v)
-            || tree.children(v).any(|c| union.spine_at[c.index()] != OFF_SPINE)
-        {
-            union.spine_at[v.index()] = union.spine.len() as u32;
-            union.spine.push(v);
-            continue;
-        }
-        // Fold the children's words into "some child has entry i true"
-        // (the paper's QCV) and "some child's subtree has entry i true".
-        let (mut any_qv, mut any_qdv) = (0, 0);
+    let mut union = Union { spine_at: vec![OFF_SPINE; nodes], ..Union::default() };
+    if qlen > WORD {
+        tree.post_order(root).for_each(|v| union.push_spine(v));
+        return union;
+    }
+    (union.qv, union.qdv) = (vec![0; nodes], vec![0; nodes]);
+    let program = QProgram::compile(qvect);
+    // Fold the children's words into "some child has entry i true" (the
+    // paper's QCV) and "some child's subtree has entry i true", and count
+    // the folds; `None` when a child is on the spine.
+    let fold = |union: &Union, v: NodeId| {
+        let (mut any_qv, mut any_qdv, mut children) = (0, 0, 0);
         for c in tree.children(v) {
+            if union.spine_at[c.index()] != OFF_SPINE {
+                return None;
+            }
             any_qv |= union.qv[c.index()];
             any_qdv |= union.qdv[c.index()];
-            union.ops += 2 * qlen as u64;
+            children += 1;
         }
-        // One operation per entry, and `qlen` for the QDV.
-        union.ops += 2 * qlen as u64;
-        let stored = Stored { union: &union, map: None, qlen, qv: &[], qdv: &[] };
-        let mut qv = 0;
-        eval_qv(&mut Word, tree, v, qvect, &any_qv, &any_qdv, stored, &mut qv);
+        Some((any_qv, any_qdv, children))
+    };
+    for v in tree.post_order(root) {
+        let folded = if tree.is_virtual(v) { None } else { fold(&union, v) };
+        let Some((any_qv, any_qdv, children)) = folded else {
+            union.push_spine(v);
+            continue;
+        };
+        // One operation per entry and child fold, per entry at the node,
+        // and `qlen` for the QDV.
+        union.ops += 2 * qlen as u64 * (children + 1);
+        let qv = program.word(tree, v, any_qv, any_qdv, &union.qv);
         (union.qv[v.index()], union.qdv[v.index()]) = (qv, qv | any_qdv);
         union.nodes += 1;
     }
     union
+}
+
+impl Union {
+    /// Leave `v` to the spine phases.
+    fn push_spine(&mut self, v: NodeId) {
+        self.spine_at[v.index()] = self.spine.len() as u32;
+        self.spine.push(v);
+    }
 }
 
 /// Entries a word holds: the word lane's limit.
@@ -912,6 +878,7 @@ fn spine_sweep<'u, V: VarLike>(
         ops: 0,
         lanes: LaneCounts { word: union.nodes, arena: spine as u64, ..LaneCounts::default() },
     };
+    let program = QProgram::compile(&query.qvect);
     let mut ops = 0;
     for &v in &union.spine {
         let (qv, qdv) = if tree.is_virtual(v) {
@@ -930,8 +897,7 @@ fn spine_sweep<'u, V: VarLike>(
                 ops += 2 * qlen as u64;
             }
             ops += 2 * qlen as u64;
-            let mut qv = AVec::all_false(qlen);
-            eval_qv(arena, tree, v, &query.qvect, &any_qv, &any_qdv, sweep.stored(), &mut qv);
+            let qv = program.arena(arena, tree, v, &any_qv, &any_qdv, sweep.stored());
             // QDV_v(i) = QV_v(i) ∨ (some child's QDV has i).
             any_qdv.or_into(&qv, arena);
             (qv, any_qdv)
@@ -943,98 +909,333 @@ fn spine_sweep<'u, V: VarLike>(
     sweep
 }
 
-/// Every `QVect` entry at the non-virtual node `v`, in one lane, from the
-/// folded child vectors (and, for counted folds, the children's own `QV`s),
-/// written into `qv`.
-#[allow(clippy::too_many_arguments)]
-fn eval_qv<L: QualifierLane>(
-    lane: &mut L,
-    tree: &XmlTree,
-    v: NodeId,
-    qvect: &[QEntry],
-    child_any_qv: &L::Vector,
-    child_any_qdv: &L::Vector,
-    stored: Stored<'_>,
-    qv: &mut L::Vector,
-) {
-    for (i, entry) in qvect.iter().enumerate() {
-        let value = eval_qentry(lane, tree, v, entry, qv, child_any_qv, child_any_qdv, stored);
-        L::set(qv, i, value);
+/// A `QVect` compiled for one sweep: what the sweep runs at every node in
+/// place of a per-entry `match` (see the module doc, "The program"). The
+/// atoms — tests of the node's own label, text or attributes — are grouped
+/// by the node kind they can hold at; the structural entries follow as
+/// [`QOp`]s in entry order. The compiler emits a `QVect` in topological
+/// order, so an op reads only atoms and earlier ops of the same node, and
+/// the children's folds.
+///
+/// Each lane runs the same program: the word lane ([`QProgram::word`]) its
+/// masks, the arena lane ([`QProgram::arena`]) its operand lists, in the
+/// order the entries list them, so the arena interns what a per-entry
+/// evaluation would.
+struct QProgram<'q> {
+    /// `|QVect|`.
+    len: usize,
+    /// The distinct labels of the `LabelTest`s, with the entries testing each.
+    labels: Vec<(&'q str, Hits)>,
+    /// The `ElementTest` entries.
+    element: Hits,
+    /// The attribute tests, read at elements that carry attributes.
+    attributes: Vec<(AttrAtom<'q>, Hits)>,
+    /// The text tests, read at text nodes.
+    texts: Vec<(TextAtom<'q>, Hits)>,
+    /// Whether a text test compares numbers: a text node then parses its
+    /// value once for all of them.
+    numeric: bool,
+    /// The structural entries, in entry order.
+    ops: Vec<QOp<'q>>,
+    /// The entry lists of `Hits` and the operand lists of `ops`, flat.
+    entries: Vec<QEntryId>,
+}
+
+/// Entries a program sets or reads together: their word-lane mask and
+/// their range in [`QProgram::entries`], for the arena lane.
+#[derive(Default)]
+struct Hits {
+    mask: u64,
+    entries: (u32, u32),
+}
+
+/// A test of a text node's value.
+enum TextAtom<'q> {
+    /// `TextTest`: the value equals the string.
+    Equals(&'q str),
+    /// `ValTest`: the value, read as a number, satisfies the comparison.
+    Compares(CmpOp, f64),
+}
+
+/// A test of an element's attribute.
+enum AttrAtom<'q> {
+    /// `AttrTest`: the attribute is present.
+    Present(&'q str),
+    /// `AttrValueTest`: the attribute equals the string.
+    Equals(&'q str, &'q str),
+    /// `AttrCmpTest`: the attribute, read as a number, satisfies the
+    /// comparison.
+    Compares(&'q str, CmpOp, f64),
+}
+
+/// A structural entry of a [`QProgram`]: a `Step`, `Exists`, `Not`, `And`
+/// or `Or`.
+struct QOp<'q> {
+    /// The entry it computes.
+    out: QEntryId,
+    /// Its same-node operands in entry order — a step's test, then its
+    /// qualifiers; a connective's operands.
+    operands: Hits,
+    kind: OpKind<'q>,
+}
+
+enum OpKind<'q> {
+    /// Every operand, and the continuation below the node when there is
+    /// one: a `Step` (an `Exists` has no operand, an `And` no
+    /// continuation). In the word lane, `ch` and `de` mask the continuation
+    /// in the children's `QV` and `QDV` folds.
+    All { next: Option<(QAxis, QEntryId)>, ch: u64, de: u64 },
+    /// Every operand, and `entry` at some child at a position `filter`
+    /// accepts: a counted fold, read from the children's stored `QV`s.
+    Counted { entry: QEntryId, filter: &'q PosFilter },
+    /// Some operand: an `Or`.
+    Any,
+    /// Not the operand: a `Not`.
+    Not,
+}
+
+impl OpKind<'_> {
+    fn all(next: Option<(QAxis, QEntryId)>) -> Self {
+        let (ch, de) = match next {
+            Some((QAxis::Child, e)) => (bit(e), 0),
+            Some((QAxis::Descendant, e)) => (0, bit(e)),
+            None => (0, 0),
+        };
+        OpKind::All { next, ch, de }
     }
 }
 
-/// `text` read as a number (whitespace trimmed, a leading `$` tolerated)
-/// satisfies `op n`; non-numbers and absent values fail closed.
-fn numeric_holds(text: Option<&str>, op: CmpOp, n: f64) -> bool {
-    text.and_then(|t| {
-        let t = t.trim();
-        t.strip_prefix('$').unwrap_or(t).parse::<f64>().ok()
-    })
-    .is_some_and(|value| op.apply(value, n))
+/// `text` read as a number: whitespace trimmed, a leading `$` tolerated.
+fn number(text: &str) -> Option<f64> {
+    let text = text.trim();
+    text.strip_prefix('$').unwrap_or(text).parse().ok()
 }
 
-/// Evaluate one `QVect` entry at a node, given the already-computed earlier
-/// entries at the same node (`qv_so_far`) and the folded child vectors.
-///
-/// `stored` gives access to the individual children's `QV` vectors; it is
-/// only consulted for positionally-filtered child steps, where the plain
-/// disjunctive fold is not enough (only the children at accepted sibling
-/// positions may witness the step).
-///
-/// Always inlined: it is the inner loop of both lanes, and a call per entry
-/// costs the word lane more than the entry does.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn eval_qentry<L: QualifierLane>(
-    lane: &mut L,
-    tree: &XmlTree,
-    v: NodeId,
-    entry: &QEntry,
-    qv_so_far: &L::Vector,
-    child_any_qv: &L::Vector,
-    child_any_qdv: &L::Vector,
-    stored: Stored<'_>,
-) -> L::Value {
-    // Counted child-fold: OR of `entry` over the children sitting at
-    // positions accepted by `filter`.
-    let counted_fold = |lane: &mut L, e: QEntryId, filter: &PosFilter| {
-        lane.or_all(
-            position_accepts(tree, v, filter)
-                .filter(|&(_, ok)| ok)
-                .map(|(c, _)| L::stored(stored.id(c, e))),
-        )
-    };
-    let earlier = |e: &QEntryId| L::get(qv_so_far, *e);
-    match entry {
-        QEntry::LabelTest(label) => L::constant(tree.label(v) == Some(label.as_str())),
-        QEntry::ElementTest => L::constant(tree.is_element(v)),
-        QEntry::TextTest(s) => L::constant(tree.text_value(v) == Some(s.as_str())),
-        QEntry::ValTest(op, n) => L::constant(numeric_holds(tree.text_value(v), *op, *n)),
-        QEntry::AttrTest(a) => L::constant(tree.attribute(v, a).is_some()),
-        QEntry::AttrValueTest(a, s) => L::constant(tree.attribute(v, a) == Some(s.as_str())),
-        QEntry::AttrCmpTest(a, op, n) => L::constant(numeric_holds(tree.attribute(v, a), *op, *n)),
-        QEntry::Step { test, quals, next, next_pos } => {
-            let next_value = match (next, next_pos) {
-                (None, _) => None,
-                (Some((QAxis::Child, e)), Some(filter)) => Some(counted_fold(lane, *e, filter)),
-                (Some((QAxis::Child, e)), None) => Some(L::get(child_any_qv, *e)),
-                (Some((QAxis::Descendant, e)), _) => Some(L::get(child_any_qdv, *e)),
-            };
-            // One n-ary conjunction: no intermediate `And` node is interned
-            // for the prefix of a longer conjunct list (and on the constant
-            // path `and_all` folds without touching the arena at all).
-            lane.and_all(
-                std::iter::once(earlier(test)).chain(quals.iter().map(earlier)).chain(next_value),
-            )
+/// The bit of entry `e` in a word: zero past the word, where only the
+/// arena lane runs, which reads no mask.
+fn bit(e: QEntryId) -> u64 {
+    1u64.checked_shl(e as u32).unwrap_or(0)
+}
+
+impl<'q> QProgram<'q> {
+    fn compile(qvect: &'q [QEntry]) -> QProgram<'q> {
+        let mut program = QProgram {
+            len: qvect.len(),
+            labels: Vec::new(),
+            element: Hits::default(),
+            attributes: Vec::new(),
+            texts: Vec::new(),
+            numeric: false,
+            ops: Vec::new(),
+            entries: Vec::new(),
+        };
+        // The entries equal to `test`, which the compiler's dedup makes one.
+        fn tests_of<'a>(
+            qvect: &'a [QEntry],
+            test: &'a QEntry,
+        ) -> impl Iterator<Item = QEntryId> + 'a {
+            qvect.iter().enumerate().filter(move |(_, entry)| *entry == test).map(|(e, _)| e)
         }
-        QEntry::Exists { axis, entry, pos } => match (axis, pos) {
-            (QAxis::Child, Some(filter)) => counted_fold(lane, *entry, filter),
-            (QAxis::Child, None) => L::get(child_any_qv, *entry),
-            (QAxis::Descendant, _) => L::get(child_any_qdv, *entry),
-        },
-        QEntry::Not(e) => lane.not(earlier(e)),
-        QEntry::And(es) => lane.and_all(es.iter().map(earlier)),
-        QEntry::Or(es) => lane.or_all(es.iter().map(earlier)),
+        program.element = program.hits(tests_of(qvect, &QEntry::ElementTest));
+        for (e, entry) in qvect.iter().enumerate() {
+            match entry {
+                QEntry::LabelTest(label) => {
+                    if !program.labels.iter().any(|(l, _)| l == label) {
+                        let hits = program.hits(tests_of(qvect, entry));
+                        program.labels.push((label, hits));
+                    }
+                }
+                QEntry::TextTest(s) => {
+                    let hits = program.hits([e]);
+                    program.texts.push((TextAtom::Equals(s), hits));
+                }
+                QEntry::ValTest(op, n) => {
+                    let hits = program.hits([e]);
+                    program.texts.push((TextAtom::Compares(*op, *n), hits));
+                    program.numeric = true;
+                }
+                QEntry::AttrTest(a) => {
+                    let hits = program.hits([e]);
+                    program.attributes.push((AttrAtom::Present(a), hits));
+                }
+                QEntry::AttrValueTest(a, s) => {
+                    let hits = program.hits([e]);
+                    program.attributes.push((AttrAtom::Equals(a, s), hits));
+                }
+                QEntry::AttrCmpTest(a, op, n) => {
+                    let hits = program.hits([e]);
+                    program.attributes.push((AttrAtom::Compares(a, *op, *n), hits));
+                }
+                QEntry::ElementTest => {}
+                QEntry::Step { test, quals, next, next_pos } => {
+                    let kind = match (next, next_pos) {
+                        (Some((QAxis::Child, entry)), Some(filter)) => {
+                            OpKind::Counted { entry: *entry, filter }
+                        }
+                        _ => OpKind::all(*next),
+                    };
+                    program.op(e, std::iter::once(test).chain(quals), kind);
+                }
+                QEntry::Exists { axis: QAxis::Child, entry, pos: Some(filter) } => {
+                    program.op(e, [], OpKind::Counted { entry: *entry, filter });
+                }
+                QEntry::Exists { axis, entry, .. } => {
+                    program.op(e, [], OpKind::all(Some((*axis, *entry))));
+                }
+                QEntry::Not(operand) => program.op(e, [operand], OpKind::Not),
+                QEntry::And(operands) => program.op(e, operands, OpKind::all(None)),
+                QEntry::Or(operands) => program.op(e, operands, OpKind::Any),
+            }
+        }
+        program
+    }
+
+    fn op<'a>(
+        &mut self,
+        out: QEntryId,
+        operands: impl IntoIterator<Item = &'a QEntryId>,
+        kind: OpKind<'q>,
+    ) {
+        let operands = self.hits(operands.into_iter().copied());
+        self.ops.push(QOp { out, operands, kind });
+    }
+
+    /// Append `entries` to the flat list as one range.
+    fn hits(&mut self, entries: impl IntoIterator<Item = QEntryId>) -> Hits {
+        let from = self.entries.len() as u32;
+        let mut mask = 0;
+        for e in entries {
+            mask |= bit(e);
+            self.entries.push(e);
+        }
+        Hits { mask, entries: (from, self.entries.len() as u32) }
+    }
+
+    fn entries(&self, hits: &Hits) -> &[QEntryId] {
+        let (from, to) = hits.entries;
+        &self.entries[from as usize..to as usize]
+    }
+
+    /// Hand `hit` the entries of every atom that holds at `v`, by node kind:
+    /// an element its label's, the element tests' and its attribute tests';
+    /// a text node its text tests', parsing its value as a number once; a
+    /// virtual node none.
+    #[inline]
+    fn atoms(&self, tree: &XmlTree, v: NodeId, mut hit: impl FnMut(&Hits)) {
+        match tree.kind(v) {
+            NodeKind::Element { label, attributes } => {
+                if let Some((_, hits)) = self.labels.iter().find(|(l, _)| l == label) {
+                    hit(hits);
+                }
+                hit(&self.element);
+                if attributes.is_empty() {
+                    return;
+                }
+                let attribute = |name: &str| {
+                    attributes.iter().find(|(k, _)| k == name).map(|(_, value)| value.as_str())
+                };
+                for (atom, hits) in &self.attributes {
+                    let holds = match *atom {
+                        AttrAtom::Present(a) => attribute(a).is_some(),
+                        AttrAtom::Equals(a, s) => attribute(a) == Some(s),
+                        AttrAtom::Compares(a, op, n) => {
+                            attribute(a).and_then(number).is_some_and(|x| op.apply(x, n))
+                        }
+                    };
+                    if holds {
+                        hit(hits);
+                    }
+                }
+            }
+            NodeKind::Text { value } => self.text_atoms(value, hit),
+            NodeKind::Virtual { .. } => {}
+        }
+    }
+
+    /// The text tests of a text node whose value is `value`.
+    fn text_atoms(&self, value: &str, mut hit: impl FnMut(&Hits)) {
+        let parsed = if self.numeric { number(value) } else { None };
+        for (atom, hits) in &self.texts {
+            let holds = match *atom {
+                TextAtom::Equals(s) => value == s,
+                TextAtom::Compares(op, n) => parsed.is_some_and(|x| op.apply(x, n)),
+            };
+            if holds {
+                hit(hits);
+            }
+        }
+    }
+
+    /// The word lane: `v`'s `QV` as a word, from its children's folds
+    /// `any_qv` and `any_qdv` and, for counted folds, their words in `qv_of`.
+    /// Each op is one test of the node's word against its masks.
+    #[inline]
+    fn word(&self, tree: &XmlTree, v: NodeId, any_qv: u64, any_qdv: u64, qv_of: &[u64]) -> u64 {
+        let mut qv = 0;
+        self.atoms(tree, v, |hits| qv |= hits.mask);
+        for op in &self.ops {
+            let me = op.operands.mask;
+            let holds = match op.kind {
+                OpKind::All { ch, de, .. } => {
+                    qv & me == me && any_qv & ch == ch && any_qdv & de == de
+                }
+                OpKind::Counted { entry, filter } => {
+                    qv & me == me
+                        && position_accepts(tree, v, filter)
+                            .any(|(c, accepted)| accepted && qv_of[c.index()] & bit(entry) != 0)
+                }
+                OpKind::Any => qv & me != 0,
+                OpKind::Not => qv & me == 0,
+            };
+            qv |= u64::from(holds) << op.out;
+        }
+        qv
+    }
+
+    /// The arena lane: `v`'s `QV` as ids in `arena`, from its children's
+    /// folds and, for counted folds, their stored `QV`s. Each op combines
+    /// its operand list, in entry order, with the continuation.
+    fn arena<V: VarLike>(
+        &self,
+        arena: &mut FormulaArena<V>,
+        tree: &XmlTree,
+        v: NodeId,
+        any_qv: &AVec,
+        any_qdv: &AVec,
+        stored: Stored<'_>,
+    ) -> AVec {
+        let mut qv = AVec::all_false(self.len);
+        self.atoms(tree, v, |hits| {
+            for &e in self.entries(hits) {
+                qv.set(e, ExprId::TRUE);
+            }
+        });
+        for op in &self.ops {
+            let operands = self.entries(&op.operands);
+            let next = match op.kind {
+                OpKind::All { next: Some((QAxis::Child, e)), .. } => Some(any_qv.id(e)),
+                OpKind::All { next: Some((QAxis::Descendant, e)), .. } => Some(any_qdv.id(e)),
+                OpKind::Counted { entry, filter } => Some(
+                    arena.or_all(
+                        position_accepts(tree, v, filter)
+                            .filter(|&(_, accepted)| accepted)
+                            .map(|(c, _)| stored.id(c, entry)),
+                    ),
+                ),
+                OpKind::All { next: None, .. } | OpKind::Any | OpKind::Not => None,
+            };
+            let value = match op.kind {
+                OpKind::Not => arena.not(qv.id(operands[0])),
+                OpKind::Any => arena.or_all(operands.iter().map(|&e| qv.id(e))),
+                // An `Exists` is its continuation and an empty `And` true;
+                // otherwise one n-ary conjunction, which interns no `And`
+                // for a prefix of the operand list.
+                _ if operands.is_empty() => next.unwrap_or(ExprId::TRUE),
+                _ => arena.and_all(operands.iter().map(|&e| qv.id(e)).chain(next)),
+            };
+            qv.set(op.out, value);
+        }
+        qv
     }
 }
 
@@ -1921,6 +2122,76 @@ mod tests {
 
     const STARTS: [Start; 3] = [Start::Root, Start::Inner, Start::Partial];
 
+    /// `text` read as a number (whitespace trimmed, a leading `$` tolerated)
+    /// satisfies `op n`; non-numbers and absent values fail closed.
+    fn numeric_holds(text: Option<&str>, op: CmpOp, n: f64) -> bool {
+        text.and_then(|t| {
+            let t = t.trim();
+            t.strip_prefix('$').unwrap_or(t).parse::<f64>().ok()
+        })
+        .is_some_and(|value| op.apply(value, n))
+    }
+
+    /// The reference for [`QProgram`]: one `QVect` entry at the non-virtual
+    /// node `v`, in the arena lane, by a `match` on the entry, from the
+    /// earlier entries at `v` (`qv_so_far`), the children's folds and, for
+    /// counted folds, the children's stored `QV`s.
+    #[allow(clippy::too_many_arguments)]
+    fn eval_qentry(
+        arena: &mut FormulaArena<String>,
+        tree: &XmlTree,
+        v: NodeId,
+        entry: &QEntry,
+        qv_so_far: &AVec,
+        child_any_qv: &AVec,
+        child_any_qdv: &AVec,
+        stored: Stored<'_>,
+    ) -> ExprId {
+        // Counted child-fold: OR of `entry` over the children sitting at
+        // positions accepted by `filter`.
+        let counted_fold = |arena: &mut FormulaArena<String>, e: QEntryId, filter: &PosFilter| {
+            arena.or_all(
+                position_accepts(tree, v, filter)
+                    .filter(|&(_, ok)| ok)
+                    .map(|(c, _)| stored.id(c, e)),
+            )
+        };
+        let earlier = |e: &QEntryId| qv_so_far.id(*e);
+        let constant = ExprId::of_const;
+        match entry {
+            QEntry::LabelTest(label) => constant(tree.label(v) == Some(label.as_str())),
+            QEntry::ElementTest => constant(tree.is_element(v)),
+            QEntry::TextTest(s) => constant(tree.text_value(v) == Some(s.as_str())),
+            QEntry::ValTest(op, n) => constant(numeric_holds(tree.text_value(v), *op, *n)),
+            QEntry::AttrTest(a) => constant(tree.attribute(v, a).is_some()),
+            QEntry::AttrValueTest(a, s) => constant(tree.attribute(v, a) == Some(s.as_str())),
+            QEntry::AttrCmpTest(a, op, n) => constant(numeric_holds(tree.attribute(v, a), *op, *n)),
+            QEntry::Step { test, quals, next, next_pos } => {
+                let next_value = match (next, next_pos) {
+                    (None, _) => None,
+                    (Some((QAxis::Child, e)), Some(filter)) => {
+                        Some(counted_fold(arena, *e, filter))
+                    }
+                    (Some((QAxis::Child, e)), None) => Some(child_any_qv.id(*e)),
+                    (Some((QAxis::Descendant, e)), _) => Some(child_any_qdv.id(*e)),
+                };
+                arena.and_all(
+                    std::iter::once(earlier(test))
+                        .chain(quals.iter().map(earlier))
+                        .chain(next_value),
+                )
+            }
+            QEntry::Exists { axis, entry, pos } => match (axis, pos) {
+                (QAxis::Child, Some(filter)) => counted_fold(arena, *entry, filter),
+                (QAxis::Child, None) => child_any_qv.id(*entry),
+                (QAxis::Descendant, _) => child_any_qdv.id(*entry),
+            },
+            QEntry::Not(e) => arena.not(earlier(e)),
+            QEntry::And(es) => arena.and_all(es.iter().map(earlier)),
+            QEntry::Or(es) => arena.or_all(es.iter().map(earlier)),
+        }
+    }
+
     fn start(
         q: &CompiledQuery,
         tree: &XmlTree,
@@ -1945,8 +2216,10 @@ mod tests {
 
     /// Run a visit's two sweeps, then derive what they produced again in the
     /// arena lane alone — every node's `QV`/`QDV` from its children's stored
-    /// vectors, and the selection output from a walk that takes the arena
-    /// lane at every node and fast-forwards nowhere — and assert that both
+    /// vectors by the per-entry reference [`eval_qentry`], which neither the
+    /// word nor the arena lane runs, and the selection output from a walk
+    /// that takes the arena lane at every node and fast-forwards nowhere —
+    /// and assert that both
     /// agree, that each sweep charged the cost model's `ops`, and that the
     /// sweeps counted every node in one lane: the qualifier sweep's spine in
     /// the arena lane, no selection node in the word lane. Returns the
@@ -1973,8 +2246,11 @@ mod tests {
                 qual_ops += 2 * qlen;
             }
             let mut qv = AVec::all_false(qlen);
-            let (any_qv, any_qdv, stored) = (&child_any_qv, &child_any_qdv, quals.stored());
-            eval_qv(&mut arena, tree, v, &q.qvect, any_qv, any_qdv, stored, &mut qv);
+            for (i, entry) in q.qvect.iter().enumerate() {
+                let (any_qv, any_qdv, stored) = (&child_any_qv, &child_any_qdv, quals.stored());
+                let value = eval_qentry(&mut arena, tree, v, entry, &qv, any_qv, any_qdv, stored);
+                qv.set(i, value);
+            }
             let mut qdv = child_any_qdv;
             qdv.or_into(&qv, &mut arena);
             qual_ops += 2 * qlen;

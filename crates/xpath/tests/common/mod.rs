@@ -11,9 +11,25 @@ use proptest::prelude::*;
 pub const LABELS: &[&str] = &["a", "b", "c", "d"];
 pub const TEXTS: &[&str] = &["x", "US", "7", "42"];
 
+/// The attributes an element built from `(parent choice, kind)` carries:
+/// about one element in three has an `id`, one in four an `n`, so the
+/// queries' attribute tests meet elements with, without and with other
+/// attributes.
+fn attributes_of(parent_choice: usize, kind: usize) -> Vec<(String, String)> {
+    let mut attributes = Vec::new();
+    if parent_choice.is_multiple_of(3) {
+        attributes.push(("id".to_string(), TEXTS[parent_choice / 3 % TEXTS.len()].to_string()));
+    }
+    if parent_choice % 4 == 1 {
+        attributes.push(("n".to_string(), (kind % 7).to_string()));
+    }
+    attributes
+}
+
 /// Build a tree from `(parent choice, kind, cut)` triples; a triple with
 /// `cut == 0` becomes a virtual leaf standing for a missing sub-fragment
-/// (labelled root), so only [`fragment_strategy`] passes zeros.
+/// (labelled root), so only [`fragment_strategy`] passes zeros. Some
+/// elements carry attributes ([`attributes_of`]).
 pub fn build_tree(spec: &[(usize, usize, usize)]) -> XmlTree {
     let mut tree = XmlTree::with_root_element(LABELS[0]);
     let mut elements: Vec<NodeId> = vec![tree.root()];
@@ -26,7 +42,10 @@ pub fn build_tree(spec: &[(usize, usize, usize)]) -> XmlTree {
         } else if kind % 5 == 4 {
             tree.append_child(parent, NodeKind::text(TEXTS[kind % TEXTS.len()]));
         } else {
-            elements.push(tree.append_element(parent, label));
+            let attributes = attributes_of(parent_choice, kind);
+            elements.push(
+                tree.append_child(parent, NodeKind::Element { label: label.into(), attributes }),
+            );
         }
     }
     tree
@@ -82,6 +101,9 @@ pub fn query_strategy() -> impl Strategy<Value = String> {
         (prop::sample::select(LABELS.to_vec()), 0u32..50)
             .prop_map(|(l, n)| format!("[{l} >= {n}]")),
         prop::sample::select(LABELS.to_vec()).prop_map(|l| format!("[not({l})]")),
+        prop::sample::select(vec!["[@id]", "[@id=\"x\"]", "[@n > 3]"]).prop_map(str::to_string),
+        (prop::sample::select(LABELS.to_vec()), prop::sample::select(LABELS.to_vec()))
+            .prop_map(|(l, m)| format!("[{l} or {m}]")),
     ];
     (prop::bool::ANY, prop::collection::vec((step, qual), 1..4)).prop_map(|(desc, steps)| {
         let mut out = String::new();
