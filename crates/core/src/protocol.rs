@@ -171,16 +171,19 @@ pub struct QualResponse {
 /// parked as it left it ([`ParkedQualifiers`]) for the selection visit when
 /// the fragment is in `park`. The sweep reads the fragment snapshot of the
 /// visit's pinned `epoch` (an `Arc` handle — fragment data is never
-/// copied).
+/// copied) and its atoms from the snapshot's label summary, which the
+/// selection visit reads again.
 pub fn qualifier_task(site: &mut SiteLocal, epoch: u64, request: QualRequest) -> QualResponse {
     let mut roots = BTreeMap::new();
     let qlen = request.query.qvect_len();
     for &fragment_id in &request.fragments {
         let fragment = snapshot(site, fragment_id, epoch);
+        let summary = site.label_summary_at(fragment_id, epoch);
         let out = qualifier_sweep::<PaxVar>(
             &fragment.tree,
             fragment.tree.root(),
             &request.query,
+            summary.as_deref(),
             |vnode| fresh_qual_vectors(virtual_child(&fragment, vnode), qlen),
         );
         site.charge_ops(out.ops);
@@ -541,7 +544,9 @@ pub fn multi_combined_task(
 
 /// Apply one fragment's ops copy-on-write and install the result as
 /// `epoch`'s snapshot (see [`multi_combined_task`]). The copy is allocated
-/// once, with room for every node the batch inserts.
+/// once, with room for every node the batch inserts: an insert's payload is
+/// sized by its arena, which is not walked before `apply_update` has
+/// validated it.
 fn apply_ops(
     site: &mut SiteLocal,
     epoch: u64,
@@ -552,7 +557,7 @@ fn apply_ops(
     let inserted = ops
         .iter()
         .map(|op| match op {
-            UpdateOp::InsertSubtree { subtree, .. } => subtree.subtree_size(subtree.root()),
+            UpdateOp::InsertSubtree { subtree, .. } => subtree.node_count(),
             _ => 0,
         })
         .sum();

@@ -106,6 +106,9 @@ pub fn apply_update(fragment: &mut Fragment, op: &UpdateOp) -> FragmentResult<us
             if !tree.is_element(*parent) || tree.is_virtual(*parent) {
                 return Err(invalid("insert parent must be a real element node"));
             }
+            // The payload may have crossed the wire: walk it only once its
+            // links are known to form a tree.
+            subtree.validate().map_err(|e| invalid(format!("inserted subtree: {e}")))?;
             if subtree.all_nodes().any(|n| subtree.is_virtual(n)) {
                 return Err(invalid("inserted subtrees must not contain virtual nodes"));
             }

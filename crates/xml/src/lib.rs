@@ -49,7 +49,7 @@ pub use parse::{parse, Parser};
 pub use path::{label_path, path_from_root, LabelPath};
 pub use serialize::{to_string, to_string_pretty};
 pub use stats::TreeStats;
-pub use summary::LabelSummary;
+pub use summary::{text_number, AtomKey, LabelSummary, RecentLabels};
 pub use tree::{Ancestors, Descendants, PostOrder, PreOrder, Siblings, XmlTree};
 
 #[cfg(test)]

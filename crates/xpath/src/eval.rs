@@ -108,11 +108,16 @@
 //! `QProgram`, and runs it at every node instead of matching on each entry:
 //!
 //! * the **atoms** — tests of the node's own label, text or attributes — are
-//!   computed once per node, by node kind. An element looks its label up
-//!   among the distinct `LabelTest` labels and ORs in that label's mask, the
-//!   `ElementTest` mask and those of its attribute tests; a text node runs
-//!   the text tests, parsing its value as a number once for all `ValTest`s;
-//!   a virtual node runs none;
+//!   computed once per node, from the node's key in the fragment's
+//!   [`LabelSummary`], the index a site builds once per fragment version.
+//!   The program resolves its `LabelTest` labels once per sweep into a table
+//!   by label symbol, so an element ORs in its symbol's mask and the
+//!   `ElementTest` mask, and reads its attributes only when the program has
+//!   attribute tests and the element carries attributes. A text node
+//!   compares the number the summary parsed for it
+//!   ([`paxml_xml::text_number`]) against the `ValTest`s and reads its
+//!   string only for `TextTest`s; a virtual node runs none. A caller
+//!   without a summary builds one per pass, when a query has qualifiers;
 //! * the **structural entries** follow in entry order, each reading only
 //!   earlier entries of the node (the compiler emits a `QVect` in
 //!   topological order). In the word lane each is one test of the node's
@@ -121,6 +126,13 @@
 //!   (`ch`) or descendant (`de`) continuation in the children's folds; an
 //!   `Exists`, `Not`, `And` or `Or` is one mask test. A counted (positional)
 //!   fold reads the children's stored words.
+//!
+//! Without a counted fold a node's word is a function of three words: its
+//! atoms', and its children's `QV` and `QDV` folds. The union phase then
+//! keeps the last node's inputs and word, and a node whose inputs repeat
+//! them takes that word without running the ops — a leaf after a leaf of
+//! the same test, a parent after a last child that reads the same. A
+//! program with a counted fold runs the ops at every node.
 //!
 //! The arena lane runs the same program over the same operand lists, in the
 //! order the entries list them, so it interns what a per-entry evaluation
@@ -134,7 +146,8 @@
 //! the top-down stack, carried sets and positional facts go through
 //! per-sweep scratch, and what is left is a few allocations per pass (the
 //! per-node vector tables of a query with qualifiers, its program's lists,
-//! the init's variables, and the amortised growth of the stacks and the
+//! the label summary a caller without one has built for the pass, the
+//! init's variables, and the amortised growth of the stacks and the
 //! output lists) —
 //! `tests/allocations.rs` pins that. Pass outputs are exported as
 //! [`CompactVector`]s (bits for fully-constant vectors, self-contained
@@ -177,7 +190,7 @@
 use crate::ast::CmpOp;
 use crate::compile::{splice_qvect, CompiledQuery, PosFilter, QAxis, QEntry, QEntryId, SelItem};
 use paxml_boolex::{Assignment, BitVector, BoolExpr, CompactVector, ExprId, FormulaArena};
-use paxml_xml::{LabelSummary, NodeId, NodeKind, XmlTree};
+use paxml_xml::{text_number, AtomKey, LabelSummary, NodeId, NodeKind, XmlTree};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::hash::Hash;
@@ -576,7 +589,7 @@ pub fn qualifier_pass<V: VarLike>(
     virtual_vectors: impl FnMut(NodeId) -> QualVectors<V>,
 ) -> QualifierPassOutput<V> {
     let QualifierSweepOutput { parked, root: root_vectors, ops, lanes } =
-        qualifier_sweep(tree, root, query, virtual_vectors);
+        qualifier_sweep(tree, root, query, None, virtual_vectors);
     let mut node_qv = Vec::new();
     if query.has_qualifiers() {
         node_qv.resize(tree.node_count(), None);
@@ -648,17 +661,21 @@ pub struct QualifierSweepOutput<V: Ord> {
 /// PaX3's Stage 1 over the subtree rooted at `root`: the qualifier sweep of
 /// one query, whose root vectors are exported and whose per-node state stays
 /// as the sweep computed it — one word per node off the spine — for
-/// [`parked_selection_pass`]. `virtual_vectors` supplies each virtual
-/// node's `QV`/`QDV`, as in [`qualifier_pass`].
+/// [`parked_selection_pass`]. The sweep reads each node's atoms from
+/// `tree`'s [`LabelSummary`]; `None` builds one for this sweep alone when
+/// the query has qualifiers. `virtual_vectors` supplies each virtual node's
+/// `QV`/`QDV`, as in [`qualifier_pass`].
 pub fn qualifier_sweep<V: VarLike>(
     tree: &XmlTree,
     root: NodeId,
     query: &CompiledQuery,
+    summary: Option<&LabelSummary>,
     virtual_vectors: impl FnMut(NodeId) -> QualVectors<V>,
 ) -> QualifierSweepOutput<V> {
     let mut arena: FormulaArena<V> = FormulaArena::new();
-    let union = union_sweep(tree, root, &query.qvect);
-    let sweep = spine_sweep(&mut arena, tree, query, &union, None, virtual_vectors);
+    let index = atom_index(tree, summary, query.has_qualifiers());
+    let union = union_sweep(tree, root, &query.qvect, &index);
+    let sweep = spine_sweep(&mut arena, tree, query, &index, &union, None, virtual_vectors);
     let root_vectors = sweep.root_vectors(root, &arena);
     let QualSweep { qv: spine, ops, lanes, .. } = sweep;
     let spine = spine.into_iter().map(|qv| qv.into_compact(&arena)).collect();
@@ -692,14 +709,33 @@ struct Union {
     ops: u64,
 }
 
+/// The index a qualifier sweep reads its atoms from: `summary`, or, for a
+/// caller without one, `tree`'s built for this pass alone when `sweeps` (a
+/// query has qualifiers). Otherwise an empty one, which allocates nothing
+/// and which no sweep reads.
+fn atom_index<'s>(
+    tree: &XmlTree,
+    summary: Option<&'s LabelSummary>,
+    sweeps: bool,
+) -> Cow<'s, LabelSummary> {
+    match summary {
+        Some(summary) => Cow::Borrowed(summary),
+        None if sweeps => Cow::Owned(LabelSummary::of(tree)),
+        None => Cow::Owned(LabelSummary::default()),
+    }
+}
+
 /// The union phase: the bottom-up sweep (§3.1) of the union `QVect` over
 /// the subtree at `root` — the kernel's one post-order loop. A node is on
 /// the *spine* when it is virtual or has a child on the spine; the loop
 /// records it there for the spine phases and computes every other node,
 /// whose children are all constant, in the word lane: one walk of its
 /// children both folds their words and finds a spine child, and the
-/// sweep's [`QProgram`] computes the node from the folds.
-fn union_sweep(tree: &XmlTree, root: NodeId, qvect: &[QEntry]) -> Union {
+/// sweep's [`QProgram`] computes the node from its atoms, read through
+/// `summary`, and the folds. Without a counted fold that is a function of
+/// the atoms' word and the two folds, so a node whose three inputs are the
+/// previous node's takes its word.
+fn union_sweep(tree: &XmlTree, root: NodeId, qvect: &[QEntry], summary: &LabelSummary) -> Union {
     if qvect.is_empty() {
         // No qualifier, nothing to compute bottom-up and no per-node table
         // to fill: PaX3 skips Stage 1 for such a query, and so does every
@@ -713,7 +749,8 @@ fn union_sweep(tree: &XmlTree, root: NodeId, qvect: &[QEntry]) -> Union {
         return union;
     }
     (union.qv, union.qdv) = (vec![0; nodes], vec![0; nodes]);
-    let program = QProgram::compile(qvect);
+    let program = QProgram::compile(qvect, summary);
+    let memo = !program.counts();
     // Fold the children's words into "some child has entry i true" (the
     // paper's QCV) and "some child's subtree has entry i true", and count
     // the folds; `None` when a child is on the spine.
@@ -729,6 +766,7 @@ fn union_sweep(tree: &XmlTree, root: NodeId, qvect: &[QEntry]) -> Union {
         }
         Some((any_qv, any_qdv, children))
     };
+    let mut last = None;
     for v in tree.post_order(root) {
         let folded = if tree.is_virtual(v) { None } else { fold(&union, v) };
         let Some((any_qv, any_qdv, children)) = folded else {
@@ -738,7 +776,12 @@ fn union_sweep(tree: &XmlTree, root: NodeId, qvect: &[QEntry]) -> Union {
         // One operation per entry and child fold, per entry at the node,
         // and `qlen` for the QDV.
         union.ops += 2 * qlen as u64 * (children + 1);
-        let qv = program.word(tree, v, any_qv, any_qdv, &union.qv);
+        let inputs = (program.atom_word(tree, v), any_qv, any_qdv);
+        let qv = match last {
+            Some((seen, qv)) if memo && seen == inputs => qv,
+            _ => program.word(tree, v, inputs, &union.qv),
+        };
+        last = Some((inputs, qv));
         (union.qv[v.index()], union.qdv[v.index()]) = (qv, qv | any_qdv);
         union.nodes += 1;
     }
@@ -864,6 +907,7 @@ fn spine_sweep<'u, V: VarLike>(
     arena: &mut FormulaArena<V>,
     tree: &XmlTree,
     query: &CompiledQuery,
+    summary: &LabelSummary,
     union: &'u Union,
     map: Option<&'u [QEntryId]>,
     mut virtual_vectors: impl FnMut(NodeId) -> QualVectors<V>,
@@ -878,7 +922,7 @@ fn spine_sweep<'u, V: VarLike>(
         ops: 0,
         lanes: LaneCounts { word: union.nodes, arena: spine as u64, ..LaneCounts::default() },
     };
-    let program = QProgram::compile(&query.qvect);
+    let program = QProgram::compile(&query.qvect, summary);
     let mut ops = 0;
     for &v in &union.spine {
         let (qv, qdv) = if tree.is_virtual(v) {
@@ -912,10 +956,11 @@ fn spine_sweep<'u, V: VarLike>(
 /// A `QVect` compiled for one sweep: what the sweep runs at every node in
 /// place of a per-entry `match` (see the module doc, "The program"). The
 /// atoms — tests of the node's own label, text or attributes — are grouped
-/// by the node kind they can hold at; the structural entries follow as
-/// [`QOp`]s in entry order. The compiler emits a `QVect` in topological
-/// order, so an op reads only atoms and earlier ops of the same node, and
-/// the children's folds.
+/// by the node kind they can hold at, and the label tests are resolved
+/// against the tree's [`LabelSummary`] into a table by label symbol; the
+/// structural entries follow as [`QOp`]s in entry order. The compiler
+/// emits a `QVect` in topological order, so an op reads only atoms and
+/// earlier ops of the same node, and the children's folds.
 ///
 /// Each lane runs the same program: the word lane ([`QProgram::word`]) its
 /// masks, the arena lane ([`QProgram::arena`]) its operand lists, in the
@@ -924,17 +969,20 @@ fn spine_sweep<'u, V: VarLike>(
 struct QProgram<'q> {
     /// `|QVect|`.
     len: usize,
-    /// The distinct labels of the `LabelTest`s, with the entries testing each.
-    labels: Vec<(&'q str, Hits)>,
+    /// Where the atoms read each node's label symbol and number.
+    summary: &'q LabelSummary,
+    /// Per label symbol of the summary, up to the last one a `LabelTest`
+    /// reads: the `LabelTest` entries of that label. A label the tree lacks
+    /// has no symbol, and its tests hold nowhere.
+    labels: Vec<Hits>,
     /// The `ElementTest` entries.
     element: Hits,
     /// The attribute tests, read at elements that carry attributes.
     attributes: Vec<(AttrAtom<'q>, Hits)>,
-    /// The text tests, read at text nodes.
-    texts: Vec<(TextAtom<'q>, Hits)>,
-    /// Whether a text test compares numbers: a text node then parses its
-    /// value once for all of them.
-    numeric: bool,
+    /// The `TextTest`s, read at text nodes.
+    equals: Vec<(&'q str, Hits)>,
+    /// The `ValTest`s, read from the number a text node reads as.
+    compares: Vec<(CmpOp, f64, Hits)>,
     /// The structural entries, in entry order.
     ops: Vec<QOp<'q>>,
     /// The entry lists of `Hits` and the operand lists of `ops`, flat.
@@ -947,14 +995,6 @@ struct QProgram<'q> {
 struct Hits {
     mask: u64,
     entries: (u32, u32),
-}
-
-/// A test of a text node's value.
-enum TextAtom<'q> {
-    /// `TextTest`: the value equals the string.
-    Equals(&'q str),
-    /// `ValTest`: the value, read as a number, satisfies the comparison.
-    Compares(CmpOp, f64),
 }
 
 /// A test of an element's attribute.
@@ -1005,12 +1045,6 @@ impl OpKind<'_> {
     }
 }
 
-/// `text` read as a number: whitespace trimmed, a leading `$` tolerated.
-fn number(text: &str) -> Option<f64> {
-    let text = text.trim();
-    text.strip_prefix('$').unwrap_or(text).parse().ok()
-}
-
 /// The bit of entry `e` in a word: zero past the word, where only the
 /// arena lane runs, which reads no mask.
 fn bit(e: QEntryId) -> u64 {
@@ -1018,14 +1052,15 @@ fn bit(e: QEntryId) -> u64 {
 }
 
 impl<'q> QProgram<'q> {
-    fn compile(qvect: &'q [QEntry]) -> QProgram<'q> {
+    fn compile(qvect: &'q [QEntry], summary: &'q LabelSummary) -> QProgram<'q> {
         let mut program = QProgram {
             len: qvect.len(),
+            summary,
             labels: Vec::new(),
             element: Hits::default(),
             attributes: Vec::new(),
-            texts: Vec::new(),
-            numeric: false,
+            equals: Vec::new(),
+            compares: Vec::new(),
             ops: Vec::new(),
             entries: Vec::new(),
         };
@@ -1040,19 +1075,20 @@ impl<'q> QProgram<'q> {
         for (e, entry) in qvect.iter().enumerate() {
             match entry {
                 QEntry::LabelTest(label) => {
-                    if !program.labels.iter().any(|(l, _)| l == label) {
-                        let hits = program.hits(tests_of(qvect, entry));
-                        program.labels.push((label, hits));
+                    if let Some(symbol) = summary.symbol(label).map(|s| s as usize) {
+                        if program.labels.len() <= symbol {
+                            program.labels.resize_with(symbol + 1, Hits::default);
+                        }
+                        program.labels[symbol] = program.hits(tests_of(qvect, entry));
                     }
                 }
                 QEntry::TextTest(s) => {
                     let hits = program.hits([e]);
-                    program.texts.push((TextAtom::Equals(s), hits));
+                    program.equals.push((s, hits));
                 }
                 QEntry::ValTest(op, n) => {
                     let hits = program.hits([e]);
-                    program.texts.push((TextAtom::Compares(*op, *n), hits));
-                    program.numeric = true;
+                    program.compares.push((*op, *n, hits));
                 }
                 QEntry::AttrTest(a) => {
                     let hits = program.hits([e]);
@@ -1116,49 +1152,64 @@ impl<'q> QProgram<'q> {
         &self.entries[from as usize..to as usize]
     }
 
-    /// Hand `hit` the entries of every atom that holds at `v`, by node kind:
-    /// an element its label's, the element tests' and its attribute tests';
-    /// a text node its text tests', parsing its value as a number once; a
-    /// virtual node none.
+    /// Does an op read its children's stored words (a counted fold)? Then a
+    /// node's word is not a function of its atoms and folds alone.
+    fn counts(&self) -> bool {
+        self.ops.iter().any(|op| matches!(op.kind, OpKind::Counted { .. }))
+    }
+
+    /// Hand `hit` the entries of every atom that holds at `v`, by its key in
+    /// the summary: an element its label symbol's, the element tests' and,
+    /// when it carries attributes, its attribute tests'; a text node its
+    /// text tests', comparing the number it reads as; a virtual node none.
     #[inline]
     fn atoms(&self, tree: &XmlTree, v: NodeId, mut hit: impl FnMut(&Hits)) {
-        match tree.kind(v) {
-            NodeKind::Element { label, attributes } => {
-                if let Some((_, hits)) = self.labels.iter().find(|(l, _)| l == label) {
+        let number = match self.summary.key(v) {
+            AtomKey::Element(symbol) => {
+                if let Some(hits) = self.labels.get(symbol as usize) {
                     hit(hits);
                 }
                 hit(&self.element);
-                if attributes.is_empty() {
-                    return;
+                if !self.attributes.is_empty() {
+                    self.attribute_atoms(tree, v, hit);
                 }
-                let attribute = |name: &str| {
-                    attributes.iter().find(|(k, _)| k == name).map(|(_, value)| value.as_str())
-                };
-                for (atom, hits) in &self.attributes {
-                    let holds = match *atom {
-                        AttrAtom::Present(a) => attribute(a).is_some(),
-                        AttrAtom::Equals(a, s) => attribute(a) == Some(s),
-                        AttrAtom::Compares(a, op, n) => {
-                            attribute(a).and_then(number).is_some_and(|x| op.apply(x, n))
-                        }
-                    };
-                    if holds {
-                        hit(hits);
-                    }
+                return;
+            }
+            AtomKey::Number(x) => Some(x),
+            AtomKey::Text => None,
+            AtomKey::Virtual => return,
+        };
+        for (op, n, hits) in &self.compares {
+            if number.is_some_and(|x| op.apply(x, *n)) {
+                hit(hits);
+            }
+        }
+        if !self.equals.is_empty() {
+            let value = tree.text_value(v);
+            for (s, hits) in &self.equals {
+                if value == Some(s) {
+                    hit(hits);
                 }
             }
-            NodeKind::Text { value } => self.text_atoms(value, hit),
-            NodeKind::Virtual { .. } => {}
         }
     }
 
-    /// The text tests of a text node whose value is `value`.
-    fn text_atoms(&self, value: &str, mut hit: impl FnMut(&Hits)) {
-        let parsed = if self.numeric { number(value) } else { None };
-        for (atom, hits) in &self.texts {
+    /// The attribute tests of the element `v`.
+    fn attribute_atoms(&self, tree: &XmlTree, v: NodeId, mut hit: impl FnMut(&Hits)) {
+        let NodeKind::Element { attributes, .. } = tree.kind(v) else { return };
+        if attributes.is_empty() {
+            return;
+        }
+        let attribute = |name: &str| {
+            attributes.iter().find(|(k, _)| k == name).map(|(_, value)| value.as_str())
+        };
+        for (atom, hits) in &self.attributes {
             let holds = match *atom {
-                TextAtom::Equals(s) => value == s,
-                TextAtom::Compares(op, n) => parsed.is_some_and(|x| op.apply(x, n)),
+                AttrAtom::Present(a) => attribute(a).is_some(),
+                AttrAtom::Equals(a, s) => attribute(a) == Some(s),
+                AttrAtom::Compares(a, op, n) => {
+                    attribute(a).and_then(text_number).is_some_and(|x| op.apply(x, n))
+                }
             };
             if holds {
                 hit(hits);
@@ -1166,13 +1217,27 @@ impl<'q> QProgram<'q> {
         }
     }
 
-    /// The word lane: `v`'s `QV` as a word, from its children's folds
-    /// `any_qv` and `any_qdv` and, for counted folds, their words in `qv_of`.
-    /// Each op is one test of the node's word against its masks.
+    /// The word of the atoms that hold at `v`.
     #[inline]
-    fn word(&self, tree: &XmlTree, v: NodeId, any_qv: u64, any_qdv: u64, qv_of: &[u64]) -> u64 {
-        let mut qv = 0;
-        self.atoms(tree, v, |hits| qv |= hits.mask);
+    fn atom_word(&self, tree: &XmlTree, v: NodeId) -> u64 {
+        let mut word = 0;
+        self.atoms(tree, v, |hits| word |= hits.mask);
+        word
+    }
+
+    /// The word lane: `v`'s `QV` as a word, from its inputs — its atoms'
+    /// word and its children's folds `any_qv` and `any_qdv` — and, for
+    /// counted folds, the children's words in `qv_of`. Each op is one test
+    /// of the node's word against its masks.
+    #[inline]
+    fn word(
+        &self,
+        tree: &XmlTree,
+        v: NodeId,
+        (atoms, any_qv, any_qdv): (u64, u64, u64),
+        qv_of: &[u64],
+    ) -> u64 {
+        let mut qv = atoms;
         for op in &self.ops {
             let me = op.operands.mask;
             let holds = match op.kind {
@@ -1796,10 +1861,12 @@ pub struct MultiPassOutput<V: Ord> {
 /// one visit"). A query wider than a word is a group of its own, whose
 /// spine is the whole subtree.
 ///
-/// `summary` is `tree`'s [`LabelSummary`], over which the selection sweeps
-/// pass over the subtrees that can hold no answer (see the module doc);
-/// `None` walks every node. `virtual_qual_vectors(i, v)` stands for query
-/// `i`'s `QV`/`QDV` at the virtual node `v`, as in [`combined_pass`].
+/// `summary` is `tree`'s [`LabelSummary`]: the qualifier sweeps read their
+/// atoms from it, and the selection sweeps pass over the subtrees that can
+/// hold no answer (see the module doc). `None` walks every node, over a
+/// summary built for the qualifier sweeps alone when a query has
+/// qualifiers. `virtual_qual_vectors(i, v)` stands for query `i`'s
+/// `QV`/`QDV` at the virtual node `v`, as in [`combined_pass`].
 pub fn multi_combined_pass<V: VarLike>(
     tree: &XmlTree,
     root: NodeId,
@@ -1812,11 +1879,13 @@ pub fn multi_combined_pass<V: VarLike>(
         ..QualifierSharing::default()
     };
     let mut visits: Vec<Option<CombinedPassOutput<V>>> = queries.iter().map(|_| None).collect();
+    let index = atom_index(tree, summary, queries.iter().any(|q| q.query.has_qualifiers()));
     let mut visit = |i: usize, union: &Union, map: Option<&[QEntryId]>| {
         let VisitQuery { query, init, context } = &queries[i];
         let mut arena: FormulaArena<V> = FormulaArena::new();
-        let quals =
-            spine_sweep(&mut arena, tree, query, union, map, |v| virtual_qual_vectors(i, v));
+        let quals = spine_sweep(&mut arena, tree, query, &index, union, map, |v| {
+            virtual_qual_vectors(i, v)
+        });
         let sel = selection_sweep(
             &mut arena,
             tree,
@@ -1838,7 +1907,7 @@ pub fn multi_combined_pass<V: VarLike>(
         });
     };
     for group in groups(queries) {
-        let union = union_sweep(tree, root, &group.qvect);
+        let union = union_sweep(tree, root, &group.qvect, &index);
         sharing.union_entries += group.qvect.len() as u64;
         sharing.union_nodes += union.nodes;
         sharing.union_ops += union.ops;
@@ -2227,8 +2296,10 @@ mod tests {
     fn assert_lanes_agree(tree: &XmlTree, q: &CompiledQuery, start_at: Start) -> LaneCounts {
         let (root, qlen, slen) = (tree.root(), q.qvect_len(), q.svect_len());
         let mut arena = FormulaArena::new();
-        let union = union_sweep(tree, root, &q.qvect);
-        let quals = spine_sweep(&mut arena, tree, q, &union, None, fresh_vectors(tree, qlen));
+        let summary = LabelSummary::of(tree);
+        let union = union_sweep(tree, root, &q.qvect, &summary);
+        let quals =
+            spine_sweep(&mut arena, tree, q, &summary, &union, None, fresh_vectors(tree, qlen));
 
         let (mut qual_ops, mut qual_nodes) = (0, 0);
         for v in tree.post_order(root).filter(|_| qlen > 0) {
@@ -2328,6 +2399,103 @@ mod tests {
         }
     }
 
+    /// Texts at the edges of reading a number: special values, a `$` alone,
+    /// padding, signs, exponents and a radix prefix `f64::from_str` refuses.
+    const NUMBER_LIKE: [&str; 11] =
+        ["NaN", "inf", "-Infinity", "$5", " 7 ", "+3", ".5", "1e3", "$", "", "0x10"];
+
+    /// Queries whose atoms read [`NUMBER_LIKE`] texts as numbers and as
+    /// strings, with and without a counted fold.
+    fn number_query_strategy() -> impl Strategy<Value = String> {
+        let label = prop::sample::select(common::LABELS.to_vec());
+        let op = prop::sample::select(vec!["=", "!=", "<", "<=", ">", ">="]);
+        let n = prop::sample::select(vec!["0", "3", "5", "7", "0.5", "1000"]);
+        let text = prop::sample::select(NUMBER_LIKE.to_vec());
+        prop_oneof![
+            (label.clone(), op, n).prop_map(|(l, op, n)| format!("//*[{l} {op} {n}]")),
+            (label.clone(), text).prop_map(|(l, t)| format!("//*[{l}/text()=\"{t}\"]")),
+            label.clone().prop_map(|l| format!("//*[{l}[2] or {l} > 4]")),
+            label.prop_map(|l| format!("//*[{l}[1] and not({l} < 5)]/{l}")),
+        ]
+    }
+
+    proptest! {
+        /// The union phase reads atoms through the tree's index and reuses
+        /// the previous node's word when its inputs repeat; over texts that
+        /// read as numbers in every edge case, both lanes still equal the
+        /// per-entry reference at every node.
+        #[test]
+        fn the_indexed_union_phase_agrees_at_every_node_over_number_like_texts(
+            tree in common::fragment_strategy(),
+            values in prop::collection::vec(0..NUMBER_LIKE.len(), 50),
+            query in prop_oneof![number_query_strategy(), common::kernel_query_strategy()],
+            start_at in prop::sample::select(STARTS.to_vec()),
+        ) {
+            let mut tree = tree;
+            let texts: Vec<NodeId> =
+                tree.all_nodes().filter(|&v| tree.text_value(v).is_some()).collect();
+            for (v, &k) in texts.into_iter().zip(&values) {
+                tree.set_text_value(v, NUMBER_LIKE[k]).unwrap();
+            }
+            assert_lanes_agree(&tree, &compiled(&query), start_at);
+        }
+    }
+
+    /// `tree`'s answers to `text` from the centralized evaluator, checked
+    /// against the oracle and with both lanes checked at every node.
+    fn checked_answers(tree: &XmlTree, text: &str) -> Vec<NodeId> {
+        let mut oracle = semantics::oracle_eval(tree, text).unwrap();
+        oracle.sort();
+        let answers = centralized::evaluate(tree, text).unwrap().answers;
+        assert_eq!(answers, oracle, "{text}");
+        for start_at in STARTS {
+            assert_lanes_agree(tree, &compiled(text), start_at);
+        }
+        answers
+    }
+
+    #[test]
+    fn the_word_memo_keys_on_the_qdv_fold() {
+        // `p`, the outer `a`, follows its last child `x` in post-order with
+        // the same label and the same `QV` fold, `{a}`; only its `QDV` fold
+        // holds the `c` below `o`. So `p` is an `a` with a `c` below, and
+        // the root answers `//*[a//c]`, while `x` is not.
+        let tree = TreeBuilder::new("r")
+            .open("a")
+            .open("o")
+            .element("c")
+            .close()
+            .open("a")
+            .element("a")
+            .close()
+            .close()
+            .build();
+        assert_eq!(checked_answers(&tree, "//*[a//c]"), [tree.root()]);
+    }
+
+    #[test]
+    fn the_word_memo_is_off_over_a_counted_fold() {
+        // `x` holds one `a` child and its parent `p` two, but their labels
+        // and folds are the same: only the counted fold tells them apart,
+        // and only `p` and the two `k`s answer `//*[a[2]]`.
+        let k = |builder: TreeBuilder| builder.open("a").element("a").element("a").close();
+        let tree = k(k(TreeBuilder::new("r").open("a")).open("a")).close().close().build();
+        let a = tree.find_all("a");
+        let (p, k1, x, k2) = (a[0], a[1], a[4], a[5]);
+        assert_eq!(checked_answers(&tree, "//*[a[2]]"), [p, k1, k2]);
+        assert_eq!(tree.children(x).count(), 1);
+    }
+
+    #[test]
+    fn a_label_the_fragment_lacks_matches_nowhere() {
+        // `z` is no label of the tree: it has no symbol, so its test holds
+        // at no node, whatever symbol the tree's labels took.
+        let tree = TreeBuilder::new("r").open("a").element("b").close().element("a").build();
+        assert!(checked_answers(&tree, "//*[z]").is_empty());
+        assert!(checked_answers(&tree, "//*[a or z]") == [tree.root()]);
+        assert_eq!(checked_answers(&tree, "//*[not(z)]").len(), 4);
+    }
+
     /// How many of a fragment's qualifier variables Stage 2's environment
     /// resolves: all of them, or about two in three (the rest stay symbolic
     /// on the spine).
@@ -2377,7 +2545,7 @@ mod tests {
     ) {
         let (root, fresh) = (tree.root(), fresh_vectors(tree, q.qvect_len()));
         let exported = qualifier_pass(tree, root, q, fresh);
-        let swept = qualifier_sweep(tree, root, q, fresh);
+        let swept = qualifier_sweep(tree, root, q, summary, fresh);
         assert_eq!(swept.root, exported.root, "root vectors");
         assert_eq!((swept.ops, swept.lanes), (exported.ops, exported.lanes), "qualifier sweep");
 
